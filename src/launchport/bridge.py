@@ -30,8 +30,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -87,6 +85,9 @@ def load_bridge_config(source: str | Path) -> BridgeConfig:
 
 
 def _default_transport(url: str, body: bytes, headers: dict[str, str], timeout_s: float) -> bytes:
+    # Imported here: the bridge is off by default and urllib.request is slow to import.
+    import urllib.request
+
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     with urllib.request.urlopen(request, timeout=timeout_s) as response:
         if response.status >= 400:
@@ -188,7 +189,7 @@ class RemoteBridge:
             try:
                 raw = self._transport(self.config.endpoint, body, headers, timeout_s)  # type: ignore[arg-type]
                 break
-            except (urllib.error.URLError, TimeoutError, OSError, BridgeUnavailableError) as exc:
+            except (OSError, BridgeUnavailableError) as exc:  # URLError, TimeoutError are OSErrors
                 last_error = exc
                 if attempt <= self.config.retries:
                     time.sleep(timeout_s * attempt)  # fixed backoff, no jitter

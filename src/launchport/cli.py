@@ -34,6 +34,7 @@ from .errors import (
     CapacityError,
     IncompleteSpecError,
     LaunchportError,
+    UsageError,
 )
 from .intent import (
     PartialJobSpec,
@@ -64,6 +65,20 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRESOLVED = 2
 
+# Fields that --answers and the prompts may set, each with its value parser.
+_ANSWER_TYPES = {
+    "cluster": str,
+    "framework": Framework,
+    "strategy": Strategy,
+    "nodes": int,
+    "gpus_per_node": int,
+    "total_gpus": int,
+    "master_port": int,
+    "entry_script": str,
+    "deepspeed_config": str,
+    "train_args": str,
+}
+
 _PROMPTS = {
     "cluster": "Target cluster",
     "framework": "Framework (pytorch/deepspeed/accelerate)",
@@ -86,7 +101,7 @@ class CliSession:
     fingerprints: FingerprintSet
     repair_table: RepairTable
     bridge: RemoteBridge | None
-    answers: dict[str, str]
+    answers: dict[str, object]
     k: int
 
 
@@ -193,12 +208,15 @@ def _session(args) -> CliSession:
     bridge = None
     if args.bridge_config:
         bridge = RemoteBridge(load_bridge_config(Path(args.bridge_config)))
+    if args.k < 1:
+        raise UsageError(f"--candidates must be >= 1, got {args.k}")
     answers = {}
     for pair in args.answers.split(","):
         pair = pair.strip()
         if pair:
             key, _, value = pair.partition("=")
-            answers[key.strip()] = value.strip()
+            key = key.strip()
+            answers[key] = _parse_answer(key, value.strip())
     interactive = not args.non_interactive and sys.stdin.isatty()
     return CliSession(
         interactive=interactive,
@@ -222,46 +240,39 @@ def _flag_overrides(args) -> PartialJobSpec:
         strategy = Strategy.DDP
     elif args.strategy:
         strategy = Strategy(args.strategy)
-    return PartialJobSpec(
-        cluster=args.cluster,
-        framework=framework,
-        strategy=strategy,
-        nodes=args.nodes,
-        gpus_per_node=args.gpus_per_node,
-        total_gpus=args.total_gpus,
-        master_port=args.master_port,
-        entry_script=args.entry_script,
-        train_args=args.train_args or "",
-    )
+    try:
+        return PartialJobSpec(
+            cluster=args.cluster,
+            framework=framework,
+            strategy=strategy,
+            nodes=args.nodes,
+            gpus_per_node=args.gpus_per_node,
+            total_gpus=args.total_gpus,
+            master_port=args.master_port,
+            entry_script=args.entry_script,
+            train_args=args.train_args or "",
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _apply_answer(partial: PartialJobSpec, name: str, value: str) -> None:
-    if name == "cluster":
-        partial.cluster = value
-    elif name == "framework":
-        partial.framework = Framework(value)
-    elif name == "strategy":
-        partial.strategy = Strategy(value)
-    elif name == "nodes":
-        partial.nodes = int(value)
-    elif name == "gpus_per_node":
-        partial.gpus_per_node = int(value)
-    elif name == "total_gpus":
-        partial.total_gpus = int(value)
-    elif name == "master_port":
-        partial.master_port = int(value)
-    elif name == "entry_script":
-        partial.entry_script = value
-    elif name == "deepspeed_config":
-        partial.deepspeed_config = value
-    elif name == "train_args":
-        partial.train_args = value
+def _parse_answer(name: str, value: str) -> object:
+    """The typed value of one answered field; range-checked like a flag."""
+    parse = _ANSWER_TYPES.get(name)
+    if parse is None:
+        raise UsageError(f"unknown answer field '{name}'; valid: {', '.join(_ANSWER_TYPES)}")
+    try:
+        parsed = parse(value)
+        PartialJobSpec(**{name: parsed})
+    except ValueError as exc:
+        raise UsageError(f"invalid answer {name}={value}: {exc}") from exc
+    return parsed
 
 
 def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpec:
     """Prompt for or answer missing fields, one at a time, in stable order."""
     for name, value in session.answers.items():
-        _apply_answer(partial, name, value)
+        setattr(partial, name, value)
     missing = missing_fields(partial)
     if not missing:
         return partial
@@ -271,7 +282,7 @@ def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpe
         prompt = _PROMPTS.get(name, name)
         value = input(f"{prompt}: ").strip()
         if value:
-            _apply_answer(partial, name, value)
+            setattr(partial, name, _parse_answer(name, value))
     still_missing = missing_fields(partial)
     if still_missing:
         raise IncompleteSpecError(still_missing)
@@ -281,12 +292,12 @@ def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpe
 def _extractor(session: CliSession):
     if session.bridge is not None and session.bridge.enabled("extract"):
         return BridgeExtractor(session.bridge)
-    names = {}
-    for profile in session.profiles:
-        names[profile.id] = profile.id
-        for alias in profile.aliases:
-            names[alias] = profile.id
-    return RuleBasedExtractor(cluster_names=names)
+    return _rule_extractor(session)
+
+
+def _rule_extractor(session: CliSession) -> RuleBasedExtractor:
+    """The offline extractor, knowing every cluster of the session's profiles."""
+    return RuleBasedExtractor(cluster_names=session.profiles.names())
 
 
 def cmd_generate(args) -> int:
@@ -300,7 +311,7 @@ def cmd_generate(args) -> int:
             # Remote extractor out of reach; the rule-based one always works.
             print(f"notice: remote extractor unavailable ({exc}); "
                   "using the rule-based extractor", file=sys.stderr)
-            partial = extract(args.description, RuleBasedExtractor())
+            partial = extract(args.description, _rule_extractor(session))
     partial = partial.merged_with(overrides)
     partial = _fill_missing(partial, session)
 

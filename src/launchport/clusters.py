@@ -8,11 +8,13 @@ exports the submitting shell's environment to all allocated nodes.
 Profiles are data, not code.  The default bundle (``data/clusters.json``)
 ships nine production machines; new clusters are added by editing the JSON
 document, never by touching this module.  A loaded :class:`ProfileSet` is
-immutable and safe to share between threads.
+immutable and safe to share between threads, so the default set is parsed
+once per process and shared.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -91,6 +93,10 @@ class ProfileSet:
     def ids(self) -> list[str]:
         return list(self._by_id)
 
+    def names(self) -> dict[str, str]:
+        """Every id and alias, lowercased, mapped to its profile's id."""
+        return {name: profile.id for name, profile in self._by_name.items()}
+
     def resolve(self, name: str) -> ClusterProfile:
         """Return the profile whose id or alias matches ``name``.
 
@@ -143,8 +149,9 @@ def load_profiles(source: str | Path | IO[str]) -> ProfileSet:
     return ProfileSet([_parse_record(rec, i) for i, rec in enumerate(records)])
 
 
+@functools.cache
 def default_profiles() -> ProfileSet:
-    """Load the bundled nine-cluster profile set."""
+    """The bundled nine-cluster profile set, parsed once per process."""
     data = resources.files("launchport.data").joinpath("clusters.json").read_text("utf-8")
     return load_profiles(data)
 

@@ -131,6 +131,10 @@ class NoRepairAvailableError(LaunchportError):
     """Diagnosis is unknown and no remote repair bridge is enabled."""
 
 
+class UsageError(LaunchportError):
+    """A command-line flag or answer has an invalid value."""
+
+
 class ContractViolationError(LaunchportError):
     """An operation was called outside its contract (caller bug)."""
 

@@ -9,8 +9,12 @@ a validated :class:`JobSpec`.
 
 Normalization rules, fixed so that extraction is deterministic:
 
-* number words "one" through "sixty-four" are read as integers; larger
-  counts must be written as digits;
+* number words "one" through "sixty-four" are read as integers when they
+  stand as whole words; larger counts must be written as digits.  One pass
+  rewrites every number word as digits in a copy of the text (longest word
+  first, so "twenty-one" becomes 21, not 20 and 1).  Only the node,
+  per-node and total-GPU count patterns read that copy, and they match
+  digits alone; everything else reads the text as given;
 * "servers", "machines", "hosts", and "compute nodes" all mean nodes;
 * "N GPUs per node" is a per-node count; a bare "N GPUs" is a total
   (with nodes defaulting to 1 when no node count is given anywhere);
@@ -29,6 +33,7 @@ Everything here is pure: the same text always yields the same spec.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -94,18 +99,25 @@ def _number_words() -> dict[str, int]:
 
 NUMBER_WORDS = _number_words()
 
-# Longest alternatives first so "twenty-one" wins over "twenty".
-_NUM_WORD_ALT = "|".join(
-    sorted((re.escape(w) for w in NUMBER_WORDS), key=len, reverse=True)
+# Whole words only ("seventy" holds no "seven", "someone" no "one"), longest
+# first so "twenty-one" wins over "twenty".  The lookahead on the first
+# letters lets most positions fail before the alternation is tried.
+_NUMBER_WORD_RE = re.compile(
+    r"\b(?=[" + "".join(sorted({w[0] for w in NUMBER_WORDS})) + "])(?:"
+    + "|".join(sorted((re.escape(w) for w in NUMBER_WORDS), key=len, reverse=True))
+    + r")\b",
+    re.I,
 )
-_NUM = rf"(\d+|{_NUM_WORD_ALT})"
+_NUM = r"(\d+)"
 
 
-def _to_int(token: str) -> int:
-    token = token.strip().lower()
-    if token.isdigit():
-        return int(token)
-    return NUMBER_WORDS[token]
+def _digits(text: str) -> str:
+    """``text`` with every number word rewritten as its digits."""
+    # re.I also matches case variants outside ASCII ("ſix"); no number word
+    # has that spelling, so such a match stays as written.
+    return _NUMBER_WORD_RE.sub(
+        lambda m: str(NUMBER_WORDS.get(m.group().lower(), m.group())), text
+    )
 
 
 @dataclass
@@ -315,11 +327,7 @@ class RuleBasedExtractor:
 
     def __init__(self, cluster_names: dict[str, str] | None = None):
         if cluster_names is None:
-            cluster_names = {}
-            for profile in default_profiles():
-                cluster_names[profile.id] = profile.id
-                for alias in profile.aliases:
-                    cluster_names[alias] = profile.id
+            cluster_names = default_profiles().names()
         # Longest names first so "deltaai" is not shadowed by "delta".
         self._cluster_patterns = [
             (re.compile(rf"(?<![\w-]){re.escape(name)}(?![\w-])", re.I), canonical)
@@ -366,24 +374,30 @@ class RuleBasedExtractor:
                 matched_any = True
                 break
 
-        nodes = self._first_int(text, _FLAG_PATTERNS["nodes"], *_NODES_PROSE)
+        # Flags read the text as given; prose counts read the digit copy.
+        digits = _digits(text)
+        nodes = _first_int(text, _FLAG_PATTERNS["nodes"]) or _first_int(digits, *_NODES_PROSE)
         if nodes is None and _SINGLE_NODE.search(text):
             nodes = 1
         if nodes is not None:
             spec.nodes = nodes
             matched_any = True
 
-        per_node = self._first_int(text, _FLAG_PATTERNS["gpus_per_node"], *_GPUS_PER_NODE_PROSE)
+        per_node = _first_int(text, _FLAG_PATTERNS["gpus_per_node"]) or _first_int(
+            digits, *_GPUS_PER_NODE_PROSE
+        )
         if per_node is not None:
             spec.gpus_per_node = per_node
             matched_any = True
         else:
-            total = self._first_int(text, _FLAG_PATTERNS["total_gpus"], *_TOTAL_GPUS_PROSE)
+            total = _first_int(text, _FLAG_PATTERNS["total_gpus"]) or _first_int(
+                digits, *_TOTAL_GPUS_PROSE
+            )
             if total is not None:
                 spec.total_gpus = total
                 matched_any = True
 
-        port = self._first_int(text, _FLAG_PATTERNS["master_port"], _PORT_PROSE)
+        port = _first_int(text, _FLAG_PATTERNS["master_port"], _PORT_PROSE)
         if port is not None and PORT_MIN <= port <= PORT_MAX:
             spec.master_port = port
             matched_any = True
@@ -416,18 +430,21 @@ class RuleBasedExtractor:
             spec.train_args = text.strip()
         return spec
 
-    @staticmethod
-    def _first_int(text: str, *patterns: re.Pattern) -> int | None:
-        for pattern in patterns:
-            m = pattern.search(text)
-            if m:
-                try:
-                    value = _to_int(m.group(1))
-                except KeyError:
-                    continue
-                if value >= 1:
-                    return value
-        return None
+
+def _first_int(text: str, *patterns: re.Pattern) -> int | None:
+    """The first positive count captured by ``patterns``, tried in order."""
+    for pattern in patterns:
+        m = pattern.search(text)
+        if m:
+            value = int(m.group(1))
+            if value >= 1:
+                return value
+    return None
+
+
+@functools.cache
+def _default_extractor() -> RuleBasedExtractor:
+    return RuleBasedExtractor()
 
 
 def extract(text: str, extractor: Extractor | None = None) -> PartialJobSpec:
@@ -435,11 +452,13 @@ def extract(text: str, extractor: Extractor | None = None) -> PartialJobSpec:
 
     Extraction is best effort and never raises on unrecognized content; an
     empty ``text`` violates the precondition and raises ``ValueError``.
+    Without an ``extractor``, one rule-based extractor over the bundled
+    registry is built on first use and reused.
     """
     if not text:
         raise ValueError("extract requires non-empty text")
     if extractor is None:
-        extractor = RuleBasedExtractor()
+        extractor = _default_extractor()
     return extractor.extract(text)
 
 

@@ -15,7 +15,6 @@ from . import retrieval
 from .clusters import ClusterProfile
 from .errors import ContractViolationError, LaunchportError, UnboundParameterError
 from .intent import JobSpec
-from .lint import Finding
 from .repair import (
     FingerprintSet,
     Harness,
@@ -181,7 +180,3 @@ def render_report(result: PipelineResult) -> str:
     else:
         lines.append("result: unresolved")
     return "\n".join(lines) + "\n"
-
-
-def lint_findings_text(findings: list[Finding]) -> str:
-    return "\n".join(f"[{f.severity}] {f.code}: {f.message}" for f in findings)

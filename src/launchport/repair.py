@@ -19,6 +19,7 @@ is exhausted or no actions remain.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, replace
@@ -200,12 +201,16 @@ def load_repair_table(source: str | Path | IO[str]) -> RepairTable:
     return RepairTable(table)
 
 
+@functools.cache
 def default_fingerprints() -> FingerprintSet:
+    """The bundled fingerprints, parsed once per process."""
     data = resources.files("launchport.data").joinpath("fingerprints.json").read_text("utf-8")
     return load_fingerprints(data)
 
 
+@functools.cache
 def default_repair_table() -> RepairTable:
+    """The bundled repair table, parsed once per process."""
     data = resources.files("launchport.data").joinpath("repairs.json").read_text("utf-8")
     return load_repair_table(data)
 

@@ -24,6 +24,7 @@ submissions may run concurrently without shared state.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -182,7 +183,9 @@ def load_fault_rules(
     ])
 
 
+@functools.cache
 def default_fault_rules() -> FaultRuleSet:
+    """The bundled fault rules, parsed once per process."""
     data = resources.files("launchport.data").joinpath("fault_rules.json").read_text("utf-8")
     return load_fault_rules(data)
 

@@ -16,9 +16,10 @@ and never mutates the input.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterator
@@ -72,12 +73,6 @@ class Template:
     @property
     def key(self) -> TemplateKey:
         return (self.cluster, self.framework, self.strategy, self.launcher)
-
-    def param(self, name: str) -> ParamDecl | None:
-        for decl in self.params:
-            if decl.name == name:
-                return decl
-        return None
 
     def required_params(self) -> list[str]:
         return [p.name for p in self.params if p.required]
@@ -223,16 +218,11 @@ def dump_repository(tset: TemplateSet) -> str:
     return json.dumps(records, indent=2) + "\n"
 
 
+@functools.cache
 def default_templates() -> TemplateSet:
-    """Load the bundled template repository."""
+    """The bundled template repository, parsed once per process."""
     data = resources.files("launchport.data").joinpath("templates.json").read_text("utf-8")
     return load_repository(data)
-
-
-def mark_verified(tset: TemplateSet, template_id: str) -> TemplateSet:
-    """Return a new set with ``template_id`` flagged as verified."""
-    updated = [replace(t, verified=True) if t.id == template_id else t for t in tset]
-    return TemplateSet(updated)
 
 
 def _read_source(source: str | Path | IO[str]) -> str:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import launchport
 from launchport.bridge import BridgeConfig, BridgeExtractor, RemoteBridge, load_bridge_config
 from launchport.errors import (
     BridgeDisabledError,
@@ -247,3 +252,17 @@ class TestOverRealHttp:
         extractor = BridgeExtractor(RemoteBridge(config))
         with pytest.raises(BridgeUnavailableError):
             extractor.extract("two nodes")
+
+
+def test_importing_cli_loads_no_http_client():
+    # The bridge is off by default, so its HTTP transport is imported on first use.
+    code = (
+        "import sys, launchport.cli; "
+        "print([m for m in ('urllib.request', 'http.client') if m in sys.modules])"
+    )
+    src = str(Path(launchport.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.strip() == "[]"

@@ -109,6 +109,26 @@ class TestGenerate:
         assert "ds_config.json" in out
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("flags", [
+        ("--nodes", "0"),
+        ("--port", "80"),
+        ("--candidates", "0"),
+        ("--answers", "nodes=abc"),
+        ("--answers", "strategy=bogus"),
+        ("--answers", "bogus=1"),
+    ], ids=" ".join)
+    def test_bad_value_is_one_error_line(self, capsys, flags):
+        code, out, err = run_cli(
+            capsys, "generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+            *flags, "--non-interactive",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
 class TestPort:
     @pytest.fixture()
     def perl_script(self, tmp_path):
@@ -267,6 +287,38 @@ class TestBridgeFallback:
             capsys, "generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
             "--bridge-config", str(config), "--non-interactive",
         )
+        assert code == 0
+        assert out == PERLMUTTER_COMMAND + "\n"
+
+
+    def test_fallback_knows_clusters_of_custom_profiles(self, capsys, tmp_path, monkeypatch):
+        from importlib import resources
+
+        def down(url, body, headers, timeout_s):
+            raise OSError("endpoint down")
+
+        monkeypatch.setattr("launchport.bridge._default_transport", down)
+        records = json.loads(
+            resources.files("launchport.data").joinpath("clusters.json").read_text("utf-8")
+        )
+        for record in records:
+            if record["id"] == "perlmutter":
+                record["aliases"].append("saul")
+        profiles = tmp_path / "clusters.json"
+        profiles.write_text(json.dumps(records), "utf-8")
+        config = tmp_path / "bridge.json"
+        config.write_text(json.dumps({
+            "endpoint": "http://bridge.test/v1",
+            "timeout_ms": 1,
+            "retries": 0,
+            "capabilities": ["extract"],
+        }), "utf-8")
+        code, out, err = run_cli(
+            capsys, "generate", TABLE_DESCRIPTION.format(cluster="Saul"),
+            "--profiles", str(profiles), "--bridge-config", str(config),
+            "--non-interactive",
+        )
+        assert "rule-based extractor" in err
         assert code == 0
         assert out == PERLMUTTER_COMMAND + "\n"
 

@@ -10,6 +10,7 @@ from launchport.errors import (
     InconsistentTopologyError,
 )
 from launchport.intent import (
+    NUMBER_WORDS,
     JobSpec,
     PartialJobSpec,
     RuleBasedExtractor,
@@ -63,6 +64,35 @@ class TestExtract:
     def test_number_words_beyond_sixty_four_need_digits(self):
         assert extract("one hundred nodes").nodes is None
         assert extract("100 nodes").nodes == 100
+
+
+class TestNumberWords:
+    # (phrasing, field it fills); every number word must read the same in each.
+    PHRASINGS = (
+        ("train on {} nodes", "nodes"),
+        ("{} GPUs per node", "gpus_per_node"),
+        ("{} gpus/node", "gpus_per_node"),
+        ("{} GPUs in total", "total_gpus"),
+    )
+
+    @pytest.mark.parametrize("phrasing, field", PHRASINGS)
+    def test_every_word_in_every_case(self, phrasing, field):
+        for word, value in NUMBER_WORDS.items():
+            for form in (word, word.upper(), word.title()):
+                text = phrasing.format(form)
+                assert getattr(extract(text), field) == value, text
+
+    def test_only_whole_words_count(self):
+        assert extract("sixty-five GPUs").total_gpus == 5
+        seventy = extract("seventy GPUs")
+        assert seventy.total_gpus is None and seventy.gpus_per_node is None
+        assert extract("eighteen GPUs per node").gpus_per_node == 18
+        p = extract("someone asked for nodes with eightfold GPUs")
+        assert (p.nodes, p.gpus_per_node, p.total_gpus) == (None, None, None)
+
+    def test_flags_take_digits_only(self):
+        assert extract("--nodes two").nodes is None
+        assert extract("--nodes 3, or two nodes").nodes == 3
 
 
 class TestPhrasingCorpus:
