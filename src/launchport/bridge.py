@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
 from .intent import PartialJobSpec
-from .types import Framework, Launcher, Strategy
+from .types import CATEGORIES, Framework, Launcher, Strategy
 
 CAPABILITIES = ("extract", "embed", "repair")
 
@@ -69,19 +69,28 @@ class BridgeConfig:
 
 
 def load_bridge_config(source: str | Path) -> BridgeConfig:
-    """Load a bridge config document (JSON object)."""
+    """Load a bridge config document (JSON object).
+
+    A document that is not a JSON object, or whose values have the wrong
+    type, raises :class:`BridgeProtocolError`.
+    """
     if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
         text = Path(source).read_text("utf-8")
     else:
         text = str(source)
-    raw = json.loads(text)
-    return BridgeConfig(
-        endpoint=raw.get("endpoint"),
-        api_key_env=raw.get("api_key_env"),
-        timeout_ms=int(raw.get("timeout_ms", 2000)),
-        retries=int(raw.get("retries", 1)),
-        capabilities=frozenset(raw.get("capabilities", [])),
-    )
+    try:
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("the document must be a JSON object")
+        return BridgeConfig(
+            endpoint=raw.get("endpoint"),
+            api_key_env=raw.get("api_key_env"),
+            timeout_ms=int(raw.get("timeout_ms", 2000)),
+            retries=int(raw.get("retries", 1)),
+            capabilities=frozenset(raw.get("capabilities", [])),
+        )
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise BridgeProtocolError(f"invalid bridge config: {exc}") from exc
 
 
 def _default_transport(url: str, body: bytes, headers: dict[str, str], timeout_s: float) -> bytes:
@@ -159,7 +168,7 @@ class RemoteBridge:
         if not isinstance(proposals, list) or not all(isinstance(p, str) for p in proposals):
             raise BridgeProtocolError("repair proposals must be a list of strings")
         category = result.get("category")
-        if proposals and category not in ("env", "framework", "user"):
+        if proposals and category not in CATEGORIES:
             raise BridgeProtocolError("repair response with proposals needs a category")
         return (category or "unknown", proposals)
 

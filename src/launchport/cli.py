@@ -22,6 +22,7 @@ instead of blocking.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +35,7 @@ from .errors import (
     CapacityError,
     IncompleteSpecError,
     LaunchportError,
+    ProfileParseError,
     UsageError,
 )
 from .intent import (
@@ -107,22 +109,30 @@ class CliSession:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_USAGE
         return args.func(args)
-    except LaunchportError as exc:
+    except (LaunchportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose mistakes raise :class:`UsageError`.
+
+    argparse would exit with code 2, which here means "unresolved".
+    Subcommand parsers are built from this class too.
+    """
+
+    def error(self, message: str):
+        raise UsageError(f"{message} (see '{self.prog} --help')")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="launchport",
         description="Generate, verify, and repair distributed DL launch scripts.",
     )
@@ -450,16 +460,25 @@ def cmd_clusters_validate(args) -> int:
 
 
 def cmd_clusters_add(args) -> int:
-    import json
-
     registry_path = Path(args.profiles)
-    existing = json.loads(registry_path.read_text("utf-8"))
-    incoming = json.loads(Path(args.file).read_text("utf-8"))
+    existing = _profile_records(registry_path)
+    incoming = _profile_records(Path(args.file))
     merged = existing + incoming
     load_profiles(json.dumps(merged))  # validates ids, aliases, fields
     registry_path.write_text(json.dumps(merged, indent=2) + "\n", "utf-8")
     print(f"added {len(incoming)} profile(s) to {registry_path}")
     return EXIT_OK
+
+
+def _profile_records(path: Path) -> list:
+    """The records of a profile document; only its JSON-array shape is checked."""
+    try:
+        records = json.loads(path.read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ProfileParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(records, list):
+        raise ProfileParseError(f"{path}: profile document must be a JSON array")
+    return records
 
 
 def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:

@@ -15,6 +15,10 @@ Normalization rules, fixed so that extraction is deterministic:
   first, so "twenty-one" becomes 21, not 20 and 1).  Only the node,
   per-node and total-GPU count patterns read that copy, and they match
   digits alone; everything else reads the text as given;
+* the cluster is the earliest name or alias in the text that stands
+  apart from word characters and hyphens, found by one search over all of
+  them; where two start at the same place the longer name wins
+  ("deltaai" over "delta");
 * "servers", "machines", "hosts", and "compute nodes" all mean nodes;
 * "N GPUs per node" is a per-node count; a bare "N GPUs" is a total
   (with nodes defaulting to 1 when no node count is given anywhere);
@@ -34,8 +38,6 @@ Everything here is pure: the same text always yields the same spec.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field, replace
 from typing import Protocol
@@ -196,25 +198,6 @@ class JobSpec:
     def world_size(self) -> int:
         return self.nodes * self.gpus_per_node
 
-    def digest(self) -> str:
-        """Stable hash of the job content (ignores port provenance)."""
-        payload = json.dumps(
-            {
-                "cluster": self.cluster,
-                "framework": self.framework.value,
-                "strategy": self.strategy.value,
-                "launcher": self.launcher.value,
-                "nodes": self.nodes,
-                "gpus_per_node": self.gpus_per_node,
-                "entry_script": self.entry_script,
-                "train_args": self.train_args,
-                "master_port": self.master_port,
-                "deepspeed_config": self.deepspeed_config,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
     def description(self) -> str:
         """One-line text form, used for similarity matching in retrieval."""
         parts = [
@@ -328,13 +311,15 @@ class RuleBasedExtractor:
     def __init__(self, cluster_names: dict[str, str] | None = None):
         if cluster_names is None:
             cluster_names = default_profiles().names()
-        # Longest names first so "deltaai" is not shadowed by "delta".
-        self._cluster_patterns = [
-            (re.compile(rf"(?<![\w-]){re.escape(name)}(?![\w-])", re.I), canonical)
-            for name, canonical in sorted(
-                cluster_names.items(), key=lambda kv: len(kv[0]), reverse=True
-            )
-        ]
+        # One group per name, longest first, so at a shared position
+        # "deltaai" wins over "delta".  A match maps back through its group
+        # number, never through its text: re.I also matches spellings such
+        # as "ſ" for "s" that no lowercased key holds.
+        ordered = sorted(cluster_names.items(), key=lambda kv: len(kv[0]), reverse=True)
+        self._cluster_ids = [canonical for _, canonical in ordered]
+        # "(?!)" never matches: an empty registry names no cluster.
+        alternation = "|".join(f"({re.escape(name)})" for name, _ in ordered) or "(?!)"
+        self._cluster_re = re.compile(rf"(?<![\w-])(?:{alternation})(?![\w-])", re.I)
 
     def extract(self, text: str) -> PartialJobSpec:
         if not text:
@@ -342,13 +327,9 @@ class RuleBasedExtractor:
         spec = PartialJobSpec()
         matched_any = False
 
-        earliest: tuple[int, str] | None = None
-        for pattern, canonical in self._cluster_patterns:
-            m = pattern.search(text)
-            if m and (earliest is None or m.start() < earliest[0]):
-                earliest = (m.start(), canonical)
-        if earliest:
-            spec.cluster = earliest[1]
+        m = self._cluster_re.search(text)
+        if m:
+            spec.cluster = self._cluster_ids[m.lastindex - 1]
             matched_any = True
 
         for pattern, framework in _FRAMEWORK_TERMS:

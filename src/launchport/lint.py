@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import intent
 from .clusters import ClusterProfile
 from .errors import LaunchportError
 from .intent import JobSpec
@@ -105,10 +104,7 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
         )
 
     # 3. Topology consistency wherever the script states the counts.
-    parsed = intent.parse_script(text)
-    visible_world = parsed.total_gpus
-    visible_nodes = parsed.nodes
-    visible_per_node = parsed.gpus_per_node
+    visible_nodes, visible_per_node, visible_world = r.topology
     if visible_world is not None and visible_per_node is not None:
         nodes = visible_nodes if visible_nodes is not None else spec.nodes
         if nodes * visible_per_node != visible_world:

@@ -47,12 +47,11 @@ from .synthesis import (
     render_for_spec,
 )
 from .templates import Template, TemplateSet
+# Re-exported, so every diagnosis category can be imported from here.
+from .types import CATEGORIES, CATEGORY_ENV, CATEGORY_FRAMEWORK, CATEGORY_USER
 
-CATEGORY_ENV = "env"
-CATEGORY_FRAMEWORK = "framework"
-CATEGORY_USER = "user"
+# A failure that neither a fingerprint nor the remote bridge classified.
 CATEGORY_UNKNOWN = "unknown"
-CATEGORIES = (CATEGORY_ENV, CATEGORY_FRAMEWORK, CATEGORY_USER, CATEGORY_UNKNOWN)
 
 CONFIDENCE_HIGH = "high"
 CONFIDENCE_LOW = "low"
@@ -146,7 +145,7 @@ def load_fingerprints(source: str | Path | IO[str]) -> FingerprintSet:
     for i, raw in enumerate(records):
         if not isinstance(raw, dict) or "id" not in raw or "category" not in raw:
             raise RuleParseError("fingerprint needs 'id' and 'category'", index=i)
-        if raw["category"] not in CATEGORIES[:3]:
+        if raw["category"] not in CATEGORIES:
             raise RuleParseError(f"unknown category '{raw['category']}'", index=i)
         pattern = raw.get("pattern", {})
         literal = pattern.get("literal")
@@ -270,7 +269,7 @@ def diagnose(
         except BridgeError:
             category, proposals = CATEGORY_UNKNOWN, []
         actions = parse_proposals(proposals)
-        if actions and category in CATEGORIES[:3]:
+        if actions and category in CATEGORIES:
             return Diagnosis(
                 category=category,
                 fingerprint_id=None,
@@ -398,14 +397,15 @@ def apply_action(
     payload = action.payload
     if kind == "export_env":
         name = payload["name"]
-        return _edit_text(script, _inject_into_launch(script.text, f"export {name}=${name}")), spec, template
+        text = _inject_into_launch(script.text, f"export {name}=${name}")
+        return replace(script, text=text), spec, template
     if kind == "add_module_load":
-        return _edit_text(script, f"module load {payload['module']}\n{script.text}"), spec, template
+        return replace(script, text=f"module load {payload['module']}\n{script.text}"), spec, template
     if kind == "pin_version":
         line = f"module load {payload['package']}/{payload['version']}"
-        return _edit_text(script, f"{line}\n{script.text}"), spec, template
+        return replace(script, text=f"{line}\n{script.text}"), spec, template
     if kind == "prepend_line":
-        return _edit_text(script, f"{payload['line']}\n{script.text}"), spec, template
+        return replace(script, text=f"{payload['line']}\n{script.text}"), spec, template
     if kind == "add_arg":
         args = payload["args"]
         new_spec = replace(spec, train_args=f"{spec.train_args} {args}".strip())
@@ -440,26 +440,7 @@ def _apply_set_param(
     values[param] = value
     provenance[param] = PROVENANCE_USER
     binding = ParamBinding(values=values, provenance=provenance)
-    rendered = render(template, binding)
-    return (
-        RenderedScript(
-            text=rendered.text,
-            template_id=template.id,
-            binding=binding,
-            spec_digest=script.spec_digest,
-        ),
-        spec,
-        template,
-    )
-
-
-def _edit_text(script: RenderedScript, new_text: str) -> RenderedScript:
-    return RenderedScript(
-        text=new_text,
-        template_id=script.template_id,
-        binding=script.binding,
-        spec_digest=script.spec_digest,
-    )
+    return render(template, binding), spec, template
 
 
 def _inject_into_launch(text: str, statement: str) -> str:

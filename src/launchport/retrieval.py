@@ -9,8 +9,10 @@ When no template reaches 0.9 on metadata alone, a text-similarity signal
 worth up to 0.1 is blended in and the sum renormalized to [0, 1]: cosine
 similarity over an embedder's vectors when one is supplied, token-overlap
 (Jaccard over lowercase word sets) otherwise, so the default build needs no
-model and no network.  Similarity compares the job's one-line description
-against each template's notes plus body.
+model and no network.  An embedder that fails with a bridge error, or that
+returns other than one vector per text, gets the token-overlap fallback
+too.  Similarity compares the job's one-line description against each
+template's notes plus body.
 
 Ties break on template id, lexicographically, giving a total order.
 """
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
-from .errors import NoCandidatesError
+from .errors import BridgeError, NoCandidatesError
 from .intent import JobSpec
 from .templates import Template, TemplateSet
 
@@ -75,6 +77,17 @@ def _cosine(u: Sequence[float], v: Sequence[float]) -> float:
     return max(0.0, min(1.0, dot / (nu * nv)))
 
 
+def _embed(embedder: Embedder | None, texts: list[str]) -> list[list[float]] | None:
+    """One vector per text from ``embedder``; ``None`` when there is none to use."""
+    if embedder is None:
+        return None
+    try:
+        vectors = embedder.embed(texts)
+    except BridgeError:
+        return None
+    return vectors if len(vectors) == len(texts) else None
+
+
 def candidates(
     spec: JobSpec,
     tset: TemplateSet,
@@ -96,8 +109,8 @@ def candidates(
     if best_meta < SIMILARITY_GATE:
         description = spec.description()
         texts = [f"{t.notes} {t.body}" for t in templates]
-        if embedder is not None:
-            vectors = embedder.embed([description] + texts)
+        vectors = _embed(embedder, [description] + texts)
+        if vectors is not None:
             query = vectors[0]
             for t, vec in zip(templates, vectors[1:]):
                 similarities[t.id] = _cosine(query, vec)

@@ -31,14 +31,12 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, Iterator
 
-from . import intent
 from .clusters import ClusterProfile, default_profiles
 from .errors import RuleParseError
 from .intent import JobSpec
 from .synthesis import RenderedScript
 from .templates import PLACEHOLDER_RE
-
-CATEGORY_HINTS = ("env", "framework", "user")
+from .types import CATEGORIES
 
 REPAIR_KINDS = (
     "set_param",
@@ -71,7 +69,6 @@ class FaultRule:
     cluster: str | tuple[str, ...]
     trigger: dict
     stderr_template: str
-    category_hint: str
     clearable_by: tuple[str, ...] = ()
 
     @property
@@ -144,7 +141,7 @@ def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule
         if name not in known_clusters:
             raise RuleParseError(f"unknown cluster id '{name}'", index=index)
     category = raw["category"]
-    if category not in CATEGORY_HINTS:
+    if category not in CATEGORIES:
         raise RuleParseError(f"unknown category '{category}'", index=index)
     clearable = tuple(raw.get("clearable_by", []))
     for kind in clearable:
@@ -159,7 +156,6 @@ def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule
         cluster=cluster if isinstance(cluster, str) else tuple(cluster),
         trigger=trigger,
         stderr_template=stderr,
-        category_hint=category,
         clearable_by=clearable,
     )
 
@@ -251,10 +247,7 @@ def submit(
                 fault_fired=rule.id,
             )
 
-    parsed = intent.parse_script(text)
-    nodes = parsed.nodes
-    per_node = parsed.gpus_per_node
-    world = parsed.total_gpus
+    nodes, per_node, world = r.topology
     if nodes is None:
         if world is not None and per_node and world % per_node == 0:
             nodes = world // per_node

@@ -16,15 +16,20 @@ Port precedence: a user-stated port always wins; otherwise a default
 declared by the template (ports observed in the verified original script)
 is used; the package-wide fallback applies last.
 
+A :class:`RenderedScript` reads the launch topology its text states on
+first use and keeps it, so the lint and the mock submission of one script
+share a single parse.
+
 All functions here are pure.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import intent
 from .clusters import ClusterProfile
 from .errors import ContractViolationError, PolicyViolationError, UnboundParameterError
 from .intent import JobSpec
@@ -54,12 +59,22 @@ class RenderedScript:
     text: str
     template_id: str
     binding: ParamBinding
-    spec_digest: str
 
     def __post_init__(self) -> None:
         leftover = placeholders(self.text)
         if leftover:
             raise UnboundParameterError(leftover[0], self.template_id)
+
+    @functools.cached_property
+    def topology(self) -> tuple[int | None, int | None, int | None]:
+        """``(nodes, gpus_per_node, total_gpus)`` as the text states them.
+
+        Parsed once, on first use; absent counts are ``None``.  The cache
+        lives outside the dataclass fields, so equality, hashing and repr
+        are unaffected.
+        """
+        parsed = intent.parse_script(self.text)
+        return parsed.nodes, parsed.gpus_per_node, parsed.total_gpus
 
 
 def bind(spec: JobSpec, t: Template, profile: ClusterProfile) -> ParamBinding:
@@ -130,23 +145,14 @@ def render(t: Template, b: ParamBinding) -> RenderedScript:
             raise UnboundParameterError(name, t.id)
         return _canonical(b.values[name])
 
-    text = PLACEHOLDER_RE.sub(substitute, t.body)
-    digest = hashlib.sha256(
-        repr(sorted(b.values.items())).encode("utf-8")
-    ).hexdigest()[:16]
-    return RenderedScript(text=text, template_id=t.id, binding=b, spec_digest=digest)
+    return RenderedScript(
+        text=PLACEHOLDER_RE.sub(substitute, t.body), template_id=t.id, binding=b
+    )
 
 
 def render_for_spec(spec: JobSpec, t: Template, profile: ClusterProfile) -> RenderedScript:
-    """bind + render, stamping the script with the job's digest."""
-    b = bind(spec, t, profile)
-    rendered = render(t, b)
-    return RenderedScript(
-        text=rendered.text,
-        template_id=t.id,
-        binding=b,
-        spec_digest=spec.digest(),
-    )
+    """The script for ``spec`` from template ``t``: :func:`bind`, then :func:`render`."""
+    return render(t, bind(spec, t, profile))
 
 
 def wrap_batch(

@@ -55,6 +55,13 @@ class PythonEnv(str, Enum):
     NATIVE = "native"
 
 
+# Failure taxonomy: where the cause of a fault lies.  Fault rules,
+# fingerprints and remote diagnoses must name one of these.
+CATEGORY_ENV = "env"
+CATEGORY_FRAMEWORK = "framework"
+CATEGORY_USER = "user"
+CATEGORIES = (CATEGORY_ENV, CATEGORY_FRAMEWORK, CATEGORY_USER)
+
 PORT_MIN = 1024
 PORT_MAX = 65535
 

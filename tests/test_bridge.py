@@ -255,10 +255,11 @@ class TestOverRealHttp:
 
 
 def test_importing_cli_loads_no_http_client():
-    # The bridge is off by default, so its HTTP transport is imported on first use.
+    # The bridge is off by default, so its HTTP transport is imported on first use;
+    # and no module hashes anything, so OpenSSL stays unloaded.
     code = (
-        "import sys, launchport.cli; "
-        "print([m for m in ('urllib.request', 'http.client') if m in sys.modules])"
+        "import sys, launchport.cli; print([m for m in "
+        "('hashlib', '_hashlib', 'urllib.request', 'http.client') if m in sys.modules])"
     )
     src = str(Path(launchport.__file__).resolve().parents[1])
     done = subprocess.run(

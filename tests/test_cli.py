@@ -128,6 +128,25 @@ class TestInputErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["bridge-config", "clusters-add", "nodes-abc"])
+    def test_malformed_input_is_one_error_line(self, capsys, tmp_path, case):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", "utf-8")
+        registry = tmp_path / "clusters.json"
+        registry.write_text("[]", "utf-8")
+        argv = {
+            "bridge-config": ["generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+                              "--bridge-config", str(bad), "--non-interactive"],
+            "clusters-add": ["clusters", "add", str(bad), "--profiles", str(registry)],
+            "nodes-abc": ["generate", "--cluster", "perlmutter", "--nodes", "abc"],
+        }[case]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert registry.read_text("utf-8") == "[]"
+
 
 class TestPort:
     @pytest.fixture()

@@ -1,9 +1,11 @@
 import json
+import re
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from launchport.clusters import default_profiles
 from launchport.errors import (
     CapacityError,
     IncompleteSpecError,
@@ -93,6 +95,62 @@ class TestNumberWords:
     def test_flags_take_digits_only(self):
         assert extract("--nodes two").nodes is None
         assert extract("--nodes 3, or two nodes").nodes == 3
+
+
+def _cluster_by_loop(names, text):
+    """Reference: one search per name, earliest start wins, longest name on a tie."""
+    earliest = None
+    for name, canonical in sorted(names.items(), key=lambda kv: len(kv[0]), reverse=True):
+        m = re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text, re.I)
+        if m and (earliest is None or m.start() < earliest[0]):
+            earliest = (m.start(), canonical)
+    return earliest[1] if earliest else None
+
+
+class TestClusterSearch:
+    def test_earlier_of_two_clusters_wins(self):
+        assert extract("move this from Vista to Anvil").cluster == "vista"
+        assert extract("move this from Anvil to Vista").cluster == "anvil"
+
+    def test_longer_name_wins_at_the_same_position(self):
+        assert extract("train on Delta AI with 2 nodes").cluster == "deltaai"
+        assert extract("train on DeltaAI").cluster == "deltaai"
+        assert extract("train on Delta with 2 nodes").cluster == "delta"
+
+    @pytest.mark.parametrize("text", [
+        "a perlmutter-like machine", "xperlmutter", "perlmutter2", "my-vista box",
+        "vista_cluster",
+    ])
+    def test_names_glued_to_word_characters_or_hyphens_are_ignored(self, text):
+        assert extract(text).cluster is None
+
+    def test_non_ascii_case_variant_maps_to_its_id(self):
+        # re.I matches "ſ" (long s) for "s" and the Kelvin sign for "k".
+        assert extract("run it on lſ6").cluster == "lonestar6"
+        assert extract("run it on ſtampede 3").cluster == "stampede3"
+        assert RuleBasedExtractor({"kestrel": "kestrel"}).extract(
+            "\u212aestrel").cluster == "kestrel"
+
+    def test_empty_registry_names_no_cluster(self):
+        assert RuleBasedExtractor({}).extract("train on perlmutter").cluster is None
+
+    _NAMES = default_profiles().names()
+    _TOKENS = sorted(_NAMES) + [
+        "ſtampede3", "lſ6", "PERLMUTTER", "Delta", "AI", "ai", "-", "x", "2",
+        "on", "to", "\u212a", "ſ", "nodes",
+    ]
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(_TOKENS), st.sampled_from(["", " ", "-", "_", ", ", "\n"]),
+                  st.sampled_from([str, str.upper, str.title])),
+        min_size=1, max_size=8,
+    ))
+    @example([("pm", "-", str), ("delta ai", "", str.title), ("vista", "", str)])
+    @example([("x", "", str), ("lſ6", " ", str), ("bridges 2", "", str.upper)])
+    def test_single_search_equals_per_name_loop(self, parts):
+        text = "".join(case(token) + sep for token, sep, case in parts)
+        extractor = RuleBasedExtractor(self._NAMES)
+        assert extractor.extract(text).cluster == _cluster_by_loop(self._NAMES, text)
 
 
 class TestPhrasingCorpus:

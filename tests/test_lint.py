@@ -22,7 +22,6 @@ def _raw_script(text):
     object.__setattr__(script, "text", text)
     object.__setattr__(script, "template_id", "external")
     object.__setattr__(script, "binding", ParamBinding(values={}, provenance={}))
-    object.__setattr__(script, "spec_digest", "0" * 16)
     return script
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from launchport import intent
 from launchport.errors import ContractViolationError, NoRepairAvailableError
 from launchport.lint import error_count, lint
 from launchport.pipeline import first_bindable
@@ -139,6 +140,23 @@ class TestRunLoop:
         assert outcome.status == STATUS_SUCCESS
         assert outcome.iterations_used == 0
         assert outcome.history == ()
+
+    def test_clean_loop_parses_its_script_once(self, profiles, templates, harness, monkeypatch):
+        # Lint and the mock submission share the script's one parse.
+        parsed = []
+        parse = intent.parse_script
+
+        def counting(script):
+            parsed.append(script)
+            return parse(script)
+
+        monkeypatch.setattr(intent, "parse_script", counting)
+        profile = profiles.resolve("perlmutter")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        outcome = run_loop(spec, templates.get("perlmutter-ddp"), profile, harness)
+        assert outcome.status == STATUS_SUCCESS
+        assert outcome.lint_findings == ()
+        assert parsed == [outcome.final_script.text]
 
     def test_env_propagation_repaired_quickly(self, profiles, templates, harness):
         profile = profiles.resolve("deltaai")

@@ -1,6 +1,6 @@
 import pytest
 
-from launchport.errors import NoCandidatesError
+from launchport.errors import BridgeUnavailableError, NoCandidatesError
 from launchport.retrieval import candidates, select
 from launchport.templates import ParamDecl, Template, TemplateSet, add_template
 from launchport.types import Framework, Launcher, Strategy
@@ -129,6 +129,27 @@ class TestEmbedderPath:
         ranked = candidates(spec, templates, embedder=FakeEmbedder())
         assert ranked[0].template_id == "perlmutter-ddp"
         assert ranked[0].score == 1.0
+
+
+class _DownEmbedder:
+    def embed(self, texts):
+        raise BridgeUnavailableError("endpoint unreachable")
+
+
+class _ShortEmbedder:
+    def embed(self, texts):
+        return [[1.0, 0.0]]
+
+
+class TestEmbedderFallback:
+    @pytest.mark.parametrize("embedder", [_DownEmbedder(), _ShortEmbedder()],
+                             ids=["raises", "short"])
+    def test_falls_back_to_token_overlap(self, profiles, templates, embedder):
+        profile = profiles.resolve("aurora")
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        offline = candidates(spec, templates)
+        assert any(c.breakdown["similarity"] > 0.0 for c in offline)
+        assert candidates(spec, templates, embedder=embedder) == offline
 
 
 class TestProperties:

@@ -3,11 +3,11 @@ import json
 import pytest
 
 from launchport.errors import RuleParseError
-from launchport.repair import apply_action, default_repair_table
+from launchport.repair import apply_action, default_repair_table, load_fingerprints
 from launchport.simcluster import load_fault_rules, submit
 from launchport.synthesis import render_for_spec
 from launchport.templates import default_templates
-from launchport.types import Framework, Strategy
+from launchport.types import CATEGORIES, Framework, Strategy
 
 from conftest import make_spec
 
@@ -129,6 +129,18 @@ class TestRuleLoading:
         with pytest.raises(RuleParseError) as exc:
             load_fault_rules(json.dumps([rule]))
         assert "frontier" in str(exc.value)
+
+    @pytest.mark.parametrize("category", CATEGORIES + ("unknown", "Env"))
+    def test_rules_and_fingerprints_share_one_category_vocabulary(self, category):
+        rule = {"id": "X", "cluster": "*", "category": category, "trigger": {}, "stderr": "b"}
+        fingerprint = {"id": "X", "category": category, "pattern": {"literal": "b"}}
+        for load, record in ((load_fault_rules, rule), (load_fingerprints, fingerprint)):
+            if category in CATEGORIES:
+                assert len(load(json.dumps([record]))) == 1
+            else:
+                with pytest.raises(RuleParseError) as exc:
+                    load(json.dumps([record]))
+                assert str(exc.value) == f"unknown category '{category}' (rule index 0)"
 
     def test_malformed_rule_reports_index(self):
         rules = [

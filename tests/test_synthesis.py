@@ -85,6 +85,16 @@ class TestRender:
         again = render(t, rendered.binding)
         assert again.text == rendered.text
 
+    def test_topology_is_the_parsed_text_and_leaves_equality_alone(self, profiles, templates):
+        profile = profiles.resolve("lonestar6")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP,
+                         nodes=2, gpus_per_node=3, entry_script="train.py")
+        t = templates.get("ls6-ddp")
+        rendered, fresh = render_for_spec(spec, t, profile), render_for_spec(spec, t, profile)
+        assert rendered.topology == (2, 3, None)
+        assert rendered.topology is rendered.topology
+        assert rendered == fresh and repr(rendered) == repr(fresh)
+
     def test_template_without_placeholders_is_identity(self):
         from launchport.templates import Template
         t = Template(
