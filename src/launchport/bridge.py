@@ -31,10 +31,10 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .documents import bundled, load_json
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
 from .intent import PartialJobSpec
 from .types import CATEGORIES, Framework, Launcher, Strategy
@@ -68,20 +68,16 @@ class BridgeConfig:
             raise BridgeProtocolError("retries must be >= 0")
 
 
-def load_bridge_config(source: str | Path) -> BridgeConfig:
+def load_bridge_config(source: Path | str) -> BridgeConfig:
     """Load a bridge config document (JSON object).
 
-    A document that is not a JSON object, or whose values have the wrong
-    type, raises :class:`BridgeProtocolError`.
+    ``source`` is a filesystem path or a string holding the JSON document
+    itself; see :func:`launchport.documents.load_json`.  A document that is
+    not a JSON object, or whose values have the wrong type, raises
+    :class:`BridgeProtocolError`.
     """
-    if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
-        text = Path(source).read_text("utf-8")
-    else:
-        text = str(source)
+    raw = load_json(source, dict, "the document", _config_error)
     try:
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("the document must be a JSON object")
         return BridgeConfig(
             endpoint=raw.get("endpoint"),
             api_key_env=raw.get("api_key_env"),
@@ -89,8 +85,12 @@ def load_bridge_config(source: str | Path) -> BridgeConfig:
             retries=int(raw.get("retries", 1)),
             capabilities=frozenset(raw.get("capabilities", [])),
         )
-    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise BridgeProtocolError(f"invalid bridge config: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _config_error(str(exc)) from exc
+
+
+def _config_error(message: str) -> BridgeProtocolError:
+    return BridgeProtocolError(f"invalid bridge config: {message}")
 
 
 def _default_transport(url: str, body: bytes, headers: dict[str, str], timeout_s: float) -> bytes:
@@ -105,8 +105,7 @@ def _default_transport(url: str, body: bytes, headers: dict[str, str], timeout_s
 
 
 def _load_prompts() -> dict[str, str]:
-    data = resources.files("launchport.data").joinpath("bridge_prompts.json").read_text("utf-8")
-    return json.loads(data)
+    return json.loads(bundled("bridge_prompts.json"))
 
 
 class RemoteBridge:

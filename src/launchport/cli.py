@@ -28,14 +28,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .bridge import BridgeExtractor, RemoteBridge, load_bridge_config
+from .bridge import BridgeEmbedder, BridgeExtractor, RemoteBridge, load_bridge_config
 from .clusters import ProfileSet, default_profiles, load_profiles
+from .documents import load_json
 from .errors import (
     BridgeError,
     CapacityError,
     IncompleteSpecError,
     LaunchportError,
     ProfileParseError,
+    TemplateInvalidError,
     UsageError,
 )
 from .intent import (
@@ -54,13 +56,7 @@ from .repair import (
     default_repair_table,
 )
 from .simcluster import FaultRuleSet, default_fault_rules, load_fault_rules
-from .templates import (
-    TemplateSet,
-    add_template,
-    default_templates,
-    dump_repository,
-    load_repository,
-)
+from .templates import TemplateSet, default_templates, load_repository
 from .types import Framework, Strategy
 
 EXIT_OK = 0
@@ -326,18 +322,7 @@ def cmd_generate(args) -> int:
     partial = _fill_missing(partial, session)
 
     profile = session.profiles.resolve(partial.cluster)
-    spec = finalize(partial, profile)
-    result = run_pipeline(
-        spec,
-        profile,
-        session.templates,
-        session.rules,
-        fingerprints=session.fingerprints,
-        repair_table=session.repair_table,
-        k=session.k,
-        bridge=session.bridge if session.bridge and session.bridge.enabled("repair") else None,
-    )
-    return _emit(result, session)
+    return _run(finalize(partial, profile), profile, session)
 
 
 def cmd_port(args) -> int:
@@ -356,14 +341,22 @@ def cmd_port(args) -> int:
         spec = finalize(parsed, target)
     except CapacityError as exc:
         raise _with_topology_suggestions(exc, parsed, target) from exc
+    return _run(spec, target, session)
+
+
+def _run(spec, profile, session: CliSession) -> int:
+    """Run the pipeline with every bridge capability the session enables."""
+    bridge = session.bridge
     result = run_pipeline(
         spec,
-        target,
+        profile,
         session.templates,
         session.rules,
         fingerprints=session.fingerprints,
         repair_table=session.repair_table,
         k=session.k,
+        embedder=BridgeEmbedder(bridge) if bridge and bridge.enabled("embed") else None,
+        bridge=bridge if bridge and bridge.enabled("repair") else None,
     )
     return _emit(result, session)
 
@@ -419,21 +412,16 @@ def cmd_templates_validate(args) -> int:
 
 
 def cmd_templates_add(args) -> int:
-    repo_path = Path(args.templates)
-    tset = load_repository(repo_path)
-    incoming = load_repository(Path(args.file))
-    for t in incoming:
+    def unverified(record):
         # User-added templates start unverified regardless of the document.
-        tset = add_template(tset, t if not t.verified else _unverified(t))
-    repo_path.write_text(dump_repository(tset), "utf-8")
-    print(f"added {len(incoming)} template(s) to {repo_path}")
+        return {**record, "verified": False} if isinstance(record, dict) else record
+
+    added = _add_records(
+        Path(args.file), Path(args.templates), load_repository, "repository document",
+        lambda message: TemplateInvalidError("<document>", message), unverified,
+    )
+    print(f"added {added} template(s) to {args.templates}")
     return EXIT_OK
-
-
-def _unverified(t):
-    from dataclasses import replace
-
-    return replace(t, verified=False)
 
 
 def cmd_clusters_list(args) -> int:
@@ -460,25 +448,27 @@ def cmd_clusters_validate(args) -> int:
 
 
 def cmd_clusters_add(args) -> int:
-    registry_path = Path(args.profiles)
-    existing = _profile_records(registry_path)
-    incoming = _profile_records(Path(args.file))
-    merged = existing + incoming
-    load_profiles(json.dumps(merged))  # validates ids, aliases, fields
-    registry_path.write_text(json.dumps(merged, indent=2) + "\n", "utf-8")
-    print(f"added {len(incoming)} profile(s) to {registry_path}")
+    added = _add_records(
+        Path(args.file), Path(args.profiles), load_profiles,
+        "profile document", ProfileParseError, lambda record: record,
+    )
+    print(f"added {added} profile(s) to {args.profiles}")
     return EXIT_OK
 
 
-def _profile_records(path: Path) -> list:
-    """The records of a profile document; only its JSON-array shape is checked."""
-    try:
-        records = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ProfileParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(records, list):
-        raise ProfileParseError(f"{path}: profile document must be a JSON array")
-    return records
+def _add_records(source: Path, target: Path, load, what: str, error, stamp) -> int:
+    """Append the records of ``source`` to the document ``target``.
+
+    Records are appended verbatim after ``stamp``; the merged document is
+    validated with ``load`` and written only when it loads, so ``target`` is
+    untouched on any failure.  Returns the number of records added.
+    """
+    existing = load_json(target, list, what, error)
+    incoming = [stamp(record) for record in load_json(source, list, what, error)]
+    merged = json.dumps(existing + incoming, indent=2) + "\n"
+    load(merged)
+    target.write_text(merged, "utf-8")
+    return len(incoming)
 
 
 def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:

@@ -15,12 +15,11 @@ once per process and shared.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
+from .documents import bundled, load_json
 from .errors import ProfileParseError, RegistryConflictError, UnknownClusterError
 from .types import Launcher, ModuleSystem, PythonEnv, Scheduler
 
@@ -133,36 +132,17 @@ def _parse_record(record: dict, index: int) -> ClusterProfile:
         raise ProfileParseError(str(exc), record=index) from exc
 
 
-def load_profiles(source: str | Path | IO[str]) -> ProfileSet:
+def load_profiles(source: Path | str) -> ProfileSet:
     """Load a profile document (JSON array of profile records).
 
-    ``source`` may be a filesystem path, an open text stream, or a string
-    containing the JSON document itself.
+    ``source`` is a filesystem path or a string holding the JSON document
+    itself; see :func:`launchport.documents.load_json`.
     """
-    text = _read_source(source)
-    try:
-        records = json.loads(text) if text.strip() else []
-    except json.JSONDecodeError as exc:
-        raise ProfileParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(records, list):
-        raise ProfileParseError("profile document must be a JSON array")
+    records = load_json(source, list, "profile document", ProfileParseError)
     return ProfileSet([_parse_record(rec, i) for i, rec in enumerate(records)])
 
 
 @functools.cache
 def default_profiles() -> ProfileSet:
     """The bundled nine-cluster profile set, parsed once per process."""
-    data = resources.files("launchport.data").joinpath("clusters.json").read_text("utf-8")
-    return load_profiles(data)
-
-
-def _read_source(source: str | Path | IO[str]) -> str:
-    if hasattr(source, "read"):
-        return source.read()  # type: ignore[union-attr]
-    if isinstance(source, Path):
-        return source.read_text("utf-8")
-    text = str(source)
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{") or not stripped:
-        return text
-    return Path(text).read_text("utf-8")
+    return load_profiles(bundled("clusters.json"))

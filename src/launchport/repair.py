@@ -23,12 +23,12 @@ import functools
 import json
 import re
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
-from typing import IO, Iterator, Protocol
+from typing import Iterator, Protocol
 
 from . import simcluster
 from .clusters import ClusterProfile
+from .documents import bundled, load_json
 from .errors import (
     BridgeError,
     ContractViolationError,
@@ -138,9 +138,13 @@ class RepairTable:
         return list(self._table)
 
 
-def load_fingerprints(source: str | Path | IO[str]) -> FingerprintSet:
-    """Load a fingerprint document (JSON array, matched in array order)."""
-    records = _load_array(source, "fingerprint")
+def load_fingerprints(source: Path | str) -> FingerprintSet:
+    """Load a fingerprint document (JSON array, matched in array order).
+
+    ``source`` is a filesystem path or a string holding the JSON document
+    itself; see :func:`launchport.documents.load_json`.
+    """
+    records = load_json(source, list, "fingerprint document", RuleParseError)
     fingerprints = []
     for i, raw in enumerate(records):
         if not isinstance(raw, dict) or "id" not in raw or "category" not in raw:
@@ -171,15 +175,13 @@ def load_fingerprints(source: str | Path | IO[str]) -> FingerprintSet:
     return FingerprintSet(fingerprints)
 
 
-def load_repair_table(source: str | Path | IO[str]) -> RepairTable:
-    """Load the repair table (JSON object: fingerprint id -> action list)."""
-    text = _read_source(source)
-    try:
-        raw = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
-        raise RuleParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise RuleParseError("repair table must be a JSON object")
+def load_repair_table(source: Path | str) -> RepairTable:
+    """Load the repair table (JSON object: fingerprint id -> action list).
+
+    ``source`` is a filesystem path or a string holding the JSON document
+    itself; see :func:`launchport.documents.load_json`.
+    """
+    raw = load_json(source, dict, "repair table", RuleParseError)
     table: dict[str, list[RepairAction]] = {}
     for fingerprint_id, actions in raw.items():
         parsed = []
@@ -203,15 +205,13 @@ def load_repair_table(source: str | Path | IO[str]) -> RepairTable:
 @functools.cache
 def default_fingerprints() -> FingerprintSet:
     """The bundled fingerprints, parsed once per process."""
-    data = resources.files("launchport.data").joinpath("fingerprints.json").read_text("utf-8")
-    return load_fingerprints(data)
+    return load_fingerprints(bundled("fingerprints.json"))
 
 
 @functools.cache
 def default_repair_table() -> RepairTable:
     """The bundled repair table, parsed once per process."""
-    data = resources.files("launchport.data").joinpath("repairs.json").read_text("utf-8")
-    return load_repair_table(data)
+    return load_repair_table(bundled("repairs.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -600,26 +600,3 @@ def run_loop(
         final_result=result,
         lint_findings=tuple(findings),
     )
-
-
-def _load_array(source: str | Path | IO[str], what: str) -> list:
-    text = _read_source(source)
-    try:
-        records = json.loads(text) if text.strip() else []
-    except json.JSONDecodeError as exc:
-        raise RuleParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(records, list):
-        raise RuleParseError(f"{what} document must be a JSON array")
-    return records
-
-
-def _read_source(source: str | Path | IO[str]) -> str:
-    if hasattr(source, "read"):
-        return source.read()  # type: ignore[union-attr]
-    if isinstance(source, Path):
-        return source.read_text("utf-8")
-    text = str(source)
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{") or not stripped:
-        return text
-    return Path(text).read_text("utf-8")

@@ -25,13 +25,12 @@ submissions may run concurrently without shared state.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
 from .clusters import ClusterProfile, default_profiles
+from .documents import bundled, load_json
 from .errors import RuleParseError
 from .intent import JobSpec
 from .synthesis import RenderedScript
@@ -119,6 +118,13 @@ def _as_list(value) -> list[str]:
     return [str(v) for v in value]
 
 
+def _is_names(value) -> bool:
+    """Whether ``value`` is a string or a list of strings."""
+    return isinstance(value, str) or (
+        isinstance(value, list) and all(isinstance(v, str) for v in value)
+    )
+
+
 _TRIGGER_ATOMS = ("cluster_is", "strategy_is", "launcher_is", "script_contains", "script_lacks", "nodes_gt")
 
 
@@ -129,13 +135,21 @@ def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule
         if name not in raw:
             raise RuleParseError(f"missing field '{name}'", index=index)
     cluster = raw["cluster"]
+    if not _is_names(cluster):
+        raise RuleParseError("cluster must be '*', an id or a list of ids", index=index)
     cluster_names = [] if cluster == "*" else _as_list(cluster)
     trigger = raw["trigger"]
     if not isinstance(trigger, dict):
         raise RuleParseError("trigger must be an object of atoms", index=index)
-    for atom in trigger:
+    for atom, value in trigger.items():
         if atom not in _TRIGGER_ATOMS:
             raise RuleParseError(f"unknown trigger atom '{atom}'", index=index)
+        if atom == "nodes_gt" and not isinstance(value, int):
+            raise RuleParseError("trigger atom 'nodes_gt' must be an integer", index=index)
+        if atom != "nodes_gt" and not _is_names(value):
+            raise RuleParseError(
+                f"trigger atom '{atom}' must be a string or a list of strings", index=index
+            )
     cluster_names.extend(_as_list(trigger.get("cluster_is", [])))
     for name in cluster_names:
         if name not in known_clusters:
@@ -143,7 +157,9 @@ def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule
     category = raw["category"]
     if category not in CATEGORIES:
         raise RuleParseError(f"unknown category '{category}'", index=index)
-    clearable = tuple(raw.get("clearable_by", []))
+    clearable = raw.get("clearable_by", [])
+    if not isinstance(clearable, list):
+        raise RuleParseError("clearable_by must be a list of repair kinds", index=index)
     for kind in clearable:
         if kind not in REPAIR_KINDS:
             raise RuleParseError(f"unknown repair kind '{kind}' in clearable_by", index=index)
@@ -156,24 +172,22 @@ def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule
         cluster=cluster if isinstance(cluster, str) else tuple(cluster),
         trigger=trigger,
         stderr_template=stderr,
-        clearable_by=clearable,
+        clearable_by=tuple(clearable),
     )
 
 
 def load_fault_rules(
-    source: str | Path | IO[str],
+    source: Path | str,
     known_clusters: set[str] | None = None,
 ) -> FaultRuleSet:
-    """Load a fault-rule document (JSON array, evaluated in array order)."""
+    """Load a fault-rule document (JSON array, evaluated in array order).
+
+    ``source`` is a filesystem path or a string holding the JSON document
+    itself; see :func:`launchport.documents.load_json`.
+    """
     if known_clusters is None:
         known_clusters = set(default_profiles().ids())
-    text = _read_source(source)
-    try:
-        records = json.loads(text) if text.strip() else []
-    except json.JSONDecodeError as exc:
-        raise RuleParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(records, list):
-        raise RuleParseError("fault-rule document must be a JSON array")
+    records = load_json(source, list, "fault-rule document", RuleParseError)
     return FaultRuleSet([
         _validate_rule(raw, i, known_clusters) for i, raw in enumerate(records)
     ])
@@ -182,8 +196,7 @@ def load_fault_rules(
 @functools.cache
 def default_fault_rules() -> FaultRuleSet:
     """The bundled fault rules, parsed once per process."""
-    data = resources.files("launchport.data").joinpath("fault_rules.json").read_text("utf-8")
-    return load_fault_rules(data)
+    return load_fault_rules(bundled("fault_rules.json"))
 
 
 def _rule_applies(rule: FaultRule, text: str, spec: JobSpec, profile: ClusterProfile) -> bool:
@@ -289,15 +302,3 @@ def submit(
         parsed_topology=(nodes, per_node, world, ranks),
         fault_fired=None,
     )
-
-
-def _read_source(source: str | Path | IO[str]) -> str:
-    if hasattr(source, "read"):
-        return source.read()  # type: ignore[union-attr]
-    if isinstance(source, Path):
-        return source.read_text("utf-8")
-    text = str(source)
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{") or not stripped:
-        return text
-    return Path(text).read_text("utf-8")

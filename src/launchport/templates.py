@@ -17,13 +17,12 @@ and never mutates the input.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
+from .documents import bundled, load_json
 from .errors import TemplateConflictError, TemplateInvalidError
 from .types import Framework, Launcher, Strategy
 
@@ -146,6 +145,8 @@ def add_template(tset: TemplateSet, t: Template) -> TemplateSet:
 
 
 def _parse_param(raw: dict, template_id: str) -> ParamDecl:
+    if not isinstance(raw, dict):
+        raise TemplateInvalidError(template_id, "param record must be an object")
     if "name" not in raw:
         raise TemplateInvalidError(template_id, "param record missing 'name'")
     return ParamDecl(
@@ -161,6 +162,9 @@ def _parse_record(raw: dict, index: int) -> Template:
         raise TemplateInvalidError(f"#{index}", "template record must be an object")
     try:
         template_id = str(raw["id"])
+        params = raw.get("params", [])
+        if not isinstance(params, list):
+            raise TemplateInvalidError(template_id, "params must be a list of param records")
         return Template(
             id=template_id,
             cluster=str(raw["cluster"]).lower(),
@@ -168,7 +172,7 @@ def _parse_record(raw: dict, index: int) -> Template:
             strategy=Strategy(raw["strategy"]),
             launcher=Launcher(raw["launcher"]),
             body=str(raw["body"]),
-            params=tuple(_parse_param(p, template_id) for p in raw.get("params", [])),
+            params=tuple(_parse_param(p, template_id) for p in params),
             verified=bool(raw.get("verified", False)),
             notes=str(raw.get("notes", "")),
         )
@@ -178,60 +182,21 @@ def _parse_record(raw: dict, index: int) -> Template:
         raise TemplateInvalidError(raw.get("id", f"#{index}"), str(exc)) from exc
 
 
-def load_repository(source: str | Path | IO[str]) -> TemplateSet:
-    """Load a repository document (JSON array of template records)."""
-    text = _read_source(source)
-    try:
-        records = json.loads(text) if text.strip() else []
-    except json.JSONDecodeError as exc:
-        raise TemplateInvalidError("<document>", f"invalid JSON at line {exc.lineno}: {exc.msg}")
-    if not isinstance(records, list):
-        raise TemplateInvalidError("<document>", "repository document must be a JSON array")
+def load_repository(source: Path | str) -> TemplateSet:
+    """Load a repository document (JSON array of template records).
+
+    ``source`` is a filesystem path or a string holding the JSON document
+    itself; see :func:`launchport.documents.load_json`.
+    """
+    records = load_json(source, list, "repository document", _document_error)
     return TemplateSet([_parse_record(rec, i) for i, rec in enumerate(records)])
 
 
-def dump_repository(tset: TemplateSet) -> str:
-    """Serialize a template set back to the repository document format."""
-    records = []
-    for t in tset:
-        records.append(
-            {
-                "id": t.id,
-                "cluster": t.cluster,
-                "framework": t.framework.value,
-                "strategy": t.strategy.value,
-                "launcher": t.launcher.value,
-                "body": t.body,
-                "params": [
-                    {
-                        "name": p.name,
-                        "kind": p.kind,
-                        "required": p.required,
-                        "default": p.default,
-                    }
-                    for p in t.params
-                ],
-                "verified": t.verified,
-                "notes": t.notes,
-            }
-        )
-    return json.dumps(records, indent=2) + "\n"
+def _document_error(message: str) -> TemplateInvalidError:
+    return TemplateInvalidError("<document>", message)
 
 
 @functools.cache
 def default_templates() -> TemplateSet:
     """The bundled template repository, parsed once per process."""
-    data = resources.files("launchport.data").joinpath("templates.json").read_text("utf-8")
-    return load_repository(data)
-
-
-def _read_source(source: str | Path | IO[str]) -> str:
-    if hasattr(source, "read"):
-        return source.read()  # type: ignore[union-attr]
-    if isinstance(source, Path):
-        return source.read_text("utf-8")
-    text = str(source)
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{") or not stripped:
-        return text
-    return Path(text).read_text("utf-8")
+    return load_repository(bundled("templates.json"))

@@ -4,7 +4,7 @@ import pytest
 
 from launchport.cli import main
 from launchport.intent import parse_script
-from launchport.templates import default_templates, dump_repository
+from launchport.documents import bundled
 
 from conftest import PERLMUTTER_COMMAND, POLARIS_COMMAND, TABLE_DESCRIPTION
 
@@ -147,6 +147,34 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert registry.read_text("utf-8") == "[]"
 
+    @pytest.mark.parametrize("case", [
+        "clearable_by-5", "cluster-5", "nodes_gt-a", "params-5", "params-[1]",
+    ])
+    def test_field_type_mistake_is_one_error_line(self, capsys, tmp_path, case):
+        doc = tmp_path / "doc.json"
+        if case.startswith("params"):
+            record = json.loads(bundled("templates.json"))[0]
+            record["params"] = 5 if case == "params-5" else [1]
+            doc.write_text(json.dumps([record]), "utf-8")
+            argv = ["templates", "validate", str(doc)]
+        else:
+            rule = {"id": "R", "cluster": "*", "category": "env",
+                    "trigger": {"nodes_gt": 1}, "stderr": "boom", "clearable_by": []}
+            field, value = {
+                "clearable_by-5": ("clearable_by", 5),
+                "cluster-5": ("cluster", 5),
+                "nodes_gt-a": ("trigger", {"nodes_gt": "a"}),
+            }[case]
+            rule[field] = value
+            doc.write_text(json.dumps([rule]), "utf-8")
+            argv = ["generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+                    "--rules", str(doc), "--non-interactive"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestPort:
     @pytest.fixture()
@@ -195,7 +223,7 @@ class TestTemplatesCommand:
 
     def test_validate_good_repository(self, capsys, tmp_path):
         path = tmp_path / "repo.json"
-        path.write_text(dump_repository(default_templates()), "utf-8")
+        path.write_text(bundled("templates.json"), "utf-8")
         code, out, _ = run_cli(capsys, "templates", "validate", str(path))
         assert code == 0
         assert out.strip() == "ok"
@@ -214,7 +242,7 @@ class TestTemplatesCommand:
 
     def test_add_validates_and_writes_back(self, capsys, tmp_path):
         repo = tmp_path / "repo.json"
-        repo.write_text(dump_repository(default_templates()), "utf-8")
+        repo.write_text(bundled("templates.json"), "utf-8")
         new = tmp_path / "new.json"
         new.write_text(json.dumps([{
             "id": "testbox-ddp", "cluster": "testbox", "framework": "pytorch",
@@ -234,6 +262,19 @@ class TestTemplatesCommand:
         # Additions always start unverified.
         assert written.get("testbox-ddp").verified is False
 
+    def test_add_leaves_target_untouched_on_failure(self, capsys, tmp_path):
+        repo = tmp_path / "repo.json"
+        repo.write_text(bundled("templates.json"), "utf-8")
+        before = repo.read_bytes()
+        clone = json.loads(bundled("templates.json"))[0]  # duplicate id and key
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps([clone]), "utf-8")
+        code, out, err = run_cli(capsys, "templates", "add", str(new), "--templates", str(repo))
+        assert code == 1
+        assert out == ""
+        assert clone["id"] in err
+        assert repo.read_bytes() == before
+
 
 class TestClustersCommand:
     def test_list_shows_nine_rows(self, capsys):
@@ -250,13 +291,8 @@ class TestClustersCommand:
         assert "field" in err
 
     def test_add_validates_and_writes_back(self, capsys, tmp_path):
-        from importlib import resources
-
         registry = tmp_path / "clusters.json"
-        registry.write_text(
-            resources.files("launchport.data").joinpath("clusters.json").read_text("utf-8"),
-            "utf-8",
-        )
+        registry.write_text(bundled("clusters.json"), "utf-8")
         new = tmp_path / "new.json"
         new.write_text(json.dumps([{
             "id": "testbox", "aliases": [], "scheduler": "slurm",
@@ -271,13 +307,8 @@ class TestClustersCommand:
         assert load_profiles(registry).resolve("testbox").gpus_per_node == 2
 
     def test_add_rejects_conflicting_profile(self, capsys, tmp_path):
-        from importlib import resources
-
         registry = tmp_path / "clusters.json"
-        registry.write_text(
-            resources.files("launchport.data").joinpath("clusters.json").read_text("utf-8"),
-            "utf-8",
-        )
+        registry.write_text(bundled("clusters.json"), "utf-8")
         before = registry.read_text("utf-8")
         dup = tmp_path / "dup.json"
         dup.write_text(json.dumps([{
@@ -311,15 +342,11 @@ class TestBridgeFallback:
 
 
     def test_fallback_knows_clusters_of_custom_profiles(self, capsys, tmp_path, monkeypatch):
-        from importlib import resources
-
         def down(url, body, headers, timeout_s):
             raise OSError("endpoint down")
 
         monkeypatch.setattr("launchport.bridge._default_transport", down)
-        records = json.loads(
-            resources.files("launchport.data").joinpath("clusters.json").read_text("utf-8")
-        )
+        records = json.loads(bundled("clusters.json"))
         for record in records:
             if record["id"] == "perlmutter":
                 record["aliases"].append("saul")
@@ -340,6 +367,72 @@ class TestBridgeFallback:
         assert "rule-based extractor" in err
         assert code == 0
         assert out == PERLMUTTER_COMMAND + "\n"
+
+    @pytest.mark.parametrize("capability", ["embed", "repair"])
+    def test_enabled_capability_down_leaves_script_unchanged(
+        self, capsys, tmp_path, monkeypatch, capability,
+    ):
+        asked = []
+
+        def down(url, body, headers, timeout_s):
+            asked.append(json.loads(body)["capability"])
+            raise OSError("endpoint down")
+
+        monkeypatch.setattr("launchport.bridge._default_transport", down)
+        config = tmp_path / "bridge.json"
+        config.write_text(json.dumps({
+            "endpoint": "http://bridge.test/v1",
+            "timeout_ms": 1,
+            "retries": 0,
+            "capabilities": [capability],
+        }), "utf-8")
+        if capability == "embed":
+            # Without an exact template, retrieval asks the embedder, then falls back.
+            records = json.loads(bundled("templates.json"))
+            repo = tmp_path / "templates.json"
+            repo.write_text(json.dumps([r for r in records if r["id"] != "perlmutter-ddp"]))
+            argv = ["generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+                    "--templates", str(repo)]
+        else:
+            script = tmp_path / "perl.sh"
+            script.write_text(PERLMUTTER_COMMAND, "utf-8")
+            argv = ["port", str(script), "--to", "polaris"]
+        code, expected, _ = run_cli(capsys, *argv, "--non-interactive")
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, *argv, "--bridge-config", str(config), "--non-interactive",
+        )
+        assert code == 0
+        assert out == expected
+        # A clean port needs no repair, so the repair capability is never asked.
+        assert asked == (["embed"] if capability == "embed" else [])
+
+    def test_port_uses_the_repair_bridge(self, capsys, tmp_path, monkeypatch):
+        def repair(url, body, headers, timeout_s):
+            assert json.loads(body)["capability"] == "repair"
+            return json.dumps({"ok": True, "result": {
+                "category": "env", "proposals": ["export MYSTERY_HOME"],
+            }}).encode()
+
+        monkeypatch.setattr("launchport.bridge._default_transport", repair)
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{
+            "id": "MYSTERY", "cluster": "aurora", "category": "env",
+            "trigger": {"script_lacks": "MYSTERY_HOME"},
+            "stderr": "an error no fingerprint knows", "clearable_by": ["export_env"],
+        }]), "utf-8")
+        config = tmp_path / "bridge.json"
+        config.write_text(json.dumps({
+            "endpoint": "http://bridge.test/v1", "retries": 0, "capabilities": ["repair"],
+        }), "utf-8")
+        script = tmp_path / "perl.sh"
+        script.write_text(PERLMUTTER_COMMAND, "utf-8")
+        argv = ["port", str(script), "--to", "polaris", "--rules", str(rules), "--non-interactive"]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 2
+        code, out, _ = run_cli(capsys, *argv, "--bridge-config", str(config))
+        assert code == 0
+        assert "export MYSTERY_HOME" in out
 
 
 class TestPrompting:

@@ -1,0 +1,90 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import launchport
+from launchport.bridge import BridgeConfig, load_bridge_config
+from launchport.clusters import load_profiles
+from launchport.errors import BridgeProtocolError, ProfileParseError, RuleParseError, TemplateInvalidError
+from launchport.repair import load_fingerprints, load_repair_table
+from launchport.simcluster import load_fault_rules
+from launchport.templates import load_repository
+
+# The error is on line 3: a bare word where a value should be.
+BAD_JSON = "[\n  1,\n  oops\n]"
+
+# loader, error class, message format, a document of the wrong shape and its
+# message, and whether a loaded value is the empty one.
+LOADERS = {
+    "profiles": (
+        load_profiles, ProfileParseError, "{}", "{}",
+        "profile document must be a JSON array", lambda v: len(v) == 0,
+    ),
+    "repository": (
+        load_repository, TemplateInvalidError, "template '<document>': {}", "{}",
+        "repository document must be a JSON array", lambda v: len(v) == 0,
+    ),
+    "fault-rules": (
+        load_fault_rules, RuleParseError, "{}", "{}",
+        "fault-rule document must be a JSON array", lambda v: len(v) == 0,
+    ),
+    "fingerprints": (
+        load_fingerprints, RuleParseError, "{}", "{}",
+        "fingerprint document must be a JSON array", lambda v: len(v) == 0,
+    ),
+    "repair-table": (
+        load_repair_table, RuleParseError, "{}", "[]",
+        "repair table must be a JSON object", lambda v: v.fingerprint_ids() == [],
+    ),
+    "bridge-config": (
+        load_bridge_config, BridgeProtocolError, "invalid bridge config: {}", "[]",
+        "the document must be a JSON object", lambda v: v == BridgeConfig(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_loader_reads_text_and_paths_alike(tmp_path, name):
+    load, error, fmt, wrong_shape, shape_message, is_empty = LOADERS[name]
+    assert is_empty(load(""))
+    assert is_empty(load(" \n"))
+    doc = tmp_path / "doc.json"
+    doc.write_text("", "utf-8")
+    assert is_empty(load(doc))
+
+    cases = [
+        (BAD_JSON, "invalid JSON at line 3: Expecting value"),
+        (wrong_shape, shape_message),
+    ]
+    for text, message in cases:
+        with pytest.raises(error) as caught:
+            load(text)
+        assert str(caught.value) == fmt.format(message)
+        doc.write_text(text, "utf-8")
+        with pytest.raises(error) as caught:
+            load(doc)
+        assert str(caught.value) == fmt.format(f"{doc}: {message}")
+
+
+def _reads_bundled_data(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("importlib.resources") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "importlib.resources" or (
+            node.module == "importlib" and any(a.name == "resources" for a in node.names)
+        )
+    return False
+
+
+def test_one_way_to_read_a_document():
+    package = Path(launchport.__file__).parent
+    readers, copies = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if _reads_bundled_data(node):
+                readers.append(path.name)
+            if isinstance(node, ast.FunctionDef) and node.name == "_read_source":
+                copies.append(path.name)
+    assert readers == ["documents.py"]
+    assert copies == []

@@ -8,7 +8,6 @@ from launchport.templates import (
     Template,
     TemplateSet,
     add_template,
-    dump_repository,
     load_repository,
     placeholders,
 )
@@ -117,18 +116,6 @@ class TestBundle:
 class TestLoadAndSerialize:
     def test_empty_document(self):
         assert len(load_repository("[]")) == 0
-
-    def test_round_trip_is_identity(self, templates):
-        reloaded = load_repository(dump_repository(templates))
-        assert len(reloaded) == len(templates)
-        for t in templates:
-            u = reloaded.get(t.id)
-            assert u == t
-
-    def test_load_is_deterministic(self, templates):
-        a = dump_repository(load_repository(dump_repository(templates)))
-        b = dump_repository(load_repository(dump_repository(templates)))
-        assert a == b
 
     def test_duplicate_key_tuple_conflict(self):
         record = {
