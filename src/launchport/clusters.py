@@ -114,10 +114,14 @@ def _parse_record(record: dict, index: int) -> ClusterProfile:
     for name in _REQUIRED_FIELDS:
         if name not in record:
             raise ProfileParseError("missing field", record=index, field=name)
+    for name in ("aliases", "known_faults"):
+        value = record.get(name, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ProfileParseError("must be a list of strings", record=index, field=name)
     try:
         return ClusterProfile(
             id=str(record["id"]).lower(),
-            aliases=tuple(str(a).lower() for a in record.get("aliases", [])),
+            aliases=tuple(a.lower() for a in record.get("aliases", [])),
             scheduler=Scheduler(record["scheduler"]),
             default_launcher=Launcher(record["default_launcher"]),
             gpus_per_node=int(record["gpus_per_node"]),
@@ -126,7 +130,7 @@ def _parse_record(record: dict, index: int) -> ClusterProfile:
             module_system=ModuleSystem(record["module_system"]),
             python_env=PythonEnv(record["python_env"]),
             max_walltime_minutes=int(record["max_walltime_minutes"]),
-            known_faults=tuple(str(f) for f in record.get("known_faults", [])),
+            known_faults=tuple(record.get("known_faults", [])),
         )
     except (ValueError, TypeError) as exc:
         raise ProfileParseError(str(exc), record=index) from exc

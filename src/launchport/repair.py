@@ -152,12 +152,16 @@ def load_fingerprints(source: Path | str) -> FingerprintSet:
         if raw["category"] not in CATEGORIES:
             raise RuleParseError(f"unknown category '{raw['category']}'", index=i)
         pattern = raw.get("pattern", {})
+        if not isinstance(pattern, dict):
+            raise RuleParseError("pattern must be an object", index=i)
         literal = pattern.get("literal")
         regex = pattern.get("regex")
         if (literal is None) == (regex is None):
             raise RuleParseError(
                 "pattern must give exactly one of 'literal' or 'regex'", index=i
             )
+        if not isinstance(literal if regex is None else regex, str):
+            raise RuleParseError("pattern 'literal' or 'regex' must be a string", index=i)
         if regex is not None:
             try:
                 re.compile(regex)
@@ -183,18 +187,31 @@ def load_repair_table(source: Path | str) -> RepairTable:
     """
     raw = load_json(source, dict, "repair table", RuleParseError)
     table: dict[str, list[RepairAction]] = {}
-    for fingerprint_id, actions in raw.items():
+    for record, (fingerprint_id, actions) in enumerate(raw.items()):
+        if not isinstance(actions, list):
+            raise RuleParseError(
+                f"actions for '{fingerprint_id}' must be a list", index=record
+            )
         parsed = []
         for i, entry in enumerate(actions):
+            if not isinstance(entry, dict):
+                raise RuleParseError(
+                    f"action for '{fingerprint_id}' must be an object", index=i
+                )
             kind = entry.get("kind")
             if kind not in REPAIR_KINDS:
                 raise RuleParseError(
                     f"unknown repair kind '{kind}' for '{fingerprint_id}'", index=i
                 )
+            payload = entry.get("payload", {})
+            if not isinstance(payload, dict):
+                raise RuleParseError(
+                    f"payload for '{fingerprint_id}' must be an object", index=i
+                )
             parsed.append(
                 RepairAction(
                     kind=kind,
-                    payload=dict(entry.get("payload", {})),
+                    payload=dict(payload),
                     rationale=str(entry.get("rationale", "")),
                 )
             )

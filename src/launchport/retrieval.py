@@ -12,9 +12,13 @@ similarity over an embedder's vectors when one is supplied, token-overlap
 model and no network.  An embedder that fails with a bridge error, or that
 returns other than one vector per text, gets the token-overlap fallback
 too.  Similarity compares the job's one-line description against each
-template's notes plus body.
+template's notes plus body.  That template side (the text and its word set)
+is computed once per template set, on the first ranking below the gate,
+and kept by the set.
 
-Ties break on template id, lexicographically, giving a total order.
+Ties break on template id, lexicographically, giving a total order: one
+pass scores the set's templates in id order, and a stable sort on score
+alone keeps equal scores in that order.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Mapping, Protocol, Sequence
 
 from .errors import BridgeError, NoCandidatesError
 from .intent import JobSpec
-from .templates import Template, TemplateSet
+from .templates import TemplateSet
 
 WEIGHT_CLUSTER = 0.4
 WEIGHT_FRAMEWORK = 0.25
@@ -51,21 +55,10 @@ class RankedCandidate:
     exact: bool
 
 
-def _metadata_score(spec: JobSpec, t: Template) -> dict[str, float]:
-    return {
-        "cluster": WEIGHT_CLUSTER if t.cluster == spec.cluster else 0.0,
-        "framework": WEIGHT_FRAMEWORK if t.framework is spec.framework else 0.0,
-        "strategy": WEIGHT_STRATEGY if t.strategy is spec.strategy else 0.0,
-        "launcher": WEIGHT_LAUNCHER if t.launcher is spec.launcher else 0.0,
-    }
-
-
-def _jaccard(a: str, b: str) -> float:
-    wa = set(a.lower().split())
-    wb = set(b.lower().split())
-    if not wa or not wb:
+def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    if not a or not b:
         return 0.0
-    return len(wa & wb) / len(wa | wb)
+    return len(a & b) / len(a | b)
 
 
 def _cosine(u: Sequence[float], v: Sequence[float]) -> float:
@@ -88,6 +81,20 @@ def _embed(embedder: Embedder | None, texts: list[str]) -> list[list[float]] | N
     return vectors if len(vectors) == len(texts) else None
 
 
+def _similarities(
+    spec: JobSpec, tset: TemplateSet, embedder: Embedder | None
+) -> list[float]:
+    """Similarity of the job's description to each template, in id order."""
+    description = spec.description()
+    texts = tset.similarity_texts
+    vectors = _embed(embedder, [description] + [text for text, _ in texts])
+    if vectors is not None:
+        query = vectors[0]
+        return [_cosine(query, vec) for vec in vectors[1:]]
+    words = frozenset(description.lower().split())
+    return [_jaccard(words, template_words) for _, template_words in texts]
+
+
 def candidates(
     spec: JobSpec,
     tset: TemplateSet,
@@ -98,47 +105,39 @@ def candidates(
     Deterministic for identical inputs.  Raises
     :class:`NoCandidatesError` on an empty set.
     """
-    templates = sorted(tset, key=lambda t: t.id)
+    templates = tset.in_id_order()
     if not templates:
         raise NoCandidatesError("the template set is empty")
 
-    metadata = {t.id: _metadata_score(spec, t) for t in templates}
-    best_meta = max(sum(m.values()) for m in metadata.values())
-
-    similarities: dict[str, float] = {}
-    if best_meta < SIMILARITY_GATE:
-        description = spec.description()
-        texts = [f"{t.notes} {t.body}" for t in templates]
-        vectors = _embed(embedder, [description] + texts)
-        if vectors is not None:
-            query = vectors[0]
-            for t, vec in zip(templates, vectors[1:]):
-                similarities[t.id] = _cosine(query, vec)
-        else:
-            for t, text in zip(templates, texts):
-                similarities[t.id] = _jaccard(description, text)
+    key = (spec.cluster, spec.framework, spec.strategy, spec.launcher)
+    exact_match = tset.find_key(key)  # keys are unique: at most one exact template
+    cluster, framework, strategy, launcher = key
+    rows = []
+    best_meta = 0.0
+    for t in templates:
+        c = WEIGHT_CLUSTER if t.cluster == cluster else 0.0
+        f = WEIGHT_FRAMEWORK if t.framework is framework else 0.0
+        s = WEIGHT_STRATEGY if t.strategy is strategy else 0.0
+        la = WEIGHT_LAUNCHER if t.launcher is launcher else 0.0
+        meta = c + f + s + la
+        if meta > best_meta:
+            best_meta = meta
+        breakdown = {"cluster": c, "framework": f, "strategy": s, "launcher": la}
+        rows.append((t, meta, breakdown))
 
     ranked = []
-    for t in templates:
-        breakdown = dict(metadata[t.id])
-        meta = sum(breakdown.values())
-        if similarities:
-            sim = similarities[t.id]
+    if best_meta < SIMILARITY_GATE:
+        similarities = _similarities(spec, tset, embedder)
+        for (t, meta, breakdown), sim in zip(rows, similarities):
             breakdown["similarity"] = sim
             score = (meta + SIMILARITY_WEIGHT * sim) / (1.0 + SIMILARITY_WEIGHT)
-        else:
+            ranked.append(RankedCandidate(t.id, score, breakdown, t is exact_match))
+    else:
+        for t, meta, breakdown in rows:
             breakdown["similarity"] = 0.0
-            score = meta
-        exact = t.key == (spec.cluster, spec.framework, spec.strategy, spec.launcher)
-        ranked.append(
-            RankedCandidate(
-                template_id=t.id,
-                score=score,
-                breakdown=breakdown,
-                exact=exact,
-            )
-        )
-    ranked.sort(key=lambda c: (-c.score, c.template_id))
+            ranked.append(RankedCandidate(t.id, meta, breakdown, t is exact_match))
+    # Stable over the id order, so equal scores stay ordered by id.
+    ranked.sort(key=lambda c: -c.score)
     return ranked
 
 

@@ -11,7 +11,10 @@ Placeholder grammar: a single pair of braces around a lowercase identifier
 substitution untouched, so template bodies may freely mix both notations.
 
 ``TemplateSet`` is an immutable value: :func:`add_template` returns a new set
-and never mutates the input.
+and never mutates the input.  Because a set never changes, it keeps what
+retrieval reads on every ranking: its templates in id order, sorted once
+when the set is built, and each template's similarity text with its word
+set, built on the first ranking that needs them.
 """
 
 from __future__ import annotations
@@ -98,7 +101,11 @@ def validate_template(t: Template) -> None:
 
 
 class TemplateSet:
-    """Immutable collection of templates, unique by id and by key tuple."""
+    """Immutable collection of templates, unique by id and by key tuple.
+
+    Iteration follows insertion order; :meth:`in_id_order` gives the same
+    templates sorted by id, computed once per set.
+    """
 
     def __init__(self, templates: list[Template]):
         by_id: dict[str, Template] = {}
@@ -113,6 +120,7 @@ class TemplateSet:
             by_key[t.key] = t
         self._by_id = by_id
         self._by_key = by_key
+        self._in_id_order = tuple(by_id[i] for i in sorted(by_id))
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -131,6 +139,19 @@ class TemplateSet:
 
     def ids(self) -> list[str]:
         return list(self._by_id)
+
+    def in_id_order(self) -> tuple[Template, ...]:
+        return self._in_id_order
+
+    @functools.cached_property
+    def similarity_texts(self) -> tuple[tuple[str, frozenset[str]], ...]:
+        """Per template in id order: ``"{notes} {body}"`` and its lowercase word set.
+
+        Built on first use and kept; retrieval reads it only when no
+        template reaches the similarity gate on metadata alone.
+        """
+        texts = (f"{t.notes} {t.body}" for t in self._in_id_order)
+        return tuple((text, frozenset(text.lower().split())) for text in texts)
 
 
 def add_template(tset: TemplateSet, t: Template) -> TemplateSet:

@@ -290,6 +290,18 @@ class TestClustersCommand:
         assert code == 1
         assert "field" in err
 
+    def test_validate_rejects_string_aliases(self, capsys, tmp_path):
+        record = json.loads(bundled("clusters.json"))[0]
+        record["aliases"] = "zq"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([record]), "utf-8")
+        code, out, err = run_cli(capsys, "clusters", "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: must be a list of strings (record 0, field 'aliases')"
+        ]
+
     def test_add_validates_and_writes_back(self, capsys, tmp_path):
         registry = tmp_path / "clusters.json"
         registry.write_text(bundled("clusters.json"), "utf-8")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from launchport.clusters import load_profiles
+from launchport.documents import bundled
 from launchport.errors import ProfileParseError, RegistryConflictError, UnknownClusterError
 from launchport.types import Scheduler
 
@@ -117,3 +118,28 @@ def test_invalid_json_reports_line():
     with pytest.raises(ProfileParseError) as exc:
         load_profiles("[{,]")
     assert "line" in str(exc.value)
+
+
+@pytest.mark.parametrize("field", ["aliases", "known_faults"])
+@pytest.mark.parametrize("value", ["zq", ["zq", 5], {"zq": 1}, None],
+                         ids=["string", "non-string-entry", "object", "null"])
+def test_name_lists_must_be_lists_of_strings(field, value):
+    with pytest.raises(ProfileParseError) as exc:
+        load_profiles(json.dumps([_record(**{field: value})]))
+    assert exc.value.record == 0
+    assert exc.value.field == field
+
+
+def test_string_aliases_register_no_one_letter_names():
+    # "zq" once registered the aliases "z" and "q".
+    with pytest.raises(ProfileParseError, match="list of strings"):
+        load_profiles(json.dumps([_record(aliases="zq")]))
+
+
+def test_bundle_name_lists_load_as_written(profiles):
+    records = {r["id"]: r for r in json.loads(bundled("clusters.json"))}
+    assert sorted(records) == sorted(profiles.ids())
+    for profile in profiles:
+        record = records[profile.id]
+        assert profile.aliases == tuple(a.lower() for a in record.get("aliases", []))
+        assert profile.known_faults == tuple(record.get("known_faults", []))

@@ -1,7 +1,7 @@
 import pytest
 
 from launchport import intent
-from launchport.errors import ContractViolationError, NoRepairAvailableError
+from launchport.errors import ContractViolationError, NoRepairAvailableError, RuleParseError
 from launchport.lint import error_count, lint
 from launchport.pipeline import first_bindable
 from launchport.repair import (
@@ -13,6 +13,8 @@ from launchport.repair import (
     STATUS_SUCCESS,
     STATUS_UNRESOLVED,
     diagnose,
+    load_fingerprints,
+    load_repair_table,
     parse_proposal,
     parse_proposals,
     propose,
@@ -23,6 +25,32 @@ from launchport.synthesis import render_for_spec
 from launchport.types import Framework, Strategy
 
 from conftest import make_spec
+
+
+_FP = '{"id": "fp", "category": "env", "pattern": %s}'
+
+
+@pytest.mark.parametrize(
+    "loader, text, index, message",
+    [
+        (load_fingerprints, "[%s, %s]" % (_FP % '{"literal": "x"}', _FP % "5"), 1,
+         "pattern must be an object"),
+        (load_fingerprints, "[%s]" % (_FP % '{"regex": 5}'), 0,
+         "pattern 'literal' or 'regex' must be a string"),
+        (load_repair_table, '{"fp": [], "other": 5}', 1,
+         "actions for 'other' must be a list"),
+        (load_repair_table, '{"fp": [{"kind": "export_env", "payload": {"name": "X"}}, 5]}', 1,
+         "action for 'fp' must be an object"),
+        (load_repair_table, '{"fp": [{"kind": "export_env", "payload": 5}]}', 0,
+         "payload for 'fp' must be an object"),
+    ],
+    ids=["pattern-5", "regex-5", "action-list-5", "action-entry-5", "payload-5"],
+)
+def test_malformed_inner_shapes_are_rule_parse_errors(loader, text, index, message):
+    with pytest.raises(RuleParseError) as exc:
+        loader(text)
+    assert exc.value.index == index
+    assert str(exc.value) == f"{message} (rule index {index})"
 
 
 def _failed(stderr):

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from launchport import retrieval
+from launchport.clusters import default_profiles
 from launchport.errors import BridgeUnavailableError, NoCandidatesError
-from launchport.retrieval import candidates, select
-from launchport.templates import ParamDecl, Template, TemplateSet, add_template
+from launchport.intent import JobSpec
+from launchport.retrieval import RankedCandidate, candidates, select
+from launchport.templates import ParamDecl, Template, TemplateSet, add_template, default_templates
 from launchport.types import Framework, Launcher, Strategy
 
 from conftest import make_spec
@@ -193,3 +197,84 @@ class TestSelect:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             select([], 0)
+
+
+def _rank_reference(spec, tset, embedder=None):
+    """Reference: the two-pass ranking, sorted by (-score, id) over a re-sorted set."""
+    templates = sorted(tset, key=lambda t: t.id)
+    metadata = {
+        t.id: {
+            "cluster": retrieval.WEIGHT_CLUSTER if t.cluster == spec.cluster else 0.0,
+            "framework": retrieval.WEIGHT_FRAMEWORK if t.framework is spec.framework else 0.0,
+            "strategy": retrieval.WEIGHT_STRATEGY if t.strategy is spec.strategy else 0.0,
+            "launcher": retrieval.WEIGHT_LAUNCHER if t.launcher is spec.launcher else 0.0,
+        }
+        for t in templates
+    }
+    best_meta = max(sum(m.values()) for m in metadata.values())
+    similarities = {}
+    if best_meta < retrieval.SIMILARITY_GATE:
+        description = spec.description()
+        texts = [f"{t.notes} {t.body}" for t in templates]
+        vectors = retrieval._embed(embedder, [description] + texts)
+        for i, (t, text) in enumerate(zip(templates, texts), 1):
+            if vectors is not None:
+                similarities[t.id] = retrieval._cosine(vectors[0], vectors[i])
+            else:
+                wa, wb = set(description.lower().split()), set(text.lower().split())
+                similarities[t.id] = len(wa & wb) / len(wa | wb) if wa and wb else 0.0
+    ranked = []
+    for t in templates:
+        breakdown = dict(metadata[t.id])
+        meta = sum(breakdown.values())
+        breakdown["similarity"] = similarities.get(t.id, 0.0)
+        score = meta
+        if similarities:
+            weight = retrieval.SIMILARITY_WEIGHT
+            score = (meta + weight * breakdown["similarity"]) / (1.0 + weight)
+        exact = t.key == (spec.cluster, spec.framework, spec.strategy, spec.launcher)
+        ranked.append(RankedCandidate(t.id, score, breakdown, exact))
+    ranked.sort(key=lambda c: (-c.score, c.template_id))
+    return ranked
+
+
+def _flat(ranked):
+    return [(c.template_id, c.score, list(c.breakdown.items()), c.exact) for c in ranked]
+
+
+_BUNDLED = default_templates()
+
+
+class TestOnePassRanking:
+    @given(
+        cluster=st.sampled_from(default_profiles().ids() + ["nowhere"]),
+        framework=st.sampled_from(list(Framework)),
+        strategy=st.sampled_from(list(Strategy)),
+        launcher=st.sampled_from(list(Launcher)),
+        ids=st.lists(st.sampled_from(_BUNDLED.ids()), min_size=1, unique=True),
+        embedder=st.sampled_from([None, FakeEmbedder(), _DownEmbedder()]),
+    )
+    def test_equals_two_pass_reference(self, cluster, framework, strategy, launcher, ids,
+                                       embedder):
+        spec = JobSpec(cluster=cluster, framework=framework, strategy=strategy,
+                       launcher=launcher, nodes=2, gpus_per_node=4,
+                       entry_script="train_gpt2.py", train_args="--epochs 3")
+        tset = TemplateSet([_BUNDLED.get(i) for i in ids])
+        expected = _rank_reference(spec, tset, embedder)
+        assert _flat(candidates(spec, tset, embedder)) == _flat(expected)
+
+    def test_extended_set_ranks_its_new_template(self, profiles, templates):
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.ZERO3)
+        new = _mini_template("000-first", "delta", Framework.ACCELERATE, Strategy.ZERO3,
+                             Launcher.ACCELERATE)
+        before = candidates(spec, templates)
+        extended = add_template(templates, new)
+        ranked = candidates(spec, extended)
+        assert len(ranked) == len(before) + 1
+        assert ranked[0].template_id == "000-first"
+        assert ranked[0].exact and ranked[0].score == 1.0
+        assert _flat(ranked) == _flat(_rank_reference(spec, extended))
+        # The set it was built from ranks exactly as before, without the new template.
+        assert _flat(candidates(spec, templates)) == _flat(before)
+        assert "000-first" not in {c.template_id for c in before}
