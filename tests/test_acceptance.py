@@ -39,6 +39,9 @@ from conftest import (
     matrix_specs,
 )
 
+# The sha256 of criterion 8's output, as the bundled data produce it.
+CRITERION_8_SHA256 = "0ce7c915e61841f0014634ee214f98ac24703b93317df39369e0b2e960d3d013"
+
 # Scenario per clearable bundled fault rule (criterion 3).
 FAULT_CORPUS = {
     "ENV_NOT_PROPAGATED": ("deltaai", Framework.PYTORCH, Strategy.DDP, {}),
@@ -244,5 +247,8 @@ def test_criterion_8_determinism(capsys, profiles, templates, fault_rules, harne
 
     digests = {one_run() for _ in range(10)}
     assert len(digests) == 1
+    # Pinned: any change to the generated bytes shows up here, not only a
+    # disagreement between runs.  A change that moves it on purpose says so.
+    assert digests == {CRITERION_8_SHA256}
     print(f"\nPASS: criterion 8 - ten repetitions byte-identical "
           f"(sha256 {digests.pop()[:12]}...)")
