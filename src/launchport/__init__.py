@@ -23,7 +23,6 @@ from .repair import (
     Diagnosis,
     LoopOutcome,
     RepairAction,
-    SimHarness,
     diagnose,
     propose,
     run_loop,
@@ -64,7 +63,6 @@ __all__ = [
     "RepairAction",
     "RuleBasedExtractor",
     "Scheduler",
-    "SimHarness",
     "Strategy",
     "Template",
     "TemplateSet",

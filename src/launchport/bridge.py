@@ -8,10 +8,12 @@ every capability::
                "payload": {...}}
     response: {"ok": true, "result": ...} | {"ok": false, "error": "..."}
 
-The per-capability system prompts are bundled data, editable without code
-changes.  The API key, when required, comes from the environment variable
-named in the config and travels as a bearer token; it is never accepted on
-the command line.
+:class:`RemoteBridge` is itself the extractor (``extract``), the embedder
+(``embed``) and the repair bridge (``enabled``, ``remote_repair``) that
+``intent``, ``retrieval`` and ``repair`` accept.  The per-capability system
+prompts are bundled data, editable without code changes.  The API key, when
+required, comes from the environment variable named in the config and
+travels as a bearer token; it is never accepted on the command line.
 
 Every capability is disabled unless explicitly enabled, and every caller in
 the package has a deterministic offline fallback, so the core pipeline
@@ -104,10 +106,6 @@ def _default_transport(url: str, body: bytes, headers: dict[str, str], timeout_s
         return response.read()
 
 
-def _load_prompts() -> dict[str, str]:
-    return json.loads(bundled("bridge_prompts.json"))
-
-
 class RemoteBridge:
     """Client for one configured endpoint.
 
@@ -118,26 +116,29 @@ class RemoteBridge:
     def __init__(self, config: BridgeConfig, transport: Transport | None = None):
         self.config = config
         self._transport = transport or _default_transport
-        self._prompts = _load_prompts()
+        self._prompts = json.loads(bundled("bridge_prompts.json"))
 
     def enabled(self, capability: str) -> bool:
         return capability in self.config.capabilities
 
     # -- capabilities ------------------------------------------------------
 
-    def remote_extract(self, text: str) -> PartialJobSpec:
+    def extract(self, text: str) -> PartialJobSpec:
         """Ask the remote model to extract job fields from free text.
 
         The response must be a flat object of PartialJobSpec field names;
         unknown keys are ignored and all values are re-validated locally.
+        An empty ``text`` raises ``ValueError``, as the offline extractor does.
         """
+        if not text:
+            raise ValueError("extract requires non-empty text")
         self._require("extract")
         result = self._call("extract", {"text": text})
         if not isinstance(result, dict):
             raise BridgeProtocolError("extract result must be an object")
         return _coerce_partial(result)
 
-    def remote_embed(self, texts: Sequence[str]) -> list[list[float]]:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         """Embed texts; the result is one numeric vector per input text."""
         self._require("embed")
         result = self._call("embed", {"texts": list(texts)})
@@ -217,28 +218,6 @@ class RemoteBridge:
         if "result" not in response:
             raise BridgeProtocolError("successful response is missing 'result'")
         return response["result"]
-
-
-class BridgeExtractor:
-    """Adapter exposing remote_extract through the Extractor protocol."""
-
-    def __init__(self, bridge: RemoteBridge):
-        self._bridge = bridge
-
-    def extract(self, text: str) -> PartialJobSpec:
-        if not text:
-            raise ValueError("extract requires non-empty text")
-        return self._bridge.remote_extract(text)
-
-
-class BridgeEmbedder:
-    """Adapter exposing remote_embed through the retrieval Embedder protocol."""
-
-    def __init__(self, bridge: RemoteBridge):
-        self._bridge = bridge
-
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        return self._bridge.remote_embed(texts)
 
 
 _INT_FIELDS = ("nodes", "gpus_per_node", "total_gpus", "master_port")

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .bridge import BridgeEmbedder, BridgeExtractor, RemoteBridge, load_bridge_config
+from .bridge import RemoteBridge, load_bridge_config
 from .clusters import ProfileSet, default_profiles, load_profiles
-from .documents import load_json
+from .documents import load_json, read_text
 from .errors import (
     BridgeError,
     CapacityError,
@@ -49,12 +49,6 @@ from .intent import (
     parse_script,
 )
 from .pipeline import render_report, run_pipeline
-from .repair import (
-    FingerprintSet,
-    RepairTable,
-    default_fingerprints,
-    default_repair_table,
-)
 from .simcluster import FaultRuleSet, default_fault_rules, load_fault_rules
 from .templates import TemplateSet, default_templates, load_repository
 from .types import Framework, Strategy
@@ -96,8 +90,6 @@ class CliSession:
     profiles: ProfileSet
     templates: TemplateSet
     rules: FaultRuleSet
-    fingerprints: FingerprintSet
-    repair_table: RepairTable
     bridge: RemoteBridge | None
     answers: dict[str, object]
     k: int
@@ -230,8 +222,6 @@ def _session(args) -> CliSession:
         profiles=profiles,
         templates=templates,
         rules=rules,
-        fingerprints=default_fingerprints(),
-        repair_table=default_repair_table(),
         bridge=bridge,
         answers=answers,
         k=args.k,
@@ -297,7 +287,7 @@ def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpe
 
 def _extractor(session: CliSession):
     if session.bridge is not None and session.bridge.enabled("extract"):
-        return BridgeExtractor(session.bridge)
+        return session.bridge
     return _rule_extractor(session)
 
 
@@ -327,7 +317,7 @@ def cmd_generate(args) -> int:
 
 def cmd_port(args) -> int:
     session = _session(args)
-    source = Path(args.script).read_text("utf-8")
+    source = read_text(Path(args.script), UsageError)
     parsed = parse_script(source)
     target = session.profiles.resolve(args.to_cluster)
     parsed.cluster = target.id
@@ -352,11 +342,9 @@ def _run(spec, profile, session: CliSession) -> int:
         profile,
         session.templates,
         session.rules,
-        fingerprints=session.fingerprints,
-        repair_table=session.repair_table,
         k=session.k,
-        embedder=BridgeEmbedder(bridge) if bridge and bridge.enabled("embed") else None,
-        bridge=bridge if bridge and bridge.enabled("repair") else None,
+        embedder=bridge if bridge and bridge.enabled("embed") else None,
+        bridge=bridge,
     )
     return _emit(result, session)
 

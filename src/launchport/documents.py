@@ -3,7 +3,8 @@
 Every JSON document the package reads, bundled or user-supplied, goes
 through :func:`load_json`; the bundled texts come from :func:`bundled`.
 A source is either a :class:`pathlib.Path`, read as UTF-8, or a ``str``
-holding the JSON text itself.
+holding the JSON text itself.  :func:`read_text` reads a file the same
+way for callers that want its text, not its JSON.
 """
 
 from __future__ import annotations
@@ -19,6 +20,15 @@ def bundled(name: str) -> str:
     return resources.files("launchport.data").joinpath(name).read_text("utf-8")
 
 
+def read_text(path: Path, error: Callable[[str], Exception]) -> str:
+    """The text of the file ``path``; bytes that are not UTF-8 raise
+    ``error("<path>: not UTF-8 text (byte N)")``."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_json(
     source: Path | str,
     shape: type[list] | type[dict],
@@ -30,10 +40,11 @@ def load_json(
     An empty document is ``shape()``.  Malformed JSON raises
     ``error("invalid JSON at line N: ...")`` and a value of another shape
     ``error("<what> must be a JSON array|object")``; when ``source`` is a
-    path, the message starts with ``"<path>: "``.
+    path, the message starts with ``"<path>: "``, and a file that is not
+    UTF-8 raises through ``error`` too (see :func:`read_text`).
     """
     if isinstance(source, Path):
-        text, where = source.read_text("utf-8"), f"{source}: "
+        text, where = read_text(source, error), f"{source}: "
     else:
         text, where = source, ""
     if not text.strip():

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 from .clusters import ClusterProfile, default_profiles
@@ -163,12 +163,6 @@ class PartialJobSpec:
             elif value is not None:
                 updates[name] = value
         return replace(self, **updates)
-
-    def is_empty(self) -> bool:
-        return all(
-            getattr(self, name) in (None, "")
-            for name in self.__dataclass_fields__
-        )
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Runs the full workflow for one finalized job: rank templates, then for each
 of the top-k candidates bind, render, lint, and drive the verify/debug
-loop.  The first candidate whose loop succeeds wins.  Candidates that
-cannot be bound (foreign cluster, unfillable parameter) consume their slot
-and are recorded, so a report always explains what was tried.
+loop (:func:`launchport.repair.run_loop`, against the mock cluster under
+the given fault rules).  The first candidate whose loop succeeds wins.
+Candidates that cannot be bound (foreign cluster, unfillable parameter)
+consume their slot and are recorded, so a report always explains what was
+tried.
 """
 
 from __future__ import annotations
@@ -13,17 +15,9 @@ from dataclasses import dataclass
 
 from . import retrieval
 from .clusters import ClusterProfile
-from .errors import ContractViolationError, LaunchportError, UnboundParameterError
+from .errors import ContractViolationError, UnboundParameterError
 from .intent import JobSpec
-from .repair import (
-    FingerprintSet,
-    Harness,
-    LoopOutcome,
-    RepairBridge,
-    RepairTable,
-    SimHarness,
-    run_loop,
-)
+from .repair import FingerprintSet, LoopOutcome, RepairBridge, RepairTable, run_loop
 from .retrieval import Embedder, RankedCandidate
 from .simcluster import FaultRuleSet
 from .templates import TemplateSet
@@ -78,12 +72,8 @@ def run_pipeline(
     k: int = DEFAULT_CANDIDATES_TRIED,
     embedder: Embedder | None = None,
     bridge: RepairBridge | None = None,
-    harness: Harness | None = None,
-    max_iter: int = 5,
 ) -> PipelineResult:
     """Generate and verify a script for ``spec``; stops at the first success."""
-    if harness is None:
-        harness = SimHarness(rules)
     ranked = retrieval.candidates(spec, tset, embedder)
     top = retrieval.select(ranked, k)
 
@@ -95,8 +85,7 @@ def run_pipeline(
                 spec,
                 template,
                 profile,
-                harness,
-                max_iter=max_iter,
+                rules,
                 fingerprints=fingerprints,
                 repair_table=repair_table,
                 bridge=bridge,
@@ -113,23 +102,6 @@ def run_pipeline(
         candidates=tuple(ranked),
         attempts=tuple(attempts),
     )
-
-
-def first_bindable(
-    spec: JobSpec,
-    tset: TemplateSet,
-    embedder: Embedder | None = None,
-):
-    """The best-ranked template that belongs to the job's cluster.
-
-    Useful for driving the loop directly without the candidate sweep; raises
-    :class:`LaunchportError` when no template can serve the cluster at all.
-    """
-    for candidate in retrieval.candidates(spec, tset, embedder):
-        template = tset.get(candidate.template_id)
-        if template.cluster == spec.cluster:
-            return template
-    raise LaunchportError(f"no template can serve cluster '{spec.cluster}'")
 
 
 def render_report(result: PipelineResult) -> str:

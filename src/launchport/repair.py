@@ -10,11 +10,13 @@ A remote model bridge, when enabled, may contribute proposals for failures
 no fingerprint covers; its free-text suggestions are parsed into the same
 typed actions or dropped.
 
-The loop applies one action per iteration, first untried action first,
-re-lints, and resubmits.  An action already tried for the same fingerprint
-is never retried, which bounds the loop: it halts within ``max_iter``
-repair iterations for every input and returns ``unresolved`` when the bound
-is exhausted or no actions remain.
+:func:`run_loop` submits to the mock cluster (:func:`simcluster.submit`)
+under the caller's fault rules, applies one action per iteration, first
+untried action first, re-lints, and resubmits.  An action already tried for
+the same fingerprint is never retried, which bounds the loop: it halts
+within ``max_iter`` repair iterations for every input.  It has one exit:
+every failed submission is diagnosed and recorded, and the loop returns
+``unresolved`` when the bound is exhausted or no actions remain.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Protocol
 
-from . import simcluster
 from .clusters import ClusterProfile
 from .documents import bundled, load_json
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .intent import JobSpec
 from .lint import Finding, lint
-from .simcluster import REPAIR_KINDS, ExecutionResult, FaultRuleSet
+from .simcluster import REPAIR_KINDS, ExecutionResult, FaultRuleSet, submit
 from .synthesis import (
     PROVENANCE_USER,
     ParamBinding,
@@ -368,21 +369,14 @@ def parse_proposals(proposals: list[str]) -> list[RepairAction]:
     return actions
 
 
-def propose(
-    d: Diagnosis,
-    r: RenderedScript,
-    spec: JobSpec,
-    table: RepairTable | None = None,
-) -> list[RepairAction]:
+def propose(d: Diagnosis, table: RepairTable) -> list[RepairAction]:
     """Ordered repair actions for a diagnosis.
 
-    Fingerprinted failures map to the bundled repair table; bridge-supplied
-    diagnoses carry their own parsed actions.  An unknown diagnosis with no
-    remote actions has no repair available.
+    Fingerprinted failures map to ``table``; bridge-supplied diagnoses
+    carry their own parsed actions.  An unknown diagnosis with no remote
+    actions has no repair available.
     """
     if d.fingerprint_id is not None:
-        if table is None:
-            table = default_repair_table()
         return table.actions_for(d.fingerprint_id)
     if d.remote_actions:
         return list(d.remote_actions)
@@ -480,26 +474,6 @@ def _inject_into_launch(text: str, statement: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-class Harness(Protocol):
-    """Execution backend the loop submits to."""
-
-    def submit(
-        self, r: RenderedScript, spec: JobSpec, profile: ClusterProfile
-    ) -> ExecutionResult: ...
-
-
-@dataclass(frozen=True)
-class SimHarness:
-    """Default harness backed by the mock cluster."""
-
-    rules: FaultRuleSet
-
-    def submit(
-        self, r: RenderedScript, spec: JobSpec, profile: ClusterProfile
-    ) -> ExecutionResult:
-        return simcluster.submit(r, spec, profile, self.rules)
-
-
 @dataclass(frozen=True)
 class HistoryEntry:
     diagnosis: Diagnosis
@@ -515,7 +489,7 @@ class LoopOutcome:
     history: tuple[HistoryEntry, ...]
     final_spec: JobSpec
     final_result: ExecutionResult
-    lint_findings: tuple[Finding, ...] = ()
+    lint_findings: tuple[Finding, ...]
 
     @property
     def succeeded(self) -> bool:
@@ -526,7 +500,7 @@ def run_loop(
     spec: JobSpec,
     t: Template,
     profile: ClusterProfile,
-    harness: Harness,
+    rules: FaultRuleSet,
     max_iter: int = MAX_ITERATIONS,
     *,
     fingerprints: FingerprintSet | None = None,
@@ -534,11 +508,14 @@ def run_loop(
     bridge: RepairBridge | None = None,
     template_set: TemplateSet | None = None,
 ) -> LoopOutcome:
-    """Submit, and on failure diagnose / repair / resubmit, at most ``max_iter`` times.
+    """Submit to the mock cluster under ``rules``; on failure diagnose, repair
+    and resubmit, at most ``max_iter`` times.
 
     One action is applied per iteration, in first-untried order; an action
-    already tried for the same fingerprint is skipped.  ``unresolved`` is a
-    status, not an error.
+    already tried for the same fingerprint is skipped.  Every failed
+    submission is diagnosed and recorded in the history, the last one with
+    no action.  ``unresolved`` is a status, not an error.  Without
+    ``fingerprints`` or ``repair_table`` the bundled ones are used.
     """
     if max_iter < 1:
         raise ContractViolationError("max_iter must be >= 1")
@@ -552,21 +529,22 @@ def run_loop(
     current_t = t
     findings = lint(script, current_spec, profile)
 
-    result = harness.submit(script, current_spec, profile)
+    result = submit(script, current_spec, profile, rules)
     history: list[HistoryEntry] = []
     tried: set[tuple[str | None, tuple[str, str]]] = set()
     iterations = 0
 
-    while result.exit_code != 0 and iterations < max_iter:
+    while result.exit_code != 0:
         diag = diagnose(
             result, profile, fingerprints, bridge=bridge,
             script_text=script.text, spec=current_spec,
         )
-        try:
-            actions = propose(diag, script, current_spec, repair_table)
-        except NoRepairAvailableError:
-            actions = []
-
+        actions = []
+        if iterations < max_iter:
+            try:
+                actions = propose(diag, repair_table)
+            except NoRepairAvailableError:
+                pass
         applied = None
         for action in actions:
             key = (diag.fingerprint_id, action.signature())
@@ -581,35 +559,15 @@ def run_loop(
                 continue  # unappliable action: skip to the next untried one
             applied = action
             break
-
-        if applied is None:
-            history.append(HistoryEntry(diag, None, result))
-            return LoopOutcome(
-                status=STATUS_UNRESOLVED,
-                final_script=script,
-                iterations_used=iterations,
-                history=tuple(history),
-                final_spec=current_spec,
-                final_result=result,
-                lint_findings=tuple(findings),
-            )
-
         history.append(HistoryEntry(diag, applied, result))
+        if applied is None:
+            break
         findings = lint(script, current_spec, profile)
         iterations += 1
-        result = harness.submit(script, current_spec, profile)
+        result = submit(script, current_spec, profile, rules)
 
-    if result.exit_code != 0:
-        diag = diagnose(
-            result, profile, fingerprints, bridge=bridge,
-            script_text=script.text, spec=current_spec,
-        )
-        history.append(HistoryEntry(diag, None, result))
-        status = STATUS_UNRESOLVED
-    else:
-        status = STATUS_SUCCESS
     return LoopOutcome(
-        status=status,
+        status=STATUS_SUCCESS if result.exit_code == 0 else STATUS_UNRESOLVED,
         final_script=script,
         iterations_used=iterations,
         history=tuple(history),

@@ -107,10 +107,6 @@ class ExecutionResult:
     parsed_topology: tuple[int, int, int, tuple[int, ...]] | None = None
     fault_fired: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.exit_code == 0
-
 
 def _as_list(value) -> list[str]:
     if isinstance(value, str):

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .documents import bundled, load_json
 from .errors import TemplateConflictError, TemplateInvalidError
-from .types import Framework, Launcher, Strategy
+from .types import PORT_MAX, PORT_MIN, Framework, Launcher, Strategy
 
 # A placeholder is {name} not preceded by '$' (which would make it a shell
 # parameter expansion like ${SLURM_PROCID}).
@@ -76,9 +76,6 @@ class Template:
     def key(self) -> TemplateKey:
         return (self.cluster, self.framework, self.strategy, self.launcher)
 
-    def required_params(self) -> list[str]:
-        return [p.name for p in self.params if p.required]
-
 
 def validate_template(t: Template) -> None:
     """Raise :class:`TemplateInvalidError` if ``t`` violates any invariant."""
@@ -86,6 +83,20 @@ def validate_template(t: Template) -> None:
     for decl in t.params:
         if decl.kind not in PARAM_KINDS:
             raise TemplateInvalidError(t.id, f"unknown param kind '{decl.kind}'")
+        # bind() reads master_port as a port, whatever kind it declares.
+        is_port = decl.kind == "port" or decl.name == "master_port"
+        if decl.default is None or not (is_port or decl.kind == "integer"):
+            continue
+        if not isinstance(decl.default, int) or isinstance(decl.default, bool):
+            raise TemplateInvalidError(
+                t.id, f"param '{decl.name}' needs an integer default, "
+                f"got {decl.default!r}"
+            )
+        if is_port and not PORT_MIN <= decl.default <= PORT_MAX:
+            raise TemplateInvalidError(
+                t.id, f"port param '{decl.name}' default {decl.default} "
+                f"is outside [{PORT_MIN}, {PORT_MAX}]"
+            )
     names = [p.name for p in t.params]
     if len(names) != len(set(names)):
         raise TemplateInvalidError(t.id, "duplicate param declarations")

@@ -2,7 +2,9 @@ import pytest
 
 from launchport.clusters import default_profiles
 from launchport.intent import JobSpec
-from launchport.repair import SimHarness, default_fingerprints, default_repair_table
+from launchport.errors import LaunchportError
+from launchport.repair import default_fingerprints, default_repair_table
+from launchport.retrieval import candidates
 from launchport.simcluster import default_fault_rules
 from launchport.templates import default_templates
 from launchport.types import Framework, Launcher, Strategy
@@ -60,9 +62,6 @@ def repair_table():
     return default_repair_table()
 
 
-@pytest.fixture(scope="session")
-def harness(fault_rules):
-    return SimHarness(fault_rules)
 
 
 def make_spec(profile, framework, strategy, launcher=None, **overrides):
@@ -86,6 +85,19 @@ def make_spec(profile, framework, strategy, launcher=None, **overrides):
         fields["deepspeed_config"] = "ds_config.json"
     fields.update(overrides)
     return JobSpec(**fields)
+
+
+def first_bindable(spec, tset):
+    """The best-ranked template that belongs to the job's cluster.
+
+    Drives the loop directly, without the pipeline's candidate sweep;
+    raises :class:`LaunchportError` when no template serves the cluster.
+    """
+    for candidate in candidates(spec, tset):
+        template = tset.get(candidate.template_id)
+        if template.cluster == spec.cluster:
+            return template
+    raise LaunchportError(f"no template can serve cluster '{spec.cluster}'")
 
 
 def matrix_specs(profiles):

@@ -20,11 +20,9 @@ import random
 import time
 from importlib import resources
 
-import pytest
-
 from launchport.cli import main as cli_main
 from launchport.intent import RuleBasedExtractor, derive, parse_script
-from launchport.pipeline import first_bindable, render_report, run_pipeline
+from launchport.pipeline import render_report, run_pipeline
 from launchport.repair import STATUS_SUCCESS, STATUS_UNRESOLVED, run_loop
 from launchport.synthesis import render_for_spec
 from launchport.types import Framework, Strategy
@@ -35,6 +33,7 @@ from conftest import (
     POLARIS_COMMAND,
     TABLE_DESCRIPTION,
     UNRESOLVABLE_CELLS,
+    first_bindable,
     make_spec,
     matrix_specs,
 )
@@ -69,11 +68,11 @@ def _generate(capsys, cluster_word):
     return code, out
 
 
-def _run_matrix(profiles, templates, fault_rules, harness):
+def _run_matrix(profiles, templates, fault_rules):
     outcomes = {}
     for name, spec, profile in matrix_specs(profiles):
         template = first_bindable(spec, templates)
-        outcome = run_loop(spec, template, profile, harness)
+        outcome = run_loop(spec, template, profile, fault_rules)
         outcomes[name] = outcome
     return outcomes
 
@@ -97,9 +96,9 @@ def test_criterion_1_golden_scripts(capsys):
           f"({elapsed * 1000:.0f} ms)")
 
 
-def test_criterion_2_matrix_reproduction(profiles, templates, fault_rules, harness):
+def test_criterion_2_matrix_reproduction(profiles, templates, fault_rules):
     start = time.perf_counter()
-    outcomes = _run_matrix(profiles, templates, fault_rules, harness)
+    outcomes = _run_matrix(profiles, templates, fault_rules)
     elapsed = time.perf_counter() - start
 
     succeeded = {name for name, o in outcomes.items() if o.status == STATUS_SUCCESS}
@@ -114,13 +113,13 @@ def test_criterion_2_matrix_reproduction(profiles, templates, fault_rules, harne
           f"{sorted(unresolved)} ({elapsed * 1000:.0f} ms)")
 
 
-def test_criterion_3_debug_loop_bound(profiles, templates, fault_rules, harness):
+def test_criterion_3_debug_loop_bound(profiles, templates, fault_rules):
     # Every clearable bundled fault is repaired within five iterations.
     for rule_id, (cluster, framework, strategy, overrides) in FAULT_CORPUS.items():
         profile = profiles.resolve(cluster)
         spec = make_spec(profile, framework, strategy, **overrides)
         template = first_bindable(spec, templates)
-        outcome = run_loop(spec, template, profile, harness)
+        outcome = run_loop(spec, template, profile, fault_rules)
         assert outcome.status == STATUS_SUCCESS, rule_id
         assert 1 <= outcome.iterations_used <= 5, rule_id
         assert any(e.result.fault_fired == rule_id for e in outcome.history), rule_id
@@ -131,7 +130,7 @@ def test_criterion_3_debug_loop_bound(profiles, templates, fault_rules, harness)
         profile = profiles.resolve(cluster)
         spec = make_spec(profile, framework, strategy)
         template = first_bindable(spec, templates)
-        outcome = run_loop(spec, template, profile, harness)
+        outcome = run_loop(spec, template, profile, fault_rules)
         assert outcome.status == STATUS_UNRESOLVED, (cluster, combo)
         assert outcome.iterations_used <= 5
         assert len(outcome.history) >= 1
@@ -209,7 +208,7 @@ def test_criterion_6_porting(capsys, tmp_path):
 
 
 def test_criterion_7_offline_completeness(
-    capsys, monkeypatch, profiles, templates, fault_rules, harness
+    capsys, monkeypatch, profiles, templates, fault_rules
 ):
     def no_network(*args, **kwargs):
         raise AssertionError("network access attempted during offline run")
@@ -218,20 +217,20 @@ def test_criterion_7_offline_completeness(
 
     code, out = _generate(capsys, "Perlmutter")
     assert code == 0 and out.split() == (PERLMUTTER_COMMAND + "\n").split()
-    outcomes = _run_matrix(profiles, templates, fault_rules, harness)
+    outcomes = _run_matrix(profiles, templates, fault_rules)
     assert sum(o.status == STATUS_SUCCESS for o in outcomes.values()) == 33
     print("\nPASS: criterion 7 - full pipeline passes with the model bridge "
           "disabled and the network blocked")
 
 
-def test_criterion_8_determinism(capsys, profiles, templates, fault_rules, harness):
+def test_criterion_8_determinism(capsys, profiles, templates, fault_rules):
     def one_run() -> str:
         chunks = []
         _, out = _generate(capsys, "Perlmutter")
         chunks.append(out)
         _, out = _generate(capsys, "Polaris")
         chunks.append(out)
-        outcomes = _run_matrix(profiles, templates, fault_rules, harness)
+        outcomes = _run_matrix(profiles, templates, fault_rules)
         for name in sorted(outcomes):
             o = outcomes[name]
             chunks.append(f"{name}:{o.status}:{o.iterations_used}\n")

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 import launchport
-from launchport.bridge import BridgeConfig, BridgeExtractor, RemoteBridge, load_bridge_config
+from launchport.bridge import BridgeConfig, RemoteBridge, load_bridge_config
 from launchport.errors import (
     BridgeDisabledError,
     BridgeProtocolError,
@@ -48,7 +48,7 @@ class TestConfig:
         bridge = RemoteBridge(BridgeConfig())
         assert not bridge.enabled("extract")
         with pytest.raises(BridgeDisabledError):
-            bridge.remote_extract("two nodes")
+            bridge.extract("two nodes")
 
     def test_unknown_capability_rejected(self):
         with pytest.raises(BridgeProtocolError):
@@ -88,30 +88,30 @@ class TestRemoteExtract:
             })
 
         bridge = RemoteBridge(_config(), transport=transport)
-        assert bridge.remote_extract(text) == expected
+        assert bridge.extract(text) == expected
 
     def test_empty_body_is_protocol_error(self):
         bridge = RemoteBridge(_config(), transport=lambda *a: b"")
         with pytest.raises(BridgeProtocolError):
-            bridge.remote_extract("two nodes")
+            bridge.extract("two nodes")
 
     def test_non_json_is_protocol_error(self):
         bridge = RemoteBridge(_config(), transport=lambda *a: b"<html>oops</html>")
         with pytest.raises(BridgeProtocolError):
-            bridge.remote_extract("two nodes")
+            bridge.extract("two nodes")
 
     def test_remote_error_is_protocol_error(self):
         bridge = RemoteBridge(
             _config(), transport=lambda *a: json.dumps({"ok": False, "error": "overloaded"}).encode()
         )
         with pytest.raises(BridgeProtocolError) as exc:
-            bridge.remote_extract("two nodes")
+            bridge.extract("two nodes")
         assert "overloaded" in str(exc.value)
 
     def test_invalid_field_values_are_protocol_errors(self):
         bridge = RemoteBridge(_config(), transport=lambda *a: _ok({"nodes": -3}))
         with pytest.raises(BridgeProtocolError):
-            bridge.remote_extract("minus three nodes")
+            bridge.extract("minus three nodes")
 
     def test_endpoint_down_is_unavailable(self):
         def transport(*args):
@@ -119,7 +119,7 @@ class TestRemoteExtract:
 
         bridge = RemoteBridge(_config(), transport=transport)
         with pytest.raises(BridgeUnavailableError):
-            bridge.remote_extract("two nodes")
+            bridge.extract("two nodes")
 
     def test_retries_with_fixed_backoff_then_succeed(self, monkeypatch):
         sleeps = []
@@ -133,7 +133,7 @@ class TestRemoteExtract:
             return _ok({"nodes": 2})
 
         bridge = RemoteBridge(_config(retries=2), transport=transport)
-        assert bridge.remote_extract("two nodes").nodes == 2
+        assert bridge.extract("two nodes").nodes == 2
         assert len(calls) == 3
         # Backoff is timeout x attempt, no jitter.
         assert sleeps == [0.02 * 1, 0.02 * 2]
@@ -147,7 +147,7 @@ class TestRemoteExtract:
             return _ok({"nodes": 2})
 
         bridge = RemoteBridge(_config(api_key_env="BRIDGE_KEY"), transport=transport)
-        bridge.remote_extract("two nodes")
+        bridge.extract("two nodes")
         assert seen["Authorization"] == "Bearer s3cret"
 
 
@@ -156,12 +156,12 @@ class TestRemoteEmbed:
         bridge = RemoteBridge(
             _config(), transport=lambda *a: _ok([[1.0, 0.0], [0.5, 0.5]])
         )
-        assert bridge.remote_embed(["a", "b"]) == [[1.0, 0.0], [0.5, 0.5]]
+        assert bridge.embed(["a", "b"]) == [[1.0, 0.0], [0.5, 0.5]]
 
     def test_wrong_count_is_protocol_error(self):
         bridge = RemoteBridge(_config(), transport=lambda *a: _ok([[1.0]]))
         with pytest.raises(BridgeProtocolError):
-            bridge.remote_embed(["a", "b"])
+            bridge.embed(["a", "b"])
 
 
 class TestRemoteRepair:
@@ -235,7 +235,7 @@ class TestOverRealHttp:
                 capabilities=frozenset({"extract"}),
             )
             bridge = RemoteBridge(config)
-            partial = bridge.remote_extract("two nodes, train.py")
+            partial = bridge.extract("two nodes, train.py")
             assert partial.nodes == 2
             assert partial.entry_script == "train.py"
         finally:
@@ -249,7 +249,7 @@ class TestOverRealHttp:
             retries=0,
             capabilities=frozenset({"extract"}),
         )
-        extractor = BridgeExtractor(RemoteBridge(config))
+        extractor = RemoteBridge(config)
         with pytest.raises(BridgeUnavailableError):
             extractor.extract("two nodes")
 

@@ -176,6 +176,54 @@ class TestInputErrors:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("case", [
+        "port", "clusters-validate", "generate-templates", "generate-rules",
+        "bridge-config", "templates-add",
+    ])
+    def test_non_utf8_input_is_one_error_line(self, capsys, tmp_path, case):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(("# caf\u00e9\n" + PERLMUTTER_COMMAND).encode("latin-1"))
+        registry = tmp_path / "templates.json"
+        registry.write_text("[]", "utf-8")
+        generate = ["generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+                    "--non-interactive"]
+        argv = {
+            "port": ["port", str(bad), "--to", "polaris", "--non-interactive"],
+            "clusters-validate": ["clusters", "validate", str(bad)],
+            "generate-templates": generate + ["--templates", str(bad)],
+            "generate-rules": generate + ["--rules", str(bad)],
+            "bridge-config": generate + ["--bridge-config", str(bad)],
+            "templates-add": ["templates", "add", str(bad), "--templates", str(registry)],
+        }[case]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.endswith(f"{bad}: not UTF-8 text (byte 5)\n")
+        assert err.count("\n") == 1
+        assert registry.read_text("utf-8") == "[]"
+
+    @pytest.mark.parametrize("default", ["abc", True, 80])
+    def test_bad_port_default_is_one_error_line(self, capsys, tmp_path, default):
+        records = json.loads(bundled("templates.json"))
+        for record in records:
+            for param in record["params"]:
+                if param["name"] == "master_port" and param["default"] is not None:
+                    param["default"] = default
+        repo = tmp_path / "templates.json"
+        repo.write_text(json.dumps(records), "utf-8")
+        for argv in (
+            ["templates", "validate", str(repo)],
+            ["generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+             "--templates", str(repo), "--non-interactive"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and "master_port" in err
+            assert err.count("\n") == 1
+
+
 class TestPort:
     @pytest.fixture()
     def perl_script(self, tmp_path):
@@ -455,7 +503,7 @@ class TestPrompting:
 
         session = CliSession(
             interactive=True, report=False, profiles=default_profiles(),
-            templates=None, rules=None, fingerprints=None, repair_table=None,
+            templates=None, rules=None,
             bridge=None, answers={}, k=3,
         )
         prompts = []

@@ -291,7 +291,7 @@ class TestParseScript:
 
     def test_non_launch_script_is_empty(self):
         p = parse_script("echo hello")
-        assert p.is_empty()
+        assert p == PartialJobSpec()
 
     def test_deepspeed_command(self):
         p = parse_script(

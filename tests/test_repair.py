@@ -3,7 +3,6 @@ import pytest
 from launchport import intent
 from launchport.errors import ContractViolationError, NoRepairAvailableError, RuleParseError
 from launchport.lint import error_count, lint
-from launchport.pipeline import first_bindable
 from launchport.repair import (
     CATEGORY_ENV,
     CATEGORY_FRAMEWORK,
@@ -24,7 +23,7 @@ from launchport.simcluster import ExecutionResult
 from launchport.synthesis import render_for_spec
 from launchport.types import Framework, Strategy
 
-from conftest import make_spec
+from conftest import first_bindable, make_spec
 
 
 _FP = '{"id": "fp", "category": "env", "pattern": %s}'
@@ -99,42 +98,30 @@ class TestPropose:
         from launchport.repair import Diagnosis
         return Diagnosis(category, fingerprint_id, "", CONFIDENCE_HIGH)
 
-    def test_env_propagation_repairs(self, profiles, templates, repair_table):
-        profile = profiles.resolve("deltaai")
-        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-        r = render_for_spec(spec, templates.get("deltaai-ddp"), profile)
-        actions = propose(self._diag("ENV_NOT_PROPAGATED"), r, spec, repair_table)
+    def test_env_propagation_repairs(self, repair_table):
+        actions = propose(self._diag("ENV_NOT_PROPAGATED"), repair_table)
         assert [(a.kind, a.payload["name"]) for a in actions] == [
             ("export_env", "PYTHONPATH"),
             ("export_env", "LD_LIBRARY_PATH"),
         ]
 
-    def test_compiler_module_repairs(self, profiles, templates, repair_table):
-        profile = profiles.resolve("perlmutter")
-        spec = make_spec(profile, Framework.DEEPSPEED, Strategy.ZERO3)
-        r = render_for_spec(spec, templates.get("perlmutter-zero3"), profile)
-        actions = propose(self._diag("GCC_CUDA_MISMATCH"), r, spec, repair_table)
+    def test_compiler_module_repairs(self, repair_table):
+        actions = propose(self._diag("GCC_CUDA_MISMATCH"), repair_table)
         assert [(a.kind, a.payload["module"]) for a in actions] == [
             ("add_module_load", "gcc/13.2.0"),
             ("add_module_load", "cuda/12.4"),
         ]
 
-    def test_dataset_arg_repair(self, profiles, templates, repair_table):
-        profile = profiles.resolve("lonestar6")
-        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, entry_script="run_glue.py")
-        r = render_for_spec(spec, templates.get("ls6-ddp"), profile)
-        actions = propose(self._diag("MISSING_DATASET_ARG"), r, spec, repair_table)
+    def test_dataset_arg_repair(self, repair_table):
+        actions = propose(self._diag("MISSING_DATASET_ARG"), repair_table)
         assert actions[0].kind == "add_arg"
         assert "--task_name" in actions[0].payload["args"]
 
-    def test_unknown_without_bridge_has_no_repair(self, profiles, templates, repair_table):
+    def test_unknown_without_bridge_has_no_repair(self, repair_table):
         from launchport.repair import Diagnosis
-        profile = profiles.resolve("delta")
-        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-        r = render_for_spec(spec, templates.get("delta-ddp"), profile)
         d = Diagnosis(CATEGORY_UNKNOWN, None, "", CONFIDENCE_LOW)
         with pytest.raises(NoRepairAvailableError):
-            propose(d, r, spec, repair_table)
+            propose(d, repair_table)
 
 
 class TestProposalParsing:
@@ -161,15 +148,15 @@ class TestProposalParsing:
 
 
 class TestRunLoop:
-    def test_clean_job_needs_no_iterations(self, profiles, templates, harness):
+    def test_clean_job_needs_no_iterations(self, profiles, templates, fault_rules):
         profile = profiles.resolve("perlmutter")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-        outcome = run_loop(spec, templates.get("perlmutter-ddp"), profile, harness)
+        outcome = run_loop(spec, templates.get("perlmutter-ddp"), profile, fault_rules)
         assert outcome.status == STATUS_SUCCESS
         assert outcome.iterations_used == 0
         assert outcome.history == ()
 
-    def test_clean_loop_parses_its_script_once(self, profiles, templates, harness, monkeypatch):
+    def test_clean_loop_parses_its_script_once(self, profiles, templates, fault_rules, monkeypatch):
         # Lint and the mock submission share the script's one parse.
         parsed = []
         parse = intent.parse_script
@@ -181,32 +168,32 @@ class TestRunLoop:
         monkeypatch.setattr(intent, "parse_script", counting)
         profile = profiles.resolve("perlmutter")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-        outcome = run_loop(spec, templates.get("perlmutter-ddp"), profile, harness)
+        outcome = run_loop(spec, templates.get("perlmutter-ddp"), profile, fault_rules)
         assert outcome.status == STATUS_SUCCESS
         assert outcome.lint_findings == ()
         assert parsed == [outcome.final_script.text]
 
-    def test_env_propagation_repaired_quickly(self, profiles, templates, harness):
+    def test_env_propagation_repaired_quickly(self, profiles, templates, fault_rules):
         profile = profiles.resolve("deltaai")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-        outcome = run_loop(spec, templates.get("deltaai-ddp"), profile, harness)
+        outcome = run_loop(spec, templates.get("deltaai-ddp"), profile, fault_rules)
         assert outcome.status == STATUS_SUCCESS
         assert 1 <= outcome.iterations_used <= 2
         assert "export PYTHONPATH" in outcome.final_script.text
         # The export lands inside the remote launch command.
         assert "bash -c 'export PYTHONPATH=$PYTHONPATH; " in outcome.final_script.text
 
-    def test_unresolvable_cell_reports_unresolved(self, profiles, templates, harness):
+    def test_unresolvable_cell_reports_unresolved(self, profiles, templates, fault_rules):
         profile = profiles.resolve("vista")
         spec = make_spec(profile, Framework.DEEPSPEED, Strategy.ZERO3)
-        outcome = run_loop(spec, templates.get("vista-zero3"), profile, harness)
+        outcome = run_loop(spec, templates.get("vista-zero3"), profile, fault_rules)
         assert outcome.status == STATUS_UNRESOLVED
         assert outcome.iterations_used <= 5
         assert len(outcome.history) >= 1
         assert outcome.history[0].diagnosis.fingerprint_id == "APEX_GH200"
         assert outcome.final_result.exit_code != 0
 
-    def test_termination_bound_holds(self, profiles, templates, harness):
+    def test_termination_bound_holds(self, profiles, templates, fault_rules):
         for cluster, framework, strategy in (
             ("vista", Framework.DEEPSPEED, Strategy.ZERO3),
             ("deltaai", Framework.DEEPSPEED, Strategy.ZERO3),
@@ -216,20 +203,20 @@ class TestRunLoop:
             profile = profiles.resolve(cluster)
             spec = make_spec(profile, framework, strategy)
             template = first_bindable(spec, templates)
-            outcome = run_loop(spec, template, profile, harness, max_iter=5)
+            outcome = run_loop(spec, template, profile, fault_rules, max_iter=5)
             assert outcome.iterations_used <= 5
 
-    def test_action_not_retried_for_same_fingerprint(self, profiles, templates, harness):
+    def test_action_not_retried_for_same_fingerprint(self, profiles, templates, fault_rules):
         profile = profiles.resolve("deltaai")
         spec = make_spec(profile, Framework.DEEPSPEED, Strategy.ZERO3)
-        outcome = run_loop(spec, templates.get("deltaai-deepspeed"), profile, harness)
+        outcome = run_loop(spec, templates.get("deltaai-deepspeed"), profile, fault_rules)
         assert outcome.status == STATUS_UNRESOLVED
         signatures = [
             e.action.signature() for e in outcome.history if e.action is not None
         ]
         assert len(signatures) == len(set(signatures))
 
-    def test_lint_errors_never_increase_across_repairs(self, profiles, templates, harness):
+    def test_lint_errors_never_increase_across_repairs(self, profiles, templates, fault_rules):
         cases = (
             ("deltaai", Framework.PYTORCH, Strategy.DDP, {}),
             ("stampede3", Framework.PYTORCH, Strategy.DDP, {}),
@@ -243,18 +230,18 @@ class TestRunLoop:
             before = error_count(
                 lint(render_for_spec(spec, template, profile), spec, profile)
             )
-            outcome = run_loop(spec, template, profile, harness)
+            outcome = run_loop(spec, template, profile, fault_rules)
             assert outcome.status == STATUS_SUCCESS
             after = error_count(
                 lint(outcome.final_script, outcome.final_spec, profile)
             )
             assert after <= before
 
-    def test_invalid_max_iter_rejected(self, profiles, templates, harness):
+    def test_invalid_max_iter_rejected(self, profiles, templates, fault_rules):
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         with pytest.raises(ContractViolationError):
-            run_loop(spec, templates.get("delta-ddp"), profile, harness, max_iter=0)
+            run_loop(spec, templates.get("delta-ddp"), profile, fault_rules, max_iter=0)
 
 
 class _StubRepairBridge:
@@ -290,13 +277,11 @@ class TestBridgeAssistedLoop:
         return load_fault_rules(json.dumps([rule]))
 
     def test_unknown_failure_repaired_via_bridge(self, profiles, templates, custom_rules):
-        from launchport.repair import SimHarness
-
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         bridge = _StubRepairBridge("env", ["export CUSTOM_FLAG before launching"])
         outcome = run_loop(
-            spec, templates.get("delta-ddp"), profile, SimHarness(custom_rules),
+            spec, templates.get("delta-ddp"), profile, custom_rules,
             bridge=bridge,
         )
         assert bridge.calls == 1
@@ -308,15 +293,36 @@ class TestBridgeAssistedLoop:
         assert diag.category == CATEGORY_ENV
         assert diag.confidence == CONFIDENCE_LOW
 
+    @pytest.mark.parametrize("max_iter", [1, 5])
+    def test_last_failure_is_diagnosed_at_either_exit(
+        self, profiles, templates, custom_rules, max_iter
+    ):
+        # The bridge's fix does not clear the fault.  With max_iter=1 the loop
+        # stops at the bound; with 5 it stops when no untried action is left.
+        # Either way the last failure is diagnosed and recorded without an action.
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        bridge = _StubRepairBridge("env", ["export OTHER_FLAG"])
+        outcome = run_loop(
+            spec, templates.get("delta-ddp"), profile, custom_rules, max_iter,
+            bridge=bridge,
+        )
+        assert outcome.status == STATUS_UNRESOLVED
+        assert outcome.iterations_used == 1
+        assert bridge.calls == 2
+        assert [e.action and e.action.payload for e in outcome.history] == [
+            {"name": "OTHER_FLAG"}, None,
+        ]
+        assert all(e.diagnosis.category == CATEGORY_ENV for e in outcome.history)
+        assert outcome.final_result is outcome.history[-1].result
+
     def test_unknown_failure_without_bridge_stays_unresolved(
         self, profiles, templates, custom_rules
     ):
-        from launchport.repair import SimHarness
-
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         outcome = run_loop(
-            spec, templates.get("delta-ddp"), profile, SimHarness(custom_rules),
+            spec, templates.get("delta-ddp"), profile, custom_rules,
         )
         assert outcome.status == STATUS_UNRESOLVED
         assert outcome.history[0].diagnosis.category == CATEGORY_UNKNOWN

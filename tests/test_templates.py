@@ -75,6 +75,43 @@ class TestValidation:
         with pytest.raises(TemplateInvalidError):
             TemplateSet([t])
 
+    @pytest.mark.parametrize("name, kind, default", [
+        ("master_port", "port", "abc"),
+        ("master_port", "port", "29400"),
+        ("master_port", "port", True),
+        ("master_port", "port", 29400.0),
+        ("master_port", "port", 80),
+        ("master_port", "port", 65536),
+        ("master_port", "text", "abc"),
+        ("nodes", "integer", "two"),
+        ("nodes", "integer", False),
+    ])
+    def test_bad_numeric_default_rejected(self, name, kind, default):
+        t = _template(
+            body="torchrun --nnodes={nodes} --master_port={master_port} {your_script}",
+            params=(
+                ParamDecl("nodes", "integer"),
+                ParamDecl("your_script", "path"),
+                ParamDecl("master_port", "port"),
+            ),
+        )
+        params = tuple(
+            ParamDecl(name, kind, default=default) if p.name == name else p
+            for p in t.params
+        )
+        with pytest.raises(TemplateInvalidError) as exc:
+            TemplateSet([_template(body=t.body, params=params)])
+        assert name in str(exc.value)
+
+    @pytest.mark.parametrize("default", [1024, 29400, 65535])
+    def test_port_default_in_range_accepted(self, default):
+        t = _template(
+            body="torchrun --master_port={master_port} {your_script}",
+            params=(ParamDecl("your_script", "path"),
+                    ParamDecl("master_port", "port", default=default)),
+        )
+        assert len(TemplateSet([t])) == 1
+
 
 class TestBundle:
     def test_bundle_size(self, templates):
@@ -95,7 +132,7 @@ class TestBundle:
 
     def test_placeholders_equal_required_params(self, templates):
         for t in templates:
-            assert set(placeholders(t.body)) == set(t.required_params()), t.id
+            assert set(placeholders(t.body)) == {p.name for p in t.params if p.required}, t.id
 
     def test_key_tuples_unique(self, templates):
         keys = [t.key for t in templates]
