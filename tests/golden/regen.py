@@ -1,0 +1,163 @@
+"""Golden extraction corpus: the fields ``extract`` gives for a fixed set of texts.
+
+    python tests/golden/regen.py
+
+rewrites ``extract.json`` beside this file from the current extractor and
+prints a unified diff against the corpus it replaces.  ``tests/test_golden.py``
+rebuilds the corpus and compares it byte for byte, so any change to what
+``extract`` reads shows up as a hunk here, to be explained with the change.
+
+The corpus holds every text of the bundled ``phrasings.json`` and a fixed,
+seeded set of long job descriptions written from the same phrasing lexicon
+as the benchmark's prose jobs: opener, model, framework and strategy phrase,
+topology (digits or number words), cluster word, port, entry script,
+DeepSpeed config and training arguments.  Each entry records the text and
+the ``PartialJobSpec`` fields that are not at their default.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import random
+import sys
+from dataclasses import fields
+from importlib import resources
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE / "extract.json"
+SENTENCES = 320
+SEED = "golden-extract:1"
+
+OPENERS = ("I want to train", "Please set up a job to fine-tune", "Train")
+MODELS = ("ViT", "BERT", "a GPT model", "LLaMA")
+COMBO_PHRASES = (
+    "PyTorch DDP", "plain PyTorch data parallel", "PyTorch distributed data parallel",
+    "data parallelism via torchrun", "PyTorch FSDP", "fully sharded data parallel", "FSDP",
+    "DeepSpeed ZeRO-3", "DeepSpeed", "the deepspeed launcher", "DeepSpeed ZeRO stage 3",
+    "acc-ddp", "HF Accelerate", "Hugging Face Accelerate and DDP",
+)
+CLUSTER_WORDS = (
+    "Anvil", "anvil", "Aurora", "Polaris", "Bridges-2", "Bridges2", "bridges 2",
+    "Delta", "delta", "DeltaAI", "Delta-AI", "delta ai", "Lonestar6", "LS6", "Lonestar-6",
+    "lonestar 6", "Perlmutter", "PERLMUTTER", "pm", "Stampede3", "Stampede-3",
+    "stampede 3", "Vista", "vista", "lſ6", "ſtampede3",
+)
+NODE_NOUNS = ("node", "compute node", "server", "machine", "host")
+PORT_PHRASES = ("master port {port}", "rendezvous port {port}", "on port {port}",
+                "--master_port={port}", "--port {port}", "port: {port}")
+ENTRY_PHRASES = ("my training file is {entry}", "training script is {entry}", "run {entry}",
+                 "python {entry}", "execute {entry}", "--entry {entry}")
+ENTRIES = ("train.py", "main.py", "train_gpt2.py", "run_image_classification.py",
+           "scripts/finetune.py", "official_examples/run_clm.py", "run_glue.py")
+DS_PHRASES = ("--deepspeed_config {config}", "DeepSpeed config {config}")
+DS_CONFIGS = ("ds_config.json", "/nonexistent/ds_config.json")
+ARGS = ("", "", "--epochs 3", "--lr 3e-4 --batch-size 64", "--use-ipex",
+        "--model meta-llama/Llama-3.1-8B")
+
+_UNITS = ("one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
+_TEENS = ("ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen",
+          "seventeen", "eighteen", "nineteen")
+_TENS = ("twenty", "thirty", "forty", "fifty", "sixty")
+
+
+def _number_word(n: int, sep: str) -> str:
+    if n < 10:
+        return _UNITS[n - 1]
+    if n < 20:
+        return _TEENS[n - 10]
+    tens, unit = divmod(n, 10)
+    word = _TENS[tens - 2]
+    return word if unit == 0 else f"{word}{sep}{_UNITS[unit - 1]}"
+
+
+def _count(rng: random.Random, n: int) -> str:
+    if n <= 64 and rng.random() < 0.5:
+        return _number_word(n, rng.choice(("-", " ")))
+    return str(n)
+
+
+def _plural(word: str, n: int) -> str:
+    return word if n == 1 else word + "s"
+
+
+def _topology(rng: random.Random, nodes: int, gpus: int) -> str:
+    total = nodes * gpus
+    n, g, t = _count(rng, nodes), _count(rng, gpus), _count(rng, total)
+    noun = _plural(rng.choice(NODE_NOUNS), nodes)
+    forms = [
+        f"on {n} {noun} with {g} {_plural('GPU', gpus)} per node",
+        f"{g} {_plural('GPU', gpus)} each on {n} {noun}",
+        f"{t} {_plural('GPU', total)} across {n} {noun}",
+        f"--nodes {nodes} --gpus-per-node {gpus}",
+        f"{t} {_plural('GPU', total)} in total over {n} {noun}",
+    ]
+    if nodes == 1:
+        forms.append(f"a single node with {t} {_plural('GPU', total)}")
+    return rng.choice(forms)
+
+
+def sentence(rng: random.Random) -> str:
+    """One long job description; some have their clauses shuffled or upper-cased."""
+    parts = [
+        f"{rng.choice(OPENERS)} {rng.choice(MODELS)} with {rng.choice(COMBO_PHRASES)}",
+        _topology(rng, rng.randint(1, 16), rng.randint(1, 8)),
+        f"on {rng.choice(CLUSTER_WORDS)}",
+    ]
+    if rng.random() < 0.7:
+        parts.append(rng.choice(PORT_PHRASES).format(port=rng.randint(20000, 40000)))
+    parts.append(rng.choice(ENTRY_PHRASES).format(entry=rng.choice(ENTRIES)))
+    if rng.random() < 0.3:
+        parts.append(rng.choice(DS_PHRASES).format(config=rng.choice(DS_CONFIGS)))
+    if rng.random() < 0.2:
+        rng.shuffle(parts)
+    text = ", ".join(parts)
+    args = rng.choice(ARGS)
+    if args:
+        text += f" and my training arguments are {args}"
+    if rng.random() < 0.1:
+        text = text.upper()
+    return text
+
+
+def texts() -> list[str]:
+    """Every phrasing, then the seeded sentences, in a fixed order."""
+    data = resources.files("launchport.data").joinpath("phrasings.json").read_text("utf-8")
+    rng = random.Random(SEED)
+    return [entry["text"] for entry in json.loads(data)] + [
+        sentence(rng) for _ in range(SENTENCES)]
+
+
+def _fields(spec) -> dict:
+    """The spec's fields that are not at their default, enums as their values."""
+    out = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if value != f.default:
+            out[f.name] = getattr(value, "value", value)
+    return out
+
+
+def build() -> str:
+    """The corpus text as the current extractor gives it: one entry per line."""
+    from launchport.intent import extract
+
+    entries = [json.dumps({"text": t, "spec": _fields(extract(t))}, ensure_ascii=False)
+               for t in texts()]
+    return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
+def main() -> int:
+    old = CORPUS.read_text("utf-8") if CORPUS.exists() else ""
+    new = build()
+    CORPUS.write_text(new, "utf-8")
+    sys.stdout.writelines(difflib.unified_diff(
+        old.splitlines(keepends=True), new.splitlines(keepends=True),
+        "extract.json (old)", "extract.json (new)"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parents[1] / "src"))
+    sys.exit(main())

@@ -1,0 +1,13 @@
+"""Golden corpora: rebuilt from the current code and compared byte for byte.
+
+After an intended behaviour change, rewrite a corpus with its script (for
+extraction, ``python tests/golden/regen.py``) and explain each hunk.
+"""
+
+from golden import regen
+
+
+def test_extraction_corpus_is_unchanged():
+    assert regen.build() == regen.CORPUS.read_text("utf-8"), (
+        "extraction changed; run `python tests/golden/regen.py` to see the diff"
+    )
