@@ -246,12 +246,12 @@ _TOTAL_GPUS_PROSE = [
 _PORT_PROSE = re.compile(r"\b(?:master\s+|rendezvous\s+)?port\s*(?:is|of|:|=)?\s*(\d{4,5})\b", re.I)
 
 _ENTRY_PROSE = [
+    re.compile(r"--entry(?:[-_]script)?[=\s]+([\w./-]+\.(?:py|sh))", re.I),
     re.compile(
         r"\b(?:training|train|entry|launch|main)\s+(?:file|script|point|program)\s*"
         r"(?:is|will\s+be|:|=)?\s*([\w./-]+\.(?:py|sh))",
         re.I,
     ),
-    re.compile(r"--entry(?:[-_]script)?[=\s]+([\w./-]+\.(?:py|sh))", re.I),
     re.compile(r"\b(?:run|execute|launch|start)\s+([\w./-]+\.py)\b", re.I),
     re.compile(r"\bpython3?\s+(?:-u\s+)?([\w./-]+\.py)\b", re.I),
 ]
@@ -411,7 +411,7 @@ def _first_int(text: str, *patterns: re.Pattern) -> int | None:
     for pattern in patterns:
         m = pattern.search(text)
         if m:
-            value = int(m.group(1))
+            value = _int(m.group(1))
             if value >= 1:
                 return value
     return None
@@ -590,7 +590,7 @@ def parse_script(script: str) -> PartialJobSpec:
 
     def grab(pattern: re.Pattern) -> int | None:
         m = pattern.search(script)
-        return _positive(int(m.group(1))) if m else None
+        return _positive(_int(m.group(1))) if m else None
 
     if spec.launcher is Launcher.TORCHRUN:
         spec.nodes = grab(_RE_NNODES)
@@ -615,8 +615,8 @@ def parse_script(script: str) -> PartialJobSpec:
         tail = script[idx:]
         m_world = re.search(r"(?<![\w-])-n[=\s]+(\d+)", tail)
         m_ppn = re.search(r"(?<![\w-])-ppn[=\s]+(\d+)", tail)
-        spec.total_gpus = _positive(int(m_world.group(1))) if m_world else None
-        spec.gpus_per_node = _positive(int(m_ppn.group(1))) if m_ppn else None
+        spec.total_gpus = _positive(_int(m_world.group(1))) if m_world else None
+        spec.gpus_per_node = _positive(_int(m_ppn.group(1))) if m_ppn else None
         spec.master_port = _valid_port(grab(_RE_GENV_PORT))
     else:  # bare srun
         spec.nodes = grab(_RE_SRUN_N_UPPER)
@@ -646,3 +646,12 @@ def _valid_port(value: int | None) -> int | None:
 
 def _positive(value: int | None) -> int | None:
     return value if value is not None and value >= 1 else None
+
+
+def _int(digits: str) -> int:
+    """``digits`` as an integer, or 0 (which no count or port accepts) when
+    there are more of them than ``int()`` converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return 0

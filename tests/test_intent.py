@@ -153,6 +153,277 @@ class TestClusterSearch:
         assert extractor.extract(text).cluster == _cluster_by_loop(self._NAMES, text)
 
 
+# Reference: the extractor as one search per pattern over the text and over a
+# copy with number words rewritten as digits, with the "--entry" flag tried
+# before the entry phrases and a count too long for int() ignored like 0.
+_REF_NUMBER_WORD = re.compile(
+    r"\b(?=[" + "".join(sorted({w[0] for w in NUMBER_WORDS})) + "])(?:"
+    + "|".join(sorted((re.escape(w) for w in NUMBER_WORDS), key=len, reverse=True))
+    + r")\b",
+    re.I,
+)
+_REF_NODE_NOUN = r"(?:compute\s+|gpu\s+)?(?:nodes?|servers?|machines?|hosts?)"
+_REF_FLAGS = {
+    "nodes": re.compile(r"--n?nodes[=\s]+(\d+)", re.I),
+    "gpus_per_node": re.compile(
+        r"--(?:gpus[-_]per[-_]node|nproc[-_]per[-_]node)[=\s]+(\d+)", re.I),
+    "total_gpus": re.compile(r"--(?:total[-_]gpus|num[-_]gpus)[=\s]+(\d+)", re.I),
+    "master_port": re.compile(
+        r"--(?:master[-_]port|main[-_]process[-_]port|port)[=\s]+(\d+)", re.I),
+}
+_REF_NODES = [
+    re.compile(rf"\b(\d+)\s+{_REF_NODE_NOUN}\b", re.I),
+    re.compile(rf"\b(?:across|on|over|spanning|spread\s+over)\s+(\d+)\s+{_REF_NODE_NOUN}\b",
+               re.I),
+]
+_REF_SINGLE_NODE = re.compile(
+    r"\b(?:a\s+single|single|one)[-\s](?:node|server|machine|host)\b", re.I)
+_REF_GPUS_PER_NODE = [
+    re.compile(r"\b(\d+)\s+gpus?\s+(?:per|on\s+each|in\s+each|for\s+each|each|a)\s+"
+               r"(?:node|server|machine|host)\b", re.I),
+    re.compile(r"\b(\d+)\s+gpus?\s*/\s*node\b", re.I),
+    re.compile(r"\b(\d+)\s+gpus?\s+(?:each|apiece)\b", re.I),
+    re.compile(r"\bper[-\s]node\s+gpus?\s*(?:of|is|:|=)?\s*(\d+)\b", re.I),
+]
+_REF_TOTAL_GPUS = [
+    re.compile(r"\b(\d+)\s+gpus?\s+(?:in\s+total|total|overall|altogether)\b", re.I),
+    re.compile(r"\b(?:a\s+)?total\s+of\s+(\d+)\s+gpus?\b", re.I),
+    re.compile(r"\b(\d+)\s+total\s+gpus?\b", re.I),
+    re.compile(r"\b(\d+)\s+gpus?\b", re.I),
+]
+_REF_PORT = re.compile(
+    r"\b(?:master\s+|rendezvous\s+)?port\s*(?:is|of|:|=)?\s*(\d{4,5})\b", re.I)
+_REF_ENTRY = [
+    re.compile(r"--entry(?:[-_]script)?[=\s]+([\w./-]+\.(?:py|sh))", re.I),
+    re.compile(r"\b(?:training|train|entry|launch|main)\s+(?:file|script|point|program)\s*"
+               r"(?:is|will\s+be|:|=)?\s*([\w./-]+\.(?:py|sh))", re.I),
+    re.compile(r"\b(?:run|execute|launch|start)\s+([\w./-]+\.py)\b", re.I),
+    re.compile(r"\bpython3?\s+(?:-u\s+)?([\w./-]+\.py)\b", re.I),
+]
+_REF_ANY_PY = re.compile(r"(?<![\w/.-])([\w./-]+\.py)\b")
+_REF_DS_CONFIG = [
+    re.compile(r"--deepspeed[-_]config[=\s]+(\S+)", re.I),
+    re.compile(r"\b(?:deepspeed\s+)?config(?:uration)?(?:\s+file)?\s*(?:is|at|:|=)?\s*"
+               r"([\w./-]+\.json)", re.I),
+    re.compile(r"(?<![\w/.-])([\w./-]+\.json)\b"),
+]
+_REF_ARGS = re.compile(
+    r"\b(?:(?:my|the|with)\s+)?(?:training\s+|extra\s+)?arg(?:ument)?s?\s+"
+    r"(?:is|are|being|:)\s*(.+)$", re.I | re.S)
+_REF_FRAMEWORKS = [
+    (re.compile(r"\bpytorch\b", re.I), Framework.PYTORCH),
+    (re.compile(r"\bdeep\s?speed\b", re.I), Framework.DEEPSPEED),
+    (re.compile(r"\b(?:hf\s+|hugging\s?face\s+)?accelerate\b", re.I), Framework.ACCELERATE),
+]
+_REF_STRATEGIES = [
+    (re.compile(r"\bfsdp\b|\bfully[-\s]sharded(?:\s+data[-\s]parallel(?:ism)?)?\b", re.I),
+     Strategy.FSDP),
+    (re.compile(r"\bzero[-\s]?3\b|\bzero\s+stage\s+3\b|\bstage[-\s]?3\b|\bzero3\b", re.I),
+     Strategy.ZERO3),
+    (re.compile(r"\bddp\b|\bdistributed\s+data[-\s]parallel(?:ism)?\b|"
+                r"\bdata[-\s]parallel(?:ism)?\b", re.I), Strategy.DDP),
+]
+_REF_ACC_DDP = re.compile(r"\bacc(?:elerate)?[-\s]ddp\b", re.I)
+_REF_LAUNCHERS = [
+    (re.compile(r"\btorchrun\b", re.I), Launcher.TORCHRUN),
+    (re.compile(r"\bmpiexec\b|\bmpirun\b", re.I), Launcher.MPIEXEC),
+    (re.compile(r"\bsrun\b", re.I), Launcher.SRUN),
+    (re.compile(r"\bdeepspeed\s+launcher\b", re.I), Launcher.DEEPSPEED),
+    (re.compile(r"\baccelerate\s+launch(?:er)?\b", re.I), Launcher.ACCELERATE),
+]
+
+
+def _ref_first_int(text, *patterns):
+    for pattern in patterns:
+        m = pattern.search(text)
+        if m:
+            try:
+                value = int(m.group(1))
+            except ValueError:
+                continue
+            if value >= 1:
+                return value
+    return None
+
+
+def _extract_reference(text, cluster_names=None):
+    if cluster_names is None:
+        cluster_names = default_profiles().names()
+    ordered = sorted(cluster_names.items(), key=lambda kv: len(kv[0]), reverse=True)
+    alternation = "|".join(f"({re.escape(name)})" for name, _ in ordered) or "(?!)"
+    spec = PartialJobSpec()
+    matched_any = False
+
+    m = re.search(rf"(?<![\w-])(?:{alternation})(?![\w-])", text, re.I)
+    if m:
+        spec.cluster = ordered[m.lastindex - 1][1]
+        matched_any = True
+    for pattern, framework in _REF_FRAMEWORKS:
+        if pattern.search(text):
+            spec.framework = framework
+            matched_any = True
+            break
+    if _REF_ACC_DDP.search(text):
+        spec.framework = Framework.ACCELERATE
+        spec.strategy = Strategy.DDP
+        matched_any = True
+    else:
+        for pattern, strategy in _REF_STRATEGIES:
+            if pattern.search(text):
+                spec.strategy = strategy
+                matched_any = True
+                break
+    for pattern, launcher in _REF_LAUNCHERS:
+        if pattern.search(text):
+            spec.launcher = launcher
+            matched_any = True
+            break
+
+    digits = _REF_NUMBER_WORD.sub(
+        lambda m: str(NUMBER_WORDS.get(m.group().lower(), m.group())), text)
+    nodes = _ref_first_int(text, _REF_FLAGS["nodes"]) or _ref_first_int(digits, *_REF_NODES)
+    if nodes is None and _REF_SINGLE_NODE.search(text):
+        nodes = 1
+    if nodes is not None:
+        spec.nodes = nodes
+        matched_any = True
+    per_node = (_ref_first_int(text, _REF_FLAGS["gpus_per_node"])
+                or _ref_first_int(digits, *_REF_GPUS_PER_NODE))
+    if per_node is not None:
+        spec.gpus_per_node = per_node
+        matched_any = True
+    else:
+        total = (_ref_first_int(text, _REF_FLAGS["total_gpus"])
+                 or _ref_first_int(digits, *_REF_TOTAL_GPUS))
+        if total is not None:
+            spec.total_gpus = total
+            matched_any = True
+    port = _ref_first_int(text, _REF_FLAGS["master_port"], _REF_PORT)
+    if port is not None and 1024 <= port <= 65535:
+        spec.master_port = port
+        matched_any = True
+
+    for pattern in _REF_ENTRY:
+        m = pattern.search(text)
+        if m:
+            spec.entry_script = m.group(1)
+            matched_any = True
+            break
+    else:
+        m = _REF_ANY_PY.search(text)
+        if m:
+            spec.entry_script = m.group(1)
+            matched_any = True
+    if spec.framework is Framework.DEEPSPEED or "deepspeed" in text.lower():
+        for pattern in _REF_DS_CONFIG:
+            m = pattern.search(text)
+            if m:
+                spec.deepspeed_config = m.group(1)
+                matched_any = True
+                break
+
+    args_match = _REF_ARGS.search(text)
+    if args_match:
+        spec.train_args = args_match.group(1).strip()
+    elif not matched_any:
+        spec.train_args = text.strip()
+    return spec
+
+
+# Lexicon tokens for soups: every kind of word the extractor reads, and near misses.
+_SOUP_TOKENS = sorted(NUMBER_WORDS) + [
+    "0", "00", "1", "2", "3", "8", "16", "64", "65", "100", "29500", "80", "123456",
+    "٣", "9" * 4301,
+    "node", "nodes", "compute nodes", "gpu nodes", "server", "servers", "machine",
+    "machines", "host", "hosts", "GPU", "GPUs", "gpu", "gpus", "gpu/node", "/", "per",
+    "per node", "per-node", "each", "apiece", "a", "on", "in", "for", "across", "over",
+    "spread over", "spanning", "single", "a single", "total", "in total", "total of",
+    "overall", "altogether", "of", "is", "are", ":", "=", "port", "master port",
+    "rendezvous port", "--nodes", "--nnodes", "--gpus-per-node", "--nproc_per_node",
+    "--total-gpus", "--num_gpus", "--port", "--master_port", "--main_process_port",
+    "--entry", "--entry-script", "--deepspeed_config", "--", "train.py", "main.py",
+    "scripts/x.py", "x.PY", "run.sh", "ds.json", "a/ds_config.json", "./t.py",
+    "training", "train", "file", "script", "scripts", "program", "point", "entry",
+    "launch", "main", "run", "execute", "start", "python", "python3", "-u", "will be",
+    "config", "configuration", "deepspeed", "DeepSpeed", "deep speed", "launcher",
+    "accelerate", "hf", "hugging face", "acc", "ddp", "fsdp", "fully", "sharded",
+    "data", "parallel", "parallelism", "distributed", "zero", "zero3", "stage", "torchrun",
+    "mpiexec", "mpirun", "srun", "pytorch", "args", "arguments", "my", "with",
+    "ſ", "K", "ı", "İ", "ſix", "ſingle", "iſ", "deepſpeed", "fſdp", "Kestrel",
+] + sorted(default_profiles().names()) + ["lſ6", "ſtampede3"]
+_SOUP_SEPARATORS = [" ", "-", "_", ", ", "/", "\n", "", "."]
+
+
+@st.composite
+def _soups(draw):
+    parts = draw(st.lists(
+        st.tuples(st.sampled_from(_SOUP_TOKENS), st.sampled_from(_SOUP_SEPARATORS),
+                  st.sampled_from([str, str.upper, str.title])),
+        min_size=1, max_size=14,
+    ))
+    return "".join(case(token) + sep for token, sep, case in parts)
+
+
+class TestReferenceEquivalence:
+    """The extractor gives the reference's PartialJobSpec on any text."""
+
+    @given(_soups())
+    @example("Train on Perlmutter, --entry scripts/x.py")
+    @example("twenty one.py")
+    @example("twenty-one-node, 4 gpus")
+    @example("0 nodes, on 3 nodes, 0 GPUs per node, per node gpus: five")
+    @example("--port 00000 port 29500")
+    @example("launch programs.py")
+    @example("per node gpus8, total of twenty-one gpus")
+    def test_lexicon_soups(self, text):
+        if text:
+            assert extract(text) == _extract_reference(text)
+
+    def test_every_phrasing_and_golden_text(self):
+        from golden import regen
+
+        for text in regen.texts():
+            assert extract(text) == _extract_reference(text), text
+
+    @given(st.text(min_size=1))
+    def test_arbitrary_text(self, text):
+        assert extract(text) == _extract_reference(text)
+
+
+class TestNeverRaises:
+    @given(st.text(min_size=1))
+    @example("9" * 5000 + " nodes")
+    @example("--nodes " + "9" * 5000)
+    @example("--port " + "9" * 5000 + " port 29500")
+    def test_extract(self, text):
+        extract(text)
+
+    @given(st.text())
+    @example("torchrun --nnodes " + "9" * 5000 + " --nproc_per_node 4 train.py")
+    @example("mpiexec -n " + "9" * 5000 + " -ppn 4 python train.py")
+    def test_parse_script(self, text):
+        parse_script(text)
+
+    def test_counts_beyond_int_are_ignored_like_zero(self):
+        many = "9" * 5000
+        assert extract(f"{many} nodes").nodes is None
+        assert extract(f"--nodes {many}, 3 nodes").nodes == 3
+        assert extract(f"--port {many}, port 29500").master_port == 29500
+        assert parse_script(f"torchrun --nnodes {many} --nproc_per_node 4 t.py").nodes is None
+
+
+class TestEntryFlag:
+    def test_flag_wins_over_entry_phrase(self):
+        # "entry scripts/x.py" inside the flag also reads as an entry phrase.
+        p = extract("Train ViT with PyTorch DDP on Delta, --entry scripts/finetune.py")
+        assert p.entry_script == "scripts/finetune.py"
+        p = extract("my training file is a.py, --entry-script=b.py")
+        assert p.entry_script == "b.py"
+
+    def test_entry_phrase_without_flag_unchanged(self):
+        assert extract("entry script: scripts/x.py").entry_script == "scripts/x.py"
+
+
 class TestPhrasingCorpus:
     def test_corpus_agreement_is_total(self):
         data = resources.files("launchport.data").joinpath("phrasings.json").read_text("utf-8")
