@@ -7,22 +7,39 @@ first a :class:`PartialJobSpec` (every field optional, absence represented
 rather than raised) and, once the required fields are present or derivable,
 a validated :class:`JobSpec`.
 
-Normalization rules, fixed so that extraction is deterministic:
+Extraction reads the text once, case-insensitively, into tokens:
 
-* number words "one" through "sixty-four" are read as integers when they
-  stand as whole words; larger counts must be written as digits.  One pass
-  rewrites every number word as digits in a copy of the text (longest word
-  first, so "twenty-one" becomes 21, not 20 and 1).  Only the node,
-  per-node and total-GPU count patterns read that copy, and they match
-  digits alone; everything else reads the text as given;
-* the cluster is the earliest name or alias in the text that stands
-  apart from word characters and hyphens, found by one search over all of
-  them; where two start at the same place the longer name wins
-  ("deltaai" over "delta");
-* "servers", "machines", "hosts", and "compute nodes" all mean nodes;
-* "N GPUs per node" is a per-node count; a bare "N GPUs" is a total
-  (with nodes defaulting to 1 when no node count is given anywhere);
-* explicit flags embedded in the text ("--nodes 2") win over prose;
+* counts: digits, or a number word "one" through "sixty-four" standing as a
+  whole word ("twenty one" and "twenty-one" are 21); larger counts must be
+  written as digits.  A count carries the phrase after it: node nouns
+  ("servers", "machines", "hosts" and "compute nodes" all mean nodes) or
+  GPUs, with "per node", "each", "/node" or "in total";
+* phrases that lead up to a count ("on 2 nodes", "a total of 8 GPUs",
+  "per-node GPUs: 4") and "a single node";
+* flags with their values ("--nodes 2", "--entry train.py");
+* paths ending in ".py" or ".json", and the port, entry-script,
+  DeepSpeed-config and training-argument phrases;
+* framework, strategy and launcher terms;
+* cluster names and aliases standing apart from word characters and hyphens.
+
+Precedence rules over the tokens, fixed so that extraction is deterministic:
+
+* a flag wins over prose for every field;
+* each phrase is read where it first occurs, and a count of 0 there (or
+  one too long for ``int()``) passes the field on to the next phrase;
+* a per-node count ("N GPUs per node") is read before a total; a bare
+  "N GPUs" is a total, with nodes defaulting to 1 when no node count is
+  given anywhere;
+* the cluster is the earliest name; where two start at the same place the
+  longer one wins ("deltaai" over "delta");
+* FSDP and ZeRO-3 come before DDP ("fully sharded data parallel" names no
+  DDP), and "acc-ddp" means Accelerate with DDP whatever else is named;
+* the entry script is the first of: the flag, an "entry/training file is"
+  phrase, "run X", "python X", and any ".py" path;
+* a DeepSpeed config is read only when DeepSpeed is named;
+* "... arguments are X" makes the rest of the text the training
+  arguments; when nothing at all is read, the text is kept whole as the
+  arguments;
 * the launcher implies the framework (torchrun -> pytorch,
   deepspeed -> deepspeed, accelerate -> accelerate), the strategy implies
   the framework (zero3 -> deepspeed, fsdp -> pytorch), and the strategy
@@ -81,45 +98,29 @@ FRAMEWORK_DEFAULT_LAUNCHER = {
 }
 
 
+_UNITS = ("one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
+_TEENS = ("ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen",
+          "seventeen", "eighteen", "nineteen")
+_TENS = {"twenty": 20, "thirty": 30, "forty": 40, "fifty": 50, "sixty": 60}
+
+
+def _tens_units(base: int) -> tuple[str, ...]:
+    """The units a tens word takes without passing 64."""
+    return _UNITS[: 64 - base]
+
+
 def _number_words() -> dict[str, int]:
-    units = ["one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
-    teens = [
-        "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen",
-        "sixteen", "seventeen", "eighteen", "nineteen",
-    ]
-    tens = {"twenty": 20, "thirty": 30, "forty": 40, "fifty": 50, "sixty": 60}
-    words = {w: i + 1 for i, w in enumerate(units)}
-    words.update({w: 10 + i for i, w in enumerate(teens)})
-    for name, base in tens.items():
+    words = {w: i + 1 for i, w in enumerate(_UNITS)}
+    words.update({w: 10 + i for i, w in enumerate(_TEENS)})
+    for name, base in _TENS.items():
         words[name] = base
-        for i, unit in enumerate(units):
-            value = base + i + 1
-            if value <= 64:
-                words[f"{name}-{unit}"] = value
-                words[f"{name} {unit}"] = value
+        for i, unit in enumerate(_tens_units(base)):
+            words[f"{name}-{unit}"] = base + i + 1
+            words[f"{name} {unit}"] = base + i + 1
     return words
 
+
 NUMBER_WORDS = _number_words()
-
-# Whole words only ("seventy" holds no "seven", "someone" no "one"), longest
-# first so "twenty-one" wins over "twenty".  The lookahead on the first
-# letters lets most positions fail before the alternation is tried.
-_NUMBER_WORD_RE = re.compile(
-    r"\b(?=[" + "".join(sorted({w[0] for w in NUMBER_WORDS})) + "])(?:"
-    + "|".join(sorted((re.escape(w) for w in NUMBER_WORDS), key=len, reverse=True))
-    + r")\b",
-    re.I,
-)
-_NUM = r"(\d+)"
-
-
-def _digits(text: str) -> str:
-    """``text`` with every number word rewritten as its digits."""
-    # re.I also matches case variants outside ASCII ("ſix"); no number word
-    # has that spelling, so such a match stays as written.
-    return _NUMBER_WORD_RE.sub(
-        lambda m: str(NUMBER_WORDS.get(m.group().lower(), m.group())), text
-    )
 
 
 @dataclass
@@ -215,84 +216,158 @@ class Extractor(Protocol):
 # Rule-based extraction
 # ---------------------------------------------------------------------------
 
-_NODE_NOUN = r"(?:compute\s+|gpu\s+)?(?:nodes?|servers?|machines?|hosts?)"
+# One scanner per cluster registry reads the text in one finditer pass
+# (re.I).  Each match is a token; its kind is the name of the group that
+# closes last, an empty group at the end of each branch.  A token consumes at
+# most the start of one word, or the "--" of a flag, and reads the phrase after
+# it through lookaheads, so no token hides the start of another: every word
+# start, every "--" and every start of a run of path characters is scanned.
 
-_FLAG_PATTERNS = {
-    "nodes": re.compile(r"--n?nodes[=\s]+(\d+)", re.I),
-    "gpus_per_node": re.compile(r"--(?:gpus[-_]per[-_]node|nproc[-_]per[-_]node)[=\s]+(\d+)", re.I),
-    "total_gpus": re.compile(r"--(?:total[-_]gpus|num[-_]gpus)[=\s]+(\d+)", re.I),
-    "master_port": re.compile(r"--(?:master[-_]port|main[-_]process[-_]port|port)[=\s]+(\d+)", re.I),
-}
+_NODE = r"(?:node|server|machine|host)"
 
-_NODES_PROSE = [
-    re.compile(rf"\b{_NUM}\s+{_NODE_NOUN}\b", re.I),
-    re.compile(rf"\b(?:across|on|over|spanning|spread\s+over)\s+{_NUM}\s+{_NODE_NOUN}\b", re.I),
-]
-_SINGLE_NODE = re.compile(r"\b(?:a\s+single|single|one)[-\s](?:node|server|machine|host)\b", re.I)
+# The letters outside ASCII that re.I matches to an ASCII letter.
+_FOLDS = {"i": "\u0130\u0131", "k": "\u212a", "s": "\u017f"}  # İ ı, Kelvin sign, ſ
 
-_GPUS_PER_NODE_PROSE = [
-    re.compile(rf"\b{_NUM}\s+gpus?\s+(?:per|on\s+each|in\s+each|for\s+each|each|a)\s+(?:node|server|machine|host)\b", re.I),
-    re.compile(rf"\b{_NUM}\s+gpus?\s*/\s*node\b", re.I),
-    re.compile(rf"\b{_NUM}\s+gpus?\s+(?:each|apiece)\b", re.I),
-    re.compile(rf"\bper[-\s]node\s+gpus?\s*(?:of|is|:|=)?\s*{_NUM}\b", re.I),
-]
-_TOTAL_GPUS_PROSE = [
-    re.compile(rf"\b{_NUM}\s+gpus?\s+(?:in\s+total|total|overall|altogether)\b", re.I),
-    re.compile(rf"\b(?:a\s+)?total\s+of\s+{_NUM}\s+gpus?\b", re.I),
-    re.compile(rf"\b{_NUM}\s+total\s+gpus?\b", re.I),
-    re.compile(rf"\b{_NUM}\s+gpus?\b", re.I),
-]
 
-_PORT_PROSE = re.compile(r"\b(?:master\s+|rendezvous\s+)?port\s*(?:is|of|:|=)?\s*(\d{4,5})\b", re.I)
+def _words(*words: str) -> str:
+    """Any of ``words``: one case-sensitive test of the first letter, then the rest.
 
-_ENTRY_PROSE = [
-    re.compile(r"--entry(?:[-_]script)?[=\s]+([\w./-]+\.(?:py|sh))", re.I),
-    re.compile(
-        r"\b(?:training|train|entry|launch|main)\s+(?:file|script|point|program)\s*"
-        r"(?:is|will\s+be|:|=)?\s*([\w./-]+\.(?:py|sh))",
-        re.I,
-    ),
-    re.compile(r"\b(?:run|execute|launch|start)\s+([\w./-]+\.py)\b", re.I),
-    re.compile(r"\bpython3?\s+(?:-u\s+)?([\w./-]+\.py)\b", re.I),
-]
-_ANY_PY = re.compile(r"(?<![\w/.-])([\w./-]+\.py)\b")
+    Each word is a pattern that starts with an ASCII letter.  The regex engine
+    skips a branch that starts with a case-sensitive test after one character
+    comparison, where under re.I it would enter the branch; the test admits
+    every letter that re.I matches to the first one.  Where the words start
+    with different letters, a lookbehind tells which one stood there.
+    """
+    firsts = sorted({word[0] for word in words})
+    letters = "".join(f + f.upper() + _FOLDS.get(f, "") for f in firsts)
+    rests = [word[1:] if len(firsts) == 1 else f"(?<={word[0]}){word[1:]}" for word in words]
+    return f"(?-i:[{letters}])(?:" + "|".join(rests) + ")"
 
-_DS_CONFIG_PROSE = [
-    re.compile(r"--deepspeed[-_]config[=\s]+(\S+)", re.I),
-    re.compile(
-        r"\b(?:deepspeed\s+)?config(?:uration)?(?:\s+file)?\s*(?:is|at|:|=)?\s*([\w./-]+\.json)",
-        re.I,
-    ),
-    re.compile(r"(?<![\w/.-])([\w./-]+\.json)\b"),
-]
 
-_ARGS_PROSE = re.compile(
-    r"\b(?:(?:my|the|with)\s+)?(?:training\s+|extra\s+)?arg(?:ument)?s?\s+(?:is|are|being|:)\s*(.+)$",
-    re.I | re.S,
+def _number_word() -> str:
+    """Any number word, whole; a tens word reads its unit too ("twenty-one")."""
+    arms = [f"{name}(?:[- ](?:{'|'.join(_tens_units(base))}))?" for name, base in _TENS.items()]
+    by_letter: dict[str, list[str]] = {}
+    for arm in arms + list(_TEENS) + list(_UNITS):
+        by_letter.setdefault(arm[0], []).append(arm)
+    return r"\b(?:" + "|".join(_words(*arms) for arms in by_letter.values()) + r")\b"
+
+
+# Whole words only: "seventy" holds no "seven", "someone" no "one".
+_NUMBER_WORD = _number_word()
+_PY = r"[\w./-]+\.py"
+
+_SCANNER = (
+    # Zero-width, where no word character or hyphen precedes: a path, case as
+    # written, where a run of path characters with a dot starts, and a cluster
+    # name.  The word that starts there is scanned next.
+    r"(?<![\w-])"
+    r"(?=(?<![/.])(?=[\w/-]*\.)(?-i:(?=(?P<py>" + _PY + r")\b|)(?=(?P<json>[\w./-]+\.json)\b|))|)"
+    r"(?:(?={clusters})|(?(py)|(?(json)|(?!))))"
+    # Flags with their values.
+    r"|--(?="
+    r"n?nodes[=\s]+(?P<f_nodes>\d+)"
+    r"|(?:gpus|nproc)[-_]per[-_]node[=\s]+(?P<f_gpus_per_node>\d+)"
+    r"|(?:total|num)[-_]gpus[=\s]+(?P<f_total_gpus>\d+)"
+    r"|(?:master[-_]|main[-_]process[-_])?port[=\s]+(?P<f_master_port>\d+)"
+    r"|entry(?:[-_]script)?[=\s]+(?P<f_entry>[\w./-]+\.(?:py|sh))"
+    r"|deepspeed[-_]config[=\s]+(?P<f_config>\S+))"
+    r"|\b(?:"
+    # A count, digits or a number word, and the words after it; "one" before
+    # a node noun also means a single node.
+    r"(?=one[-\s]" + _NODE + r"\b(?P<one_node>)|)"
+    r"(?=(?:(?P<digits>\d+)|(?P<word>" + _NUMBER_WORD + r"))(?:\s+(?:"
+    r"gpu\s+" + _NODE + r"s?\b(?P<gpu_nodes>)"
+    r"|(?:compute\s+)?" + _NODE + r"s?\b(?P<nodes>)"
+    r"|total\s+gpus?\b(?P<total_gpus>)"
+    r"|gpus?(?:\s+each\s+" + _NODE + r"\b(?P<per_node_each>)"
+    r"|\s+(?:per|on\s+each|in\s+each|for\s+each|a)\s+" + _NODE + r"\b(?P<per_node>)"
+    r"|\s*/\s*node\b(?P<per_node_slash>)"
+    r"|\s+(?:each|apiece)\b(?P<each>)"
+    r"|\s+(?:in\s+total|total|overall|altogether)\b(?P<in_total>)"
+    r"|\b(?P<gpus>))))?)\w+"
+    # Phrases that lead up to a count: "on 2 nodes", "total of 8 GPUs",
+    # "per-node GPUs: 4"; and "a single node".
+    r"|" + _words("across", "on", "over", "spanning") + r"(?=\s+(?P<across>)[\defnost])"
+    r"|" + _words(r"total(?=\s+of\s+(?P<total_of>)[\defnost])")
+    + r"|" + _words(r"per(?=[-\s]node\s+gpus?\s*(?:of|is|:|=)?\s*"
+                    r"(?:(?P<per_node_digits>\d+)\b|\b(?P<per_node_word>)(?=[^\W\d])))")
+    + r"|" + _words(r"single(?=[-\s]" + _NODE + r"\b)(?P<single>)")
+    # Framework, strategy and launcher terms.
+    + r"|" + _words(r"pytorch\b(?P<pytorch>)")
+    + r"|" + _words(r"deep(?=\s?speed\b)(?=speed\s+launcher\b(?P<deepspeed_launcher>)|)"
+                    r"(?P<deepspeed>)")
+    + r"|" + _words(r"acc(?=elerate\b|[-\s]ddp\b)(?:elerate\b(?P<accelerate>)"
+                    r"(?=\s+launch(?:er)?\b(?P<accelerate_launcher>)|))?"
+                    r"(?=[-\s]ddp\b(?P<acc_ddp>)|)(?P<acc>)")
+    + r"|" + _words(r"fsdp\b(?P<fsdp>)", r"fully(?=[-\s]sharded\b)(?P<fully_sharded>)")
+    + r"|" + _words(r"zero(?=[-\s]?3\b)(?P<zero3>)")
+    + r"|" + _words(r"stage(?=[-\s]?3\b)(?P<stage3>)")
+    + r"|" + _words(r"ddp\b(?P<ddp>)", r"data(?=[-\s]parallel(?:ism)?\b)(?P<data_parallel>)")
+    + r"|" + _words(r"torchrun\b(?P<torchrun>)")
+    + r"|" + _words(r"mpiexec\b(?P<mpiexec>)", r"mpirun\b(?P<mpirun>)")
+    + r"|" + _words(r"srun\b(?P<srun>)")
+    # Port, entry script, DeepSpeed config and training arguments.
+    + r"|" + _words(r"port(?=\s*(?:is|of|:|=)?\s*(?P<port>\d{4,5})\b)")
+    + r"|" + _words("training", "train", "entry", "launch", "main")
+    + r"(?=\s+(?:file|script|point|program)\s*(?:is|will\s+be|:|=)?\s*"
+    r"(?P<entry_phrase>[\w./-]+\.(?:py|sh)))"
+    r"|" + _words("run", "execute", "launch", "start") + r"(?=\s+(?P<run>" + _PY + r")\b)"
+    r"|" + _words(r"python3?(?=\s+(?:-u\s+)?(?P<python>" + _PY + r")\b)")
+    + r"|" + _words(r"config(?=(?:uration)?(?:\s+file)?\s*(?:is|at|:|=)?\s*"
+                    r"(?P<config>[\w./-]+\.json))")
+    + r"|" + _words(r"arg(?=(?:ument)?s?\s+(?:is|are|being|:)\s*(?P<args>(?s:.+))$)")
+    + r")"
 )
 
-_FRAMEWORK_TERMS = [
-    (re.compile(r"\bpytorch\b", re.I), Framework.PYTORCH),
-    (re.compile(r"\bdeep\s?speed\b", re.I), Framework.DEEPSPEED),
-    (re.compile(r"\b(?:hf\s+|hugging\s?face\s+)?accelerate\b", re.I), Framework.ACCELERATE),
-]
+# What a count is, by the phrase after it: the phrases it fills, in the
+# order the precedence rules read them.
+_COUNT_PHRASES = {
+    "digits": (),
+    "word": (),
+    "gpu_nodes": ("nodes", "gpus"),
+    "nodes": ("nodes",),
+    "total_gpus": ("total_gpus",),
+    "per_node_each": ("per_node", "each", "gpus"),
+    "per_node": ("per_node", "gpus"),
+    "per_node_slash": ("per_node_slash", "gpus"),
+    "each": ("each", "gpus"),
+    "in_total": ("in_total", "gpus"),
+    "gpus": ("gpus",),
+}
 
-# FSDP and ZeRO first: "fully sharded data parallel" contains "data parallel".
-_STRATEGY_TERMS = [
-    (re.compile(r"\bfsdp\b|\bfully[-\s]sharded(?:\s+data[-\s]parallel(?:ism)?)?\b", re.I), Strategy.FSDP),
-    (re.compile(r"\bzero[-\s]?3\b|\bzero\s+stage\s+3\b|\bstage[-\s]?3\b|\bzero3\b", re.I), Strategy.ZERO3),
-    (re.compile(r"\bddp\b|\bdistributed\s+data[-\s]parallel(?:ism)?\b|\bdata[-\s]parallel(?:ism)?\b", re.I), Strategy.DDP),
-]
+# Phrases that end where their count starts: the phrase they fill and the
+# phrase the count itself must fill there ("on 2 nodes", "total of 8 GPUs",
+# "per-node GPUs: eight").
+_LEADS = {
+    "across": ("across", "nodes"),
+    "total_of": ("total_of", "gpus"),
+    "per_node_word": ("per_node_phrase", None),
+}
 
-_COMBO_ACC_DDP = re.compile(r"\bacc(?:elerate)?[-\s]ddp\b", re.I)
-
-_LAUNCHER_TERMS = [
-    (re.compile(r"\btorchrun\b", re.I), Launcher.TORCHRUN),
-    (re.compile(r"\bmpiexec\b|\bmpirun\b", re.I), Launcher.MPIEXEC),
-    (re.compile(r"\bsrun\b", re.I), Launcher.SRUN),
-    (re.compile(r"\bdeepspeed\s+launcher\b", re.I), Launcher.DEEPSPEED),
-    (re.compile(r"\baccelerate\s+launch(?:er)?\b", re.I), Launcher.ACCELERATE),
-]
+# Terms by rank: the first one the text holds fixes the field.  FSDP and ZeRO
+# come before DDP: "fully sharded data parallel" contains "data parallel".
+_FRAMEWORK_TERMS = (
+    ("pytorch", Framework.PYTORCH),
+    ("deepspeed", Framework.DEEPSPEED),
+    ("accelerate", Framework.ACCELERATE),
+)
+_STRATEGY_TERMS = (
+    ("fsdp", Strategy.FSDP),
+    ("fully_sharded", Strategy.FSDP),
+    ("zero3", Strategy.ZERO3),
+    ("stage3", Strategy.ZERO3),
+    ("ddp", Strategy.DDP),
+    ("data_parallel", Strategy.DDP),
+)
+_LAUNCHER_TERMS = (
+    ("torchrun", Launcher.TORCHRUN),
+    ("mpiexec", Launcher.MPIEXEC),
+    ("mpirun", Launcher.MPIEXEC),
+    ("srun", Launcher.SRUN),
+    ("deepspeed_launcher", Launcher.DEEPSPEED),
+    ("accelerate_launcher", Launcher.ACCELERATE),
+)
 
 
 class RuleBasedExtractor:
@@ -308,113 +383,118 @@ class RuleBasedExtractor:
         # One group per name, longest first, so at a shared position
         # "deltaai" wins over "delta".  A match maps back through its group
         # number, never through its text: re.I also matches spellings such
-        # as "ſ" for "s" that no lowercased key holds.
+        # as "ſ" for "s" that no lowercased key holds.  The class of first
+        # letters lets most places fail before the names are tried; "(?!)"
+        # never matches, so an empty registry names no cluster.
         ordered = sorted(cluster_names.items(), key=lambda kv: len(kv[0]), reverse=True)
         self._cluster_ids = [canonical for _, canonical in ordered]
-        # "(?!)" never matches: an empty registry names no cluster.
-        alternation = "|".join(f"({re.escape(name)})" for name, _ in ordered) or "(?!)"
-        self._cluster_re = re.compile(rf"(?<![\w-])(?:{alternation})(?![\w-])", re.I)
+        firsts = "".join(sorted({re.escape(name[:1]) for name, _ in ordered}))
+        alternation = "|".join(f"({re.escape(name)})" for name, _ in ordered)
+        clusters = f"(?=[{firsts}])(?:{alternation})(?![\\w-])" if ordered else "(?!)"
+        scanner = re.compile(_SCANNER.replace("{clusters}", clusters), re.I)
+        self._scan = scanner.finditer
+        self._cluster_group = scanner.groupindex["json"] + 1
 
     def extract(self, text: str) -> PartialJobSpec:
         if not text:
             raise ValueError("extract requires non-empty text")
-        spec = PartialJobSpec()
-        matched_any = False
-
-        m = self._cluster_re.search(text)
-        if m:
-            spec.cluster = self._cluster_ids[m.lastindex - 1]
-            matched_any = True
-
-        for pattern, framework in _FRAMEWORK_TERMS:
-            if pattern.search(text):
-                spec.framework = framework
-                matched_any = True
-                break
-
-        if _COMBO_ACC_DDP.search(text):
-            spec.framework = Framework.ACCELERATE
-            spec.strategy = Strategy.DDP
-            matched_any = True
-        else:
-            for pattern, strategy in _STRATEGY_TERMS:
-                if pattern.search(text):
-                    spec.strategy = strategy
-                    matched_any = True
-                    break
-
-        for pattern, launcher in _LAUNCHER_TERMS:
-            if pattern.search(text):
-                spec.launcher = launcher
-                matched_any = True
-                break
-
-        # Flags read the text as given; prose counts read the digit copy.
-        digits = _digits(text)
-        nodes = _first_int(text, _FLAG_PATTERNS["nodes"]) or _first_int(digits, *_NODES_PROSE)
-        if nodes is None and _SINGLE_NODE.search(text):
-            nodes = 1
-        if nodes is not None:
-            spec.nodes = nodes
-            matched_any = True
-
-        per_node = _first_int(text, _FLAG_PATTERNS["gpus_per_node"]) or _first_int(
-            digits, *_GPUS_PER_NODE_PROSE
-        )
-        if per_node is not None:
-            spec.gpus_per_node = per_node
-            matched_any = True
-        else:
-            total = _first_int(text, _FLAG_PATTERNS["total_gpus"]) or _first_int(
-                digits, *_TOTAL_GPUS_PROSE
-            )
-            if total is not None:
-                spec.total_gpus = total
-                matched_any = True
-
-        port = _first_int(text, _FLAG_PATTERNS["master_port"], _PORT_PROSE)
-        if port is not None and PORT_MIN <= port <= PORT_MAX:
-            spec.master_port = port
-            matched_any = True
-
-        for pattern in _ENTRY_PROSE:
-            m = pattern.search(text)
-            if m:
-                spec.entry_script = m.group(1)
-                matched_any = True
-                break
-        else:
-            m = _ANY_PY.search(text)
-            if m:
-                spec.entry_script = m.group(1)
-                matched_any = True
-
-        if spec.framework is Framework.DEEPSPEED or "deepspeed" in text.lower():
-            for pattern in _DS_CONFIG_PROSE:
-                m = pattern.search(text)
-                if m:
-                    spec.deepspeed_config = m.group(1)
-                    matched_any = True
-                    break
-
-        args_match = _ARGS_PROSE.search(text)
-        if args_match:
-            spec.train_args = args_match.group(1).strip()
-        elif not matched_any:
-            # Nothing extractable: keep the input verbatim so it is not lost.
-            spec.train_args = text.strip()
-        return spec
+        first: dict[str, object] = {}  # what the first phrase of each kind read
+        leads = {}  # where a phrase expects its count -> what it reads there
+        word_end = 0  # no count starts inside a number word
+        cluster = None
+        for m in self._scan(text):
+            kind = m.lastgroup
+            phrases = _COUNT_PHRASES.get(kind)
+            if phrases is not None:
+                if m["one_node"] is not None:
+                    first.setdefault("single", "")
+                word = m["word"]
+                if word is None:
+                    value = _int(m["digits"])
+                elif m.start() < word_end:
+                    continue
+                else:
+                    word_end = m.start() + len(word)
+                    # Only a number word spelled in ASCII letters is read; one
+                    # that re.I matches through "ſ" or "ı" is no count.
+                    value = NUMBER_WORDS.get(word.lower())
+                    if value is None:
+                        continue
+                for phrase in phrases:
+                    first.setdefault(phrase, value)
+                lead = leads.get(m.start())
+                if lead is not None and (lead[1] is None or lead[1] in phrases):
+                    first.setdefault(lead[0], value)
+            elif kind in _LEADS:
+                leads[m.start(kind)] = _LEADS[kind]
+            elif kind == "per_node_digits":
+                first.setdefault("per_node_phrase", _int(m[kind]))
+            elif kind == "acc":
+                for term in ("accelerate", "accelerate_launcher", "acc_ddp"):
+                    if m[term] is not None:
+                        first.setdefault(term, "")
+            elif kind == "deepspeed":
+                first.setdefault(kind, "")
+                if m["deepspeed_launcher"] is not None:
+                    first.setdefault("deepspeed_launcher", "")
+            elif kind is None or kind == "py" or kind == "json":
+                for path in ("py", "json"):
+                    if m[path] is not None:
+                        first.setdefault(path, m[path])
+                if cluster is None and m.lastindex >= self._cluster_group:
+                    cluster = self._cluster_ids[m.lastindex - self._cluster_group]
+            else:
+                first.setdefault(kind, m[kind])
+        return _resolve(text, first, cluster)
 
 
-def _first_int(text: str, *patterns: re.Pattern) -> int | None:
-    """The first positive count captured by ``patterns``, tried in order."""
-    for pattern in patterns:
-        m = pattern.search(text)
-        if m:
-            value = _int(m.group(1))
-            if value >= 1:
-                return value
-    return None
+def _resolve(text: str, first: dict[str, object], cluster: str | None) -> PartialJobSpec:
+    """The precedence rules over what the scan read first of each kind."""
+
+    def count(*kinds: str) -> int | None:
+        """The count of the first kind present, if it is at least 1.
+
+        Each phrase is read at its first place only; a count of 0 there
+        passes the field on to the next kind.  Flag and port values are
+        still digits as written.
+        """
+        for kind in kinds:
+            value = first.get(kind)
+            if value is not None:
+                value = _int(value) if isinstance(value, str) else value
+                if value >= 1:
+                    return value
+        return None
+
+    spec = PartialJobSpec(cluster=cluster)
+    spec.framework = next((v for k, v in _FRAMEWORK_TERMS if k in first), None)
+    if "acc_ddp" in first:
+        spec.framework = Framework.ACCELERATE
+        spec.strategy = Strategy.DDP
+    else:
+        spec.strategy = next((v for k, v in _STRATEGY_TERMS if k in first), None)
+    spec.launcher = next((v for k, v in _LAUNCHER_TERMS if k in first), None)
+
+    spec.nodes = count("f_nodes", "nodes", "across") or (1 if "single" in first else None)
+    spec.gpus_per_node = count("f_gpus_per_node", "per_node", "per_node_slash", "each",
+                               "per_node_phrase")
+    if spec.gpus_per_node is None:
+        spec.total_gpus = count("f_total_gpus", "in_total", "total_of", "total_gpus", "gpus")
+    port = count("f_master_port", "port")
+    if port is not None and PORT_MIN <= port <= PORT_MAX:
+        spec.master_port = port
+    spec.entry_script = (first.get("f_entry") or first.get("entry_phrase")
+                         or first.get("run") or first.get("python") or first.get("py"))
+    config = first.get("f_config") or first.get("config") or first.get("json")
+    if config and (spec.framework is Framework.DEEPSPEED or "deepspeed" in text.lower()):
+        spec.deepspeed_config = config
+
+    if "args" in first:
+        spec.train_args = first["args"].strip()
+    elif spec == PartialJobSpec():
+        # Nothing extractable: keep the input verbatim so it is not lost.
+        spec.train_args = text.strip()
+    return spec
 
 
 @functools.cache
@@ -560,6 +640,7 @@ _RE_NUM_GPUS = re.compile(r"--num[-_]gpus[=\s]+(\d+)")
 _RE_SLOTS = re.compile(r"slots=(\d+)")
 _RE_SRUN_N_UPPER = re.compile(r"\bsrun\b[^\n]*?-N[=\s]+(\d+)")
 _RE_TRAILING_JSON = re.compile(r"([\w./-]+\.json)\s*'?\s*$")
+_ANY_PY = re.compile(r"(?<![\w/.-])(" + _PY + r")\b")
 
 
 def parse_script(script: str) -> PartialJobSpec:

@@ -1,10 +1,12 @@
 import json
 import re
+import string
 from importlib import resources
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from launchport import intent
 from launchport.clusters import default_profiles
 from launchport.errors import (
     CapacityError,
@@ -349,7 +351,7 @@ _SOUP_TOKENS = sorted(NUMBER_WORDS) + [
     "accelerate", "hf", "hugging face", "acc", "ddp", "fsdp", "fully", "sharded",
     "data", "parallel", "parallelism", "distributed", "zero", "zero3", "stage", "torchrun",
     "mpiexec", "mpirun", "srun", "pytorch", "args", "arguments", "my", "with",
-    "ſ", "K", "ı", "İ", "ſix", "ſingle", "iſ", "deepſpeed", "fſdp", "Kestrel",
+    "ſ", "\u212a", "ı", "İ", "ſix", "ſingle", "iſ", "deepſpeed", "fſdp", "\u212aestrel",
 ] + sorted(default_profiles().names()) + ["lſ6", "ſtampede3"]
 _SOUP_SEPARATORS = [" ", "-", "_", ", ", "/", "\n", "", "."]
 
@@ -362,6 +364,19 @@ def _soups(draw):
         min_size=1, max_size=14,
     ))
     return "".join(case(token) + sep for token, sep, case in parts)
+
+
+def test_first_letter_classes_admit_every_re_i_match():
+    # The scanner tests first letters case-sensitively; its classes must hold
+    # every character that re.I matches to an ASCII letter.
+    ascii_letter = re.compile("[a-z]", re.I)
+    folds = {}
+    for code in range(0x80, 0x110000):
+        char = chr(code)
+        if ascii_letter.match(char):
+            letter = next(x for x in string.ascii_lowercase if re.match(x, char, re.I))
+            folds[letter] = folds.get(letter, "") + char
+    assert folds == intent._FOLDS
 
 
 class TestReferenceEquivalence:
