@@ -49,7 +49,14 @@ from .synthesis import (
 )
 from .templates import Template, TemplateSet
 # Re-exported, so every diagnosis category can be imported from here.
-from .types import CATEGORIES, CATEGORY_ENV, CATEGORY_FRAMEWORK, CATEGORY_USER
+from .types import (
+    CATEGORIES,
+    CATEGORY_ENV,
+    CATEGORY_FRAMEWORK,
+    CATEGORY_USER,
+    PORT_MAX,
+    PORT_MIN,
+)
 
 # A failure that neither a fingerprint nor the remote bridge classified.
 CATEGORY_UNKNOWN = "unknown"
@@ -444,7 +451,14 @@ def _apply_set_param(
         new_spec = replace(spec, deepspeed_config=str(value))
         return render_for_spec(new_spec, template, profile), new_spec, template
     if param == "master_port":
-        new_spec = replace(spec, master_port=int(value), master_port_explicit=True)
+        # A port is an int or up to five decimal digits, in [PORT_MIN, PORT_MAX];
+        # anything else ("abc" from a remote proposal) cannot be applied.
+        port = int(value) if isinstance(value, str) and value.isdecimal() and len(value) <= 5 else value
+        if type(port) is not int or not PORT_MIN <= port <= PORT_MAX:
+            raise NoRepairAvailableError(
+                f"master_port must be an integer in [{PORT_MIN}, {PORT_MAX}], got {value!r}"
+            )
+        new_spec = replace(spec, master_port=port, master_port_explicit=True)
         return render_for_spec(new_spec, template, profile), new_spec, template
     values = dict(script.binding.values)
     provenance = dict(script.binding.provenance)

@@ -128,6 +128,25 @@ class TestInputErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["prose", "flag", "port"])
+    def test_count_too_long_for_int_is_one_error_line(self, capsys, tmp_path, case):
+        # A count of more than 4,300 digits is ignored like a count of 0, so the
+        # job lacks its node count; int() no longer raises out of extraction.
+        many = "9" * 5000
+        script = tmp_path / "job.sh"
+        script.write_text(f"torchrun --nnodes {many} --nproc_per_node 4 train.py\n", "utf-8")
+        argv = {
+            "prose": ["generate", f"train with PyTorch DDP on Delta, {many} nodes with "
+                      "4 GPUs per node, run train.py"],
+            "flag": ["generate", f"train with PyTorch DDP on Delta, --nodes {many}, "
+                     "4 GPUs per node, run train.py"],
+            "port": ["port", str(script), "--to", "delta"],
+        }[case]
+        code, out, err = run_cli(capsys, *argv, "--non-interactive")
+        assert code == 1
+        assert out == ""
+        assert err == "error: incomplete job description; missing: nodes\n"
+
     @pytest.mark.parametrize("case", ["bridge-config", "clusters-add", "nodes-abc"])
     def test_malformed_input_is_one_error_line(self, capsys, tmp_path, case):
         bad = tmp_path / "bad.json"

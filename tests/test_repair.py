@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from launchport import intent
+from launchport.bridge import BridgeConfig, RemoteBridge
 from launchport.errors import ContractViolationError, NoRepairAvailableError, RuleParseError
 from launchport.lint import error_count, lint
 from launchport.repair import (
@@ -315,6 +318,41 @@ class TestBridgeAssistedLoop:
         ]
         assert all(e.diagnosis.category == CATEGORY_ENV for e in outcome.history)
         assert outcome.final_result is outcome.history[-1].result
+
+    @pytest.mark.parametrize("port", ["abc", "99999", "80", "29400x"])
+    def test_unusable_port_proposal_is_skipped(self, profiles, templates, custom_rules, port):
+        # The remote answer proposes a port that cannot be applied before the
+        # fix that clears the fault; the loop skips it instead of raising.
+        answer = {"category": "env",
+                  "proposals": [f"set master_port to {port}", "export CUSTOM_FLAG"]}
+        bridge = RemoteBridge(
+            BridgeConfig(endpoint="http://bridge.test/v1", capabilities=frozenset({"repair"})),
+            transport=lambda *args: json.dumps({"ok": True, "result": answer}).encode(),
+        )
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        outcome = run_loop(
+            spec, templates.get("delta-ddp"), profile, custom_rules, bridge=bridge,
+        )
+        assert outcome.status == STATUS_SUCCESS
+        assert [e.action and e.action.kind for e in outcome.history] == ["export_env"]
+        assert outcome.final_spec.master_port == spec.master_port
+
+    def test_port_proposal_in_range_is_applied(self, profiles, templates, custom_rules):
+        answer = {"category": "env",
+                  "proposals": ["set master_port to 29611", "export CUSTOM_FLAG"]}
+        bridge = RemoteBridge(
+            BridgeConfig(endpoint="http://bridge.test/v1", capabilities=frozenset({"repair"})),
+            transport=lambda *args: json.dumps({"ok": True, "result": answer}).encode(),
+        )
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        outcome = run_loop(
+            spec, templates.get("delta-ddp"), profile, custom_rules, bridge=bridge,
+        )
+        assert outcome.status == STATUS_SUCCESS
+        assert outcome.final_spec.master_port == 29611
+        assert "29611" in outcome.final_script.text
 
     def test_unknown_failure_without_bridge_stays_unresolved(
         self, profiles, templates, custom_rules
