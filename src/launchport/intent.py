@@ -244,6 +244,32 @@ def _words(*words: str) -> str:
     return f"(?-i:[{letters}])(?:" + "|".join(rests) + ")"
 
 
+def _cluster_names(names: dict[str, str]) -> tuple[str, list[str]]:
+    """The names as one pattern with a group each, and the id of each group.
+
+    Names are grouped by first letter and tried longest first within a group,
+    so at a shared place "deltaai" wins over "delta"; a letter re.I folds onto
+    an ASCII one ("ſ" onto "s") joins that letter's group, and names starting
+    with anything else share one group, which no other group can match where
+    they do.  A match maps back through its group number, never through its
+    text, which re.I lets differ from every key.  "(?!)" never matches: an
+    empty registry names no cluster.
+    """
+    unfold = {char: letter for letter, chars in _FOLDS.items() for char in chars}
+    groups: dict[str, list[tuple[str, str]]] = {}
+    for name, canonical in sorted(names.items(), key=lambda kv: len(kv[0]), reverse=True):
+        first = unfold.get(name[:1], name[:1].lower())
+        letter = first if first.isascii() and first.isalpha() else ""
+        groups.setdefault(letter, []).append((name, canonical))
+    arms = [
+        _words(*(f"{letter}({re.escape(name[1:])})" for name, _ in group)) if letter
+        else "(?:" + "|".join(f"({re.escape(name)})" for name, _ in group) + ")"
+        for letter, group in groups.items()
+    ]
+    pattern = f"(?:{'|'.join(arms)})(?![\\w-])" if arms else "(?!)"
+    return pattern, [canonical for group in groups.values() for _, canonical in group]
+
+
 def _number_word() -> str:
     """Any number word, whole; a tens word reads its unit too ("twenty-one")."""
     arms = [f"{name}(?:[- ](?:{'|'.join(_tens_units(base))}))?" for name, base in _TENS.items()]
@@ -273,8 +299,9 @@ _SCANNER = (
     r"|entry(?:[-_]script)?[=\s]+(?P<f_entry>[\w./-]+\.(?:py|sh))"
     r"|deepspeed[-_]config[=\s]+(?P<f_config>\S+))"
     r"|\b(?:"
-    # A count, digits or a number word, and the words after it; "one" before
-    # a node noun also means a single node.
+    # A count and the phrase after it: digits only with a phrase, a number
+    # word also without one ("per node GPUs: eight"); "one" before a node
+    # noun also means a single node.
     r"(?=one[-\s]" + _NODE + r"\b(?P<one_node>)|)"
     r"(?=(?:(?P<digits>\d+)|(?P<word>" + _NUMBER_WORD + r"))(?:\s+(?:"
     r"gpu\s+" + _NODE + r"s?\b(?P<gpu_nodes>)"
@@ -285,7 +312,7 @@ _SCANNER = (
     r"|\s*/\s*node\b(?P<per_node_slash>)"
     r"|\s+(?:each|apiece)\b(?P<each>)"
     r"|\s+(?:in\s+total|total|overall|altogether)\b(?P<in_total>)"
-    r"|\b(?P<gpus>))))?)\w+"
+    r"|\b(?P<gpus>)))|(?(word)|(?!))))\w+"
     # Phrases that lead up to a count: "on 2 nodes", "total of 8 GPUs",
     # "per-node GPUs: 4"; and "a single node".
     r"|" + _words("across", "on", "over", "spanning") + r"(?=\s+(?P<across>)[\defnost])"
@@ -380,17 +407,7 @@ class RuleBasedExtractor:
     def __init__(self, cluster_names: dict[str, str] | None = None):
         if cluster_names is None:
             cluster_names = default_profiles().names()
-        # One group per name, longest first, so at a shared position
-        # "deltaai" wins over "delta".  A match maps back through its group
-        # number, never through its text: re.I also matches spellings such
-        # as "ſ" for "s" that no lowercased key holds.  The class of first
-        # letters lets most places fail before the names are tried; "(?!)"
-        # never matches, so an empty registry names no cluster.
-        ordered = sorted(cluster_names.items(), key=lambda kv: len(kv[0]), reverse=True)
-        self._cluster_ids = [canonical for _, canonical in ordered]
-        firsts = "".join(sorted({re.escape(name[:1]) for name, _ in ordered}))
-        alternation = "|".join(f"({re.escape(name)})" for name, _ in ordered)
-        clusters = f"(?=[{firsts}])(?:{alternation})(?![\\w-])" if ordered else "(?!)"
+        clusters, self._cluster_ids = _cluster_names(cluster_names)
         scanner = re.compile(_SCANNER.replace("{clusters}", clusters), re.I)
         self._scan = scanner.finditer
         self._cluster_group = scanner.groupindex["json"] + 1

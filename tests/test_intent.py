@@ -435,9 +435,6 @@ class TestEntryFlag:
         p = extract("my training file is a.py, --entry-script=b.py")
         assert p.entry_script == "b.py"
 
-    def test_entry_phrase_without_flag_unchanged(self):
-        assert extract("entry script: scripts/x.py").entry_script == "scripts/x.py"
-
 
 class TestPhrasingCorpus:
     def test_corpus_agreement_is_total(self):
