@@ -455,6 +455,8 @@ class RuleBasedExtractor:
                 if m["deepspeed_launcher"] is not None:
                     first.setdefault("deepspeed_launcher", "")
             elif kind is None or kind == "py" or kind == "json":
+                # Where a path or a cluster name starts; a name's group is
+                # unnamed, so its kind is None.
                 for path in ("py", "json"):
                     if m[path] is not None:
                         first.setdefault(path, m[path])
