@@ -36,6 +36,24 @@ MATRIX_COMBOS = {
 
 UNRESOLVABLE_CELLS = {("vista", "zero3"), ("aurora", "acc-ddp"), ("deltaai", "zero3")}
 
+# Scenario per clearable bundled fault rule (acceptance criterion 3, golden pipeline corpus).
+FAULT_CORPUS = {
+    "ENV_NOT_PROPAGATED": ("deltaai", Framework.PYTORCH, Strategy.DDP, {}),
+    "DRIVER_LIB_MISMATCH": ("stampede3", Framework.PYTORCH, Strategy.DDP, {}),
+    "SYCL_COMPILER_CONFLICT": ("aurora", Framework.PYTORCH, Strategy.DDP,
+                               {"train_args": "--use-ipex"}),
+    "GCC_CUDA_MISMATCH": ("perlmutter", Framework.DEEPSPEED, Strategy.ZERO3, {}),
+    "XPU_SCRIPT_UNSUPPORTED": ("stampede3", Framework.PYTORCH, Strategy.DDP,
+                               {"nodes": 1, "entry_script": "official_examples/run_clm.py"}),
+    "MISSING_DATASET_ARG": ("lonestar6", Framework.PYTORCH, Strategy.DDP,
+                            {"entry_script": "run_glue.py"}),
+    "HF_AUTH_MISSING": ("anvil", Framework.PYTORCH, Strategy.DDP,
+                        {"entry_script": "train_llama.py",
+                         "train_args": "--model meta-llama/Llama-3.1-8B"}),
+    "BAD_CONFIG_PATH": ("delta", Framework.DEEPSPEED, Strategy.ZERO3,
+                        {"deepspeed_config": "/nonexistent/ds_config.json"}),
+}
+
 
 @pytest.fixture(scope="session")
 def profiles():

@@ -1,18 +1,27 @@
-"""Golden extraction corpus: the fields ``extract`` gives for a fixed set of texts.
+"""Golden corpora: what the extractor and the pipeline give for fixed inputs.
 
     python tests/golden/regen.py
 
-rewrites ``extract.json`` beside this file from the current extractor and
-prints a unified diff against the corpus it replaces.  ``tests/test_golden.py``
-rebuilds the corpus and compares it byte for byte, so any change to what
-``extract`` reads shows up as a hunk here, to be explained with the change.
+rewrites both corpora beside this file from the current code and prints a
+unified diff against the files it replaces.  ``tests/test_golden.py``
+rebuilds each corpus and compares it byte for byte, so any change to what
+``extract`` reads or to what ``run_pipeline`` does shows up as a hunk here,
+to be explained with the change.
 
-The corpus holds every text of the bundled ``phrasings.json`` and a fixed,
-seeded set of long job descriptions written from the same phrasing lexicon
-as the benchmark's prose jobs: opener, model, framework and strategy phrase,
-topology (digits or number words), cluster word, port, entry script,
+``extract.json`` holds every text of the bundled ``phrasings.json`` and a
+fixed, seeded set of long job descriptions written from the same phrasing
+lexicon as the benchmark's prose jobs: opener, model, framework and strategy
+phrase, topology (digits or number words), cluster word, port, entry script,
 DeepSpeed config and training arguments.  Each entry records the text and
 the ``PartialJobSpec`` fields that are not at their default.
+
+``pipeline.json`` holds one entry per cell of the 9x4 verification grid and
+per scenario of the acceptance suite's fault corpus, run through
+``run_pipeline`` with the bundled data: the full ranking as (template id,
+``float.hex`` of the score, exact flag); per attempt the template, then the
+skip reason, or the status, the iterations, each history entry (fault
+fired, fingerprint id, category, action kind and payload) and the final
+script, one line per list item.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "extract.json"
+PIPELINE = HERE / "pipeline.json"
 SENTENCES = 320
 SEED = "golden-extract:1"
 
@@ -148,16 +158,88 @@ def build() -> str:
     return "[\n" + ",\n".join(entries) + "\n]\n"
 
 
-def main() -> int:
-    old = CORPUS.read_text("utf-8") if CORPUS.exists() else ""
-    new = build()
-    CORPUS.write_text(new, "utf-8")
+def _pipeline_cases():
+    """(name, spec, profile) per grid cell, then per fault-corpus scenario."""
+    from conftest import FAULT_CORPUS, make_spec, matrix_specs
+    from launchport.clusters import default_profiles
+
+    profiles = default_profiles()
+    cases = matrix_specs(profiles)
+    for rule_id, (cluster, framework, strategy, overrides) in FAULT_CORPUS.items():
+        profile = profiles.resolve(cluster)
+        cases.append((f"fault/{rule_id}", make_spec(profile, framework, strategy, **overrides),
+                      profile))
+    return cases
+
+
+def _attempt(attempt) -> dict:
+    record = {"template": attempt.candidate.template_id}
+    if attempt.skip_reason is not None:
+        record["skipped"] = attempt.skip_reason
+        return record
+    outcome = attempt.outcome
+    record["status"] = outcome.status
+    record["iterations"] = outcome.iterations_used
+    record["history"] = [
+        {
+            "fault": entry.result.fault_fired,
+            "fingerprint": entry.diagnosis.fingerprint_id,
+            "category": entry.diagnosis.category,
+            "action": None if entry.action is None
+            else {"kind": entry.action.kind, "payload": entry.action.payload},
+        }
+        for entry in outcome.history
+    ]
+    record["script"] = outcome.final_script.text.splitlines()
+    return record
+
+
+def _dump(value, indent: str = "") -> str:
+    """JSON with a container on one line when it fits in 100 columns."""
+    flat = json.dumps(value, ensure_ascii=False)
+    if len(indent) + len(flat) <= 100 or not isinstance(value, (list, dict)) or not value:
+        return flat
+    inner = indent + " "
+    if isinstance(value, list):
+        items = [inner + _dump(item, inner) for item in value]
+    else:
+        items = [f"{inner}{json.dumps(k)}: {_dump(v, inner)}" for k, v in value.items()]
+    opener, closer = ("[", "]") if isinstance(value, list) else ("{", "}")
+    return opener + "\n" + ",\n".join(items) + "\n" + indent + closer
+
+
+def build_pipeline() -> str:
+    """The pipeline corpus as the current code gives it."""
+    from launchport.pipeline import run_pipeline
+    from launchport.simcluster import default_fault_rules
+    from launchport.templates import default_templates
+
+    templates, rules = default_templates(), default_fault_rules()
+    entries = []
+    for name, spec, profile in _pipeline_cases():
+        result = run_pipeline(spec, profile, templates, rules)
+        entries.append({
+            "case": name,
+            "ranking": [[c.template_id, c.score.hex(), c.exact] for c in result.candidates],
+            "attempts": [_attempt(a) for a in result.attempts],
+        })
+    return _dump(entries) + "\n"
+
+
+def _rewrite(path: Path, new: str) -> None:
+    old = path.read_text("utf-8") if path.exists() else ""
+    path.write_text(new, "utf-8")
     sys.stdout.writelines(difflib.unified_diff(
         old.splitlines(keepends=True), new.splitlines(keepends=True),
-        "extract.json (old)", "extract.json (new)"))
+        f"{path.name} (old)", f"{path.name} (new)"))
+
+
+def main() -> int:
+    _rewrite(CORPUS, build())
+    _rewrite(PIPELINE, build_pipeline())
     return 0
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(HERE.parents[1] / "src"))
+    sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
     sys.exit(main())

@@ -28,6 +28,7 @@ from launchport.synthesis import render_for_spec
 from launchport.types import Framework, Strategy
 
 from conftest import (
+    FAULT_CORPUS,
     MATRIX_COMBOS,
     PERLMUTTER_COMMAND,
     POLARIS_COMMAND,
@@ -40,24 +41,6 @@ from conftest import (
 
 # The sha256 of criterion 8's output, as the bundled data produce it.
 CRITERION_8_SHA256 = "0ce7c915e61841f0014634ee214f98ac24703b93317df39369e0b2e960d3d013"
-
-# Scenario per clearable bundled fault rule (criterion 3).
-FAULT_CORPUS = {
-    "ENV_NOT_PROPAGATED": ("deltaai", Framework.PYTORCH, Strategy.DDP, {}),
-    "DRIVER_LIB_MISMATCH": ("stampede3", Framework.PYTORCH, Strategy.DDP, {}),
-    "SYCL_COMPILER_CONFLICT": ("aurora", Framework.PYTORCH, Strategy.DDP,
-                               {"train_args": "--use-ipex"}),
-    "GCC_CUDA_MISMATCH": ("perlmutter", Framework.DEEPSPEED, Strategy.ZERO3, {}),
-    "XPU_SCRIPT_UNSUPPORTED": ("stampede3", Framework.PYTORCH, Strategy.DDP,
-                               {"nodes": 1, "entry_script": "official_examples/run_clm.py"}),
-    "MISSING_DATASET_ARG": ("lonestar6", Framework.PYTORCH, Strategy.DDP,
-                            {"entry_script": "run_glue.py"}),
-    "HF_AUTH_MISSING": ("anvil", Framework.PYTORCH, Strategy.DDP,
-                        {"entry_script": "train_llama.py",
-                         "train_args": "--model meta-llama/Llama-3.1-8B"}),
-    "BAD_CONFIG_PATH": ("delta", Framework.DEEPSPEED, Strategy.ZERO3,
-                        {"deepspeed_config": "/nonexistent/ds_config.json"}),
-}
 
 
 def _generate(capsys, cluster_word):

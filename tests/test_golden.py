@@ -1,7 +1,7 @@
 """Golden corpora: rebuilt from the current code and compared byte for byte.
 
-After an intended behaviour change, rewrite a corpus with its script (for
-extraction, ``python tests/golden/regen.py``) and explain each hunk.
+After an intended behaviour change, rewrite the corpora with
+``python tests/golden/regen.py`` and explain each hunk.
 """
 
 from golden import regen
@@ -10,4 +10,10 @@ from golden import regen
 def test_extraction_corpus_is_unchanged():
     assert regen.build() == regen.CORPUS.read_text("utf-8"), (
         "extraction changed; run `python tests/golden/regen.py` to see the diff"
+    )
+
+
+def test_pipeline_corpus_is_unchanged():
+    assert regen.build_pipeline() == regen.PIPELINE.read_text("utf-8"), (
+        "pipeline output changed; run `python tests/golden/regen.py` to see the diff"
     )
