@@ -12,24 +12,37 @@ similarity over an embedder's vectors when one is supplied, token-overlap
 model and no network.  An embedder that fails with a bridge error, or that
 returns other than one vector per text, gets the token-overlap fallback
 too.  Similarity compares the job's one-line description against each
-template's notes plus body.  That template side (the text and its word set)
-is computed once per template set, on the first ranking below the gate,
-and kept by the set.
+template's notes plus body.
 
 Ties break on template id, lexicographically, giving a total order: one
 pass scores the set's templates in id order, and a stable sort on score
 alone keeps equal scores in that order.
+
+A template's metadata score depends only on its match pattern: four
+booleans, cluster equal and framework, strategy and launcher identical.
+Above the gate a candidate depends on nothing else, so each template set
+gets a store, created on the set's first ranking and dropped with the set,
+that keeps each (template, pattern) candidate the first time a ranking
+needs it: at most 16 per template, shared by every later ranking.  A
+candidate's ``breakdown`` is therefore read-only, one mapping per pattern;
+below the gate each candidate gets its own, read-only too.  The store also
+keeps the template side of the similarity fallback (each template's text
+and its word set), built on the first ranking below the gate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Mapping, Protocol, Sequence
 
 from .errors import BridgeError, NoCandidatesError
 from .intent import JobSpec
-from .templates import TemplateSet
+from .templates import Template, TemplateSet
 
 WEIGHT_CLUSTER = 0.4
 WEIGHT_FRAMEWORK = 0.25
@@ -37,6 +50,30 @@ WEIGHT_STRATEGY = 0.25
 WEIGHT_LAUNCHER = 0.1
 SIMILARITY_WEIGHT = 0.1
 SIMILARITY_GATE = 0.9
+
+# Per match pattern (bit 8 cluster, 4 framework, 2 strategy, 1 launcher):
+# the four weights, their sum, and the breakdown a candidate above the gate
+# carries.  The sum is c + f + s + la in that order, as ranking has always
+# added it, so scores keep their exact bits.
+_WEIGHTS = tuple(
+    (
+        WEIGHT_CLUSTER if p & 8 else 0.0,
+        WEIGHT_FRAMEWORK if p & 4 else 0.0,
+        WEIGHT_STRATEGY if p & 2 else 0.0,
+        WEIGHT_LAUNCHER if p & 1 else 0.0,
+    )
+    for p in range(16)
+)
+_META = tuple(c + f + s + la for c, f, s, la in _WEIGHTS)
+_ABOVE_GATE = frozenset(p for p, meta in enumerate(_META) if meta >= SIMILARITY_GATE)
+_BREAKDOWNS = tuple(
+    MappingProxyType({"cluster": c, "framework": f, "strategy": s, "launcher": la,
+                      "similarity": 0.0})
+    for c, f, s, la in _WEIGHTS
+)
+# Keys are unique in a set, so the one template matching on all four is the
+# exact match.
+_EXACT = 15
 
 
 class Embedder(Protocol):
@@ -47,7 +84,11 @@ class Embedder(Protocol):
 
 @dataclass(frozen=True)
 class RankedCandidate:
-    """One template with its score and per-criterion contributions."""
+    """One template with its score and per-criterion contributions.
+
+    ``breakdown`` is read-only: above the gate it is shared by every
+    candidate with the same match pattern.
+    """
 
     template_id: str
     score: float
@@ -81,12 +122,47 @@ def _embed(embedder: Embedder | None, texts: list[str]) -> list[list[float]] | N
     return vectors if len(vectors) == len(texts) else None
 
 
+class _SetStore:
+    """What rankings against one template set share; see the module docstring."""
+
+    def __init__(self, templates: tuple[Template, ...]):
+        self.templates = templates
+        # Per template in id order, its candidate above the gate per pattern.
+        self.rows: list[list[RankedCandidate | None]] = [[None] * 16 for _ in templates]
+
+    @functools.cached_property
+    def texts(self) -> tuple[tuple[str, frozenset[str]], ...]:
+        """Per template in id order: ``"{notes} {body}"`` and its lowercase word set."""
+        texts = (f"{t.notes} {t.body}" for t in self.templates)
+        return tuple((text, frozenset(text.lower().split())) for text in texts)
+
+    def fill(self, i: int, pattern: int) -> RankedCandidate:
+        """Build, keep and return template ``i``'s candidate above the gate."""
+        t = self.templates[i]
+        candidate = RankedCandidate(t.id, _META[pattern], _BREAKDOWNS[pattern],
+                                    pattern == _EXACT)
+        self.rows[i][pattern] = candidate
+        return candidate
+
+
+# Weak keys: a store lives exactly as long as its set, and a set freed and
+# another built at the same address never share one.
+_STORES: weakref.WeakKeyDictionary[TemplateSet, _SetStore] = weakref.WeakKeyDictionary()
+
+
+def _store(tset: TemplateSet) -> _SetStore:
+    store = _STORES.get(tset)
+    if store is None:
+        store = _STORES[tset] = _SetStore(tset.in_id_order())
+    return store
+
+
 def _similarities(
-    spec: JobSpec, tset: TemplateSet, embedder: Embedder | None
+    spec: JobSpec, store: _SetStore, embedder: Embedder | None
 ) -> list[float]:
     """Similarity of the job's description to each template, in id order."""
     description = spec.description()
-    texts = tset.similarity_texts
+    texts = store.texts
     vectors = _embed(embedder, [description] + [text for text, _ in texts])
     if vectors is not None:
         query = vectors[0]
@@ -109,35 +185,29 @@ def candidates(
     if not templates:
         raise NoCandidatesError("the template set is empty")
 
-    key = (spec.cluster, spec.framework, spec.strategy, spec.launcher)
-    exact_match = tset.find_key(key)  # keys are unique: at most one exact template
-    cluster, framework, strategy, launcher = key
-    rows = []
-    best_meta = 0.0
-    for t in templates:
-        c = WEIGHT_CLUSTER if t.cluster == cluster else 0.0
-        f = WEIGHT_FRAMEWORK if t.framework is framework else 0.0
-        s = WEIGHT_STRATEGY if t.strategy is strategy else 0.0
-        la = WEIGHT_LAUNCHER if t.launcher is launcher else 0.0
-        meta = c + f + s + la
-        if meta > best_meta:
-            best_meta = meta
-        breakdown = {"cluster": c, "framework": f, "strategy": s, "launcher": la}
-        rows.append((t, meta, breakdown))
-
-    ranked = []
-    if best_meta < SIMILARITY_GATE:
-        similarities = _similarities(spec, tset, embedder)
-        for (t, meta, breakdown), sim in zip(rows, similarities):
-            breakdown["similarity"] = sim
-            score = (meta + SIMILARITY_WEIGHT * sim) / (1.0 + SIMILARITY_WEIGHT)
-            ranked.append(RankedCandidate(t.id, score, breakdown, t is exact_match))
+    cluster, framework, strategy, launcher = (
+        spec.cluster, spec.framework, spec.strategy, spec.launcher)
+    patterns = [
+        (t.cluster == cluster) << 3 | (t.framework is framework) << 2
+        | (t.strategy is strategy) << 1 | (t.launcher is launcher)
+        for t in templates
+    ]
+    store = _store(tset)
+    if _ABOVE_GATE.isdisjoint(patterns):
+        ranked = []
+        similarities = _similarities(spec, store, embedder)
+        for t, pattern, sim in zip(templates, patterns, similarities):
+            c, f, s, la = _WEIGHTS[pattern]
+            breakdown = {"cluster": c, "framework": f, "strategy": s, "launcher": la,
+                         "similarity": sim}
+            score = (_META[pattern] + SIMILARITY_WEIGHT * sim) / (1.0 + SIMILARITY_WEIGHT)
+            ranked.append(RankedCandidate(t.id, score, MappingProxyType(breakdown),
+                                          pattern == _EXACT))
     else:
-        for t, meta, breakdown in rows:
-            breakdown["similarity"] = 0.0
-            ranked.append(RankedCandidate(t.id, meta, breakdown, t is exact_match))
+        ranked = [row[pattern] or store.fill(i, pattern)
+                  for i, (row, pattern) in enumerate(zip(store.rows, patterns))]
     # Stable over the id order, so equal scores stay ordered by id.
-    ranked.sort(key=lambda c: -c.score)
+    ranked.sort(key=attrgetter("score"), reverse=True)
     return ranked
 
 

@@ -11,10 +11,9 @@ Placeholder grammar: a single pair of braces around a lowercase identifier
 substitution untouched, so template bodies may freely mix both notations.
 
 ``TemplateSet`` is an immutable value: :func:`add_template` returns a new set
-and never mutates the input.  Because a set never changes, it keeps what
-retrieval reads on every ranking: its templates in id order, sorted once
-when the set is built, and each template's similarity text with its word
-set, built on the first ranking that needs them.
+and never mutates the input.  Because a set never changes, it keeps its
+templates in id order, sorted once when the set is built, for retrieval to
+read on every ranking.
 """
 
 from __future__ import annotations
@@ -153,16 +152,6 @@ class TemplateSet:
 
     def in_id_order(self) -> tuple[Template, ...]:
         return self._in_id_order
-
-    @functools.cached_property
-    def similarity_texts(self) -> tuple[tuple[str, frozenset[str]], ...]:
-        """Per template in id order: ``"{notes} {body}"`` and its lowercase word set.
-
-        Built on first use and kept; retrieval reads it only when no
-        template reaches the similarity gate on metadata alone.
-        """
-        texts = (f"{t.notes} {t.body}" for t in self._in_id_order)
-        return tuple((text, frozenset(text.lower().split())) for text in texts)
 
 
 def add_template(tset: TemplateSet, t: Template) -> TemplateSet:

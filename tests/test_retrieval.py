@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -278,3 +280,57 @@ class TestOnePassRanking:
         # The set it was built from ranks exactly as before, without the new template.
         assert _flat(candidates(spec, templates)) == _flat(before)
         assert "000-first" not in {c.template_id for c in before}
+
+
+# Sets shared by every example, so the per-set store is warm and partly
+# filled: the bundled set, and two extensions whose new template sorts first
+# and in the middle of the id order, so the templates after it shift.
+_SHARED_SETS = (
+    _BUNDLED,
+    add_template(_BUNDLED, _mini_template("000-first", "delta", Framework.ACCELERATE,
+                                          Strategy.ZERO3, Launcher.ACCELERATE)),
+    add_template(_BUNDLED, _mini_template("delta-mid", "nowhere", Framework.PYTORCH,
+                                          Strategy.FSDP, Launcher.SRUN, notes="srun fsdp")),
+)
+
+_KEYS = st.tuples(
+    st.sampled_from(range(len(_SHARED_SETS))),
+    st.sampled_from(default_profiles().ids() + ["nowhere"]),
+    st.sampled_from(list(Framework)),
+    st.sampled_from(list(Strategy)),
+    st.sampled_from(list(Launcher)),
+)
+
+
+class TestCandidateStore:
+    @given(keys=st.lists(_KEYS, min_size=1, max_size=12))
+    def test_shared_sets_rank_as_the_reference(self, keys):
+        for which, cluster, framework, strategy, launcher in keys:
+            spec = JobSpec(cluster=cluster, framework=framework, strategy=strategy,
+                           launcher=launcher, nodes=2, gpus_per_node=4,
+                           entry_script="train_gpt2.py")
+            tset = _SHARED_SETS[which]
+            expected = _rank_reference(spec, tset)
+            assert _flat(candidates(spec, tset)) == _flat(expected)
+            assert [c.score.hex() for c in candidates(spec, tset)] == [
+                c.score.hex() for c in expected]
+
+    @pytest.mark.parametrize("cluster", ["perlmutter", "aurora"], ids=["above", "below"])
+    def test_breakdown_is_read_only(self, profiles, templates, cluster):
+        profile = profiles.resolve(cluster)
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        top = candidates(spec, templates)[0]
+        with pytest.raises(TypeError):
+            top.breakdown["cluster"] = 1.0
+        assert top.breakdown["cluster"] == retrieval.WEIGHT_CLUSTER
+
+    def test_store_lives_as_long_as_its_set(self, profiles):
+        tset = TemplateSet([_mini_template("solo", "delta", Framework.PYTORCH, Strategy.DDP,
+                                           Launcher.TORCHRUN)])
+        assert tset not in retrieval._STORES
+        candidates(make_spec(profiles.resolve("delta"), Framework.PYTORCH, Strategy.DDP), tset)
+        assert tset in retrieval._STORES
+        stores = len(retrieval._STORES)
+        del tset
+        gc.collect()
+        assert len(retrieval._STORES) == stores - 1
