@@ -26,8 +26,12 @@ that keeps each (template, pattern) candidate the first time a ranking
 needs it: at most 16 per template, shared by every later ranking.  A
 candidate's ``breakdown`` is therefore read-only, one mapping per pattern;
 below the gate each candidate gets its own, read-only too.  The store also
-keeps the template side of the similarity fallback (each template's text
-and its word set), built on the first ranking below the gate.
+keeps the template side of similarity, built on the first ranking below
+the gate that needs it: each template's text and its word set, and the
+template vectors of the last embedder that returned one vector per text.
+A later ranking with that embedder embeds only the job's description; a
+call that raised a bridge error or gave the wrong number of vectors is not
+kept, and the next ranking embeds the template texts again.
 """
 
 from __future__ import annotations
@@ -129,6 +133,8 @@ class _SetStore:
         self.templates = templates
         # Per template in id order, its candidate above the gate per pattern.
         self.rows: list[list[RankedCandidate | None]] = [[None] * 16 for _ in templates]
+        # The last embedder that gave one vector per template, and those vectors.
+        self.vectors: tuple[Embedder, list[list[float]]] | None = None
 
     @functools.cached_property
     def texts(self) -> tuple[tuple[str, frozenset[str]], ...]:
@@ -157,18 +163,35 @@ def _store(tset: TemplateSet) -> _SetStore:
     return store
 
 
+def _vectors(
+    store: _SetStore, embedder: Embedder | None, description: str
+) -> list[list[float]] | None:
+    """The description's vector, then each template's in id order; ``None``
+    when there is no embedder to use.  Template vectors are kept for the
+    embedder that gave them, so later rankings embed the description only."""
+    if embedder is None:
+        return None
+    kept = store.vectors
+    if kept is not None and kept[0] is embedder:
+        query = _embed(embedder, [description])
+        return None if query is None else query + kept[1]
+    vectors = _embed(embedder, [description] + [text for text, _ in store.texts])
+    if vectors is not None:
+        store.vectors = (embedder, vectors[1:])
+    return vectors
+
+
 def _similarities(
     spec: JobSpec, store: _SetStore, embedder: Embedder | None
 ) -> list[float]:
     """Similarity of the job's description to each template, in id order."""
     description = spec.description()
-    texts = store.texts
-    vectors = _embed(embedder, [description] + [text for text, _ in texts])
+    vectors = _vectors(store, embedder, description)
     if vectors is not None:
         query = vectors[0]
         return [_cosine(query, vec) for vec in vectors[1:]]
     words = frozenset(description.lower().split())
-    return [_jaccard(words, template_words) for _, template_words in texts]
+    return [_jaccard(words, template_words) for _, template_words in store.texts]
 
 
 def candidates(

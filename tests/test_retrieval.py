@@ -158,6 +158,47 @@ class TestEmbedderFallback:
         assert candidates(spec, templates, embedder=embedder) == offline
 
 
+class _CountingEmbedder(FakeEmbedder):
+    """FakeEmbedder that records how many texts each call sent; the first
+    ``failures`` calls fail the way ``fail`` does."""
+
+    def __init__(self, failures=0, fail=None):
+        self.sent = []
+        self.failures = failures
+        self.fail = fail
+
+    def embed(self, texts):
+        self.sent.append(len(texts))
+        if len(self.sent) <= self.failures:
+            return self.fail.embed(texts)
+        return super().embed(texts)
+
+
+class TestTemplateVectors:
+    def test_template_texts_embedded_once_per_set(self, profiles, templates):
+        profile = profiles.resolve("aurora")
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        tset = TemplateSet(list(templates))
+        embedder = _CountingEmbedder()
+        ranked = [candidates(spec, tset, embedder) for _ in range(3)]
+        assert embedder.sent == [len(tset) + 1, 1, 1]
+        assert sum(embedder.sent) == 35 + 3
+        expected = _flat(_rank_reference(spec, tset, FakeEmbedder()))
+        assert all(_flat(r) == expected for r in ranked)
+
+    @pytest.mark.parametrize("fail", [_DownEmbedder(), _ShortEmbedder()],
+                             ids=["raises", "short"])
+    def test_failed_embedding_is_not_kept(self, profiles, templates, fail):
+        profile = profiles.resolve("aurora")
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        tset = TemplateSet(list(templates))
+        embedder = _CountingEmbedder(failures=1, fail=fail)
+        assert candidates(spec, tset, embedder) == candidates(spec, tset)
+        candidates(spec, tset, embedder)
+        candidates(spec, tset, embedder)
+        assert embedder.sent == [len(tset) + 1, len(tset) + 1, 1]
+
+
 class TestProperties:
     def test_determinism_over_repetitions(self, profiles, templates):
         profile = profiles.resolve("deltaai")
