@@ -61,7 +61,7 @@ class IncompleteSpecError(LaunchportError):
 
 
 class InconsistentTopologyError(LaunchportError):
-    """Counts in the job description contradict each other."""
+    """Counts in the job description contradict each other or exceed the node limit."""
 
 
 class CapacityError(LaunchportError):

@@ -76,6 +76,11 @@ from .types import (
 
 REQUIRED_FIELDS = ("cluster", "framework", "strategy", "nodes", "gpus_per_node", "entry_script")
 
+# The most nodes one job may span: above every real cluster (Aurora has
+# 10,624 nodes).  The mock cluster builds one rank per GPU, so a count
+# without a limit could ask it for an unbounded amount of memory.
+MAX_NODES = 16_384
+
 # Launcher-implication table: naming the launcher is enough to fix the
 # framework, and a framework without a named strategy means plain DDP.
 # mpiexec and srun drive the training program directly, which is the plain
@@ -586,9 +591,9 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
     """Validate and complete a partial spec against a cluster profile.
 
     Raises :class:`IncompleteSpecError` when required fields are missing,
-    :class:`InconsistentTopologyError` when counts contradict each other,
-    and :class:`CapacityError` when the per-node GPU count exceeds the
-    profile.
+    :class:`InconsistentTopologyError` when counts contradict each other or
+    the job spans more than :data:`MAX_NODES` nodes, and
+    :class:`CapacityError` when the per-node GPU count exceeds the profile.
     """
     missing = missing_fields(p)
     if missing:
@@ -609,6 +614,10 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
         d.gpus_per_node = per_node
 
     assert d.nodes is not None and d.gpus_per_node is not None
+    if d.nodes > MAX_NODES:
+        raise InconsistentTopologyError(
+            f"a job may span at most {MAX_NODES} nodes; this one asks for more"
+        )
     if d.gpus_per_node > profile.gpus_per_node:
         raise CapacityError(
             f"{d.gpus_per_node} GPUs per node requested but {profile.id} "

@@ -147,6 +147,25 @@ class TestInputErrors:
         assert out == ""
         assert err == "error: incomplete job description; missing: nodes\n"
 
+    @pytest.mark.parametrize("case", ["prose", "flag", "answer", "port"])
+    def test_node_count_above_the_limit_is_one_error_line(self, capsys, tmp_path, case):
+        # 4,300 digits still convert with int(); finalize rejects the count
+        # before the mock cluster would build one rank per GPU.
+        many = "9" * 4300
+        script = tmp_path / "job.sh"
+        script.write_text(f"torchrun --nnodes {many} --nproc_per_node 4 train.py\n", "utf-8")
+        job = "train with PyTorch DDP on Delta, {} 4 GPUs per node, run train.py"
+        argv = {
+            "prose": ["generate", job.format(f"{many} nodes with")],
+            "flag": ["generate", job.format(f"--nodes {many},")],
+            "answer": ["generate", job.format(""), "--answers", f"nodes={many}"],
+            "port": ["port", str(script), "--to", "delta"],
+        }[case]
+        code, out, err = run_cli(capsys, *argv, "--non-interactive")
+        assert code == 1
+        assert out == ""
+        assert err == "error: a job may span at most 16384 nodes; this one asks for more\n"
+
     @pytest.mark.parametrize("case", ["bridge-config", "clusters-add", "nodes-abc"])
     def test_malformed_input_is_one_error_line(self, capsys, tmp_path, case):
         bad = tmp_path / "bad.json"

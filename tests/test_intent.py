@@ -492,6 +492,16 @@ class TestFinalize:
         with pytest.raises(InconsistentTopologyError):
             finalize(p, profiles.resolve("perlmutter"))
 
+    def test_node_limit(self, profiles):
+        p = PartialJobSpec(
+            cluster="delta", nodes=intent.MAX_NODES, gpus_per_node=4,
+            framework=Framework.PYTORCH, strategy=Strategy.DDP, entry_script="t.py",
+        )
+        assert finalize(p, profiles.resolve("delta")).nodes == intent.MAX_NODES
+        p.nodes += 1
+        with pytest.raises(InconsistentTopologyError, match="at most 16384 nodes"):
+            finalize(p, profiles.resolve("delta"))
+
     def test_capacity_error_names_limit(self, profiles):
         p = PartialJobSpec(
             cluster="lonestar6", nodes=2, gpus_per_node=4,
