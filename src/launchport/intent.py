@@ -302,7 +302,7 @@ _SCANNER = (
     r"|(?:total|num)[-_]gpus[=\s]+(?P<f_total_gpus>\d+)"
     r"|(?:master[-_]|main[-_]process[-_])?port[=\s]+(?P<f_master_port>\d+)"
     r"|entry(?:[-_]script)?[=\s]+(?P<f_entry>[\w./-]+\.(?:py|sh))"
-    r"|deepspeed[-_]config[=\s]+(?P<f_config>\S+))"
+    r"|deepspeed[-_]config[=\s]+(?P<f_config>\S*[^\s,;]))"
     r"|\b(?:"
     # A count and the phrase after it: digits only with a phrase, a number
     # word also without one ("per node GPUs: eight"); "one" before a node

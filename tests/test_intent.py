@@ -204,7 +204,7 @@ _REF_ENTRY = [
 ]
 _REF_ANY_PY = re.compile(r"(?<![\w/.-])([\w./-]+\.py)\b")
 _REF_DS_CONFIG = [
-    re.compile(r"--deepspeed[-_]config[=\s]+(\S+)", re.I),
+    re.compile(r"--deepspeed[-_]config[=\s]+(\S*[^\s,;])", re.I),
     re.compile(r"\b(?:deepspeed\s+)?config(?:uration)?(?:\s+file)?\s*(?:is|at|:|=)?\s*"
                r"([\w./-]+\.json)", re.I),
     re.compile(r"(?<![\w/.-])([\w./-]+\.json)\b"),
@@ -390,6 +390,7 @@ class TestReferenceEquivalence:
     @example("--port 00000 port 29500")
     @example("launch programs.py")
     @example("per node gpus8, total of twenty-one gpus")
+    @example("deepspeed --deepspeed_config ;, x.json")
     def test_lexicon_soups(self, text):
         if text:
             assert extract(text) == _extract_reference(text)
@@ -434,6 +435,20 @@ class TestEntryFlag:
         assert p.entry_script == "scripts/finetune.py"
         p = extract("my training file is a.py, --entry-script=b.py")
         assert p.entry_script == "b.py"
+
+
+class TestDeepSpeedConfigFlag:
+    @pytest.mark.parametrize("text, config", [
+        ("use DeepSpeed, --deepspeed_config ds.json, on Delta", "ds.json"),
+        ("DeepSpeed --deepspeed_config=ds.json; on Delta", "ds.json"),
+        ("DeepSpeed --deepspeed_config ds.json,, on Delta", "ds.json"),
+        ("DeepSpeed --deepspeed_config a,b.json on Delta", "a,b.json"),
+        ("DeepSpeed --deepspeed_config , config is c.json", "c.json"),
+        ("use DeepSpeed, DeepSpeed config ds.json, on Delta", "ds.json"),
+    ])
+    def test_trailing_comma_or_semicolon_is_not_part_of_the_value(self, text, config):
+        assert extract(text).deepspeed_config == config
+        assert _extract_reference(text).deepspeed_config == config
 
 
 class TestPhrasingCorpus:
