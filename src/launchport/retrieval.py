@@ -31,7 +31,8 @@ the gate that needs it: each template's text and its word set, and the
 template vectors of the last embedder that returned one vector per text.
 A later ranking with that embedder embeds only the job's description; a
 call that raised a bridge error or gave the wrong number of vectors is not
-kept, and the next ranking embeds the template texts again.
+kept, and the next ranking embeds the template texts again; so does one
+whose description vector is not as long as the kept ones.
 """
 
 from __future__ import annotations
@@ -174,7 +175,11 @@ def _vectors(
     kept = store.vectors
     if kept is not None and kept[0] is embedder:
         query = _embed(embedder, [description])
-        return None if query is None else query + kept[1]
+        if query is None:
+            return None
+        if len(query[0]) == len(kept[1][0]):
+            return query + kept[1]
+        # The embedder's vectors changed length: the kept ones are stale.
     vectors = _embed(embedder, [description] + [text for text, _ in store.texts])
     if vectors is not None:
         store.vectors = (embedder, vectors[1:])

@@ -198,6 +198,27 @@ class TestTemplateVectors:
         candidates(spec, tset, embedder)
         assert embedder.sent == [len(tset) + 1, len(tset) + 1, 1]
 
+    def test_vectors_of_another_length_are_embedded_again(self, profiles, templates):
+        class Shrinking(_CountingEmbedder):
+            """Drops the last component of every vector after its first call."""
+
+            def embed(self, texts):
+                vectors = super().embed(texts)
+                return vectors if len(self.sent) == 1 else [v[:2] for v in vectors]
+
+        class TwoComponents(FakeEmbedder):
+            def embed(self, texts):
+                return [v[:2] for v in super().embed(texts)]
+
+        profile = profiles.resolve("aurora")
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        tset = TemplateSet(list(templates))
+        embedder = Shrinking()
+        candidates(spec, tset, embedder)
+        ranked = candidates(spec, tset, embedder)
+        assert embedder.sent == [len(tset) + 1, 1, len(tset) + 1]
+        assert _flat(ranked) == _flat(_rank_reference(spec, tset, TwoComponents()))
+
 
 class TestProperties:
     def test_determinism_over_repetitions(self, profiles, templates):
