@@ -1,12 +1,12 @@
-"""Golden corpora: what the extractor and the pipeline give for fixed inputs.
+"""Golden corpora: what the extractor, the pipeline and the CLI give for fixed inputs.
 
     python tests/golden/regen.py
 
-rewrites both corpora beside this file from the current code and prints a
+rewrites every corpus beside this file from the current code and prints a
 unified diff against the files it replaces.  ``tests/test_golden.py``
 rebuilds each corpus and compares it byte for byte, so any change to what
-``extract`` reads or to what ``run_pipeline`` does shows up as a hunk here,
-to be explained with the change.
+``extract`` reads, to what ``run_pipeline`` does or to what the user sees
+shows up as a hunk here, to be explained with the change.
 
 ``extract.json`` holds every text of the bundled ``phrasings.json`` and a
 fixed, seeded set of long job descriptions written from the same phrasing
@@ -22,14 +22,23 @@ per scenario of the acceptance suite's fault corpus, run through
 skip reason, or the status, the iterations, each history entry (fault
 fired, fingerprint id, category, action kind and payload) and the final
 script, one line per list item.
+
+``reports.json`` holds, for the same cases, each attempt's final stdout and
+stderr and the ``render_report`` text, each as a list of lines with their
+line ends.  ``cli.json`` holds the exit code, stdout and stderr of the
+``generate`` and ``port`` runs of acceptance criteria 1 and 6; the path of
+the ported script is written as ``perl.sh``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import difflib
+import io
 import json
 import random
 import sys
+import tempfile
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -37,6 +46,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "extract.json"
 PIPELINE = HERE / "pipeline.json"
+REPORTS = HERE / "reports.json"
+CLI = HERE / "cli.json"
 SENTENCES = 320
 SEED = "golden-extract:1"
 
@@ -226,6 +237,66 @@ def build_pipeline() -> str:
     return _dump(entries) + "\n"
 
 
+def build_reports() -> str:
+    """Each case's final stdout and stderr per attempt and its report text."""
+    from launchport.pipeline import render_report, run_pipeline
+    from launchport.simcluster import default_fault_rules
+    from launchport.templates import default_templates
+
+    templates, rules = default_templates(), default_fault_rules()
+    entries = []
+    for name, spec, profile in _pipeline_cases():
+        result = run_pipeline(spec, profile, templates, rules)
+        attempts = []
+        for attempt in result.attempts:
+            record = {"template": attempt.candidate.template_id}
+            if attempt.outcome is not None:
+                final = attempt.outcome.final_result
+                record["stdout"] = final.stdout.splitlines(keepends=True)
+                record["stderr"] = final.stderr.splitlines(keepends=True)
+            attempts.append(record)
+        entries.append({
+            "case": name,
+            "attempts": attempts,
+            "report": render_report(result).splitlines(keepends=True),
+        })
+    return _dump(entries) + "\n"
+
+
+def _cli_runs(source: Path) -> list[list[str]]:
+    """The argv of the criterion 1 and criterion 6 runs."""
+    from conftest import TABLE_DESCRIPTION
+
+    return [
+        ["generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"), "--non-interactive"],
+        ["generate", TABLE_DESCRIPTION.format(cluster="Polaris"), "--non-interactive"],
+        ["port", str(source), "--to", "polaris", "--non-interactive"],
+        ["port", str(source), "--to", "lonestar6", "--non-interactive"],
+    ]
+
+
+def build_cli() -> str:
+    """Exit code, stdout and stderr of each criterion 1 and 6 CLI run."""
+    from conftest import PERLMUTTER_COMMAND
+    from launchport.cli import main
+
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "perl.sh"
+        source.write_text(PERLMUTTER_COMMAND, "utf-8")
+        for argv in _cli_runs(source):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            entries.append({
+                "argv": [arg.replace(str(source), "perl.sh") for arg in argv],
+                "exit": code,
+                "stdout": out.getvalue().replace(str(source), "perl.sh").splitlines(True),
+                "stderr": err.getvalue().replace(str(source), "perl.sh").splitlines(True),
+            })
+    return _dump(entries) + "\n"
+
+
 def _rewrite(path: Path, new: str) -> None:
     old = path.read_text("utf-8") if path.exists() else ""
     path.write_text(new, "utf-8")
@@ -237,6 +308,8 @@ def _rewrite(path: Path, new: str) -> None:
 def main() -> int:
     _rewrite(CORPUS, build())
     _rewrite(PIPELINE, build_pipeline())
+    _rewrite(REPORTS, build_reports())
+    _rewrite(CLI, build_cli())
     return 0
 
 
