@@ -32,14 +32,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .documents import bundled, load_json
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
 from .intent import PartialJobSpec
-from .types import CATEGORIES, Framework, Launcher, Strategy
+from .types import CATEGORIES, Framework, FrozenRecord, Launcher, Strategy, set_frozen
 
 CAPABILITIES = ("extract", "embed", "repair")
 
@@ -48,26 +47,33 @@ CAPABILITIES = ("extract", "embed", "repair")
 Transport = Callable[[str, bytes, dict[str, str], float], bytes]
 
 
-@dataclass(frozen=True)
-class BridgeConfig:
+class BridgeConfig(FrozenRecord):
     """Connection settings and enabled capabilities."""
 
-    endpoint: str | None = None
-    api_key_env: str | None = None
-    timeout_ms: int = 2000
-    retries: int = 1
-    capabilities: frozenset[str] = frozenset()
+    __slots__ = ("endpoint", "api_key_env", "timeout_ms", "retries", "capabilities")
 
-    def __post_init__(self) -> None:
-        unknown = set(self.capabilities) - set(CAPABILITIES)
+    def __init__(
+        self,
+        endpoint: str | None = None,
+        api_key_env: str | None = None,
+        timeout_ms: int = 2000,
+        retries: int = 1,
+        capabilities: frozenset[str] = frozenset(),
+    ) -> None:
+        unknown = set(capabilities) - set(CAPABILITIES)
         if unknown:
             raise BridgeProtocolError(f"unknown capabilities: {sorted(unknown)}")
-        if self.capabilities and not self.endpoint:
+        if capabilities and not endpoint:
             raise BridgeProtocolError("enabled capabilities require an endpoint")
-        if self.timeout_ms < 1:
+        if timeout_ms < 1:
             raise BridgeProtocolError("timeout_ms must be positive")
-        if self.retries < 0:
+        if retries < 0:
             raise BridgeProtocolError("retries must be >= 0")
+        set_frozen(self, "endpoint", endpoint)
+        set_frozen(self, "api_key_env", api_key_env)
+        set_frozen(self, "timeout_ms", timeout_ms)
+        set_frozen(self, "retries", retries)
+        set_frozen(self, "capabilities", capabilities)
 
 
 def load_bridge_config(source: Path | str) -> BridgeConfig:

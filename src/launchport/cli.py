@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -51,7 +50,7 @@ from .intent import (
 from .pipeline import render_report, run_pipeline
 from .simcluster import FaultRuleSet, default_fault_rules, load_fault_rules
 from .templates import TemplateSet, default_templates, load_repository
-from .types import Framework, Strategy
+from .types import Framework, Record, Strategy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,18 +80,31 @@ _PROMPTS = {
 }
 
 
-@dataclass
-class CliSession:
+class CliSession(Record):
     """Resolved configuration for one invocation."""
 
-    interactive: bool
-    report: bool
-    profiles: ProfileSet
-    templates: TemplateSet
-    rules: FaultRuleSet
-    bridge: RemoteBridge | None
-    answers: dict[str, object]
-    k: int
+    __slots__ = ("interactive", "report", "profiles", "templates", "rules", "bridge", "answers",
+                 "k")
+
+    def __init__(
+        self,
+        interactive: bool,
+        report: bool,
+        profiles: ProfileSet,
+        templates: TemplateSet,
+        rules: FaultRuleSet,
+        bridge: RemoteBridge | None,
+        answers: dict[str, object],
+        k: int,
+    ) -> None:
+        self.interactive = interactive
+        self.report = report
+        self.profiles = profiles
+        self.templates = templates
+        self.rules = rules
+        self.bridge = bridge
+        self.answers = answers
+        self.k = k
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,13 +15,12 @@ once per process and shared.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .documents import bundled, load_json
 from .errors import ProfileParseError, RegistryConflictError, UnknownClusterError
-from .types import Launcher, ModuleSystem, PythonEnv, Scheduler
+from .types import FrozenRecord, Launcher, ModuleSystem, PythonEnv, Scheduler, set_frozen
 
 _REQUIRED_FIELDS = (
     "id",
@@ -36,32 +35,47 @@ _REQUIRED_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ClusterProfile:
+class ClusterProfile(FrozenRecord):
     """Immutable description of one cluster."""
 
-    id: str
-    aliases: tuple[str, ...]
-    scheduler: Scheduler
-    default_launcher: Launcher
-    gpus_per_node: int
-    gpu_type: str
-    env_propagation: bool
-    module_system: ModuleSystem
-    python_env: PythonEnv
-    max_walltime_minutes: int
-    known_faults: tuple[str, ...] = ()
+    __slots__ = ("id", "aliases", "scheduler", "default_launcher", "gpus_per_node", "gpu_type",
+                 "env_propagation", "module_system", "python_env", "max_walltime_minutes",
+                 "known_faults")
 
-    def __post_init__(self) -> None:
-        if self.gpus_per_node < 1:
+    def __init__(
+        self,
+        id: str,
+        aliases: tuple[str, ...],
+        scheduler: Scheduler,
+        default_launcher: Launcher,
+        gpus_per_node: int,
+        gpu_type: str,
+        env_propagation: bool,
+        module_system: ModuleSystem,
+        python_env: PythonEnv,
+        max_walltime_minutes: int,
+        known_faults: tuple[str, ...] = (),
+    ) -> None:
+        if gpus_per_node < 1:
             raise ProfileParseError(
-                f"gpus_per_node must be >= 1, got {self.gpus_per_node}", field="gpus_per_node"
+                f"gpus_per_node must be >= 1, got {gpus_per_node}", field="gpus_per_node"
             )
-        if self.max_walltime_minutes < 1:
+        if max_walltime_minutes < 1:
             raise ProfileParseError(
-                f"max_walltime_minutes must be >= 1, got {self.max_walltime_minutes}",
+                f"max_walltime_minutes must be >= 1, got {max_walltime_minutes}",
                 field="max_walltime_minutes",
             )
+        set_frozen(self, "id", id)
+        set_frozen(self, "aliases", aliases)
+        set_frozen(self, "scheduler", scheduler)
+        set_frozen(self, "default_launcher", default_launcher)
+        set_frozen(self, "gpus_per_node", gpus_per_node)
+        set_frozen(self, "gpu_type", gpu_type)
+        set_frozen(self, "env_propagation", env_propagation)
+        set_frozen(self, "module_system", module_system)
+        set_frozen(self, "python_env", python_env)
+        set_frozen(self, "max_walltime_minutes", max_walltime_minutes)
+        set_frozen(self, "known_faults", known_faults)
 
 
 class ProfileSet:

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
 from typing import Protocol
 
 from .clusters import ClusterProfile, default_profiles
@@ -68,10 +67,13 @@ from .errors import (
 from .types import (
     DEFAULT_MASTER_PORT,
     Framework,
+    FrozenRecord,
     Launcher,
     PORT_MAX,
     PORT_MIN,
+    Record,
     Strategy,
+    set_frozen,
 )
 
 REQUIRED_FIELDS = ("cluster", "framework", "strategy", "nodes", "gpus_per_node", "entry_script")
@@ -128,51 +130,65 @@ def _number_words() -> dict[str, int]:
 NUMBER_WORDS = _number_words()
 
 
-@dataclass
-class PartialJobSpec:
+class PartialJobSpec(Record):
     """Best-effort job description; every field may be absent.
 
     Present fields are validated on construction: counts must be positive
-    and ports must fall in [1024, 65535].
+    and ports must fall in [1024, 65535].  Fields may be assigned afterwards,
+    unchecked.
     """
 
-    cluster: str | None = None
-    framework: Framework | None = None
-    strategy: Strategy | None = None
-    launcher: Launcher | None = None
-    nodes: int | None = None
-    gpus_per_node: int | None = None
-    total_gpus: int | None = None
-    master_port: int | None = None
-    entry_script: str | None = None
-    train_args: str = ""
-    deepspeed_config: str | None = None
+    __slots__ = ("cluster", "framework", "strategy", "launcher", "nodes", "gpus_per_node",
+                 "total_gpus", "master_port", "entry_script", "train_args", "deepspeed_config")
 
-    def __post_init__(self) -> None:
-        for name in ("nodes", "gpus_per_node", "total_gpus"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        cluster: str | None = None,
+        framework: Framework | None = None,
+        strategy: Strategy | None = None,
+        launcher: Launcher | None = None,
+        nodes: int | None = None,
+        gpus_per_node: int | None = None,
+        total_gpus: int | None = None,
+        master_port: int | None = None,
+        entry_script: str | None = None,
+        train_args: str = "",
+        deepspeed_config: str | None = None,
+    ) -> None:
+        for name, value in (("nodes", nodes), ("gpus_per_node", gpus_per_node),
+                            ("total_gpus", total_gpus)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.master_port is not None and not (PORT_MIN <= self.master_port <= PORT_MAX):
+        if master_port is not None and not (PORT_MIN <= master_port <= PORT_MAX):
             raise ValueError(
-                f"master_port must be in [{PORT_MIN}, {PORT_MAX}], got {self.master_port}"
+                f"master_port must be in [{PORT_MIN}, {PORT_MAX}], got {master_port}"
             )
+        self.cluster = cluster
+        self.framework = framework
+        self.strategy = strategy
+        self.launcher = launcher
+        self.nodes = nodes
+        self.gpus_per_node = gpus_per_node
+        self.total_gpus = total_gpus
+        self.master_port = master_port
+        self.entry_script = entry_script
+        self.train_args = train_args
+        self.deepspeed_config = deepspeed_config
 
     def merged_with(self, other: "PartialJobSpec") -> "PartialJobSpec":
         """Overlay ``other`` on top of this spec; present fields in ``other`` win."""
         updates = {}
-        for name in self.__dataclass_fields__:
+        for name in self._fields:
             value = getattr(other, name)
             if name == "train_args":
                 if value:
                     updates[name] = value
             elif value is not None:
                 updates[name] = value
-        return replace(self, **updates)
+        return self.replace(**updates)
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(FrozenRecord):
     """Validated, canonical description of a distributed training job.
 
     ``world_size`` is always recomputed from nodes and gpus_per_node; it is
@@ -182,17 +198,35 @@ class JobSpec:
     ports override a template's own declared port.
     """
 
-    cluster: str
-    framework: Framework
-    strategy: Strategy
-    launcher: Launcher
-    nodes: int
-    gpus_per_node: int
-    entry_script: str
-    train_args: str = ""
-    master_port: int = DEFAULT_MASTER_PORT
-    master_port_explicit: bool = False
-    deepspeed_config: str | None = None
+    __slots__ = ("cluster", "framework", "strategy", "launcher", "nodes", "gpus_per_node",
+                 "entry_script", "train_args", "master_port", "master_port_explicit",
+                 "deepspeed_config")
+
+    def __init__(
+        self,
+        cluster: str,
+        framework: Framework,
+        strategy: Strategy,
+        launcher: Launcher,
+        nodes: int,
+        gpus_per_node: int,
+        entry_script: str,
+        train_args: str = "",
+        master_port: int = DEFAULT_MASTER_PORT,
+        master_port_explicit: bool = False,
+        deepspeed_config: str | None = None,
+    ) -> None:
+        set_frozen(self, "cluster", cluster)
+        set_frozen(self, "framework", framework)
+        set_frozen(self, "strategy", strategy)
+        set_frozen(self, "launcher", launcher)
+        set_frozen(self, "nodes", nodes)
+        set_frozen(self, "gpus_per_node", gpus_per_node)
+        set_frozen(self, "entry_script", entry_script)
+        set_frozen(self, "train_args", train_args)
+        set_frozen(self, "master_port", master_port)
+        set_frozen(self, "master_port_explicit", master_port_explicit)
+        set_frozen(self, "deepspeed_config", deepspeed_config)
 
     @property
     def world_size(self) -> int:
@@ -553,7 +587,7 @@ def derive(p: PartialJobSpec) -> PartialJobSpec:
     nodes / gpus_per_node / total_gpus triangle wherever two corners are
     known.  Contradictory counts are left for :func:`finalize` to reject.
     """
-    d = replace(p)
+    d = p.replace()
     if d.framework is None and d.launcher is not None:
         d.framework = LAUNCHER_IMPLIES_FRAMEWORK.get(d.launcher)
     if d.framework is None and d.strategy is not None:

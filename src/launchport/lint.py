@@ -27,14 +27,13 @@ ENV_PROPAGATION_RISK       warning   multi-node job on a cluster that does not
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .clusters import ClusterProfile
 from .errors import LaunchportError
 from .intent import JobSpec
 from .synthesis import RenderedScript
 from .templates import PLACEHOLDER_RE
-from .types import Launcher, PORT_MAX, PORT_MIN, Scheduler
+from .types import FrozenRecord, Launcher, PORT_MAX, PORT_MIN, Scheduler, set_frozen
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -60,16 +59,18 @@ CATALOG = {
 }
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: str
-    code: str
-    message: str
-    span: tuple[int, int] | None = None
+class Finding(FrozenRecord):
+    __slots__ = ("severity", "code", "message", "span")
 
-    def __post_init__(self) -> None:
-        if self.code not in CATALOG:
-            raise LaunchportError(f"unknown finding code '{self.code}'")
+    def __init__(
+        self, severity: str, code: str, message: str, span: tuple[int, int] | None = None,
+    ) -> None:
+        if code not in CATALOG:
+            raise LaunchportError(f"unknown finding code '{code}'")
+        set_frozen(self, "severity", severity)
+        set_frozen(self, "code", code)
+        set_frozen(self, "message", message)
+        set_frozen(self, "span", span)
 
 
 def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Finding]:

@@ -11,8 +11,6 @@ tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import retrieval
 from .clusters import ClusterProfile
 from .errors import ContractViolationError, UnboundParameterError
@@ -21,30 +19,41 @@ from .repair import FingerprintSet, LoopOutcome, RepairBridge, RepairTable, run_
 from .retrieval import Embedder, RankedCandidate
 from .simcluster import FaultRuleSet
 from .templates import TemplateSet
+from .types import FrozenRecord, set_frozen
 
 DEFAULT_CANDIDATES_TRIED = 3
 
 
-@dataclass(frozen=True)
-class Attempt:
+class Attempt(FrozenRecord):
     """One candidate template carried through the pipeline."""
 
-    candidate: RankedCandidate
-    outcome: LoopOutcome | None = None
-    skip_reason: str | None = None
+    __slots__ = ("candidate", "outcome", "skip_reason")
+
+    def __init__(
+        self, candidate: RankedCandidate, outcome: LoopOutcome | None = None,
+        skip_reason: str | None = None,
+    ) -> None:
+        set_frozen(self, "candidate", candidate)
+        set_frozen(self, "outcome", outcome)
+        set_frozen(self, "skip_reason", skip_reason)
 
     @property
     def succeeded(self) -> bool:
         return self.outcome is not None and self.outcome.succeeded
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(FrozenRecord):
     """Everything that happened while generating one script."""
 
-    spec: JobSpec
-    candidates: tuple[RankedCandidate, ...]
-    attempts: tuple[Attempt, ...]
+    __slots__ = ("spec", "candidates", "attempts")
+
+    def __init__(
+        self, spec: JobSpec, candidates: tuple[RankedCandidate, ...],
+        attempts: tuple[Attempt, ...],
+    ) -> None:
+        set_frozen(self, "spec", spec)
+        set_frozen(self, "candidates", candidates)
+        set_frozen(self, "attempts", attempts)
 
     @property
     def winner(self) -> Attempt | None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Protocol
 
@@ -56,6 +55,8 @@ from .types import (
     CATEGORY_USER,
     PORT_MAX,
     PORT_MIN,
+    FrozenRecord,
+    set_frozen,
 )
 
 # A failure that neither a fingerprint nor the remote bridge classified.
@@ -70,42 +71,62 @@ STATUS_UNRESOLVED = "unresolved"
 MAX_ITERATIONS = 5
 
 
-@dataclass(frozen=True)
-class RepairAction:
+class RepairAction(FrozenRecord):
     """One typed edit to a script or job spec."""
 
-    kind: str
-    payload: dict
-    rationale: str = ""
+    __slots__ = ("kind", "payload", "rationale")
+
+    def __init__(self, kind: str, payload: dict, rationale: str = "") -> None:
+        set_frozen(self, "kind", kind)
+        set_frozen(self, "payload", payload)
+        set_frozen(self, "rationale", rationale)
 
     def signature(self) -> tuple[str, str]:
         return (self.kind, json.dumps(self.payload, sort_keys=True))
 
 
-@dataclass(frozen=True)
-class Diagnosis:
+class Diagnosis(FrozenRecord):
     """Classified failure.
 
     ``remote_actions`` carries already-parsed proposals when the remote
     bridge supplied the diagnosis; it is empty for fingerprint matches.
     """
 
-    category: str
-    fingerprint_id: str | None
-    explanation: str
-    confidence: str
-    remote_actions: tuple[RepairAction, ...] = ()
+    __slots__ = ("category", "fingerprint_id", "explanation", "confidence", "remote_actions")
+
+    def __init__(
+        self,
+        category: str,
+        fingerprint_id: str | None,
+        explanation: str,
+        confidence: str,
+        remote_actions: tuple[RepairAction, ...] = (),
+    ) -> None:
+        set_frozen(self, "category", category)
+        set_frozen(self, "fingerprint_id", fingerprint_id)
+        set_frozen(self, "explanation", explanation)
+        set_frozen(self, "confidence", confidence)
+        set_frozen(self, "remote_actions", remote_actions)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(FrozenRecord):
     """One stderr pattern mapping a failure to its category."""
 
-    id: str
-    category: str
-    literal: str | None = None
-    regex: str | None = None
-    explanation: str = ""
+    __slots__ = ("id", "category", "literal", "regex", "explanation")
+
+    def __init__(
+        self,
+        id: str,
+        category: str,
+        literal: str | None = None,
+        regex: str | None = None,
+        explanation: str = "",
+    ) -> None:
+        set_frozen(self, "id", id)
+        set_frozen(self, "category", category)
+        set_frozen(self, "literal", literal)
+        set_frozen(self, "regex", regex)
+        set_frozen(self, "explanation", explanation)
 
     def matches(self, stderr: str) -> bool:
         if self.literal is not None:
@@ -416,17 +437,17 @@ def apply_action(
     if kind == "export_env":
         name = payload["name"]
         text = _inject_into_launch(script.text, f"export {name}=${name}")
-        return replace(script, text=text), spec, template
+        return script.replace(text=text), spec, template
     if kind == "add_module_load":
-        return replace(script, text=f"module load {payload['module']}\n{script.text}"), spec, template
+        return script.replace(text=f"module load {payload['module']}\n{script.text}"), spec, template
     if kind == "pin_version":
         line = f"module load {payload['package']}/{payload['version']}"
-        return replace(script, text=f"{line}\n{script.text}"), spec, template
+        return script.replace(text=f"{line}\n{script.text}"), spec, template
     if kind == "prepend_line":
-        return replace(script, text=f"{payload['line']}\n{script.text}"), spec, template
+        return script.replace(text=f"{payload['line']}\n{script.text}"), spec, template
     if kind == "add_arg":
         args = payload["args"]
-        new_spec = replace(spec, train_args=f"{spec.train_args} {args}".strip())
+        new_spec = spec.replace(train_args=f"{spec.train_args} {args}".strip())
         return render_for_spec(new_spec, template, profile), new_spec, template
     if kind == "set_param":
         return _apply_set_param(payload, script, spec, template, profile)
@@ -448,7 +469,7 @@ def _apply_set_param(
     param = payload["param"]
     value = payload["value"]
     if param == "deepspeed_config":
-        new_spec = replace(spec, deepspeed_config=str(value))
+        new_spec = spec.replace(deepspeed_config=str(value))
         return render_for_spec(new_spec, template, profile), new_spec, template
     if param == "master_port":
         # A port is an int or up to five decimal digits, in [PORT_MIN, PORT_MAX];
@@ -458,7 +479,7 @@ def _apply_set_param(
             raise NoRepairAvailableError(
                 f"master_port must be an integer in [{PORT_MIN}, {PORT_MAX}], got {value!r}"
             )
-        new_spec = replace(spec, master_port=port, master_port_explicit=True)
+        new_spec = spec.replace(master_port=port, master_port_explicit=True)
         return render_for_spec(new_spec, template, profile), new_spec, template
     values = dict(script.binding.values)
     provenance = dict(script.binding.provenance)
@@ -488,22 +509,38 @@ def _inject_into_launch(text: str, statement: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    diagnosis: Diagnosis
-    action: RepairAction | None
-    result: ExecutionResult
+class HistoryEntry(FrozenRecord):
+    __slots__ = ("diagnosis", "action", "result")
+
+    def __init__(
+        self, diagnosis: Diagnosis, action: RepairAction | None, result: ExecutionResult,
+    ) -> None:
+        set_frozen(self, "diagnosis", diagnosis)
+        set_frozen(self, "action", action)
+        set_frozen(self, "result", result)
 
 
-@dataclass(frozen=True)
-class LoopOutcome:
-    status: str
-    final_script: RenderedScript
-    iterations_used: int
-    history: tuple[HistoryEntry, ...]
-    final_spec: JobSpec
-    final_result: ExecutionResult
-    lint_findings: tuple[Finding, ...]
+class LoopOutcome(FrozenRecord):
+    __slots__ = ("status", "final_script", "iterations_used", "history", "final_spec",
+                 "final_result", "lint_findings")
+
+    def __init__(
+        self,
+        status: str,
+        final_script: RenderedScript,
+        iterations_used: int,
+        history: tuple[HistoryEntry, ...],
+        final_spec: JobSpec,
+        final_result: ExecutionResult,
+        lint_findings: tuple[Finding, ...],
+    ) -> None:
+        set_frozen(self, "status", status)
+        set_frozen(self, "final_script", final_script)
+        set_frozen(self, "iterations_used", iterations_used)
+        set_frozen(self, "history", history)
+        set_frozen(self, "final_spec", final_spec)
+        set_frozen(self, "final_result", final_result)
+        set_frozen(self, "lint_findings", lint_findings)
 
     @property
     def succeeded(self) -> bool:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Protocol, Sequence
@@ -48,6 +47,7 @@ from typing import Mapping, Protocol, Sequence
 from .errors import BridgeError, NoCandidatesError
 from .intent import JobSpec
 from .templates import Template, TemplateSet
+from .types import FrozenRecord, set_frozen
 
 WEIGHT_CLUSTER = 0.4
 WEIGHT_FRAMEWORK = 0.25
@@ -87,18 +87,22 @@ class Embedder(Protocol):
     def embed(self, texts: Sequence[str]) -> list[list[float]]: ...
 
 
-@dataclass(frozen=True)
-class RankedCandidate:
+class RankedCandidate(FrozenRecord):
     """One template with its score and per-criterion contributions.
 
     ``breakdown`` is read-only: above the gate it is shared by every
     candidate with the same match pattern.
     """
 
-    template_id: str
-    score: float
-    breakdown: Mapping[str, float]
-    exact: bool
+    __slots__ = ("template_id", "score", "breakdown", "exact")
+
+    def __init__(
+        self, template_id: str, score: float, breakdown: Mapping[str, float], exact: bool,
+    ) -> None:
+        set_frozen(self, "template_id", template_id)
+        set_frozen(self, "score", score)
+        set_frozen(self, "breakdown", breakdown)
+        set_frozen(self, "exact", exact)
 
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:

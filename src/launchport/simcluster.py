@@ -25,7 +25,6 @@ submissions may run concurrently without shared state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -35,7 +34,7 @@ from .errors import RuleParseError
 from .intent import JobSpec
 from .synthesis import RenderedScript
 from .templates import PLACEHOLDER_RE
-from .types import CATEGORIES
+from .types import CATEGORIES, FrozenRecord, set_frozen
 
 REPAIR_KINDS = (
     "set_param",
@@ -60,15 +59,20 @@ _STDERR_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class FaultRule:
+class FaultRule(FrozenRecord):
     """One simulated cluster-specific failure behavior."""
 
-    id: str
-    cluster: str | tuple[str, ...]
-    trigger: dict
-    stderr_template: str
-    clearable_by: tuple[str, ...] = ()
+    __slots__ = ("id", "cluster", "trigger", "stderr_template", "clearable_by")
+
+    def __init__(
+        self, id: str, cluster: str | tuple[str, ...], trigger: dict, stderr_template: str,
+        clearable_by: tuple[str, ...] = (),
+    ) -> None:
+        set_frozen(self, "id", id)
+        set_frozen(self, "cluster", cluster)
+        set_frozen(self, "trigger", trigger)
+        set_frozen(self, "stderr_template", stderr_template)
+        set_frozen(self, "clearable_by", clearable_by)
 
     @property
     def unresolvable(self) -> bool:
@@ -97,15 +101,24 @@ class FaultRuleSet:
         return [r.id for r in self._rules if r.unresolvable]
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(FrozenRecord):
     """Outcome of one mock submission."""
 
-    exit_code: int
-    stdout: str
-    stderr: str
-    parsed_topology: tuple[int, int, int, tuple[int, ...]] | None = None
-    fault_fired: str | None = None
+    __slots__ = ("exit_code", "stdout", "stderr", "parsed_topology", "fault_fired")
+
+    def __init__(
+        self,
+        exit_code: int,
+        stdout: str,
+        stderr: str,
+        parsed_topology: tuple[int, int, int, tuple[int, ...]] | None = None,
+        fault_fired: str | None = None,
+    ) -> None:
+        set_frozen(self, "exit_code", exit_code)
+        set_frozen(self, "stdout", stdout)
+        set_frozen(self, "stderr", stderr)
+        set_frozen(self, "parsed_topology", parsed_topology)
+        set_frozen(self, "fault_fired", fault_fired)
 
 
 def _as_list(value) -> list[str]:

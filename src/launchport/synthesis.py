@@ -25,8 +25,6 @@ All functions here are pure.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import intent
@@ -34,47 +32,54 @@ from .clusters import ClusterProfile
 from .errors import ContractViolationError, PolicyViolationError, UnboundParameterError
 from .intent import JobSpec
 from .templates import PLACEHOLDER_RE, Template, placeholders
-from .types import Scheduler
+from .types import FrozenRecord, Scheduler, set_frozen
 
 PROVENANCE_USER = "user"
 PROVENANCE_DERIVED = "derived"
 PROVENANCE_DEFAULT = "default"
 
 
-@dataclass(frozen=True)
-class ParamBinding:
+class ParamBinding(FrozenRecord):
     """Total assignment of values to a template's parameters."""
 
-    values: Mapping[str, int | str]
-    provenance: Mapping[str, str]
+    __slots__ = ("values", "provenance")
+
+    def __init__(self, values: Mapping[str, int | str], provenance: Mapping[str, str]) -> None:
+        set_frozen(self, "values", values)
+        set_frozen(self, "provenance", provenance)
 
     def get(self, name: str) -> int | str | None:
         return self.values.get(name)
 
 
-@dataclass(frozen=True)
-class RenderedScript:
+class RenderedScript(FrozenRecord):
     """Final script text plus the binding that produced it."""
 
-    text: str
-    template_id: str
-    binding: ParamBinding
+    __slots__ = ("text", "template_id", "binding", "_topology")
 
-    def __post_init__(self) -> None:
-        leftover = placeholders(self.text)
+    def __init__(self, text: str, template_id: str, binding: ParamBinding) -> None:
+        leftover = placeholders(text)
         if leftover:
-            raise UnboundParameterError(leftover[0], self.template_id)
+            raise UnboundParameterError(leftover[0], template_id)
+        set_frozen(self, "text", text)
+        set_frozen(self, "template_id", template_id)
+        set_frozen(self, "binding", binding)
 
-    @functools.cached_property
+    @property
     def topology(self) -> tuple[int | None, int | None, int | None]:
         """``(nodes, gpus_per_node, total_gpus)`` as the text states them.
 
-        Parsed once, on first use; absent counts are ``None``.  The cache
-        lives outside the dataclass fields, so equality, hashing and repr
-        are unaffected.
+        Parsed once, on first use; absent counts are ``None``.  The parse is
+        kept in the ``_topology`` slot, which is not a field, so equality,
+        hashing and repr are unaffected.
         """
-        parsed = intent.parse_script(self.text)
-        return parsed.nodes, parsed.gpus_per_node, parsed.total_gpus
+        try:
+            return self._topology
+        except AttributeError:
+            parsed = intent.parse_script(self.text)
+            topology = parsed.nodes, parsed.gpus_per_node, parsed.total_gpus
+            set_frozen(self, "_topology", topology)
+            return topology
 
 
 def bind(spec: JobSpec, t: Template, profile: ClusterProfile) -> ParamBinding:

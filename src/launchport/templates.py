@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .documents import bundled, load_json
 from .errors import TemplateConflictError, TemplateInvalidError
-from .types import PORT_MAX, PORT_MIN, Framework, Launcher, Strategy
+from .types import PORT_MAX, PORT_MIN, Framework, FrozenRecord, Launcher, Strategy, set_frozen
 
 # A placeholder is {name} not preceded by '$' (which would make it a shell
 # parameter expansion like ${SLURM_PROCID}).
@@ -47,29 +46,48 @@ def placeholders(body: str) -> list[str]:
     return seen
 
 
-@dataclass(frozen=True)
-class ParamDecl:
+class ParamDecl(FrozenRecord):
     """Declaration of one template parameter."""
 
-    name: str
-    kind: str = "text"
-    required: bool = True
-    default: int | str | None = None
+    __slots__ = ("name", "kind", "required", "default")
+
+    def __init__(
+        self, name: str, kind: str = "text", required: bool = True,
+        default: int | str | None = None,
+    ) -> None:
+        set_frozen(self, "name", name)
+        set_frozen(self, "kind", kind)
+        set_frozen(self, "required", required)
+        set_frozen(self, "default", default)
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(FrozenRecord):
     """One launch-script template with its declared parameters."""
 
-    id: str
-    cluster: str
-    framework: Framework
-    strategy: Strategy
-    launcher: Launcher
-    body: str
-    params: tuple[ParamDecl, ...]
-    verified: bool = False
-    notes: str = ""
+    __slots__ = ("id", "cluster", "framework", "strategy", "launcher", "body", "params",
+                 "verified", "notes")
+
+    def __init__(
+        self,
+        id: str,
+        cluster: str,
+        framework: Framework,
+        strategy: Strategy,
+        launcher: Launcher,
+        body: str,
+        params: tuple[ParamDecl, ...],
+        verified: bool = False,
+        notes: str = "",
+    ) -> None:
+        set_frozen(self, "id", id)
+        set_frozen(self, "cluster", cluster)
+        set_frozen(self, "framework", framework)
+        set_frozen(self, "strategy", strategy)
+        set_frozen(self, "launcher", launcher)
+        set_frozen(self, "body", body)
+        set_frozen(self, "params", params)
+        set_frozen(self, "verified", verified)
+        set_frozen(self, "notes", notes)
 
     @property
     def key(self) -> TemplateKey:

@@ -4,11 +4,72 @@ These enums are the closed sets of schedulers, launchers, frameworks, and
 training strategies the toolkit understands.  They subclass ``str`` so values
 serialize naturally to and from the JSON documents (profile bundle, template
 repository, fault rules).
+
+:class:`Record` and :class:`FrozenRecord` are the bases of the package's
+value classes: plain slotted classes with a hand-written ``__init__``, so
+defining one generates and compiles no code at import.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
+
+# Sets a field of a FrozenRecord; only the record's own __init__ (and a lazy
+# slot filled on first read) may call it.
+set_frozen = object.__setattr__
+
+
+class Record:
+    """A value class whose fields, two or more, are its ``__slots__`` not starting with ``_``.
+
+    ``==`` compares the fields of two records of the same class, ``repr``
+    reads ``Name(field=value, ...)`` and :meth:`replace` builds a copy
+    through the constructor, so the constructor's checks run again.  The
+    subclass's ``__init__`` takes the fields in slot order.  Mutable and
+    unhashable; see :class:`FrozenRecord`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if fields:
+            cls._fields = cls.__match_args__ = fields
+            cls._values = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built by the constructor."""
+        fields = dict(zip(self._fields, self._values(self)))
+        fields.update(changes)
+        return self.__class__(**fields)
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` whose fields cannot be assigned or deleted; hashable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
 
 class Scheduler(str, Enum):

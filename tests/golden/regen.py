@@ -39,7 +39,6 @@ import json
 import random
 import sys
 import tempfile
-from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -152,11 +151,12 @@ def texts() -> list[str]:
 
 def _fields(spec) -> dict:
     """The spec's fields that are not at their default, enums as their values."""
+    default = type(spec)()
     out = {}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if value != f.default:
-            out[f.name] = getattr(value, "value", value)
+    for name in spec._fields:
+        value = getattr(spec, name)
+        if value != getattr(default, name):
+            out[name] = getattr(value, "value", value)
     return out
 
 
