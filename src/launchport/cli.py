@@ -25,9 +25,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bridge import RemoteBridge, load_bridge_config
 from .clusters import ProfileSet, default_profiles, load_profiles
 from .documents import load_json, read_text
 from .errors import (
@@ -51,6 +51,9 @@ from .pipeline import render_report, run_pipeline
 from .simcluster import FaultRuleSet, default_fault_rules, load_fault_rules
 from .templates import TemplateSet, default_templates, load_repository
 from .types import Framework, Record, Strategy
+
+if TYPE_CHECKING:
+    from .bridge import RemoteBridge
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -217,6 +220,9 @@ def _session(args) -> CliSession:
     )
     bridge = None
     if args.bridge_config:
+        # Imported here: a run without a bridge never loads the module.
+        from .bridge import RemoteBridge, load_bridge_config
+
         bridge = RemoteBridge(load_bridge_config(Path(args.bridge_config)))
     if args.k < 1:
         raise UsageError(f"--candidates must be >= 1, got {args.k}")

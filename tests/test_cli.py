@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import launchport
 from launchport.cli import main
 from launchport.intent import parse_script
 from launchport.documents import bundled
@@ -558,3 +563,31 @@ class TestPrompting:
         assert len(prompts) == 6
         assert "cluster" in prompts[0].lower()
         assert "script" in prompts[-1].lower()
+
+
+# Modules a cold `generate` must not load: the first two cost ~13 ms of a cold
+# start; the bridge is loaded only for --bridge-config.
+NOT_AT_COLD_START = ("dataclasses", "inspect", "launchport.bridge")
+
+
+def test_cold_generate_loads_no_dataclasses_inspect_or_bridge():
+    """A fresh interpreter's `generate` adds none of NOT_AT_COLD_START.
+
+    Modules are counted against a bare interpreter's, so what the site
+    preloads is not charged to launchport.
+    """
+    show = "print(' '.join(sorted(sys.modules)))"
+    argv = ["generate", "--cluster", "delta", "--framework", "pytorch", "--strategy", "ddp",
+            "--nodes", "2", "--gpus-per-node", "4", "--entry", "train.py", "--non-interactive"]
+    env = dict(os.environ, PYTHONPATH=str(Path(launchport.__file__).resolve().parents[1]))
+
+    def loaded(code: str) -> set[str]:
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=env)
+        return set(done.stdout.splitlines()[-1].split())
+
+    bare = loaded(f"import sys; {show}")
+    cold = loaded(f"import sys, launchport.cli; code = launchport.cli.main({argv!r}); "
+                  f"assert code == 0, code; {show}")
+    assert "launchport.pipeline" in cold
+    assert sorted(set(NOT_AT_COLD_START) & (cold - bare)) == []
