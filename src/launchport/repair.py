@@ -37,7 +37,7 @@ from .errors import (
     RuleParseError,
 )
 from .intent import JobSpec
-from .lint import Finding, lint
+from .lint import Finding, error_count, lint
 from .simcluster import REPAIR_KINDS, ExecutionResult, FaultRuleSet, submit
 from .synthesis import (
     PROVENANCE_USER,
@@ -563,7 +563,9 @@ def run_loop(
     and resubmit, at most ``max_iter`` times.
 
     One action is applied per iteration, in first-untried order; an action
-    already tried for the same fingerprint is skipped.  Every failed
+    already tried for the same fingerprint is skipped, and so is one that
+    cannot be applied or that adds lint errors (a repair never increases
+    the error count).  Every failed
     submission is diagnosed and recorded in the history, the last one with
     no action.  ``unresolved`` is a status, not an error.  Without
     ``fingerprints`` or ``repair_table`` the bundled ones are used.
@@ -603,17 +605,20 @@ def run_loop(
                 continue
             tried.add(key)
             try:
-                script, current_spec, current_t = apply_action(
+                new_script, new_spec, new_t = apply_action(
                     action, script, current_spec, current_t, profile, template_set
                 )
             except LaunchportError:
                 continue  # unappliable action: skip to the next untried one
+            new_findings = lint(new_script, new_spec, profile)
+            if error_count(new_findings) > error_count(findings):
+                continue  # it would add lint errors: unappliable too
+            script, current_spec, current_t, findings = new_script, new_spec, new_t, new_findings
             applied = action
             break
         history.append(HistoryEntry(diag, applied, result))
         if applied is None:
             break
-        findings = lint(script, current_spec, profile)
         iterations += 1
         result = submit(script, current_spec, profile, rules)
 

@@ -13,9 +13,8 @@ import launchport
 
 PACKAGE = Path(launchport.__file__).parent
 
-# Not called yet: the run-time check that a repair never adds lint errors
-# and the load-time cross-check of the bundles are to call them.
-AWAITING_CALLERS = {"error_count", "fingerprint_ids", "unresolvable_ids"}
+# Not called yet: the load-time cross-check of the bundles is to call them.
+AWAITING_CALLERS = {"fingerprint_ids", "unresolvable_ids"}
 
 
 def _sources() -> dict[str, str]:

@@ -240,6 +240,22 @@ class TestRunLoop:
             )
             assert after <= before
 
+    def test_repair_that_adds_lint_errors_is_skipped(self, profiles, templates, fault_rules):
+        # The first action would put more GPUs on a node than deltaai has.
+        table = load_repair_table(json.dumps({"ENV_NOT_PROPAGATED": [
+            {"kind": "set_param", "payload": {"param": "each_node_gpus", "value": 9}},
+            {"kind": "export_env", "payload": {"name": "PYTHONPATH"}},
+        ]}))
+        profile = profiles.resolve("deltaai")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        template = templates.get("deltaai-ddp")
+        outcome = run_loop(spec, template, profile, fault_rules, repair_table=table)
+        assert outcome.status == STATUS_SUCCESS
+        assert outcome.iterations_used == 1
+        assert [e.action.kind for e in outcome.history] == ["export_env"]
+        assert "export PYTHONPATH" in outcome.final_script.text
+        assert error_count(outcome.lint_findings) == 0
+
     def test_invalid_max_iter_rejected(self, profiles, templates, fault_rules):
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
