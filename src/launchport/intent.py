@@ -337,7 +337,9 @@ _SCANNER = (
     r"|(?:master[-_]|main[-_]process[-_])?port[=\s]+(?P<f_master_port>\d+)"
     r"|entry(?:[-_]script)?[=\s]+(?P<f_entry>[\w./-]+\.(?:py|sh))"
     r"|deepspeed[-_]config[=\s]+(?P<f_config>\S*[^\s,;]))"
-    r"|\b(?:"
+    # Every branch below starts with a word character, so the lookahead
+    # skips them all at once where a word ends.
+    r"|\b(?=\w)(?:"
     # A count and the phrase after it: digits only with a phrase, a number
     # word also without one ("per node GPUs: eight"); "one" before a node
     # noun also means a single node.
@@ -610,7 +612,11 @@ def derive(p: PartialJobSpec) -> PartialJobSpec:
 
 def missing_fields(p: PartialJobSpec) -> list[str]:
     """Required fields that can neither be read nor derived, in stable order."""
-    d = derive(p)
+    return _missing(derive(p))
+
+
+def _missing(d: PartialJobSpec) -> list[str]:
+    """The required fields a derived spec lacks, in stable order."""
     missing = []
     for name in REQUIRED_FIELDS:
         if name == "gpus_per_node":
@@ -629,10 +635,10 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
     the job spans more than :data:`MAX_NODES` nodes, and
     :class:`CapacityError` when the per-node GPU count exceeds the profile.
     """
-    missing = missing_fields(p)
+    d = derive(p)
+    missing = _missing(d)
     if missing:
         raise IncompleteSpecError(missing)
-    d = derive(p)
 
     if d.total_gpus is not None and d.nodes is not None:
         if d.total_gpus % d.nodes != 0:
@@ -688,8 +694,6 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
 # Launch-script parsing
 # ---------------------------------------------------------------------------
 
-_LAUNCHER_WORDS = ("torchrun", "deepspeed", "mpiexec", "mpirun", "srun", "accelerate")
-
 _RE_NNODES = re.compile(r"--nnodes[=\s]+(\d+)")
 _RE_NPROC = re.compile(r"--nproc[-_]per[-_]node[=\s]+(\d+)")
 _RE_TORCH_PORT = re.compile(r"--master[-_]port[=\s]+(\d+)")
@@ -701,8 +705,21 @@ _RE_NUM_NODES = re.compile(r"--num[-_]nodes[=\s]+(\d+)")
 _RE_NUM_GPUS = re.compile(r"--num[-_]gpus[=\s]+(\d+)")
 _RE_SLOTS = re.compile(r"slots=(\d+)")
 _RE_SRUN_N_UPPER = re.compile(r"\bsrun\b[^\n]*?-N[=\s]+(\d+)")
+_RE_MPI_WORLD = re.compile(r"(?<![\w-])-n[=\s]+(\d+)")
+_RE_MPI_PPN = re.compile(r"(?<![\w-])-ppn[=\s]+(\d+)")
 _RE_TRAILING_JSON = re.compile(r"([\w./-]+\.json)\s*'?\s*$")
 _ANY_PY = re.compile(r"(?<![\w/.-])(" + _PY + r")\b")
+
+# The port flags each launcher reads, in order; the first valid port wins.
+_PORT_PATTERNS = {
+    Launcher.TORCHRUN: (_RE_TORCH_PORT, _RE_GENV_PORT),
+    Launcher.DEEPSPEED: (_RE_TORCH_PORT, _RE_GENV_PORT),
+    Launcher.ACCELERATE: (_RE_MAIN_PORT, _RE_GENV_PORT, _RE_TORCH_PORT),
+    Launcher.MPIEXEC: (_RE_GENV_PORT, _RE_TORCH_PORT),
+    Launcher.SRUN: (_RE_GENV_PORT, _RE_TORCH_PORT),
+}
+
+Topology = tuple[int | None, int | None, int | None]
 
 
 def parse_script(script: str) -> PartialJobSpec:
@@ -716,69 +733,81 @@ def parse_script(script: str) -> PartialJobSpec:
     derived from total/machines when both are visible.
     """
     spec = PartialJobSpec()
-    lowered = script.lower()
-    if not any(word in lowered for word in _LAUNCHER_WORDS):
+    launcher, (spec.nodes, spec.gpus_per_node, spec.total_gpus) = _launch(script)
+    if launcher is None:
         return spec
-
-    if "torchrun" in lowered:
-        spec.launcher = Launcher.TORCHRUN
-    elif "deepspeed" in lowered:
-        spec.launcher = Launcher.DEEPSPEED
-    elif "accelerate" in lowered:
-        spec.launcher = Launcher.ACCELERATE
-    elif "mpiexec" in lowered or "mpirun" in lowered:
-        spec.launcher = Launcher.MPIEXEC
-    elif "srun" in lowered:
-        spec.launcher = Launcher.SRUN
-
-    def grab(pattern: re.Pattern) -> int | None:
-        m = pattern.search(script)
-        return _positive(_int(m.group(1))) if m else None
-
-    if spec.launcher is Launcher.TORCHRUN:
-        spec.nodes = grab(_RE_NNODES)
-        spec.gpus_per_node = grab(_RE_NPROC)
-        spec.master_port = _valid_port(grab(_RE_TORCH_PORT))
-        if spec.nodes is None:
-            spec.nodes = grab(_RE_SRUN_N_UPPER)
-    elif spec.launcher is Launcher.ACCELERATE:
-        spec.nodes = grab(_RE_NUM_MACHINES)
-        spec.total_gpus = grab(_RE_NUM_PROCESSES)
-        spec.master_port = _valid_port(grab(_RE_MAIN_PORT))
-        if spec.nodes and spec.total_gpus and spec.total_gpus % spec.nodes == 0:
-            spec.gpus_per_node = spec.total_gpus // spec.nodes
-    elif spec.launcher is Launcher.DEEPSPEED:
-        spec.nodes = grab(_RE_NUM_NODES)
-        spec.gpus_per_node = grab(_RE_NUM_GPUS) or grab(_RE_SLOTS)
-        spec.master_port = _valid_port(grab(_RE_TORCH_PORT))
-    elif spec.launcher is Launcher.MPIEXEC:
-        idx = lowered.find("mpiexec")
-        if idx < 0:
-            idx = lowered.find("mpirun")
-        tail = script[idx:]
-        m_world = re.search(r"(?<![\w-])-n[=\s]+(\d+)", tail)
-        m_ppn = re.search(r"(?<![\w-])-ppn[=\s]+(\d+)", tail)
-        spec.total_gpus = _positive(_int(m_world.group(1))) if m_world else None
-        spec.gpus_per_node = _positive(_int(m_ppn.group(1))) if m_ppn else None
-        spec.master_port = _valid_port(grab(_RE_GENV_PORT))
-    else:  # bare srun
-        spec.nodes = grab(_RE_SRUN_N_UPPER)
-
-    if spec.master_port is None:
-        spec.master_port = _valid_port(grab(_RE_GENV_PORT)) or _valid_port(grab(_RE_TORCH_PORT))
+    spec.launcher = launcher
+    for pattern in _PORT_PATTERNS[launcher]:
+        spec.master_port = _valid_port(_grab(pattern, script))
+        if spec.master_port is not None:
+            break
 
     entry = _ANY_PY.search(script)
     if entry:
         spec.entry_script = entry.group(1)
         tail = script[entry.end():]
         tail = tail.strip().strip("'\"").strip()
-        if spec.launcher is Launcher.DEEPSPEED:
+        if launcher is Launcher.DEEPSPEED:
             m_cfg = _RE_TRAILING_JSON.search(tail)
             if m_cfg:
                 spec.deepspeed_config = m_cfg.group(1)
                 tail = tail[: m_cfg.start()].strip()
         spec.train_args = tail
     return spec
+
+
+def script_topology(script: str) -> Topology:
+    """``(nodes, gpus_per_node, total_gpus)`` as :func:`parse_script` reads them.
+
+    Reads only the launcher and its counts, not the ports, the entry script
+    or the arguments; absent counts are ``None``.
+    """
+    return _launch(script)[1]
+
+
+def _launch(script: str) -> tuple[Launcher | None, Topology]:
+    """The launcher a script invokes and the counts it states for it.
+
+    The launcher is the first of torchrun, deepspeed, accelerate,
+    mpiexec/mpirun and srun that the text names anywhere; a text naming
+    none of them has no launcher and no counts.
+    """
+    lowered = script.lower()
+    nodes = per_node = total = None
+    if "torchrun" in lowered:
+        launcher = Launcher.TORCHRUN
+        nodes = _grab(_RE_NNODES, script) or _grab(_RE_SRUN_N_UPPER, script)
+        per_node = _grab(_RE_NPROC, script)
+    elif "deepspeed" in lowered:
+        launcher = Launcher.DEEPSPEED
+        nodes = _grab(_RE_NUM_NODES, script)
+        per_node = _grab(_RE_NUM_GPUS, script) or _grab(_RE_SLOTS, script)
+    elif "accelerate" in lowered:
+        launcher = Launcher.ACCELERATE
+        nodes = _grab(_RE_NUM_MACHINES, script)
+        total = _grab(_RE_NUM_PROCESSES, script)
+        if nodes and total and total % nodes == 0:
+            per_node = total // nodes
+    elif "mpiexec" in lowered or "mpirun" in lowered:
+        launcher = Launcher.MPIEXEC
+        idx = lowered.find("mpiexec")
+        if idx < 0:
+            idx = lowered.find("mpirun")
+        tail = script[idx:]
+        total = _grab(_RE_MPI_WORLD, tail)
+        per_node = _grab(_RE_MPI_PPN, tail)
+    elif "srun" in lowered:
+        launcher = Launcher.SRUN
+        nodes = _grab(_RE_SRUN_N_UPPER, script)
+    else:
+        launcher = None
+    return launcher, (nodes, per_node, total)
+
+
+def _grab(pattern: re.Pattern, text: str) -> int | None:
+    """The first count ``pattern`` reads in ``text``, if it is at least 1."""
+    m = pattern.search(text)
+    return _positive(_int(m.group(1))) if m else None
 
 
 def _valid_port(value: int | None) -> int | None:

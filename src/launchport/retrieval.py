@@ -104,6 +104,18 @@ class RankedCandidate(FrozenRecord):
         set_frozen(self, "breakdown", breakdown)
         set_frozen(self, "exact", exact)
 
+    def __reduce__(self):
+        # A mappingproxy can be neither pickled nor deep-copied: the breakdown
+        # travels as a dict and is wrapped again when the candidate is rebuilt.
+        return _candidate, (self.template_id, self.score, dict(self.breakdown), self.exact)
+
+
+def _candidate(
+    template_id: str, score: float, breakdown: dict[str, float], exact: bool,
+) -> RankedCandidate:
+    """A candidate rebuilt from its fields, with a read-only breakdown again."""
+    return RankedCandidate(template_id, score, MappingProxyType(breakdown), exact)
+
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     if not a or not b:

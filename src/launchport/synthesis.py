@@ -18,7 +18,7 @@ is used; the package-wide fallback applies last.
 
 A :class:`RenderedScript` reads the launch topology its text states on
 first use and keeps it, so the lint and the mock submission of one script
-share a single parse.
+share a single read of its counts.
 
 All functions here are pure.
 """
@@ -66,18 +66,17 @@ class RenderedScript(FrozenRecord):
         set_frozen(self, "binding", binding)
 
     @property
-    def topology(self) -> tuple[int | None, int | None, int | None]:
+    def topology(self) -> intent.Topology:
         """``(nodes, gpus_per_node, total_gpus)`` as the text states them.
 
-        Parsed once, on first use; absent counts are ``None``.  The parse is
-        kept in the ``_topology`` slot, which is not a field, so equality,
-        hashing and repr are unaffected.
+        Read once, on first use, by :func:`intent.script_topology`; absent
+        counts are ``None``.  The counts are kept in the ``_topology`` slot,
+        which is not a field, so equality, hashing and repr are unaffected.
         """
         try:
             return self._topology
         except AttributeError:
-            parsed = intent.parse_script(self.text)
-            topology = parsed.nodes, parsed.gpus_per_node, parsed.total_gpus
+            topology = intent.script_topology(self.text)
             set_frozen(self, "_topology", topology)
             return topology
 

@@ -125,3 +125,13 @@ def matrix_specs(profiles):
         for combo, (framework, strategy) in MATRIX_COMBOS.items():
             cells.append((f"{profile.id}/{combo}", make_spec(profile, framework, strategy), profile))
     return cells
+
+
+def pipeline_cases(profiles):
+    """(name, spec, profile) per grid cell, then per fault-corpus scenario."""
+    cases = matrix_specs(profiles)
+    for rule_id, (cluster, framework, strategy, overrides) in FAULT_CORPUS.items():
+        profile = profiles.resolve(cluster)
+        cases.append((f"fault/{rule_id}", make_spec(profile, framework, strategy, **overrides),
+                      profile))
+    return cases

@@ -169,20 +169,6 @@ def build() -> str:
     return "[\n" + ",\n".join(entries) + "\n]\n"
 
 
-def _pipeline_cases():
-    """(name, spec, profile) per grid cell, then per fault-corpus scenario."""
-    from conftest import FAULT_CORPUS, make_spec, matrix_specs
-    from launchport.clusters import default_profiles
-
-    profiles = default_profiles()
-    cases = matrix_specs(profiles)
-    for rule_id, (cluster, framework, strategy, overrides) in FAULT_CORPUS.items():
-        profile = profiles.resolve(cluster)
-        cases.append((f"fault/{rule_id}", make_spec(profile, framework, strategy, **overrides),
-                      profile))
-    return cases
-
-
 def _attempt(attempt) -> dict:
     record = {"template": attempt.candidate.template_id}
     if attempt.skip_reason is not None:
@@ -221,13 +207,15 @@ def _dump(value, indent: str = "") -> str:
 
 def build_pipeline() -> str:
     """The pipeline corpus as the current code gives it."""
+    from conftest import pipeline_cases
+    from launchport.clusters import default_profiles
     from launchport.pipeline import run_pipeline
     from launchport.simcluster import default_fault_rules
     from launchport.templates import default_templates
 
     templates, rules = default_templates(), default_fault_rules()
     entries = []
-    for name, spec, profile in _pipeline_cases():
+    for name, spec, profile in pipeline_cases(default_profiles()):
         result = run_pipeline(spec, profile, templates, rules)
         entries.append({
             "case": name,
@@ -239,13 +227,15 @@ def build_pipeline() -> str:
 
 def build_reports() -> str:
     """Each case's final stdout and stderr per attempt and its report text."""
+    from conftest import pipeline_cases
+    from launchport.clusters import default_profiles
     from launchport.pipeline import render_report, run_pipeline
     from launchport.simcluster import default_fault_rules
     from launchport.templates import default_templates
 
     templates, rules = default_templates(), default_fault_rules()
     entries = []
-    for name, spec, profile in _pipeline_cases():
+    for name, spec, profile in pipeline_cases(default_profiles()):
         result = run_pipeline(spec, profile, templates, rules)
         attempts = []
         for attempt in result.attempts:

@@ -23,6 +23,7 @@ from launchport.intent import (
     finalize,
     missing_fields,
     parse_script,
+    script_topology,
 )
 from launchport.types import Framework, Launcher, Strategy
 
@@ -406,6 +407,46 @@ class TestReferenceEquivalence:
         assert extract(text) == _extract_reference(text)
 
 
+# The extractor's scanner without the lookahead that skips its count/term
+# branch where a word ends: the reference the guarded scanner must agree with.
+_GUARD = r"|\b(?=\w)(?:"
+_SCANNER = RuleBasedExtractor()._scan.__self__
+_UNGUARDED = re.compile(_SCANNER.pattern.replace(_GUARD, r"|\b(?:"), re.I)
+
+
+def _tokens(scanner, text):
+    return [(m.span(), m.lastgroup, m.lastindex, m.groupdict()) for m in scanner.finditer(text)]
+
+
+class TestScannerGuard:
+    """The word-start guard changes no token the scanner emits."""
+
+    def test_the_guard_is_in_the_scanner_once(self):
+        assert _SCANNER.pattern.count(_GUARD) == 1
+
+    def test_every_golden_text(self):
+        from golden import regen
+
+        entries = json.loads(regen.CORPUS.read_text("utf-8"))
+        assert len(entries) > 320
+        for entry in entries:
+            assert _tokens(_SCANNER, entry["text"]) == _tokens(_UNGUARDED, entry["text"])
+
+    @given(_soups())
+    def test_lexicon_soups(self, text):
+        assert _tokens(_SCANNER, text) == _tokens(_UNGUARDED, text)
+
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        assert _tokens(_SCANNER, text) == _tokens(_UNGUARDED, text)
+
+
+_HUGE_COUNT_SCRIPTS = (
+    "torchrun --nnodes " + "9" * 5000 + " --nproc_per_node 4 train.py",
+    "mpiexec -n " + "9" * 5000 + " -ppn 4 python train.py",
+)
+
+
 class TestNeverRaises:
     @given(st.text(min_size=1))
     @example("9" * 5000 + " nodes")
@@ -415,8 +456,8 @@ class TestNeverRaises:
         extract(text)
 
     @given(st.text())
-    @example("torchrun --nnodes " + "9" * 5000 + " --nproc_per_node 4 train.py")
-    @example("mpiexec -n " + "9" * 5000 + " -ppn 4 python train.py")
+    @example(_HUGE_COUNT_SCRIPTS[0])
+    @example(_HUGE_COUNT_SCRIPTS[1])
     def test_parse_script(self, text):
         parse_script(text)
 
@@ -491,6 +532,14 @@ class TestMissingFields:
 
 
 class TestFinalize:
+    def test_derives_once(self, profiles, monkeypatch):
+        derived = []
+        derive_ = intent.derive
+        monkeypatch.setattr(intent, "derive", lambda p: derived.append(p) or derive_(p))
+        finalize(extract(TABLE_DESCRIPTION.format(cluster="Perlmutter")),
+                 profiles.resolve("perlmutter"))
+        assert len(derived) == 1
+
     def test_total_split_across_nodes(self, profiles):
         p = extract(TABLE_DESCRIPTION.format(cluster="Perlmutter"))
         spec = finalize(p, profiles.resolve("perlmutter"))
@@ -530,7 +579,8 @@ class TestFinalize:
     def test_missing_fields_raise_incomplete(self, profiles):
         with pytest.raises(IncompleteSpecError) as exc:
             finalize(PartialJobSpec(nodes=2), profiles.resolve("delta"))
-        assert "cluster" in exc.value.missing
+        assert exc.value.missing == missing_fields(PartialJobSpec(nodes=2)) == [
+            "cluster", "framework", "strategy", "gpus_per_node", "entry_script"]
 
     def test_port_defaults_and_explicit_flag(self, profiles):
         base = dict(
@@ -625,6 +675,54 @@ class TestParseScript:
     def test_trailing_args_recovered(self):
         p = parse_script(PERLMUTTER_COMMAND)
         assert p.train_args == "..."
+
+
+# Launcher words, their count and port flags, and near misses.
+_LAUNCH_TOKENS = [
+    "torchrun", "deepspeed", "accelerate", "launch", "mpiexec", "mpirun", "srun", "bash -c",
+    "python", "-u", "--nnodes", "--nproc_per_node", "--nproc-per-node", "--master_port",
+    "--master-port", "MASTER_PORT", "-genv", "--num_machines", "--num-machines",
+    "--num_processes", "--main_process_port", "--num_nodes", "--num_gpus", "slots=", "-N",
+    "-n", "-ppn", "--", "0", "1", "2", "4", "8", "29500", "65536", "9" * 30, "train.py",
+    "ds.json", "İ", "ſ",
+]
+
+
+@st.composite
+def _launch_soups(draw):
+    parts = draw(st.lists(
+        st.tuples(st.sampled_from(_LAUNCH_TOKENS), st.sampled_from([" ", "=", "\n", "", "'"]),
+                  st.sampled_from([str, str.upper])),
+        max_size=16,
+    ))
+    return "".join(case(token) + sep for token, sep, case in parts)
+
+
+def _parsed_counts(text):
+    p = parse_script(text)
+    return p.nodes, p.gpus_per_node, p.total_gpus
+
+
+class TestScriptTopology:
+    """``script_topology`` reads the counts ``parse_script`` reads."""
+
+    @given(st.text() | _launch_soups())
+    @example(_HUGE_COUNT_SCRIPTS[0])
+    @example(_HUGE_COUNT_SCRIPTS[1])
+    @example(PERLMUTTER_COMMAND)
+    @example(POLARIS_COMMAND)
+    def test_agrees_with_parse_script(self, text):
+        assert script_topology(text) == _parsed_counts(text)
+
+    def test_every_golden_final_script(self):
+        from golden import regen
+
+        scripts = ["\n".join(attempt["script"])
+                   for entry in json.loads(regen.PIPELINE.read_text("utf-8"))
+                   for attempt in entry["attempts"] if "script" in attempt]
+        assert len(scripts) >= 44
+        for text in scripts:
+            assert script_topology(text) == _parsed_counts(text), text
 
 
 class TestRoundTripFixedPoint:

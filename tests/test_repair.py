@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -6,6 +8,7 @@ from launchport import intent
 from launchport.bridge import BridgeConfig, RemoteBridge
 from launchport.errors import ContractViolationError, NoRepairAvailableError, RuleParseError
 from launchport.lint import error_count, lint
+from launchport.pipeline import run_pipeline
 from launchport.repair import (
     CATEGORY_ENV,
     CATEGORY_FRAMEWORK,
@@ -23,10 +26,10 @@ from launchport.repair import (
     run_loop,
 )
 from launchport.simcluster import ExecutionResult
-from launchport.synthesis import render_for_spec
+from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.types import Framework, Strategy
 
-from conftest import first_bindable, make_spec
+from conftest import first_bindable, make_spec, pipeline_cases
 
 
 _FP = '{"id": "fp", "category": "env", "pattern": %s}'
@@ -160,21 +163,50 @@ class TestRunLoop:
         assert outcome.history == ()
 
     def test_clean_loop_parses_its_script_once(self, profiles, templates, fault_rules, monkeypatch):
-        # Lint and the mock submission share the script's one parse.
+        # Lint and the mock submission share one read of the script's counts.
         parsed = []
-        parse = intent.parse_script
+        read = intent.script_topology
 
         def counting(script):
             parsed.append(script)
-            return parse(script)
+            return read(script)
 
-        monkeypatch.setattr(intent, "parse_script", counting)
+        monkeypatch.setattr(intent, "script_topology", counting)
         profile = profiles.resolve("perlmutter")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         outcome = run_loop(spec, templates.get("perlmutter-ddp"), profile, fault_rules)
         assert outcome.status == STATUS_SUCCESS
         assert outcome.lint_findings == ()
         assert parsed == [outcome.final_script.text]
+
+    def test_pipeline_reads_each_script_s_counts_at_most_once(
+            self, profiles, templates, fault_rules, monkeypatch):
+        # Over the grid and the fault corpus, lint and submit read only the
+        # counts, never the full parse, and each script reads them once.
+        calls = {"parse_script": [], "script_topology": []}
+        for name, calls_of in calls.items():
+            function = getattr(intent, name)
+
+            def counting(script, function=function, calls_of=calls_of):
+                calls_of.append(script)
+                return function(script)
+
+            for module in [m for n, m in sys.modules.items() if n.startswith("launchport.")]:
+                if getattr(module, name, None) is function:
+                    monkeypatch.setattr(module, name, counting)
+        rendered = []
+        init = RenderedScript.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            rendered.append(self.text)
+
+        monkeypatch.setattr(RenderedScript, "__init__", recording)
+        for _, spec, profile in pipeline_cases(profiles):
+            run_pipeline(spec, profile, templates, fault_rules)
+        assert calls["parse_script"] == []
+        read, scripts = Counter(calls["script_topology"]), Counter(rendered)
+        assert read and all(read[text] <= scripts[text] for text in read)
 
     def test_env_propagation_repaired_quickly(self, profiles, templates, fault_rules):
         profile = profiles.resolve("deltaai")

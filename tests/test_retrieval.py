@@ -1,4 +1,7 @@
+import copy
 import gc
+import pickle
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,11 +10,12 @@ from launchport import retrieval
 from launchport.clusters import default_profiles
 from launchport.errors import BridgeUnavailableError, NoCandidatesError
 from launchport.intent import JobSpec
+from launchport.pipeline import run_pipeline
 from launchport.retrieval import RankedCandidate, candidates, select
 from launchport.templates import ParamDecl, Template, TemplateSet, add_template, default_templates
 from launchport.types import Framework, Launcher, Strategy
 
-from conftest import make_spec
+from conftest import make_spec, matrix_specs
 
 
 class TestExactMatch:
@@ -396,3 +400,17 @@ class TestCandidateStore:
         del tset
         gc.collect()
         assert len(retrieval._STORES) == stores - 1
+
+
+@pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_grid_results_round_trip_with_read_only_breakdowns(
+        profiles, templates, fault_rules, duplicate):
+    for name, spec, profile in matrix_specs(profiles):
+        result = run_pipeline(spec, profile, templates, fault_rules)
+        back = duplicate(result)
+        assert back == result and repr(back) == repr(result), name
+        for candidate in back.candidates:
+            assert isinstance(candidate.breakdown, MappingProxyType), name
+            with pytest.raises(TypeError):
+                candidate.breakdown["cluster"] = 1.0
