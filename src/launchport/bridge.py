@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 
 from .documents import bundled, load_json
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
-from .intent import PartialJobSpec
-from .types import CATEGORIES, Framework, FrozenRecord, Launcher, Strategy, set_frozen
+from .intent import FIELD_PARSERS, PartialJobSpec
+from .types import CATEGORIES, CATEGORY_UNKNOWN, FrozenRecord, Launcher, set_frozen
 
 CAPABILITIES = ("extract", "embed", "repair")
 
@@ -176,7 +176,7 @@ class RemoteBridge:
         category = result.get("category")
         if proposals and category not in CATEGORIES:
             raise BridgeProtocolError("repair response with proposals needs a category")
-        return (category or "unknown", proposals)
+        return (category or CATEGORY_UNKNOWN, proposals)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -226,32 +226,21 @@ class RemoteBridge:
         return response["result"]
 
 
-_INT_FIELDS = ("nodes", "gpus_per_node", "total_gpus", "master_port")
-_TEXT_FIELDS = ("entry_script", "train_args", "deepspeed_config", "cluster")
+_REMOTE_FIELDS = {**FIELD_PARSERS, "launcher": Launcher}
 
 
 def _coerce_partial(raw: dict) -> PartialJobSpec:
     """Validate a flat remote result into a PartialJobSpec.
 
     Unknown keys are ignored; bad values are protocol errors rather than
-    silently accepted.
+    silently accepted.  Fields are read in :data:`FIELD_PARSERS` order, so of
+    several bad values the first there is the one reported.
     """
-    kwargs: dict = {}
     try:
-        for name in _INT_FIELDS:
-            if raw.get(name) is not None:
-                kwargs[name] = int(raw[name])
-        for name in _TEXT_FIELDS:
-            if raw.get(name) is not None:
-                kwargs[name] = str(raw[name])
-        if raw.get("framework") is not None:
-            kwargs["framework"] = Framework(raw["framework"])
-        if raw.get("strategy") is not None:
-            kwargs["strategy"] = Strategy(raw["strategy"])
-        if raw.get("launcher") is not None:
-            kwargs["launcher"] = Launcher(raw["launcher"])
-        if "train_args" in kwargs:
-            kwargs["train_args"] = kwargs["train_args"] or ""
-        return PartialJobSpec(**kwargs)
+        return PartialJobSpec(**{
+            name: parse(raw[name])
+            for name, parse in _REMOTE_FIELDS.items()
+            if raw.get(name) is not None
+        })
     except (TypeError, ValueError) as exc:
         raise BridgeProtocolError(f"extract result failed validation: {exc}") from exc

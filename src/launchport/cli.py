@@ -32,7 +32,6 @@ from .clusters import ProfileSet, default_profiles, load_profiles
 from .documents import load_json, read_text
 from .errors import (
     BridgeError,
-    CapacityError,
     IncompleteSpecError,
     LaunchportError,
     ProfileParseError,
@@ -40,6 +39,7 @@ from .errors import (
     UsageError,
 )
 from .intent import (
+    FIELD_PARSERS,
     PartialJobSpec,
     RuleBasedExtractor,
     extract,
@@ -47,7 +47,7 @@ from .intent import (
     missing_fields,
     parse_script,
 )
-from .pipeline import render_report, run_pipeline
+from .pipeline import DEFAULT_CANDIDATES_TRIED, render_report, run_pipeline
 from .simcluster import FaultRuleSet, default_fault_rules, load_fault_rules
 from .templates import TemplateSet, default_templates, load_repository
 from .types import Framework, Record, Strategy
@@ -58,20 +58,6 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRESOLVED = 2
-
-# Fields that --answers and the prompts may set, each with its value parser.
-_ANSWER_TYPES = {
-    "cluster": str,
-    "framework": Framework,
-    "strategy": Strategy,
-    "nodes": int,
-    "gpus_per_node": int,
-    "total_gpus": int,
-    "master_port": int,
-    "entry_script": str,
-    "deepspeed_config": str,
-    "train_args": str,
-}
 
 _PROMPTS = {
     "cluster": "Target cluster",
@@ -204,8 +190,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--templates", default=None, help="template repository document")
     parser.add_argument("--rules", default=None, help="fault rule document")
     parser.add_argument("--bridge-config", default=None, dest="bridge_config")
-    parser.add_argument("--candidates", type=int, default=3, dest="k",
-                        help="how many ranked templates to try (default 3)")
+    parser.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES_TRIED, dest="k",
+                        help="how many ranked templates to try "
+                             f"(default {DEFAULT_CANDIDATES_TRIED})")
     parser.add_argument("--non-interactive", action="store_true", dest="non_interactive")
 
 
@@ -272,9 +259,9 @@ def _flag_overrides(args) -> PartialJobSpec:
 
 def _parse_answer(name: str, value: str) -> object:
     """The typed value of one answered field; range-checked like a flag."""
-    parse = _ANSWER_TYPES.get(name)
+    parse = FIELD_PARSERS.get(name)
     if parse is None:
-        raise UsageError(f"unknown answer field '{name}'; valid: {', '.join(_ANSWER_TYPES)}")
+        raise UsageError(f"unknown answer field '{name}'; valid: {', '.join(FIELD_PARSERS)}")
     try:
         parsed = parse(value)
         PartialJobSpec(**{name: parsed})
@@ -344,12 +331,7 @@ def cmd_port(args) -> int:
     overrides.cluster = None  # --to names the target; ignore a stray --cluster
     parsed = parsed.merged_with(overrides)
     parsed = _fill_missing(parsed, session)
-
-    try:
-        spec = finalize(parsed, target)
-    except CapacityError as exc:
-        raise _with_topology_suggestions(exc, parsed, target) from exc
-    return _run(spec, target, session)
+    return _run(finalize(parsed, target), target, session)
 
 
 def _run(spec, profile, session: CliSession) -> int:
@@ -365,27 +347,6 @@ def _run(spec, profile, session: CliSession) -> int:
         bridge=bridge,
     )
     return _emit(result, session)
-
-
-def _with_topology_suggestions(
-    exc: CapacityError, parsed: PartialJobSpec, target
-) -> CapacityError:
-    """Rebuild a capacity error with world-size-preserving splits for the target."""
-    nodes = parsed.nodes or 1
-    per_node = parsed.gpus_per_node or 1
-    world = parsed.total_gpus or nodes * per_node
-    suggestions = [
-        (world // g, g)
-        for g in range(target.gpus_per_node, 0, -1)
-        if world % g == 0 and g <= target.gpus_per_node
-    ]
-    suggestions.sort(key=lambda ng: (abs(ng[0] - nodes), ng[0]))
-    return CapacityError(
-        f"{per_node} GPUs per node does not fit on {target.id} "
-        f"(limit {target.gpus_per_node}) for world size {world}",
-        limit=target.gpus_per_node,
-        suggestions=suggestions,
-    )
 
 
 def _emit(result, session: CliSession) -> int:

@@ -130,6 +130,23 @@ def _number_words() -> dict[str, int]:
 NUMBER_WORDS = _number_words()
 
 
+# How each field that a user may state is read from text, in prompt order.
+# The CLI reads ``--answers`` and prompted values with it; the bridge reads
+# a remote extraction with it, plus the launcher.
+FIELD_PARSERS = {
+    "cluster": str,
+    "framework": Framework,
+    "strategy": Strategy,
+    "nodes": int,
+    "gpus_per_node": int,
+    "total_gpus": int,
+    "master_port": int,
+    "entry_script": str,
+    "deepspeed_config": str,
+    "train_args": str,
+}
+
+
 class PartialJobSpec(Record):
     """Best-effort job description; every field may be absent.
 
@@ -633,7 +650,9 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
     Raises :class:`IncompleteSpecError` when required fields are missing,
     :class:`InconsistentTopologyError` when counts contradict each other or
     the job spans more than :data:`MAX_NODES` nodes, and
-    :class:`CapacityError` when the per-node GPU count exceeds the profile.
+    :class:`CapacityError` when the per-node GPU count exceeds the profile;
+    the error suggests every split of the same world size that fits, nearest
+    node count first.
     """
     d = derive(p)
     missing = _missing(d)
@@ -658,11 +677,17 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
         raise InconsistentTopologyError(
             f"a job may span at most {MAX_NODES} nodes; this one asks for more"
         )
-    if d.gpus_per_node > profile.gpus_per_node:
+    limit = profile.gpus_per_node
+    if d.gpus_per_node > limit:
+        world = d.nodes * d.gpus_per_node
+        # Every split that fits spans more nodes than asked for, so the one
+        # with the most GPUs per node is the nearest.
+        splits = [(world // g, g) for g in range(limit, 0, -1) if world % g == 0]
         raise CapacityError(
-            f"{d.gpus_per_node} GPUs per node requested but {profile.id} "
-            f"offers {profile.gpus_per_node}",
-            limit=profile.gpus_per_node,
+            f"{d.gpus_per_node} GPUs per node does not fit on {profile.id} "
+            f"(limit {limit}) for world size {world}",
+            limit=limit,
+            suggestions=splits,
         )
 
     launcher = d.launcher
@@ -707,6 +732,10 @@ _RE_SLOTS = re.compile(r"slots=(\d+)")
 _RE_SRUN_N_UPPER = re.compile(r"\bsrun\b[^\n]*?-N[=\s]+(\d+)")
 _RE_MPI_WORLD = re.compile(r"(?<![\w-])-n[=\s]+(\d+)")
 _RE_MPI_PPN = re.compile(r"(?<![\w-])-ppn[=\s]+(\d+)")
+# re.A keeps these in step with the other launchers' ``in script.lower()``
+# tests: re.I alone also matches "İ", "ı", "K" and "ſ" to ASCII letters.
+_RE_MPIEXEC = re.compile("mpiexec", re.I | re.A)
+_RE_MPIRUN = re.compile("mpirun", re.I | re.A)
 _RE_TRAILING_JSON = re.compile(r"([\w./-]+\.json)\s*'?\s*$")
 _ANY_PY = re.compile(r"(?<![\w/.-])(" + _PY + r")\b")
 
@@ -788,12 +817,10 @@ def _launch(script: str) -> tuple[Launcher | None, Topology]:
         total = _grab(_RE_NUM_PROCESSES, script)
         if nodes and total and total % nodes == 0:
             per_node = total // nodes
-    elif "mpiexec" in lowered or "mpirun" in lowered:
+    elif at := _RE_MPIEXEC.search(script) or _RE_MPIRUN.search(script):
+        # Sliced at a match in the original text: lower() can lengthen it ("İ").
         launcher = Launcher.MPIEXEC
-        idx = lowered.find("mpiexec")
-        if idx < 0:
-            idx = lowered.find("mpirun")
-        tail = script[idx:]
+        tail = script[at.start():]
         total = _grab(_RE_MPI_WORLD, tail)
         per_node = _grab(_RE_MPI_PPN, tail)
     elif "srun" in lowered:

@@ -52,15 +52,13 @@ from .types import (
     CATEGORIES,
     CATEGORY_ENV,
     CATEGORY_FRAMEWORK,
+    CATEGORY_UNKNOWN,
     CATEGORY_USER,
     PORT_MAX,
     PORT_MIN,
     FrozenRecord,
     set_frozen,
 )
-
-# A failure that neither a fingerprint nor the remote bridge classified.
-CATEGORY_UNKNOWN = "unknown"
 
 CONFIDENCE_HIGH = "high"
 CONFIDENCE_LOW = "low"

@@ -122,6 +122,8 @@ CATEGORY_ENV = "env"
 CATEGORY_FRAMEWORK = "framework"
 CATEGORY_USER = "user"
 CATEGORIES = (CATEGORY_ENV, CATEGORY_FRAMEWORK, CATEGORY_USER)
+# A failure that neither a fingerprint nor the remote bridge classified.
+CATEGORY_UNKNOWN = "unknown"
 
 PORT_MIN = 1024
 PORT_MAX = 65535

@@ -8,6 +8,7 @@ from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 import launchport
 from launchport.bridge import BridgeConfig, RemoteBridge, load_bridge_config
@@ -16,8 +17,9 @@ from launchport.errors import (
     BridgeProtocolError,
     BridgeUnavailableError,
 )
-from launchport.intent import RuleBasedExtractor
+from launchport.intent import PartialJobSpec, RuleBasedExtractor
 from launchport.repair import parse_proposals
+from launchport.types import Framework, Launcher, Strategy
 
 from conftest import TABLE_DESCRIPTION
 
@@ -149,6 +151,62 @@ class TestRemoteExtract:
         bridge = RemoteBridge(_config(api_key_env="BRIDGE_KEY"), transport=transport)
         bridge.extract("two nodes")
         assert seen["Authorization"] == "Bearer s3cret"
+
+
+_INT_FIELDS = ("nodes", "gpus_per_node", "total_gpus", "master_port")
+_TEXT_FIELDS = ("entry_script", "train_args", "deepspeed_config", "cluster")
+_ENUM_FIELDS = {"framework": Framework, "strategy": Strategy, "launcher": Launcher}
+
+
+def _reference_coerce(raw):
+    """Reference reader of a remote extraction: counts, then text, then enums."""
+    kwargs = {}
+    try:
+        for name in _INT_FIELDS:
+            if raw.get(name) is not None:
+                kwargs[name] = int(raw[name])
+        for name in _TEXT_FIELDS:
+            if raw.get(name) is not None:
+                kwargs[name] = str(raw[name])
+        for name, enum in _ENUM_FIELDS.items():
+            if raw.get(name) is not None:
+                kwargs[name] = enum(raw[name])
+        return PartialJobSpec(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise BridgeProtocolError(f"extract result failed validation: {exc}") from exc
+
+
+def _outcome(read, *args):
+    """What ``read`` returns, or the class and message of what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_REMOTE_VALUES = (
+    st.none() | st.booleans() | st.integers(-2, 70_000) | st.floats()
+    | st.sampled_from(["pytorch", "deepspeed", "accelerate", "ddp", "fsdp", "zero3", "srun",
+                       "torchrun", "mpiexec", "DDP", "", "0", "8", " 4 ", "29500", "x"])
+    | st.text(max_size=4) | st.lists(st.integers(0, 9), max_size=2)
+)
+
+
+@given(st.dictionaries(
+    st.sampled_from([*_INT_FIELDS, *_TEXT_FIELDS, *_ENUM_FIELDS, "certainty"]), _REMOTE_VALUES,
+))
+def test_remote_extraction_reads_as_the_reference_does(raw):
+    bridge = RemoteBridge(_config(), transport=lambda *a: _ok(raw))
+    unreadable = set()
+    for name in _INT_FIELDS:
+        if raw.get(name) is not None and isinstance(_outcome(int, raw[name]), tuple):
+            unreadable.add(name)
+    expected_raw = json.loads(_ok(raw))["result"]
+    if any(isinstance(_outcome(_ENUM_FIELDS[name], raw[name]), tuple)
+           for name in ("framework", "strategy") if raw.get(name) is not None):
+        # The field table reads framework and strategy before the counts.
+        expected_raw = {k: v for k, v in expected_raw.items() if k not in unreadable}
+    assert _outcome(bridge.extract, "two nodes") == _outcome(_reference_coerce, expected_raw)
 
 
 class TestRemoteEmbed:

@@ -5,11 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import launchport
-from launchport.cli import main
-from launchport.intent import parse_script
+from launchport.cli import _parse_answer, main
+from launchport.errors import UsageError
+from launchport.intent import PartialJobSpec, parse_script
 from launchport.documents import bundled
+from launchport.types import Framework, Strategy
 
 from conftest import PERLMUTTER_COMMAND, POLARIS_COMMAND, TABLE_DESCRIPTION
 
@@ -303,6 +306,70 @@ class TestPort:
         assert "nodes=8 x gpus_per_node=1" in err
 
 
+@pytest.mark.parametrize("case", ["generate", "port-mpiexec"])
+def test_capacity_error_is_one_line_with_splits(capsys, tmp_path, case):
+    # generate and port report capacity alike, from the derived counts: an
+    # mpiexec line without -ppn puts its whole world on one node.
+    script = tmp_path / "job.sh"
+    script.write_text("mpiexec -n 16 python -u train.py\n", "utf-8")
+    argv, expected = {
+        "generate": (
+            ["generate", "--cluster", "lonestar6", "--framework", "pytorch", "--strategy", "ddp",
+             "--nodes", "2", "--gpus-per-node", "4", "--entry", "train.py"],
+            "4 GPUs per node does not fit on lonestar6 (limit 3) for world size 8; "
+            "try nodes=4 x gpus_per_node=2 or nodes=8 x gpus_per_node=1",
+        ),
+        "port-mpiexec": (
+            ["port", str(script), "--to", "delta"],
+            "16 GPUs per node does not fit on delta (limit 4) for world size 16; "
+            "try nodes=4 x gpus_per_node=4 or nodes=8 x gpus_per_node=2 "
+            "or nodes=16 x gpus_per_node=1",
+        ),
+    }[case]
+    code, out, err = run_cli(capsys, *argv, "--non-interactive")
+    assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+
+_REFERENCE_ANSWER_TYPES = {
+    "cluster": str, "framework": Framework, "strategy": Strategy, "nodes": int,
+    "gpus_per_node": int, "total_gpus": int, "master_port": int, "entry_script": str,
+    "deepspeed_config": str, "train_args": str,
+}
+
+
+def _reference_parse_answer(name, value):
+    """Reference reader of one answered field, with its own field table."""
+    parse = _REFERENCE_ANSWER_TYPES.get(name)
+    if parse is None:
+        raise UsageError(
+            f"unknown answer field '{name}'; valid: {', '.join(_REFERENCE_ANSWER_TYPES)}")
+    try:
+        parsed = parse(value)
+        PartialJobSpec(**{name: parsed})
+    except ValueError as exc:
+        raise UsageError(f"invalid answer {name}={value}: {exc}") from exc
+    return parsed
+
+
+def _typed_outcome(read, *args):
+    try:
+        value = read(*args)
+        return type(value), value
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.sampled_from([*_REFERENCE_ANSWER_TYPES, "launcher", "bogus", ""]) | st.text(max_size=4),
+    st.sampled_from(["pytorch", "deepspeed", "accelerate", "ddp", "fsdp", "zero3", "acc-ddp",
+                     "DDP", "0", "8", "-1", "80", "29500", "65536", "+3", "1_0", "x", ""])
+    | st.text(max_size=6),
+)
+def test_answers_read_as_the_reference_does(name, value):
+    assert _typed_outcome(_parse_answer, name, value) == _typed_outcome(
+        _reference_parse_answer, name, value)
+
+
 class TestTemplatesCommand:
     def test_list_filters_by_cluster(self, capsys):
         code, out, _ = run_cli(capsys, "templates", "list", "--cluster", "perlmutter")
@@ -565,20 +632,25 @@ class TestPrompting:
         assert "script" in prompts[-1].lower()
 
 
-# Modules a cold `generate` must not load: the first two cost ~13 ms of a cold
-# start; the bridge is loaded only for --bridge-config.
+# Modules a cold `generate` or `port` must not load: the first two cost ~13 ms
+# of a cold start; the bridge is loaded only for --bridge-config.
 NOT_AT_COLD_START = ("dataclasses", "inspect", "launchport.bridge")
 
 
-def test_cold_generate_loads_no_dataclasses_inspect_or_bridge():
-    """A fresh interpreter's `generate` adds none of NOT_AT_COLD_START.
+def test_cold_generate_loads_no_dataclasses_inspect_or_bridge(tmp_path):
+    """A fresh interpreter's `generate`, or `port` to a capacity error, adds
+    none of NOT_AT_COLD_START.
 
     Modules are counted against a bare interpreter's, so what the site
     preloads is not charged to launchport.
     """
     show = "print(' '.join(sorted(sys.modules)))"
-    argv = ["generate", "--cluster", "delta", "--framework", "pytorch", "--strategy", "ddp",
-            "--nodes", "2", "--gpus-per-node", "4", "--entry", "train.py", "--non-interactive"]
+    generate = ["generate", "--cluster", "delta", "--framework", "pytorch", "--strategy", "ddp",
+                "--nodes", "2", "--gpus-per-node", "4", "--entry", "train.py",
+                "--non-interactive"]
+    script = tmp_path / "job.sh"
+    script.write_text("mpiexec -n 16 python -u train.py\n", "utf-8")
+    port = ["port", str(script), "--to", "delta", "--non-interactive"]
     env = dict(os.environ, PYTHONPATH=str(Path(launchport.__file__).resolve().parents[1]))
 
     def loaded(code: str) -> set[str]:
@@ -587,7 +659,8 @@ def test_cold_generate_loads_no_dataclasses_inspect_or_bridge():
         return set(done.stdout.splitlines()[-1].split())
 
     bare = loaded(f"import sys; {show}")
-    cold = loaded(f"import sys, launchport.cli; code = launchport.cli.main({argv!r}); "
-                  f"assert code == 0, code; {show}")
-    assert "launchport.pipeline" in cold
-    assert sorted(set(NOT_AT_COLD_START) & (cold - bare)) == []
+    for argv, exit_code in ((generate, 0), (port, 1)):
+        cold = loaded(f"import sys, launchport.cli; code = launchport.cli.main({argv!r}); "
+                      f"assert code == {exit_code}, code; {show}")
+        assert "launchport.pipeline" in cold
+        assert sorted(set(NOT_AT_COLD_START) & (cold - bare)) == [], argv[0]

@@ -626,6 +626,34 @@ class TestFinalize:
             assert spec.world_size == total
             assert spec.nodes * spec.gpus_per_node == total
 
+    @given(data=st.data())
+    def test_capacity_error_suggests_every_split_that_fits(self, profiles, data):
+        profile = data.draw(st.sampled_from(list(profiles)))
+        counts = st.none() | st.integers(1, 24)
+        p = PartialJobSpec(
+            cluster=profile.id, framework=Framework.PYTORCH, strategy=Strategy.DDP,
+            entry_script="t.py", nodes=data.draw(counts), gpus_per_node=data.draw(counts),
+            total_gpus=data.draw(counts),
+        )
+        try:
+            finalize(p, profile)
+        except CapacityError as exc:
+            d = derive(p)
+            per_node = d.gpus_per_node if d.total_gpus is None else d.total_gpus // d.nodes
+            world = d.nodes * per_node
+            limit = profile.gpus_per_node
+            assert per_node > limit == exc.limit
+            assert str(exc).startswith(
+                f"{per_node} GPUs per node does not fit on {profile.id} "
+                f"(limit {limit}) for world size {world}; try nodes=")
+            assert all(n * g == world and g <= limit for n, g in exc.suggestions)
+            assert exc.suggestions == sorted(
+                exc.suggestions, key=lambda ng: (abs(ng[0] - d.nodes), ng[0]))
+            assert {g for _, g in exc.suggestions} == {
+                g for g in range(1, limit + 1) if world % g == 0}
+        except (IncompleteSpecError, InconsistentTopologyError):
+            pass
+
 
 class TestParseScript:
     def test_reference_slurm_command(self):
@@ -675,6 +703,19 @@ class TestParseScript:
     def test_trailing_args_recovered(self):
         p = parse_script(PERLMUTTER_COMMAND)
         assert p.train_args == "..."
+
+    @pytest.mark.parametrize("letter", ["\u0130", "I", "\u0131", "\u212a", "\u017f"])
+    def test_mpiexec_counts_after_case_variant_letters(self, letter):
+        # lower() turns "İ" into two characters, so an index found in the
+        # lowered text once sliced the script short of "-n" and "-ppn".
+        text = "# " + letter * 20 + "\nmpiexec -n 8 -ppn 4 python train.py"
+        assert script_topology(text) == (None, 4, 8)
+        assert parse_script(text).launcher is Launcher.MPIEXEC
+
+    @pytest.mark.parametrize("word", ["mp\u0130exec", "mp\u0131run"])
+    def test_launcher_names_match_ascii_letters_only(self, word):
+        # re.I alone would match "İ" and "ı" to "i".
+        assert parse_script(f"{word} -n 8 -ppn 4 python train.py") == PartialJobSpec()
 
 
 # Launcher words, their count and port flags, and near misses.

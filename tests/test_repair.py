@@ -1,10 +1,13 @@
 import json
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
-from launchport import intent
+from launchport import intent, repair
+from launchport.documents import bundled
 from launchport.bridge import BridgeConfig, RemoteBridge
 from launchport.errors import ContractViolationError, NoRepairAvailableError, RuleParseError
 from launchport.lint import error_count, lint
@@ -15,6 +18,7 @@ from launchport.repair import (
     CATEGORY_UNKNOWN,
     CONFIDENCE_HIGH,
     CONFIDENCE_LOW,
+    MAX_ITERATIONS,
     STATUS_SUCCESS,
     STATUS_UNRESOLVED,
     diagnose,
@@ -25,7 +29,7 @@ from launchport.repair import (
     propose,
     run_loop,
 )
-from launchport.simcluster import ExecutionResult
+from launchport.simcluster import ExecutionResult, load_fault_rules
 from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.types import Framework, Strategy
 
@@ -293,6 +297,57 @@ class TestRunLoop:
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         with pytest.raises(ContractViolationError):
             run_loop(spec, templates.get("delta-ddp"), profile, fault_rules, max_iter=0)
+
+
+_BUNDLED_RULES = json.loads(bundled("fault_rules.json"))
+# Text that rendered scripts contain or lack, for drawn trigger atoms.
+_SCRIPT_WORDS = ["export ", "PYTHONPATH", "module load", "torchrun", "srun", "mpiexec",
+                 "deepspeed", "accelerate", "--use-ipex", "ds_config.json", "train_gpt2.py",
+                 "MASTER_PORT", "CUSTOM_FLAG", "pip install"]
+
+
+@st.composite
+def _rule_documents(draw):
+    """Bundled rules, some left out and reordered, among rules triggered by script text.
+
+    A drawn rule copies a bundled rule's stderr and repair kinds, so the
+    bundled fingerprints and repair table apply to it.
+    """
+    rules = draw(st.permutations(_BUNDLED_RULES))[: draw(st.integers(0, len(_BUNDLED_RULES)))]
+    for i in range(draw(st.integers(0, 3))):
+        base = draw(st.sampled_from(_BUNDLED_RULES))
+        atom = draw(st.sampled_from(["script_contains", "script_lacks"]))
+        words = draw(st.lists(st.sampled_from(_SCRIPT_WORDS), min_size=1, max_size=2))
+        rules.append({**base, "id": f"DRAWN_{i}", "cluster": "*", "trigger": {atom: words}})
+    return json.dumps(draw(st.permutations(rules)))
+
+
+@given(data=st.data())
+def test_loop_halts_within_bound_for_drawn_rule_sets(
+    profiles, templates, fingerprints, repair_table, data
+):
+    name, spec, profile = data.draw(st.sampled_from(pipeline_cases(profiles)), label="case")
+    rules = load_fault_rules(data.draw(_rule_documents(), label="rules"))
+    max_iter = data.draw(st.integers(1, MAX_ITERATIONS), label="max_iter")
+    submitted = []
+
+    def recording_submit(*args):
+        submitted.append(real_submit(*args))
+        return submitted[-1]
+
+    real_submit = repair.submit
+    with mock.patch.object(repair, "submit", recording_submit):
+        outcome = run_loop(
+            spec, first_bindable(spec, templates), profile, rules, max_iter,
+            fingerprints=fingerprints, repair_table=repair_table,
+        )
+    assert outcome.iterations_used <= max_iter
+    assert len(submitted) == outcome.iterations_used + 1
+    failed = [result for result in submitted if result.exit_code != 0]
+    assert [entry.result for entry in outcome.history] == failed
+    assert outcome.final_result is submitted[-1]
+    assert [entry.action is not None for entry in outcome.history] == (
+        [True] * outcome.iterations_used + ([] if outcome.succeeded else [False]))
 
 
 class _StubRepairBridge:
