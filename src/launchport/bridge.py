@@ -215,7 +215,7 @@ class RemoteBridge:
             raise BridgeProtocolError("empty response body")
         try:
             response = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError, too many digits
             raise BridgeProtocolError(f"response is not JSON: {exc}") from exc
         if not isinstance(response, dict) or "ok" not in response:
             raise BridgeProtocolError("response must be an object with an 'ok' field")
@@ -242,5 +242,5 @@ def _coerce_partial(raw: dict) -> PartialJobSpec:
             for name, parse in _REMOTE_FIELDS.items()
             if raw.get(name) is not None
         })
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise BridgeProtocolError(f"extract result failed validation: {exc}") from exc

@@ -22,6 +22,10 @@ from .documents import bundled, load_json
 from .errors import ProfileParseError, RegistryConflictError, UnknownClusterError
 from .types import FrozenRecord, Launcher, ModuleSystem, PythonEnv, Scheduler, set_frozen
 
+# Above every real node (the bundled maximum is 8); it keeps the capacity
+# suggestions of ``intent.finalize``, linear in this limit, cheap.
+MAX_GPUS_PER_NODE = 1024
+
 _REQUIRED_FIELDS = (
     "id",
     "scheduler",
@@ -59,6 +63,11 @@ class ClusterProfile(FrozenRecord):
         if gpus_per_node < 1:
             raise ProfileParseError(
                 f"gpus_per_node must be >= 1, got {gpus_per_node}", field="gpus_per_node"
+            )
+        if gpus_per_node > MAX_GPUS_PER_NODE:
+            raise ProfileParseError(
+                f"gpus_per_node must be <= {MAX_GPUS_PER_NODE}, got {gpus_per_node}",
+                field="gpus_per_node",
             )
         if max_walltime_minutes < 1:
             raise ProfileParseError(

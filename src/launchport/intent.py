@@ -719,13 +719,19 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
 # Launch-script parsing
 # ---------------------------------------------------------------------------
 
+# The three flags that set a rendezvous port: torchrun's, accelerate's and
+# the environment variable mpiexec and srun pass on.
+_PORT_FLAGS = (r"--master[-_]port", r"--main[-_]process[-_]port", "MASTER_PORT")
+_RE_TORCH_PORT, _RE_MAIN_PORT, _RE_GENV_PORT = (
+    re.compile(flag + r"[=\s]+(\d+)") for flag in _PORT_FLAGS
+)
+# Any of the three flags and its digits (group 1), for every port a script states.
+PORT_FLAG_RE = re.compile("(?:" + "|".join(_PORT_FLAGS) + r")[=\s]+(\d+)")
+
 _RE_NNODES = re.compile(r"--nnodes[=\s]+(\d+)")
 _RE_NPROC = re.compile(r"--nproc[-_]per[-_]node[=\s]+(\d+)")
-_RE_TORCH_PORT = re.compile(r"--master[-_]port[=\s]+(\d+)")
-_RE_GENV_PORT = re.compile(r"MASTER_PORT[=\s]+(\d+)")
 _RE_NUM_MACHINES = re.compile(r"--num[-_]machines[=\s]+(\d+)")
 _RE_NUM_PROCESSES = re.compile(r"--num[-_]processes[=\s]+(\d+)")
-_RE_MAIN_PORT = re.compile(r"--main[-_]process[-_]port[=\s]+(\d+)")
 _RE_NUM_NODES = re.compile(r"--num[-_]nodes[=\s]+(\d+)")
 _RE_NUM_GPUS = re.compile(r"--num[-_]gpus[=\s]+(\d+)")
 _RE_SLOTS = re.compile(r"slots=(\d+)")

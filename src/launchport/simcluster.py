@@ -46,17 +46,17 @@ REPAIR_KINDS = (
     "add_arg",
 )
 
-# Names usable inside stderr templates; instantiated from spec and profile.
-_STDERR_FIELDS = (
-    "cluster",
-    "nodes",
-    "gpus_per_node",
-    "world_size",
-    "entry_script",
-    "gpu_type",
-    "scheduler",
-    "master_port",
-)
+# Names usable inside stderr templates, each with its text for a job on a cluster.
+_STDERR_FIELDS = {
+    "cluster": lambda spec, profile: profile.id,
+    "nodes": lambda spec, profile: str(spec.nodes),
+    "gpus_per_node": lambda spec, profile: str(spec.gpus_per_node),
+    "world_size": lambda spec, profile: str(spec.world_size),
+    "entry_script": lambda spec, profile: spec.entry_script,
+    "gpu_type": lambda spec, profile: profile.gpu_type,
+    "scheduler": lambda spec, profile: profile.scheduler.value,
+    "master_port": lambda spec, profile: str(spec.master_port),
+}
 
 
 class FaultRule(FrozenRecord):
@@ -90,12 +90,6 @@ class FaultRuleSet:
 
     def __iter__(self) -> Iterator[FaultRule]:
         return iter(self._rules)
-
-    def get(self, rule_id: str) -> FaultRule | None:
-        for rule in self._rules:
-            if rule.id == rule_id:
-                return rule
-        return None
 
     def unresolvable_ids(self) -> list[str]:
         return [r.id for r in self._rules if r.unresolvable]
@@ -232,17 +226,7 @@ def _rule_applies(rule: FaultRule, text: str, spec: JobSpec, profile: ClusterPro
 
 
 def _instantiate_stderr(template: str, spec: JobSpec, profile: ClusterProfile) -> str:
-    values = {
-        "cluster": profile.id,
-        "nodes": str(spec.nodes),
-        "gpus_per_node": str(spec.gpus_per_node),
-        "world_size": str(spec.world_size),
-        "entry_script": spec.entry_script,
-        "gpu_type": profile.gpu_type,
-        "scheduler": profile.scheduler.value,
-        "master_port": str(spec.master_port),
-    }
-    return PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
+    return PLACEHOLDER_RE.sub(lambda m: _STDERR_FIELDS[m.group(1)](spec, profile), template)
 
 
 def submit(

@@ -31,7 +31,7 @@ from . import intent
 from .clusters import ClusterProfile
 from .errors import ContractViolationError, PolicyViolationError, UnboundParameterError
 from .intent import JobSpec
-from .templates import PLACEHOLDER_RE, Template, placeholders
+from .templates import PLACEHOLDER_RE, Template
 from .types import FrozenRecord, Scheduler, set_frozen
 
 PROVENANCE_USER = "user"
@@ -53,14 +53,18 @@ class ParamBinding(FrozenRecord):
 
 
 class RenderedScript(FrozenRecord):
-    """Final script text plus the binding that produced it."""
+    """Final script text plus the binding that produced it.
+
+    The text holds no ``{name}`` placeholder: the constructor raises
+    :class:`UnboundParameterError` naming the first one it finds.
+    """
 
     __slots__ = ("text", "template_id", "binding", "_topology")
 
     def __init__(self, text: str, template_id: str, binding: ParamBinding) -> None:
-        leftover = placeholders(text)
+        leftover = PLACEHOLDER_RE.search(text)
         if leftover:
-            raise UnboundParameterError(leftover[0], template_id)
+            raise UnboundParameterError(leftover.group(1), template_id)
         set_frozen(self, "text", text)
         set_frozen(self, "template_id", template_id)
         set_frozen(self, "binding", binding)
@@ -204,6 +208,4 @@ def wrap_batch(
 def _canonical(value: int | str) -> str:
     if isinstance(value, bool):  # bools are ints; reject silently becoming "True"
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
     return str(value)

@@ -165,9 +165,6 @@ class TemplateSet:
     def find_key(self, key: TemplateKey) -> Template | None:
         return self._by_key.get(key)
 
-    def ids(self) -> list[str]:
-        return list(self._by_id)
-
     def in_id_order(self) -> tuple[Template, ...]:
         return self._in_id_order
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import find, strategies as st
 
 from launchport.clusters import default_profiles
 from launchport.intent import JobSpec
@@ -53,6 +54,14 @@ FAULT_CORPUS = {
     "BAD_CONFIG_PATH": ("delta", Framework.DEEPSPEED, Strategy.ZERO3,
                         {"deepspeed_config": "/nonexistent/ds_config.json"}),
 }
+
+
+@pytest.hookimpl(trylast=True)  # after hypothesis' plugin ends its initialization phase
+def pytest_sessionstart(session):
+    # Build hypothesis' Unicode tables before any test runs.  Without a
+    # .hypothesis/ cache the first test to draw text pays for the build, and
+    # the too_slow health check fails it.
+    find(st.text(min_size=1), lambda s: True)
 
 
 @pytest.fixture(scope="session")

@@ -115,6 +115,15 @@ class TestRemoteExtract:
         with pytest.raises(BridgeProtocolError):
             bridge.extract("minus three nodes")
 
+    @pytest.mark.parametrize("count", [b"Infinity", b"9" * 4301], ids=["infinity", "4301-digits"])
+    def test_unconvertible_count_is_protocol_error(self, count):
+        # json.loads accepts Infinity, which int() cannot convert, and turns a
+        # count of more than 4,300 digits into a plain ValueError.
+        body = b'{"ok": true, "result": {"nodes": ' + count + b"}}"
+        bridge = RemoteBridge(_config(), transport=lambda *a: body)
+        with pytest.raises(BridgeProtocolError):
+            bridge.extract("two nodes")
+
     def test_endpoint_down_is_unavailable(self):
         def transport(*args):
             raise urllib.error.URLError("connection refused")
@@ -172,7 +181,7 @@ def _reference_coerce(raw):
             if raw.get(name) is not None:
                 kwargs[name] = enum(raw[name])
         return PartialJobSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BridgeProtocolError(f"extract result failed validation: {exc}") from exc
 
 

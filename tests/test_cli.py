@@ -511,6 +511,26 @@ class TestBridgeFallback:
         assert out == PERLMUTTER_COMMAND + "\n"
 
 
+    @pytest.mark.parametrize("count", [b"Infinity", b"9" * 4301], ids=["infinity", "4301-digits"])
+    def test_unconvertible_remote_count_falls_back(self, capsys, tmp_path, monkeypatch, count):
+        body = b'{"ok": true, "result": {"nodes": ' + count + b"}}"
+        monkeypatch.setattr("launchport.bridge._default_transport", lambda *a: body)
+        config = tmp_path / "bridge.json"
+        config.write_text(json.dumps({
+            "endpoint": "http://bridge.test/v1",
+            "timeout_ms": 1,
+            "retries": 0,
+            "capabilities": ["extract"],
+        }), "utf-8")
+        code, out, err = run_cli(
+            capsys, "generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+            "--bridge-config", str(config), "--non-interactive",
+        )
+        assert err.startswith("notice: remote extractor unavailable")
+        assert "rule-based extractor" in err
+        assert code == 0
+        assert out == PERLMUTTER_COMMAND + "\n"
+
     def test_fallback_knows_clusters_of_custom_profiles(self, capsys, tmp_path, monkeypatch):
         def down(url, body, headers, timeout_s):
             raise OSError("endpoint down")

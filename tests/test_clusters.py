@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from launchport.clusters import load_profiles
+from launchport.clusters import MAX_GPUS_PER_NODE, load_profiles
 from launchport.documents import bundled
 from launchport.errors import ProfileParseError, RegistryConflictError, UnknownClusterError
 from launchport.types import Scheduler
@@ -112,6 +112,15 @@ def test_nonpositive_counts_rejected():
         load_profiles(json.dumps([_record(gpus_per_node=0)]))
     with pytest.raises(ProfileParseError):
         load_profiles(json.dumps([_record(max_walltime_minutes=0)]))
+
+
+def test_gpus_per_node_is_bounded(profiles):
+    assert load_profiles(json.dumps([_record(gpus_per_node=MAX_GPUS_PER_NODE)]))
+    with pytest.raises(ProfileParseError) as exc:
+        load_profiles(json.dumps([_record(gpus_per_node=MAX_GPUS_PER_NODE + 1)]))
+    assert exc.value.field == "gpus_per_node"
+    assert str(MAX_GPUS_PER_NODE) in str(exc.value)
+    assert max(p.gpus_per_node for p in profiles) <= MAX_GPUS_PER_NODE
 
 
 def test_invalid_json_reports_line():

@@ -1,4 +1,12 @@
+import re
+
+import pytest
+from hypothesis import given, strategies as st
+
+from launchport.errors import UnboundParameterError
+from launchport.intent import PORT_FLAG_RE
 from launchport.lint import (
+    CATALOG,
     ENV_PROPAGATION_RISK,
     GPU_CAPACITY_EXCEEDED,
     LAUNCH_SCHED_CONFLICT,
@@ -6,7 +14,6 @@ from launchport.lint import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     TOPOLOGY_MISMATCH,
-    UNRESOLVED_PLACEHOLDER,
     error_count,
     lint,
 )
@@ -17,12 +24,8 @@ from conftest import make_spec
 
 
 def _raw_script(text):
-    # Bypass RenderedScript's own placeholder check for lint-input tests.
-    script = RenderedScript.__new__(RenderedScript)
-    object.__setattr__(script, "text", text)
-    object.__setattr__(script, "template_id", "external")
-    object.__setattr__(script, "binding", ParamBinding(values={}, provenance={}))
-    return script
+    """A script from outside the template repository, such as a hand edit."""
+    return RenderedScript(text, "external", ParamBinding(values={}, provenance={}))
 
 
 def test_reference_script_is_clean(profiles, templates):
@@ -58,15 +61,15 @@ def test_env_warning_suppressed_by_exports(profiles, templates):
     assert lint(patched, spec, profile) == []
 
 
-def test_unresolved_placeholder_flagged_with_span(profiles):
+def test_placeholder_in_a_bound_value_is_refused(profiles, templates):
+    # A template declares every placeholder it holds, so one reaches a
+    # rendered text only inside a bound value, and is refused before lint.
     profile = profiles.resolve("delta")
-    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-    script = _raw_script("torchrun --nnodes={nodes} train.py")
-    findings = lint(script, spec, profile)
-    assert findings[0].code == UNRESOLVED_PLACEHOLDER
-    assert findings[0].span is not None
-    start, end = findings[0].span
-    assert script.text[start:end] == "{nodes}"
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, train_args="--cfg {x}")
+    with pytest.raises(UnboundParameterError) as exc:
+        render_for_spec(spec, templates.get("delta-ddp"), profile)
+    assert exc.value.param == "x"
+    assert exc.value.template_id == "delta-ddp"
 
 
 def test_topology_mismatch_detected(profiles):
@@ -104,9 +107,21 @@ def test_port_range_checked(profiles):
 def test_findings_follow_check_order(profiles):
     profile = profiles.resolve("aurora")
     spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
-    script = _raw_script("accelerate launch {nodes} train.py")
+    script = _raw_script("mpiexec -n 9 -ppn 4 python -u train.py")
     codes = [f.code for f in lint(script, spec, profile)]
-    assert codes.index(UNRESOLVED_PLACEHOLDER) < codes.index(LAUNCH_SCHED_CONFLICT)
+    assert codes == [LAUNCH_SCHED_CONFLICT, TOPOLOGY_MISMATCH]
+
+
+def test_severities_come_from_the_catalog(profiles):
+    script = _raw_script("mpiexec -n 9 -ppn 12 -genv MASTER_PORT 80 python -u train.py")
+    codes = set()
+    for cluster in ("aurora", "deltaai"):
+        profile = profiles.resolve(cluster)
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        for finding in lint(script, spec, profile):
+            assert finding.severity == CATALOG[finding.code]
+            codes.add(finding.code)
+    assert codes == set(CATALOG)
 
 
 def test_lint_is_pure(profiles, templates):
@@ -128,3 +143,23 @@ def test_soundness_over_verified_bundle(profiles, templates):
         rendered = render_for_spec(spec, t, profile)
         findings = lint(rendered, spec, profile)
         assert error_count(findings) == 0, (t.id, findings)
+
+
+# Reference: lint's own port scan, before intent defined the three flags once.
+_RAW_PORT_RE = re.compile(
+    r"(?:--master[-_]port|--main[-_]process[-_]port|MASTER_PORT)[=\s]+(\d+)"
+)
+
+_PORT_TOKENS = [
+    "--master_port", "--master-port", "--main_process_port", "--main-process_port",
+    "--main-process-port", "MASTER_PORT", "master_port", "--master__port", "-genv MASTER_PORT",
+    "--MASTER_PORT", "=", " ", "\t", "\n", "29500", "80", "70000", "0", "1" * 30, "x", "'",
+]
+
+
+@given(st.lists(st.sampled_from(_PORT_TOKENS), max_size=16).map("".join) | st.text())
+def test_port_flag_pattern_scans_as_lints_own_did(text):
+    def stream(pattern):
+        return [(m.group(1), m.span(1)) for m in pattern.finditer(text)]
+
+    assert stream(PORT_FLAG_RE) == stream(_RAW_PORT_RE)

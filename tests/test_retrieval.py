@@ -319,7 +319,7 @@ class TestOnePassRanking:
         framework=st.sampled_from(list(Framework)),
         strategy=st.sampled_from(list(Strategy)),
         launcher=st.sampled_from(list(Launcher)),
-        ids=st.lists(st.sampled_from(_BUNDLED.ids()), min_size=1, unique=True),
+        ids=st.lists(st.sampled_from([t.id for t in _BUNDLED]), min_size=1, unique=True),
         embedder=st.sampled_from([None, FakeEmbedder(), _DownEmbedder()]),
     )
     def test_equals_two_pass_reference(self, cluster, framework, strategy, launcher, ids,

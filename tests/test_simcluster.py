@@ -1,15 +1,17 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from launchport.clusters import default_profiles
 from launchport.errors import RuleParseError
 from launchport.repair import apply_action, default_repair_table, load_fingerprints
-from launchport.simcluster import load_fault_rules, submit
+from launchport.simcluster import _STDERR_FIELDS, _instantiate_stderr, load_fault_rules, submit
 from launchport.synthesis import render_for_spec
-from launchport.templates import default_templates
+from launchport.templates import PLACEHOLDER_RE, default_templates
 from launchport.types import CATEGORIES, Framework, Strategy
 
-from conftest import make_spec
+from conftest import make_spec, matrix_specs
 
 
 def _run(profiles, templates, rules, cluster, framework, strategy, **overrides):
@@ -21,6 +23,10 @@ def _run(profiles, templates, rules, cluster, framework, strategy, **overrides):
     )
     rendered = render_for_spec(spec, template, profile)
     return submit(rendered, spec, profile, rules), rendered, spec, profile, template
+
+
+def _rule(rules, rule_id):
+    return next(rule for rule in rules if rule.id == rule_id)
 
 
 class TestSubmit:
@@ -52,7 +58,7 @@ class TestSubmit:
         assert result.exit_code != 0
         assert result.fault_fired == "APEX_GH200_VISTA"
         assert "Apex" in result.stderr
-        assert fault_rules.get("APEX_GH200_VISTA").unresolvable
+        assert _rule(fault_rules, "APEX_GH200_VISTA").unresolvable
 
     def test_first_match_in_document_order(self, profiles, templates, fault_rules):
         # deltaai stage-3 matches both the Apex rule and the env rule; the
@@ -210,7 +216,7 @@ class TestFaultRepairClosure:
         first = submit(rendered, spec, profile, fault_rules)
         assert first.fault_fired == rule_id
 
-        rule = fault_rules.get(rule_id)
+        rule = _rule(fault_rules, rule_id)
         fingerprint_id = rule_id if rule_id in repair_table.fingerprint_ids() else None
         assert fingerprint_id is not None
         actions = repair_table.actions_for(fingerprint_id)
@@ -223,3 +229,54 @@ class TestFaultRepairClosure:
             )
             after = submit(patched, patched_spec, profile, fault_rules)
             assert after.fault_fired != rule_id, (rule_id, action.kind)
+
+
+def _reference_stderr(template, spec, profile):
+    """Stderr as it was instantiated when every field's value sat in one dict."""
+    values = {
+        "cluster": profile.id,
+        "nodes": str(spec.nodes),
+        "gpus_per_node": str(spec.gpus_per_node),
+        "world_size": str(spec.world_size),
+        "entry_script": spec.entry_script,
+        "gpu_type": profile.gpu_type,
+        "scheduler": profile.scheduler.value,
+        "master_port": str(spec.master_port),
+    }
+    return PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
+
+
+class TestStderrFields:
+    def test_every_bundled_rule_on_every_grid_cell(self, profiles, fault_rules):
+        for _, spec, profile in matrix_specs(profiles):
+            for rule in fault_rules:
+                template = rule.stderr_template
+                assert _instantiate_stderr(template, spec, profile) == _reference_stderr(
+                    template, spec, profile
+                ), (rule.id, spec.cluster)
+
+    @given(
+        profile=st.sampled_from(list(default_profiles())),
+        fields=st.lists(st.sampled_from(sorted(_STDERR_FIELDS))
+                        | st.text(st.characters(blacklist_characters="{}"), max_size=3)),
+        nodes=st.integers(1, 64),
+        gpus=st.integers(1, 8),
+        port=st.integers(1024, 65535),
+        entry=st.text(min_size=1, max_size=8),
+    )
+    def test_drawn_templates_and_jobs(self, profile, fields, nodes, gpus, port, entry):
+        # Free text holds no braces, so the only placeholders are the drawn fields.
+        template = "".join(f"{{{f}}}" if f in _STDERR_FIELDS else f for f in fields)
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=nodes,
+                         gpus_per_node=gpus, master_port=port, entry_script=entry)
+        assert _instantiate_stderr(template, spec, profile) == _reference_stderr(
+            template, spec, profile
+        )
+
+    def test_rule_may_name_only_the_table_fields(self):
+        doc = json.dumps([{
+            "id": "X", "cluster": "*", "trigger": {}, "category": "env",
+            "stderr": "{gpu_type} on {cluster} {rank}",
+        }])
+        with pytest.raises(RuleParseError, match="unknown stderr field '{rank}'"):
+            load_fault_rules(doc)

@@ -3,7 +3,9 @@ from hypothesis import given, strategies as st
 
 from launchport.errors import ContractViolationError, PolicyViolationError, UnboundParameterError
 from launchport.intent import extract, finalize
-from launchport.synthesis import bind, render, render_for_spec, wrap_batch
+from launchport.synthesis import (
+    ParamBinding, RenderedScript, bind, render, render_for_spec, wrap_batch,
+)
 from launchport.templates import placeholders
 from launchport.types import Framework, Launcher, Strategy
 
@@ -132,6 +134,27 @@ class TestRender:
             idx = out.find(segment)
             assert idx >= 0
             out = out[idx + len(segment):]
+
+
+_PLACEHOLDER_TOKENS = [
+    "{x}", "{nodes}", "{n1_x}", "${x}", "$", "{", "}", "{A}", "{_x}", "{1x}", "{x y}", "a", " ",
+    "\n", "{{x}}", "$$", "{ab}",
+]
+
+
+class TestRenderedScript:
+    @given(st.lists(st.sampled_from(_PLACEHOLDER_TOKENS) | st.text(max_size=4)).map("".join))
+    def test_refuses_exactly_the_texts_with_placeholders(self, text):
+        found = placeholders(text)
+        try:
+            script = RenderedScript(text, "external", ParamBinding(values={}, provenance={}))
+        except UnboundParameterError as exc:
+            assert found
+            assert exc.param == found[0]
+            assert exc.template_id == "external"
+        else:
+            assert found == []
+            assert script.text == text
 
 
 class TestWrapBatch:
