@@ -26,17 +26,9 @@ from .types import FrozenRecord, Launcher, ModuleSystem, PythonEnv, Scheduler, s
 # suggestions of ``intent.finalize``, linear in this limit, cheap.
 MAX_GPUS_PER_NODE = 1024
 
-_REQUIRED_FIELDS = (
-    "id",
-    "scheduler",
-    "default_launcher",
-    "gpus_per_node",
-    "gpu_type",
-    "env_propagation",
-    "module_system",
-    "python_env",
-    "max_walltime_minutes",
-)
+# The profile fields a record may omit, each a list of strings; every other
+# field of ClusterProfile is required.
+_OPTIONAL_FIELDS = ("aliases", "known_faults")
 
 
 class ClusterProfile(FrozenRecord):
@@ -134,10 +126,10 @@ class ProfileSet:
 def _parse_record(record: dict, index: int) -> ClusterProfile:
     if not isinstance(record, dict):
         raise ProfileParseError("profile record must be an object", record=index)
-    for name in _REQUIRED_FIELDS:
-        if name not in record:
+    for name in ClusterProfile._fields:
+        if name not in record and name not in _OPTIONAL_FIELDS:
             raise ProfileParseError("missing field", record=index, field=name)
-    for name in ("aliases", "known_faults"):
+    for name in _OPTIONAL_FIELDS:
         value = record.get(name, [])
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ProfileParseError("must be a list of strings", record=index, field=name)

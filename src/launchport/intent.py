@@ -74,6 +74,7 @@ from .types import (
     Record,
     Strategy,
     set_frozen,
+    valid_port,
 )
 
 REQUIRED_FIELDS = ("cluster", "framework", "strategy", "nodes", "gpus_per_node", "entry_script")
@@ -87,7 +88,8 @@ MAX_NODES = 16_384
 # framework, and a framework without a named strategy means plain DDP.
 # mpiexec and srun drive the training program directly, which is the plain
 # PyTorch launch form; DeepSpeed and Accelerate jobs go through their own
-# launchers.
+# launchers.  A job that names no launcher takes the cluster's default when
+# it implies the job's framework, else the first launcher here that does.
 LAUNCHER_IMPLIES_FRAMEWORK = {
     Launcher.TORCHRUN: Framework.PYTORCH,
     Launcher.DEEPSPEED: Framework.DEEPSPEED,
@@ -99,9 +101,11 @@ STRATEGY_IMPLIES_FRAMEWORK = {
     Strategy.ZERO3: Framework.DEEPSPEED,
     Strategy.FSDP: Framework.PYTORCH,
 }
-FRAMEWORK_DEFAULT_LAUNCHER = {
-    Framework.DEEPSPEED: Launcher.DEEPSPEED,
-    Framework.ACCELERATE: Launcher.ACCELERATE,
+# The launchers that imply each framework, in table order.
+_FRAMEWORK_LAUNCHERS = {
+    framework: tuple(launcher for launcher, implied in LAUNCHER_IMPLIES_FRAMEWORK.items()
+                     if implied is framework)
+    for framework in Framework
 }
 
 
@@ -151,7 +155,8 @@ class PartialJobSpec(Record):
     """Best-effort job description; every field may be absent.
 
     Present fields are validated on construction: counts must be positive
-    and ports must fall in [1024, 65535].  Fields may be assigned afterwards,
+    and a port must pass :func:`~launchport.types.valid_port`, which also
+    reads a port given as text.  Fields may be assigned afterwards,
     unchecked.
     """
 
@@ -176,10 +181,9 @@ class PartialJobSpec(Record):
                             ("total_gpus", total_gpus)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if master_port is not None and not (PORT_MIN <= master_port <= PORT_MAX):
-            raise ValueError(
-                f"master_port must be in [{PORT_MIN}, {PORT_MAX}], got {master_port}"
-            )
+        port = valid_port(master_port)
+        if port is None and master_port is not None:
+            raise ValueError(f"master_port must be in [{PORT_MIN}, {PORT_MAX}], got {master_port}")
         self.cluster = cluster
         self.framework = framework
         self.strategy = strategy
@@ -187,7 +191,7 @@ class PartialJobSpec(Record):
         self.nodes = nodes
         self.gpus_per_node = gpus_per_node
         self.total_gpus = total_gpus
-        self.master_port = master_port
+        self.master_port = port
         self.entry_script = entry_script
         self.train_args = train_args
         self.deepspeed_config = deepspeed_config
@@ -557,9 +561,7 @@ def _resolve(text: str, first: dict[str, object], cluster: str | None) -> Partia
                                "per_node_phrase")
     if spec.gpus_per_node is None:
         spec.total_gpus = count("f_total_gpus", "in_total", "total_of", "total_gpus", "gpus")
-    port = count("f_master_port", "port")
-    if port is not None and PORT_MIN <= port <= PORT_MAX:
-        spec.master_port = port
+    spec.master_port = valid_port(count("f_master_port", "port"))
     spec.entry_script = (first.get("f_entry") or first.get("entry_phrase")
                          or first.get("run") or first.get("python") or first.get("py"))
     config = first.get("f_config") or first.get("config") or first.get("json")
@@ -692,12 +694,10 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
 
     launcher = d.launcher
     if launcher is None:
-        launcher = FRAMEWORK_DEFAULT_LAUNCHER.get(d.framework)  # type: ignore[arg-type]
-    if launcher is None:
-        # PyTorch jobs take the cluster's customary launcher.
+        launchers = _FRAMEWORK_LAUNCHERS[d.framework]  # type: ignore[index]
         launcher = profile.default_launcher
-        if launcher not in (Launcher.TORCHRUN, Launcher.MPIEXEC, Launcher.SRUN):
-            launcher = Launcher.TORCHRUN
+        if launcher not in launchers:
+            launcher = launchers[0]
 
     explicit_port = d.master_port is not None
     return JobSpec(
@@ -773,7 +773,7 @@ def parse_script(script: str) -> PartialJobSpec:
         return spec
     spec.launcher = launcher
     for pattern in _PORT_PATTERNS[launcher]:
-        spec.master_port = _valid_port(_grab(pattern, script))
+        spec.master_port = valid_port(_grab(pattern, script))
         if spec.master_port is not None:
             break
 
@@ -841,12 +841,6 @@ def _grab(pattern: re.Pattern, text: str) -> int | None:
     """The first count ``pattern`` reads in ``text``, if it is at least 1."""
     m = pattern.search(text)
     return _positive(_int(m.group(1))) if m else None
-
-
-def _valid_port(value: int | None) -> int | None:
-    if value is not None and PORT_MIN <= value <= PORT_MAX:
-        return value
-    return None
 
 
 def _positive(value: int | None) -> int | None:

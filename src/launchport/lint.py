@@ -6,21 +6,8 @@ Checks run in a fixed order and each one that trips contributes a
 clusters (environment propagation) are warnings; hard structural
 violations are errors.
 
-Finding codes form a closed catalog per release:
-
-=========================  ========  =============================================
-code                       severity  meaning
-=========================  ========  =============================================
-LAUNCH_SCHED_CONFLICT      error     the accelerate launcher cannot drive a PBS
-                                     scheduled cluster
-TOPOLOGY_MISMATCH          error     world size visible in the script is not
-                                     nodes x per-node
-GPU_CAPACITY_EXCEEDED      error     per-node GPU count exceeds the profile
-PORT_OUT_OF_RANGE          error     rendezvous port outside [1024, 65535]
-ENV_PROPAGATION_RISK       warning   multi-node job on a cluster that does not
-                                     export the user environment, with no
-                                     explicit exports in the script
-=========================  ========  =============================================
+Finding codes form a closed catalog per release, :data:`CATALOG` (code to
+severity); ``docs/formats.md`` gives the condition and remedy of each code.
 
 No check looks for a ``{name}`` placeholder that survived rendering:
 :class:`~launchport.synthesis.RenderedScript` refuses such a text with
@@ -33,7 +20,7 @@ from .clusters import ClusterProfile
 from .errors import LaunchportError
 from .intent import PORT_FLAG_RE, JobSpec
 from .synthesis import RenderedScript
-from .types import FrozenRecord, Launcher, PORT_MAX, PORT_MIN, Scheduler, set_frozen
+from .types import PORT_MAX, PORT_MIN, FrozenRecord, Launcher, Scheduler, set_frozen, valid_port
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -106,13 +93,13 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
             f"of {profile.gpus_per_node}",
         )
 
-    # 4. Port range.  parse_script drops invalid ports, so scan raw tokens.
-    raw_ports = [(int(m.group(1)), m.span(1)) for m in PORT_FLAG_RE.finditer(text)]
-    if not raw_ports:
-        raw_ports = [(spec.master_port, None)]
-    for port, span in raw_ports:
-        if not (PORT_MIN <= port <= PORT_MAX):
-            report(PORT_OUT_OF_RANGE, f"port {port} outside [{PORT_MIN}, {PORT_MAX}]", span)
+    # 4. Port range of every port the script states, else of the spec's.
+    port = None
+    for m in PORT_FLAG_RE.finditer(text):
+        if valid_port(port := m[1]) is None:
+            report(PORT_OUT_OF_RANGE, f"port {port} outside [{PORT_MIN}, {PORT_MAX}]", m.span(1))
+    if port is None and valid_port(spec.master_port) is None:
+        report(PORT_OUT_OF_RANGE, f"port {spec.master_port} outside [{PORT_MIN}, {PORT_MAX}]")
 
     # 5. Environment propagation risk on multi-node jobs.
     if (

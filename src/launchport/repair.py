@@ -38,7 +38,7 @@ from .errors import (
 )
 from .intent import JobSpec
 from .lint import Finding, error_count, lint
-from .simcluster import REPAIR_KINDS, ExecutionResult, FaultRuleSet, submit
+from .simcluster import ExecutionResult, FaultRuleSet, submit
 from .synthesis import (
     PROVENANCE_USER,
     ParamBinding,
@@ -56,8 +56,10 @@ from .types import (
     CATEGORY_USER,
     PORT_MAX,
     PORT_MIN,
+    REPAIR_PAYLOAD_KEYS,
     FrozenRecord,
     set_frozen,
+    valid_port,
 )
 
 CONFIDENCE_HIGH = "high"
@@ -226,7 +228,7 @@ def load_repair_table(source: Path | str) -> RepairTable:
                     f"action for '{fingerprint_id}' must be an object", index=i
                 )
             kind = entry.get("kind")
-            if kind not in REPAIR_KINDS:
+            if not isinstance(kind, str) or kind not in REPAIR_PAYLOAD_KEYS:
                 raise RuleParseError(
                     f"unknown repair kind '{kind}' for '{fingerprint_id}'", index=i
                 )
@@ -235,6 +237,9 @@ def load_repair_table(source: Path | str) -> RepairTable:
                 raise RuleParseError(
                     f"payload for '{fingerprint_id}' must be an object", index=i
                 )
+            for key in REPAIR_PAYLOAD_KEYS[kind]:
+                if key not in payload:
+                    raise RuleParseError(f"{kind} for '{fingerprint_id}' lacks '{key}'", index=i)
             parsed.append(
                 RepairAction(
                     kind=kind,
@@ -450,9 +455,10 @@ def apply_action(
     if kind == "set_param":
         return _apply_set_param(payload, script, spec, template, profile)
     if kind == "switch_template":
-        if template_set is None:
-            raise NoRepairAvailableError("switch_template requires a template set")
-        new_t = template_set.get(payload["template_id"])
+        template_id = payload["template_id"]
+        if template_set is None or template_id not in template_set:
+            raise NoRepairAvailableError(f"no template '{template_id}' to switch to")
+        new_t = template_set.get(template_id)
         return render_for_spec(spec, new_t, profile), spec, new_t
     raise LaunchportError(f"unknown repair kind '{kind}'")
 
@@ -470,10 +476,9 @@ def _apply_set_param(
         new_spec = spec.replace(deepspeed_config=str(value))
         return render_for_spec(new_spec, template, profile), new_spec, template
     if param == "master_port":
-        # A port is an int or up to five decimal digits, in [PORT_MIN, PORT_MAX];
-        # anything else ("abc" from a remote proposal) cannot be applied.
-        port = int(value) if isinstance(value, str) and value.isdecimal() and len(value) <= 5 else value
-        if type(port) is not int or not PORT_MIN <= port <= PORT_MAX:
+        # Anything but a port ("abc" from a remote proposal) cannot be applied.
+        port = valid_port(value)
+        if port is None:
             raise NoRepairAvailableError(
                 f"master_port must be an integer in [{PORT_MIN}, {PORT_MAX}], got {value!r}"
             )

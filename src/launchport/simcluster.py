@@ -7,15 +7,10 @@ behaviors from a data-driven rule set, emitting canned stderr close enough
 to real tool output for fingerprint matching.
 
 Rule evaluation is first-match in document order.  A rule applies when its
-cluster scope matches the target profile and every trigger atom holds.
-Trigger atoms (all conjoined):
-
-* ``cluster_is``: cluster id or list of ids
-* ``strategy_is`` / ``launcher_is``: enum value or list
-* ``script_contains`` / ``script_lacks``: substring or list of substrings
-* ``nodes_gt``: integer lower bound on the node count
-
-``clearable_by`` names the repair-action kinds that can disarm the rule; an
+cluster scope matches the target profile and every trigger atom holds; the
+atoms (:data:`_TRIGGER_ATOMS`) are described in ``docs/formats.md``.
+``clearable_by`` names the repair-action kinds (the keys of
+:data:`~launchport.types.REPAIR_PAYLOAD_KEYS`) that can disarm the rule; an
 empty list marks the failure as beyond script-level repair.
 
 Everything is pure: identical inputs produce byte-identical results, and
@@ -34,17 +29,7 @@ from .errors import RuleParseError
 from .intent import JobSpec
 from .synthesis import RenderedScript
 from .templates import PLACEHOLDER_RE
-from .types import CATEGORIES, FrozenRecord, set_frozen
-
-REPAIR_KINDS = (
-    "set_param",
-    "prepend_line",
-    "export_env",
-    "add_module_load",
-    "pin_version",
-    "switch_template",
-    "add_arg",
-)
+from .types import CATEGORIES, REPAIR_PAYLOAD_KEYS, FrozenRecord, set_frozen
 
 # Names usable inside stderr templates, each with its text for a job on a cluster.
 _STDERR_FIELDS = {
@@ -164,7 +149,7 @@ def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule
     if not isinstance(clearable, list):
         raise RuleParseError("clearable_by must be a list of repair kinds", index=index)
     for kind in clearable:
-        if kind not in REPAIR_KINDS:
+        if not isinstance(kind, str) or kind not in REPAIR_PAYLOAD_KEYS:
             raise RuleParseError(f"unknown repair kind '{kind}' in clearable_by", index=index)
     stderr = str(raw["stderr"])
     for name in PLACEHOLDER_RE.findall(stderr):

@@ -25,7 +25,9 @@ from typing import Iterator
 
 from .documents import bundled, load_json
 from .errors import TemplateConflictError, TemplateInvalidError
-from .types import PORT_MAX, PORT_MIN, Framework, FrozenRecord, Launcher, Strategy, set_frozen
+from .types import (
+    PORT_MAX, PORT_MIN, Framework, FrozenRecord, Launcher, Strategy, set_frozen, valid_port,
+)
 
 # A placeholder is {name} not preceded by '$' (which would make it a shell
 # parameter expansion like ${SLURM_PROCID}).
@@ -109,7 +111,7 @@ def validate_template(t: Template) -> None:
                 t.id, f"param '{decl.name}' needs an integer default, "
                 f"got {decl.default!r}"
             )
-        if is_port and not PORT_MIN <= decl.default <= PORT_MAX:
+        if is_port and valid_port(decl.default) is None:
             raise TemplateInvalidError(
                 t.id, f"port param '{decl.name}' default {decl.default} "
                 f"is outside [{PORT_MIN}, {PORT_MAX}]"

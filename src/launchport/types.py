@@ -125,9 +125,28 @@ CATEGORIES = (CATEGORY_ENV, CATEGORY_FRAMEWORK, CATEGORY_USER)
 # A failure that neither a fingerprint nor the remote bridge classified.
 CATEGORY_UNKNOWN = "unknown"
 
+# Each repair-action kind and the payload keys its action must carry.
+# ``clearable_by`` in a fault rule names these kinds.
+REPAIR_PAYLOAD_KEYS = {
+    "export_env": ("name",),
+    "add_module_load": ("module",),
+    "pin_version": ("package", "version"),
+    "prepend_line": ("line",),
+    "add_arg": ("args",),
+    "set_param": ("param", "value"),
+    "switch_template": ("template_id",),
+}
+
 PORT_MIN = 1024
 PORT_MAX = 65535
-
 # Fallback rendezvous port when neither the user nor the selected template
 # names one.  User-provided ports always win over any default.
 DEFAULT_MASTER_PORT = 29500
+
+
+def valid_port(value: object) -> int | None:
+    """``value`` as a port: an int, or a text of at most five decimal digits, in
+    [PORT_MIN, PORT_MAX]; else ``None``.  A longer text is never converted."""
+    if value.__class__ is str:
+        value = int(value) if len(value) <= 5 and value.isdecimal() else None
+    return value if value.__class__ is int and PORT_MIN <= value <= PORT_MAX else None

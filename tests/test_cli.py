@@ -155,6 +155,17 @@ class TestInputErrors:
         assert out == ""
         assert err == "error: incomplete job description; missing: nodes\n"
 
+    def test_port_too_long_for_int_is_a_lint_finding(self, capsys):
+        many = "9" * 4400
+        code, out, err = run_cli(
+            capsys, "generate", "--cluster", "perlmutter", "--framework", "pytorch",
+            "--strategy", "ddp", "--nodes", "2", "--gpus-per-node", "4", "--entry", "train.py",
+            f"--args=--master_port={many}", "--non-interactive", "--report",
+        )
+        assert code == 0
+        assert f"PORT_OUT_OF_RANGE: port {many} outside [1024, 65535]" in out
+        assert err == ""
+
     @pytest.mark.parametrize("case", ["prose", "flag", "answer", "port"])
     def test_node_count_above_the_limit_is_one_error_line(self, capsys, tmp_path, case):
         # 4,300 digits still convert with int(); finalize rejects the count
@@ -623,6 +634,34 @@ class TestBridgeFallback:
         code, out, _ = run_cli(capsys, *argv, "--bridge-config", str(config))
         assert code == 0
         assert "export MYSTERY_HOME" in out
+
+
+    def test_remote_switch_to_a_missing_template_is_unresolved(
+        self, capsys, tmp_path, monkeypatch,
+    ):
+        def repair(url, body, headers, timeout_s):
+            return json.dumps({"ok": True, "result": {
+                "category": "env", "proposals": ["switch to template nonexistent-id"],
+            }}).encode()
+
+        monkeypatch.setattr("launchport.bridge._default_transport", repair)
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{
+            "id": "MYSTERY", "cluster": "*", "category": "env", "trigger": {},
+            "stderr": "an error no fingerprint knows", "clearable_by": ["switch_template"],
+        }]), "utf-8")
+        config = tmp_path / "bridge.json"
+        config.write_text(json.dumps({
+            "endpoint": "http://bridge.test/v1", "retries": 0, "capabilities": ["repair"],
+        }), "utf-8")
+        code, out, err = run_cli(
+            capsys, "generate", "--cluster", "perlmutter", "--framework", "pytorch",
+            "--strategy", "ddp", "--nodes", "2", "--gpus-per-node", "4", "--entry", "train.py",
+            "--rules", str(rules), "--bridge-config", str(config), "--non-interactive",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.endswith("result: unresolved\n")
 
 
 class TestPrompting:

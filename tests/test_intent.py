@@ -602,6 +602,28 @@ class TestFinalize:
         delta = finalize(PartialJobSpec(cluster="delta", **base), profiles.resolve("delta"))
         assert delta.launcher is Launcher.TORCHRUN
 
+    @staticmethod
+    def _old_launcher(framework, default):
+        """The launcher choice before LAUNCHER_IMPLIES_FRAMEWORK owned it."""
+        launcher = {Framework.DEEPSPEED: Launcher.DEEPSPEED,
+                    Framework.ACCELERATE: Launcher.ACCELERATE}.get(framework)
+        if launcher is None:
+            launcher = default
+            if launcher not in (Launcher.TORCHRUN, Launcher.MPIEXEC, Launcher.SRUN):
+                launcher = Launcher.TORCHRUN
+        return launcher
+
+    @pytest.mark.parametrize("framework", Framework)
+    @pytest.mark.parametrize("default", Launcher)
+    def test_launcher_choice_is_the_old_rule(self, profiles, framework, default):
+        profile = profiles.resolve("delta").replace(default_launcher=default)
+        base = dict(cluster="delta", nodes=2, gpus_per_node=4, framework=framework,
+                    entry_script="t.py")
+        spec = finalize(PartialJobSpec(**base), profile)
+        assert spec.launcher is self._old_launcher(framework, default)
+        for named in Launcher:
+            assert finalize(PartialJobSpec(**base, launcher=named), profile).launcher is named
+
     @given(nodes=st.integers(1, 16), gpus=st.integers(1, 8))
     def test_world_size_always_consistent(self, nodes, gpus):
         spec = JobSpec(

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from launchport.errors import UnboundParameterError
 from launchport.intent import PORT_FLAG_RE
@@ -18,7 +18,7 @@ from launchport.lint import (
     lint,
 )
 from launchport.synthesis import ParamBinding, RenderedScript, render_for_spec
-from launchport.types import Framework, Strategy
+from launchport.types import Framework, Strategy, valid_port
 
 from conftest import make_spec
 
@@ -163,3 +163,23 @@ def test_port_flag_pattern_scans_as_lints_own_did(text):
         return [(m.group(1), m.span(1)) for m in pattern.finditer(text)]
 
     assert stream(PORT_FLAG_RE) == stream(_RAW_PORT_RE)
+
+
+_PORT_DIGITS = "0123456789\u0663\u0669\u0660"  # with Arabic-Indic 3, 9 and 0
+
+
+@given(st.text(_PORT_DIGITS, min_size=1, max_size=5000)
+       | st.integers(1, 5000).map("9".__mul__))
+@example("9" * 4400)
+@example("0029500")
+@example("\u0660" * 4301 + "29500")
+def test_lint_flags_exactly_the_port_texts_the_rule_rejects(profiles, digits):
+    profile = profiles.resolve("delta")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    head = "torchrun --nnodes=2 --nproc_per_node=4 --master_port="
+    text = f"{head}{digits} train.py"
+    flagged = [f for f in lint(_raw_script(text), spec, profile) if f.code == PORT_OUT_OF_RANGE]
+    if valid_port(digits) is None:
+        assert [f.span for f in flagged] == [(len(head), len(head) + len(digits))]
+    else:
+        assert flagged == []

@@ -21,6 +21,8 @@ from launchport.repair import (
     MAX_ITERATIONS,
     STATUS_SUCCESS,
     STATUS_UNRESOLVED,
+    RepairAction,
+    apply_action,
     diagnose,
     load_fingerprints,
     load_repair_table,
@@ -31,7 +33,7 @@ from launchport.repair import (
 )
 from launchport.simcluster import ExecutionResult, load_fault_rules
 from launchport.synthesis import RenderedScript, render_for_spec
-from launchport.types import Framework, Strategy
+from launchport.types import REPAIR_PAYLOAD_KEYS, Framework, Strategy
 
 from conftest import first_bindable, make_spec, pipeline_cases
 
@@ -52,14 +54,43 @@ _FP = '{"id": "fp", "category": "env", "pattern": %s}'
          "action for 'fp' must be an object"),
         (load_repair_table, '{"fp": [{"kind": "export_env", "payload": 5}]}', 0,
          "payload for 'fp' must be an object"),
+        (load_repair_table, '{"fp": [{"kind": ["export_env"]}]}', 0,
+         "unknown repair kind '['export_env']' for 'fp'"),
+        (load_repair_table,
+         '{"fp": [{"kind": "export_env", "payload": {"name": "X"}}, {"kind": "add_module_load"}]}',
+         1, "add_module_load for 'fp' lacks 'module'"),
     ],
-    ids=["pattern-5", "regex-5", "action-list-5", "action-entry-5", "payload-5"],
+    ids=["pattern-5", "regex-5", "action-list-5", "action-entry-5", "payload-5", "kind-list",
+         "payload-key-missing"],
 )
 def test_malformed_inner_shapes_are_rule_parse_errors(loader, text, index, message):
     with pytest.raises(RuleParseError) as exc:
         loader(text)
     assert exc.value.index == index
     assert str(exc.value) == f"{message} (rule index {index})"
+
+
+@pytest.mark.parametrize("kind", REPAIR_PAYLOAD_KEYS)
+def test_each_payload_key_is_required_at_load(kind):
+    keys = REPAIR_PAYLOAD_KEYS[kind]
+    payload = {key: "1" for key in keys}
+    table = load_repair_table(json.dumps({"fp": [{"kind": kind, "payload": payload}]}))
+    assert table.actions_for("fp")[0].payload == payload
+    for key in keys:
+        short = {k: v for k, v in payload.items() if k != key}
+        with pytest.raises(RuleParseError, match=f"^{kind} for 'fp' lacks '{key}'"):
+            load_repair_table(json.dumps({"fp": [{"kind": kind, "payload": short}]}))
+
+
+@pytest.mark.parametrize("with_set", [True, False], ids=["unknown-id", "no-template-set"])
+def test_switch_to_a_missing_template_is_unappliable(profiles, templates, with_set):
+    profile = profiles.resolve("perlmutter")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    template = templates.get("perlmutter-ddp")
+    script = render_for_spec(spec, template, profile)
+    action = RepairAction("switch_template", {"template_id": "nonexistent-id"})
+    with pytest.raises(NoRepairAvailableError, match="no template 'nonexistent-id'"):
+        apply_action(action, script, spec, template, profile, templates if with_set else None)
 
 
 def _failed(stderr):

@@ -166,12 +166,13 @@ class TestRuleLoading:
             load_fault_rules(json.dumps([rule]))
 
     def test_unknown_repair_kind_rejected(self):
-        rule = {
-            "id": "X", "cluster": "*", "category": "env",
-            "trigger": {}, "stderr": "boom", "clearable_by": ["reinstall_os"],
-        }
-        with pytest.raises(RuleParseError):
-            load_fault_rules(json.dumps([rule]))
+        for kind in ("reinstall_os", ["export_env"]):
+            rule = {
+                "id": "X", "cluster": "*", "category": "env",
+                "trigger": {}, "stderr": "boom", "clearable_by": [kind],
+            }
+            with pytest.raises(RuleParseError, match="unknown repair kind"):
+                load_fault_rules(json.dumps([rule]))
 
     def test_profile_known_faults_reference_bundled_rules(self, profiles, fault_rules):
         rule_ids = {r.id for r in fault_rules}
