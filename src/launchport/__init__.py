@@ -29,7 +29,7 @@ from .repair import (
 )
 from .retrieval import RankedCandidate, candidates, select
 from .simcluster import ExecutionResult, FaultRule, default_fault_rules, load_fault_rules, submit
-from .synthesis import ParamBinding, RenderedScript, bind, render, wrap_batch
+from .synthesis import RenderedScript, bind, render, wrap_batch
 from .templates import (
     ParamDecl,
     Template,
@@ -53,7 +53,6 @@ __all__ = [
     "JobSpec",
     "Launcher",
     "LoopOutcome",
-    "ParamBinding",
     "ParamDecl",
     "PartialJobSpec",
     "PipelineResult",

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .intent import (
     FIELD_PARSERS,
+    STRATEGY_SHORTHANDS,
     PartialJobSpec,
     RuleBasedExtractor,
     extract,
@@ -59,10 +60,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRESOLVED = 2
 
+_STRATEGY_CHOICES = [s.value for s in Strategy] + list(STRATEGY_SHORTHANDS)
+
 _PROMPTS = {
     "cluster": "Target cluster",
     "framework": "Framework (pytorch/deepspeed/accelerate)",
-    "strategy": "Strategy (ddp/fsdp/zero3)",
+    "strategy": f"Strategy ({'/'.join(_STRATEGY_CHOICES)})",
     "nodes": "Number of nodes",
     "gpus_per_node": "GPUs per node",
     "entry_script": "Training script",
@@ -174,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cluster")
     parser.add_argument("--framework", choices=[f.value for f in Framework])
-    parser.add_argument("--strategy", choices=[s.value for s in Strategy] + ["acc-ddp"])
+    parser.add_argument("--strategy", choices=_STRATEGY_CHOICES)
     parser.add_argument("--nodes", type=int)
     parser.add_argument("--gpus-per-node", type=int, dest="gpus_per_node")
     parser.add_argument("--total-gpus", type=int, dest="total_gpus")
@@ -213,13 +216,17 @@ def _session(args) -> CliSession:
         bridge = RemoteBridge(load_bridge_config(Path(args.bridge_config)))
     if args.k < 1:
         raise UsageError(f"--candidates must be >= 1, got {args.k}")
-    answers = {}
+    answers: dict[str, object] = {}
+    fixed: dict[str, object] = {}  # what a strategy shorthand fixes wins, in any order
     for pair in args.answers.split(","):
         pair = pair.strip()
         if pair:
             key, _, value = pair.partition("=")
             key = key.strip()
-            answers[key] = _parse_answer(key, value.strip())
+            fields = _parse_answer(key, value.strip())
+            answers[key] = fields.pop(key)
+            fixed.update(fields)
+    answers.update(fixed)
     interactive = not args.non_interactive and sys.stdin.isatty()
     return CliSession(
         interactive=interactive,
@@ -234,18 +241,13 @@ def _session(args) -> CliSession:
 
 
 def _flag_overrides(args) -> PartialJobSpec:
-    framework = Framework(args.framework) if args.framework else None
-    strategy = None
-    if args.strategy == "acc-ddp":
-        framework = Framework.ACCELERATE
-        strategy = Strategy.DDP
-    elif args.strategy:
-        strategy = Strategy(args.strategy)
+    fields = {"framework": Framework(args.framework) if args.framework else None}
+    if args.strategy:
+        fields.update(_parse_answer("strategy", args.strategy))
     try:
         return PartialJobSpec(
             cluster=args.cluster,
-            framework=framework,
-            strategy=strategy,
+            **fields,
             nodes=args.nodes,
             gpus_per_node=args.gpus_per_node,
             total_gpus=args.total_gpus,
@@ -257,17 +259,23 @@ def _flag_overrides(args) -> PartialJobSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _parse_answer(name: str, value: str) -> object:
-    """The typed value of one answered field; range-checked like a flag."""
+def _parse_answer(name: str, value: str) -> dict[str, object]:
+    """The typed fields one answered field sets; range-checked like a flag.
+
+    A strategy shorthand sets its framework too.
+    """
     parse = FIELD_PARSERS.get(name)
     if parse is None:
         raise UsageError(f"unknown answer field '{name}'; valid: {', '.join(FIELD_PARSERS)}")
+    if name == "strategy" and value in STRATEGY_SHORTHANDS:
+        framework, strategy = STRATEGY_SHORTHANDS[value]
+        return {"strategy": strategy, "framework": framework}
     try:
         parsed = parse(value)
         PartialJobSpec(**{name: parsed})
     except ValueError as exc:
         raise UsageError(f"invalid answer {name}={value}: {exc}") from exc
-    return parsed
+    return {name: parsed}
 
 
 def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpec:
@@ -283,7 +291,8 @@ def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpe
         prompt = _PROMPTS.get(name, name)
         value = input(f"{prompt}: ").strip()
         if value:
-            setattr(partial, name, _parse_answer(name, value))
+            for field, parsed in _parse_answer(name, value).items():
+                setattr(partial, field, parsed)
     still_missing = missing_fields(partial)
     if still_missing:
         raise IncompleteSpecError(still_missing)
@@ -336,15 +345,8 @@ def cmd_port(args) -> int:
 
 def _run(spec, profile, session: CliSession) -> int:
     """Run the pipeline with every bridge capability the session enables."""
-    bridge = session.bridge
     result = run_pipeline(
-        spec,
-        profile,
-        session.templates,
-        session.rules,
-        k=session.k,
-        embedder=bridge if bridge and bridge.enabled("embed") else None,
-        bridge=bridge,
+        spec, profile, session.templates, session.rules, k=session.k, bridge=session.bridge,
     )
     return _emit(result, session)
 

@@ -101,6 +101,10 @@ STRATEGY_IMPLIES_FRAMEWORK = {
     Strategy.ZERO3: Framework.DEEPSPEED,
     Strategy.FSDP: Framework.PYTORCH,
 }
+# Strategy shorthands: each names a framework and a strategy, and its
+# framework wins over any other one stated.  The CLI's --strategy choices,
+# --answers and prompt, and the prose reading of "acc-ddp", use this table.
+STRATEGY_SHORTHANDS = {"acc-ddp": (Framework.ACCELERATE, Strategy.DDP)}
 # The launchers that imply each framework, in table order.
 _FRAMEWORK_LAUNCHERS = {
     framework: tuple(launcher for launcher, implied in LAUNCHER_IMPLIES_FRAMEWORK.items()
@@ -180,10 +184,11 @@ class PartialJobSpec(Record):
         for name, value in (("nodes", nodes), ("gpus_per_node", gpus_per_node),
                             ("total_gpus", total_gpus)):
             if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                raise ValueError(f"{name} must be >= 1, got {_shown(value)}")
         port = valid_port(master_port)
         if port is None and master_port is not None:
-            raise ValueError(f"master_port must be in [{PORT_MIN}, {PORT_MAX}], got {master_port}")
+            raise ValueError(
+                f"master_port must be in [{PORT_MIN}, {PORT_MAX}], got {_shown(master_port)}")
         self.cluster = cluster
         self.framework = framework
         self.strategy = strategy
@@ -207,6 +212,14 @@ class PartialJobSpec(Record):
             elif value is not None:
                 updates[name] = value
         return self.replace(**updates)
+
+
+def _shown(value: object) -> str:
+    """``value`` as text for a message; an int too long to convert is not converted."""
+    try:
+        return str(value)
+    except ValueError:
+        return "an integer too long to show"
 
 
 class JobSpec(FrozenRecord):
@@ -550,8 +563,7 @@ def _resolve(text: str, first: dict[str, object], cluster: str | None) -> Partia
     spec = PartialJobSpec(cluster=cluster)
     spec.framework = next((v for k, v in _FRAMEWORK_TERMS if k in first), None)
     if "acc_ddp" in first:
-        spec.framework = Framework.ACCELERATE
-        spec.strategy = Strategy.DDP
+        spec.framework, spec.strategy = STRATEGY_SHORTHANDS["acc-ddp"]
     else:
         spec.strategy = next((v for k, v in _STRATEGY_TERMS if k in first), None)
     spec.launcher = next((v for k, v in _LAUNCHER_TERMS if k in first), None)

@@ -41,17 +41,20 @@ CATALOG = {
 
 
 class Finding(FrozenRecord):
-    __slots__ = ("severity", "code", "message", "span")
+    """One tripped check; its severity is the catalog's for its code."""
 
-    def __init__(
-        self, severity: str, code: str, message: str, span: tuple[int, int] | None = None,
-    ) -> None:
+    __slots__ = ("code", "message", "span")
+
+    def __init__(self, code: str, message: str, span: tuple[int, int] | None = None) -> None:
         if code not in CATALOG:
             raise LaunchportError(f"unknown finding code '{code}'")
-        set_frozen(self, "severity", severity)
         set_frozen(self, "code", code)
         set_frozen(self, "message", message)
         set_frozen(self, "span", span)
+
+    @property
+    def severity(self) -> str:
+        return CATALOG[self.code]
 
 
 def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Finding]:
@@ -63,7 +66,7 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
     text = r.text
 
     def report(code: str, message: str, span: tuple[int, int] | None = None) -> None:
-        findings.append(Finding(CATALOG[code], code, message, span))
+        findings.append(Finding(code, message, span))
 
     # 1. Launcher / scheduler compatibility.
     uses_accelerate = spec.launcher is Launcher.ACCELERATE or "accelerate launch" in text

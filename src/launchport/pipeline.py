@@ -16,7 +16,7 @@ from .clusters import ClusterProfile
 from .errors import ContractViolationError, UnboundParameterError
 from .intent import JobSpec
 from .repair import FingerprintSet, LoopOutcome, RepairBridge, RepairTable, run_loop
-from .retrieval import Embedder, RankedCandidate
+from .retrieval import RankedCandidate
 from .simcluster import FaultRuleSet
 from .templates import TemplateSet
 from .types import FrozenRecord, set_frozen
@@ -79,10 +79,14 @@ def run_pipeline(
     fingerprints: FingerprintSet | None = None,
     repair_table: RepairTable | None = None,
     k: int = DEFAULT_CANDIDATES_TRIED,
-    embedder: Embedder | None = None,
     bridge: RepairBridge | None = None,
 ) -> PipelineResult:
-    """Generate and verify a script for ``spec``; stops at the first success."""
+    """Generate and verify a script for ``spec``; stops at the first success.
+
+    ``bridge`` ranks the templates when its ``embed`` capability is enabled
+    and repairs unknown failures when its ``repair`` one is.
+    """
+    embedder = bridge if bridge is not None and bridge.enabled("embed") else None
     ranked = retrieval.candidates(spec, tset, embedder)
     top = retrieval.select(ranked, k)
 

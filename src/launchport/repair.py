@@ -39,13 +39,7 @@ from .errors import (
 from .intent import JobSpec
 from .lint import Finding, error_count, lint
 from .simcluster import ExecutionResult, FaultRuleSet, submit
-from .synthesis import (
-    PROVENANCE_USER,
-    ParamBinding,
-    RenderedScript,
-    render,
-    render_for_spec,
-)
+from .synthesis import RenderedScript, render, render_for_spec
 from .templates import Template, TemplateSet
 # Re-exported, so every diagnosis category can be imported from here.
 from .types import (
@@ -61,9 +55,6 @@ from .types import (
     set_frozen,
     valid_port,
 )
-
-CONFIDENCE_HIGH = "high"
-CONFIDENCE_LOW = "low"
 
 STATUS_SUCCESS = "success"
 STATUS_UNRESOLVED = "unresolved"
@@ -92,20 +83,18 @@ class Diagnosis(FrozenRecord):
     bridge supplied the diagnosis; it is empty for fingerprint matches.
     """
 
-    __slots__ = ("category", "fingerprint_id", "explanation", "confidence", "remote_actions")
+    __slots__ = ("category", "fingerprint_id", "explanation", "remote_actions")
 
     def __init__(
         self,
         category: str,
         fingerprint_id: str | None,
         explanation: str,
-        confidence: str,
         remote_actions: tuple[RepairAction, ...] = (),
     ) -> None:
         set_frozen(self, "category", category)
         set_frozen(self, "fingerprint_id", fingerprint_id)
         set_frozen(self, "explanation", explanation)
-        set_frozen(self, "confidence", confidence)
         set_frozen(self, "remote_actions", remote_actions)
 
 
@@ -240,6 +229,14 @@ def load_repair_table(source: Path | str) -> RepairTable:
             for key in REPAIR_PAYLOAD_KEYS[kind]:
                 if key not in payload:
                     raise RuleParseError(f"{kind} for '{fingerprint_id}' lacks '{key}'", index=i)
+            for key, value in payload.items():
+                # Every value is text, except that set_param may set an integer.
+                numeric = kind == "set_param" and key == "value"
+                if not (isinstance(value, str) or numeric and value.__class__ is int):
+                    wanted = "a string or an integer" if numeric else "a string"
+                    raise RuleParseError(
+                        f"{kind} for '{fingerprint_id}': '{key}' must be {wanted}", index=i
+                    )
             parsed.append(
                 RepairAction(
                     kind=kind,
@@ -299,7 +296,6 @@ def diagnose(
             category=fp.category,
             fingerprint_id=fp.id,
             explanation=fp.explanation or f"matched fingerprint {fp.id}",
-            confidence=CONFIDENCE_HIGH,
         )
     if bridge is not None and bridge.enabled("repair"):
         try:
@@ -323,14 +319,12 @@ def diagnose(
                 category=category,
                 fingerprint_id=None,
                 explanation="remote bridge proposed repairs for an unrecognized failure",
-                confidence=CONFIDENCE_LOW,
                 remote_actions=tuple(actions),
             )
     return Diagnosis(
         category=CATEGORY_UNKNOWN,
         fingerprint_id=None,
         explanation="no matching fingerprint",
-        confidence=CONFIDENCE_LOW,
     )
 
 
@@ -484,12 +478,7 @@ def _apply_set_param(
             )
         new_spec = spec.replace(master_port=port, master_port_explicit=True)
         return render_for_spec(new_spec, template, profile), new_spec, template
-    values = dict(script.binding.values)
-    provenance = dict(script.binding.provenance)
-    values[param] = value
-    provenance[param] = PROVENANCE_USER
-    binding = ParamBinding(values=values, provenance=provenance)
-    return render(template, binding), spec, template
+    return render(template, {**script.binding, param: value}), spec, template
 
 
 def _inject_into_launch(text: str, statement: str) -> str:
@@ -524,22 +513,19 @@ class HistoryEntry(FrozenRecord):
 
 
 class LoopOutcome(FrozenRecord):
-    __slots__ = ("status", "final_script", "iterations_used", "history", "final_spec",
-                 "final_result", "lint_findings")
+    """How a loop ended; its status and iteration count follow from the rest."""
+
+    __slots__ = ("final_script", "history", "final_spec", "final_result", "lint_findings")
 
     def __init__(
         self,
-        status: str,
         final_script: RenderedScript,
-        iterations_used: int,
         history: tuple[HistoryEntry, ...],
         final_spec: JobSpec,
         final_result: ExecutionResult,
         lint_findings: tuple[Finding, ...],
     ) -> None:
-        set_frozen(self, "status", status)
         set_frozen(self, "final_script", final_script)
-        set_frozen(self, "iterations_used", iterations_used)
         set_frozen(self, "history", history)
         set_frozen(self, "final_spec", final_spec)
         set_frozen(self, "final_result", final_result)
@@ -547,7 +533,16 @@ class LoopOutcome(FrozenRecord):
 
     @property
     def succeeded(self) -> bool:
-        return self.status == STATUS_SUCCESS
+        return self.final_result.exit_code == 0
+
+    @property
+    def status(self) -> str:
+        return STATUS_SUCCESS if self.succeeded else STATUS_UNRESOLVED
+
+    @property
+    def iterations_used(self) -> int:
+        """The repairs applied: the history entries that hold an action."""
+        return sum(entry.action is not None for entry in self.history)
 
 
 def run_loop(
@@ -588,7 +583,6 @@ def run_loop(
     result = submit(script, current_spec, profile, rules)
     history: list[HistoryEntry] = []
     tried: set[tuple[str | None, tuple[str, str]]] = set()
-    iterations = 0
 
     while result.exit_code != 0:
         diag = diagnose(
@@ -596,7 +590,8 @@ def run_loop(
             script_text=script.text, spec=current_spec,
         )
         actions = []
-        if iterations < max_iter:
+        # Every entry so far holds an applied repair, so len(history) counts them.
+        if len(history) < max_iter:
             try:
                 actions = propose(diag, repair_table)
             except NoRepairAvailableError:
@@ -622,13 +617,10 @@ def run_loop(
         history.append(HistoryEntry(diag, applied, result))
         if applied is None:
             break
-        iterations += 1
         result = submit(script, current_spec, profile, rules)
 
     return LoopOutcome(
-        status=STATUS_SUCCESS if result.exit_code == 0 else STATUS_UNRESOLVED,
         final_script=script,
-        iterations_used=iterations,
         history=tuple(history),
         final_spec=current_spec,
         final_result=result,

@@ -2,9 +2,8 @@
 
 Binding maps the canonical job fields onto the template's parameter
 vocabulary (``nodes``, ``each_node_gpus``, ``world_size``, ``master_port``,
-``your_script``, ``deepspeed_config``) and records where each value came
-from: ``user`` for values the user stated, ``derived`` for values computed
-from them, ``default`` for template or package defaults.
+``your_script``, ``deepspeed_config``): the binding is a ``dict`` from each
+bound parameter name to its value.
 
 Rendering is plain textual substitution: every placeholder is replaced by
 the canonical text form of its bound value (integers in base 10, paths and
@@ -34,26 +33,9 @@ from .intent import JobSpec
 from .templates import PLACEHOLDER_RE, Template
 from .types import FrozenRecord, Scheduler, set_frozen
 
-PROVENANCE_USER = "user"
-PROVENANCE_DERIVED = "derived"
-PROVENANCE_DEFAULT = "default"
-
-
-class ParamBinding(FrozenRecord):
-    """Total assignment of values to a template's parameters."""
-
-    __slots__ = ("values", "provenance")
-
-    def __init__(self, values: Mapping[str, int | str], provenance: Mapping[str, str]) -> None:
-        set_frozen(self, "values", values)
-        set_frozen(self, "provenance", provenance)
-
-    def get(self, name: str) -> int | str | None:
-        return self.values.get(name)
-
 
 class RenderedScript(FrozenRecord):
-    """Final script text plus the binding that produced it.
+    """Final script text plus the binding (parameter name to value) that produced it.
 
     The text holds no ``{name}`` placeholder: the constructor raises
     :class:`UnboundParameterError` naming the first one it finds.
@@ -61,7 +43,7 @@ class RenderedScript(FrozenRecord):
 
     __slots__ = ("text", "template_id", "binding", "_topology")
 
-    def __init__(self, text: str, template_id: str, binding: ParamBinding) -> None:
+    def __init__(self, text: str, template_id: str, binding: Mapping[str, int | str]) -> None:
         leftover = PLACEHOLDER_RE.search(text)
         if leftover:
             raise UnboundParameterError(leftover.group(1), template_id)
@@ -85,8 +67,8 @@ class RenderedScript(FrozenRecord):
             return topology
 
 
-def bind(spec: JobSpec, t: Template, profile: ClusterProfile) -> ParamBinding:
-    """Compute the parameter binding for ``spec`` against template ``t``.
+def bind(spec: JobSpec, t: Template, profile: ClusterProfile) -> dict[str, int | str]:
+    """The value of each of template ``t``'s parameters for ``spec``.
 
     Requires ``t.cluster == spec.cluster``; templates are never bound across
     clusters.  Raises :class:`UnboundParameterError` when a required
@@ -105,42 +87,34 @@ def bind(spec: JobSpec, t: Template, profile: ClusterProfile) -> ParamBinding:
     if spec.train_args:
         your_script = f"{spec.entry_script} {spec.train_args}"
 
-    known: dict[str, tuple[int | str | None, str]] = {
-        "nodes": (spec.nodes, PROVENANCE_USER),
-        "each_node_gpus": (spec.gpus_per_node, PROVENANCE_USER),
-        "world_size": (spec.world_size, PROVENANCE_DERIVED),
-        "your_script": (your_script, PROVENANCE_DERIVED),
-        "deepspeed_config": (spec.deepspeed_config, PROVENANCE_USER),
+    known: dict[str, int | str | None] = {
+        "nodes": spec.nodes,
+        "each_node_gpus": spec.gpus_per_node,
+        "world_size": spec.world_size,
+        "your_script": your_script,
+        "deepspeed_config": spec.deepspeed_config,
     }
 
     values: dict[str, int | str] = {}
-    provenance: dict[str, str] = {}
     for decl in t.params:
         if decl.name == "master_port":
-            if spec.master_port_explicit:
-                value, source = spec.master_port, PROVENANCE_USER
-            elif decl.default is not None:
-                value, source = int(decl.default), PROVENANCE_DEFAULT
+            if spec.master_port_explicit or decl.default is None:
+                value = spec.master_port
             else:
-                value, source = spec.master_port, PROVENANCE_DEFAULT
-        elif decl.name in known:
-            value, source = known[decl.name]
-            if value is None and decl.default is not None:
-                value, source = decl.default, PROVENANCE_DEFAULT
-        elif decl.default is not None:
-            value, source = decl.default, PROVENANCE_DEFAULT
+                value = int(decl.default)
         else:
-            value = None
+            value = known.get(decl.name)
+            if value is None:
+                value = decl.default
         if value is None:
             if decl.required:
                 raise UnboundParameterError(decl.name, t.id)
             continue
         values[decl.name] = value
-        provenance[decl.name] = source
-    return ParamBinding(values=values, provenance=provenance)
+    return values
 
 
-def render(t: Template, b: ParamBinding) -> RenderedScript:
+def render(t: Template, b: Mapping[str, int | str]) -> RenderedScript:
     """Substitute the binding into the template body.
 
     Integers render in base 10 with no padding; text renders verbatim.
@@ -149,9 +123,9 @@ def render(t: Template, b: ParamBinding) -> RenderedScript:
 
     def substitute(match) -> str:
         name = match.group(1)
-        if name not in b.values:
+        if name not in b:
             raise UnboundParameterError(name, t.id)
-        return _canonical(b.values[name])
+        return _canonical(b[name])
 
     return RenderedScript(
         text=PLACEHOLDER_RE.sub(substitute, t.body), template_id=t.id, binding=b

@@ -1,9 +1,10 @@
-"""Every function and class in the package has a caller.
+"""Every function, class and module-level constant in the package has a caller.
 
 A definition passes when its name is used somewhere in ``src/launchport``
-outside its own body, or when the package exports it in ``__all__``.  An
-import alone does not count as a use, and neither does a test: a helper
-only the tests call belongs in the tests.
+outside its own body (for a constant, outside the statement that assigns
+it), or when the package exports it in ``__all__``.  An import alone does
+not count as a use, and neither does a test: a helper only the tests call
+belongs in the tests.
 
 A use is credited by its bare name, so the scan cannot judge a method that
 shares its name with another definition or with a method of a builtin
@@ -29,7 +30,7 @@ REVIEWED_COLLISIONS = {
     "Extractor.extract", "RuleBasedExtractor.extract", "RemoteBridge.extract",
     "RepairBridge.enabled", "RemoteBridge.enabled",
     "RepairBridge.remote_repair", "RemoteBridge.remote_repair",
-    "ParamBinding.get", "TemplateSet.get",
+    "TemplateSet.get",
     "Record.replace",
 }
 
@@ -45,7 +46,16 @@ def _uncalled(sources: dict[str, str]) -> list[str]:
     definitions = []  # (name, file, first line, last line)
     uses = []  # (name, file, line)
     for file, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                definitions.extend(
+                    (name.id, file, node.lineno, node.end_lineno)
+                    for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                )
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 definitions.append((node.name, file, node.lineno, node.end_lineno))
             elif isinstance(node, ast.Name):
@@ -92,6 +102,13 @@ def test_the_scan_finds_a_helper_that_only_calls_itself():
     sources = _sources()
     sources["types.py"] += "\n\ndef _orphan(n):\n    return _orphan(n - 1)\n"
     assert any(entry.endswith(" _orphan") for entry in _uncalled(sources))
+
+
+def test_the_scan_finds_a_constant_that_is_only_imported():
+    sources = _sources()
+    sources["types.py"] += "\n\n_ORPHAN = 1\n"
+    sources["lint.py"] += "\nfrom .types import _ORPHAN\n"
+    assert any(entry.endswith(" _ORPHAN") for entry in _uncalled(sources))
 
 
 def test_every_method_the_scan_cannot_judge_was_reviewed():

@@ -95,6 +95,17 @@ class TestGenerate:
         assert code == 0
         assert "train.py" in out
 
+    @pytest.mark.parametrize("answers", [
+        "strategy=acc-ddp", "strategy=acc-ddp,framework=pytorch",
+        "framework=deepspeed,strategy=acc-ddp",
+    ])
+    def test_acc_ddp_answer_reads_as_the_flag_does(self, capsys, answers):
+        argv = ["generate", "--cluster", "delta", "--nodes", "2", "--gpus-per-node", "4",
+                "--entry", "train.py", "--non-interactive"]
+        expected = run_cli(capsys, *argv, "--framework", "pytorch", "--strategy", "acc-ddp")
+        assert expected[0] == 0 and "accelerate launch" in expected[1]
+        assert run_cli(capsys, *argv, "--answers", answers) == expected
+
     def test_report_mode_includes_candidates_and_script(self, capsys):
         code, out, _ = run_cli(
             capsys, "generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
@@ -349,17 +360,20 @@ _REFERENCE_ANSWER_TYPES = {
 
 
 def _reference_parse_answer(name, value):
-    """Reference reader of one answered field, with its own field table."""
+    """Reference reader of one answered field, with its own field table: the
+    fields it sets, where the shorthand "acc-ddp" sets the framework too."""
     parse = _REFERENCE_ANSWER_TYPES.get(name)
     if parse is None:
         raise UsageError(
             f"unknown answer field '{name}'; valid: {', '.join(_REFERENCE_ANSWER_TYPES)}")
+    if (name, value) == ("strategy", "acc-ddp"):
+        return {"strategy": Strategy.DDP, "framework": Framework.ACCELERATE}
     try:
         parsed = parse(value)
         PartialJobSpec(**{name: parsed})
     except ValueError as exc:
         raise UsageError(f"invalid answer {name}={value}: {exc}") from exc
-    return parsed
+    return {name: parsed}
 
 
 def _typed_outcome(read, *args):
@@ -689,6 +703,28 @@ class TestPrompting:
         assert len(prompts) == 6
         assert "cluster" in prompts[0].lower()
         assert "script" in prompts[-1].lower()
+
+    def test_strategy_prompt_offers_and_takes_the_shorthand(self, monkeypatch):
+        from launchport.cli import CliSession, _fill_missing
+        from launchport.clusters import default_profiles
+
+        session = CliSession(
+            interactive=True, report=False, profiles=default_profiles(),
+            templates=None, rules=None, bridge=None, answers={}, k=3,
+        )
+        prompts = []
+        answers = iter(["pytorch", "acc-ddp"])
+
+        def fake_input(prompt):
+            prompts.append(prompt)
+            return next(answers)
+
+        monkeypatch.setattr("builtins.input", fake_input)
+        partial = PartialJobSpec(cluster="delta", nodes=2, gpus_per_node=4,
+                                 entry_script="train.py")
+        filled = _fill_missing(partial, session)
+        assert prompts[1] == "Strategy (ddp/fsdp/zero3/acc-ddp): "
+        assert (filled.framework, filled.strategy) == (Framework.ACCELERATE, Strategy.DDP)
 
 
 # Modules a cold `generate` or `port` must not load: the first two cost ~13 ms

@@ -531,6 +531,21 @@ class TestMissingFields:
         assert derive(p).framework is Framework.DEEPSPEED
 
 
+@given(field=st.sampled_from(["nodes", "gpus_per_node", "total_gpus", "master_port"]),
+       value=st.integers() | st.sampled_from([-10**5000, 10**5000, 0, 80, 65536]))
+def test_a_rejected_int_gets_the_documented_message(field, value):
+    if field == "master_port":
+        expected, accepted = "master_port must be in [1024, 65535], got ", 1024 <= value <= 65535
+    else:
+        expected, accepted = f"{field} must be >= 1, got ", value >= 1
+    if accepted:
+        assert getattr(PartialJobSpec(**{field: value}), field) == value
+        return
+    with pytest.raises(ValueError) as exc:
+        PartialJobSpec(**{field: value})
+    assert str(exc.value).startswith(expected)
+
+
 class TestFinalize:
     def test_derives_once(self, profiles, monkeypatch):
         derived = []

@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from launchport.errors import UnboundParameterError
+from launchport.errors import LaunchportError, UnboundParameterError
 from launchport.intent import PORT_FLAG_RE
 from launchport.lint import (
     CATALOG,
@@ -14,10 +14,11 @@ from launchport.lint import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     TOPOLOGY_MISMATCH,
+    Finding,
     error_count,
     lint,
 )
-from launchport.synthesis import ParamBinding, RenderedScript, render_for_spec
+from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.types import Framework, Strategy, valid_port
 
 from conftest import make_spec
@@ -25,7 +26,7 @@ from conftest import make_spec
 
 def _raw_script(text):
     """A script from outside the template repository, such as a hand edit."""
-    return RenderedScript(text, "external", ParamBinding(values={}, provenance={}))
+    return RenderedScript(text, "external", {})
 
 
 def test_reference_script_is_clean(profiles, templates):
@@ -122,6 +123,19 @@ def test_severities_come_from_the_catalog(profiles):
             assert finding.severity == CATALOG[finding.code]
             codes.add(finding.code)
     assert codes == set(CATALOG)
+
+
+@pytest.mark.parametrize("code", sorted(CATALOG))
+def test_a_finding_takes_its_severity_from_the_catalog(code):
+    finding = Finding(code, "message")
+    assert finding.severity == CATALOG[code]
+    assert finding == Finding(code, "message", None)
+    assert repr(finding) == f"Finding(code='{code}', message='message', span=None)"
+
+
+def test_a_finding_with_an_unknown_code_is_refused():
+    with pytest.raises(LaunchportError, match="unknown finding code 'NOT_A_CODE'"):
+        Finding("NOT_A_CODE", "message")
 
 
 def test_lint_is_pure(profiles, templates):

@@ -46,11 +46,9 @@ SIGNATURES = {
         ("id", REQUIRED), ("cluster", REQUIRED), ("framework", REQUIRED), ("strategy", REQUIRED),
         ("launcher", REQUIRED), ("body", REQUIRED), ("params", REQUIRED), ("verified", False),
         ("notes", "")),
-    "synthesis.ParamBinding": (("values", REQUIRED), ("provenance", REQUIRED)),
     "synthesis.RenderedScript": (
         ("text", REQUIRED), ("template_id", REQUIRED), ("binding", REQUIRED)),
-    "lint.Finding": (
-        ("severity", REQUIRED), ("code", REQUIRED), ("message", REQUIRED), ("span", None)),
+    "lint.Finding": (("code", REQUIRED), ("message", REQUIRED), ("span", None)),
     "simcluster.FaultRule": (
         ("id", REQUIRED), ("cluster", REQUIRED), ("trigger", REQUIRED),
         ("stderr_template", REQUIRED), ("clearable_by", ())),
@@ -60,15 +58,14 @@ SIGNATURES = {
     "repair.RepairAction": (("kind", REQUIRED), ("payload", REQUIRED), ("rationale", "")),
     "repair.Diagnosis": (
         ("category", REQUIRED), ("fingerprint_id", REQUIRED), ("explanation", REQUIRED),
-        ("confidence", REQUIRED), ("remote_actions", ())),
+        ("remote_actions", ())),
     "repair.Fingerprint": (
         ("id", REQUIRED), ("category", REQUIRED), ("literal", None), ("regex", None),
         ("explanation", "")),
     "repair.HistoryEntry": (("diagnosis", REQUIRED), ("action", REQUIRED), ("result", REQUIRED)),
     "repair.LoopOutcome": (
-        ("status", REQUIRED), ("final_script", REQUIRED), ("iterations_used", REQUIRED),
-        ("history", REQUIRED), ("final_spec", REQUIRED), ("final_result", REQUIRED),
-        ("lint_findings", REQUIRED)),
+        ("final_script", REQUIRED), ("history", REQUIRED), ("final_spec", REQUIRED),
+        ("final_result", REQUIRED), ("lint_findings", REQUIRED)),
     "retrieval.RankedCandidate": (
         ("template_id", REQUIRED), ("score", REQUIRED), ("breakdown", REQUIRED),
         ("exact", REQUIRED)),
@@ -94,11 +91,11 @@ def _class(name):
 def _samples() -> dict[str, tuple]:
     """Two field tuples per class, differing in their first field."""
     spec = JobSpec("delta", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN, 2, 4, "train.py")
-    binding = _class("synthesis.ParamBinding")({"nodes": 2}, {"nodes": "user"})
+    binding = {"nodes": 2}
     script = _class("synthesis.RenderedScript")("srun -N 2 train.py", "delta-ddp", binding)
     result = _class("simcluster.ExecutionResult")(1, "", "boom", None, "ENV_NOT_PROPAGATED")
     action = _class("repair.RepairAction")("export_env", {"name": "PYTHONPATH"}, "why")
-    diagnosis = _class("repair.Diagnosis")("env", "ENV_NOT_PROPAGATED", "cause", "high", (action,))
+    diagnosis = _class("repair.Diagnosis")("env", "ENV_NOT_PROPAGATED", "cause", (action,))
     candidate = _class("retrieval.RankedCandidate")("delta-ddp", 1.0, {"cluster": 0.3}, True)
     first = {
         "clusters.ClusterProfile": ("delta", ("ncsa-delta",), Scheduler.SLURM, Launcher.TORCHRUN,
@@ -112,17 +109,16 @@ def _samples() -> dict[str, tuple]:
         "templates.Template": ("delta-ddp", "delta", Framework.PYTORCH, Strategy.DDP,
                                Launcher.TORCHRUN, "srun {nodes}",
                                (_class("templates.ParamDecl")("nodes", "integer"),), True, "n"),
-        "synthesis.ParamBinding": ({"nodes": 2}, {"nodes": "user"}),
         "synthesis.RenderedScript": ("srun -N 2 train.py", "delta-ddp", binding),
-        "lint.Finding": ("error", "TOPOLOGY_MISMATCH", "nodes differ", (0, 4)),
+        "lint.Finding": ("TOPOLOGY_MISMATCH", "nodes differ", (0, 4)),
         "simcluster.FaultRule": ("ENV_NOT_PROPAGATED", ("deltaai",), {"cluster_is": "deltaai"},
                                  "ModuleNotFoundError", ("export_env",)),
         "simcluster.ExecutionResult": (1, "rank 0/8 ok\n", "boom", (2, 4, 8, (0, 1)), "F"),
         "repair.RepairAction": ("export_env", {"name": "PYTHONPATH"}, "why"),
-        "repair.Diagnosis": ("env", "ENV_NOT_PROPAGATED", "cause", "high", (action,)),
+        "repair.Diagnosis": ("env", "ENV_NOT_PROPAGATED", "cause", (action,)),
         "repair.Fingerprint": ("ENV_NOT_PROPAGATED", "env", "No module", None, "cause"),
         "repair.HistoryEntry": (diagnosis, action, result),
-        "repair.LoopOutcome": ("success", script, 1, (), spec, result, ()),
+        "repair.LoopOutcome": (script, (), spec, result, ()),
         "retrieval.RankedCandidate": ("delta-ddp", 1.0, {"cluster": 0.3}, True),
         "pipeline.Attempt": (candidate, None, "skipped"),
         "pipeline.PipelineResult": (spec, (candidate,), ()),
@@ -134,13 +130,15 @@ def _samples() -> dict[str, tuple]:
     second = {
         "clusters.ClusterProfile": "deltaai", "intent.PartialJobSpec": "vista",
         "intent.JobSpec": "vista", "templates.ParamDecl": "world_size",
-        "templates.Template": "delta-fsdp", "synthesis.ParamBinding": {"nodes": 3},
-        "synthesis.RenderedScript": "srun -N 3 train.py", "lint.Finding": "warning",
+        "templates.Template": "delta-fsdp",
+        "synthesis.RenderedScript": "srun -N 3 train.py", "lint.Finding": "ENV_PROPAGATION_RISK",
         "simcluster.FaultRule": "OTHER", "simcluster.ExecutionResult": 0,
         "repair.RepairAction": "add_arg", "repair.Diagnosis": "user",
         "repair.Fingerprint": "OTHER",
-        "repair.HistoryEntry": _class("repair.Diagnosis")("user", None, "cause", "low"),
-        "repair.LoopOutcome": "unresolved", "retrieval.RankedCandidate": "delta-fsdp",
+        "repair.HistoryEntry": _class("repair.Diagnosis")("user", None, "cause"),
+        "repair.LoopOutcome": _class("synthesis.RenderedScript")(
+            "srun -N 3 train.py", "delta-ddp", {"nodes": 3}),
+        "retrieval.RankedCandidate": "delta-fsdp",
         "pipeline.Attempt": _class("retrieval.RankedCandidate")("delta-fsdp", 0.5, {}, False),
         "pipeline.PipelineResult": JobSpec("vista", Framework.PYTORCH, Strategy.DDP,
                                            Launcher.TORCHRUN, 2, 1, "train.py"),

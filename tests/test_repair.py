@@ -9,15 +9,18 @@ from hypothesis import given, strategies as st
 from launchport import intent, repair
 from launchport.documents import bundled
 from launchport.bridge import BridgeConfig, RemoteBridge
-from launchport.errors import ContractViolationError, NoRepairAvailableError, RuleParseError
+from launchport.errors import (
+    ContractViolationError,
+    LaunchportError,
+    NoRepairAvailableError,
+    RuleParseError,
+)
 from launchport.lint import error_count, lint
 from launchport.pipeline import run_pipeline
 from launchport.repair import (
     CATEGORY_ENV,
     CATEGORY_FRAMEWORK,
     CATEGORY_UNKNOWN,
-    CONFIDENCE_HIGH,
-    CONFIDENCE_LOW,
     MAX_ITERATIONS,
     STATUS_SUCCESS,
     STATUS_UNRESOLVED,
@@ -59,9 +62,17 @@ _FP = '{"id": "fp", "category": "env", "pattern": %s}'
         (load_repair_table,
          '{"fp": [{"kind": "export_env", "payload": {"name": "X"}}, {"kind": "add_module_load"}]}',
          1, "add_module_load for 'fp' lacks 'module'"),
+        (load_repair_table, '{"F": [{"kind": "set_param", "payload": {"param": [], "value": 1}}]}',
+         0, "set_param for 'F': 'param' must be a string"),
+        (load_repair_table,
+         '{"F": [{"kind": "switch_template", "payload": {"template_id": ["delta-ddp"]}}]}',
+         0, "switch_template for 'F': 'template_id' must be a string"),
+        (load_repair_table,
+         '{"F": [{"kind": "set_param", "payload": {"param": "nodes", "value": true}}]}',
+         0, "set_param for 'F': 'value' must be a string or an integer"),
     ],
     ids=["pattern-5", "regex-5", "action-list-5", "action-entry-5", "payload-5", "kind-list",
-         "payload-key-missing"],
+         "payload-key-missing", "param-list", "template-id-list", "value-bool"],
 )
 def test_malformed_inner_shapes_are_rule_parse_errors(loader, text, index, message):
     with pytest.raises(RuleParseError) as exc:
@@ -80,6 +91,35 @@ def test_each_payload_key_is_required_at_load(kind):
         short = {k: v for k, v in payload.items() if k != key}
         with pytest.raises(RuleParseError, match=f"^{kind} for 'fp' lacks '{key}'"):
             load_repair_table(json.dumps({"fp": [{"kind": kind, "payload": short}]}))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["master_port", "deepspeed_config", "nodes", "each_node_gpus",
+                       "perlmutter-fsdp", "29500", "80", "{nodes}", "ds.json", "PYTHONPATH"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4,
+)
+
+
+@given(kind=st.sampled_from(sorted(REPAIR_PAYLOAD_KEYS)), data=st.data())
+def test_a_loaded_payload_applies_or_raises_a_launchport_error(profiles, templates, kind, data):
+    payload = {key: data.draw(_JSON_VALUES, label=key) for key in REPAIR_PAYLOAD_KEYS[kind]}
+    try:
+        table = load_repair_table(json.dumps({"F": [{"kind": kind, "payload": payload}]}))
+    except RuleParseError:
+        return
+    [action] = table.actions_for("F")
+    profile = profiles.resolve("perlmutter")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    template = templates.get("perlmutter-ddp")
+    try:
+        apply_action(action, render_for_spec(spec, template, profile), spec, template, profile,
+                     templates)
+    except LaunchportError:
+        pass
 
 
 @pytest.mark.parametrize("with_set", [True, False], ids=["unknown-id", "no-template-set"])
@@ -103,21 +143,18 @@ class TestDiagnose:
         d = diagnose(res, profiles.resolve("deltaai"), fingerprints)
         assert d.category == CATEGORY_ENV
         assert d.fingerprint_id == "ENV_NOT_PROPAGATED"
-        assert d.confidence == CONFIDENCE_HIGH
 
     def test_apex_failure_on_gh200(self, profiles, fingerprints):
         res = _failed("RuntimeError: compilation of NVIDIA Apex failed on GH200")
         d = diagnose(res, profiles.resolve("vista"), fingerprints)
         assert d.category == CATEGORY_FRAMEWORK
         assert d.fingerprint_id == "APEX_GH200"
-        assert d.confidence == CONFIDENCE_HIGH
 
     def test_unmatched_stderr_is_unknown(self, profiles, fingerprints):
         res = _failed("segfault in custom kernel xyz")
         d = diagnose(res, profiles.resolve("delta"), fingerprints)
         assert d.category == CATEGORY_UNKNOWN
         assert d.fingerprint_id is None
-        assert d.confidence == CONFIDENCE_LOW
 
     def test_success_result_is_a_contract_violation(self, profiles, fingerprints):
         ok = ExecutionResult(exit_code=0, stdout="allgather ok\n", stderr="")
@@ -137,7 +174,7 @@ class TestDiagnose:
 class TestPropose:
     def _diag(self, fingerprint_id, category=CATEGORY_ENV):
         from launchport.repair import Diagnosis
-        return Diagnosis(category, fingerprint_id, "", CONFIDENCE_HIGH)
+        return Diagnosis(category, fingerprint_id, "")
 
     def test_env_propagation_repairs(self, repair_table):
         actions = propose(self._diag("ENV_NOT_PROPAGATED"), repair_table)
@@ -160,7 +197,7 @@ class TestPropose:
 
     def test_unknown_without_bridge_has_no_repair(self, repair_table):
         from launchport.repair import Diagnosis
-        d = Diagnosis(CATEGORY_UNKNOWN, None, "", CONFIDENCE_LOW)
+        d = Diagnosis(CATEGORY_UNKNOWN, None, "")
         with pytest.raises(NoRepairAvailableError):
             propose(d, repair_table)
 
@@ -361,19 +398,31 @@ def test_loop_halts_within_bound_for_drawn_rule_sets(
     rules = load_fault_rules(data.draw(_rule_documents(), label="rules"))
     max_iter = data.draw(st.integers(1, MAX_ITERATIONS), label="max_iter")
     submitted = []
+    applied = []  # the last action apply_action returned from before each resubmission
+    last_applicable = [None]
 
     def recording_submit(*args):
+        if submitted:
+            applied.append(last_applicable[0])
         submitted.append(real_submit(*args))
         return submitted[-1]
 
-    real_submit = repair.submit
-    with mock.patch.object(repair, "submit", recording_submit):
+    def recording_apply(action, *args):
+        result = real_apply(action, *args)
+        last_applicable[0] = action
+        return result
+
+    real_submit, real_apply = repair.submit, repair.apply_action
+    with mock.patch.object(repair, "submit", recording_submit), \
+            mock.patch.object(repair, "apply_action", recording_apply):
         outcome = run_loop(
             spec, first_bindable(spec, templates), profile, rules, max_iter,
             fingerprints=fingerprints, repair_table=repair_table,
         )
-    assert outcome.iterations_used <= max_iter
-    assert len(submitted) == outcome.iterations_used + 1
+    assert outcome.iterations_used == len(applied) == len(submitted) - 1 <= max_iter
+    assert [entry.action for entry in outcome.history if entry.action] == applied
+    assert outcome.succeeded == (submitted[-1].exit_code == 0)
+    assert outcome.status == (STATUS_SUCCESS if outcome.succeeded else STATUS_UNRESOLVED)
     failed = [result for result in submitted if result.exit_code != 0]
     assert [entry.result for entry in outcome.history] == failed
     assert outcome.final_result is submitted[-1]
@@ -428,7 +477,6 @@ class TestBridgeAssistedLoop:
         diag = outcome.history[0].diagnosis
         assert diag.fingerprint_id is None
         assert diag.category == CATEGORY_ENV
-        assert diag.confidence == CONFIDENCE_LOW
 
     @pytest.mark.parametrize("max_iter", [1, 5])
     def test_last_failure_is_diagnosed_at_either_exit(

@@ -178,6 +178,38 @@ class _CountingEmbedder(FakeEmbedder):
         return super().embed(texts)
 
 
+class _EmbedBridge(_CountingEmbedder):
+    """A stub bridge whose one capability, ``embed``, is on or off."""
+
+    def __init__(self, embed_enabled):
+        super().__init__()
+        self.embed_enabled = embed_enabled
+
+    def enabled(self, capability):
+        return self.embed_enabled and capability == "embed"
+
+
+class TestPipelineRanking:
+    def test_an_embed_bridge_ranks_the_templates(self, profiles, templates, fault_rules):
+        profile = profiles.resolve("aurora")
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        bridge = _EmbedBridge(embed_enabled=True)
+        result = run_pipeline(spec, profile, TemplateSet(list(templates)), fault_rules,
+                              bridge=bridge)
+        expected = candidates(spec, TemplateSet(list(templates)), embedder=FakeEmbedder())
+        assert bridge.sent == [len(templates) + 1]
+        assert list(result.candidates) == expected != candidates(spec, templates)
+
+    def test_without_embed_the_pipeline_ranks_offline(self, profiles, templates, fault_rules):
+        profile = profiles.resolve("aurora")
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        bridge = _EmbedBridge(embed_enabled=False)
+        result = run_pipeline(spec, profile, TemplateSet(list(templates)), fault_rules,
+                              bridge=bridge)
+        assert bridge.sent == []
+        assert list(result.candidates) == candidates(spec, templates)
+
+
 class TestTemplateVectors:
     def test_template_texts_embedded_once_per_set(self, profiles, templates):
         profile = profiles.resolve("aurora")

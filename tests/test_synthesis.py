@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from launchport.errors import ContractViolationError, PolicyViolationError, UnboundParameterError
 from launchport.intent import extract, finalize
 from launchport.synthesis import (
-    ParamBinding, RenderedScript, bind, render, render_for_spec, wrap_batch,
+    RenderedScript, bind, render, render_for_spec, wrap_batch,
 )
 from launchport.templates import placeholders
 from launchport.types import Framework, Launcher, Strategy
@@ -23,25 +23,24 @@ class TestBind:
         profile = profiles.resolve("perlmutter")
         spec = finalize(extract(TABLE_DESCRIPTION.format(cluster="Perlmutter")), profile)
         binding = bind(spec, templates.get("perlmutter-ddp"), profile)
-        assert binding.values["nodes"] == 2
-        assert binding.values["each_node_gpus"] == 4
-        assert binding.values["world_size"] == 8
-        assert binding.values["master_port"] == 29400  # template default, port not stated
-        assert binding.values["your_script"] == "run_image_classification.py ..."
+        assert binding["nodes"] == 2
+        assert binding["each_node_gpus"] == 4
+        assert binding["world_size"] == 8
+        assert binding["master_port"] == 29400  # template default, port not stated
+        assert binding["your_script"] == "run_image_classification.py ..."
 
     def test_explicit_port_beats_template_default(self, profiles, templates):
         profile = profiles.resolve("perlmutter")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP,
                          master_port=29999, master_port_explicit=True)
         binding = bind(spec, templates.get("perlmutter-ddp"), profile)
-        assert binding.values["master_port"] == 29999
-        assert binding.provenance["master_port"] == "user"
+        assert binding["master_port"] == 29999
 
     def test_minimal_topology(self, profiles, templates):
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=1, gpus_per_node=1)
         binding = bind(spec, templates.get("delta-ddp"), profile)
-        assert binding.values["nodes"] == 1
+        assert binding["nodes"] == 1
         assert spec.world_size == 1
 
     def test_missing_deepspeed_config_is_unbound(self, profiles, templates):
@@ -62,7 +61,7 @@ class TestBind:
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP,
                          entry_script="t.py", train_args="--lr 1")
         binding = bind(spec, templates.get("delta-ddp"), profile)
-        assert binding.values["your_script"] == "t.py --lr 1"
+        assert binding["your_script"] == "t.py --lr 1"
 
 
 class TestRender:
@@ -104,15 +103,13 @@ class TestRender:
             strategy=Strategy.DDP, launcher=Launcher.TORCHRUN,
             body="echo ready", params=(),
         )
-        from launchport.synthesis import ParamBinding
-        rendered = render(t, ParamBinding(values={}, provenance={}))
+        rendered = render(t, {})
         assert rendered.text == "echo ready"
 
     def test_missing_binding_raises(self, templates):
         t = templates.get("ls6-ddp")
-        from launchport.synthesis import ParamBinding
         with pytest.raises(UnboundParameterError):
-            render(t, ParamBinding(values={"nodes": 2}, provenance={}))
+            render(t, {"nodes": 2})
 
     @given(nodes=st.integers(1, 8), gpus=st.integers(1, 3), port=st.integers(1024, 65535))
     def test_bytes_outside_placeholders_untouched(self, profiles, templates, nodes, gpus, port):
@@ -147,7 +144,7 @@ class TestRenderedScript:
     def test_refuses_exactly_the_texts_with_placeholders(self, text):
         found = placeholders(text)
         try:
-            script = RenderedScript(text, "external", ParamBinding(values={}, provenance={}))
+            script = RenderedScript(text, "external", {})
         except UnboundParameterError as exc:
             assert found
             assert exc.param == found[0]
