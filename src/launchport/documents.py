@@ -38,7 +38,8 @@ def load_json(
     """The JSON value of ``source``, which must be a ``shape`` (list or dict).
 
     An empty document is ``shape()``.  Malformed JSON raises
-    ``error("invalid JSON at line N: ...")`` and a value of another shape
+    ``error("invalid JSON at line N: ...")``, an integer literal too long to
+    convert ``error("invalid JSON: ...")``, and a value of another shape
     ``error("<what> must be a JSON array|object")``; when ``source`` is a
     path, the message starts with ``"<path>: "``, and a file that is not
     UTF-8 raises through ``error`` too (see :func:`read_text`).
@@ -53,6 +54,8 @@ def load_json(
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal of more digits than int() converts
+        raise error(f"{where}invalid JSON: {exc}") from exc
     if not isinstance(value, shape):
         kind = "array" if shape is list else "object"
         raise error(f"{where}{what} must be a JSON {kind}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .clusters import ClusterProfile
 from .errors import LaunchportError
-from .intent import PORT_FLAG_RE, JobSpec
+from .intent import PORT_FLAG_RE, JobSpec, _shown
 from .synthesis import RenderedScript
 from .types import PORT_MAX, PORT_MIN, FrozenRecord, Launcher, Scheduler, set_frozen, valid_port
 
@@ -102,7 +102,9 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
         if valid_port(port := m[1]) is None:
             report(PORT_OUT_OF_RANGE, f"port {port} outside [{PORT_MIN}, {PORT_MAX}]", m.span(1))
     if port is None and valid_port(spec.master_port) is None:
-        report(PORT_OUT_OF_RANGE, f"port {spec.master_port} outside [{PORT_MIN}, {PORT_MAX}]")
+        report(
+            PORT_OUT_OF_RANGE, f"port {_shown(spec.master_port)} outside [{PORT_MIN}, {PORT_MAX}]"
+        )
 
     # 5. Environment propagation risk on multi-node jobs.
     if (

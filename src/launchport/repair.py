@@ -101,7 +101,7 @@ class Diagnosis(FrozenRecord):
 class Fingerprint(FrozenRecord):
     """One stderr pattern mapping a failure to its category."""
 
-    __slots__ = ("id", "category", "literal", "regex", "explanation")
+    __slots__ = ("id", "category", "literal", "regex", "explanation", "_search")
 
     def __init__(
         self,
@@ -116,12 +116,15 @@ class Fingerprint(FrozenRecord):
         set_frozen(self, "literal", literal)
         set_frozen(self, "regex", regex)
         set_frozen(self, "explanation", explanation)
+        # The compiled regex's search, kept in a slot that is not a field, so
+        # equality, hashing and repr are unaffected; re.error escapes.
+        if regex is not None:
+            set_frozen(self, "_search", re.compile(regex, re.MULTILINE).search)
 
     def matches(self, stderr: str) -> bool:
         if self.literal is not None:
             return self.literal in stderr
-        assert self.regex is not None
-        return re.search(self.regex, stderr, re.MULTILINE) is not None
+        return self._search(stderr) is not None
 
 
 class FingerprintSet:
@@ -180,20 +183,18 @@ def load_fingerprints(source: Path | str) -> FingerprintSet:
             )
         if not isinstance(literal if regex is None else regex, str):
             raise RuleParseError("pattern 'literal' or 'regex' must be a string", index=i)
-        if regex is not None:
-            try:
-                re.compile(regex)
-            except re.error as exc:
-                raise RuleParseError(f"bad regex: {exc}", index=i) from exc
-        fingerprints.append(
-            Fingerprint(
-                id=str(raw["id"]),
-                category=str(raw["category"]),
-                literal=literal,
-                regex=regex,
-                explanation=str(raw.get("explanation", "")),
+        try:
+            fingerprints.append(
+                Fingerprint(
+                    id=str(raw["id"]),
+                    category=str(raw["category"]),
+                    literal=literal,
+                    regex=regex,
+                    explanation=str(raw.get("explanation", "")),
+                )
             )
-        )
+        except re.error as exc:
+            raise RuleParseError(f"bad regex: {exc}", index=i) from exc
     return FingerprintSet(fingerprints)
 
 

@@ -8,7 +8,9 @@ to real tool output for fingerprint matching.
 
 Rule evaluation is first-match in document order.  A rule applies when its
 cluster scope matches the target profile and every trigger atom holds; the
-atoms (:data:`_TRIGGER_ATOMS`) are described in ``docs/formats.md``.
+atoms (:data:`_TRIGGER_ATOMS`) are described in ``docs/formats.md``.  A rule
+set reads each trigger once, when it is built, and checks each cluster's
+rules in array order, the first match firing (:class:`FaultRuleSet`).
 ``clearable_by`` names the repair-action kinds (the keys of
 :data:`~launchport.types.REPAIR_PAYLOAD_KEYS`) that can disarm the rule; an
 empty list marks the failure as beyond script-level repair.
@@ -65,16 +67,57 @@ class FaultRule(FrozenRecord):
 
 
 class FaultRuleSet:
-    """Ordered collection of fault rules."""
+    """Ordered collection of fault rules, indexed by the cluster ids they admit.
+
+    The set reads each rule's trigger once, when it is built.  A rule becomes
+    one check, ``(rule, strategies, launchers, nodes_gt, contains, lacks)``:
+    ``strategy_is`` and ``launcher_is`` as frozensets of values (``None`` when
+    absent), ``nodes_gt`` as an int (``None`` when absent), and
+    ``script_contains`` and ``script_lacks`` as tuples.  The cluster scope and
+    ``cluster_is`` decide which clusters see the check: each id that any rule
+    names has its own tuple of the checks that admit it, and every other id
+    shares the tuple of the ``"*"`` rules without ``cluster_is``.  Each tuple
+    keeps array order, so :func:`submit` checks its cluster's rules in that
+    order and the first match fires.
+    """
 
     def __init__(self, rules: list[FaultRule]):
-        self._rules = list(rules)
+        self._rules = tuple(rules)
+        admitted = []  # (ids that admit the rule, or None for every id; its check)
+        named: set[str] = set()
+        for rule in self._rules:
+            trigger = rule.trigger
+            ids = None
+            if rule.cluster != "*":
+                ids = set(_as_list(rule.cluster))
+                named |= ids
+            if "cluster_is" in trigger:
+                listed = set(_as_list(trigger["cluster_is"]))
+                named |= listed
+                ids = listed if ids is None else ids & listed
+            admitted.append((ids, (
+                rule,
+                frozenset(_as_list(trigger["strategy_is"])) if "strategy_is" in trigger else None,
+                frozenset(_as_list(trigger["launcher_is"])) if "launcher_is" in trigger else None,
+                int(trigger["nodes_gt"]) if "nodes_gt" in trigger else None,
+                tuple(_as_list(trigger.get("script_contains", []))),
+                tuple(_as_list(trigger.get("script_lacks", []))),
+            )))
+        self._shared = tuple(check for ids, check in admitted if ids is None)
+        self._by_cluster = {
+            cluster_id: tuple(check for ids, check in admitted if ids is None or cluster_id in ids)
+            for cluster_id in named
+        }
 
     def __len__(self) -> int:
         return len(self._rules)
 
     def __iter__(self) -> Iterator[FaultRule]:
         return iter(self._rules)
+
+    def checks_for(self, cluster_id: str) -> tuple[tuple, ...]:
+        """The checks of the rules that admit ``cluster_id``, in array order."""
+        return self._by_cluster.get(cluster_id, self._shared)
 
     def unresolvable_ids(self) -> list[str]:
         return [r.id for r in self._rules if r.unresolvable]
@@ -187,29 +230,6 @@ def default_fault_rules() -> FaultRuleSet:
     return load_fault_rules(bundled("fault_rules.json"))
 
 
-def _rule_applies(rule: FaultRule, text: str, spec: JobSpec, profile: ClusterProfile) -> bool:
-    if rule.cluster != "*":
-        scope = _as_list(rule.cluster)
-        if profile.id not in scope:
-            return False
-    trigger = rule.trigger
-    if "cluster_is" in trigger and profile.id not in _as_list(trigger["cluster_is"]):
-        return False
-    if "strategy_is" in trigger and spec.strategy.value not in _as_list(trigger["strategy_is"]):
-        return False
-    if "launcher_is" in trigger and spec.launcher.value not in _as_list(trigger["launcher_is"]):
-        return False
-    if "nodes_gt" in trigger and not spec.nodes > int(trigger["nodes_gt"]):
-        return False
-    for needle in _as_list(trigger.get("script_contains", [])):
-        if needle not in text:
-            return False
-    for needle in _as_list(trigger.get("script_lacks", [])):
-        if needle in text:
-            return False
-    return True
-
-
 def _instantiate_stderr(template: str, spec: JobSpec, profile: ClusterProfile) -> str:
     return PLACEHOLDER_RE.sub(lambda m: _STDERR_FIELDS[m.group(1)](spec, profile), template)
 
@@ -228,15 +248,31 @@ def submit(
     Failures are results, never exceptions.
     """
     text = r.text
-    for rule in rules:
-        if _rule_applies(rule, text, spec, profile):
-            return ExecutionResult(
-                exit_code=1,
-                stdout="",
-                stderr=_instantiate_stderr(rule.stderr_template, spec, profile),
-                parsed_topology=None,
-                fault_fired=rule.id,
-            )
+    # A Strategy or Launcher is a str holding its value, so it is looked up
+    # in a frozenset of values as is.
+    for rule, strategies, launchers, nodes_gt, contains, lacks in rules.checks_for(profile.id):
+        if strategies is not None and spec.strategy not in strategies:
+            continue
+        if launchers is not None and spec.launcher not in launchers:
+            continue
+        if nodes_gt is not None and spec.nodes <= nodes_gt:
+            continue
+        # Every needle the script must contain is there, and none it must lack.
+        for needle in contains:
+            if needle not in text:
+                break
+        else:
+            for needle in lacks:
+                if needle in text:
+                    break
+            else:
+                return ExecutionResult(
+                    exit_code=1,
+                    stdout="",
+                    stderr=_instantiate_stderr(rule.stderr_template, spec, profile),
+                    parsed_topology=None,
+                    fault_fired=rule.id,
+                )
 
     nodes, per_node, world = r.topology
     if nodes is None:

@@ -30,8 +30,9 @@ from .types import (
 )
 
 # A placeholder is {name} not preceded by '$' (which would make it a shell
-# parameter expansion like ${SLURM_PROCID}).
-PLACEHOLDER_RE = re.compile(r"(?<!\$)\{([a-z][a-z0-9_]*)\}")
+# parameter expansion like ${SLURM_PROCID}).  The pattern starts with the
+# literal '{', so the engine skips ahead to each brace before it looks behind.
+PLACEHOLDER_RE = re.compile(r"\{(?<!\$\{)([a-z][a-z0-9_]*)\}")
 
 PARAM_KINDS = ("integer", "port", "path", "text")
 

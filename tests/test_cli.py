@@ -271,6 +271,20 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert registry.read_text("utf-8") == "[]"
 
+    def test_overlong_integer_in_a_document_is_one_error_line(self, capsys, tmp_path):
+        # json.loads reads an integer literal of more than 4,300 digits as a
+        # plain ValueError, not a JSONDecodeError.
+        rules = tmp_path / "rules.json"
+        rules.write_text('[{"id": "R", "nodes_gt": ' + "9" * 4400 + "}]", "utf-8")
+        code, out, err = run_cli(
+            capsys, "generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+            "--rules", str(rules), "--non-interactive",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {rules}: invalid JSON: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("default", ["abc", True, 80])
     def test_bad_port_default_is_one_error_line(self, capsys, tmp_path, default):
         records = json.loads(bundled("templates.json"))

@@ -67,6 +67,14 @@ def test_loader_reads_text_and_paths_alike(tmp_path, name):
         assert str(caught.value) == fmt.format(f"{doc}: {message}")
 
 
+@pytest.mark.parametrize("name", LOADERS)
+def test_loader_refuses_an_integer_too_long_to_convert(name):
+    load, error, fmt, *_ = LOADERS[name]
+    with pytest.raises(error) as caught:
+        load("[" + "9" * 4400 + "]")
+    assert str(caught.value).startswith(fmt.format("invalid JSON: Exceeds the limit"))
+
+
 def _reads_bundled_data(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.startswith("importlib.resources") for alias in node.names)

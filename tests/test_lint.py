@@ -19,7 +19,7 @@ from launchport.lint import (
     lint,
 )
 from launchport.synthesis import RenderedScript, render_for_spec
-from launchport.types import Framework, Strategy, valid_port
+from launchport.types import PORT_MAX, PORT_MIN, Framework, Strategy, valid_port
 
 from conftest import make_spec
 
@@ -103,6 +103,17 @@ def test_port_range_checked(profiles):
     )
     codes = [f.code for f in lint(script, spec, profile)]
     assert PORT_OUT_OF_RANGE in codes
+
+
+def test_spec_port_too_long_to_show_is_a_finding(profiles):
+    # Only a hand-built JobSpec carries such a port: finalize checks it first.
+    profile = profiles.resolve("delta")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, master_port=10**5000)
+    script = _raw_script("srun -N 2 -n 2 bash -c 'torchrun --nnodes=2 train.py'")
+    flagged = [f for f in lint(script, spec, profile) if f.code == PORT_OUT_OF_RANGE]
+    assert [f.message for f in flagged] == [
+        f"port an integer too long to show outside [{PORT_MIN}, {PORT_MAX}]"
+    ]
 
 
 def test_findings_follow_check_order(profiles):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from collections import Counter
 from unittest import mock
@@ -131,6 +132,25 @@ def test_switch_to_a_missing_template_is_unappliable(profiles, templates, with_s
     action = RepairAction("switch_template", {"template_id": "nonexistent-id"})
     with pytest.raises(NoRepairAvailableError, match="no template 'nonexistent-id'"):
         apply_action(action, script, spec, template, profile, templates if with_set else None)
+
+
+def test_a_bad_regex_is_a_rule_parse_error():
+    with pytest.raises(RuleParseError, match=r"^bad regex: .* \(rule index 0\)$"):
+        load_fingerprints("[%s]" % (_FP % '{"regex": "a("}'))
+
+
+_BUNDLED_REGEXES = [fp.regex for fp in load_fingerprints(bundled("fingerprints.json")) if fp.regex]
+
+
+@given(
+    regex=st.sampled_from(_BUNDLED_REGEXES) | st.lists(st.sampled_from(
+        ["^", "$", "a", "b", ".", "a+", "\\n", "[ab]", "(?:a|b)", "b*", "\\s", "\\w"]
+    ), max_size=6).map("".join),
+    stderr=st.text() | st.text("ab \n", max_size=12),
+)
+def test_fingerprint_matches_as_a_multiline_search(regex, stderr):
+    fingerprint = repair.Fingerprint("F", CATEGORY_ENV, regex=regex)
+    assert fingerprint.matches(stderr) == (re.search(regex, stderr, re.M) is not None)
 
 
 def _failed(stderr):

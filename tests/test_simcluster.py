@@ -1,15 +1,15 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from launchport.clusters import default_profiles
 from launchport.errors import RuleParseError
 from launchport.repair import apply_action, default_repair_table, load_fingerprints
 from launchport.simcluster import _STDERR_FIELDS, _instantiate_stderr, load_fault_rules, submit
-from launchport.synthesis import render_for_spec
+from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.templates import PLACEHOLDER_RE, default_templates
-from launchport.types import CATEGORIES, Framework, Strategy
+from launchport.types import CATEGORIES, Framework, Launcher, Strategy
 
 from conftest import make_spec, matrix_specs
 
@@ -281,3 +281,89 @@ class TestStderrFields:
         }])
         with pytest.raises(RuleParseError, match="unknown stderr field '{rank}'"):
             load_fault_rules(doc)
+
+
+def _as_list(value):
+    return [value] if isinstance(value, str) else [str(v) for v in value]
+
+
+def _rule_applies(rule, text, spec, profile):
+    """Whether ``rule`` fires, read from its JSON-shaped scope and trigger on each call."""
+    if rule.cluster != "*" and profile.id not in _as_list(rule.cluster):
+        return False
+    trigger = rule.trigger
+    if "cluster_is" in trigger and profile.id not in _as_list(trigger["cluster_is"]):
+        return False
+    if "strategy_is" in trigger and spec.strategy.value not in _as_list(trigger["strategy_is"]):
+        return False
+    if "launcher_is" in trigger and spec.launcher.value not in _as_list(trigger["launcher_is"]):
+        return False
+    if "nodes_gt" in trigger and not spec.nodes > int(trigger["nodes_gt"]):
+        return False
+    for needle in _as_list(trigger.get("script_contains", [])):
+        if needle not in text:
+            return False
+    for needle in _as_list(trigger.get("script_lacks", [])):
+        if needle in text:
+            return False
+    return True
+
+
+def _first_applying(rules, text, spec, profile):
+    """The id of the first rule in document order that applies, or None."""
+    return next((rule.id for rule in rules if _rule_applies(rule, text, spec, profile)), None)
+
+
+# Rules name only the first four clusters, so the other five are ids no rule names.
+_NAMED = sorted(default_profiles().ids())[:4]
+_NEEDLES = ["module load", "export", "ipex", "HF_TOKEN", "x"]
+
+
+def _names(pool):
+    return st.sampled_from(pool) | st.lists(st.sampled_from(pool), max_size=3)
+
+
+_TRIGGERS = st.fixed_dictionaries({}, optional={
+    "cluster_is": _names(_NAMED),
+    "strategy_is": _names([s.value for s in Strategy] + ["none"]),
+    "launcher_is": _names([launcher.value for launcher in Launcher]),
+    "nodes_gt": st.integers(0, 3),
+    "script_contains": _names(_NEEDLES),
+    "script_lacks": _names(_NEEDLES),
+})
+_RULE_DOCS = st.lists(
+    st.tuples(st.just("*") | st.sampled_from(_NAMED) | st.lists(st.sampled_from(_NAMED),
+                                                                 max_size=3), _TRIGGERS),
+    max_size=8,
+).map(lambda drawn: json.dumps([
+    {"id": f"R{i}", "cluster": cluster, "trigger": trigger, "category": "env", "stderr": "boom"}
+    for i, (cluster, trigger) in enumerate(drawn)
+]))
+
+
+class TestRuleIndex:
+    @given(
+        doc=_RULE_DOCS,
+        cluster=st.sampled_from(sorted(default_profiles().ids())),
+        strategy=st.sampled_from(list(Strategy)),
+        launcher=st.sampled_from(list(Launcher)),
+        nodes=st.integers(1, 3),
+        text=st.lists(st.sampled_from(_NEEDLES + ["python train.py", "\n", " "]),
+                      max_size=6).map("".join),
+    )
+    @example(  # a node count equal to nodes_gt does not exceed it
+        doc=json.dumps([{"id": "R0", "cluster": "*", "trigger": {"nodes_gt": 2},
+                         "category": "env", "stderr": "boom"}]),
+        cluster="delta", strategy=Strategy.DDP, launcher=Launcher.SRUN, nodes=2, text="",
+    )
+    def test_index_fires_the_rule_a_document_order_walk_finds(
+        self, doc, cluster, strategy, launcher, nodes, text
+    ):
+        profiles = default_profiles()
+        rules = load_fault_rules(doc, known_clusters=set(profiles.ids()))
+        profile = profiles.resolve(cluster)
+        spec = make_spec(profile, Framework.PYTORCH, strategy, launcher=launcher, nodes=nodes)
+        rendered = RenderedScript(text, "drawn", {})
+        assert submit(rendered, spec, profile, rules).fault_fired == _first_applying(
+            rules, text, spec, profile
+        )

@@ -1,6 +1,8 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from launchport.errors import TemplateConflictError, TemplateInvalidError
 from launchport.templates import (
@@ -8,6 +10,7 @@ from launchport.templates import (
     Template,
     TemplateSet,
     add_template,
+    PLACEHOLDER_RE,
     load_repository,
     placeholders,
 )
@@ -37,6 +40,20 @@ class TestPlaceholders:
     def test_name_grammar(self):
         assert placeholders("{Nodes} {NODES} {1x} {_x}") == []
         assert placeholders("{n1_x}") == ["n1_x"]
+
+
+# The placeholder pattern as first written: a lookbehind, then the brace.
+_LOOKBEHIND_FIRST_RE = re.compile(r"(?<!\$)\{([a-z][a-z0-9_]*)\}")
+
+
+def _stream(pattern, text):
+    return [(m.span(), m.group(1)) for m in pattern.finditer(text)]
+
+
+@given(st.text() | st.lists(st.sampled_from(["$", "{", "}", "a", "n1_x", "_", "Z", "9", " "]))
+       .map("".join))
+def test_literal_first_pattern_finds_what_the_lookbehind_first_one_did(text):
+    assert _stream(PLACEHOLDER_RE, text) == _stream(_LOOKBEHIND_FIRST_RE, text)
 
 
 def _template(**overrides):
