@@ -39,10 +39,10 @@ def load_json(
 
     An empty document is ``shape()``.  Malformed JSON raises
     ``error("invalid JSON at line N: ...")``, an integer literal too long to
-    convert ``error("invalid JSON: ...")``, and a value of another shape
-    ``error("<what> must be a JSON array|object")``; when ``source`` is a
-    path, the message starts with ``"<path>: "``, and a file that is not
-    UTF-8 raises through ``error`` too (see :func:`read_text`).
+    convert or nesting too deep to decode ``error("invalid JSON: ...")``, and
+    a value of another shape ``error("<what> must be a JSON array|object")``;
+    when ``source`` is a path, the message starts with ``"<path>: "``, and a
+    file that is not UTF-8 raises through ``error`` too (see :func:`read_text`).
     """
     if isinstance(source, Path):
         text, where = read_text(source, error), f"{source}: "
@@ -54,7 +54,7 @@ def load_json(
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal of more digits than int() converts
+    except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
         raise error(f"{where}invalid JSON: {exc}") from exc
     if not isinstance(value, shape):
         kind = "array" if shape is list else "object"

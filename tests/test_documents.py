@@ -67,12 +67,16 @@ def test_loader_reads_text_and_paths_alike(tmp_path, name):
         assert str(caught.value) == fmt.format(f"{doc}: {message}")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[" + "9" * 4400 + "]", "invalid JSON: Exceeds the limit"),
+    ("[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+], ids=["4400-digits", "nested-100000"])
 @pytest.mark.parametrize("name", LOADERS)
-def test_loader_refuses_an_integer_too_long_to_convert(name):
+def test_loader_refuses_what_json_loads_raises_as_a_plain_error(name, text, message):
     load, error, fmt, *_ = LOADERS[name]
     with pytest.raises(error) as caught:
-        load("[" + "9" * 4400 + "]")
-    assert str(caught.value).startswith(fmt.format("invalid JSON: Exceeds the limit"))
+        load(text)
+    assert str(caught.value).startswith(fmt.format(message))
 
 
 def _reads_bundled_data(node: ast.AST) -> bool:
