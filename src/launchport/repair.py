@@ -116,8 +116,8 @@ class Fingerprint(FrozenRecord):
         set_frozen(self, "literal", literal)
         set_frozen(self, "regex", regex)
         set_frozen(self, "explanation", explanation)
-        # The compiled regex's search, kept in a slot that is not a field, so
-        # equality, hashing and repr are unaffected; re.error escapes.
+        # A bad regex raises re.error here.  The compiled search is kept in a
+        # slot that is not a field, so equality, hashing and repr are unaffected.
         if regex is not None:
             set_frozen(self, "_search", re.compile(regex, re.MULTILINE).search)
 
