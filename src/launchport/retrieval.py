@@ -18,21 +18,23 @@ Ties break on template id, lexicographically, giving a total order: one
 pass scores the set's templates in id order, and a stable sort on score
 alone keeps equal scores in that order.
 
-A template's metadata score depends only on its match pattern: four
-booleans, cluster equal and framework, strategy and launcher identical.
-Above the gate a candidate depends on nothing else, so each template set
-gets a store, created on the set's first ranking and dropped with the set,
-that keeps each (template, pattern) candidate the first time a ranking
-needs it: at most 16 per template, shared by every later ranking.  A
-candidate's ``breakdown`` is therefore read-only, one mapping per pattern;
-below the gate each candidate gets its own, read-only too.  The store also
-keeps the template side of similarity, built on the first ranking below
-the gate that needs it: each template's text and its word set, and the
-template vectors of the last embedder that returned one vector per text.
-A later ranking with that embedder embeds only the job's description; a
-call that raised a bridge error or gave the wrong number of vectors is not
-kept, and the next ranking embeds the template texts again; so does one
-whose description vector is not as long as the kept ones.
+A ranking reads only the job's framework, strategy and launcher, and its
+cluster when some template names it.  Each template set gets a table,
+created on its first ranking and dropped with the set, keyed by those four
+facts (a cluster no template names as ``None``): at most (clusters in the
+set + 1) x 3 x 3 x 5 entries however many jobs are ranked.  A key's first
+ranking computes each template's match pattern.  Above the gate nothing
+else counts, so the table keeps the ranked candidates, and later rankings
+return a new list of them, with read-only breakdowns, one per pattern.
+Below the gate it keeps the patterns: the similarity blend reads the
+description and the embedder, so it runs on every ranking.  Only keys that
+repeat within a process gain; one CLI run ranks once and exits.  The store
+also keeps each template's text and word set, and the template vectors of
+the last embedder that returned one vector per text, so a later ranking
+with that embedder embeds only the description.  A call that raised a
+bridge error or gave the wrong number of vectors is not kept; the template
+texts are embedded again then, and when the description's vector differs in
+length from the kept ones.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ _BREAKDOWNS = tuple(
 # Keys are unique in a set, so the one template matching on all four is the
 # exact match.
 _EXACT = 15
+_SCORE = attrgetter("score")
 
 
 class Embedder(Protocol):
@@ -90,8 +93,8 @@ class Embedder(Protocol):
 class RankedCandidate(FrozenRecord):
     """One template with its score and per-criterion contributions.
 
-    ``breakdown`` is read-only: above the gate it is shared by every
-    candidate with the same match pattern.
+    ``breakdown`` is read-only: above the gate it is one mapping per match
+    pattern, the same object in every candidate that matches that way.
     """
 
     __slots__ = ("template_id", "score", "breakdown", "exact")
@@ -148,8 +151,10 @@ class _SetStore:
 
     def __init__(self, templates: tuple[Template, ...]):
         self.templates = templates
-        # Per template in id order, its candidate above the gate per pattern.
-        self.rows: list[list[RankedCandidate | None]] = [[None] * 16 for _ in templates]
+        self.clusters = frozenset(t.cluster for t in templates)
+        # Per job key: the ranked candidates above the gate, or, below it,
+        # each template's match pattern in id order.
+        self.table: dict[tuple, tuple[RankedCandidate, ...] | tuple[int, ...]] = {}
         # The last embedder that gave one vector per template, and those vectors.
         self.vectors: tuple[Embedder, list[list[float]]] | None = None
 
@@ -159,25 +164,25 @@ class _SetStore:
         texts = (f"{t.notes} {t.body}" for t in self.templates)
         return tuple((text, frozenset(text.lower().split())) for text in texts)
 
-    def fill(self, i: int, pattern: int) -> RankedCandidate:
-        """Build, keep and return template ``i``'s candidate above the gate."""
-        t = self.templates[i]
-        candidate = RankedCandidate(t.id, _META[pattern], _BREAKDOWNS[pattern],
-                                    pattern == _EXACT)
-        self.rows[i][pattern] = candidate
-        return candidate
+    def rank(self, key: tuple) -> tuple[RankedCandidate, ...] | tuple[int, ...]:
+        """Build and keep the table's entry for ``key``."""
+        cluster, framework, strategy, launcher = key
+        entry = patterns = tuple(
+            (t.cluster == cluster) << 3 | (t.framework is framework) << 2
+            | (t.strategy is strategy) << 1 | (t.launcher is launcher)
+            for t in self.templates)
+        if not _ABOVE_GATE.isdisjoint(patterns):
+            # Stable over the id order, so equal scores stay ordered by id.
+            entry = tuple(sorted(
+                (RankedCandidate(t.id, _META[p], _BREAKDOWNS[p], p == _EXACT)
+                 for t, p in zip(self.templates, patterns)), key=_SCORE, reverse=True))
+        self.table[key] = entry
+        return entry
 
 
 # Weak keys: a store lives exactly as long as its set, and a set freed and
 # another built at the same address never share one.
 _STORES: weakref.WeakKeyDictionary[TemplateSet, _SetStore] = weakref.WeakKeyDictionary()
-
-
-def _store(tset: TemplateSet) -> _SetStore:
-    store = _STORES.get(tset)
-    if store is None:
-        store = _STORES[tset] = _SetStore(tset.in_id_order())
-    return store
 
 
 def _vectors(
@@ -228,30 +233,24 @@ def candidates(
     templates = tset.in_id_order()
     if not templates:
         raise NoCandidatesError("the template set is empty")
-
-    cluster, framework, strategy, launcher = (
-        spec.cluster, spec.framework, spec.strategy, spec.launcher)
-    patterns = [
-        (t.cluster == cluster) << 3 | (t.framework is framework) << 2
-        | (t.strategy is strategy) << 1 | (t.launcher is launcher)
-        for t in templates
-    ]
-    store = _store(tset)
-    if _ABOVE_GATE.isdisjoint(patterns):
-        ranked = []
-        similarities = _similarities(spec, store, embedder)
-        for t, pattern, sim in zip(templates, patterns, similarities):
-            c, f, s, la = _WEIGHTS[pattern]
-            breakdown = {"cluster": c, "framework": f, "strategy": s, "launcher": la,
-                         "similarity": sim}
-            score = (_META[pattern] + SIMILARITY_WEIGHT * sim) / (1.0 + SIMILARITY_WEIGHT)
-            ranked.append(RankedCandidate(t.id, score, MappingProxyType(breakdown),
-                                          pattern == _EXACT))
-    else:
-        ranked = [row[pattern] or store.fill(i, pattern)
-                  for i, (row, pattern) in enumerate(zip(store.rows, patterns))]
-    # Stable over the id order, so equal scores stay ordered by id.
-    ranked.sort(key=attrgetter("score"), reverse=True)
+    store = _STORES.get(tset)
+    if store is None:
+        store = _STORES[tset] = _SetStore(templates)
+    key = (spec.cluster if spec.cluster in store.clusters else None,
+           spec.framework, spec.strategy, spec.launcher)
+    entry = store.table.get(key) or store.rank(key)
+    if not isinstance(entry[0], int):
+        return list(entry)
+    similarities = _similarities(spec, store, embedder)
+    ranked = []
+    for t, pattern, sim in zip(templates, entry, similarities):
+        c, f, s, la = _WEIGHTS[pattern]
+        breakdown = {"cluster": c, "framework": f, "strategy": s, "launcher": la,
+                     "similarity": sim}
+        score = (_META[pattern] + SIMILARITY_WEIGHT * sim) / (1.0 + SIMILARITY_WEIGHT)
+        ranked.append(RankedCandidate(t.id, score, MappingProxyType(breakdown),
+                                      pattern == _EXACT))
+    ranked.sort(key=_SCORE, reverse=True)
     return ranked
 
 

@@ -157,6 +157,7 @@ def _is_names(value) -> bool:
 
 
 _TRIGGER_ATOMS = ("cluster_is", "strategy_is", "launcher_is", "script_contains", "script_lacks", "nodes_gt")
+_NAME_ATOMS = ("cluster_is", "strategy_is", "launcher_is")
 
 
 def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule:
@@ -166,8 +167,9 @@ def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule
         if name not in raw:
             raise RuleParseError(f"missing field '{name}'", index=index)
     cluster = raw["cluster"]
-    if not _is_names(cluster):
-        raise RuleParseError("cluster must be '*', an id or a list of ids", index=index)
+    if not _is_names(cluster) or cluster == []:
+        raise RuleParseError("cluster must be '*', an id or a non-empty list of ids",
+                             index=index)
     cluster_names = [] if cluster == "*" else _as_list(cluster)
     trigger = raw["trigger"]
     if not isinstance(trigger, dict):
@@ -181,6 +183,10 @@ def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule
             raise RuleParseError(
                 f"trigger atom '{atom}' must be a string or a list of strings", index=index
             )
+        # An empty list of names admits nothing, so the rule could never fire.
+        if atom in _NAME_ATOMS and value == []:
+            raise RuleParseError(f"trigger atom '{atom}' must not be an empty list",
+                                 index=index)
     cluster_names.extend(_as_list(trigger.get("cluster_is", [])))
     for name in cluster_names:
         if name not in known_clusters:

@@ -216,7 +216,7 @@ class TestInputErrors:
         assert registry.read_text("utf-8") == "[]"
 
     @pytest.mark.parametrize("case", [
-        "clearable_by-5", "cluster-5", "nodes_gt-a", "params-5", "params-[1]",
+        "clearable_by-5", "cluster-5", "cluster-[]", "nodes_gt-a", "params-5", "params-[1]",
     ])
     def test_field_type_mistake_is_one_error_line(self, capsys, tmp_path, case):
         doc = tmp_path / "doc.json"
@@ -231,6 +231,7 @@ class TestInputErrors:
             field, value = {
                 "clearable_by-5": ("clearable_by", 5),
                 "cluster-5": ("cluster", 5),
+                "cluster-[]": ("cluster", []),
                 "nodes_gt-a": ("trigger", {"nodes_gt": "a"}),
             }[case]
             rule[field] = value

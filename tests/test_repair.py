@@ -11,6 +11,8 @@ from launchport import intent, repair
 from launchport.documents import bundled
 from launchport.bridge import BridgeConfig, RemoteBridge
 from launchport.errors import (
+    BridgeProtocolError,
+    BridgeUnavailableError,
     ContractViolationError,
     LaunchportError,
     NoRepairAvailableError,
@@ -35,7 +37,7 @@ from launchport.repair import (
     propose,
     run_loop,
 )
-from launchport.simcluster import ExecutionResult, load_fault_rules
+from launchport.simcluster import ExecutionResult, load_fault_rules, submit
 from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.types import REPAIR_PAYLOAD_KEYS, Framework, Strategy
 
@@ -555,6 +557,32 @@ class TestBridgeAssistedLoop:
         assert outcome.status == STATUS_SUCCESS
         assert outcome.final_spec.master_port == 29611
         assert "29611" in outcome.final_script.text
+
+    @pytest.mark.parametrize("error", [BridgeUnavailableError, BridgeProtocolError])
+    def test_failing_bridge_falls_back_to_unknown(self, profiles, templates, custom_rules,
+                                                  error):
+        class FailingBridge(_StubRepairBridge):
+            def remote_repair(self, context):
+                super().remote_repair(context)
+                raise error("repair endpoint failed")
+
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        script = render_for_spec(spec, templates.get("delta-ddp"), profile)
+        res = submit(script, spec, profile, custom_rules)
+        bridge = FailingBridge("env", ["export CUSTOM_FLAG"])
+        diag = diagnose(res, profile, load_fingerprints("[]"), bridge, script.text, spec)
+        assert bridge.calls == 1
+        assert (diag.category, diag.fingerprint_id) == (CATEGORY_UNKNOWN, None)
+        assert diag.explanation == "no matching fingerprint"
+        assert diag.remote_actions == ()
+        outcome = run_loop(
+            spec, templates.get("delta-ddp"), profile, custom_rules, bridge=bridge,
+        )
+        assert bridge.calls == 2
+        assert outcome.status == STATUS_UNRESOLVED
+        assert [e.action for e in outcome.history] == [None]
+        assert outcome.history[0].diagnosis == diag
 
     def test_unknown_failure_without_bridge_stays_unresolved(
         self, profiles, templates, custom_rules

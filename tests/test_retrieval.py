@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import weakref
 from types import MappingProxyType
 
 import pytest
@@ -400,18 +401,51 @@ _KEYS = st.tuples(
 )
 
 
+def _exact_bits(ranked):
+    return [(c.template_id, c.score.hex(), list(c.breakdown.items()), c.exact) for c in ranked]
+
+
+def _spec(cluster, framework, strategy, launcher):
+    return JobSpec(cluster=cluster, framework=framework, strategy=strategy, launcher=launcher,
+                   nodes=2, gpus_per_node=4, entry_script="train_gpt2.py")
+
+
 class TestCandidateStore:
     @given(keys=st.lists(_KEYS, min_size=1, max_size=12))
     def test_shared_sets_rank_as_the_reference(self, keys):
-        for which, cluster, framework, strategy, launcher in keys:
-            spec = JobSpec(cluster=cluster, framework=framework, strategy=strategy,
-                           launcher=launcher, nodes=2, gpus_per_node=4,
-                           entry_script="train_gpt2.py")
+        # Each key is ranked twice, and the first list is cleared in between:
+        # the table must hand out its own list each time.
+        for which, *key in keys:
+            spec = _spec(*key)
             tset = _SHARED_SETS[which]
-            expected = _rank_reference(spec, tset)
-            assert _flat(candidates(spec, tset)) == _flat(expected)
-            assert [c.score.hex() for c in candidates(spec, tset)] == [
-                c.score.hex() for c in expected]
+            expected = _exact_bits(_rank_reference(spec, tset))
+            first = candidates(spec, tset)
+            assert _exact_bits(first) == expected
+            first.clear()
+            assert _exact_bits(candidates(spec, tset)) == expected
+
+    def test_every_key_of_the_bundled_set(self, profiles):
+        tset = TemplateSet(list(_BUNDLED))
+        clusters = {t.cluster for t in tset}
+        assert clusters == set(profiles.ids())
+        keys = [(cluster, framework, strategy, launcher)
+                for cluster in sorted(clusters) + ["nowhere"] for framework in Framework
+                for strategy in Strategy for launcher in Launcher]
+        for key in keys:
+            spec = _spec(*key)
+            assert _exact_bits(candidates(spec, tset)) == _exact_bits(
+                _rank_reference(spec, tset)), key
+        table = retrieval._STORES[tset].table
+        assert len(keys) == len(table) == (len(clusters) + 1) * 3 * 3 * 5 == 450
+
+    def test_unknown_clusters_share_one_entry(self):
+        tset = TemplateSet(list(_BUNDLED))
+        for i in range(200):
+            spec = _spec(f"unknown-{i}", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN)
+            assert _exact_bits(candidates(spec, tset)) == _exact_bits(
+                _rank_reference(spec, tset))
+        assert list(retrieval._STORES[tset].table) == [
+            (None, Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN)]
 
     @pytest.mark.parametrize("cluster", ["perlmutter", "aurora"], ids=["above", "below"])
     def test_breakdown_is_read_only(self, profiles, templates, cluster):
@@ -428,10 +462,14 @@ class TestCandidateStore:
         assert tset not in retrieval._STORES
         candidates(make_spec(profiles.resolve("delta"), Framework.PYTORCH, Strategy.DDP), tset)
         assert tset in retrieval._STORES
+        store = weakref.ref(retrieval._STORES[tset])
+        assert len(store().table) == 1
         stores = len(retrieval._STORES)
         del tset
         gc.collect()
         assert len(retrieval._STORES) == stores - 1
+        # Nothing else holds the store, so its table goes with it.
+        assert store() is None
 
 
 @pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],

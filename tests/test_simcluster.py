@@ -165,6 +165,22 @@ class TestRuleLoading:
         with pytest.raises(RuleParseError):
             load_fault_rules(json.dumps([rule]))
 
+    @pytest.mark.parametrize("field", ["cluster", "cluster_is", "strategy_is", "launcher_is"])
+    def test_empty_name_list_rejected(self, field):
+        # A rule whose names admit nothing could never fire.
+        ok = {"id": "OK", "cluster": "*", "category": "env", "trigger": {}, "stderr": "x"}
+        rule = {"id": "X", "cluster": "*", "category": "env", "trigger": {}, "stderr": "b"}
+        if field == "cluster":
+            rule["cluster"] = []
+            message = "cluster must be '*', an id or a non-empty list of ids"
+        else:
+            rule["trigger"] = {field: []}
+            message = f"trigger atom '{field}' must not be an empty list"
+        with pytest.raises(RuleParseError) as exc:
+            load_fault_rules(json.dumps([ok, rule]))
+        assert exc.value.index == 1
+        assert str(exc.value) == f"{message} (rule index 1)"
+
     def test_unknown_repair_kind_rejected(self):
         for kind in ("reinstall_os", ["export_env"]):
             rule = {
@@ -319,8 +335,10 @@ _NAMED = sorted(default_profiles().ids())[:4]
 _NEEDLES = ["module load", "export", "ipex", "HF_TOKEN", "x"]
 
 
-def _names(pool):
-    return st.sampled_from(pool) | st.lists(st.sampled_from(pool), max_size=3)
+def _names(pool, min_size=1):
+    """An id or a list of ids; the loader refuses an empty list of names."""
+    return st.sampled_from(pool) | st.lists(st.sampled_from(pool), min_size=min_size,
+                                            max_size=3)
 
 
 _TRIGGERS = st.fixed_dictionaries({}, optional={
@@ -328,12 +346,11 @@ _TRIGGERS = st.fixed_dictionaries({}, optional={
     "strategy_is": _names([s.value for s in Strategy] + ["none"]),
     "launcher_is": _names([launcher.value for launcher in Launcher]),
     "nodes_gt": st.integers(0, 3),
-    "script_contains": _names(_NEEDLES),
-    "script_lacks": _names(_NEEDLES),
+    "script_contains": _names(_NEEDLES, min_size=0),
+    "script_lacks": _names(_NEEDLES, min_size=0),
 })
 _RULE_DOCS = st.lists(
-    st.tuples(st.just("*") | st.sampled_from(_NAMED) | st.lists(st.sampled_from(_NAMED),
-                                                                 max_size=3), _TRIGGERS),
+    st.tuples(st.just("*") | _names(_NAMED), _TRIGGERS),
     max_size=8,
 ).map(lambda drawn: json.dumps([
     {"id": f"R{i}", "cluster": cluster, "trigger": trigger, "category": "env", "stderr": "boom"}
