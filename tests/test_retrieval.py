@@ -340,7 +340,8 @@ def _rank_reference(spec, tset, embedder=None):
 
 
 def _flat(ranked):
-    return [(c.template_id, c.score, list(c.breakdown.items()), c.exact) for c in ranked]
+    """Each candidate's fields, the score as its exact bits."""
+    return [(c.template_id, c.score.hex(), list(c.breakdown.items()), c.exact) for c in ranked]
 
 
 _BUNDLED = default_templates()
@@ -401,10 +402,6 @@ _KEYS = st.tuples(
 )
 
 
-def _exact_bits(ranked):
-    return [(c.template_id, c.score.hex(), list(c.breakdown.items()), c.exact) for c in ranked]
-
-
 def _spec(cluster, framework, strategy, launcher):
     return JobSpec(cluster=cluster, framework=framework, strategy=strategy, launcher=launcher,
                    nodes=2, gpus_per_node=4, entry_script="train_gpt2.py")
@@ -418,11 +415,11 @@ class TestCandidateStore:
         for which, *key in keys:
             spec = _spec(*key)
             tset = _SHARED_SETS[which]
-            expected = _exact_bits(_rank_reference(spec, tset))
+            expected = _flat(_rank_reference(spec, tset))
             first = candidates(spec, tset)
-            assert _exact_bits(first) == expected
+            assert _flat(first) == expected
             first.clear()
-            assert _exact_bits(candidates(spec, tset)) == expected
+            assert _flat(candidates(spec, tset)) == expected
 
     def test_every_key_of_the_bundled_set(self, profiles):
         tset = TemplateSet(list(_BUNDLED))
@@ -433,8 +430,7 @@ class TestCandidateStore:
                 for strategy in Strategy for launcher in Launcher]
         for key in keys:
             spec = _spec(*key)
-            assert _exact_bits(candidates(spec, tset)) == _exact_bits(
-                _rank_reference(spec, tset)), key
+            assert _flat(candidates(spec, tset)) == _flat(_rank_reference(spec, tset)), key
         table = retrieval._STORES[tset].table
         assert len(keys) == len(table) == (len(clusters) + 1) * 3 * 3 * 5 == 450
 
@@ -442,8 +438,7 @@ class TestCandidateStore:
         tset = TemplateSet(list(_BUNDLED))
         for i in range(200):
             spec = _spec(f"unknown-{i}", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN)
-            assert _exact_bits(candidates(spec, tset)) == _exact_bits(
-                _rank_reference(spec, tset))
+            assert _flat(candidates(spec, tset)) == _flat(_rank_reference(spec, tset))
         assert list(retrieval._STORES[tset].table) == [
             (None, Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN)]
 
