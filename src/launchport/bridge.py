@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .documents import bundled, load_json
+from .documents import INT, OPTIONAL, STRINGS, TEXT, bundled, check_record, load_json
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
 from .intent import FIELD_PARSERS, PartialJobSpec
 from .types import CATEGORIES, CATEGORY_UNKNOWN, FrozenRecord, Launcher, set_frozen
@@ -76,28 +76,27 @@ class BridgeConfig(FrozenRecord):
         set_frozen(self, "capabilities", capabilities)
 
 
+# BridgeConfig checks the values: known capabilities, an endpoint for any,
+# a positive timeout_ms and retries >= 0.
+_CONFIG_FIELDS = {
+    "endpoint": (TEXT, OPTIONAL), "api_key_env": (TEXT, OPTIONAL), "timeout_ms": (INT, OPTIONAL),
+    "retries": (INT, OPTIONAL), "capabilities": (STRINGS, OPTIONAL),
+}
+
+
 def load_bridge_config(source: Path | str) -> BridgeConfig:
     """Load a bridge config document (JSON object).
 
-    ``source`` is a filesystem path or a string holding the JSON document
-    itself; see :func:`launchport.documents.load_json`.  A document that is
-    not a JSON object, or whose values have the wrong type, raises
-    :class:`BridgeProtocolError`.
+    ``source`` is a path or the JSON text itself; see :mod:`launchport.documents`.
+    A document that is not a JSON object, or whose fields are unknown or of
+    the wrong type, raises :class:`BridgeProtocolError`.
     """
     raw = load_json(source, dict, "the document", _config_error)
-    try:
-        return BridgeConfig(
-            endpoint=raw.get("endpoint"),
-            api_key_env=raw.get("api_key_env"),
-            timeout_ms=int(raw.get("timeout_ms", 2000)),
-            retries=int(raw.get("retries", 1)),
-            capabilities=frozenset(raw.get("capabilities", [])),
-        )
-    except (TypeError, ValueError) as exc:
-        raise _config_error(str(exc)) from exc
+    check_record(raw, _CONFIG_FIELDS, "the document", _config_error)
+    return BridgeConfig(**{**raw, "capabilities": frozenset(raw.get("capabilities", ()))})
 
 
-def _config_error(message: str) -> BridgeProtocolError:
+def _config_error(message: str, field: str | None = None) -> BridgeProtocolError:
     return BridgeProtocolError(f"invalid bridge config: {message}")
 
 

@@ -18,17 +18,14 @@ import functools
 from pathlib import Path
 from typing import Iterator
 
-from .documents import bundled, load_json
+from .documents import BOOL, INT, OPTIONAL, REQUIRED, STRINGS, TEXT, bundled, check_record
+from .documents import load_json
 from .errors import ProfileParseError, RegistryConflictError, UnknownClusterError
 from .types import FrozenRecord, Launcher, ModuleSystem, PythonEnv, Scheduler, set_frozen
 
 # Above every real node (the bundled maximum is 8); it keeps the capacity
 # suggestions of ``intent.finalize``, linear in this limit, cheap.
 MAX_GPUS_PER_NODE = 1024
-
-# The profile fields a record may omit, each a list of strings; every other
-# field of ClusterProfile is required.
-_OPTIONAL_FIELDS = ("aliases", "known_faults")
 
 
 class ClusterProfile(FrozenRecord):
@@ -123,39 +120,36 @@ class ProfileSet:
         return profile
 
 
-def _parse_record(record: dict, index: int) -> ClusterProfile:
-    if not isinstance(record, dict):
-        raise ProfileParseError("profile record must be an object", record=index)
-    for name in ClusterProfile._fields:
-        if name not in record and name not in _OPTIONAL_FIELDS:
-            raise ProfileParseError("missing field", record=index, field=name)
-    for name in _OPTIONAL_FIELDS:
-        value = record.get(name, [])
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ProfileParseError("must be a list of strings", record=index, field=name)
-    try:
-        return ClusterProfile(
-            id=str(record["id"]).lower(),
-            aliases=tuple(a.lower() for a in record.get("aliases", [])),
-            scheduler=Scheduler(record["scheduler"]),
-            default_launcher=Launcher(record["default_launcher"]),
-            gpus_per_node=int(record["gpus_per_node"]),
-            gpu_type=str(record["gpu_type"]),
-            env_propagation=bool(record["env_propagation"]),
-            module_system=ModuleSystem(record["module_system"]),
-            python_env=PythonEnv(record["python_env"]),
-            max_walltime_minutes=int(record["max_walltime_minutes"]),
-            known_faults=tuple(record.get("known_faults", [])),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ProfileParseError(str(exc), record=index) from exc
+# The parameters of ClusterProfile, so a checked record builds one.
+_PROFILE_FIELDS = {
+    "id": (TEXT, REQUIRED), "aliases": (STRINGS, OPTIONAL),
+    "scheduler": (tuple(Scheduler), REQUIRED), "default_launcher": (tuple(Launcher), REQUIRED),
+    "gpus_per_node": (INT, REQUIRED), "gpu_type": (TEXT, REQUIRED),
+    "env_propagation": (BOOL, REQUIRED), "module_system": (tuple(ModuleSystem), REQUIRED),
+    "python_env": (tuple(PythonEnv), REQUIRED), "max_walltime_minutes": (INT, REQUIRED),
+    "known_faults": (STRINGS, OPTIONAL),
+}
+
+
+def _parse_record(record: object, index: int) -> ClusterProfile:
+    check_record(record, _PROFILE_FIELDS, "profile record",
+                 functools.partial(ProfileParseError, record=index))
+    return ClusterProfile(**{
+        **record,
+        "id": record["id"].lower(),
+        "aliases": tuple(a.lower() for a in record.get("aliases", ())),
+        "scheduler": Scheduler(record["scheduler"]),
+        "default_launcher": Launcher(record["default_launcher"]),
+        "module_system": ModuleSystem(record["module_system"]),
+        "python_env": PythonEnv(record["python_env"]),
+        "known_faults": tuple(record.get("known_faults", ())),
+    })
 
 
 def load_profiles(source: Path | str) -> ProfileSet:
     """Load a profile document (JSON array of profile records).
 
-    ``source`` is a filesystem path or a string holding the JSON document
-    itself; see :func:`launchport.documents.load_json`.
+    ``source`` is a path or the JSON text itself; see :mod:`launchport.documents`.
     """
     records = load_json(source, list, "profile document", ProfileParseError)
     return ProfileSet([_parse_record(rec, i) for i, rec in enumerate(records)])

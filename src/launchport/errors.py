@@ -85,8 +85,9 @@ class CapacityError(LaunchportError):
 class TemplateInvalidError(LaunchportError):
     """A template violates the repository invariants."""
 
-    def __init__(self, template_id: str, message: str):
+    def __init__(self, template_id: str, message: str, *, field: str | None = None):
         self.template_id = template_id
+        self.field = field
         super().__init__(f"template '{template_id}': {message}")
 
 
@@ -119,10 +120,11 @@ class NoCandidatesError(LaunchportError):
 
 
 class RuleParseError(LaunchportError):
-    """A fault rule or fingerprint document is malformed."""
+    """A fault rule, fingerprint or repair table document is malformed."""
 
-    def __init__(self, message: str, *, index: int | None = None):
+    def __init__(self, message: str, *, index: int | None = None, field: str | None = None):
         self.index = index
+        self.field = field
         suffix = f" (rule index {index})" if index is not None else ""
         super().__init__(f"{message}{suffix}")
 

@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Iterator, Protocol
 
 from .clusters import ClusterProfile
-from .documents import bundled, load_json
+from .documents import OBJECT, OPTIONAL, REQUIRED, TEXT, TEXT_OR_INT, bundled, check_record
+from .documents import load_json
 from .errors import (
     BridgeError,
     ContractViolationError,
@@ -159,50 +160,54 @@ class RepairTable:
         return list(self._table)
 
 
+_FINGERPRINT_FIELDS = {
+    "id": (TEXT, REQUIRED), "category": (CATEGORIES, REQUIRED), "pattern": (OBJECT, REQUIRED),
+    "explanation": (TEXT, OPTIONAL),
+}
+# Exactly one of the two, which load_fingerprints checks.
+_PATTERN_FIELDS = {"literal": (TEXT, OPTIONAL), "regex": (TEXT, OPTIONAL)}
+_ACTION_FIELDS = {
+    "kind": (tuple(REPAIR_PAYLOAD_KEYS), REQUIRED), "payload": (OBJECT, OPTIONAL),
+    "rationale": (TEXT, OPTIONAL),
+}
+# Per kind, its payload: every key required, and every value text, except
+# that set_param may set an integer.
+_PAYLOAD_FIELDS = {
+    kind: {key: (TEXT_OR_INT if kind == "set_param" and key == "value" else TEXT, REQUIRED)
+           for key in keys}
+    for kind, keys in REPAIR_PAYLOAD_KEYS.items()
+}
+
+
 def load_fingerprints(source: Path | str) -> FingerprintSet:
     """Load a fingerprint document (JSON array, matched in array order).
 
-    ``source`` is a filesystem path or a string holding the JSON document
-    itself; see :func:`launchport.documents.load_json`.
+    ``source`` is a path or the JSON text itself; see :mod:`launchport.documents`.
     """
     records = load_json(source, list, "fingerprint document", RuleParseError)
-    fingerprints = []
+    fingerprints, ids = [], set()
     for i, raw in enumerate(records):
-        if not isinstance(raw, dict) or "id" not in raw or "category" not in raw:
-            raise RuleParseError("fingerprint needs 'id' and 'category'", index=i)
-        if raw["category"] not in CATEGORIES:
-            raise RuleParseError(f"unknown category '{raw['category']}'", index=i)
-        pattern = raw.get("pattern", {})
-        if not isinstance(pattern, dict):
-            raise RuleParseError("pattern must be an object", index=i)
-        literal = pattern.get("literal")
-        regex = pattern.get("regex")
-        if (literal is None) == (regex is None):
-            raise RuleParseError(
-                "pattern must give exactly one of 'literal' or 'regex'", index=i
-            )
-        if not isinstance(literal if regex is None else regex, str):
-            raise RuleParseError("pattern 'literal' or 'regex' must be a string", index=i)
+        error = functools.partial(RuleParseError, index=i)
+        check_record(raw, _FINGERPRINT_FIELDS, "fingerprint", error)
+        pattern = raw["pattern"]
+        check_record(pattern, _PATTERN_FIELDS, "pattern", error)
+        if ("literal" in pattern) == ("regex" in pattern):
+            raise error("pattern must give exactly one of 'literal' or 'regex'")
+        if raw["id"] in ids:
+            raise error(f"duplicate fingerprint id '{raw['id']}'")
+        ids.add(raw["id"])
         try:
-            fingerprints.append(
-                Fingerprint(
-                    id=str(raw["id"]),
-                    category=str(raw["category"]),
-                    literal=literal,
-                    regex=regex,
-                    explanation=str(raw.get("explanation", "")),
-                )
-            )
+            fingerprints.append(Fingerprint(
+                raw["id"], raw["category"], **pattern, explanation=raw.get("explanation", "")))
         except re.error as exc:
-            raise RuleParseError(f"bad regex: {exc}", index=i) from exc
+            raise error(f"bad regex: {exc}") from exc
     return FingerprintSet(fingerprints)
 
 
 def load_repair_table(source: Path | str) -> RepairTable:
     """Load the repair table (JSON object: fingerprint id -> action list).
 
-    ``source`` is a filesystem path or a string holding the JSON document
-    itself; see :func:`launchport.documents.load_json`.
+    ``source`` is a path or the JSON text itself; see :mod:`launchport.documents`.
     """
     raw = load_json(source, dict, "repair table", RuleParseError)
     table: dict[str, list[RepairAction]] = {}
@@ -213,38 +218,11 @@ def load_repair_table(source: Path | str) -> RepairTable:
             )
         parsed = []
         for i, entry in enumerate(actions):
-            if not isinstance(entry, dict):
-                raise RuleParseError(
-                    f"action for '{fingerprint_id}' must be an object", index=i
-                )
-            kind = entry.get("kind")
-            if not isinstance(kind, str) or kind not in REPAIR_PAYLOAD_KEYS:
-                raise RuleParseError(
-                    f"unknown repair kind '{kind}' for '{fingerprint_id}'", index=i
-                )
-            payload = entry.get("payload", {})
-            if not isinstance(payload, dict):
-                raise RuleParseError(
-                    f"payload for '{fingerprint_id}' must be an object", index=i
-                )
-            for key in REPAIR_PAYLOAD_KEYS[kind]:
-                if key not in payload:
-                    raise RuleParseError(f"{kind} for '{fingerprint_id}' lacks '{key}'", index=i)
-            for key, value in payload.items():
-                # Every value is text, except that set_param may set an integer.
-                numeric = kind == "set_param" and key == "value"
-                if not (isinstance(value, str) or numeric and value.__class__ is int):
-                    wanted = "a string or an integer" if numeric else "a string"
-                    raise RuleParseError(
-                        f"{kind} for '{fingerprint_id}': '{key}' must be {wanted}", index=i
-                    )
-            parsed.append(
-                RepairAction(
-                    kind=kind,
-                    payload=dict(payload),
-                    rationale=str(entry.get("rationale", "")),
-                )
-            )
+            error = functools.partial(RuleParseError, index=i)
+            check_record(entry, _ACTION_FIELDS, f"action for '{fingerprint_id}'", error)
+            kind, payload = entry["kind"], entry.get("payload", {})
+            check_record(payload, _PAYLOAD_FIELDS[kind], f"{kind} for '{fingerprint_id}'", error)
+            parsed.append(RepairAction(kind, dict(payload), entry.get("rationale", "")))
         table[fingerprint_id] = parsed
     return RepairTable(table)
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Protocol, Sequence
@@ -180,11 +179,6 @@ class _SetStore:
         return entry
 
 
-# Weak keys: a store lives exactly as long as its set, and a set freed and
-# another built at the same address never share one.
-_STORES: weakref.WeakKeyDictionary[TemplateSet, _SetStore] = weakref.WeakKeyDictionary()
-
-
 def _vectors(
     store: _SetStore, embedder: Embedder | None, description: str
 ) -> list[list[float]] | None:
@@ -233,9 +227,9 @@ def candidates(
     templates = tset.in_id_order()
     if not templates:
         raise NoCandidatesError("the template set is empty")
-    store = _STORES.get(tset)
+    store = tset._ranking
     if store is None:
-        store = _STORES[tset] = _SetStore(templates)
+        store = tset._ranking = _SetStore(templates)
     key = (spec.cluster if spec.cluster in store.clusters else None,
            spec.framework, spec.strategy, spec.launcher)
     entry = store.table.get(key) or store.rank(key)

@@ -8,7 +8,7 @@ to real tool output for fingerprint matching.
 
 Rule evaluation is first-match in document order.  A rule applies when its
 cluster scope matches the target profile and every trigger atom holds; the
-atoms (:data:`_TRIGGER_ATOMS`) are described in ``docs/formats.md``.  A rule
+atoms (:data:`_TRIGGER_FIELDS`) are described in ``docs/formats.md``.  A rule
 set reads each trigger once, when it is built, and checks each cluster's
 rules in array order, the first match firing (:class:`FaultRuleSet`).
 ``clearable_by`` names the repair-action kinds (the keys of
@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import Iterator
 
 from .clusters import ClusterProfile, default_profiles
-from .documents import bundled, load_json
+from .documents import INT, LIST, NAMES, OBJECT, OPTIONAL, REQUIRED, TEXT, TEXTS, bundled
+from .documents import check_record, load_json
 from .errors import RuleParseError
 from .intent import JobSpec
 from .synthesis import RenderedScript
@@ -99,7 +100,7 @@ class FaultRuleSet:
                 rule,
                 frozenset(_as_list(trigger["strategy_is"])) if "strategy_is" in trigger else None,
                 frozenset(_as_list(trigger["launcher_is"])) if "launcher_is" in trigger else None,
-                int(trigger["nodes_gt"]) if "nodes_gt" in trigger else None,
+                trigger.get("nodes_gt"),
                 tuple(_as_list(trigger.get("script_contains", []))),
                 tuple(_as_list(trigger.get("script_lacks", []))),
             )))
@@ -143,69 +144,41 @@ class ExecutionResult(FrozenRecord):
         set_frozen(self, "fault_fired", fault_fired)
 
 
-def _as_list(value) -> list[str]:
-    if isinstance(value, str):
-        return [value]
-    return [str(v) for v in value]
+def _as_list(value: str | list[str] | tuple[str, ...]) -> list[str]:
+    return [value] if isinstance(value, str) else list(value)
 
 
-def _is_names(value) -> bool:
-    """Whether ``value`` is a string or a list of strings."""
-    return isinstance(value, str) or (
-        isinstance(value, list) and all(isinstance(v, str) for v in value)
-    )
+# The trigger atoms, all conjoined; see docs/formats.md.
+_TRIGGER_FIELDS = {
+    "cluster_is": (NAMES, OPTIONAL), "strategy_is": (NAMES, OPTIONAL),
+    "launcher_is": (NAMES, OPTIONAL), "script_contains": (TEXTS, OPTIONAL),
+    "script_lacks": (TEXTS, OPTIONAL), "nodes_gt": (INT, OPTIONAL),
+}
+_RULE_FIELDS = {
+    "id": (TEXT, REQUIRED), "cluster": (NAMES, REQUIRED), "category": (CATEGORIES, REQUIRED),
+    "trigger": (OBJECT, REQUIRED), "stderr": (TEXT, REQUIRED), "clearable_by": (LIST, OPTIONAL),
+}
 
 
-_TRIGGER_ATOMS = ("cluster_is", "strategy_is", "launcher_is", "script_contains", "script_lacks", "nodes_gt")
-_NAME_ATOMS = ("cluster_is", "strategy_is", "launcher_is")
-
-
-def _validate_rule(raw: dict, index: int, known_clusters: set[str]) -> FaultRule:
-    if not isinstance(raw, dict):
-        raise RuleParseError("rule must be an object", index=index)
-    for name in ("id", "cluster", "trigger", "stderr", "category"):
-        if name not in raw:
-            raise RuleParseError(f"missing field '{name}'", index=index)
-    cluster = raw["cluster"]
-    if not _is_names(cluster) or cluster == []:
-        raise RuleParseError("cluster must be '*', an id or a non-empty list of ids",
-                             index=index)
+def _validate_rule(raw: object, index: int, known_clusters: set[str]) -> FaultRule:
+    error = functools.partial(RuleParseError, index=index)
+    check_record(raw, _RULE_FIELDS, "rule", error)
+    cluster, trigger, stderr = raw["cluster"], raw["trigger"], raw["stderr"]
+    check_record(trigger, _TRIGGER_FIELDS, "trigger", error)
     cluster_names = [] if cluster == "*" else _as_list(cluster)
-    trigger = raw["trigger"]
-    if not isinstance(trigger, dict):
-        raise RuleParseError("trigger must be an object of atoms", index=index)
-    for atom, value in trigger.items():
-        if atom not in _TRIGGER_ATOMS:
-            raise RuleParseError(f"unknown trigger atom '{atom}'", index=index)
-        if atom == "nodes_gt" and not isinstance(value, int):
-            raise RuleParseError("trigger atom 'nodes_gt' must be an integer", index=index)
-        if atom != "nodes_gt" and not _is_names(value):
-            raise RuleParseError(
-                f"trigger atom '{atom}' must be a string or a list of strings", index=index
-            )
-        # An empty list of names admits nothing, so the rule could never fire.
-        if atom in _NAME_ATOMS and value == []:
-            raise RuleParseError(f"trigger atom '{atom}' must not be an empty list",
-                                 index=index)
-    cluster_names.extend(_as_list(trigger.get("cluster_is", [])))
+    cluster_names.extend(_as_list(trigger.get("cluster_is", ())))
     for name in cluster_names:
         if name not in known_clusters:
             raise RuleParseError(f"unknown cluster id '{name}'", index=index)
-    category = raw["category"]
-    if category not in CATEGORIES:
-        raise RuleParseError(f"unknown category '{category}'", index=index)
     clearable = raw.get("clearable_by", [])
-    if not isinstance(clearable, list):
-        raise RuleParseError("clearable_by must be a list of repair kinds", index=index)
     for kind in clearable:
         if not isinstance(kind, str) or kind not in REPAIR_PAYLOAD_KEYS:
             raise RuleParseError(f"unknown repair kind '{kind}' in clearable_by", index=index)
-    stderr = str(raw["stderr"])
     for name in PLACEHOLDER_RE.findall(stderr):
         if name not in _STDERR_FIELDS:
             raise RuleParseError(f"unknown stderr field '{{{name}}}'", index=index)
     return FaultRule(
-        id=str(raw["id"]),
+        id=raw["id"],
         cluster=cluster if isinstance(cluster, str) else tuple(cluster),
         trigger=trigger,
         stderr_template=stderr,
@@ -219,15 +192,19 @@ def load_fault_rules(
 ) -> FaultRuleSet:
     """Load a fault-rule document (JSON array, evaluated in array order).
 
-    ``source`` is a filesystem path or a string holding the JSON document
-    itself; see :func:`launchport.documents.load_json`.
+    ``source`` is a path or the JSON text itself; see :mod:`launchport.documents`.
     """
     if known_clusters is None:
         known_clusters = set(default_profiles().ids())
     records = load_json(source, list, "fault-rule document", RuleParseError)
-    return FaultRuleSet([
-        _validate_rule(raw, i, known_clusters) for i, raw in enumerate(records)
-    ])
+    rules, ids = [], set()
+    for i, raw in enumerate(records):
+        rule = _validate_rule(raw, i, known_clusters)
+        if rule.id in ids:
+            raise RuleParseError(f"duplicate rule id '{rule.id}'", index=i)
+        ids.add(rule.id)
+        rules.append(rule)
+    return FaultRuleSet(rules)
 
 
 @functools.cache

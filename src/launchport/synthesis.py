@@ -98,10 +98,11 @@ def bind(spec: JobSpec, t: Template, profile: ClusterProfile) -> dict[str, int |
     values: dict[str, int | str] = {}
     for decl in t.params:
         if decl.name == "master_port":
+            # validate_template holds a master_port default to the port rule.
             if spec.master_port_explicit or decl.default is None:
                 value = spec.master_port
             else:
-                value = int(decl.default)
+                value = decl.default
         else:
             value = known.get(decl.name)
             if value is None:

@@ -23,7 +23,7 @@ import re
 from pathlib import Path
 from typing import Iterator
 
-from .documents import bundled, load_json
+from .documents import ANY, BOOL, LIST, OPTIONAL, REQUIRED, TEXT, bundled, check_record, load_json
 from .errors import TemplateConflictError, TemplateInvalidError
 from .types import (
     PORT_MAX, PORT_MIN, Framework, FrozenRecord, Launcher, Strategy, set_frozen, valid_port,
@@ -152,6 +152,7 @@ class TemplateSet:
         self._by_id = by_id
         self._by_key = by_key
         self._in_id_order = tuple(by_id[i] for i in sorted(by_id))
+        self._ranking = None  # retrieval's store, filled on the set's first ranking
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -183,49 +184,41 @@ def add_template(tset: TemplateSet, t: Template) -> TemplateSet:
     return TemplateSet(list(tset) + [t])
 
 
-def _parse_param(raw: dict, template_id: str) -> ParamDecl:
-    if not isinstance(raw, dict):
-        raise TemplateInvalidError(template_id, "param record must be an object")
-    if "name" not in raw:
-        raise TemplateInvalidError(template_id, "param record missing 'name'")
-    return ParamDecl(
-        name=str(raw["name"]),
-        kind=str(raw.get("kind", "text")),
-        required=bool(raw.get("required", True)),
-        default=raw.get("default"),
-    )
+# The parameters of Template and ParamDecl, so a checked record builds one;
+# validate_template checks a param's kind and, by kind, its default.
+_TEMPLATE_FIELDS = {
+    "id": (TEXT, REQUIRED), "cluster": (TEXT, REQUIRED), "framework": (tuple(Framework), REQUIRED),
+    "strategy": (tuple(Strategy), REQUIRED), "launcher": (tuple(Launcher), REQUIRED),
+    "body": (TEXT, REQUIRED), "params": (LIST, OPTIONAL), "verified": (BOOL, OPTIONAL),
+    "notes": (TEXT, OPTIONAL),
+}
+_PARAM_FIELDS = {
+    "name": (TEXT, REQUIRED), "kind": (TEXT, OPTIONAL), "required": (BOOL, OPTIONAL),
+    "default": (ANY, OPTIONAL),
+}
 
 
-def _parse_record(raw: dict, index: int) -> Template:
-    if not isinstance(raw, dict):
-        raise TemplateInvalidError(f"#{index}", "template record must be an object")
-    try:
-        template_id = str(raw["id"])
-        params = raw.get("params", [])
-        if not isinstance(params, list):
-            raise TemplateInvalidError(template_id, "params must be a list of param records")
-        return Template(
-            id=template_id,
-            cluster=str(raw["cluster"]).lower(),
-            framework=Framework(raw["framework"]),
-            strategy=Strategy(raw["strategy"]),
-            launcher=Launcher(raw["launcher"]),
-            body=str(raw["body"]),
-            params=tuple(_parse_param(p, template_id) for p in params),
-            verified=bool(raw.get("verified", False)),
-            notes=str(raw.get("notes", "")),
-        )
-    except KeyError as exc:
-        raise TemplateInvalidError(f"#{index}", f"missing field {exc}") from exc
-    except ValueError as exc:
-        raise TemplateInvalidError(raw.get("id", f"#{index}"), str(exc)) from exc
+def _parse_record(raw: object, index: int) -> Template:
+    check_record(raw, _TEMPLATE_FIELDS, "template record",
+                 functools.partial(TemplateInvalidError, f"#{index}"))
+    params = raw.get("params", ())
+    param_error = functools.partial(TemplateInvalidError, raw["id"])
+    for param in params:
+        check_record(param, _PARAM_FIELDS, "param record", param_error)
+    return Template(**{
+        **raw,
+        "cluster": raw["cluster"].lower(),
+        "framework": Framework(raw["framework"]),
+        "strategy": Strategy(raw["strategy"]),
+        "launcher": Launcher(raw["launcher"]),
+        "params": tuple(ParamDecl(**param) for param in params),
+    })
 
 
 def load_repository(source: Path | str) -> TemplateSet:
     """Load a repository document (JSON array of template records).
 
-    ``source`` is a filesystem path or a string holding the JSON document
-    itself; see :func:`launchport.documents.load_json`.
+    ``source`` is a path or the JSON text itself; see :mod:`launchport.documents`.
     """
     records = load_json(source, list, "repository document", _document_error)
     return TemplateSet([_parse_record(rec, i) for i, rec in enumerate(records)])

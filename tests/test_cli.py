@@ -497,7 +497,8 @@ class TestClustersCommand:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            "error: must be a list of strings (record 0, field 'aliases')"
+            "error: profile record: 'aliases' must be a list of strings"
+            " (record 0, field 'aliases')"
         ]
 
     def test_add_validates_and_writes_back(self, capsys, tmp_path):

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from launchport.clusters import _OPTIONAL_FIELDS, ClusterProfile
+from launchport.clusters import _PROFILE_FIELDS, ClusterProfile
+from launchport.documents import OPTIONAL
 from launchport.lint import CATALOG
-from launchport.simcluster import _STDERR_FIELDS, _TRIGGER_ATOMS
+from launchport.simcluster import _STDERR_FIELDS, _TRIGGER_FIELDS
 from launchport.types import REPAIR_PAYLOAD_KEYS
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
@@ -52,8 +53,9 @@ def _facts(doc: str) -> dict[str, list]:
 
 OWNERS = {
     "profile fields": list(ClusterProfile._fields),
-    "optional profile fields": list(_OPTIONAL_FIELDS),
-    "trigger atoms": list(_TRIGGER_ATOMS),
+    "optional profile fields": [
+        name for name, (_, required) in _PROFILE_FIELDS.items() if required is OPTIONAL],
+    "trigger atoms": list(_TRIGGER_FIELDS),
     "stderr fields": list(_STDERR_FIELDS),
     "repair kinds": list(REPAIR_PAYLOAD_KEYS.items()),
     "lint codes": list(CATALOG.items()),

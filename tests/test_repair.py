@@ -51,17 +51,18 @@ _FP = '{"id": "fp", "category": "env", "pattern": %s}'
     "loader, text, index, message",
     [
         (load_fingerprints, "[%s, %s]" % (_FP % '{"literal": "x"}', _FP % "5"), 1,
-         "pattern must be an object"),
+         "fingerprint: 'pattern' must be an object"),
         (load_fingerprints, "[%s]" % (_FP % '{"regex": 5}'), 0,
-         "pattern 'literal' or 'regex' must be a string"),
+         "pattern: 'regex' must be a string"),
         (load_repair_table, '{"fp": [], "other": 5}', 1,
          "actions for 'other' must be a list"),
         (load_repair_table, '{"fp": [{"kind": "export_env", "payload": {"name": "X"}}, 5]}', 1,
          "action for 'fp' must be an object"),
         (load_repair_table, '{"fp": [{"kind": "export_env", "payload": 5}]}', 0,
-         "payload for 'fp' must be an object"),
+         "action for 'fp': 'payload' must be an object"),
         (load_repair_table, '{"fp": [{"kind": ["export_env"]}]}', 0,
-         "unknown repair kind '['export_env']' for 'fp'"),
+         "action for 'fp': 'kind' must be one of export_env, add_module_load, pin_version, "
+         "prepend_line, add_arg, set_param, switch_template"),
         (load_repair_table,
          '{"fp": [{"kind": "export_env", "payload": {"name": "X"}}, {"kind": "add_module_load"}]}',
          1, "add_module_load for 'fp' lacks 'module'"),

@@ -431,7 +431,7 @@ class TestCandidateStore:
         for key in keys:
             spec = _spec(*key)
             assert _flat(candidates(spec, tset)) == _flat(_rank_reference(spec, tset)), key
-        table = retrieval._STORES[tset].table
+        table = tset._ranking.table
         assert len(keys) == len(table) == (len(clusters) + 1) * 3 * 3 * 5 == 450
 
     def test_unknown_clusters_share_one_entry(self):
@@ -439,7 +439,7 @@ class TestCandidateStore:
         for i in range(200):
             spec = _spec(f"unknown-{i}", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN)
             assert _flat(candidates(spec, tset)) == _flat(_rank_reference(spec, tset))
-        assert list(retrieval._STORES[tset].table) == [
+        assert list(tset._ranking.table) == [
             (None, Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN)]
 
     @pytest.mark.parametrize("cluster", ["perlmutter", "aurora"], ids=["above", "below"])
@@ -454,16 +454,13 @@ class TestCandidateStore:
     def test_store_lives_as_long_as_its_set(self, profiles):
         tset = TemplateSet([_mini_template("solo", "delta", Framework.PYTORCH, Strategy.DDP,
                                            Launcher.TORCHRUN)])
-        assert tset not in retrieval._STORES
+        assert tset._ranking is None
         candidates(make_spec(profiles.resolve("delta"), Framework.PYTORCH, Strategy.DDP), tset)
-        assert tset in retrieval._STORES
-        store = weakref.ref(retrieval._STORES[tset])
+        store = weakref.ref(tset._ranking)
         assert len(store().table) == 1
-        stores = len(retrieval._STORES)
         del tset
         gc.collect()
-        assert len(retrieval._STORES) == stores - 1
-        # Nothing else holds the store, so its table goes with it.
+        # Nothing else holds the store, so its table goes with its set.
         assert store() is None
 
 

@@ -140,13 +140,15 @@ class TestRuleLoading:
     def test_rules_and_fingerprints_share_one_category_vocabulary(self, category):
         rule = {"id": "X", "cluster": "*", "category": category, "trigger": {}, "stderr": "b"}
         fingerprint = {"id": "X", "category": category, "pattern": {"literal": "b"}}
-        for load, record in ((load_fault_rules, rule), (load_fingerprints, fingerprint)):
+        for load, record, what in ((load_fault_rules, rule, "rule"),
+                                   (load_fingerprints, fingerprint, "fingerprint")):
             if category in CATEGORIES:
                 assert len(load(json.dumps([record]))) == 1
             else:
                 with pytest.raises(RuleParseError) as exc:
                     load(json.dumps([record]))
-                assert str(exc.value) == f"unknown category '{category}' (rule index 0)"
+                assert str(exc.value) == (
+                    f"{what}: 'category' must be one of env, framework, user (rule index 0)")
 
     def test_malformed_rule_reports_index(self):
         rules = [
@@ -172,10 +174,10 @@ class TestRuleLoading:
         rule = {"id": "X", "cluster": "*", "category": "env", "trigger": {}, "stderr": "b"}
         if field == "cluster":
             rule["cluster"] = []
-            message = "cluster must be '*', an id or a non-empty list of ids"
+            message = "rule: 'cluster' must be a string or a non-empty list of strings"
         else:
             rule["trigger"] = {field: []}
-            message = f"trigger atom '{field}' must not be an empty list"
+            message = f"trigger: '{field}' must be a string or a non-empty list of strings"
         with pytest.raises(RuleParseError) as exc:
             load_fault_rules(json.dumps([ok, rule]))
         assert exc.value.index == 1
