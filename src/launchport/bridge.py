@@ -105,9 +105,8 @@ def _default_transport(url: str, body: bytes, headers: dict[str, str], timeout_s
     import urllib.request
 
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    # urlopen raises HTTPError, an OSError, for any answer that is not 2xx.
     with urllib.request.urlopen(request, timeout=timeout_s) as response:
-        if response.status >= 400:
-            raise BridgeUnavailableError(f"HTTP {response.status} from {url}")
         return response.read()
 
 
@@ -121,7 +120,7 @@ class RemoteBridge:
     def __init__(self, config: BridgeConfig, transport: Transport | None = None):
         self.config = config
         self._transport = transport or _default_transport
-        self._prompts = json.loads(bundled("bridge_prompts.json"))
+        self._prompts = load_json(bundled("bridge_prompts.json"), dict, "bridge prompts", BridgeProtocolError)
 
     def enabled(self, capability: str) -> bool:
         return capability in self.config.capabilities

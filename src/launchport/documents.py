@@ -114,7 +114,6 @@ def check_record(raw: object, fields: Fields, what: str, error: Callable[..., Ex
                 raise error(f"{what}: '{name}' must be one of {', '.join(kind)}", field=name)
         elif kind not in _ACCEPTS or not _ACCEPTS[kind](value):
             raise error(f"{what}: '{name}' must be {_WANTED.get(kind, kind)}", field=name)
-    if len(raw) < len(fields):
-        for name, (kind, required) in fields.items():
-            if required and name not in raw:
-                raise error(f"{what} lacks '{name}'", field=name)
+    for name, (_, required) in fields.items():
+        if required and name not in raw:
+            raise error(f"{what} lacks '{name}'", field=name)

@@ -120,8 +120,7 @@ def _candidate(
 
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    if not a or not b:
-        return 0.0
+    # ``a`` is a job description's words, never empty (JobSpec.description).
     return len(a & b) / len(a | b)
 
 

@@ -32,7 +32,7 @@ from .errors import RuleParseError
 from .intent import JobSpec
 from .synthesis import RenderedScript
 from .templates import PLACEHOLDER_RE
-from .types import CATEGORIES, REPAIR_PAYLOAD_KEYS, FrozenRecord, set_frozen
+from .types import CATEGORIES, REPAIR_PAYLOAD_KEYS, FrozenRecord, Launcher, Strategy, set_frozen
 
 # Names usable inside stderr templates, each with its text for a job on a cluster.
 _STDERR_FIELDS = {
@@ -170,6 +170,11 @@ def _validate_rule(raw: object, index: int, known_clusters: set[str]) -> FaultRu
     for name in cluster_names:
         if name not in known_clusters:
             raise RuleParseError(f"unknown cluster id '{name}'", index=index)
+    # By value: `"zero-3" in Strategy` raises TypeError on Python 3.10 and 3.11.
+    for atom, enum in (("strategy_is", Strategy), ("launcher_is", Launcher)):
+        for name in _as_list(trigger.get(atom, ())):
+            if name not in {member.value for member in enum}:
+                raise RuleParseError(f"unknown {enum.__name__.lower()} '{name}' in {atom}", index=index)
     clearable = raw.get("clearable_by", [])
     for kind in clearable:
         if not isinstance(kind, str) or kind not in REPAIR_PAYLOAD_KEYS:

@@ -105,11 +105,12 @@ def validate_template(t: Template) -> None:
             raise TemplateInvalidError(t.id, f"unknown param kind '{decl.kind}'")
         # bind() reads master_port as a port, whatever kind it declares.
         is_port = decl.kind == "port" or decl.name == "master_port"
-        if decl.default is None or not (is_port or decl.kind == "integer"):
+        if decl.default is None:
             continue
-        if not isinstance(decl.default, int) or isinstance(decl.default, bool):
+        numeric = is_port or decl.kind == "integer"
+        if not isinstance(decl.default, int if numeric else str) or isinstance(decl.default, bool):
             raise TemplateInvalidError(
-                t.id, f"param '{decl.name}' needs an integer default, "
+                t.id, f"param '{decl.name}' needs {'an integer' if numeric else 'a string'} default, "
                 f"got {decl.default!r}"
             )
         if is_port and valid_port(decl.default) is None:

@@ -56,6 +56,19 @@ class TestConfig:
         with pytest.raises(BridgeProtocolError):
             BridgeConfig(endpoint="http://x", capabilities=frozenset({"telepathy"}))
 
+    @pytest.mark.parametrize("document, message", [
+        ('{"timeout_ms": 0}', "timeout_ms must be positive"),
+        ('{"retries": -1}', "retries must be >= 0"),
+    ])
+    def test_counts_out_of_range_rejected(self, document, message):
+        with pytest.raises(BridgeProtocolError) as exc:
+            load_bridge_config(document)
+        assert str(exc.value) == message
+
+    def test_smallest_counts_accepted(self):
+        config = load_bridge_config('{"timeout_ms": 1, "retries": 0}')
+        assert (config.timeout_ms, config.retries) == (1, 0)
+
     def test_load_from_document(self, tmp_path):
         doc = tmp_path / "bridge.json"
         doc.write_text(json.dumps({
@@ -71,7 +84,55 @@ class TestConfig:
         assert config.capabilities == frozenset({"extract"})
 
 
+_CALLS = {
+    "extract": lambda bridge: bridge.extract("two nodes"),
+    "embed": lambda bridge: bridge.embed(["a"]),
+    "repair": lambda bridge: bridge.remote_repair({"stderr": "x"}),
+}
+
+
+@pytest.mark.parametrize("capability, body, message", [
+    ("extract", _ok([]), "extract result must be an object"),
+    ("embed", _ok({"a": [1.0]}), "embed result must be one vector per text"),
+    ("embed", _ok([[]]), "embed vectors must be non-empty lists"),
+    ("embed", _ok([1.0]), "embed vectors must be non-empty lists"),
+    ("embed", _ok([["x"]]), "embed vectors must be numeric"),
+    ("embed", _ok([[None]]), "embed vectors must be numeric"),
+    ("repair", _ok([]), "repair result must be an object"),
+    ("repair", _ok({"proposals": "export X"}), "repair proposals must be a list of strings"),
+    ("repair", _ok({"category": "env", "proposals": ["export X", 5]}),
+     "repair proposals must be a list of strings"),
+    ("extract", b'{"result": {}}', "response must be an object with an 'ok' field"),
+    ("repair", b"[true]", "response must be an object with an 'ok' field"),
+    ("embed", b'{"ok": true}', "successful response is missing 'result'"),
+    ("extract", b'{"ok": false}', "remote error: unspecified"),
+    ("extract", b'{"ok": 0, "result": {}}', "remote error: unspecified"),
+])
+def test_each_malformed_answer_is_one_protocol_error(capability, body, message):
+    bridge = RemoteBridge(_config(), transport=lambda *a: body)
+    with pytest.raises(BridgeProtocolError) as exc:
+        _CALLS[capability](bridge)
+    assert str(exc.value) == message
+
+
+def test_http_error_status_is_unavailable(monkeypatch):
+    # urlopen raises HTTPError for every answer that is not 2xx.
+    def urlopen(request, timeout):
+        raise urllib.error.HTTPError(request.full_url, 503, "Service Unavailable", {}, None)
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    bridge = RemoteBridge(_config())  # retries=0: no backoff sleep
+    with pytest.raises(BridgeUnavailableError) as exc:
+        bridge.extract("two nodes")
+    assert str(exc.value) == "endpoint unreachable: HTTP Error 503: Service Unavailable"
+
+
 class TestRemoteExtract:
+    def test_empty_text_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            RemoteBridge(_config(), transport=lambda *a: _ok({})).extract("")
+        assert str(exc.value) == "extract requires non-empty text"
+
     def test_matches_rule_based_extractor_on_reference_text(self):
         text = TABLE_DESCRIPTION.format(cluster="Perlmutter")
         expected = RuleBasedExtractor().extract(text)
@@ -94,8 +155,9 @@ class TestRemoteExtract:
 
     def test_empty_body_is_protocol_error(self):
         bridge = RemoteBridge(_config(), transport=lambda *a: b"")
-        with pytest.raises(BridgeProtocolError):
+        with pytest.raises(BridgeProtocolError) as exc:
             bridge.extract("two nodes")
+        assert str(exc.value) == "empty response body"
 
     def test_non_json_is_protocol_error(self):
         bridge = RemoteBridge(_config(), transport=lambda *a: b"<html>oops</html>")

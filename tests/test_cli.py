@@ -474,7 +474,19 @@ class TestTemplatesCommand:
         assert repo.read_bytes() == before
 
 
+def test_no_command_prints_help_and_exits_1(capsys):
+    code, out, err = run_cli(capsys)
+    assert code == 1
+    assert out.startswith("usage: launchport")
+    assert err == ""
+
+
 class TestClustersCommand:
+    def test_validate_accepts_the_bundle(self, capsys, tmp_path):
+        path = tmp_path / "clusters.json"
+        path.write_text(bundled("clusters.json"), "utf-8")
+        assert run_cli(capsys, "clusters", "validate", str(path)) == (0, "ok\n", "")
+
     def test_list_shows_nine_rows(self, capsys):
         code, out, _ = run_cli(capsys, "clusters", "list")
         assert code == 0
@@ -719,6 +731,18 @@ class TestPrompting:
         assert len(prompts) == 6
         assert "cluster" in prompts[0].lower()
         assert "script" in prompts[-1].lower()
+
+    def test_prompt_left_blank_is_one_error_line(self, capsys, monkeypatch):
+        prompts = []
+        monkeypatch.setattr("sys.stdin", type("Terminal", (), {"isatty": lambda self: True})())
+        monkeypatch.setattr("builtins.input", lambda prompt: prompts.append(prompt) or " ")
+        code, out, err = run_cli(
+            capsys, "generate", "--cluster", "delta", "--framework", "pytorch",
+            "--strategy", "ddp", "--nodes", "2", "--gpus-per-node", "4",
+        )
+        assert len(prompts) == 1 and "script" in prompts[0].lower()
+        assert (code, out) == (1, "")
+        assert err == "error: incomplete job description; missing: entry_script\n"
 
     def test_strategy_prompt_offers_and_takes_the_shorthand(self, monkeypatch):
         from launchport.cli import CliSession, _fill_missing

@@ -28,6 +28,13 @@ def test_bundle_cluster_facts(profiles):
     assert all(p.env_propagation for p in profiles if p.id != "deltaai")
 
 
+def test_membership_is_by_id(profiles):
+    # Without __contains__, `in` would compare ids with the profiles iterated.
+    assert "perlmutter" in profiles
+    assert "pm" not in profiles  # an alias, not an id
+    assert "nowhere" not in profiles
+
+
 def test_empty_document_yields_empty_set():
     assert len(load_profiles("[]")) == 0
     assert len(load_profiles("")) == 0
@@ -112,6 +119,8 @@ def test_nonpositive_counts_rejected():
         load_profiles(json.dumps([_record(gpus_per_node=0)]))
     with pytest.raises(ProfileParseError):
         load_profiles(json.dumps([_record(max_walltime_minutes=0)]))
+    [profile] = load_profiles(json.dumps([_record(gpus_per_node=1, max_walltime_minutes=1)]))
+    assert (profile.gpus_per_node, profile.max_walltime_minutes) == (1, 1)
 
 
 def test_gpus_per_node_is_bounded(profiles):

@@ -45,8 +45,10 @@ class TestExtract:
             assert extract(text).nodes == 2, text
 
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
-            extract("")
+        for read in (extract, RuleBasedExtractor({}).extract):
+            with pytest.raises(ValueError) as exc:
+                read("")
+            assert str(exc.value) == "extract requires non-empty text"
 
     def test_unextractable_text_lands_in_train_args(self):
         p = extract("hello")
@@ -95,6 +97,12 @@ class TestNumberWords:
         p = extract("someone asked for nodes with eightfold GPUs")
         assert (p.nodes, p.gpus_per_node, p.total_gpus) == (None, None, None)
 
+    def test_words_matched_through_non_ascii_letters_are_no_count(self):
+        # re.I matches "ſ" to "s" and "ı" to "i"; the word is not read.
+        assert extract("train on six nodes").nodes == 6
+        assert extract("train on ſix nodes").nodes is None
+        assert extract("train on sıx nodes, ſix GPUs per node").gpus_per_node is None
+
     def test_flags_take_digits_only(self):
         assert extract("--nodes two").nodes is None
         assert extract("--nodes 3, or two nodes").nodes == 3
@@ -133,6 +141,14 @@ class TestClusterSearch:
         assert extract("run it on ſtampede 3").cluster == "stampede3"
         assert RuleBasedExtractor({"kestrel": "kestrel"}).extract(
             "\u212aestrel").cluster == "kestrel"
+
+    def test_names_not_starting_with_an_ascii_letter(self):
+        extractor = RuleBasedExtractor({"9lives": "ninelives", "_x": "underscore",
+                                        "école": "ecole", "delta": "delta"})
+        assert extractor.extract("run on 9lives with 2 nodes").cluster == "ninelives"
+        assert extractor.extract("run on _x").cluster == "underscore"
+        assert extractor.extract("run on ÉCOLE").cluster == "ecole"
+        assert extractor.extract("run on delta").cluster == "delta"
 
     def test_empty_registry_names_no_cluster(self):
         assert RuleBasedExtractor({}).extract("train on perlmutter").cluster is None

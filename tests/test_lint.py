@@ -54,6 +54,12 @@ def test_env_propagation_warning_on_multi_node(profiles, templates):
     assert findings[0].severity == SEVERITY_WARNING
 
 
+def test_no_env_warning_on_one_node(profiles, templates):
+    profile = profiles.resolve("deltaai")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=1)
+    assert lint(render_for_spec(spec, templates.get("deltaai-ddp"), profile), spec, profile) == []
+
+
 def test_env_warning_suppressed_by_exports(profiles, templates):
     profile = profiles.resolve("deltaai")
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)
@@ -120,8 +126,9 @@ def test_findings_follow_check_order(profiles):
     profile = profiles.resolve("aurora")
     spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
     script = _raw_script("mpiexec -n 9 -ppn 4 python -u train.py")
-    codes = [f.code for f in lint(script, spec, profile)]
-    assert codes == [LAUNCH_SCHED_CONFLICT, TOPOLOGY_MISMATCH]
+    findings = lint(script, spec, profile)
+    assert [f.code for f in findings] == [LAUNCH_SCHED_CONFLICT, TOPOLOGY_MISMATCH]
+    assert error_count(findings) == 2
 
 
 def test_severities_come_from_the_catalog(profiles):

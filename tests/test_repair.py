@@ -54,6 +54,10 @@ _FP = '{"id": "fp", "category": "env", "pattern": %s}'
          "fingerprint: 'pattern' must be an object"),
         (load_fingerprints, "[%s]" % (_FP % '{"regex": 5}'), 0,
          "pattern: 'regex' must be a string"),
+        (load_fingerprints, "[%s]" % (_FP % '{"literal": "x", "regex": "x"}'), 0,
+         "pattern must give exactly one of 'literal' or 'regex'"),
+        (load_fingerprints, "[%s]" % (_FP % '{}'), 0,
+         "pattern must give exactly one of 'literal' or 'regex'"),
         (load_repair_table, '{"fp": [], "other": 5}', 1,
          "actions for 'other' must be a list"),
         (load_repair_table, '{"fp": [{"kind": "export_env", "payload": {"name": "X"}}, 5]}', 1,
@@ -75,7 +79,8 @@ _FP = '{"id": "fp", "category": "env", "pattern": %s}'
          '{"F": [{"kind": "set_param", "payload": {"param": "nodes", "value": true}}]}',
          0, "set_param for 'F': 'value' must be a string or an integer"),
     ],
-    ids=["pattern-5", "regex-5", "action-list-5", "action-entry-5", "payload-5", "kind-list",
+    ids=["pattern-5", "regex-5", "literal-and-regex", "neither", "action-list-5",
+         "action-entry-5", "payload-5", "kind-list",
          "payload-key-missing", "param-list", "template-id-list", "value-bool"],
 )
 def test_malformed_inner_shapes_are_rule_parse_errors(loader, text, index, message):
@@ -137,6 +142,30 @@ def test_switch_to_a_missing_template_is_unappliable(profiles, templates, with_s
         apply_action(action, script, spec, template, profile, templates if with_set else None)
 
 
+def test_prepend_line_and_switch_template_apply(profiles, templates):
+    profile = profiles.resolve("perlmutter")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    template, other = templates.get("perlmutter-ddp"), templates.get("perlmutter-fsdp")
+    script = render_for_spec(spec, template, profile)
+    prepend = RepairAction("prepend_line", {"line": "ulimit -n 4096"})
+    assert apply_action(prepend, script, spec, template, profile) == (
+        script.replace(text=f"ulimit -n 4096\n{script.text}"), spec, template)
+    switch = RepairAction("switch_template", {"template_id": "perlmutter-fsdp"})
+    assert apply_action(switch, script, spec, template, profile, templates) == (
+        render_for_spec(spec, other, profile), spec, other)
+
+
+def test_a_hand_built_action_of_an_unknown_kind_raises(profiles, templates):
+    # The loaders refuse an unknown kind; a RepairAction built in code is not checked.
+    profile = profiles.resolve("perlmutter")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    template = templates.get("perlmutter-ddp")
+    script = render_for_spec(spec, template, profile)
+    with pytest.raises(LaunchportError) as exc:
+        apply_action(RepairAction("teleport", {}), script, spec, template, profile)
+    assert str(exc.value) == "unknown repair kind 'teleport'"
+
+
 def test_a_bad_regex_is_a_rule_parse_error():
     with pytest.raises(RuleParseError, match=r"^bad regex: .* \(rule index 0\)$"):
         load_fingerprints("[%s]" % (_FP % '{"regex": "a("}'))
@@ -178,6 +207,18 @@ class TestDiagnose:
         d = diagnose(res, profiles.resolve("delta"), fingerprints)
         assert d.category == CATEGORY_UNKNOWN
         assert d.fingerprint_id is None
+
+    def test_without_spec_the_bridge_gets_an_empty_one(self, profiles, fingerprints):
+        class Recording(_StubRepairBridge):
+            def remote_repair(self, context):
+                self.context = context
+                return super().remote_repair(context)
+
+        bridge = Recording("env", ["export CUSTOM_FLAG"])
+        diag = diagnose(_failed("weird failure xyz"), profiles.resolve("delta"), fingerprints,
+                        bridge=bridge)
+        assert (bridge.context["spec"], bridge.context["script"]) == ({}, "")
+        assert [a.payload for a in diag.remote_actions] == [{"name": "CUSTOM_FLAG"}]
 
     def test_success_result_is_a_contract_violation(self, profiles, fingerprints):
         ok = ExecutionResult(exit_code=0, stdout="allgather ok\n", stderr="")

@@ -235,6 +235,26 @@ class TestTemplateVectors:
         candidates(spec, tset, embedder)
         assert embedder.sent == [len(tset) + 1, len(tset) + 1, 1]
 
+    @pytest.mark.parametrize("answer", [_DownEmbedder().embed, lambda texts: []],
+                             ids=["raises", "no-vector"])
+    def test_kept_embedder_failing_on_the_description_ranks_offline(
+        self, profiles, templates, answer,
+    ):
+        class SecondCallFails(_CountingEmbedder):
+            def embed(self, texts):
+                vectors = super().embed(texts)
+                return answer(texts) if len(self.sent) == 2 else vectors
+
+        profile = profiles.resolve("aurora")
+        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
+        tset = TemplateSet(list(templates))
+        embedder = SecondCallFails()
+        first = candidates(spec, tset, embedder)
+        assert candidates(spec, tset, embedder) == candidates(spec, tset) != first
+        # The template vectors were kept: the third ranking embeds the description only.
+        assert candidates(spec, tset, embedder) == first
+        assert embedder.sent == [len(tset) + 1, 1, 1]
+
     def test_vectors_of_another_length_are_embedded_again(self, profiles, templates):
         class Shrinking(_CountingEmbedder):
             """Drops the last component of every vector after its first call."""

@@ -84,6 +84,16 @@ class TestSubmit:
         assert mismatch.exit_code != 0
         assert "topology" in mismatch.stderr
 
+    def test_script_world_unequal_to_its_own_counts_fails(self, profiles):
+        # A user template may state fixed counts that disagree with each other.
+        profile = profiles.resolve("perlmutter")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2, gpus_per_node=4)
+        text = "mpiexec -n 6 -ppn 4 python -u train.py"  # 6 ranks do not fill 4 per node
+        result = submit(RenderedScript(text, "fixed", {}), spec, profile, load_fault_rules("[]"))
+        assert (result.exit_code, result.stdout, result.parsed_topology) == (1, "", None)
+        assert result.stderr == (
+            "launch topology error: world size 6 does not match 2 nodes x 4 processes per node")
+
     def test_empty_rule_set_always_succeeds_topologically(self, profiles, templates):
         empty = load_fault_rules("[]")
         for cluster in ("deltaai", "vista", "stampede3"):
@@ -178,6 +188,25 @@ class TestRuleLoading:
         else:
             rule["trigger"] = {field: []}
             message = f"trigger: '{field}' must be a string or a non-empty list of strings"
+        with pytest.raises(RuleParseError) as exc:
+            load_fault_rules(json.dumps([ok, rule]))
+        assert exc.value.index == 1
+        assert str(exc.value) == f"{message} (rule index 1)"
+
+    @pytest.mark.parametrize("trigger, message", [
+        ({"strategy_is": "zero-3"}, "unknown strategy 'zero-3' in strategy_is"),
+        ({"strategy_is": ["ddp", "DDP"]}, "unknown strategy 'DDP' in strategy_is"),
+        ({"launcher_is": ["torchrunn"]}, "unknown launcher 'torchrunn' in launcher_is"),
+        ({"strategy_is": "fsdp", "launcher_is": ["srun", "none"]},
+         "unknown launcher 'none' in launcher_is"),
+    ])
+    def test_unknown_trigger_value_rejected(self, trigger, message):
+        # A name that is no strategy or launcher value could never match a job.
+        ok = {"id": "OK", "cluster": "*", "category": "env", "stderr": "x",
+              "trigger": {"strategy_is": [s.value for s in Strategy],
+                          "launcher_is": [launcher.value for launcher in Launcher]}}
+        rule = {"id": "X", "cluster": "*", "category": "env", "trigger": trigger, "stderr": "b"}
+        assert len(load_fault_rules(json.dumps([ok]))) == 1
         with pytest.raises(RuleParseError) as exc:
             load_fault_rules(json.dumps([ok, rule]))
         assert exc.value.index == 1
@@ -345,7 +374,7 @@ def _names(pool, min_size=1):
 
 _TRIGGERS = st.fixed_dictionaries({}, optional={
     "cluster_is": _names(_NAMED),
-    "strategy_is": _names([s.value for s in Strategy] + ["none"]),
+    "strategy_is": _names([s.value for s in Strategy]),
     "launcher_is": _names([launcher.value for launcher in Launcher]),
     "nodes_gt": st.integers(0, 3),
     "script_contains": _names(_NEEDLES, min_size=0),

@@ -6,7 +6,7 @@ from launchport.intent import extract, finalize
 from launchport.synthesis import (
     RenderedScript, bind, render, render_for_spec, wrap_batch,
 )
-from launchport.templates import placeholders
+from launchport.templates import ParamDecl, Template, placeholders
 from launchport.types import Framework, Launcher, Strategy
 
 from conftest import TABLE_DESCRIPTION, make_spec
@@ -56,6 +56,19 @@ class TestBind:
         with pytest.raises(ContractViolationError):
             bind(spec, templates.get("ls6-ddp"), profile)
 
+    def test_foreign_profile_rejected(self, profiles, templates):
+        spec = make_spec(profiles.resolve("delta"), Framework.PYTORCH, Strategy.DDP)
+        with pytest.raises(ContractViolationError) as exc:
+            bind(spec, templates.get("delta-ddp"), profiles.resolve("aurora"))
+        assert str(exc.value) == "profile 'aurora' does not match job cluster 'delta'"
+
+    def test_optional_param_without_value_is_left_out(self, profiles, templates):
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        t = templates.get("delta-ddp")
+        extended = t.replace(params=t.params + (ParamDecl("extra", "text", required=False),))
+        assert bind(spec, extended, profile) == bind(spec, t, profile)
+
     def test_train_args_appended_with_single_space(self, profiles, templates):
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP,
@@ -97,7 +110,6 @@ class TestRender:
         assert rendered == fresh and repr(rendered) == repr(fresh)
 
     def test_template_without_placeholders_is_identity(self):
-        from launchport.templates import Template
         t = Template(
             id="static", cluster="delta", framework=Framework.PYTORCH,
             strategy=Strategy.DDP, launcher=Launcher.TORCHRUN,
@@ -105,6 +117,13 @@ class TestRender:
         )
         rendered = render(t, {})
         assert rendered.text == "echo ready"
+
+    def test_bools_render_as_one_and_zero(self):
+        # Loaded templates hold no bool default; a direct caller's binding may.
+        t = Template(id="flags", cluster="delta", framework=Framework.PYTORCH,
+                     strategy=Strategy.DDP, launcher=Launcher.TORCHRUN,
+                     body="on={on} off={off} n={n}", params=())
+        assert render(t, {"on": True, "off": False, "n": 7}).text == "on=1 off=0 n=7"
 
     def test_missing_binding_raises(self, templates):
         t = templates.get("ls6-ddp")
@@ -176,6 +195,13 @@ class TestWrapBatch:
         assert "#PBS -l select=2" in lines
         assert "#PBS -l walltime=01:00:00" in lines
         assert "#PBS -A ALCF-PROJ" in lines
+
+    def test_one_node_when_the_binding_states_no_count(self, profiles):
+        t = Template(id="static", cluster="perlmutter", framework=Framework.PYTORCH,
+                     strategy=Strategy.DDP, launcher=Launcher.TORCHRUN,
+                     body="python train.py", params=())
+        batch = wrap_batch(render(t, {}), profiles.resolve("perlmutter"), 30, "m1")
+        assert batch.splitlines()[1:3] == ["#SBATCH --nodes=1", "#SBATCH --time=00:30:00"]
 
     def test_walltime_policy_enforced(self, profiles, templates):
         for profile in profiles:

@@ -120,6 +120,34 @@ class TestValidation:
             TemplateSet([_template(body=t.body, params=params)])
         assert name in str(exc.value)
 
+    @pytest.mark.parametrize("kind, default, shown", [
+        ("path", ["a", 1], "['a', 1]"),
+        ("path", True, "True"),
+        ("text", 5, "5"),
+        ("text", {"a": "b"}, "{'a': 'b'}"),
+    ])
+    def test_non_string_text_default_rejected(self, kind, default, shown):
+        # JSON text, so the document is the one a user would write.
+        record = {"id": "t", "cluster": "delta", "framework": "pytorch", "strategy": "ddp",
+                  "launcher": "torchrun", "body": "torchrun {your_script}",
+                  "params": [{"name": "your_script", "kind": kind, "default": default}]}
+        with pytest.raises(TemplateInvalidError) as exc:
+            load_repository(json.dumps([record]))
+        assert str(exc.value) == (
+            f"template 't': param 'your_script' needs a string default, got {shown}")
+
+    def test_string_text_default_accepted(self):
+        t = _template(params=(ParamDecl("nodes", "integer"),
+                              ParamDecl("your_script", "path", default="train.py")))
+        assert TemplateSet([t]).get("testbox-ddp").params[1].default == "train.py"
+
+    def test_duplicate_param_names_rejected(self):
+        t = _template(params=(ParamDecl("nodes", "integer"), ParamDecl("your_script", "path"),
+                              ParamDecl("nodes", "integer")))
+        with pytest.raises(TemplateInvalidError) as exc:
+            TemplateSet([t])
+        assert str(exc.value) == "template 'testbox-ddp': duplicate param declarations"
+
     @pytest.mark.parametrize("default", [1024, 29400, 65535])
     def test_port_default_in_range_accepted(self, default):
         t = _template(
@@ -171,6 +199,14 @@ class TestLoadAndSerialize:
     def test_empty_document(self):
         assert len(load_repository("[]")) == 0
 
+    def test_duplicate_id_rejected(self):
+        record = {"id": "x-1", "cluster": "testbox", "framework": "pytorch", "strategy": "ddp",
+                  "launcher": "torchrun", "body": "torchrun {your_script}",
+                  "params": [{"name": "your_script", "kind": "path"}]}
+        with pytest.raises(TemplateInvalidError) as exc:
+            load_repository(json.dumps([record, dict(record, strategy="fsdp")]))
+        assert str(exc.value) == "template 'x-1': duplicate template id"
+
     def test_duplicate_key_tuple_conflict(self):
         record = {
             "id": "x-1",
@@ -213,6 +249,12 @@ class TestAddTemplate:
         )
         with pytest.raises(TemplateConflictError):
             add_template(templates, clone)
+
+    def test_readding_existing_id_rejected(self, templates):
+        clone = _template(id="ls6-ddp")
+        with pytest.raises(TemplateInvalidError) as exc:
+            add_template(templates, clone)
+        assert str(exc.value) == "template 'ls6-ddp': duplicate template id"
 
     def test_add_invalid_template_rejected(self, templates):
         bad = _template(body="torchrun {your_script}")  # required 'nodes' not in body
