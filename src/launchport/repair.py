@@ -100,7 +100,11 @@ class Diagnosis(FrozenRecord):
 
 
 class Fingerprint(FrozenRecord):
-    """One stderr pattern mapping a failure to its category."""
+    """One stderr pattern mapping a failure to its category.
+
+    Exactly one of ``literal`` and ``regex`` is given; anything else raises
+    :class:`ContractViolationError`.
+    """
 
     __slots__ = ("id", "category", "literal", "regex", "explanation", "_search")
 
@@ -112,6 +116,8 @@ class Fingerprint(FrozenRecord):
         regex: str | None = None,
         explanation: str = "",
     ) -> None:
+        if (literal is None) == (regex is None):
+            raise ContractViolationError("pattern must give exactly one of 'literal' or 'regex'")
         set_frozen(self, "id", id)
         set_frozen(self, "category", category)
         set_frozen(self, "literal", literal)
@@ -164,7 +170,7 @@ _FINGERPRINT_FIELDS = {
     "id": (TEXT, REQUIRED), "category": (CATEGORIES, REQUIRED), "pattern": (OBJECT, REQUIRED),
     "explanation": (TEXT, OPTIONAL),
 }
-# Exactly one of the two, which load_fingerprints checks.
+# Exactly one of the two, which the Fingerprint constructor checks.
 _PATTERN_FIELDS = {"literal": (TEXT, OPTIONAL), "regex": (TEXT, OPTIONAL)}
 _ACTION_FIELDS = {
     "kind": (tuple(REPAIR_PAYLOAD_KEYS), REQUIRED), "payload": (OBJECT, OPTIONAL),
@@ -191,16 +197,17 @@ def load_fingerprints(source: Path | str) -> FingerprintSet:
         check_record(raw, _FINGERPRINT_FIELDS, "fingerprint", error)
         pattern = raw["pattern"]
         check_record(pattern, _PATTERN_FIELDS, "pattern", error)
-        if ("literal" in pattern) == ("regex" in pattern):
-            raise error("pattern must give exactly one of 'literal' or 'regex'")
-        if raw["id"] in ids:
-            raise error(f"duplicate fingerprint id '{raw['id']}'")
-        ids.add(raw["id"])
         try:
-            fingerprints.append(Fingerprint(
-                raw["id"], raw["category"], **pattern, explanation=raw.get("explanation", "")))
+            fingerprint = Fingerprint(
+                raw["id"], raw["category"], **pattern, explanation=raw.get("explanation", ""))
+        except ContractViolationError as exc:
+            raise error(str(exc)) from exc
         except re.error as exc:
             raise error(f"bad regex: {exc}") from exc
+        if fingerprint.id in ids:
+            raise error(f"duplicate fingerprint id '{fingerprint.id}'")
+        ids.add(fingerprint.id)
+        fingerprints.append(fingerprint)
     return FingerprintSet(fingerprints)
 
 

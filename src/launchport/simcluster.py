@@ -70,11 +70,15 @@ class FaultRule(FrozenRecord):
 class FaultRuleSet:
     """Ordered collection of fault rules, indexed by the cluster ids they admit.
 
-    The set reads each rule's trigger once, when it is built.  A rule becomes
-    one check, ``(rule, strategies, launchers, nodes_gt, contains, lacks)``:
+    The set reads each rule's trigger and stderr once, when it is built.  A
+    rule becomes one check,
+    ``(rule, strategies, launchers, nodes_gt, contains, lacks, stderr)``:
     ``strategy_is`` and ``launcher_is`` as frozensets of values (``None`` when
-    absent), ``nodes_gt`` as an int (``None`` when absent), and
-    ``script_contains`` and ``script_lacks`` as tuples.  The cluster scope and
+    absent), ``nodes_gt`` as an int (``None`` when absent),
+    ``script_contains`` and ``script_lacks`` as tuples, and the stderr
+    template as its plan (:func:`_stderr_plan`).  A stderr naming a field
+    :data:`_STDERR_FIELDS` lacks raises :class:`RuleParseError` with the
+    rule's index.  The cluster scope and
     ``cluster_is`` decide which clusters see the check: each id that any rule
     names has its own tuple of the checks that admit it, and every other id
     shares the tuple of the ``"*"`` rules without ``cluster_is``.  Each tuple
@@ -86,7 +90,7 @@ class FaultRuleSet:
         self._rules = tuple(rules)
         admitted = []  # (ids that admit the rule, or None for every id; its check)
         named: set[str] = set()
-        for rule in self._rules:
+        for index, rule in enumerate(self._rules):
             trigger = rule.trigger
             ids = None
             if rule.cluster != "*":
@@ -103,6 +107,7 @@ class FaultRuleSet:
                 trigger.get("nodes_gt"),
                 tuple(_as_list(trigger.get("script_contains", []))),
                 tuple(_as_list(trigger.get("script_lacks", []))),
+                _stderr_plan(rule.stderr_template, index),
             )))
         self._shared = tuple(check for ids, check in admitted if ids is None)
         self._by_cluster = {
@@ -179,9 +184,7 @@ def _validate_rule(raw: object, index: int, known_clusters: set[str]) -> FaultRu
     for kind in clearable:
         if not isinstance(kind, str) or kind not in REPAIR_PAYLOAD_KEYS:
             raise RuleParseError(f"unknown repair kind '{kind}' in clearable_by", index=index)
-    for name in PLACEHOLDER_RE.findall(stderr):
-        if name not in _STDERR_FIELDS:
-            raise RuleParseError(f"unknown stderr field '{{{name}}}'", index=index)
+    _stderr_plan(stderr, index)  # refuses an unknown field before later records are read
     return FaultRule(
         id=raw["id"],
         cluster=cluster if isinstance(cluster, str) else tuple(cluster),
@@ -218,8 +221,23 @@ def default_fault_rules() -> FaultRuleSet:
     return load_fault_rules(bundled("fault_rules.json"))
 
 
-def _instantiate_stderr(template: str, spec: JobSpec, profile: ClusterProfile) -> str:
-    return PLACEHOLDER_RE.sub(lambda m: _STDERR_FIELDS[m.group(1)](spec, profile), template)
+def _stderr_plan(template: str, index: int) -> tuple:
+    """``template`` split by the placeholder grammar: literal text at even
+    indexes and, at odd ones, the :data:`_STDERR_FIELDS` function of each
+    named field.  An unknown field raises :class:`RuleParseError` at ``index``."""
+    plan = PLACEHOLDER_RE.split(template)
+    for i in range(1, len(plan), 2):
+        if plan[i] not in _STDERR_FIELDS:
+            raise RuleParseError(f"unknown stderr field '{{{plan[i]}}}'", index=index)
+        plan[i] = _STDERR_FIELDS[plan[i]]
+    return tuple(plan)
+
+
+def _instantiate_stderr(plan: tuple, spec: JobSpec, profile: ClusterProfile) -> str:
+    parts = list(plan)
+    for i in range(1, len(parts), 2):
+        parts[i] = parts[i](spec, profile)
+    return "".join(parts)
 
 
 def submit(
@@ -238,7 +256,8 @@ def submit(
     text = r.text
     # A Strategy or Launcher is a str holding its value, so it is looked up
     # in a frozenset of values as is.
-    for rule, strategies, launchers, nodes_gt, contains, lacks in rules.checks_for(profile.id):
+    checks = rules.checks_for(profile.id)
+    for rule, strategies, launchers, nodes_gt, contains, lacks, stderr in checks:
         if strategies is not None and spec.strategy not in strategies:
             continue
         if launchers is not None and spec.launcher not in launchers:
@@ -257,7 +276,7 @@ def submit(
                 return ExecutionResult(
                     exit_code=1,
                     stdout="",
-                    stderr=_instantiate_stderr(rule.stderr_template, spec, profile),
+                    stderr=_instantiate_stderr(stderr, spec, profile),
                     parsed_topology=None,
                     fault_fired=rule.id,
                 )

@@ -5,11 +5,11 @@ vocabulary (``nodes``, ``each_node_gpus``, ``world_size``, ``master_port``,
 ``your_script``, ``deepspeed_config``): the binding is a ``dict`` from each
 bound parameter name to its value.
 
-Rendering is plain textual substitution: every placeholder is replaced by
-the canonical text form of its bound value (integers in base 10, paths and
-text verbatim) and every byte outside placeholder spans is preserved
-exactly.  Rendering is idempotent because the output contains no
-placeholders.
+Rendering fills the template's plan, :attr:`Template.parts`, split from its
+body once: every placeholder slot takes the canonical text form of its bound
+value (integers in base 10, paths and text verbatim) and the literal parts
+between them, every byte outside placeholder spans, are joined in unchanged.
+Rendering is idempotent because the output contains no placeholders.
 
 Port precedence: a user-stated port always wins; otherwise a default
 declared by the template (ports observed in the verified original script)
@@ -116,21 +116,19 @@ def bind(spec: JobSpec, t: Template, profile: ClusterProfile) -> dict[str, int |
 
 
 def render(t: Template, b: Mapping[str, int | str]) -> RenderedScript:
-    """Substitute the binding into the template body.
+    """Fill the template's plan with the binding and join it.
 
     Integers render in base 10 with no padding; text renders verbatim.
-    Bytes outside placeholder spans are untouched.
+    Bytes outside placeholder spans are untouched.  The first placeholder
+    with no bound value raises :class:`UnboundParameterError`.
     """
-
-    def substitute(match) -> str:
-        name = match.group(1)
+    parts = list(t.parts)
+    for i in range(1, len(parts), 2):
+        name = parts[i]
         if name not in b:
             raise UnboundParameterError(name, t.id)
-        return _canonical(b[name])
-
-    return RenderedScript(
-        text=PLACEHOLDER_RE.sub(substitute, t.body), template_id=t.id, binding=b
-    )
+        parts[i] = _canonical(b[name])
+    return RenderedScript(text="".join(parts), template_id=t.id, binding=b)
 
 
 def render_for_spec(spec: JobSpec, t: Template, profile: ClusterProfile) -> RenderedScript:

@@ -7,8 +7,14 @@ carry both a torchrun and an mpiexec variant of the same strategy.
 
 Placeholder grammar: a single pair of braces around a lowercase identifier
 (``[a-z][a-z0-9_]*``), no nesting, no escaping.  Shell constructs such as
-``$VAR``, ``${VAR}``, and ``$(...)`` are not placeholders and pass through
-substitution untouched, so template bodies may freely mix both notations.
+``$VAR``, ``${VAR}``, and ``$(...)`` are not placeholders, so template bodies
+may freely mix both notations.
+
+A body is parsed once: :attr:`Template.parts` splits it by
+:data:`PLACEHOLDER_RE` into literal text at even indexes and placeholder
+names at odd ones.  Rendering fills the odd slots and joins the parts, so
+shell constructs stay in the literals, byte for byte, and
+:func:`validate_template` reads the names from the same split.
 
 ``TemplateSet`` is an immutable value: :func:`add_template` returns a new set
 and never mutates the input.  Because a set never changes, it keeps its
@@ -41,12 +47,7 @@ TemplateKey = tuple[str, Framework, Strategy, Launcher]
 
 def placeholders(body: str) -> list[str]:
     """Return placeholder names in ``body``, deduplicated, in first-occurrence order."""
-    seen: list[str] = []
-    for match in PLACEHOLDER_RE.finditer(body):
-        name = match.group(1)
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(dict.fromkeys(PLACEHOLDER_RE.split(body)[1::2]))
 
 
 class ParamDecl(FrozenRecord):
@@ -68,7 +69,7 @@ class Template(FrozenRecord):
     """One launch-script template with its declared parameters."""
 
     __slots__ = ("id", "cluster", "framework", "strategy", "launcher", "body", "params",
-                 "verified", "notes")
+                 "verified", "notes", "_parts")
 
     def __init__(
         self,
@@ -96,6 +97,21 @@ class Template(FrozenRecord):
     def key(self) -> TemplateKey:
         return (self.cluster, self.framework, self.strategy, self.launcher)
 
+    @property
+    def parts(self) -> tuple[str, ...]:
+        """The body split by :data:`PLACEHOLDER_RE`: literals at even indexes,
+        placeholder names at odd ones, so ``len(parts)`` is odd.
+
+        Split once, on first use, and kept in the ``_parts`` slot, which is not
+        a field, so equality, hashing, repr and pickling are unaffected.
+        """
+        try:
+            return self._parts
+        except AttributeError:
+            parts = tuple(PLACEHOLDER_RE.split(self.body))
+            set_frozen(self, "_parts", parts)
+            return parts
+
 
 def validate_template(t: Template) -> None:
     """Raise :class:`TemplateInvalidError` if ``t`` violates any invariant."""
@@ -121,7 +137,7 @@ def validate_template(t: Template) -> None:
     names = [p.name for p in t.params]
     if len(names) != len(set(names)):
         raise TemplateInvalidError(t.id, "duplicate param declarations")
-    body_names = set(placeholders(t.body))
+    body_names = set(t.parts[1::2])
     for name in body_names:
         if name not in declared:
             raise TemplateInvalidError(t.id, f"undeclared placeholder '{{{name}}}'")

@@ -805,6 +805,7 @@ class TestScriptTopology:
     @example(_HUGE_COUNT_SCRIPTS[1])
     @example(PERLMUTTER_COMMAND)
     @example(POLARIS_COMMAND)
+    @example("srun -N 2 python train.py")  # the srun-only branch, on every run
     def test_agrees_with_parse_script(self, text):
         assert script_topology(text) == _parsed_counts(text)
 

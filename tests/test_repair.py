@@ -185,6 +185,13 @@ def test_fingerprint_matches_as_a_multiline_search(regex, stderr):
     assert fingerprint.matches(stderr) == (re.search(regex, stderr, re.M) is not None)
 
 
+@pytest.mark.parametrize("pattern", [{}, {"literal": "x", "regex": "x"}])
+def test_fingerprint_takes_exactly_one_pattern(pattern):
+    with pytest.raises(ContractViolationError,
+                       match="^pattern must give exactly one of 'literal' or 'regex'$"):
+        repair.Fingerprint("F", CATEGORY_ENV, **pattern)
+
+
 def _failed(stderr):
     return ExecutionResult(exit_code=1, stdout="", stderr=stderr)
 

@@ -6,7 +6,10 @@ from hypothesis import example, given, strategies as st
 from launchport.clusters import default_profiles
 from launchport.errors import RuleParseError
 from launchport.repair import apply_action, default_repair_table, load_fingerprints
-from launchport.simcluster import _STDERR_FIELDS, _instantiate_stderr, load_fault_rules, submit
+from launchport.simcluster import (
+    _STDERR_FIELDS, ExecutionResult, FaultRule, FaultRuleSet, _instantiate_stderr, _stderr_plan,
+    load_fault_rules, submit,
+)
 from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.templates import PLACEHOLDER_RE, default_templates
 from launchport.types import CATEGORIES, Framework, Launcher, Strategy
@@ -93,6 +96,18 @@ class TestSubmit:
         assert (result.exit_code, result.stdout, result.parsed_topology) == (1, "", None)
         assert result.stderr == (
             "launch topology error: world size 6 does not match 2 nodes x 4 processes per node")
+
+    @pytest.mark.parametrize("nodes, per_node", [(1, 1), (1, 2), (2, 4), (512, 8)])
+    def test_success_transcript_is_one_line_per_rank(self, profiles, nodes, per_node):
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP,
+                         nodes=nodes, gpus_per_node=per_node)
+        result = submit(RenderedScript("python train.py", "plain", {}), spec, profile,
+                        FaultRuleSet([]))
+        world = nodes * per_node
+        lines = [f"rank {i}/{world} ok" for i in range(world)] + ["allreduce ok", "allgather ok"]
+        assert result == ExecutionResult(
+            0, "\n".join(lines) + "\n", "", (nodes, per_node, world, tuple(range(world))), None)
 
     def test_empty_rule_set_always_succeeds_topologically(self, profiles, templates):
         empty = load_fault_rules("[]")
@@ -299,7 +314,8 @@ class TestStderrFields:
         for _, spec, profile in matrix_specs(profiles):
             for rule in fault_rules:
                 template = rule.stderr_template
-                assert _instantiate_stderr(template, spec, profile) == _reference_stderr(
+                plan = _stderr_plan(template, 0)
+                assert _instantiate_stderr(plan, spec, profile) == _reference_stderr(
                     template, spec, profile
                 ), (rule.id, spec.cluster)
 
@@ -317,9 +333,39 @@ class TestStderrFields:
         template = "".join(f"{{{f}}}" if f in _STDERR_FIELDS else f for f in fields)
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=nodes,
                          gpus_per_node=gpus, master_port=port, entry_script=entry)
-        assert _instantiate_stderr(template, spec, profile) == _reference_stderr(
+        assert _instantiate_stderr(_stderr_plan(template, 0), spec, profile) == _reference_stderr(
             template, spec, profile
         )
+
+    @given(
+        profile=st.sampled_from(list(default_profiles())),
+        stderr=st.lists(st.sampled_from(
+            [f"{{{name}}}" for name in _STDERR_FIELDS]
+            + ["{bogus}", "${cluster}", "${VAR}", "$(hostname)", "{Nodes}", "{", "}",
+               "{{nodes}}", "}{", "{ nodes}", "$", " ", "\n"]
+        ) | st.text(max_size=3)).map("".join),
+        nodes=st.integers(1, 64),
+        entry=st.sampled_from(["train.py", "{nodes}", "${x}", "{"]),
+    )
+    def test_drawn_stderr_through_a_rule_set(self, profile, stderr, nodes, entry):
+        # The rule set splits the stderr once; submit joins the plan.
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=nodes,
+                         entry_script=entry)
+        rule = FaultRule("DRAWN", "*", {}, stderr)
+        if set(PLACEHOLDER_RE.findall(stderr)) - set(_STDERR_FIELDS):
+            with pytest.raises(RuleParseError, match="unknown stderr field"):
+                FaultRuleSet([rule])
+            return
+        result = submit(RenderedScript("", "drawn", {}), spec, profile, FaultRuleSet([rule]))
+        assert result.stderr == _reference_stderr(stderr, spec, profile)
+
+    def test_hand_built_rule_with_unknown_field_is_refused(self):
+        rules = [FaultRule("OK", "*", {}, "fine on {cluster}"),
+                 FaultRule("X", "*", {}, "boom {bogus}")]
+        with pytest.raises(RuleParseError) as exc:
+            FaultRuleSet(rules)
+        assert str(exc.value) == "unknown stderr field '{bogus}' (rule index 1)"
+        assert exc.value.index == 1
 
     def test_rule_may_name_only_the_table_fields(self):
         doc = json.dumps([{

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +8,7 @@ from launchport.intent import extract, finalize
 from launchport.synthesis import (
     RenderedScript, bind, render, render_for_spec, wrap_batch,
 )
-from launchport.templates import ParamDecl, Template, placeholders
+from launchport.templates import PLACEHOLDER_RE, ParamDecl, Template, placeholders
 from launchport.types import Framework, Launcher, Strategy
 
 from conftest import TABLE_DESCRIPTION, make_spec
@@ -171,6 +173,65 @@ class TestRenderedScript:
         else:
             assert found == []
             assert script.text == text
+
+
+def _reference_render(t, b):
+    """Rendering as one regex substitution over the body, a callback per placeholder."""
+
+    def substitute(match):
+        name = match.group(1)
+        if name not in b:
+            raise UnboundParameterError(name, t.id)
+        value = b[name]
+        return ("1" if value else "0") if isinstance(value, bool) else str(value)
+
+    return RenderedScript(PLACEHOLDER_RE.sub(substitute, t.body), t.id, b)
+
+
+def _rendered_or_unbound(render_fn, t, b):
+    try:
+        return render_fn(t, b).text
+    except UnboundParameterError as exc:
+        return ("unbound", exc.param, exc.template_id)
+
+
+_BODY_TOKENS = [
+    "{a}", "{b}", "{nodes}", "${a}", "${VAR}", "$(hostname)", "$(echo {a})", "$", "{A}",
+    "{Upper}", "{", "}", "{{a}}", "}{", "{a}{b}", "{ a}", "{a-b}", "\n", " ", "x",
+]
+_BOUND_VALUES = (st.integers(-3, 10**6) | st.booleans() | st.text(max_size=4)
+                 | st.sampled_from(["{a}", "{x}", "${a}", "{", "}", "{A}", ""]))
+
+
+class TestRenderPlan:
+    @given(
+        body=st.lists(st.sampled_from(_BODY_TOKENS) | st.text(max_size=3)).map("".join),
+        binding=st.dictionaries(st.sampled_from(["a", "b", "nodes", "unused"]), _BOUND_VALUES),
+    )
+    def test_plan_render_equals_one_substitution(self, body, binding):
+        t = Template("drawn", "delta", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN,
+                     body, ())
+        # Names at odd indexes, literals at even ones: wrapping the names again
+        # gives the body back.
+        assert "".join(f"{{{part}}}" if i % 2 else part for i, part in enumerate(t.parts)) == body
+        assert list(dict.fromkeys(t.parts[1::2])) == placeholders(body)
+        assert _rendered_or_unbound(render, t, binding) == _rendered_or_unbound(
+            _reference_render, t, binding)
+
+    def test_first_missing_name_is_reported(self):
+        t = Template("two", "delta", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN,
+                     "${b} {a} {b} {c}", ())
+        with pytest.raises(UnboundParameterError) as exc:
+            render(t, {"a": 1})
+        assert (exc.value.param, exc.value.template_id) == ("b", "two")
+
+    def test_plan_leaves_equality_hash_and_pickling_alone(self, templates):
+        t = templates.get("ls6-ddp")
+        fresh = Template(t.id, t.cluster, t.framework, t.strategy, t.launcher, t.body, t.params,
+                         t.verified, t.notes)
+        assert t.parts is t.parts
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+        assert pickle.loads(pickle.dumps(t)) == t
 
 
 class TestWrapBatch:
