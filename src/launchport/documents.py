@@ -14,14 +14,18 @@ record against it; the loader keeps only the rules that join fields.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from pathlib import Path
 from typing import Callable
 
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
 
 def bundled(name: str) -> str:
-    """The text of the bundled document ``launchport/data/<name>``."""
-    return resources.files("launchport.data").joinpath(name).read_text("utf-8")
+    """The text of the bundled document ``launchport/data/<name>``, read from
+    the ``data`` directory next to this module."""
+    with open(os.path.join(_DATA, name), encoding="utf-8") as f:
+        return f.read()
 
 
 def read_text(path: Path, error: Callable[[str], Exception]) -> str:

@@ -64,9 +64,16 @@ MAX_ITERATIONS = 5
 
 
 class RepairAction(FrozenRecord):
-    """One typed edit to a script or job spec."""
+    """One typed edit to a script or job spec.
 
-    __slots__ = ("kind", "payload", "rationale")
+    :func:`run_loop` counts an action as already tried when one with the
+    same fingerprint id and the same :meth:`signature` was tried before:
+    the kind and the payload as sorted-key JSON, so ``rationale`` and the
+    payload's key order do not count, but a value's type does (``1`` is
+    not ``"1"``).  The payload must not change after the action is built.
+    """
+
+    __slots__ = ("kind", "payload", "rationale", "_signature")
 
     def __init__(self, kind: str, payload: dict, rationale: str = "") -> None:
         set_frozen(self, "kind", kind)
@@ -74,7 +81,18 @@ class RepairAction(FrozenRecord):
         set_frozen(self, "rationale", rationale)
 
     def signature(self) -> tuple[str, str]:
-        return (self.kind, json.dumps(self.payload, sort_keys=True))
+        """``(kind, json.dumps(payload, sort_keys=True))``.
+
+        Serialised once, on first use, and kept in the ``_signature`` slot,
+        which is not a field, so equality, hashing, repr and pickling are
+        unaffected.
+        """
+        try:
+            return self._signature
+        except AttributeError:
+            signature = (self.kind, json.dumps(self.payload, sort_keys=True))
+            set_frozen(self, "_signature", signature)
+            return signature
 
 
 class Diagnosis(FrozenRecord):

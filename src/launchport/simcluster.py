@@ -313,12 +313,13 @@ def submit(
         )
 
     ranks = tuple(range(world))
-    lines = [f"rank {i}/{world} ok" for i in ranks]
-    lines.append("allreduce ok")
-    lines.append("allgather ok")
+    # One "rank i/world ok" line per rank; a world of 0 or less (a hand-built
+    # JobSpec) has none, not a bare "rank /0 ok".
+    end = f"/{world} ok\n"
+    per_rank = "rank " + (end + "rank ").join(map(str, ranks)) + end if ranks else ""
     return ExecutionResult(
         exit_code=0,
-        stdout="\n".join(lines) + "\n",
+        stdout=per_rank + "allreduce ok\nallgather ok\n",
         stderr="",
         parsed_topology=(nodes, per_node, world, ranks),
         fault_fired=None,

@@ -768,16 +768,20 @@ class TestPrompting:
 
 
 # Modules a cold `generate` or `port` must not load: the first two cost ~13 ms
-# of a cold start; the bridge is loaded only for --bridge-config.
-NOT_AT_COLD_START = ("dataclasses", "inspect", "launchport.bridge")
+# of a cold start; the bridge is loaded only for --bridge-config; bundled
+# documents are read with open(), without importlib.resources and what it
+# pulls in.
+NOT_AT_COLD_START = ("dataclasses", "inspect", "launchport.bridge",
+                     "importlib.resources", "zipfile", "tempfile")
 
 
 def test_cold_generate_loads_no_dataclasses_inspect_or_bridge(tmp_path):
     """A fresh interpreter's `generate`, or `port` to a capacity error, adds
-    none of NOT_AT_COLD_START.
+    none of NOT_AT_COLD_START, with the site and without it (``-S``).
 
     Modules are counted against a bare interpreter's, so what the site
-    preloads is not charged to launchport.
+    preloads is not charged to launchport; the ``-S`` run sees what a site
+    that preloads a module would hide.
     """
     show = "print(' '.join(sorted(sys.modules)))"
     generate = ["generate", "--cluster", "delta", "--framework", "pytorch", "--strategy", "ddp",
@@ -788,14 +792,15 @@ def test_cold_generate_loads_no_dataclasses_inspect_or_bridge(tmp_path):
     port = ["port", str(script), "--to", "delta", "--non-interactive"]
     env = dict(os.environ, PYTHONPATH=str(Path(launchport.__file__).resolve().parents[1]))
 
-    def loaded(code: str) -> set[str]:
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, env=env)
+    def loaded(flags: list[str], code: str) -> set[str]:
+        done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                              text=True, check=True, env=env)
         return set(done.stdout.splitlines()[-1].split())
 
-    bare = loaded(f"import sys; {show}")
-    for argv, exit_code in ((generate, 0), (port, 1)):
-        cold = loaded(f"import sys, launchport.cli; code = launchport.cli.main({argv!r}); "
-                      f"assert code == {exit_code}, code; {show}")
-        assert "launchport.pipeline" in cold
-        assert sorted(set(NOT_AT_COLD_START) & (cold - bare)) == [], argv[0]
+    for flags in ([], ["-S"]):
+        bare = loaded(flags, f"import sys; {show}")
+        for argv, exit_code in ((generate, 0), (port, 1)):
+            cold = loaded(flags, f"import sys, launchport.cli; code = launchport.cli.main({argv!r}); "
+                          f"assert code == {exit_code}, code; {show}")
+            assert "launchport.pipeline" in cold
+            assert sorted(set(NOT_AT_COLD_START) & (cold - bare)) == [], (flags, argv[0])

@@ -79,24 +79,54 @@ def test_loader_refuses_what_json_loads_raises_as_a_plain_error(name, text, mess
     assert str(caught.value).startswith(fmt.format(message))
 
 
+# A module that reads bundled data must find the package's own files: through
+# one of these names, or through a module that does it for it.
+_LOCATING_NAMES = {"__file__", "__spec__", "__path__"}
+_LOCATING_MODULES = ("importlib.resources", "pkgutil")
+
+
 def _reads_bundled_data(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in _LOCATING_NAMES
     if isinstance(node, ast.Import):
-        return any(alias.name.startswith("importlib.resources") for alias in node.names)
+        return any(alias.name.startswith(_LOCATING_MODULES) for alias in node.names)
     if isinstance(node, ast.ImportFrom):
-        return node.module == "importlib.resources" or (
+        return (node.module or "").startswith(_LOCATING_MODULES) or (
             node.module == "importlib" and any(a.name == "resources" for a in node.names)
         )
     return False
 
 
+def _reads(source: str) -> bool:
+    return any(_reads_bundled_data(node) for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("source", [
+    "from importlib import resources",
+    "import importlib.resources",
+    "from importlib.resources import files",
+    "import pkgutil",
+    "from pkgutil import get_data",
+    "open(os.path.join(os.path.dirname(__file__), 'data', 'clusters.json'))",
+    "Path(__spec__.origin).with_name('data')",
+    "os.path.join(__path__[0], 'data')",
+])
+def test_each_way_to_find_bundled_data_counts_as_a_reader(source):
+    assert _reads(source)
+
+
+def test_a_caller_of_bundled_is_not_a_reader():
+    assert not _reads("from .documents import bundled\nbundled('clusters.json')")
+
+
 def test_one_way_to_read_a_document():
     package = Path(launchport.__file__).parent
-    readers, copies = [], []
+    readers, copies = set(), []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
             if _reads_bundled_data(node):
-                readers.append(path.name)
+                readers.add(path.name)
             if isinstance(node, ast.FunctionDef) and node.name == "_read_source":
                 copies.append(path.name)
-    assert readers == ["documents.py"]
+    assert readers == {"documents.py"}
     assert copies == []

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 import sys
 from collections import Counter
@@ -164,6 +165,33 @@ def test_a_hand_built_action_of_an_unknown_kind_raises(profiles, templates):
     with pytest.raises(LaunchportError) as exc:
         apply_action(RepairAction("teleport", {}), script, spec, template, profile)
     assert str(exc.value) == "unknown repair kind 'teleport'"
+
+
+def _count_dumps(monkeypatch):
+    """Record the first argument of every ``json.dumps`` call from now on."""
+    dumped, dumps = [], json.dumps
+
+    def counting(value, **kwargs):
+        dumped.append(value)
+        return dumps(value, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    return dumped
+
+
+def test_signature_slot_leaves_equality_repr_and_pickling_alone(monkeypatch):
+    action = RepairAction("export_env", {"name": "PYTHONPATH"}, "why")
+    fresh = RepairAction("export_env", {"name": "PYTHONPATH"}, "why")
+    dumped = _count_dumps(monkeypatch)
+    assert action.signature() is action.signature()
+    assert dumped == [{"name": "PYTHONPATH"}]
+    assert action == fresh and repr(action) == repr(fresh)
+    assert action.__reduce__() == fresh.__reduce__()
+    with pytest.raises(TypeError):  # a dict field: unhashable, signed or not
+        hash(action)
+    unpickled = pickle.loads(pickle.dumps(action))
+    assert unpickled == action and unpickled.signature() == action.signature()
+    assert dumped == [{"name": "PYTHONPATH"}, {"name": "PYTHONPATH"}]  # computed again
 
 
 def test_a_bad_regex_is_a_rule_parse_error():
@@ -393,6 +421,42 @@ class TestRunLoop:
             e.action.signature() for e in outcome.history if e.action is not None
         ]
         assert len(signatures) == len(set(signatures))
+
+    @pytest.mark.parametrize("twin, retried", [
+        ({"param": "master_port", "value": 29501}, False),
+        ({"value": 29501, "param": "master_port"}, False),
+        ({"param": "master_port", "value": "29501"}, True),
+    ], ids=["rationale", "key-order", "value-type"])
+    def test_already_tried_means_same_kind_and_sorted_payload(
+        self, profiles, templates, fault_rules, twin, retried
+    ):
+        first = {"kind": "set_param", "payload": {"param": "master_port", "value": 29501},
+                 "rationale": "first"}
+        second = {"kind": "set_param", "payload": twin, "rationale": "second"}
+        fix = {"kind": "export_env", "payload": {"name": "PYTHONPATH"}}
+        table = load_repair_table(json.dumps({"ENV_NOT_PROPAGATED": [first, second, fix]}))
+        profile = profiles.resolve("deltaai")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        outcome = run_loop(spec, templates.get("deltaai-ddp"), profile, fault_rules,
+                           repair_table=table)
+        assert outcome.status == STATUS_SUCCESS
+        expected = [first, second, fix] if retried else [first, fix]
+        assert [e.action for e in outcome.history] == [
+            RepairAction(a["kind"], a["payload"], a.get("rationale", "")) for a in expected]
+
+    def test_each_action_is_serialised_once(self, profiles, templates, fault_rules, monkeypatch):
+        # Each iteration reconsiders the actions before the one it applies.
+        names = ["FOO", "BAR", "PYTHONPATH"]
+        table = load_repair_table(json.dumps({"ENV_NOT_PROPAGATED": [
+            {"kind": "export_env", "payload": {"name": name}} for name in names]}))
+        profile = profiles.resolve("deltaai")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        dumped = _count_dumps(monkeypatch)
+        for _ in range(2):
+            outcome = run_loop(spec, templates.get("deltaai-ddp"), profile, fault_rules,
+                               repair_table=table)
+            assert outcome.status == STATUS_SUCCESS and outcome.iterations_used == 3
+        assert dumped == [{"name": name} for name in names]
 
     def test_lint_errors_never_increase_across_repairs(self, profiles, templates, fault_rules):
         cases = (

@@ -32,6 +32,14 @@ def _rule(rules, rule_id):
     return next(rule for rule in rules if rule.id == rule_id)
 
 
+@st.composite
+def _topologies(draw):
+    """(nodes, per_node) with a world of -2 to 4096, zero and negative counts included."""
+    world = draw(st.integers(-2, 4096))
+    per_node = draw(st.sampled_from([d for d in range(1, 9) if world % d == 0]))
+    return world // per_node, per_node
+
+
 class TestSubmit:
     def test_clean_run_transcript(self, profiles, templates, fault_rules):
         result, *_ = _run(profiles, templates, fault_rules,
@@ -108,6 +116,22 @@ class TestSubmit:
         lines = [f"rank {i}/{world} ok" for i in range(world)] + ["allreduce ok", "allgather ok"]
         assert result == ExecutionResult(
             0, "\n".join(lines) + "\n", "", (nodes, per_node, world, tuple(range(world))), None)
+
+    @given(topology=_topologies())
+    @example(topology=(0, 4))
+    @example(topology=(-1, 2))
+    @example(topology=(1, 1))
+    def test_success_transcript_for_every_world(self, profiles, topology):
+        # make_spec builds the JobSpec by hand, so no count is checked.
+        nodes, per_node = topology
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP,
+                         nodes=nodes, gpus_per_node=per_node)
+        result = submit(RenderedScript("python train.py", "plain", {}), spec, profile,
+                        FaultRuleSet([]))
+        world = nodes * per_node
+        lines = [f"rank {i}/{world} ok" for i in range(world)] + ["allreduce ok", "allgather ok"]
+        assert (result.exit_code, result.stdout) == (0, "\n".join(lines) + "\n")
 
     def test_empty_rule_set_always_succeeds_topologically(self, profiles, templates):
         empty = load_fault_rules("[]")
