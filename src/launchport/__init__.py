@@ -37,7 +37,6 @@ from .templates import (
     add_template,
     default_templates,
     load_repository,
-    placeholders,
 )
 from .types import Framework, Launcher, Scheduler, Strategy
 
@@ -80,7 +79,6 @@ __all__ = [
     "load_repository",
     "missing_fields",
     "parse_script",
-    "placeholders",
     "propose",
     "render",
     "run_loop",

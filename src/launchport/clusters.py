@@ -21,7 +21,7 @@ from typing import Iterator
 from .documents import BOOL, INT, OPTIONAL, REQUIRED, STRINGS, TEXT, bundled, check_record
 from .documents import load_json
 from .errors import ProfileParseError, RegistryConflictError, UnknownClusterError
-from .types import FrozenRecord, Launcher, ModuleSystem, PythonEnv, Scheduler, set_frozen
+from .types import FrozenRecord, Launcher, Scheduler, set_frozen
 
 # Above every real node (the bundled maximum is 8); it keeps the capacity
 # suggestions of ``intent.finalize``, linear in this limit, cheap.
@@ -32,8 +32,7 @@ class ClusterProfile(FrozenRecord):
     """Immutable description of one cluster."""
 
     __slots__ = ("id", "aliases", "scheduler", "default_launcher", "gpus_per_node", "gpu_type",
-                 "env_propagation", "module_system", "python_env", "max_walltime_minutes",
-                 "known_faults")
+                 "env_propagation", "max_walltime_minutes")
 
     def __init__(
         self,
@@ -44,10 +43,7 @@ class ClusterProfile(FrozenRecord):
         gpus_per_node: int,
         gpu_type: str,
         env_propagation: bool,
-        module_system: ModuleSystem,
-        python_env: PythonEnv,
         max_walltime_minutes: int,
-        known_faults: tuple[str, ...] = (),
     ) -> None:
         if gpus_per_node < 1:
             raise ProfileParseError(
@@ -70,10 +66,7 @@ class ClusterProfile(FrozenRecord):
         set_frozen(self, "gpus_per_node", gpus_per_node)
         set_frozen(self, "gpu_type", gpu_type)
         set_frozen(self, "env_propagation", env_propagation)
-        set_frozen(self, "module_system", module_system)
-        set_frozen(self, "python_env", python_env)
         set_frozen(self, "max_walltime_minutes", max_walltime_minutes)
-        set_frozen(self, "known_faults", known_faults)
 
 
 class ProfileSet:
@@ -125,9 +118,7 @@ _PROFILE_FIELDS = {
     "id": (TEXT, REQUIRED), "aliases": (STRINGS, OPTIONAL),
     "scheduler": (tuple(Scheduler), REQUIRED), "default_launcher": (tuple(Launcher), REQUIRED),
     "gpus_per_node": (INT, REQUIRED), "gpu_type": (TEXT, REQUIRED),
-    "env_propagation": (BOOL, REQUIRED), "module_system": (tuple(ModuleSystem), REQUIRED),
-    "python_env": (tuple(PythonEnv), REQUIRED), "max_walltime_minutes": (INT, REQUIRED),
-    "known_faults": (STRINGS, OPTIONAL),
+    "env_propagation": (BOOL, REQUIRED), "max_walltime_minutes": (INT, REQUIRED),
 }
 
 
@@ -140,9 +131,6 @@ def _parse_record(record: object, index: int) -> ClusterProfile:
         "aliases": tuple(a.lower() for a in record.get("aliases", ())),
         "scheduler": Scheduler(record["scheduler"]),
         "default_launcher": Launcher(record["default_launcher"]),
-        "module_system": ModuleSystem(record["module_system"]),
-        "python_env": PythonEnv(record["python_env"]),
-        "known_faults": tuple(record.get("known_faults", ())),
     })
 
 

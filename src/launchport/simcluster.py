@@ -32,7 +32,7 @@ from .errors import RuleParseError
 from .intent import JobSpec
 from .synthesis import RenderedScript
 from .templates import PLACEHOLDER_RE
-from .types import CATEGORIES, REPAIR_PAYLOAD_KEYS, FrozenRecord, Launcher, Strategy, set_frozen
+from .types import REPAIR_PAYLOAD_KEYS, FrozenRecord, Launcher, Strategy, set_frozen
 
 # Names usable inside stderr templates, each with its text for a job on a cluster.
 _STDERR_FIELDS = {
@@ -160,8 +160,8 @@ _TRIGGER_FIELDS = {
     "script_lacks": (TEXTS, OPTIONAL), "nodes_gt": (INT, OPTIONAL),
 }
 _RULE_FIELDS = {
-    "id": (TEXT, REQUIRED), "cluster": (NAMES, REQUIRED), "category": (CATEGORIES, REQUIRED),
-    "trigger": (OBJECT, REQUIRED), "stderr": (TEXT, REQUIRED), "clearable_by": (LIST, OPTIONAL),
+    "id": (TEXT, REQUIRED), "cluster": (NAMES, REQUIRED), "trigger": (OBJECT, REQUIRED),
+    "stderr": (TEXT, REQUIRED), "clearable_by": (LIST, OPTIONAL),
 }
 
 

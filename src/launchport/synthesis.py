@@ -145,13 +145,22 @@ def wrap_batch(
     """Wrap a rendered script in a scheduler batch header.
 
     Header formats are fixed per scheduler (see docs/formats.md); the body
-    is appended verbatim after the directives.
+    is appended verbatim after the directives.  A walltime that is not an
+    integer from 1 to the profile's limit, or an account that is empty or
+    holds whitespace (which could end the directive and start another),
+    raises :class:`PolicyViolationError`.
     """
+    if walltime_minutes.__class__ is not int or walltime_minutes < 1:
+        raise PolicyViolationError(
+            f"walltime must be a whole number of minutes >= 1, got {walltime_minutes!r}"
+        )
     if walltime_minutes > profile.max_walltime_minutes:
         raise PolicyViolationError(
             f"walltime {walltime_minutes} min exceeds the {profile.id} limit "
             f"of {profile.max_walltime_minutes} min"
         )
+    if account.__class__ is not str or not account or any(ch.isspace() for ch in account):
+        raise PolicyViolationError(f"account must be one word with no whitespace, got {account!r}")
     nodes = r.binding.get("nodes")
     if nodes is None:
         world = r.binding.get("world_size")

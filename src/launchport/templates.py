@@ -45,11 +45,6 @@ PARAM_KINDS = ("integer", "port", "path", "text")
 TemplateKey = tuple[str, Framework, Strategy, Launcher]
 
 
-def placeholders(body: str) -> list[str]:
-    """Return placeholder names in ``body``, deduplicated, in first-occurrence order."""
-    return list(dict.fromkeys(PLACEHOLDER_RE.split(body)[1::2]))
-
-
 class ParamDecl(FrozenRecord):
     """Declaration of one template parameter."""
 

@@ -105,19 +105,8 @@ class Strategy(str, Enum):
     ZERO3 = "zero3"
 
 
-class ModuleSystem(str, Enum):
-    LMOD = "lmod"
-    NONE = "none"
-
-
-class PythonEnv(str, Enum):
-    ANACONDA = "anaconda"
-    VENV = "venv"
-    NATIVE = "native"
-
-
-# Failure taxonomy: where the cause of a fault lies.  Fault rules,
-# fingerprints and remote diagnoses must name one of these.
+# Failure taxonomy: where the cause of a fault lies.  Fingerprints and
+# remote diagnoses must name one of these.
 CATEGORY_ENV = "env"
 CATEGORY_FRAMEWORK = "framework"
 CATEGORY_USER = "user"

@@ -7,7 +7,7 @@ from launchport.errors import LaunchportError
 from launchport.repair import default_fingerprints, default_repair_table
 from launchport.retrieval import candidates
 from launchport.simcluster import default_fault_rules
-from launchport.templates import default_templates
+from launchport.templates import PLACEHOLDER_RE, default_templates
 from launchport.types import Framework, Launcher, Strategy
 
 TABLE_DESCRIPTION = (
@@ -89,6 +89,11 @@ def repair_table():
     return default_repair_table()
 
 
+
+
+def placeholders(body):
+    """The placeholder names in ``body``, deduplicated, in first-occurrence order."""
+    return list(dict.fromkeys(PLACEHOLDER_RE.split(body)[1::2]))
 
 
 def make_spec(profile, framework, strategy, launcher=None, **overrides):

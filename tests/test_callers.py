@@ -1,10 +1,14 @@
-"""Every function, class and module-level constant in the package has a caller.
+"""Every function, class and module-level constant in the package has a caller,
+and every field of a document record has a reader.
 
 A definition passes when its name is used somewhere in ``src/launchport``
 outside its own body (for a constant, outside the statement that assigns
-it), or when the package exports it in ``__all__``.  An import alone does
-not count as a use, and neither does a test: a helper only the tests call
-belongs in the tests.
+it).  A name the package exports in ``__all__`` also passes when README's
+"Library entry points" section or ``docs/formats.md`` names it in
+backticks, alone, qualified by its module or as a call
+(`` `launchport.extract(text)` ``).  An import alone does not count as a
+use, and neither does a test: a helper only the tests call belongs in the
+tests.
 
 A use is credited by its bare name, so the scan cannot judge a method that
 shares its name with another definition or with a method of a builtin
@@ -13,14 +17,26 @@ pinned as a reviewed set, each checked by hand to have a caller.
 """
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import launchport
+from launchport.bridge import _CONFIG_FIELDS, BridgeConfig
+from launchport.clusters import _PROFILE_FIELDS, ClusterProfile
+from launchport.repair import _ACTION_FIELDS, _FINGERPRINT_FIELDS, Fingerprint, RepairAction
+from launchport.simcluster import _RULE_FIELDS, FaultRule
+from launchport.templates import _PARAM_FIELDS, _TEMPLATE_FIELDS, ParamDecl, Template
 
 PACKAGE = Path(launchport.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
-# Not called yet: the load-time cross-check of the bundles is to call them.
-AWAITING_CALLERS = {"fingerprint_ids", "unresolvable_ids"}
+# The names the scan reports, each kept for the reason on its line.
+AWAITING_CALLERS = {
+    "fingerprint_ids": "the load-time cross-check of the bundles is to call it",
+    "unresolvable_ids": "the load-time cross-check of the bundles is to call it",
+    "add_template": "only tests call it; it is rewritten once the bench stops calling find_key",
+}
 
 # The methods the scan cannot judge, each checked by hand to have a caller (the
 # Protocol stubs through their implementations).  A new one fails until checked.
@@ -41,8 +57,40 @@ def _sources() -> dict[str, str]:
     return {path.name: path.read_text("utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _uncalled(sources: dict[str, str]) -> list[str]:
-    """``"<file>:<line> <name>"`` for each definition nothing else names."""
+def _documents() -> tuple[str, str]:
+    """README's "Library entry points" section and ``docs/formats.md``."""
+    readme = (ROOT / "README.md").read_text("utf-8")
+    start = readme.index("\n## Library entry points\n")
+    end = readme.find("\n## ", start + 1)
+    return readme[start:end], (ROOT / "docs" / "formats.md").read_text("utf-8")
+
+
+def _documented(*texts: str) -> set[str]:
+    """The names the texts state in backticks: ``name``, ``module.name`` or ``name(...)``."""
+    return {
+        match[1] for text in texts for span in re.findall(r"`([^`]+)`", text)
+        if (match := re.fullmatch(r"(?:\w+\.)*(\w+)(?:\(.*\))?", span))
+    }
+
+
+def _exports(sources: dict[str, str]) -> list[str]:
+    """The names ``__init__.py`` lists in ``__all__``."""
+    for node in ast.parse(sources["__init__.py"]).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def _uncalled(sources: dict[str, str], documented: set[str] | None = None) -> list[str]:
+    """``"<file>:<line> <name>"`` for each definition nothing else names.
+
+    ``documented`` defaults to the names :func:`_documents` state.
+    """
+    if documented is None:
+        documented = _documented(*_documents())
+    exported_and_documented = set(_exports(sources)) & documented
     definitions = []  # (name, file, first line, last line)
     uses = []  # (name, file, line)
     for file, text in sources.items():
@@ -64,7 +112,7 @@ def _uncalled(sources: dict[str, str]) -> list[str]:
                 uses.append((node.attr, file, node.lineno))
     found = []
     for name, where, first, last in definitions:
-        if name.startswith("__") or name in launchport.__all__:
+        if name.startswith("__") or name in exported_and_documented:
             continue
         if not any(
             used == name and not (file == where and first <= line <= last)
@@ -95,7 +143,28 @@ def _collisions(sources: dict[str, str]) -> set[str]:
 
 def test_every_definition_has_a_caller():
     uncalled = _uncalled(_sources())
-    assert {entry.split()[1] for entry in uncalled} == AWAITING_CALLERS, uncalled
+    assert {entry.split()[1] for entry in uncalled} == set(AWAITING_CALLERS), uncalled
+
+
+def test_the_scan_reads_the_real_exports():
+    assert _exports(_sources()) == launchport.__all__
+
+
+def test_the_scan_finds_an_export_the_documents_stop_naming():
+    # wrap_batch has no caller in src/; only docs/formats.md names it.
+    entry_points, formats = _documents()
+    assert "`wrap_batch`" in formats
+    documented = _documented(entry_points, formats.replace("`wrap_batch`", "wrap_batch"))
+    assert any(entry.endswith(" wrap_batch") for entry in _uncalled(_sources(), documented))
+
+
+def test_the_scan_finds_an_undocumented_export():
+    sources = _sources()
+    sources["types.py"] += "\n\ndef undocumented_helper():\n    return None\n"
+    sources["__init__.py"] = sources["__init__.py"].replace(
+        "__all__ = [\n", "__all__ = [\n    \"undocumented_helper\",\n")
+    assert "undocumented_helper" in _exports(sources)
+    assert any(entry.endswith(" undocumented_helper") for entry in _uncalled(sources))
 
 
 def test_the_scan_finds_a_helper_that_only_calls_itself():
@@ -125,3 +194,81 @@ def test_the_review_names_a_method_that_shares_a_builtin_name():
     )
     assert not any(entry.endswith(" get") for entry in _uncalled(sources))
     assert _collisions(sources) - REVIEWED_COLLISIONS == {"FaultRuleSet.get"}
+
+
+# Each loader's field table and the record it builds.  A table names exactly
+# the record's constructor fields, except where a loader maps one document
+# field onto others (RENAMED).
+FIELD_TABLES = {
+    ClusterProfile: _PROFILE_FIELDS,
+    Template: _TEMPLATE_FIELDS,
+    ParamDecl: _PARAM_FIELDS,
+    FaultRule: _RULE_FIELDS,
+    Fingerprint: _FINGERPRINT_FIELDS,
+    RepairAction: _ACTION_FIELDS,
+    BridgeConfig: _CONFIG_FIELDS,
+}
+RENAMED = {
+    FaultRule: {"stderr": ("stderr_template",)},
+    Fingerprint: {"pattern": ("literal", "regex")},
+}
+
+# Record fields no code reads, each kept for the reason on its line.
+UNREAD_FIELDS = {
+    "Fingerprint.regex": "read once, by the constructor, which keeps it compiled in _search",
+    "RepairAction.rationale": "free text for a person; the run trace is to report it",
+}
+
+
+def _table_mismatches(tables: dict[type, dict]) -> list[str]:
+    """``"<record>: <table names> != <constructor fields>"`` for each table that
+    names other fields than its record's constructor takes."""
+    found = []
+    for record, table in tables.items():
+        renamed = RENAMED.get(record, {})
+        named = {field for name in table for field in renamed.get(name, (name,))}
+        fields = set(inspect.signature(record).parameters)
+        if named != fields:
+            found.append(f"{record.__name__}: {sorted(named)} != {sorted(fields)}")
+    return found
+
+
+def _unread(sources: dict[str, str], records: dict[str, list[str]]) -> list[str]:
+    """``"<record>.<field>"`` for each field that no attribute read in the package names.
+
+    A read is credited by its bare name, as the caller scan credits a use.
+    A constructor stores its fields through ``set_frozen``, by string, so
+    storing a field is never a read of it.
+    """
+    reads = {
+        node.attr for text in sources.values() for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{record}.{field}" for record, fields in records.items()
+            for field in fields if field not in reads]
+
+
+def _record_fields() -> dict[str, list[str]]:
+    return {record.__name__: list(inspect.signature(record).parameters) for record in FIELD_TABLES}
+
+
+def test_every_field_table_names_its_records_constructor_fields():
+    assert _table_mismatches(FIELD_TABLES) == []
+
+
+def test_the_table_check_finds_a_field_the_loader_drops():
+    # A rule's category was checked, then dropped: FaultRule has no such field.
+    checked_then_dropped = {**_RULE_FIELDS, "category": _FINGERPRINT_FIELDS["category"]}
+    tables = {**FIELD_TABLES, FaultRule: checked_then_dropped}
+    assert [entry.split(":")[0] for entry in _table_mismatches(tables)] == ["FaultRule"]
+
+
+def test_every_record_field_is_read():
+    assert set(_unread(_sources(), _record_fields())) == set(UNREAD_FIELDS)
+
+
+def test_the_read_check_finds_a_field_nothing_reads():
+    records = _record_fields()
+    records["ClusterProfile"].append("module_system")
+    unread = set(_unread(_sources(), records)) - set(UNREAD_FIELDS)
+    assert unread == {"ClusterProfile.module_system"}

@@ -226,7 +226,7 @@ class TestInputErrors:
             doc.write_text(json.dumps([record]), "utf-8")
             argv = ["templates", "validate", str(doc)]
         else:
-            rule = {"id": "R", "cluster": "*", "category": "env",
+            rule = {"id": "R", "cluster": "*",
                     "trigger": {"nodes_gt": 1}, "stderr": "boom", "clearable_by": []}
             field, value = {
                 "clearable_by-5": ("clearable_by", 5),
@@ -243,6 +243,16 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_a_rule_that_states_a_category_is_one_error_line(self, capsys, tmp_path):
+        # Rules name no category; the matching fingerprint classifies a failure.
+        doc = tmp_path / "rules.json"
+        doc.write_text(json.dumps([{"id": "R", "cluster": "*", "category": "env",
+                                    "trigger": {}, "stderr": "boom"}]), "utf-8")
+        code, out, err = run_cli(capsys, "generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+                                 "--rules", str(doc), "--non-interactive")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: rule: unknown field 'category' (rule index 0)"]
 
 
     @pytest.mark.parametrize("case", [
@@ -513,6 +523,20 @@ class TestClustersCommand:
             " (record 0, field 'aliases')"
         ]
 
+    @pytest.mark.parametrize("field, value", [
+        ("module_system", "lmod"), ("python_env", "venv"), ("known_faults", []),
+    ])
+    def test_validate_refuses_a_deleted_field(self, capsys, tmp_path, field, value):
+        # Fields that nothing read; the fault rules alone say which faults a cluster has.
+        record = {**json.loads(bundled("clusters.json"))[0], field: value}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps([record]), "utf-8")
+        code, out, err = run_cli(capsys, "clusters", "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: profile record: unknown field '{field}' (record 0, field '{field}')"
+        ]
+
     def test_add_validates_and_writes_back(self, capsys, tmp_path):
         registry = tmp_path / "clusters.json"
         registry.write_text(bundled("clusters.json"), "utf-8")
@@ -521,8 +545,7 @@ class TestClustersCommand:
             "id": "testbox", "aliases": [], "scheduler": "slurm",
             "default_launcher": "torchrun", "gpus_per_node": 2,
             "gpu_type": "H100", "env_propagation": True,
-            "module_system": "lmod", "python_env": "venv",
-            "max_walltime_minutes": 120, "known_faults": [],
+            "max_walltime_minutes": 120,
         }]), "utf-8")
         code, out, _ = run_cli(capsys, "clusters", "add", str(new), "--profiles", str(registry))
         assert code == 0
@@ -538,8 +561,7 @@ class TestClustersCommand:
             "id": "perlmutter", "aliases": [], "scheduler": "slurm",
             "default_launcher": "torchrun", "gpus_per_node": 2,
             "gpu_type": "H100", "env_propagation": True,
-            "module_system": "lmod", "python_env": "venv",
-            "max_walltime_minutes": 120, "known_faults": [],
+            "max_walltime_minutes": 120,
         }]), "utf-8")
         code, _, err = run_cli(capsys, "clusters", "add", str(dup), "--profiles", str(registry))
         assert code == 1
@@ -660,7 +682,7 @@ class TestBridgeFallback:
         monkeypatch.setattr("launchport.bridge._default_transport", repair)
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps([{
-            "id": "MYSTERY", "cluster": "aurora", "category": "env",
+            "id": "MYSTERY", "cluster": "aurora",
             "trigger": {"script_lacks": "MYSTERY_HOME"},
             "stderr": "an error no fingerprint knows", "clearable_by": ["export_env"],
         }]), "utf-8")
@@ -689,7 +711,7 @@ class TestBridgeFallback:
         monkeypatch.setattr("launchport.bridge._default_transport", repair)
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps([{
-            "id": "MYSTERY", "cluster": "*", "category": "env", "trigger": {},
+            "id": "MYSTERY", "cluster": "*", "trigger": {},
             "stderr": "an error no fingerprint knows", "clearable_by": ["switch_template"],
         }]), "utf-8")
         config = tmp_path / "bridge.json"

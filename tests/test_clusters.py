@@ -78,10 +78,7 @@ def _record(**overrides):
         "gpus_per_node": 4,
         "gpu_type": "A100",
         "env_propagation": True,
-        "module_system": "lmod",
-        "python_env": "anaconda",
         "max_walltime_minutes": 60,
-        "known_faults": [],
     }
     base.update(overrides)
     return base
@@ -138,7 +135,7 @@ def test_invalid_json_reports_line():
     assert "line" in str(exc.value)
 
 
-@pytest.mark.parametrize("field", ["aliases", "known_faults"])
+@pytest.mark.parametrize("field", ["aliases"])
 @pytest.mark.parametrize("value", ["zq", ["zq", 5], {"zq": 1}, None],
                          ids=["string", "non-string-entry", "object", "null"])
 def test_name_lists_must_be_lists_of_strings(field, value):
@@ -160,4 +157,3 @@ def test_bundle_name_lists_load_as_written(profiles):
     for profile in profiles:
         record = records[profile.id]
         assert profile.aliases == tuple(a.lower() for a in record.get("aliases", []))
-        assert profile.known_faults == tuple(record.get("known_faults", []))

@@ -8,7 +8,8 @@ import pytest
 from launchport.clusters import _PROFILE_FIELDS, ClusterProfile
 from launchport.documents import OPTIONAL
 from launchport.lint import CATALOG
-from launchport.simcluster import _STDERR_FIELDS, _TRIGGER_FIELDS
+from launchport.simcluster import _RULE_FIELDS, _STDERR_FIELDS, _TRIGGER_FIELDS
+from launchport.templates import _TEMPLATE_FIELDS
 from launchport.types import REPAIR_PAYLOAD_KEYS
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
@@ -37,12 +38,17 @@ def _rows(section: str) -> list[list[str]]:
 def _facts(doc: str) -> dict[str, list]:
     profiles = _section(doc, "Cluster profile bundle (`clusters.json`)")
     optional = re.search(r"\n((?:`\w+`(?: and |, )?)+) may be omitted", profiles)
+    templates = _section(doc, "Template repository (`templates.json`)")
     rules = _section(doc, "Fault rules (`fault_rules.json`)")
+    # The prose list of rule fields, each one's parenthetical removed.
+    rule_fields = re.search(r"Record fields:(.*?)\.\s", re.sub(r"\([^()]*\)", "", rules), re.S)
     stderr = re.search(r"`stderr` may interpolate (.*?)(?:\n\n|\Z)", rules, re.S)
     repairs = _section(doc, "Fingerprints (`fingerprints.json`) and repair table (`repairs.json`)")
     return {
         "profile fields": [row[0] for row in _rows(profiles)],
         "optional profile fields": re.findall(r"`(\w+)`", optional[1]) if optional else [],
+        "template fields": [row[0] for row in _rows(templates)],
+        "rule fields": re.findall(r"`(\w+)`", rule_fields[1]) if rule_fields else [],
         "trigger atoms": [row[0] for row in _rows(rules)],
         "stderr fields": re.findall(r"`\{(\w+)\}`", stderr[1]) if stderr else [],
         "repair kinds": [(row[0], tuple(re.findall(r'"(\w+)":', row[1])))
@@ -55,6 +61,8 @@ OWNERS = {
     "profile fields": list(ClusterProfile._fields),
     "optional profile fields": [
         name for name, (_, required) in _PROFILE_FIELDS.items() if required is OPTIONAL],
+    "template fields": list(_TEMPLATE_FIELDS),
+    "rule fields": list(_RULE_FIELDS),
     "trigger atoms": list(_TRIGGER_FIELDS),
     "stderr fields": list(_STDERR_FIELDS),
     "repair kinds": list(REPAIR_PAYLOAD_KEYS.items()),
@@ -75,7 +83,9 @@ def test_the_docs_state_what_the_code_owns():
 
 @pytest.mark.parametrize("table, row, mutated", [
     ("profile fields", "| `gpu_type`     ", "| `gpu_model`    "),
-    ("optional profile fields", "`aliases` and `known_faults` may", "`aliases` may"),
+    ("optional profile fields", "`aliases` may", "`aliases` and `gpu_type` may"),
+    ("template fields", "| `notes`     |", "| `comment`   |"),
+    ("rule fields", "`trigger`, `stderr`, `clearable_by`", "`trigger`, `clearable_by`"),
     ("trigger atoms", "| `nodes_gt`", "| `nodes_lt`"),
     ("stderr fields", "`{scheduler}`", "`{queue}`"),
     ("repair kinds", '`{"package": P, "version": V}`', '`{"package": P}`'),

@@ -33,8 +33,7 @@ from launchport.types import REPAIR_PAYLOAD_KEYS
 
 
 def _rule(**changes):
-    return {"id": "X", "cluster": "*", "category": "env", "trigger": {}, "stderr": "b",
-            **changes}
+    return {"id": "X", "cluster": "*", "trigger": {}, "stderr": "b", **changes}
 
 
 def _profile(**changes):
@@ -69,9 +68,18 @@ def _fingerprint(**changes):
      "invalid bridge config: the document: 'capabilities' must be a list of strings"),
     (load_repair_table, {"F": [{"kind": "export_env", "payload": {"name": "X", "value": "Y"}}]},
      "export_env for 'F': unknown field 'value' (rule index 0)"),
+    # Fields that no code read, deleted from the formats: a document that keeps one is refused.
+    (load_profiles, [_profile(module_system="lmod")],
+     "profile record: unknown field 'module_system' (record 0, field 'module_system')"),
+    (load_profiles, [_profile(python_env="venv")],
+     "profile record: unknown field 'python_env' (record 0, field 'python_env')"),
+    (load_profiles, [_profile(known_faults=[])],
+     "profile record: unknown field 'known_faults' (record 0, field 'known_faults')"),
+    (load_fault_rules, [_rule(category="env")], "rule: unknown field 'category' (rule index 0)"),
 ], ids=["rule-typo", "rule-id-list", "rule-stderr-list", "nodes-gt-bool", "env-propagation-no",
         "gpus-per-node-float", "verified-false-text", "timeout-text", "capabilities-text",
-        "payload-unknown-key"])
+        "payload-unknown-key", "profile-module-system", "profile-python-env",
+        "profile-known-faults", "rule-category"])
 def test_a_coerced_or_unknown_field_is_refused(load, document, message):
     with pytest.raises((ProfileParseError, TemplateInvalidError, RuleParseError,
                         BridgeProtocolError)) as exc:

@@ -19,7 +19,7 @@ from launchport.errors import UnboundParameterError
 from launchport.intent import JobSpec, PartialJobSpec
 from launchport.simcluster import default_fault_rules
 from launchport.templates import default_templates
-from launchport.types import Framework, Launcher, ModuleSystem, PythonEnv, Scheduler, Strategy
+from launchport.types import Framework, Launcher, Scheduler, Strategy
 
 REQUIRED = inspect.Parameter.empty
 
@@ -29,8 +29,7 @@ SIGNATURES = {
     "clusters.ClusterProfile": (
         ("id", REQUIRED), ("aliases", REQUIRED), ("scheduler", REQUIRED),
         ("default_launcher", REQUIRED), ("gpus_per_node", REQUIRED), ("gpu_type", REQUIRED),
-        ("env_propagation", REQUIRED), ("module_system", REQUIRED), ("python_env", REQUIRED),
-        ("max_walltime_minutes", REQUIRED), ("known_faults", ())),
+        ("env_propagation", REQUIRED), ("max_walltime_minutes", REQUIRED)),
     "intent.PartialJobSpec": (
         ("cluster", None), ("framework", None), ("strategy", None), ("launcher", None),
         ("nodes", None), ("gpus_per_node", None), ("total_gpus", None), ("master_port", None),
@@ -99,8 +98,7 @@ def _samples() -> dict[str, tuple]:
     candidate = _class("retrieval.RankedCandidate")("delta-ddp", 1.0, {"cluster": 0.3}, True)
     first = {
         "clusters.ClusterProfile": ("delta", ("ncsa-delta",), Scheduler.SLURM, Launcher.TORCHRUN,
-                                    4, "A100", True, ModuleSystem.LMOD, PythonEnv.ANACONDA,
-                                    2880, ("ENV_NOT_PROPAGATED",)),
+                                    4, "A100", True, 2880),
         "intent.PartialJobSpec": ("delta", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN,
                                   2, 4, 8, 29501, "train.py", "--epochs 3", "ds.json"),
         "intent.JobSpec": ("delta", Framework.DEEPSPEED, Strategy.ZERO3, Launcher.DEEPSPEED,

@@ -590,7 +590,6 @@ class TestBridgeAssistedLoop:
         rule = {
             "id": "UNKNOWN_CUSTOM",
             "cluster": "delta",
-            "category": "env",
             "trigger": {"script_lacks": ["export CUSTOM_FLAG"]},
             "stderr": "weird custom failure xyz: initialization aborted",
             "clearable_by": ["export_env"],

@@ -178,7 +178,7 @@ class TestRuleLoading:
 
     def test_unknown_cluster_id_rejected(self):
         rule = {
-            "id": "X", "cluster": "frontier", "category": "env",
+            "id": "X", "cluster": "frontier",
             "trigger": {}, "stderr": "boom",
         }
         with pytest.raises(RuleParseError) as exc:
@@ -187,22 +187,21 @@ class TestRuleLoading:
 
     @pytest.mark.parametrize("category", CATEGORIES + ("unknown", "Env"))
     def test_rules_and_fingerprints_share_one_category_vocabulary(self, category):
-        rule = {"id": "X", "cluster": "*", "category": category, "trigger": {}, "stderr": "b"}
+        # Rules name no category (a rule that states one is refused as an unknown
+        # field), so the fingerprints hold the only copy of the vocabulary.
         fingerprint = {"id": "X", "category": category, "pattern": {"literal": "b"}}
-        for load, record, what in ((load_fault_rules, rule, "rule"),
-                                   (load_fingerprints, fingerprint, "fingerprint")):
-            if category in CATEGORIES:
-                assert len(load(json.dumps([record]))) == 1
-            else:
-                with pytest.raises(RuleParseError) as exc:
-                    load(json.dumps([record]))
-                assert str(exc.value) == (
-                    f"{what}: 'category' must be one of env, framework, user (rule index 0)")
+        if category in CATEGORIES:
+            assert len(load_fingerprints(json.dumps([fingerprint]))) == 1
+        else:
+            with pytest.raises(RuleParseError) as exc:
+                load_fingerprints(json.dumps([fingerprint]))
+            assert str(exc.value) == (
+                "fingerprint: 'category' must be one of env, framework, user (rule index 0)")
 
     def test_malformed_rule_reports_index(self):
         rules = [
-            {"id": "OK", "cluster": "*", "category": "env", "trigger": {}, "stderr": "x"},
-            {"id": "BAD", "cluster": "*", "category": "env", "stderr": "y"},
+            {"id": "OK", "cluster": "*", "trigger": {}, "stderr": "x"},
+            {"id": "BAD", "cluster": "*", "stderr": "y"},
         ]
         with pytest.raises(RuleParseError) as exc:
             load_fault_rules(json.dumps(rules))
@@ -210,8 +209,7 @@ class TestRuleLoading:
 
     def test_unknown_trigger_atom_rejected(self):
         rule = {
-            "id": "X", "cluster": "*", "category": "env",
-            "trigger": {"phase_of_moon": "full"}, "stderr": "boom",
+            "id": "X", "cluster": "*", "trigger": {"phase_of_moon": "full"}, "stderr": "boom",
         }
         with pytest.raises(RuleParseError):
             load_fault_rules(json.dumps([rule]))
@@ -219,8 +217,8 @@ class TestRuleLoading:
     @pytest.mark.parametrize("field", ["cluster", "cluster_is", "strategy_is", "launcher_is"])
     def test_empty_name_list_rejected(self, field):
         # A rule whose names admit nothing could never fire.
-        ok = {"id": "OK", "cluster": "*", "category": "env", "trigger": {}, "stderr": "x"}
-        rule = {"id": "X", "cluster": "*", "category": "env", "trigger": {}, "stderr": "b"}
+        ok = {"id": "OK", "cluster": "*", "trigger": {}, "stderr": "x"}
+        rule = {"id": "X", "cluster": "*", "trigger": {}, "stderr": "b"}
         if field == "cluster":
             rule["cluster"] = []
             message = "rule: 'cluster' must be a string or a non-empty list of strings"
@@ -241,10 +239,10 @@ class TestRuleLoading:
     ])
     def test_unknown_trigger_value_rejected(self, trigger, message):
         # A name that is no strategy or launcher value could never match a job.
-        ok = {"id": "OK", "cluster": "*", "category": "env", "stderr": "x",
+        ok = {"id": "OK", "cluster": "*", "stderr": "x",
               "trigger": {"strategy_is": [s.value for s in Strategy],
                           "launcher_is": [launcher.value for launcher in Launcher]}}
-        rule = {"id": "X", "cluster": "*", "category": "env", "trigger": trigger, "stderr": "b"}
+        rule = {"id": "X", "cluster": "*", "trigger": trigger, "stderr": "b"}
         assert len(load_fault_rules(json.dumps([ok]))) == 1
         with pytest.raises(RuleParseError) as exc:
             load_fault_rules(json.dumps([ok, rule]))
@@ -254,17 +252,11 @@ class TestRuleLoading:
     def test_unknown_repair_kind_rejected(self):
         for kind in ("reinstall_os", ["export_env"]):
             rule = {
-                "id": "X", "cluster": "*", "category": "env",
-                "trigger": {}, "stderr": "boom", "clearable_by": [kind],
+                "id": "X", "cluster": "*", "trigger": {}, "stderr": "boom",
+                "clearable_by": [kind],
             }
             with pytest.raises(RuleParseError, match="unknown repair kind"):
                 load_fault_rules(json.dumps([rule]))
-
-    def test_profile_known_faults_reference_bundled_rules(self, profiles, fault_rules):
-        rule_ids = {r.id for r in fault_rules}
-        for profile in profiles:
-            for fault_id in profile.known_faults:
-                assert fault_id in rule_ids, (profile.id, fault_id)
 
 
 # Scenarios that make each clearable bundled rule fire (see test_repair for
@@ -393,7 +385,7 @@ class TestStderrFields:
 
     def test_rule_may_name_only_the_table_fields(self):
         doc = json.dumps([{
-            "id": "X", "cluster": "*", "trigger": {}, "category": "env",
+            "id": "X", "cluster": "*", "trigger": {},
             "stderr": "{gpu_type} on {cluster} {rank}",
         }])
         with pytest.raises(RuleParseError, match="unknown stderr field '{rank}'"):
@@ -454,7 +446,7 @@ _RULE_DOCS = st.lists(
     st.tuples(st.just("*") | _names(_NAMED), _TRIGGERS),
     max_size=8,
 ).map(lambda drawn: json.dumps([
-    {"id": f"R{i}", "cluster": cluster, "trigger": trigger, "category": "env", "stderr": "boom"}
+    {"id": f"R{i}", "cluster": cluster, "trigger": trigger, "stderr": "boom"}
     for i, (cluster, trigger) in enumerate(drawn)
 ]))
 
@@ -471,7 +463,7 @@ class TestRuleIndex:
     )
     @example(  # a node count equal to nodes_gt does not exceed it
         doc=json.dumps([{"id": "R0", "cluster": "*", "trigger": {"nodes_gt": 2},
-                         "category": "env", "stderr": "boom"}]),
+                         "stderr": "boom"}]),
         cluster="delta", strategy=Strategy.DDP, launcher=Launcher.SRUN, nodes=2, text="",
     )
     def test_index_fires_the_rule_a_document_order_walk_finds(

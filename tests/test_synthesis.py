@@ -8,10 +8,10 @@ from launchport.intent import extract, finalize
 from launchport.synthesis import (
     RenderedScript, bind, render, render_for_spec, wrap_batch,
 )
-from launchport.templates import PLACEHOLDER_RE, ParamDecl, Template, placeholders
+from launchport.templates import PLACEHOLDER_RE, ParamDecl, Template
 from launchport.types import Framework, Launcher, Strategy
 
-from conftest import TABLE_DESCRIPTION, make_spec
+from conftest import TABLE_DESCRIPTION, make_spec, placeholders
 
 LS6_EXPECTED = (
     "srun -N 2 -n 2 bash -c 'MASTER_ADDR=$(scontrol show hostnames "
@@ -272,3 +272,23 @@ class TestWrapBatch:
             rendered = render_for_spec(spec, template, profile)
             with pytest.raises(PolicyViolationError):
                 wrap_batch(rendered, profile, 10**6, "acct")
+
+    @pytest.mark.parametrize("walltime", [-5, 0, True])
+    def test_walltime_below_one_minute_or_a_bool_is_refused(self, profiles, walltime):
+        # -5 once gave "--time=-1:55:00", 0 "--time=00:00:00" and True "--time=00:01:00".
+        t = Template(id="static", cluster="perlmutter", framework=Framework.PYTORCH,
+                     strategy=Strategy.DDP, launcher=Launcher.TORCHRUN,
+                     body="python train.py", params=())
+        with pytest.raises(PolicyViolationError, match="walltime must be"):
+            wrap_batch(render(t, {}), profiles.resolve("perlmutter"), walltime, "m1")
+
+    @pytest.mark.parametrize("cluster", ["perlmutter", "aurora"])  # Slurm, then PBS
+    @pytest.mark.parametrize("account", ["", "m1\n#SBATCH --qos=evil", "m1\n#PBS -q evil",
+                                         "m 1", "m1\t", "\r", None])
+    def test_an_empty_account_or_one_with_whitespace_is_refused(self, profiles, cluster, account):
+        profile = profiles.resolve(cluster)
+        t = Template(id="static", cluster=cluster, framework=Framework.PYTORCH,
+                     strategy=Strategy.DDP, launcher=profile.default_launcher,
+                     body="python train.py", params=())
+        with pytest.raises(PolicyViolationError, match="account must be"):
+            wrap_batch(render(t, {}), profile, 60, account)

@@ -12,9 +12,10 @@ from launchport.templates import (
     add_template,
     PLACEHOLDER_RE,
     load_repository,
-    placeholders,
 )
 from launchport.types import Framework, Launcher, Strategy
+
+from conftest import placeholders
 
 AURORA_BODY = (
     "sort -u $PBS_NODEFILE > hostfiles.txt && mpiexec -n {world_size} "
