@@ -34,7 +34,6 @@ from .templates import (
     ParamDecl,
     Template,
     TemplateSet,
-    add_template,
     default_templates,
     load_repository,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "Strategy",
     "Template",
     "TemplateSet",
-    "add_template",
     "bind",
     "candidates",
     "default_fault_rules",

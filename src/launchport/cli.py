@@ -365,10 +365,14 @@ def _emit(result, session: CliSession) -> int:
 
 def cmd_templates_list(args) -> int:
     tset = load_repository(Path(args.templates)) if args.templates else default_templates()
+    cluster = None if args.cluster is None else args.cluster.lower()
+    if cluster is not None and all(t.cluster != cluster for t in tset):
+        # Not a cluster of the repository: an id or alias of the bundled registry.
+        cluster = default_profiles().resolve(args.cluster).id
     rows = [
         (t.id, t.framework.value, t.strategy.value, t.launcher.value, str(t.verified).lower())
         for t in sorted(tset, key=lambda t: t.id)
-        if args.cluster is None or t.cluster == args.cluster.lower()
+        if cluster is None or t.cluster == cluster
     ]
     _print_table(("id", "framework", "strategy", "launcher", "verified"), rows)
     return EXIT_OK

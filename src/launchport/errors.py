@@ -134,7 +134,7 @@ class NoRepairAvailableError(LaunchportError):
 
 
 class UsageError(LaunchportError):
-    """A command-line flag or answer has an invalid value."""
+    """A command-line flag, an answer or a job field has an invalid value."""
 
 
 class ContractViolationError(LaunchportError):

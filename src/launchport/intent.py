@@ -63,6 +63,7 @@ from .errors import (
     CapacityError,
     IncompleteSpecError,
     InconsistentTopologyError,
+    UsageError,
 )
 from .types import (
     DEFAULT_MASTER_PORT,
@@ -658,10 +659,20 @@ def _missing(d: PartialJobSpec) -> list[str]:
     return missing
 
 
+def check_script_text(name: str, value: object) -> None:
+    """Raise :class:`UsageError` if ``value``, the text of job field ``name``,
+    holds a single quote or a newline: most templates put it inside
+    ``bash -c '...'``, which a quote would end early and a newline split in two."""
+    if isinstance(value, str) and ("'" in value or "\n" in value):
+        raise UsageError(f"{name} may not hold a single quote or a newline, which would break the "
+                         f"quoted launch command; use double quotes, on one line (got {value!r})")
+
+
 def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
     """Validate and complete a partial spec against a cluster profile.
 
     Raises :class:`IncompleteSpecError` when required fields are missing,
+    :class:`UsageError` when a text field breaks :func:`check_script_text`,
     :class:`InconsistentTopologyError` when counts contradict each other or
     the job spans more than :data:`MAX_NODES` nodes, and
     :class:`CapacityError` when the per-node GPU count exceeds the profile;
@@ -672,6 +683,8 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
     missing = _missing(d)
     if missing:
         raise IncompleteSpecError(missing)
+    for name in ("entry_script", "train_args", "deepspeed_config"):
+        check_script_text(name, getattr(d, name))
 
     if d.total_gpus is not None and d.nodes is not None:
         if d.total_gpus % d.nodes != 0:

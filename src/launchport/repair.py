@@ -37,7 +37,7 @@ from .errors import (
     NoRepairAvailableError,
     RuleParseError,
 )
-from .intent import JobSpec
+from .intent import JobSpec, check_script_text
 from .lint import Finding, error_count, lint
 from .simcluster import ExecutionResult, FaultRuleSet, submit
 from .synthesis import RenderedScript, render, render_for_spec
@@ -79,20 +79,16 @@ class RepairAction(FrozenRecord):
         set_frozen(self, "kind", kind)
         set_frozen(self, "payload", payload)
         set_frozen(self, "rationale", rationale)
+        set_frozen(self, "_signature", (kind, json.dumps(payload, sort_keys=True)))
 
     def signature(self) -> tuple[str, str]:
         """``(kind, json.dumps(payload, sort_keys=True))``.
 
-        Serialised once, on first use, and kept in the ``_signature`` slot,
-        which is not a field, so equality, hashing, repr and pickling are
-        unaffected.
+        Serialised when the action is built and kept in the ``_signature``
+        slot, which is not a field, so equality, hashing, repr and pickling
+        are unaffected.
         """
-        try:
-            return self._signature
-        except AttributeError:
-            signature = (self.kind, json.dumps(self.payload, sort_keys=True))
-            set_frozen(self, "_signature", signature)
-            return signature
+        return self._signature
 
 
 class Diagnosis(FrozenRecord):
@@ -431,7 +427,9 @@ def apply_action(
 
     Script-level edits (exports, module loads, prepends) are text surgery on
     the rendered script; spec-level edits (arguments, parameter values)
-    rebind and re-render so the template structure is preserved.
+    rebind and re-render so the template structure is preserved.  A
+    spec-level edit that would bring a single quote or a newline into the
+    script cannot be applied (:func:`intent.check_script_text`).
     """
     kind = action.kind
     payload = action.payload
@@ -447,8 +445,9 @@ def apply_action(
     if kind == "prepend_line":
         return script.replace(text=f"{payload['line']}\n{script.text}"), spec, template
     if kind == "add_arg":
-        args = payload["args"]
-        new_spec = spec.replace(train_args=f"{spec.train_args} {args}".strip())
+        train_args = f"{spec.train_args} {payload['args']}".strip()
+        check_script_text("train_args", train_args)
+        new_spec = spec.replace(train_args=train_args)
         return render_for_spec(new_spec, template, profile), new_spec, template
     if kind == "set_param":
         return _apply_set_param(payload, script, spec, template, profile)
@@ -470,6 +469,7 @@ def _apply_set_param(
 ) -> tuple[RenderedScript, JobSpec, Template]:
     param = payload["param"]
     value = payload["value"]
+    check_script_text(param, value)
     if param == "deepspeed_config":
         new_spec = spec.replace(deepspeed_config=str(value))
         return render_for_spec(new_spec, template, profile), new_spec, template

@@ -132,20 +132,18 @@ class FaultRuleSet:
 class ExecutionResult(FrozenRecord):
     """Outcome of one mock submission."""
 
-    __slots__ = ("exit_code", "stdout", "stderr", "parsed_topology", "fault_fired")
+    __slots__ = ("exit_code", "stdout", "stderr", "fault_fired")
 
     def __init__(
         self,
         exit_code: int,
         stdout: str,
         stderr: str,
-        parsed_topology: tuple[int, int, int, tuple[int, ...]] | None = None,
         fault_fired: str | None = None,
     ) -> None:
         set_frozen(self, "exit_code", exit_code)
         set_frozen(self, "stdout", stdout)
         set_frozen(self, "stderr", stderr)
-        set_frozen(self, "parsed_topology", parsed_topology)
         set_frozen(self, "fault_fired", fault_fired)
 
 
@@ -277,7 +275,6 @@ def submit(
                     exit_code=1,
                     stdout="",
                     stderr=_instantiate_stderr(stderr, spec, profile),
-                    parsed_topology=None,
                     fault_fired=rule.id,
                 )
 
@@ -312,15 +309,13 @@ def submit(
             ),
         )
 
-    ranks = tuple(range(world))
     # One "rank i/world ok" line per rank; a world of 0 or less (a hand-built
     # JobSpec) has none, not a bare "rank /0 ok".
     end = f"/{world} ok\n"
-    per_rank = "rank " + (end + "rank ").join(map(str, ranks)) + end if ranks else ""
+    per_rank = "rank " + (end + "rank ").join(map(str, range(world))) + end if world > 0 else ""
     return ExecutionResult(
         exit_code=0,
         stdout=per_rank + "allreduce ok\nallgather ok\n",
         stderr="",
-        parsed_topology=(nodes, per_node, world, ranks),
         fault_fired=None,
     )

@@ -15,8 +15,8 @@ Port precedence: a user-stated port always wins; otherwise a default
 declared by the template (ports observed in the verified original script)
 is used; the package-wide fallback applies last.
 
-A :class:`RenderedScript` reads the launch topology its text states on
-first use and keeps it, so the lint and the mock submission of one script
+A :class:`RenderedScript` reads the launch topology its text states when
+it is built and keeps it, so the lint and the mock submission of one script
 share a single read of its counts.
 
 All functions here are pure.
@@ -50,21 +50,17 @@ class RenderedScript(FrozenRecord):
         set_frozen(self, "text", text)
         set_frozen(self, "template_id", template_id)
         set_frozen(self, "binding", binding)
+        set_frozen(self, "_topology", intent.script_topology(text))
 
     @property
     def topology(self) -> intent.Topology:
         """``(nodes, gpus_per_node, total_gpus)`` as the text states them.
 
-        Read once, on first use, by :func:`intent.script_topology`; absent
+        Read by :func:`intent.script_topology` when the script is built; absent
         counts are ``None``.  The counts are kept in the ``_topology`` slot,
         which is not a field, so equality, hashing and repr are unaffected.
         """
-        try:
-            return self._topology
-        except AttributeError:
-            topology = intent.script_topology(self.text)
-            set_frozen(self, "_topology", topology)
-            return topology
+        return self._topology
 
 
 def bind(spec: JobSpec, t: Template, profile: ClusterProfile) -> dict[str, int | str]:

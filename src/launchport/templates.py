@@ -16,8 +16,8 @@ names at odd ones.  Rendering fills the odd slots and joins the parts, so
 shell constructs stay in the literals, byte for byte, and
 :func:`validate_template` reads the names from the same split.
 
-``TemplateSet`` is an immutable value: :func:`add_template` returns a new set
-and never mutates the input.  Because a set never changes, it keeps its
+``TemplateSet`` is an immutable value: to extend one, build a new set from
+its templates and the new ones.  Because a set never changes, it keeps its
 templates in id order, sorted once when the set is built, for retrieval to
 read on every ranking.
 """
@@ -87,6 +87,7 @@ class Template(FrozenRecord):
         set_frozen(self, "params", params)
         set_frozen(self, "verified", verified)
         set_frozen(self, "notes", notes)
+        set_frozen(self, "_parts", tuple(PLACEHOLDER_RE.split(body)))
 
     @property
     def key(self) -> TemplateKey:
@@ -97,15 +98,10 @@ class Template(FrozenRecord):
         """The body split by :data:`PLACEHOLDER_RE`: literals at even indexes,
         placeholder names at odd ones, so ``len(parts)`` is odd.
 
-        Split once, on first use, and kept in the ``_parts`` slot, which is not
-        a field, so equality, hashing, repr and pickling are unaffected.
+        Split when the template is built and kept in the ``_parts`` slot, which
+        is not a field, so equality, hashing, repr and pickling are unaffected.
         """
-        try:
-            return self._parts
-        except AttributeError:
-            parts = tuple(PLACEHOLDER_RE.split(self.body))
-            set_frozen(self, "_parts", parts)
-            return parts
+        return self._parts
 
 
 def validate_template(t: Template) -> None:
@@ -183,17 +179,6 @@ class TemplateSet:
 
     def in_id_order(self) -> tuple[Template, ...]:
         return self._in_id_order
-
-
-def add_template(tset: TemplateSet, t: Template) -> TemplateSet:
-    """Return a new set extended with ``t``; the input set is unchanged."""
-    validate_template(t)
-    if t.id in tset:
-        raise TemplateInvalidError(t.id, "duplicate template id")
-    existing = tset.find_key(t.key)
-    if existing is not None:
-        raise TemplateConflictError(t.key, existing.id, t.id)
-    return TemplateSet(list(tset) + [t])
 
 
 # The parameters of Template and ParamDecl, so a checked record builds one;

@@ -15,8 +15,8 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter
 
-# Sets a field of a FrozenRecord; only the record's own __init__ (and a lazy
-# slot filled on first read) may call it.
+# Sets a field or slot of a FrozenRecord; only the record's own __init__ may
+# call it, so a record never changes once built.
 set_frozen = object.__setattr__
 
 

@@ -1,5 +1,5 @@
 """Every function, class and module-level constant in the package has a caller,
-and every field of a document record has a reader.
+every field of a record has a reader, and a frozen record never changes once built.
 
 A definition passes when its name is used somewhere in ``src/launchport``
 outside its own body (for a constant, outside the statement that assigns
@@ -17,7 +17,9 @@ pinned as a reviewed set, each checked by hand to have a caller.
 """
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from launchport.clusters import _PROFILE_FIELDS, ClusterProfile
 from launchport.repair import _ACTION_FIELDS, _FINGERPRINT_FIELDS, Fingerprint, RepairAction
 from launchport.simcluster import _RULE_FIELDS, FaultRule
 from launchport.templates import _PARAM_FIELDS, _TEMPLATE_FIELDS, ParamDecl, Template
+from launchport.types import Record
 
 PACKAGE = Path(launchport.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 AWAITING_CALLERS = {
     "fingerprint_ids": "the load-time cross-check of the bundles is to call it",
     "unresolvable_ids": "the load-time cross-check of the bundles is to call it",
-    "add_template": "only tests call it; it is rewritten once the bench stops calling find_key",
+    "find_key": "perfbench/workloads.py calls it until ROADMAP item 1",
 }
 
 # The methods the scan cannot judge, each checked by hand to have a caller (the
@@ -215,6 +218,9 @@ RENAMED = {
 
 # Record fields no code reads, each kept for the reason on its line.
 UNREAD_FIELDS = {
+    "ExecutionResult.stdout": "criterion 8's digest and reports.json read it",
+    "LoopOutcome.final_spec": "the job after spec-level repairs; tests check add_arg and "
+                              "set_param effects on it",
     "Fingerprint.regex": "read once, by the constructor, which keeps it compiled in _search",
     "RepairAction.rationale": "free text for a person; the run trace is to report it",
 }
@@ -249,7 +255,16 @@ def _unread(sources: dict[str, str], records: dict[str, list[str]]) -> list[str]
 
 
 def _record_fields() -> dict[str, list[str]]:
-    return {record.__name__: list(inspect.signature(record).parameters) for record in FIELD_TABLES}
+    """The fields of every :class:`Record` subclass the package defines."""
+    for module in pkgutil.iter_modules([str(PACKAGE)]):
+        importlib.import_module(f"launchport.{module.name}")
+    records, pending = {}, [Record]
+    while pending:
+        for record in pending.pop().__subclasses__():
+            pending.append(record)
+            if record.__module__.startswith("launchport.") and "_fields" in vars(record):
+                records[record.__name__] = list(record._fields)
+    return records
 
 
 def test_every_field_table_names_its_records_constructor_fields():
@@ -270,5 +285,45 @@ def test_every_record_field_is_read():
 def test_the_read_check_finds_a_field_nothing_reads():
     records = _record_fields()
     records["ClusterProfile"].append("module_system")
+    records["ExecutionResult"].append("parsed_topology")
     unread = set(_unread(_sources(), records)) - set(UNREAD_FIELDS)
-    assert unread == {"ClusterProfile.module_system"}
+    assert unread == {"ClusterProfile.module_system", "ExecutionResult.parsed_topology"}
+
+
+def test_the_read_check_covers_every_record():
+    assert {"JobSpec", "ExecutionResult", "LoopOutcome", "CliSession"} <= set(_record_fields())
+
+
+def _frozen_sets_outside_init(sources: dict[str, str]) -> list[str]:
+    """``"<file>:<line> <function>"`` for each ``set_frozen`` call whose innermost
+    enclosing function is not an ``__init__``."""
+    found = []
+    for file, text in sources.items():
+        stack = [(ast.parse(text), "<module>")]
+        while stack:
+            node, function = stack.pop()
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "set_frozen" and function != "__init__"):
+                found.append(f"{file}:{node.lineno} {function}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                function = getattr(node, "name", "<lambda>")
+            stack.extend((child, function) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_a_frozen_record_is_set_only_in_its_init():
+    assert _frozen_sets_outside_init(_sources()) == []
+
+
+def test_the_init_check_finds_a_slot_filled_on_first_use():
+    sources = _sources()
+    eager = '        return self._parts\n'
+    assert eager in sources["templates.py"]
+    sources["templates.py"] = sources["templates.py"].replace(eager, (
+        "        try:\n"
+        "            return self._parts\n"
+        "        except AttributeError:\n"
+        "            set_frozen(self, '_parts', tuple(PLACEHOLDER_RE.split(self.body)))\n"
+        "            return self._parts\n"
+    ))
+    assert [entry.split()[1] for entry in _frozen_sets_outside_init(sources)] == ["parts"]

@@ -196,6 +196,46 @@ class TestInputErrors:
         assert out == ""
         assert err == "error: a job may span at most 16384 nodes; this one asks for more\n"
 
+    @pytest.mark.parametrize("case", ["prose", "flag", "answer", "port"])
+    def test_a_quote_or_newline_in_script_text_is_one_error_line(self, capsys, tmp_path, case):
+        # Most templates put the training command inside bash -c '...', so a
+        # single quote would end it early and a newline would start a second one.
+        script = tmp_path / "job.sh"
+        script.write_text("torchrun --nnodes 2 --nproc_per_node 4 train.py --run-name 'vit base'\n",
+                          "utf-8")
+        job = "train ViT with PyTorch DDP on Perlmutter, 2 nodes with 4 GPUs per node, run train.py"
+        runs = {
+            "prose": [["generate", f"{job} and my training arguments are --run-name 'vit base'"]],
+            "flag": [["generate", job, "--args", "--a 1\nrm -rf ~"]],
+            "answer": [["generate", job.replace("PyTorch DDP", "DeepSpeed ZeRO-3"),
+                        "--answers", "deepspeed_config=it's.json"]],
+            # The rule is the same on every cluster.
+            "port": [["port", str(script), "--to", cluster]
+                     for cluster in launchport.default_profiles().ids()],
+        }[case]
+        field, value = {
+            "prose": ("train_args", "--run-name 'vit base'"),
+            "flag": ("train_args", "--a 1\nrm -rf ~"),
+            "answer": ("deepspeed_config", "it's.json"),
+            "port": ("train_args", "--run-name 'vit base"),
+        }[case]
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv, "--non-interactive")
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: {field} may not hold a single quote or a newline, which would break "
+                f"the quoted launch command; use double quotes, on one line (got {value!r})\n"
+            )
+
+    def test_double_quoted_arguments_reach_the_script(self, capsys):
+        code, out, err = run_cli(
+            capsys, "generate", "train ViT with PyTorch DDP on Perlmutter, 2 nodes with 4 GPUs "
+            'per node, run train.py and my training arguments are --run-name "vit base"',
+            "--non-interactive",
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith(""" train.py --run-name "vit base"'\n""")
+
     @pytest.mark.parametrize("case", ["bridge-config", "clusters-add", "nodes-abc"])
     def test_malformed_input_is_one_error_line(self, capsys, tmp_path, case):
         bad = tmp_path / "bad.json"
@@ -428,6 +468,35 @@ class TestTemplatesCommand:
         assert lines[0].split() == ["id", "framework", "strategy", "launcher", "verified"]
         assert len(lines) == 1 + 4
         assert any("perlmutter-ddp" in line for line in lines)
+
+    @pytest.mark.parametrize("name", ["pm", "PM", "Perlmutter"])
+    def test_list_resolves_a_registry_alias(self, capsys, name):
+        _, by_id, _ = run_cli(capsys, "templates", "list", "--cluster", "perlmutter")
+        assert run_cli(capsys, "templates", "list", "--cluster", name) == (0, by_id, "")
+
+    def test_list_takes_a_cluster_the_repository_names_as_it_is(self, capsys, tmp_path):
+        # polaris is also an alias of aurora in the bundled registry.
+        record = {
+            "framework": "pytorch", "strategy": "ddp", "launcher": "torchrun",
+            "body": "torchrun --nnodes={nodes} {your_script}",
+            "params": [{"name": "nodes", "kind": "integer"}, {"name": "your_script"}],
+        }
+        repo = tmp_path / "repo.json"
+        repo.write_text(json.dumps([
+            {**record, "id": f"{cluster}-ddp", "cluster": cluster}
+            for cluster in ("testbox", "polaris")
+        ]), "utf-8")
+        for cluster in ("testbox", "polaris"):
+            code, out, err = run_cli(
+                capsys, "templates", "list", "--templates", str(repo), "--cluster", cluster)
+            assert (code, err) == (0, "")
+            assert [line.split()[0] for line in out.splitlines()] == ["id", f"{cluster}-ddp"]
+
+    def test_list_of_an_unknown_cluster_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "templates", "list", "--cluster", "nosuch")
+        assert (code, out) == (1, "")
+        assert err == ("error: unknown cluster 'nosuch'; valid ids: anvil, aurora, bridges2, "
+                       "delta, deltaai, lonestar6, perlmutter, stampede3, vista\n")
 
     def test_validate_good_repository(self, capsys, tmp_path):
         path = tmp_path / "repo.json"

@@ -53,7 +53,7 @@ SIGNATURES = {
         ("stderr_template", REQUIRED), ("clearable_by", ())),
     "simcluster.ExecutionResult": (
         ("exit_code", REQUIRED), ("stdout", REQUIRED), ("stderr", REQUIRED),
-        ("parsed_topology", None), ("fault_fired", None)),
+        ("fault_fired", None)),
     "repair.RepairAction": (("kind", REQUIRED), ("payload", REQUIRED), ("rationale", "")),
     "repair.Diagnosis": (
         ("category", REQUIRED), ("fingerprint_id", REQUIRED), ("explanation", REQUIRED),
@@ -92,7 +92,7 @@ def _samples() -> dict[str, tuple]:
     spec = JobSpec("delta", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN, 2, 4, "train.py")
     binding = {"nodes": 2}
     script = _class("synthesis.RenderedScript")("srun -N 2 train.py", "delta-ddp", binding)
-    result = _class("simcluster.ExecutionResult")(1, "", "boom", None, "ENV_NOT_PROPAGATED")
+    result = _class("simcluster.ExecutionResult")(1, "", "boom", "ENV_NOT_PROPAGATED")
     action = _class("repair.RepairAction")("export_env", {"name": "PYTHONPATH"}, "why")
     diagnosis = _class("repair.Diagnosis")("env", "ENV_NOT_PROPAGATED", "cause", (action,))
     candidate = _class("retrieval.RankedCandidate")("delta-ddp", 1.0, {"cluster": 0.3}, True)
@@ -111,7 +111,7 @@ def _samples() -> dict[str, tuple]:
         "lint.Finding": ("TOPOLOGY_MISMATCH", "nodes differ", (0, 4)),
         "simcluster.FaultRule": ("ENV_NOT_PROPAGATED", ("deltaai",), {"cluster_is": "deltaai"},
                                  "ModuleNotFoundError", ("export_env",)),
-        "simcluster.ExecutionResult": (1, "rank 0/8 ok\n", "boom", (2, 4, 8, (0, 1)), "F"),
+        "simcluster.ExecutionResult": (1, "rank 0/8 ok\n", "boom", "F"),
         "repair.RepairAction": ("export_env", {"name": "PYTHONPATH"}, "why"),
         "repair.Diagnosis": ("env", "ENV_NOT_PROPAGATED", "cause", (action,)),
         "repair.Fingerprint": ("ENV_NOT_PROPAGATED", "env", "No module", None, "cause"),

@@ -180,18 +180,19 @@ def _count_dumps(monkeypatch):
 
 
 def test_signature_slot_leaves_equality_repr_and_pickling_alone(monkeypatch):
-    action = RepairAction("export_env", {"name": "PYTHONPATH"}, "why")
-    fresh = RepairAction("export_env", {"name": "PYTHONPATH"}, "why")
     dumped = _count_dumps(monkeypatch)
+    action = RepairAction("export_env", {"name": "PYTHONPATH"}, "why")
+    assert dumped == [{"name": "PYTHONPATH"}]  # serialised when built
     assert action.signature() is action.signature()
-    assert dumped == [{"name": "PYTHONPATH"}]
+    assert len(dumped) == 1  # and never when read
+    fresh = RepairAction("export_env", {"name": "PYTHONPATH"}, "why")
     assert action == fresh and repr(action) == repr(fresh)
     assert action.__reduce__() == fresh.__reduce__()
     with pytest.raises(TypeError):  # a dict field: unhashable, signed or not
         hash(action)
     unpickled = pickle.loads(pickle.dumps(action))
     assert unpickled == action and unpickled.signature() == action.signature()
-    assert dumped == [{"name": "PYTHONPATH"}, {"name": "PYTHONPATH"}]  # computed again
+    assert len(dumped) == 3  # fresh and the unpickled action are each built, so serialised
 
 
 def test_a_bad_regex_is_a_rule_parse_error():
@@ -447,11 +448,12 @@ class TestRunLoop:
     def test_each_action_is_serialised_once(self, profiles, templates, fault_rules, monkeypatch):
         # Each iteration reconsiders the actions before the one it applies.
         names = ["FOO", "BAR", "PYTHONPATH"]
-        table = load_repair_table(json.dumps({"ENV_NOT_PROPAGATED": [
-            {"kind": "export_env", "payload": {"name": name}} for name in names]}))
+        document = json.dumps({"ENV_NOT_PROPAGATED": [
+            {"kind": "export_env", "payload": {"name": name}} for name in names]})
         profile = profiles.resolve("deltaai")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         dumped = _count_dumps(monkeypatch)
+        table = load_repair_table(document)  # each action is serialised here, when built
         for _ in range(2):
             outcome = run_loop(spec, templates.get("deltaai-ddp"), profile, fault_rules,
                                repair_table=table)
@@ -494,6 +496,25 @@ class TestRunLoop:
         assert [e.action.kind for e in outcome.history] == ["export_env"]
         assert "export PYTHONPATH" in outcome.final_script.text
         assert error_count(outcome.lint_findings) == 0
+
+    @pytest.mark.parametrize("action", [
+        {"kind": "add_arg", "payload": {"args": "--run-name 'vit base'"}},
+        {"kind": "set_param", "payload": {"param": "your_script", "value": "train.py\nrm -rf ~"}},
+        {"kind": "set_param", "payload": {"param": "deepspeed_config", "value": "it's.json"}},
+    ], ids=["add_arg", "set_param-newline", "set_param-deepspeed_config"])
+    def test_repair_that_brings_a_quote_or_newline_is_skipped(
+            self, profiles, templates, fault_rules, action):
+        # The script carries the payload inside bash -c '...'.
+        table = load_repair_table(json.dumps({"ENV_NOT_PROPAGATED": [
+            action, {"kind": "export_env", "payload": {"name": "PYTHONPATH"}},
+        ]}))
+        profile = profiles.resolve("deltaai")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        outcome = run_loop(spec, templates.get("deltaai-ddp"), profile, fault_rules,
+                           repair_table=table)
+        assert outcome.status == STATUS_SUCCESS
+        assert [e.action.kind for e in outcome.history] == ["export_env"]
+        assert outcome.final_spec == spec
 
     def test_invalid_max_iter_rejected(self, profiles, templates, fault_rules):
         profile = profiles.resolve("delta")

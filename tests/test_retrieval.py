@@ -13,7 +13,7 @@ from launchport.errors import BridgeUnavailableError, NoCandidatesError
 from launchport.intent import JobSpec
 from launchport.pipeline import run_pipeline
 from launchport.retrieval import RankedCandidate, candidates, select
-from launchport.templates import ParamDecl, Template, TemplateSet, add_template, default_templates
+from launchport.templates import ParamDecl, Template, TemplateSet, default_templates
 from launchport.types import Framework, Launcher, Strategy
 
 from conftest import make_spec, matrix_specs
@@ -294,7 +294,7 @@ class TestProperties:
             "zzz-unrelated", "bridges2", Framework.DEEPSPEED, Strategy.FSDP, Launcher.SRUN,
             notes="completely different workload",
         )
-        extended = add_template(templates, unrelated)
+        extended = TemplateSet([*templates, unrelated])
         after = [c.template_id for c in candidates(spec, extended)]
         after.remove("zzz-unrelated")
         assert after == before
@@ -391,7 +391,7 @@ class TestOnePassRanking:
         new = _mini_template("000-first", "delta", Framework.ACCELERATE, Strategy.ZERO3,
                              Launcher.ACCELERATE)
         before = candidates(spec, templates)
-        extended = add_template(templates, new)
+        extended = TemplateSet([*templates, new])
         ranked = candidates(spec, extended)
         assert len(ranked) == len(before) + 1
         assert ranked[0].template_id == "000-first"
@@ -407,10 +407,10 @@ class TestOnePassRanking:
 # and in the middle of the id order, so the templates after it shift.
 _SHARED_SETS = (
     _BUNDLED,
-    add_template(_BUNDLED, _mini_template("000-first", "delta", Framework.ACCELERATE,
-                                          Strategy.ZERO3, Launcher.ACCELERATE)),
-    add_template(_BUNDLED, _mini_template("delta-mid", "nowhere", Framework.PYTORCH,
-                                          Strategy.FSDP, Launcher.SRUN, notes="srun fsdp")),
+    TemplateSet([*_BUNDLED, _mini_template("000-first", "delta", Framework.ACCELERATE,
+                                           Strategy.ZERO3, Launcher.ACCELERATE)]),
+    TemplateSet([*_BUNDLED, _mini_template("delta-mid", "nowhere", Framework.PYTORCH,
+                                           Strategy.FSDP, Launcher.SRUN, notes="srun fsdp")]),
 )
 
 _KEYS = st.tuples(

@@ -9,7 +9,6 @@ from launchport.templates import (
     ParamDecl,
     Template,
     TemplateSet,
-    add_template,
     PLACEHOLDER_RE,
     load_repository,
 )
@@ -226,7 +225,7 @@ class TestLoadAndSerialize:
 class TestAddTemplate:
     def test_add_extends_without_mutating(self, templates):
         t = _template()
-        extended = add_template(templates, t)
+        extended = TemplateSet([*templates, t])
         assert len(extended) == len(templates) + 1
         assert "testbox-ddp" not in templates
         assert "testbox-ddp" in extended
@@ -234,7 +233,7 @@ class TestAddTemplate:
     def test_add_missing_cell(self, templates):
         # A set lacking the vista/pytorch/fsdp/torchrun cell accepts it.
         smaller = TemplateSet([t for t in templates if t.id != "vista-fsdp"])
-        restored = add_template(smaller, templates.get("vista-fsdp"))
+        restored = TemplateSet([*smaller, templates.get("vista-fsdp")])
         assert len(restored) == len(templates)
 
     def test_readding_existing_key_conflicts(self, templates):
@@ -249,15 +248,15 @@ class TestAddTemplate:
             params=existing.params,
         )
         with pytest.raises(TemplateConflictError):
-            add_template(templates, clone)
+            TemplateSet([*templates, clone])
 
     def test_readding_existing_id_rejected(self, templates):
         clone = _template(id="ls6-ddp")
         with pytest.raises(TemplateInvalidError) as exc:
-            add_template(templates, clone)
+            TemplateSet([*templates, clone])
         assert str(exc.value) == "template 'ls6-ddp': duplicate template id"
 
     def test_add_invalid_template_rejected(self, templates):
         bad = _template(body="torchrun {your_script}")  # required 'nodes' not in body
         with pytest.raises(TemplateInvalidError):
-            add_template(templates, bad)
+            TemplateSet([*templates, bad])
