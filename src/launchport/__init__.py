@@ -5,83 +5,68 @@ verified, cluster-specific launch script, and automatically diagnose and
 repair failing scripts through a bounded verify/debug loop.  A
 deterministic mock-cluster harness stands in for real execution, so the
 whole pipeline runs offline.
-"""
 
-from .clusters import ClusterProfile, ProfileSet, default_profiles, load_profiles
-from .intent import (
-    JobSpec,
-    PartialJobSpec,
-    RuleBasedExtractor,
-    extract,
-    finalize,
-    missing_fields,
-    parse_script,
-)
-from .lint import Finding, lint
-from .pipeline import PipelineResult, run_pipeline
-from .repair import (
-    Diagnosis,
-    LoopOutcome,
-    RepairAction,
-    diagnose,
-    propose,
-    run_loop,
-)
-from .retrieval import RankedCandidate, candidates, select
-from .simcluster import ExecutionResult, FaultRule, default_fault_rules, load_fault_rules, submit
-from .synthesis import RenderedScript, bind, render, wrap_batch
-from .templates import (
-    ParamDecl,
-    Template,
-    TemplateSet,
-    default_templates,
-    load_repository,
-)
-from .types import Framework, Launcher, Scheduler, Strategy
+Importing the package loads none of its modules: each name in ``__all__``
+is imported from its module on first access (PEP 562) and then kept here.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClusterProfile",
-    "Diagnosis",
-    "ExecutionResult",
-    "FaultRule",
-    "Finding",
-    "Framework",
-    "JobSpec",
-    "Launcher",
-    "LoopOutcome",
-    "ParamDecl",
-    "PartialJobSpec",
-    "PipelineResult",
-    "ProfileSet",
-    "RankedCandidate",
-    "RenderedScript",
-    "RepairAction",
-    "RuleBasedExtractor",
-    "Scheduler",
-    "Strategy",
-    "Template",
-    "TemplateSet",
-    "bind",
-    "candidates",
-    "default_fault_rules",
-    "default_profiles",
-    "default_templates",
-    "diagnose",
-    "extract",
-    "finalize",
-    "lint",
-    "load_fault_rules",
-    "load_profiles",
-    "load_repository",
-    "missing_fields",
-    "parse_script",
-    "propose",
-    "render",
-    "run_loop",
-    "run_pipeline",
-    "select",
-    "submit",
-    "wrap_batch",
-]
+# Each exported name and the module that defines it.
+_HOMES = {
+    "ClusterProfile": "clusters",
+    "Diagnosis": "repair",
+    "ExecutionResult": "simcluster",
+    "FaultRule": "simcluster",
+    "Finding": "lint",
+    "Framework": "types",
+    "JobSpec": "intent",
+    "Launcher": "types",
+    "LoopOutcome": "pipeline",
+    "ParamDecl": "templates",
+    "PartialJobSpec": "intent",
+    "PipelineResult": "pipeline",
+    "ProfileSet": "clusters",
+    "RankedCandidate": "retrieval",
+    "RenderedScript": "synthesis",
+    "RepairAction": "repair",
+    "RuleBasedExtractor": "prose",
+    "Scheduler": "types",
+    "Strategy": "types",
+    "Template": "templates",
+    "TemplateSet": "templates",
+    "bind": "synthesis",
+    "candidates": "retrieval",
+    "default_fault_rules": "simcluster",
+    "default_profiles": "clusters",
+    "default_templates": "templates",
+    "diagnose": "repair",
+    "extract": "prose",
+    "finalize": "intent",
+    "lint": "lint",
+    "load_fault_rules": "simcluster",
+    "load_profiles": "clusters",
+    "load_repository": "templates",
+    "missing_fields": "intent",
+    "parse_script": "intent",
+    "propose": "repair",
+    "render": "synthesis",
+    "run_loop": "pipeline",
+    "run_pipeline": "pipeline",
+    "select": "retrieval",
+    "submit": "simcluster",
+    "wrap_batch": "synthesis",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value

@@ -10,7 +10,9 @@ every capability::
 
 :class:`RemoteBridge` is itself the extractor (``extract``), the embedder
 (``embed``) and the repair bridge (``enabled``, ``remote_repair``) that
-``intent``, ``retrieval`` and ``repair`` accept.  The per-capability system
+``prose``, ``retrieval`` and ``repair`` accept.  The repair proposals a
+model returns are free text; :func:`parse_proposals` reads them into the
+repair table's typed actions or drops them.  The per-capability system
 prompts are bundled data, editable without code changes.  The API key, when
 required, comes from the environment variable named in the config and
 travels as a bearer token; it is never accepted on the command line.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from pathlib import Path
 from typing import Callable, Sequence
@@ -38,6 +41,7 @@ from typing import Callable, Sequence
 from .documents import INT, OPTIONAL, STRINGS, TEXT, bundled, check_record, load_json
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
 from .intent import FIELD_PARSERS, PartialJobSpec
+from .repair import RepairAction
 from .types import CATEGORIES, CATEGORY_UNKNOWN, FrozenRecord, Launcher, set_frozen
 
 CAPABILITIES = ("extract", "embed", "repair")
@@ -242,3 +246,53 @@ def _coerce_partial(raw: dict) -> PartialJobSpec:
         })
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise BridgeProtocolError(f"extract result failed validation: {exc}") from exc
+
+
+# Proposal parsing: the free text of ``remote_repair`` -> typed repair actions.
+
+_P_EXPORT = re.compile(r"\bexport(?:ing)?\s+\$?([A-Z_][A-Z0-9_]*)")
+_P_MODULE = re.compile(r"\bmodule\s+load\s+([\w./+-]+)", re.I)
+_P_NIGHTLY = re.compile(r"\bnightly\b.*\b(?:pytorch|torch)\b|\b(?:pytorch|torch)\b.*\bnightly\b", re.I | re.S)
+_P_SWITCH = re.compile(r"\bswitch(?:ing)?\s+(?:to\s+)?template\s+([\w-]+)", re.I)
+_P_ADD_ARG = re.compile(r"\badd(?:ing)?\s+(?:the\s+)?arg(?:ument)?s?\s+(.+)", re.I)
+_P_SET = re.compile(r"\bset\s+([\w.]+)\s+to\s+(\S+)", re.I)
+_P_PIN = re.compile(r"\bpin\s+([\w-]+)\s+(?:to\s+)?([\w.+-]+)", re.I)
+
+
+def parse_proposal(text: str) -> RepairAction | None:
+    """Parse one free-text proposal into a typed action, or drop it."""
+    m = _P_MODULE.search(text)
+    if m:
+        return RepairAction("add_module_load", {"module": m.group(1)}, rationale=text.strip())
+    m = _P_EXPORT.search(text)
+    if m:
+        return RepairAction("export_env", {"name": m.group(1)}, rationale=text.strip())
+    m = _P_SWITCH.search(text)
+    if m:
+        return RepairAction("switch_template", {"template_id": m.group(1)}, rationale=text.strip())
+    m = _P_ADD_ARG.search(text)
+    if m:
+        return RepairAction("add_arg", {"args": m.group(1).strip()}, rationale=text.strip())
+    m = _P_SET.search(text)
+    if m:
+        return RepairAction("set_param", {"param": m.group(1), "value": m.group(2)}, rationale=text.strip())
+    m = _P_PIN.search(text)
+    if m:
+        return RepairAction(
+            "pin_version", {"package": m.group(1), "version": m.group(2)}, rationale=text.strip()
+        )
+    if _P_NIGHTLY.search(text):
+        return RepairAction(
+            "pin_version", {"package": "pytorch", "version": "nightly"}, rationale=text.strip()
+        )
+    return None
+
+
+def parse_proposals(proposals: list[str]) -> list[RepairAction]:
+    """Parse proposals in order, silently dropping unparseable ones."""
+    actions = []
+    for text in proposals:
+        action = parse_proposal(text)
+        if action is not None:
+            actions.append(action)
+    return actions

@@ -17,33 +17,30 @@ Missing required fields are prompted one at a time, in a stable order, when
 the session is interactive; ``--answers field=value,...`` supplies them for
 scripted use, and ``--non-interactive`` turns prompting into a hard error
 instead of blocking.
+
+One invocation builds only the parser of the command it names and loads
+only the agents its job reaches: the free-text extractor
+(:mod:`launchport.prose`) when a description is given, the error-correction
+agent (:mod:`launchport.repair`) at the first failed submission, the bridge
+for ``--bridge-config`` and :mod:`launchport.registry` for ``templates`` and
+``clusters``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .clusters import ProfileSet, default_profiles, load_profiles
-from .documents import load_json, read_text
-from .errors import (
-    BridgeError,
-    IncompleteSpecError,
-    LaunchportError,
-    ProfileParseError,
-    TemplateInvalidError,
-    UsageError,
-)
+from .documents import read_text
+from .errors import BridgeError, IncompleteSpecError, LaunchportError, UsageError
 from .intent import (
     FIELD_PARSERS,
     STRATEGY_SHORTHANDS,
     PartialJobSpec,
-    RuleBasedExtractor,
-    extract,
     finalize,
     missing_fields,
     parse_script,
@@ -100,7 +97,9 @@ class CliSession(Record):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -123,7 +122,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message} (see '{self.prog} --help')")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each command and its one-line help, in the order --help lists them.
+_COMMANDS = {
+    "generate": "generate a verified launch script",
+    "port": "port an existing launch script to another cluster",
+    "templates": "inspect or extend the template repository",
+    "clusters": "inspect or extend the cluster registry",
+}
+
+
+def _build_parser(first: str | None) -> argparse.ArgumentParser:
+    """The parser, with the subparser of the command ``first`` names.
+
+    When ``first`` names no command (``--help``, no arguments, a mistyped
+    command) every subparser is built, so help and errors list them all.
+    """
     parser = _Parser(
         prog="launchport",
         description="Generate, verify, and repair distributed DL launch scripts.",
@@ -131,47 +144,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"launchport {__version__}")
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(command=None)
+    for name, help_line in _COMMANDS.items():
+        if first in _COMMANDS and name != first:
+            continue
+        command = sub.add_parser(name, help=help_line)
+        if name in ("generate", "port"):
+            _add_job_arguments(name, command)
+        else:
+            # Imported here: generate and port never load the registry commands.
+            from . import registry
 
-    gen = sub.add_parser("generate", help="generate a verified launch script")
-    gen.add_argument("description", nargs="?", default="", help="job description in plain words")
-    _add_spec_flags(gen)
-    _add_config_flags(gen)
-    gen.set_defaults(func=cmd_generate)
-
-    port = sub.add_parser("port", help="port an existing launch script to another cluster")
-    port.add_argument("script", help="path to the working script")
-    port.add_argument("--to", required=True, dest="to_cluster", help="target cluster name")
-    _add_spec_flags(port)
-    _add_config_flags(port)
-    port.set_defaults(func=cmd_port)
-
-    tpl = sub.add_parser("templates", help="inspect or extend the template repository")
-    tpl_sub = tpl.add_subparsers(dest="action", required=True)
-    tpl_list = tpl_sub.add_parser("list", help="list templates")
-    tpl_list.add_argument("--cluster", default=None)
-    tpl_list.add_argument("--templates", default=None, help="repository document path")
-    tpl_list.set_defaults(func=cmd_templates_list)
-    tpl_val = tpl_sub.add_parser("validate", help="validate a repository document")
-    tpl_val.add_argument("file")
-    tpl_val.set_defaults(func=cmd_templates_validate)
-    tpl_add = tpl_sub.add_parser("add", help="add templates to a repository document")
-    tpl_add.add_argument("file", help="document with the new template records")
-    tpl_add.add_argument("--templates", required=True, help="repository document to extend")
-    tpl_add.set_defaults(func=cmd_templates_add)
-
-    clu = sub.add_parser("clusters", help="inspect or extend the cluster registry")
-    clu_sub = clu.add_subparsers(dest="action", required=True)
-    clu_list = clu_sub.add_parser("list", help="list cluster profiles")
-    clu_list.add_argument("--profiles", default=None)
-    clu_list.set_defaults(func=cmd_clusters_list)
-    clu_val = clu_sub.add_parser("validate", help="validate a profile document")
-    clu_val.add_argument("file")
-    clu_val.set_defaults(func=cmd_clusters_validate)
-    clu_add = clu_sub.add_parser("add", help="add profiles to a profile document")
-    clu_add.add_argument("file")
-    clu_add.add_argument("--profiles", required=True, help="profile document to extend")
-    clu_add.set_defaults(func=cmd_clusters_add)
+            registry.add_actions(name, command)
     return parser
+
+
+def _add_job_arguments(name: str, parser: argparse.ArgumentParser) -> None:
+    """The arguments of ``generate`` or ``port``."""
+    if name == "generate":
+        parser.add_argument("description", nargs="?", default="",
+                            help="job description in plain words")
+        parser.set_defaults(func=cmd_generate)
+    else:
+        parser.add_argument("script", help="path to the working script")
+        parser.add_argument("--to", required=True, dest="to_cluster", help="target cluster name")
+        parser.set_defaults(func=cmd_port)
+    _add_spec_flags(parser)
+    _add_config_flags(parser)
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -299,15 +297,20 @@ def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpe
     return partial
 
 
-def _extractor(session: CliSession):
+def _read_description(text: str, session: CliSession) -> PartialJobSpec:
+    """The fields ``text`` states, read by the remote extractor when the
+    session enables it, else, or when it is out of reach, by the rule-based
+    one over every cluster of the session's profiles."""
+    # Imported here: a job stated by flags alone never loads the extractor.
+    from .prose import RuleBasedExtractor, extract
+
     if session.bridge is not None and session.bridge.enabled("extract"):
-        return session.bridge
-    return _rule_extractor(session)
-
-
-def _rule_extractor(session: CliSession) -> RuleBasedExtractor:
-    """The offline extractor, knowing every cluster of the session's profiles."""
-    return RuleBasedExtractor(cluster_names=session.profiles.names())
+        try:
+            return extract(text, session.bridge)
+        except BridgeError as exc:
+            print(f"notice: remote extractor unavailable ({exc}); "
+                  "using the rule-based extractor", file=sys.stderr)
+    return extract(text, RuleBasedExtractor(cluster_names=session.profiles.names()))
 
 
 def cmd_generate(args) -> int:
@@ -315,13 +318,7 @@ def cmd_generate(args) -> int:
     overrides = _flag_overrides(args)
     partial = PartialJobSpec()
     if args.description:
-        try:
-            partial = extract(args.description, _extractor(session))
-        except BridgeError as exc:
-            # Remote extractor out of reach; the rule-based one always works.
-            print(f"notice: remote extractor unavailable ({exc}); "
-                  "using the rule-based extractor", file=sys.stderr)
-            partial = extract(args.description, _rule_extractor(session))
+        partial = _read_description(args.description, session)
     partial = partial.merged_with(overrides)
     partial = _fill_missing(partial, session)
 
@@ -361,98 +358,6 @@ def _emit(result, session: CliSession) -> int:
         return EXIT_OK
     print(render_report(result), end="", file=sys.stderr)
     return EXIT_UNRESOLVED
-
-
-def cmd_templates_list(args) -> int:
-    tset = load_repository(Path(args.templates)) if args.templates else default_templates()
-    cluster = None if args.cluster is None else args.cluster.lower()
-    if cluster is not None and all(t.cluster != cluster for t in tset):
-        # Not a cluster of the repository: an id or alias of the bundled registry.
-        cluster = default_profiles().resolve(args.cluster).id
-    rows = [
-        (t.id, t.framework.value, t.strategy.value, t.launcher.value, str(t.verified).lower())
-        for t in sorted(tset, key=lambda t: t.id)
-        if cluster is None or t.cluster == cluster
-    ]
-    _print_table(("id", "framework", "strategy", "launcher", "verified"), rows)
-    return EXIT_OK
-
-
-def cmd_templates_validate(args) -> int:
-    load_repository(Path(args.file))
-    print("ok")
-    return EXIT_OK
-
-
-def cmd_templates_add(args) -> int:
-    def unverified(record):
-        # User-added templates start unverified regardless of the document.
-        return {**record, "verified": False} if isinstance(record, dict) else record
-
-    added = _add_records(
-        Path(args.file), Path(args.templates), load_repository, "repository document",
-        lambda message: TemplateInvalidError("<document>", message), unverified,
-    )
-    print(f"added {added} template(s) to {args.templates}")
-    return EXIT_OK
-
-
-def cmd_clusters_list(args) -> int:
-    profiles = load_profiles(Path(args.profiles)) if args.profiles else default_profiles()
-    rows = [
-        (
-            p.id,
-            p.scheduler.value,
-            p.default_launcher.value,
-            str(p.gpus_per_node),
-            p.gpu_type,
-            "yes" if p.env_propagation else "no",
-        )
-        for p in sorted(profiles, key=lambda p: p.id)
-    ]
-    _print_table(("id", "scheduler", "launcher", "gpus/node", "gpu", "env-propagation"), rows)
-    return EXIT_OK
-
-
-def cmd_clusters_validate(args) -> int:
-    load_profiles(Path(args.file))
-    print("ok")
-    return EXIT_OK
-
-
-def cmd_clusters_add(args) -> int:
-    added = _add_records(
-        Path(args.file), Path(args.profiles), load_profiles,
-        "profile document", ProfileParseError, lambda record: record,
-    )
-    print(f"added {added} profile(s) to {args.profiles}")
-    return EXIT_OK
-
-
-def _add_records(source: Path, target: Path, load, what: str, error, stamp) -> int:
-    """Append the records of ``source`` to the document ``target``.
-
-    Records are appended verbatim after ``stamp``; the merged document is
-    validated with ``load`` and written only when it loads, so ``target`` is
-    untouched on any failure.  Returns the number of records added.
-    """
-    existing = load_json(target, list, what, error)
-    incoming = [stamp(record) for record in load_json(source, list, what, error)]
-    merged = json.dumps(existing + incoming, indent=2) + "\n"
-    load(merged)
-    target.write_text(merged, "utf-8")
-    return len(incoming)
-
-
-def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    print(fmt.format(*header))
-    for row in rows:
-        print(fmt.format(*row))
 
 
 if __name__ == "__main__":

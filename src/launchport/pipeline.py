@@ -1,27 +1,196 @@
-"""End-to-end generation pipeline.
+"""End-to-end generation pipeline and the bounded verify/debug loop.
 
-Runs the full workflow for one finalized job: rank templates, then for each
-of the top-k candidates bind, render, lint, and drive the verify/debug
-loop (:func:`launchport.repair.run_loop`, against the mock cluster under
-the given fault rules).  The first candidate whose loop succeeds wins.
-Candidates that cannot be bound (foreign cluster, unfillable parameter)
-consume their slot and are recorded, so a report always explains what was
-tried.
+:func:`run_pipeline` runs the full workflow for one finalized job: rank
+templates, then for each of the top-k candidates bind, render, lint, and
+drive :func:`run_loop` against the mock cluster under the given fault
+rules.  The first candidate whose loop succeeds wins.  Candidates that
+cannot be bound (foreign cluster, unfillable parameter) consume their slot
+and are recorded, so a report always explains what was tried.
+
+:func:`run_loop` submits to the mock cluster (:func:`simcluster.submit`);
+on failure it asks the error-correction agent (:mod:`launchport.repair`) to
+diagnose and propose, applies one action per iteration, first untried
+action first, re-lints, and resubmits.  An action already tried for the
+same fingerprint is never retried, which bounds the loop: it halts within
+``max_iter`` repair iterations for every input.  It has one exit: every
+failed submission is diagnosed and recorded, and the loop returns
+``unresolved`` when the bound is exhausted or no actions remain.  The agent
+and its bundled fingerprints and repair table are loaded at the first
+failed submission, and the agent module is then kept in ``_repair``, so a
+job whose scripts all pass loads none of them.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from . import retrieval
 from .clusters import ClusterProfile
-from .errors import ContractViolationError, UnboundParameterError
+from .errors import (
+    ContractViolationError,
+    LaunchportError,
+    NoRepairAvailableError,
+    UnboundParameterError,
+)
 from .intent import JobSpec
-from .repair import FingerprintSet, LoopOutcome, RepairBridge, RepairTable, run_loop
+from .lint import Finding, error_count, lint
 from .retrieval import RankedCandidate
-from .simcluster import FaultRuleSet
-from .templates import TemplateSet
+from .simcluster import ExecutionResult, FaultRuleSet, submit
+from .synthesis import RenderedScript, render_for_spec
+from .templates import Template, TemplateSet
 from .types import FrozenRecord, set_frozen
 
+if TYPE_CHECKING:
+    from .repair import Diagnosis, FingerprintSet, RepairAction, RepairBridge, RepairTable
+
 DEFAULT_CANDIDATES_TRIED = 3
+
+STATUS_SUCCESS = "success"
+STATUS_UNRESOLVED = "unresolved"
+
+MAX_ITERATIONS = 5
+
+# launchport.repair once the first failed submission has imported it.
+_repair = None
+
+
+def _load_repair():
+    """Import the error-correction agent and keep it in ``_repair``."""
+    global _repair
+    from . import repair
+
+    _repair = repair
+    return repair
+
+
+class HistoryEntry(FrozenRecord):
+    __slots__ = ("diagnosis", "action", "result")
+
+    def __init__(
+        self, diagnosis: Diagnosis, action: RepairAction | None, result: ExecutionResult,
+    ) -> None:
+        set_frozen(self, "diagnosis", diagnosis)
+        set_frozen(self, "action", action)
+        set_frozen(self, "result", result)
+
+
+class LoopOutcome(FrozenRecord):
+    """How a loop ended; its status and iteration count follow from the rest."""
+
+    __slots__ = ("final_script", "history", "final_spec", "final_result", "lint_findings")
+
+    def __init__(
+        self,
+        final_script: RenderedScript,
+        history: tuple[HistoryEntry, ...],
+        final_spec: JobSpec,
+        final_result: ExecutionResult,
+        lint_findings: tuple[Finding, ...],
+    ) -> None:
+        set_frozen(self, "final_script", final_script)
+        set_frozen(self, "history", history)
+        set_frozen(self, "final_spec", final_spec)
+        set_frozen(self, "final_result", final_result)
+        set_frozen(self, "lint_findings", lint_findings)
+
+    @property
+    def succeeded(self) -> bool:
+        return self.final_result.exit_code == 0
+
+    @property
+    def status(self) -> str:
+        return STATUS_SUCCESS if self.succeeded else STATUS_UNRESOLVED
+
+    @property
+    def iterations_used(self) -> int:
+        """The repairs applied: the history entries that hold an action."""
+        return sum(entry.action is not None for entry in self.history)
+
+
+def run_loop(
+    spec: JobSpec,
+    t: Template,
+    profile: ClusterProfile,
+    rules: FaultRuleSet,
+    max_iter: int = MAX_ITERATIONS,
+    *,
+    fingerprints: FingerprintSet | None = None,
+    repair_table: RepairTable | None = None,
+    bridge: RepairBridge | None = None,
+    template_set: TemplateSet | None = None,
+) -> LoopOutcome:
+    """Submit to the mock cluster under ``rules``; on failure diagnose, repair
+    and resubmit, at most ``max_iter`` times.
+
+    One action is applied per iteration, in first-untried order; an action
+    already tried for the same fingerprint is skipped, and so is one that
+    cannot be applied or that adds lint errors (a repair never increases
+    the error count).  Every failed
+    submission is diagnosed and recorded in the history, the last one with
+    no action.  ``unresolved`` is a status, not an error.  Without
+    ``fingerprints`` or ``repair_table`` the bundled ones are used, loaded
+    at the first failed submission.
+    """
+    if max_iter < 1:
+        raise ContractViolationError("max_iter must be >= 1")
+
+    script = render_for_spec(spec, t, profile)
+    current_spec = spec
+    current_t = t
+    findings = lint(script, current_spec, profile)
+
+    result = submit(script, current_spec, profile, rules)
+    history: list[HistoryEntry] = []
+    if result.exit_code != 0:
+        agent = _repair or _load_repair()
+        if fingerprints is None:
+            fingerprints = agent.default_fingerprints()
+        if repair_table is None:
+            repair_table = agent.default_repair_table()
+        tried: set[tuple[str | None, tuple[str, str]]] = set()
+        while result.exit_code != 0:
+            diag = agent.diagnose(
+                result, profile, fingerprints, bridge=bridge,
+                script_text=script.text, spec=current_spec,
+            )
+            actions = []
+            # Every entry so far holds an applied repair, so len(history) counts them.
+            if len(history) < max_iter:
+                try:
+                    actions = agent.propose(diag, repair_table)
+                except NoRepairAvailableError:
+                    pass
+            applied = None
+            for action in actions:
+                key = (diag.fingerprint_id, action.signature())
+                if key in tried:
+                    continue
+                tried.add(key)
+                try:
+                    new_script, new_spec, new_t = agent.apply_action(
+                        action, script, current_spec, current_t, profile, template_set
+                    )
+                except LaunchportError:
+                    continue  # unappliable action: skip to the next untried one
+                new_findings = lint(new_script, new_spec, profile)
+                if error_count(new_findings) > error_count(findings):
+                    continue  # it would add lint errors: unappliable too
+                script, current_spec, current_t, findings = (
+                    new_script, new_spec, new_t, new_findings)
+                applied = action
+                break
+            history.append(HistoryEntry(diag, applied, result))
+            if applied is None:
+                break
+            result = submit(script, current_spec, profile, rules)
+
+    return LoopOutcome(
+        final_script=script,
+        history=tuple(history),
+        final_spec=current_spec,
+        final_result=result,
+        lint_findings=tuple(findings),
+    )
 
 
 class Attempt(FrozenRecord):

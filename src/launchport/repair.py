@@ -1,4 +1,4 @@
-"""Failure diagnosis and bounded repair loop.
+"""Failure diagnosis and repair: the error-correction agent.
 
 When a submission fails, the stderr is matched against an ordered set of
 fingerprints (literal substrings or anchored regular expressions).  The
@@ -7,16 +7,14 @@ and selects a fixed, ordered list of typed repair actions from the bundled
 repair table.  Repairs are typed edits, never free-text rewrites: they
 preserve the template structure that makes the generated scripts reliable.
 A remote model bridge, when enabled, may contribute proposals for failures
-no fingerprint covers; its free-text suggestions are parsed into the same
-typed actions or dropped.
+no fingerprint covers; :mod:`launchport.bridge` parses its free-text
+suggestions into the same typed actions or drops them.
 
-:func:`run_loop` submits to the mock cluster (:func:`simcluster.submit`)
-under the caller's fault rules, applies one action per iteration, first
-untried action first, re-lints, and resubmits.  An action already tried for
-the same fingerprint is never retried, which bounds the loop: it halts
-within ``max_iter`` repair iterations for every input.  It has one exit:
-every failed submission is diagnosed and recorded, and the loop returns
-``unresolved`` when the bound is exhausted or no actions remain.
+The bounded verify/debug loop that calls :func:`diagnose`, :func:`propose`
+and :func:`apply_action` is :func:`launchport.pipeline.run_loop`.  It
+imports this module at the first failed submission, and reads the bundled
+fingerprints and repair table then, so a job whose scripts all pass loads
+neither.  ``launchport.repair.run_loop`` still names that function.
 """
 
 from __future__ import annotations
@@ -36,10 +34,10 @@ from .errors import (
     LaunchportError,
     NoRepairAvailableError,
     RuleParseError,
+    UsageError,
 )
 from .intent import JobSpec, check_script_text
-from .lint import Finding, error_count, lint
-from .simcluster import ExecutionResult, FaultRuleSet, submit
+from .simcluster import ExecutionResult
 from .synthesis import RenderedScript, render, render_for_spec
 from .templates import Template, TemplateSet
 # Re-exported, so every diagnosis category can be imported from here.
@@ -56,11 +54,6 @@ from .types import (
     set_frozen,
     valid_port,
 )
-
-STATUS_SUCCESS = "success"
-STATUS_UNRESOLVED = "unresolved"
-
-MAX_ITERATIONS = 5
 
 
 class RepairAction(FrozenRecord):
@@ -197,6 +190,12 @@ _PAYLOAD_FIELDS = {
            for key in keys}
     for kind, keys in REPAIR_PAYLOAD_KEYS.items()
 }
+# The kinds whose payload text apply_action puts into the script as it is:
+# each key of their payloads, with the name a quoting error gives it.
+_VERBATIM_TEXT = {
+    kind: tuple((key, f"{kind} {key}") for key in REPAIR_PAYLOAD_KEYS[kind])
+    for kind in ("export_env", "add_module_load", "pin_version", "prepend_line")
+}
 
 
 def load_fingerprints(source: Path | str) -> FingerprintSet:
@@ -243,6 +242,11 @@ def load_repair_table(source: Path | str) -> RepairTable:
             check_record(entry, _ACTION_FIELDS, f"action for '{fingerprint_id}'", error)
             kind, payload = entry["kind"], entry.get("payload", {})
             check_record(payload, _PAYLOAD_FIELDS[kind], f"{kind} for '{fingerprint_id}'", error)
+            try:
+                for key, name in _VERBATIM_TEXT.get(kind, ()):
+                    check_script_text(name, payload[key])
+            except UsageError as exc:
+                raise error(str(exc)) from exc
             parsed.append(RepairAction(kind, dict(payload), entry.get("rationale", "")))
         table[fingerprint_id] = parsed
     return RepairTable(table)
@@ -313,6 +317,9 @@ def diagnose(
             )
         except BridgeError:
             category, proposals = CATEGORY_UNKNOWN, []
+        # Imported here: only a remote diagnosis needs the proposal grammar.
+        from .bridge import parse_proposals
+
         actions = parse_proposals(proposals)
         if actions and category in CATEGORIES:
             return Diagnosis(
@@ -340,58 +347,6 @@ def _spec_summary(spec: JobSpec | None) -> dict:
         "gpus_per_node": spec.gpus_per_node,
         "entry_script": spec.entry_script,
     }
-
-
-# ---------------------------------------------------------------------------
-# Proposal parsing (free text -> typed actions)
-# ---------------------------------------------------------------------------
-
-_P_EXPORT = re.compile(r"\bexport(?:ing)?\s+\$?([A-Z_][A-Z0-9_]*)")
-_P_MODULE = re.compile(r"\bmodule\s+load\s+([\w./+-]+)", re.I)
-_P_NIGHTLY = re.compile(r"\bnightly\b.*\b(?:pytorch|torch)\b|\b(?:pytorch|torch)\b.*\bnightly\b", re.I | re.S)
-_P_SWITCH = re.compile(r"\bswitch(?:ing)?\s+(?:to\s+)?template\s+([\w-]+)", re.I)
-_P_ADD_ARG = re.compile(r"\badd(?:ing)?\s+(?:the\s+)?arg(?:ument)?s?\s+(.+)", re.I)
-_P_SET = re.compile(r"\bset\s+([\w.]+)\s+to\s+(\S+)", re.I)
-_P_PIN = re.compile(r"\bpin\s+([\w-]+)\s+(?:to\s+)?([\w.+-]+)", re.I)
-
-
-def parse_proposal(text: str) -> RepairAction | None:
-    """Parse one free-text proposal into a typed action, or drop it."""
-    m = _P_MODULE.search(text)
-    if m:
-        return RepairAction("add_module_load", {"module": m.group(1)}, rationale=text.strip())
-    m = _P_EXPORT.search(text)
-    if m:
-        return RepairAction("export_env", {"name": m.group(1)}, rationale=text.strip())
-    m = _P_SWITCH.search(text)
-    if m:
-        return RepairAction("switch_template", {"template_id": m.group(1)}, rationale=text.strip())
-    m = _P_ADD_ARG.search(text)
-    if m:
-        return RepairAction("add_arg", {"args": m.group(1).strip()}, rationale=text.strip())
-    m = _P_SET.search(text)
-    if m:
-        return RepairAction("set_param", {"param": m.group(1), "value": m.group(2)}, rationale=text.strip())
-    m = _P_PIN.search(text)
-    if m:
-        return RepairAction(
-            "pin_version", {"package": m.group(1), "version": m.group(2)}, rationale=text.strip()
-        )
-    if _P_NIGHTLY.search(text):
-        return RepairAction(
-            "pin_version", {"package": "pytorch", "version": "nightly"}, rationale=text.strip()
-        )
-    return None
-
-
-def parse_proposals(proposals: list[str]) -> list[RepairAction]:
-    """Parse proposals in order, silently dropping unparseable ones."""
-    actions = []
-    for text in proposals:
-        action = parse_proposal(text)
-        if action is not None:
-            actions.append(action)
-    return actions
 
 
 def propose(d: Diagnosis, table: RepairTable) -> list[RepairAction]:
@@ -427,23 +382,31 @@ def apply_action(
 
     Script-level edits (exports, module loads, prepends) are text surgery on
     the rendered script; spec-level edits (arguments, parameter values)
-    rebind and re-render so the template structure is preserved.  A
-    spec-level edit that would bring a single quote or a newline into the
-    script cannot be applied (:func:`intent.check_script_text`).
+    rebind and re-render so the template structure is preserved.  An edit
+    that would bring a single quote or a newline into the script cannot be
+    applied (:func:`intent.check_script_text`).
     """
     kind = action.kind
     payload = action.payload
     if kind == "export_env":
         name = payload["name"]
+        check_script_text("export_env name", name)
         text = _inject_into_launch(script.text, f"export {name}=${name}")
         return script.replace(text=text), spec, template
     if kind == "add_module_load":
-        return script.replace(text=f"module load {payload['module']}\n{script.text}"), spec, template
+        module = payload["module"]
+        check_script_text("add_module_load module", module)
+        return script.replace(text=f"module load {module}\n{script.text}"), spec, template
     if kind == "pin_version":
-        line = f"module load {payload['package']}/{payload['version']}"
+        package, version = payload["package"], payload["version"]
+        check_script_text("pin_version package", package)
+        check_script_text("pin_version version", version)
+        line = f"module load {package}/{version}"
         return script.replace(text=f"{line}\n{script.text}"), spec, template
     if kind == "prepend_line":
-        return script.replace(text=f"{payload['line']}\n{script.text}"), spec, template
+        line = payload["line"]
+        check_script_text("prepend_line line", line)
+        return script.replace(text=f"{line}\n{script.text}"), spec, template
     if kind == "add_arg":
         train_args = f"{spec.train_args} {payload['args']}".strip()
         check_script_text("train_args", train_args)
@@ -500,133 +463,10 @@ def _inject_into_launch(text: str, statement: str) -> str:
     return f"{statement}\n{text}"
 
 
-# ---------------------------------------------------------------------------
-# The bounded loop
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    """``run_loop``, read from :mod:`launchport.pipeline`, where the loop lives."""
+    if name == "run_loop":
+        from .pipeline import run_loop
 
-
-class HistoryEntry(FrozenRecord):
-    __slots__ = ("diagnosis", "action", "result")
-
-    def __init__(
-        self, diagnosis: Diagnosis, action: RepairAction | None, result: ExecutionResult,
-    ) -> None:
-        set_frozen(self, "diagnosis", diagnosis)
-        set_frozen(self, "action", action)
-        set_frozen(self, "result", result)
-
-
-class LoopOutcome(FrozenRecord):
-    """How a loop ended; its status and iteration count follow from the rest."""
-
-    __slots__ = ("final_script", "history", "final_spec", "final_result", "lint_findings")
-
-    def __init__(
-        self,
-        final_script: RenderedScript,
-        history: tuple[HistoryEntry, ...],
-        final_spec: JobSpec,
-        final_result: ExecutionResult,
-        lint_findings: tuple[Finding, ...],
-    ) -> None:
-        set_frozen(self, "final_script", final_script)
-        set_frozen(self, "history", history)
-        set_frozen(self, "final_spec", final_spec)
-        set_frozen(self, "final_result", final_result)
-        set_frozen(self, "lint_findings", lint_findings)
-
-    @property
-    def succeeded(self) -> bool:
-        return self.final_result.exit_code == 0
-
-    @property
-    def status(self) -> str:
-        return STATUS_SUCCESS if self.succeeded else STATUS_UNRESOLVED
-
-    @property
-    def iterations_used(self) -> int:
-        """The repairs applied: the history entries that hold an action."""
-        return sum(entry.action is not None for entry in self.history)
-
-
-def run_loop(
-    spec: JobSpec,
-    t: Template,
-    profile: ClusterProfile,
-    rules: FaultRuleSet,
-    max_iter: int = MAX_ITERATIONS,
-    *,
-    fingerprints: FingerprintSet | None = None,
-    repair_table: RepairTable | None = None,
-    bridge: RepairBridge | None = None,
-    template_set: TemplateSet | None = None,
-) -> LoopOutcome:
-    """Submit to the mock cluster under ``rules``; on failure diagnose, repair
-    and resubmit, at most ``max_iter`` times.
-
-    One action is applied per iteration, in first-untried order; an action
-    already tried for the same fingerprint is skipped, and so is one that
-    cannot be applied or that adds lint errors (a repair never increases
-    the error count).  Every failed
-    submission is diagnosed and recorded in the history, the last one with
-    no action.  ``unresolved`` is a status, not an error.  Without
-    ``fingerprints`` or ``repair_table`` the bundled ones are used.
-    """
-    if max_iter < 1:
-        raise ContractViolationError("max_iter must be >= 1")
-    if fingerprints is None:
-        fingerprints = default_fingerprints()
-    if repair_table is None:
-        repair_table = default_repair_table()
-
-    script = render_for_spec(spec, t, profile)
-    current_spec = spec
-    current_t = t
-    findings = lint(script, current_spec, profile)
-
-    result = submit(script, current_spec, profile, rules)
-    history: list[HistoryEntry] = []
-    tried: set[tuple[str | None, tuple[str, str]]] = set()
-
-    while result.exit_code != 0:
-        diag = diagnose(
-            result, profile, fingerprints, bridge=bridge,
-            script_text=script.text, spec=current_spec,
-        )
-        actions = []
-        # Every entry so far holds an applied repair, so len(history) counts them.
-        if len(history) < max_iter:
-            try:
-                actions = propose(diag, repair_table)
-            except NoRepairAvailableError:
-                pass
-        applied = None
-        for action in actions:
-            key = (diag.fingerprint_id, action.signature())
-            if key in tried:
-                continue
-            tried.add(key)
-            try:
-                new_script, new_spec, new_t = apply_action(
-                    action, script, current_spec, current_t, profile, template_set
-                )
-            except LaunchportError:
-                continue  # unappliable action: skip to the next untried one
-            new_findings = lint(new_script, new_spec, profile)
-            if error_count(new_findings) > error_count(findings):
-                continue  # it would add lint errors: unappliable too
-            script, current_spec, current_t, findings = new_script, new_spec, new_t, new_findings
-            applied = action
-            break
-        history.append(HistoryEntry(diag, applied, result))
-        if applied is None:
-            break
-        result = submit(script, current_spec, profile, rules)
-
-    return LoopOutcome(
-        final_script=script,
-        history=tuple(history),
-        final_spec=current_spec,
-        final_result=result,
-        lint_findings=tuple(findings),
-    )
+        return run_loop
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,9 +21,15 @@ import time
 from importlib import resources
 
 from launchport.cli import main as cli_main
-from launchport.intent import RuleBasedExtractor, derive, parse_script
-from launchport.pipeline import render_report, run_pipeline
-from launchport.repair import STATUS_SUCCESS, STATUS_UNRESOLVED, run_loop
+from launchport.intent import derive, parse_script
+from launchport.pipeline import (
+    STATUS_SUCCESS,
+    STATUS_UNRESOLVED,
+    render_report,
+    run_loop,
+    run_pipeline,
+)
+from launchport.prose import RuleBasedExtractor
 from launchport.synthesis import render_for_spec
 from launchport.types import Framework, Strategy
 

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import launchport
-from launchport.bridge import BridgeConfig, RemoteBridge, load_bridge_config
+from launchport.bridge import BridgeConfig, RemoteBridge, load_bridge_config, parse_proposals
 from launchport.errors import (
     BridgeDisabledError,
     BridgeProtocolError,
     BridgeUnavailableError,
 )
-from launchport.intent import PartialJobSpec, RuleBasedExtractor
-from launchport.repair import parse_proposals
+from launchport.intent import PartialJobSpec
+from launchport.prose import RuleBasedExtractor
 from launchport.types import Framework, Launcher, Strategy
 
 from conftest import TABLE_DESCRIPTION

@@ -1,5 +1,6 @@
 """Every function, class and module-level constant in the package has a caller,
-every field of a record has a reader, and a frozen record never changes once built.
+every field of a record has a reader in code that itself has a caller, and a
+frozen record never changes once built.
 
 A definition passes when its name is used somewhere in ``src/launchport``
 outside its own body (for a constant, outside the statement that assigns
@@ -77,25 +78,20 @@ def _documented(*texts: str) -> set[str]:
 
 
 def _exports(sources: dict[str, str]) -> list[str]:
-    """The names ``__init__.py`` lists in ``__all__``."""
+    """The names ``__init__.py`` exports: the keys of ``_HOMES``, which ``__all__`` lists."""
     for node in ast.parse(sources["__init__.py"]).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            isinstance(target, ast.Name) and target.id == "_HOMES" for target in node.targets
         ):
-            return [element.value for element in node.value.elts]
+            return [key.value for key in node.value.keys]
     return []
 
 
-def _uncalled(sources: dict[str, str], documented: set[str] | None = None) -> list[str]:
-    """``"<file>:<line> <name>"`` for each definition nothing else names.
-
-    ``documented`` defaults to the names :func:`_documents` state.
-    """
-    if documented is None:
-        documented = _documented(*_documents())
-    exported_and_documented = set(_exports(sources)) & documented
-    definitions = []  # (name, file, first line, last line)
-    uses = []  # (name, file, line)
+def _scan(sources: dict[str, str]) -> tuple[list[tuple], list[tuple]]:
+    """``(definitions, uses)``: each definition as ``(name, file, first line, last
+    line)``, each use of a name as ``(name, file, line)``."""
+    definitions = []
+    uses = []
     for file, text in sources.items():
         tree = ast.parse(text)
         for node in tree.body:
@@ -113,6 +109,18 @@ def _uncalled(sources: dict[str, str], documented: set[str] | None = None) -> li
                 uses.append((node.id, file, node.lineno))
             elif isinstance(node, ast.Attribute):
                 uses.append((node.attr, file, node.lineno))
+    return definitions, uses
+
+
+def _uncalled(sources: dict[str, str], documented: set[str] | None = None) -> list[str]:
+    """``"<file>:<line> <name>"`` for each definition nothing else names.
+
+    ``documented`` defaults to the names :func:`_documents` state.
+    """
+    if documented is None:
+        documented = _documented(*_documents())
+    exported_and_documented = set(_exports(sources)) & documented
+    definitions, uses = _scan(sources)
     found = []
     for name, where, first, last in definitions:
         if name.startswith("__") or name in exported_and_documented:
@@ -123,6 +131,36 @@ def _uncalled(sources: dict[str, str], documented: set[str] | None = None) -> li
         ):
             found.append(f"{where}:{first} {name}")
     return found
+
+
+def _without_callers(sources: dict[str, str]) -> list[tuple[str, int, int]]:
+    """``(file, first line, last line)`` of each definition that no running code calls.
+
+    These are the names in AWAITING_CALLERS and, followed to a fixpoint, each
+    definition whose every use lies in its own body or in one of these.
+    """
+    exempt = set(_exports(sources)) & _documented(*_documents())
+    definitions, uses = _scan(sources)
+    uses_of = {}
+    for name, file, line in uses:
+        uses_of.setdefault(name, []).append((file, line))
+    dead = [d for d in definitions if d[0] in AWAITING_CALLERS]
+
+    def live_use(file, line, where, first, last):
+        return not (file == where and first <= line <= last) and not any(
+            file == f and a <= line <= b for _, f, a, b in dead)
+
+    while True:
+        found = [
+            (name, where, first, last) for name, where, first, last in definitions
+            if (name, where, first, last) not in dead and not name.startswith("__")
+            and name not in exempt
+            and not any(live_use(file, line, where, first, last)
+                        for file, line in uses_of.get(name, ()))
+        ]
+        if not found:
+            return [(where, first, last) for _, where, first, last in dead]
+        dead.extend(found)
 
 
 def _collisions(sources: dict[str, str]) -> set[str]:
@@ -165,7 +203,7 @@ def test_the_scan_finds_an_undocumented_export():
     sources = _sources()
     sources["types.py"] += "\n\ndef undocumented_helper():\n    return None\n"
     sources["__init__.py"] = sources["__init__.py"].replace(
-        "__all__ = [\n", "__all__ = [\n    \"undocumented_helper\",\n")
+        "_HOMES = {\n", "_HOMES = {\n    \"undocumented_helper\": \"types\",\n")
     assert "undocumented_helper" in _exports(sources)
     assert any(entry.endswith(" undocumented_helper") for entry in _uncalled(sources))
 
@@ -223,6 +261,8 @@ UNREAD_FIELDS = {
                               "set_param effects on it",
     "Fingerprint.regex": "read once, by the constructor, which keeps it compiled in _search",
     "RepairAction.rationale": "free text for a person; the run trace is to report it",
+    "FaultRule.clearable_by": "read only through FaultRuleSet.unresolvable_ids, which the "
+                              "load-time cross-check of the bundles is to call",
 }
 
 
@@ -240,15 +280,19 @@ def _table_mismatches(tables: dict[type, dict]) -> list[str]:
 
 
 def _unread(sources: dict[str, str], records: dict[str, list[str]]) -> list[str]:
-    """``"<record>.<field>"`` for each field that no attribute read in the package names.
+    """``"<record>.<field>"`` for each field that no attribute read in the package
+    names, counting only reads in code that has a caller (:func:`_without_callers`).
 
     A read is credited by its bare name, as the caller scan credits a use.
     A constructor stores its fields through ``set_frozen``, by string, so
     storing a field is never a read of it.
     """
+    uncalled = _without_callers(sources)
     reads = {
-        node.attr for text in sources.values() for node in ast.walk(ast.parse(text))
+        node.attr for file, text in sources.items() for node in ast.walk(ast.parse(text))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and not any(file == where and first <= node.lineno <= last
+                    for where, first, last in uncalled)
     }
     return [f"{record}.{field}" for record, fields in records.items()
             for field in fields if field not in reads]
@@ -288,6 +332,19 @@ def test_the_read_check_finds_a_field_nothing_reads():
     records["ExecutionResult"].append("parsed_topology")
     unread = set(_unread(_sources(), records)) - set(UNREAD_FIELDS)
     assert unread == {"ClusterProfile.module_system", "ExecutionResult.parsed_topology"}
+
+
+def test_the_read_check_credits_no_read_in_code_without_callers():
+    # _read is called only by _read_twice, which nothing calls: neither counts.
+    records = _record_fields()
+    records["ClusterProfile"].append("module_system")
+    sources = _sources()
+    sources["clusters.py"] += (
+        "\n\ndef _read(profile):\n    return profile.module_system\n"
+        "\n\ndef _read_twice(profile):\n    return _read(profile), _read(profile)\n")
+    assert "ClusterProfile.module_system" in _unread(sources, records)
+    sources["clusters.py"] += "\n\ndef __getattr__(name):\n    return _read_twice\n"
+    assert "ClusterProfile.module_system" not in _unread(sources, records)
 
 
 def test_the_read_check_covers_every_record():

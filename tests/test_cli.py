@@ -217,7 +217,7 @@ class TestInputErrors:
             "prose": ("train_args", "--run-name 'vit base'"),
             "flag": ("train_args", "--a 1\nrm -rf ~"),
             "answer": ("deepspeed_config", "it's.json"),
-            "port": ("train_args", "--run-name 'vit base"),
+            "port": ("train_args", "--run-name 'vit base'"),
         }[case]
         for argv in runs:
             code, out, err = run_cli(capsys, *argv, "--non-interactive")
@@ -226,6 +226,14 @@ class TestInputErrors:
                 f"error: {field} may not hold a single quote or a newline, which would break "
                 f"the quoted launch command; use double quotes, on one line (got {value!r})\n"
             )
+
+    def test_a_port_keeps_double_quoted_arguments_whole(self, capsys, tmp_path):
+        script = tmp_path / "job.sh"
+        script.write_text(PERLMUTTER_COMMAND.replace(" ...'", ' --run-name "vit base"\''), "utf-8")
+        code, out, err = run_cli(capsys, "port", str(script), "--to", "perlmutter",
+                                 "--non-interactive")
+        assert (code, err) == (0, "")
+        assert out.endswith(""" run_image_classification.py --run-name "vit base"'\n""")
 
     def test_double_quoted_arguments_reach_the_script(self, capsys):
         code, out, err = run_cli(
@@ -553,6 +561,102 @@ class TestTemplatesCommand:
         assert repo.read_bytes() == before
 
 
+_MAIN_HELP = """\
+usage: launchport [-h] [--version] {generate,port,templates,clusters} ...
+
+Generate, verify, and repair distributed DL launch scripts.
+
+positional arguments:
+  {generate,port,templates,clusters}
+    generate            generate a verified launch script
+    port                port an existing launch script to another cluster
+    templates           inspect or extend the template repository
+    clusters            inspect or extend the cluster registry
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+_GENERATE_HELP = """\
+usage: launchport generate [-h] [--cluster CLUSTER]
+                           [--framework {pytorch,deepspeed,accelerate}]
+                           [--strategy {ddp,fsdp,zero3,acc-ddp}]
+                           [--nodes NODES] [--gpus-per-node GPUS_PER_NODE]
+                           [--total-gpus TOTAL_GPUS] [--port MASTER_PORT]
+                           [--entry ENTRY_SCRIPT] [--args TRAIN_ARGS]
+                           [--answers ANSWERS] [--report]
+                           [--profiles PROFILES] [--templates TEMPLATES]
+                           [--rules RULES] [--bridge-config BRIDGE_CONFIG]
+                           [--candidates K] [--non-interactive]
+                           [description]
+
+positional arguments:
+  description           job description in plain words
+
+options:
+  -h, --help            show this help message and exit
+  --cluster CLUSTER
+  --framework {pytorch,deepspeed,accelerate}
+  --strategy {ddp,fsdp,zero3,acc-ddp}
+  --nodes NODES
+  --gpus-per-node GPUS_PER_NODE
+  --total-gpus TOTAL_GPUS
+  --port MASTER_PORT
+  --entry ENTRY_SCRIPT
+  --args TRAIN_ARGS
+  --answers ANSWERS     field=value pairs, comma separated
+  --report              print the full verification report
+  --profiles PROFILES   cluster profile document
+  --templates TEMPLATES
+                        template repository document
+  --rules RULES         fault rule document
+  --bridge-config BRIDGE_CONFIG
+  --candidates K        how many ranked templates to try (default 3)
+  --non-interactive
+"""
+
+_TEMPLATES_HELP = """\
+usage: launchport templates [-h] {list,validate,add} ...
+
+positional arguments:
+  {list,validate,add}
+    list               list templates
+    validate           validate a repository document
+    add                add templates to a repository document
+
+options:
+  -h, --help           show this help message and exit
+"""
+
+# (argv, exit code, stdout, stderr) at a fixed terminal width of 80 columns.
+HELP_AND_USAGE = {
+    "help": (["--help"], 0, _MAIN_HELP, ""),
+    "no-command": ([], 1, _MAIN_HELP, ""),
+    "generate-help": (["generate", "--help"], 0, _GENERATE_HELP, ""),
+    "templates-help": (["templates", "--help"], 0, _TEMPLATES_HELP, ""),
+    "unknown-command": (["bogus"], 1, "", (
+        "error: argument command: invalid choice: 'bogus' (choose from 'generate', 'port', "
+        "'templates', 'clusters') (see 'launchport --help')\n")),
+    "bad-flag-value": (["generate", "--nodes", "x"], 1, "",
+                       "error: argument --nodes: invalid int value: 'x' "
+                       "(see 'launchport generate --help')\n"),
+}
+
+
+@pytest.mark.parametrize("case", HELP_AND_USAGE, ids=list(HELP_AND_USAGE))
+def test_help_and_usage_bytes(capsys, monkeypatch, case):
+    argv, exit_code, out, err = HELP_AND_USAGE[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["launchport", *argv])
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse exits after printing help
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (exit_code, out, err)
+
+
 def test_no_command_prints_help_and_exits_1(capsys):
     code, out, err = run_cli(capsys)
     assert code == 1
@@ -858,29 +962,39 @@ class TestPrompting:
         assert (filled.framework, filled.strategy) == (Framework.ACCELERATE, Strategy.DDP)
 
 
-# Modules a cold `generate` or `port` must not load: the first two cost ~13 ms
-# of a cold start; the bridge is loaded only for --bridge-config; bundled
-# documents are read with open(), without importlib.resources and what it
-# pulls in.
-NOT_AT_COLD_START = ("dataclasses", "inspect", "launchport.bridge",
-                     "importlib.resources", "zipfile", "tempfile")
+# Modules a cold command must not load: the first two cost ~13 ms of a cold
+# start; bundled documents are read with open(), without importlib.resources
+# and what it pulls in.
+NOT_AT_COLD_START = ("dataclasses", "inspect", "importlib.resources", "zipfile", "tempfile")
+# Modules a cold command loads only when its job reaches them: the extractor
+# for a description, the error-correction agent at the first failed
+# submission, the bridge for --bridge-config and the registry commands for
+# templates and clusters.
+ON_DEMAND = ("launchport.prose", "launchport.repair", "launchport.bridge",
+             "launchport.registry")
 
 
 def test_cold_generate_loads_no_dataclasses_inspect_or_bridge(tmp_path):
-    """A fresh interpreter's `generate`, or `port` to a capacity error, adds
-    none of NOT_AT_COLD_START, with the site and without it (``-S``).
+    """A fresh interpreter's command adds none of NOT_AT_COLD_START, and of
+    ON_DEMAND only what its job reaches, with the site and without it (``-S``).
 
     Modules are counted against a bare interpreter's, so what the site
     preloads is not charged to launchport; the ``-S`` run sees what a site
     that preloads a module would hide.
     """
     show = "print(' '.join(sorted(sys.modules)))"
-    generate = ["generate", "--cluster", "delta", "--framework", "pytorch", "--strategy", "ddp",
-                "--nodes", "2", "--gpus-per-node", "4", "--entry", "train.py",
-                "--non-interactive"]
+    job = ["--framework", "pytorch", "--strategy", "ddp", "--nodes", "2", "--gpus-per-node", "4",
+           "--entry", "train.py", "--non-interactive"]
     script = tmp_path / "job.sh"
     script.write_text("mpiexec -n 16 python -u train.py\n", "utf-8")
-    port = ["port", str(script), "--to", "delta", "--non-interactive"]
+    cases = [  # (argv, exit code, what of ON_DEMAND it loads)
+        (["generate", "--cluster", "delta", *job], 0, []),
+        (["port", str(script), "--to", "delta", "--non-interactive"], 1, []),  # capacity error
+        (["generate", "train it on Delta", *job], 0, ["launchport.prose"]),
+        # ENV_NOT_PROPAGATED fails the first submission; export_env clears it.
+        (["generate", "--cluster", "deltaai", *job], 0, ["launchport.repair"]),
+        (["templates", "list"], 0, ["launchport.registry"]),
+    ]
     env = dict(os.environ, PYTHONPATH=str(Path(launchport.__file__).resolve().parents[1]))
 
     def loaded(flags: list[str], code: str) -> set[str]:
@@ -890,8 +1004,23 @@ def test_cold_generate_loads_no_dataclasses_inspect_or_bridge(tmp_path):
 
     for flags in ([], ["-S"]):
         bare = loaded(flags, f"import sys; {show}")
-        for argv, exit_code in ((generate, 0), (port, 1)):
+        for argv, exit_code, reached in cases:
             cold = loaded(flags, f"import sys, launchport.cli; code = launchport.cli.main({argv!r}); "
-                          f"assert code == {exit_code}, code; {show}")
+                          f"assert code == {exit_code}, code; {show}") - bare
             assert "launchport.pipeline" in cold
-            assert sorted(set(NOT_AT_COLD_START) & (cold - bare)) == [], (flags, argv[0])
+            assert sorted(set(NOT_AT_COLD_START) & cold) == [], (flags, argv)
+            assert sorted(set(ON_DEMAND) & cold) == reached, (flags, argv)
+
+
+def test_the_names_the_bench_tracer_wraps_are_their_homes():
+    # perfbench/tracing.py wraps intent.extract, intent.RuleBasedExtractor and
+    # repair.run_loop; each module reads the name from where it now lives.
+    from launchport import intent, pipeline, prose, repair
+
+    assert intent.extract is prose.extract
+    assert intent.RuleBasedExtractor is prose.RuleBasedExtractor
+    assert repair.run_loop is pipeline.run_loop
+    assert launchport.run_loop is pipeline.run_loop
+    for module in (launchport, intent, repair):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            module.no_such_name

@@ -2,7 +2,7 @@
 
 import pytest
 
-from launchport import clusters, intent, repair, simcluster, templates
+from launchport import clusters, prose, repair, simcluster, templates
 
 LOADERS = (
     clusters.default_profiles,
@@ -20,13 +20,13 @@ def test_default_bundle_is_shared(loader):
 
 def test_extract_reuses_one_default_extractor(monkeypatch):
     built = []
-    init = intent.RuleBasedExtractor.__init__
+    init = prose.RuleBasedExtractor.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(intent.RuleBasedExtractor, "__init__", counting_init)
-    intent.extract("train on 2 nodes on Perlmutter")
-    intent.extract("train on 4 nodes on Polaris")
+    monkeypatch.setattr(prose.RuleBasedExtractor, "__init__", counting_init)
+    prose.extract("train on 2 nodes on Perlmutter")
+    prose.extract("train on 4 nodes on Polaris")
     assert len(built) <= 1

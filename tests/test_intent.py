@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, strategies as st
 
-from launchport import intent
+from launchport import intent, prose
 from launchport.clusters import default_profiles
 from launchport.errors import (
     CapacityError,
@@ -14,17 +14,15 @@ from launchport.errors import (
     InconsistentTopologyError,
 )
 from launchport.intent import (
-    NUMBER_WORDS,
     JobSpec,
     PartialJobSpec,
-    RuleBasedExtractor,
     derive,
-    extract,
     finalize,
     missing_fields,
     parse_script,
     script_topology,
 )
+from launchport.prose import NUMBER_WORDS, RuleBasedExtractor, extract
 from launchport.types import Framework, Launcher, Strategy
 
 from conftest import PERLMUTTER_COMMAND, POLARIS_COMMAND, TABLE_DESCRIPTION
@@ -393,7 +391,7 @@ def test_first_letter_classes_admit_every_re_i_match():
         if ascii_letter.match(char):
             letter = next(x for x in string.ascii_lowercase if re.match(x, char, re.I))
             folds[letter] = folds.get(letter, "") + char
-    assert folds == intent._FOLDS
+    assert folds == prose._FOLDS
 
 
 class TestReferenceEquivalence:
@@ -756,6 +754,19 @@ class TestParseScript:
     def test_trailing_args_recovered(self):
         p = parse_script(PERLMUTTER_COMMAND)
         assert p.train_args == "..."
+
+    @pytest.mark.parametrize("script, args", [
+        ("""srun -N 2 bash -c 'torchrun --nnodes=2 train.py --run-name "vit base"'""",
+         '--run-name "vit base"'),
+        ("srun -N 2 bash -c 'torchrun --nnodes=2 train.py'", ""),
+        ('srun -N 2 bash -c "torchrun --nnodes=2 train.py --epochs 3"', "--epochs 3"),
+        ('mpiexec -n 8 -ppn 4 python -u "train.py" --epochs 3', "--epochs 3"),
+        ("torchrun --nnodes 2 train.py --run-name 'vit base'", "--run-name 'vit base'"),
+    ], ids=["balanced-double-quotes", "payload-only", "double-quoted-payload",
+            "quoted-entry", "no-payload"])
+    def test_only_the_shell_quoting_leaves_the_arguments(self, script, args):
+        # Old reading: every quote off both ends, so '--run-name "vit base'.
+        assert parse_script(script).train_args == args
 
     @pytest.mark.parametrize("letter", ["\u0130", "I", "\u0131", "\u212a", "\u017f"])
     def test_mpiexec_counts_after_case_variant_letters(self, letter):

@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from launchport.bridge import load_bridge_config
+from launchport.bridge import load_bridge_config, parse_proposal
 from launchport.clusters import _PROFILE_FIELDS, load_profiles
 from launchport.documents import bundled
 from launchport.errors import (
@@ -25,7 +25,6 @@ from launchport.repair import (
     _PATTERN_FIELDS,
     load_fingerprints,
     load_repair_table,
-    parse_proposal,
 )
 from launchport.simcluster import _RULE_FIELDS, _TRIGGER_FIELDS, load_fault_rules
 from launchport.templates import _PARAM_FIELDS, _TEMPLATE_FIELDS, load_repository

@@ -61,8 +61,8 @@ SIGNATURES = {
     "repair.Fingerprint": (
         ("id", REQUIRED), ("category", REQUIRED), ("literal", None), ("regex", None),
         ("explanation", "")),
-    "repair.HistoryEntry": (("diagnosis", REQUIRED), ("action", REQUIRED), ("result", REQUIRED)),
-    "repair.LoopOutcome": (
+    "pipeline.HistoryEntry": (("diagnosis", REQUIRED), ("action", REQUIRED), ("result", REQUIRED)),
+    "pipeline.LoopOutcome": (
         ("final_script", REQUIRED), ("history", REQUIRED), ("final_spec", REQUIRED),
         ("final_result", REQUIRED), ("lint_findings", REQUIRED)),
     "retrieval.RankedCandidate": (
@@ -115,8 +115,8 @@ def _samples() -> dict[str, tuple]:
         "repair.RepairAction": ("export_env", {"name": "PYTHONPATH"}, "why"),
         "repair.Diagnosis": ("env", "ENV_NOT_PROPAGATED", "cause", (action,)),
         "repair.Fingerprint": ("ENV_NOT_PROPAGATED", "env", "No module", None, "cause"),
-        "repair.HistoryEntry": (diagnosis, action, result),
-        "repair.LoopOutcome": (script, (), spec, result, ()),
+        "pipeline.HistoryEntry": (diagnosis, action, result),
+        "pipeline.LoopOutcome": (script, (), spec, result, ()),
         "retrieval.RankedCandidate": ("delta-ddp", 1.0, {"cluster": 0.3}, True),
         "pipeline.Attempt": (candidate, None, "skipped"),
         "pipeline.PipelineResult": (spec, (candidate,), ()),
@@ -133,8 +133,8 @@ def _samples() -> dict[str, tuple]:
         "simcluster.FaultRule": "OTHER", "simcluster.ExecutionResult": 0,
         "repair.RepairAction": "add_arg", "repair.Diagnosis": "user",
         "repair.Fingerprint": "OTHER",
-        "repair.HistoryEntry": _class("repair.Diagnosis")("user", None, "cause"),
-        "repair.LoopOutcome": _class("synthesis.RenderedScript")(
+        "pipeline.HistoryEntry": _class("repair.Diagnosis")("user", None, "cause"),
+        "pipeline.LoopOutcome": _class("synthesis.RenderedScript")(
             "srun -N 3 train.py", "delta-ddp", {"nodes": 3}),
         "retrieval.RankedCandidate": "delta-fsdp",
         "pipeline.Attempt": _class("retrieval.RankedCandidate")("delta-fsdp", 0.5, {}, False),
@@ -214,7 +214,7 @@ def test_replace_and_copy_build_through_the_constructor(name):
 
 
 def test_records_pickle():
-    for name in ("intent.JobSpec", "intent.PartialJobSpec", "repair.LoopOutcome"):
+    for name in ("intent.JobSpec", "intent.PartialJobSpec", "pipeline.LoopOutcome"):
         record = _class(name)(*SAMPLES[name][0])
         assert pickle.loads(pickle.dumps(record)) == record
 

@@ -8,9 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from launchport import intent, repair
+from launchport import intent, pipeline, repair
 from launchport.documents import bundled
-from launchport.bridge import BridgeConfig, RemoteBridge
+from launchport.bridge import BridgeConfig, RemoteBridge, parse_proposal, parse_proposals
 from launchport.errors import (
     BridgeProtocolError,
     BridgeUnavailableError,
@@ -18,25 +18,26 @@ from launchport.errors import (
     LaunchportError,
     NoRepairAvailableError,
     RuleParseError,
+    UsageError,
 )
 from launchport.lint import error_count, lint
-from launchport.pipeline import run_pipeline
+from launchport.pipeline import (
+    MAX_ITERATIONS,
+    STATUS_SUCCESS,
+    STATUS_UNRESOLVED,
+    run_loop,
+    run_pipeline,
+)
 from launchport.repair import (
     CATEGORY_ENV,
     CATEGORY_FRAMEWORK,
     CATEGORY_UNKNOWN,
-    MAX_ITERATIONS,
-    STATUS_SUCCESS,
-    STATUS_UNRESOLVED,
     RepairAction,
     apply_action,
     diagnose,
     load_fingerprints,
     load_repair_table,
-    parse_proposal,
-    parse_proposals,
     propose,
-    run_loop,
 )
 from launchport.simcluster import ExecutionResult, load_fault_rules, submit
 from launchport.synthesis import RenderedScript, render_for_spec
@@ -101,6 +102,50 @@ def test_each_payload_key_is_required_at_load(kind):
         short = {k: v for k, v in payload.items() if k != key}
         with pytest.raises(RuleParseError, match=f"^{kind} for 'fp' lacks '{key}'"):
             load_repair_table(json.dumps({"fp": [{"kind": kind, "payload": short}]}))
+
+
+# The kinds whose payload text goes into the script as it is, each with a
+# payload that passes the quoting rule.
+_VERBATIM_PAYLOADS = {
+    "export_env": {"name": "PYTHONPATH"},
+    "add_module_load": {"module": "gcc/13.2.0"},
+    "pin_version": {"package": "pytorch", "version": "2.4"},
+    "prepend_line": {"line": "ulimit -n 4096"},
+}
+_QUOTING_BREAKERS = [(kind, key, text)
+                     for kind in _VERBATIM_PAYLOADS for key in REPAIR_PAYLOAD_KEYS[kind]
+                     for text in ("A'B", "A\nB")]
+_QUOTING_IDS = [f"{kind}-{key}-{'newline' if chr(10) in text else 'quote'}"
+                for kind, key, text in _QUOTING_BREAKERS]
+
+
+def _quoting_message(kind, key, text):
+    return (f"{kind} {key} may not hold a single quote or a newline, which would break the "
+            f"quoted launch command; use double quotes, on one line (got {text!r})")
+
+
+@pytest.mark.parametrize("kind, key, text", _QUOTING_BREAKERS, ids=_QUOTING_IDS)
+def test_a_verbatim_payload_that_breaks_the_quoting_is_refused_at_load(kind, key, text):
+    good = {"kind": kind, "payload": _VERBATIM_PAYLOADS[kind]}
+    bad = {"kind": kind, "payload": {**_VERBATIM_PAYLOADS[kind], key: text}}
+    with pytest.raises(RuleParseError) as exc:
+        load_repair_table(json.dumps({"F": [good, bad]}))
+    assert exc.value.index == 1
+    assert str(exc.value) == f"{_quoting_message(kind, key, text)} (rule index 1)"
+
+
+@pytest.mark.parametrize("kind, key, text", _QUOTING_BREAKERS, ids=_QUOTING_IDS)
+def test_a_hand_built_verbatim_action_that_breaks_the_quoting_cannot_be_applied(
+        profiles, templates, kind, key, text):
+    # Applied as it is, export_env would print bash -c 'export A'B=$A'B; ...'.
+    profile = profiles.resolve("deltaai")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    template = templates.get("deltaai-ddp")
+    script = render_for_spec(spec, template, profile)
+    action = RepairAction(kind, {**_VERBATIM_PAYLOADS[kind], key: text})
+    with pytest.raises(UsageError) as exc:
+        apply_action(action, script, spec, template, profile)
+    assert str(exc.value) == _quoting_message(kind, key, text)
 
 
 _JSON_VALUES = st.recursive(
@@ -516,6 +561,21 @@ class TestRunLoop:
         assert [e.action.kind for e in outcome.history] == ["export_env"]
         assert outcome.final_spec == spec
 
+    @pytest.mark.parametrize("kind", sorted(_VERBATIM_PAYLOADS))
+    def test_a_hand_built_action_that_breaks_the_quoting_is_skipped(
+            self, profiles, templates, fault_rules, kind):
+        key = REPAIR_PAYLOAD_KEYS[kind][0]
+        good = RepairAction("export_env", {"name": "PYTHONPATH"})
+        table = repair.RepairTable({"ENV_NOT_PROPAGATED": [
+            RepairAction(kind, {**_VERBATIM_PAYLOADS[kind], key: "A'B"}), good]})
+        profile = profiles.resolve("deltaai")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        outcome = run_loop(spec, templates.get("deltaai-ddp"), profile, fault_rules,
+                           repair_table=table)
+        assert outcome.status == STATUS_SUCCESS
+        assert [e.action for e in outcome.history] == [good]
+        assert "A'B" not in outcome.final_script.text
+
     def test_invalid_max_iter_rejected(self, profiles, templates, fault_rules):
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
@@ -568,8 +628,8 @@ def test_loop_halts_within_bound_for_drawn_rule_sets(
         last_applicable[0] = action
         return result
 
-    real_submit, real_apply = repair.submit, repair.apply_action
-    with mock.patch.object(repair, "submit", recording_submit), \
+    real_submit, real_apply = pipeline.submit, repair.apply_action
+    with mock.patch.object(pipeline, "submit", recording_submit), \
             mock.patch.object(repair, "apply_action", recording_apply):
         outcome = run_loop(
             spec, first_bindable(spec, templates), profile, rules, max_iter,

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from launchport.errors import ContractViolationError, PolicyViolationError, UnboundParameterError
-from launchport.intent import extract, finalize
+from launchport.intent import finalize
+from launchport.prose import extract
 from launchport.synthesis import (
     RenderedScript, bind, render, render_for_spec, wrap_batch,
 )
