@@ -18,22 +18,24 @@ the session is interactive; ``--answers field=value,...`` supplies them for
 scripted use, and ``--non-interactive`` turns prompting into a hard error
 instead of blocking.
 
-One invocation builds only the parser of the command it names and loads
-only the agents its job reaches: the free-text extractor
-(:mod:`launchport.prose`) when a description is given, the error-correction
-agent (:mod:`launchport.repair`) at the first failed submission, the bridge
-for ``--bridge-config`` and :mod:`launchport.registry` for ``templates`` and
-``clusters``.
+The options of ``generate`` and ``port`` are declared once, in
+:data:`JOB_COMMANDS`.  :func:`read_job_args` reads a well-formed command line
+against that table without argparse; anything else (``--help``, no command,
+a mistake, ``templates`` or ``clusters``) goes to the argparse parser that
+:mod:`launchport.registry` builds from the same table, so argparse owns every
+help text, usage line and error.  One invocation also loads only the agents
+its job reaches: the free-text extractor (:mod:`launchport.prose`) when a
+description is given, the error-correction agent (:mod:`launchport.repair`)
+at the first failed submission and the bridge for ``--bridge-config``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import __version__
 from .clusters import ProfileSet, default_profiles, load_profiles
 from .documents import read_text
 from .errors import BridgeError, IncompleteSpecError, LaunchportError, UsageError
@@ -57,7 +59,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRESOLVED = 2
 
-_STRATEGY_CHOICES = [s.value for s in Strategy] + list(STRATEGY_SHORTHANDS)
+_STRATEGY_CHOICES = (*(s.value for s in Strategy), *STRATEGY_SHORTHANDS)
 
 _PROMPTS = {
     "cluster": "Target cluster",
@@ -67,6 +69,32 @@ _PROMPTS = {
     "gpus_per_node": "GPUs per node",
     "entry_script": "Training script",
 }
+
+# The options of ``generate`` and ``port``, in the order their --help lists
+# them: (flag, dest, kind, default, help).  A kind is str, int, bool (a
+# switch) or the tuple of choices.  JOB_COMMANDS adds each command's own
+# arguments; there a name without dashes is the positional and a default of
+# ``...`` marks a required argument.
+_JOB_OPTIONS = (
+    ("--cluster", "cluster", str, None, None),
+    ("--framework", "framework", tuple(f.value for f in Framework), None, None),
+    ("--strategy", "strategy", _STRATEGY_CHOICES, None, None),
+    ("--nodes", "nodes", int, None, None),
+    ("--gpus-per-node", "gpus_per_node", int, None, None),
+    ("--total-gpus", "total_gpus", int, None, None),
+    ("--port", "master_port", int, None, None),
+    ("--entry", "entry_script", str, None, None),
+    ("--args", "train_args", str, None, None),
+    ("--answers", "answers", str, "", "field=value pairs, comma separated"),
+    ("--report", "report", bool, False, "print the full verification report"),
+    ("--profiles", "profiles", str, None, "cluster profile document"),
+    ("--templates", "templates", str, None, "template repository document"),
+    ("--rules", "rules", str, None, "fault rule document"),
+    ("--bridge-config", "bridge_config", str, None, None),
+    ("--candidates", "k", int, DEFAULT_CANDIDATES_TRIED,
+     f"how many ranked templates to try (default {DEFAULT_CANDIDATES_TRIED})"),
+    ("--non-interactive", "non_interactive", bool, False, None),
+)
 
 
 class CliSession(Record):
@@ -99,102 +127,79 @@ class CliSession(Record):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_help()
-            return EXIT_USAGE
+        args = read_job_args(argv)
+        if args is None:
+            # Imported here: a well-formed generate or port never loads argparse.
+            from .registry import build_parser
+
+            parser = build_parser(argv[0] if argv else None)
+            args = parser.parse_args(argv)
+            if args.command is None:
+                parser.print_help()
+                return EXIT_USAGE
         return args.func(args)
     except (LaunchportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose mistakes raise :class:`UsageError`.
+def read_job_args(argv: list[str]) -> SimpleNamespace | None:
+    """A ``generate`` or ``port`` command line read against :data:`JOB_COMMANDS`.
 
-    argparse would exit with code 2, which here means "unresolved".
-    Subcommand parsers are built from this class too.
+    Returns the namespace argparse's parser would, or ``None`` for anything
+    it does not read exactly: a command other than these two, ``-h``, an
+    unknown or abbreviated option, ``--``, a switch given ``=``, a value
+    after its flag that starts with ``-``, a value ``int()`` or the choices
+    refuse, a second positional or a missing required argument.  argparse
+    reads those, so it owns every help text, usage line and error.
     """
-
-    def error(self, message: str):
-        raise UsageError(f"{message} (see '{self.prog} --help')")
-
-
-# Each command and its one-line help, in the order --help lists them.
-_COMMANDS = {
-    "generate": "generate a verified launch script",
-    "port": "port an existing launch script to another cluster",
-    "templates": "inspect or extend the template repository",
-    "clusters": "inspect or extend the cluster registry",
-}
-
-
-def _build_parser(first: str | None) -> argparse.ArgumentParser:
-    """The parser, with the subparser of the command ``first`` names.
-
-    When ``first`` names no command (``--help``, no arguments, a mistyped
-    command) every subparser is built, so help and errors list them all.
-    """
-    parser = _Parser(
-        prog="launchport",
-        description="Generate, verify, and repair distributed DL launch scripts.",
-    )
-    parser.add_argument("--version", action="version", version=f"launchport {__version__}")
-    sub = parser.add_subparsers(dest="command")
-    parser.set_defaults(command=None)
-    for name, help_line in _COMMANDS.items():
-        if first in _COMMANDS and name != first:
-            continue
-        command = sub.add_parser(name, help=help_line)
-        if name in ("generate", "port"):
-            _add_job_arguments(name, command)
+    command = argv[0] if argv else None
+    if command not in JOB_COMMANDS:
+        return None
+    func, arguments = JOB_COMMANDS[command]
+    values: dict[str, object] = {"command": command, "func": func}
+    options = {}
+    positional = None
+    for name, dest, kind, default, _ in arguments:
+        if name.startswith("-"):
+            options[name] = dest, kind
         else:
-            # Imported here: generate and port never load the registry commands.
-            from . import registry
-
-            registry.add_actions(name, command)
-    return parser
-
-
-def _add_job_arguments(name: str, parser: argparse.ArgumentParser) -> None:
-    """The arguments of ``generate`` or ``port``."""
-    if name == "generate":
-        parser.add_argument("description", nargs="?", default="",
-                            help="job description in plain words")
-        parser.set_defaults(func=cmd_generate)
-    else:
-        parser.add_argument("script", help="path to the working script")
-        parser.add_argument("--to", required=True, dest="to_cluster", help="target cluster name")
-        parser.set_defaults(func=cmd_port)
-    _add_spec_flags(parser)
-    _add_config_flags(parser)
-
-
-def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cluster")
-    parser.add_argument("--framework", choices=[f.value for f in Framework])
-    parser.add_argument("--strategy", choices=_STRATEGY_CHOICES)
-    parser.add_argument("--nodes", type=int)
-    parser.add_argument("--gpus-per-node", type=int, dest="gpus_per_node")
-    parser.add_argument("--total-gpus", type=int, dest="total_gpus")
-    parser.add_argument("--port", type=int, dest="master_port")
-    parser.add_argument("--entry", dest="entry_script")
-    parser.add_argument("--args", dest="train_args")
-    parser.add_argument("--answers", default="", help="field=value pairs, comma separated")
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--report", action="store_true", help="print the full verification report")
-    parser.add_argument("--profiles", default=None, help="cluster profile document")
-    parser.add_argument("--templates", default=None, help="template repository document")
-    parser.add_argument("--rules", default=None, help="fault rule document")
-    parser.add_argument("--bridge-config", default=None, dest="bridge_config")
-    parser.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES_TRIED, dest="k",
-                        help="how many ranked templates to try "
-                             f"(default {DEFAULT_CANDIDATES_TRIED})")
-    parser.add_argument("--non-interactive", action="store_true", dest="non_interactive")
+            positional = dest
+        if default is not ...:
+            values[dest] = default
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if positional is None:
+                return None
+            values[positional] = arg
+            positional = None
+            continue
+        flag, explicit, value = arg.partition("=")
+        if flag not in options:
+            return None
+        dest, kind = options[flag]
+        if kind is bool:
+            if explicit:
+                return None
+            values[dest] = True
+            continue
+        if not explicit:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if any(dest not in values for _, dest, *_ in arguments):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _session(args) -> CliSession:
@@ -338,6 +343,20 @@ def cmd_port(args) -> int:
     parsed = parsed.merged_with(overrides)
     parsed = _fill_missing(parsed, session)
     return _run(finalize(parsed, target), target, session)
+
+
+# Each job command: the function that runs it and its arguments.
+JOB_COMMANDS = {
+    "generate": (cmd_generate, (
+        ("description", "description", str, "", "job description in plain words"),
+        *_JOB_OPTIONS,
+    )),
+    "port": (cmd_port, (
+        ("script", "script", str, ..., "path to the working script"),
+        ("--to", "to_cluster", str, ..., "target cluster name"),
+        *_JOB_OPTIONS,
+    )),
+}
 
 
 def _run(spec, profile, session: CliSession) -> int:

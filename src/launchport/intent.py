@@ -256,7 +256,14 @@ def missing_fields(p: PartialJobSpec) -> list[str]:
 
 
 def _missing(d: PartialJobSpec) -> list[str]:
-    """The required fields a derived spec lacks, in stable order."""
+    """The required fields a derived spec lacks, in stable order.
+
+    Raises :class:`InconsistentTopologyError` when a total GPU count does not
+    split into the stated per-node count, which no node count could mend.
+    """
+    if d.nodes is None and d.total_gpus is not None and d.gpus_per_node is not None:
+        raise InconsistentTopologyError(
+            f"{d.total_gpus} total GPUs cannot be split into {d.gpus_per_node} per node")
     missing = []
     for name in REQUIRED_FIELDS:
         if name == "gpus_per_node":
@@ -280,7 +287,8 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
     """Validate and complete a partial spec against a cluster profile.
 
     Raises :class:`IncompleteSpecError` when required fields are missing,
-    :class:`UsageError` when a text field breaks :func:`check_script_text`,
+    :class:`UsageError` when a text field breaks :func:`check_script_text`
+    or the entry script holds whitespace,
     :class:`InconsistentTopologyError` when counts contradict each other or
     the job spans more than :data:`MAX_NODES` nodes, and
     :class:`CapacityError` when the per-node GPU count exceeds the profile;
@@ -293,6 +301,10 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
         raise IncompleteSpecError(missing)
     for name in ("entry_script", "train_args", "deepspeed_config"):
         check_script_text(name, getattr(d, name))
+    entry = d.entry_script
+    if entry.split() != [entry]:  # type: ignore[union-attr]
+        raise UsageError(f"entry_script may not hold whitespace, which would split the launch "
+                         f"command in two; rename the file or its folder (got {entry!r})")
 
     if d.total_gpus is not None and d.nodes is not None:
         if d.total_gpus % d.nodes != 0:
@@ -358,9 +370,6 @@ _PY = r"[\w./-]+\.py"
 # The three flags that set a rendezvous port: torchrun's, accelerate's and
 # the environment variable mpiexec and srun pass on.
 _PORT_FLAGS = (r"--master[-_]port", r"--main[-_]process[-_]port", "MASTER_PORT")
-_RE_TORCH_PORT, _RE_MAIN_PORT, _RE_GENV_PORT = (
-    re.compile(flag + r"[=\s]+(\d+)") for flag in _PORT_FLAGS
-)
 # Any of the three flags and its digits (group 1), for every port a script states.
 PORT_FLAG_RE = re.compile("(?:" + "|".join(_PORT_FLAGS) + r")[=\s]+(\d+)")
 
@@ -378,17 +387,30 @@ _RE_MPI_PPN = re.compile(r"(?<![\w-])-ppn[=\s]+(\d+)")
 # tests: re.I alone also matches "İ", "ı", "K" and "ſ" to ASCII letters.
 _RE_MPIEXEC = re.compile("mpiexec", re.I | re.A)
 _RE_MPIRUN = re.compile("mpirun", re.I | re.A)
-_RE_TRAILING_JSON = re.compile(r"([\w./-]+\.json)\s*'?\s*$")
-_ANY_PY = re.compile(r"(?<![\w/.-])(" + _PY + r")\b")
 
-# The port flags each launcher reads, in order; the first valid port wins.
-_PORT_PATTERNS = {
-    Launcher.TORCHRUN: (_RE_TORCH_PORT, _RE_GENV_PORT),
-    Launcher.DEEPSPEED: (_RE_TORCH_PORT, _RE_GENV_PORT),
-    Launcher.ACCELERATE: (_RE_MAIN_PORT, _RE_GENV_PORT, _RE_TORCH_PORT),
-    Launcher.MPIEXEC: (_RE_GENV_PORT, _RE_TORCH_PORT),
-    Launcher.SRUN: (_RE_GENV_PORT, _RE_TORCH_PORT),
-}
+# parse_script's own patterns once its first call has compiled them: the port
+# patterns of each launcher, the entry script and a trailing DeepSpeed config.
+_script_patterns = None
+
+
+def _compile_script_patterns():
+    """Compile the patterns only :func:`parse_script` reads; keep them in ``_script_patterns``."""
+    global _script_patterns
+    torch_port, main_port, genv_port = (re.compile(flag + r"[=\s]+(\d+)") for flag in _PORT_FLAGS)
+    _script_patterns = (
+        # The port flags each launcher reads, in order; the first valid port wins.
+        {
+            Launcher.TORCHRUN: (torch_port, genv_port),
+            Launcher.DEEPSPEED: (torch_port, genv_port),
+            Launcher.ACCELERATE: (main_port, genv_port, torch_port),
+            Launcher.MPIEXEC: (genv_port, torch_port),
+            Launcher.SRUN: (genv_port, torch_port),
+        },
+        re.compile(r"(?<![\w/.-])(" + _PY + r")\b"),
+        re.compile(r"([\w./-]+\.json)\s*'?\s*$"),
+    )
+    return _script_patterns
+
 
 Topology = tuple[int | None, int | None, int | None]
 
@@ -408,17 +430,18 @@ def parse_script(script: str) -> PartialJobSpec:
     if launcher is None:
         return spec
     spec.launcher = launcher
-    for pattern in _PORT_PATTERNS[launcher]:
+    port_patterns, any_py, trailing_json = _script_patterns or _compile_script_patterns()
+    for pattern in port_patterns[launcher]:
         spec.master_port = valid_port(_grab(pattern, script))
         if spec.master_port is not None:
             break
 
-    entry = _ANY_PY.search(script)
+    entry = any_py.search(script)
     if entry:
         spec.entry_script = entry.group(1)
         tail = _arguments(script, entry)
         if launcher is Launcher.DEEPSPEED:
-            m_cfg = _RE_TRAILING_JSON.search(tail)
+            m_cfg = trailing_json.search(tail)
             if m_cfg:
                 spec.deepspeed_config = m_cfg.group(1)
                 tail = tail[: m_cfg.start()].strip()

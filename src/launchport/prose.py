@@ -26,9 +26,10 @@ Precedence rules over the tokens, fixed so that extraction is deterministic:
 * a flag wins over prose for every field;
 * each phrase is read where it first occurs, and a count of 0 there (or
   one too long for ``int()``) passes the field on to the next phrase;
-* a per-node count ("N GPUs per node") is read before a total; a bare
-  "N GPUs" is a total, with nodes defaulting to 1 when no node count is
-  given anywhere;
+* a per-node count ("N GPUs per node") is read before a total; beside it,
+  only a stated total ("in total", "a total of", "--total-gpus") is read,
+  and only when no node count is given; a bare "N GPUs" is a total, with
+  nodes defaulting to 1 when no node count is given anywhere;
 * the cluster is the earliest name; where two start at the same place the
   longer one wins ("deltaai" over "delta");
 * FSDP and ZeRO-3 come before DDP ("fully sharded data parallel" names no
@@ -375,6 +376,10 @@ def _resolve(text: str, first: dict[str, object], cluster: str | None) -> Partia
                                "per_node_phrase")
     if spec.gpus_per_node is None:
         spec.total_gpus = count("f_total_gpus", "in_total", "total_of", "total_gpus", "gpus")
+    elif spec.nodes is None:
+        # A stated total sets the node count, or shows that the two counts do
+        # not fit; a bare "N GPUs" may be the per-node phrase itself.
+        spec.total_gpus = count("f_total_gpus", "in_total", "total_of", "total_gpus")
     spec.master_port = valid_port(count("f_master_port", "port"))
     spec.entry_script = (first.get("f_entry") or first.get("entry_phrase")
                          or first.get("run") or first.get("python") or first.get("py"))

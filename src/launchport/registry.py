@@ -1,13 +1,17 @@
-"""The ``templates`` and ``clusters`` commands: the registry commands.
+"""The command-line parser, and the ``templates`` and ``clusters`` commands.
+
+:mod:`launchport.cli` reads a well-formed ``generate`` or ``port`` command
+line itself and imports this module for anything else: ``--help``, no
+command, an error, or a registry command.  :func:`build_parser` builds the
+argparse parser, the job commands' options from ``cli.JOB_COMMANDS``, so
+argparse owns every help text, usage line and error.  The registry commands:
 
 * ``templates list | validate | add`` - inspect, check or extend a template
   repository document;
 * ``clusters list | validate | add`` - the same for a cluster profile
   document.
 
-:mod:`launchport.cli` imports this module only to build or run one of these
-two commands, so ``generate`` and ``port`` never load it.  Exit codes are
-the CLI's: 0 success, 1 usage or configuration error.
+Exit codes are the CLI's: 0 success, 1 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -16,14 +20,82 @@ import argparse
 import json
 from pathlib import Path
 
-from .cli import EXIT_OK
+from . import __version__
+from .cli import EXIT_OK, JOB_COMMANDS
 from .clusters import default_profiles, load_profiles
 from .documents import load_json
-from .errors import ProfileParseError, TemplateInvalidError
+from .errors import ProfileParseError, TemplateInvalidError, UsageError
 from .templates import default_templates, load_repository
 
 
-def add_actions(command: str, parser: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose mistakes raise :class:`UsageError`.
+
+    argparse would exit with code 2, which here means "unresolved".
+    Subcommand parsers are built from this class too.
+    """
+
+    def error(self, message: str):
+        raise UsageError(f"{message} (see '{self.prog} --help')")
+
+
+# Each command and its one-line help, in the order --help lists them.
+_COMMANDS = {
+    "generate": "generate a verified launch script",
+    "port": "port an existing launch script to another cluster",
+    "templates": "inspect or extend the template repository",
+    "clusters": "inspect or extend the cluster registry",
+}
+
+
+def build_parser(first: str | None) -> argparse.ArgumentParser:
+    """The parser, with the subparser of the command ``first`` names.
+
+    When ``first`` names no command (``--help``, no arguments, a mistyped
+    command) every subparser is built, so help and errors list them all.
+    """
+    parser = _Parser(
+        prog="launchport",
+        description="Generate, verify, and repair distributed DL launch scripts.",
+    )
+    parser.add_argument("--version", action="version", version=f"launchport {__version__}")
+    sub = parser.add_subparsers(dest="command")
+    parser.set_defaults(command=None)
+    for name, help_line in _COMMANDS.items():
+        if first in _COMMANDS and name != first:
+            continue
+        command = sub.add_parser(name, help=help_line)
+        if name in JOB_COMMANDS:
+            func, arguments = JOB_COMMANDS[name]
+            for argument in arguments:
+                _add_argument(command, *argument)
+            command.set_defaults(func=func)
+        else:
+            _add_actions(name, command)
+    return parser
+
+
+def _add_argument(parser: argparse.ArgumentParser, name: str, dest: str, kind, default,
+                  help_text: str | None) -> None:
+    """Add one row of ``cli.JOB_COMMANDS`` to a job command's parser."""
+    options: dict[str, object] = {"help": help_text}
+    if kind is bool:
+        options["action"] = "store_true"
+    elif kind is int:
+        options["type"] = int
+    elif kind is not str:
+        options["choices"] = kind
+    if not name.startswith("-"):
+        if default is not ...:
+            options.update(nargs="?", default=default)
+        parser.add_argument(name, **options)
+    elif default is ...:
+        parser.add_argument(name, dest=dest, required=True, **options)
+    else:
+        parser.add_argument(name, dest=dest, default=default, **options)
+
+
+def _add_actions(command: str, parser: argparse.ArgumentParser) -> None:
     """Add the actions of ``command`` (``templates`` or ``clusters``) to its parser."""
     actions = parser.add_subparsers(dest="action", required=True)
     if command == "templates":

@@ -5,13 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import launchport
-from launchport.cli import _parse_answer, main
+from launchport.cli import JOB_COMMANDS, _parse_answer, main, read_job_args
 from launchport.errors import UsageError
 from launchport.intent import PartialJobSpec, parse_script
 from launchport.documents import bundled
+from launchport.registry import build_parser
 from launchport.types import Framework, Strategy
 
 from conftest import PERLMUTTER_COMMAND, POLARIS_COMMAND, TABLE_DESCRIPTION
@@ -226,6 +227,36 @@ class TestInputErrors:
                 f"error: {field} may not hold a single quote or a newline, which would break "
                 f"the quoted launch command; use double quotes, on one line (got {value!r})\n"
             )
+
+    @pytest.mark.parametrize("entry", ["my train.py", "train.py ", "runs\tdir/train.py"])
+    def test_whitespace_in_the_entry_script_is_one_error_line(self, capsys, entry):
+        # "python -u my train.py --lr 1" would run "my", and a port would read "train.py".
+        code, out, err = run_cli(
+            capsys, "generate", "--cluster", "polaris", "--framework", "pytorch",
+            "--strategy", "ddp", "--nodes", "1", "--gpus-per-node", "4", "--entry", entry,
+            "--args", "--lr 1", "--non-interactive",
+        )
+        assert (code, out) == (1, "")
+        assert err == ("error: entry_script may not hold whitespace, which would split the "
+                       f"launch command in two; rename the file or its folder (got {entry!r})\n")
+
+    @pytest.mark.parametrize("case", ["flag", "prose", "answer"])
+    def test_a_total_that_does_not_split_per_node_is_one_error_line(self, capsys, monkeypatch,
+                                                                    case):
+        # No node count puts 8 GPUs 3 to a node, so an interactive session
+        # prompts for none.
+        job = "train with PyTorch DDP on Delta, run train.py"
+        argv = {
+            "flag": [job, "--total-gpus", "8", "--gpus-per-node", "3"],
+            "prose": [f"{job}, 8 GPUs in total, 3 GPUs per node"],
+            "answer": [job, "--answers", "total_gpus=8,gpus_per_node=3"],
+        }[case]
+        prompts = []
+        monkeypatch.setattr("sys.stdin", type("Terminal", (), {"isatty": lambda self: True})())
+        monkeypatch.setattr("builtins.input", lambda prompt: prompts.append(prompt) or "2")
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert prompts == []
+        assert (code, out, err) == (1, "", "error: 8 total GPUs cannot be split into 3 per node\n")
 
     def test_a_port_keeps_double_quoted_arguments_whole(self, capsys, tmp_path):
         script = tmp_path / "job.sh"
@@ -657,6 +688,55 @@ def test_help_and_usage_bytes(capsys, monkeypatch, case):
     assert (code, captured.out, captured.err) == (exit_code, out, err)
 
 
+# What a drawn command line is made of: each flag of the job commands with a
+# value of its own, values that its type or choices refuse, and the forms
+# argparse reads its own way (an abbreviation, "--", a switch given "=", a
+# value that starts with "-", help).
+_FLAGS = [name for name, _, kind, *_ in JOB_COMMANDS["port"][1]
+          if name.startswith("-") and kind is not bool]
+_SWITCHES = ["--report", "--non-interactive"]
+_VALUES = ["4", " 4", "4_0", "\u0663", "0", "pytorch", "ddp", "acc-ddp", "delta", "", "--lr 1",
+           "-5", "-x y", "bogus"]
+_NOISE = ["--clus", "--rep", "--report=1", "--args=--y", "--x=", "-h", "--help", "--", "-",
+          "--version", "generate", "port"]
+_PAIRS = st.builds(lambda flag, value: [flag, value], st.sampled_from(_FLAGS),
+                   st.sampled_from(_VALUES))
+_JOINED = st.builds("{}={}".format, st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
+# Flags with a value are drawn four times as often as a lone word, and a job
+# command three times as often as a line argparse alone reads, so that about
+# one in seven drawn command lines is read.
+_WORDS = st.one_of(_PAIRS, _JOINED, _PAIRS, _JOINED,
+                   st.sampled_from(_SWITCHES + _FLAGS + _VALUES + _NOISE))
+_COMMANDS = [["generate"], ["port", "job.sh", "--to", "delta"]] * 3 + [
+    ["port"], ["templates"], ["bogus"]]
+
+
+def _flatten(words: list) -> list[str]:
+    return [arg for word in words for arg in ([word] if isinstance(word, str) else word)]
+
+
+@settings(max_examples=500)
+@given(command=st.sampled_from(_COMMANDS), words=st.lists(_WORDS, max_size=4).map(_flatten))
+def test_a_job_command_line_reads_as_argparse_reads_it(command, words):
+    argv = [*command, *words]
+    args = read_job_args(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser(command[0]).parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate"],
+    ["generate", "on delta", "--nodes", "4_0", "--report", "--report", "--args=--lr 1"],
+    ["generate", "--cluster=", "--framework=pytorch", "--nodes=-5", "--entry", ""],
+    ["port", "job.sh", "--to", "polaris", "--strategy", "acc-ddp", "--candidates", " 4"],
+    ["port", "--to=polaris", "--to", "delta", "job.sh", "--non-interactive"],
+], ids=["bare", "positional-first", "equals-forms", "port", "port-last"])
+def test_a_well_formed_job_command_line_is_read_without_argparse(argv):
+    args = read_job_args(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser(argv[0]).parse_args(argv))
+
+
 def test_no_command_prints_help_and_exits_1(capsys):
     code, out, err = run_cli(capsys)
     assert code == 1
@@ -968,15 +1048,18 @@ class TestPrompting:
 NOT_AT_COLD_START = ("dataclasses", "inspect", "importlib.resources", "zipfile", "tempfile")
 # Modules a cold command loads only when its job reaches them: the extractor
 # for a description, the error-correction agent at the first failed
-# submission, the bridge for --bridge-config and the registry commands for
-# templates and clusters.
+# submission, the bridge for --bridge-config, and argparse with the parser
+# module for help, a command line with a mistake and the registry commands.
 ON_DEMAND = ("launchport.prose", "launchport.repair", "launchport.bridge",
-             "launchport.registry")
+             "launchport.registry", "argparse", "gettext", "locale")
+PARSER = ["argparse", "gettext", "launchport.registry", "locale"]
 
 
 def test_cold_generate_loads_no_dataclasses_inspect_or_bridge(tmp_path):
     """A fresh interpreter's command adds none of NOT_AT_COLD_START, and of
     ON_DEMAND only what its job reaches, with the site and without it (``-S``).
+    A command that builds no parser loads no ``shutil`` either, which
+    argparse's help formatter imports.
 
     Modules are counted against a bare interpreter's, so what the site
     preloads is not charged to launchport; the ``-S`` run sees what a site
@@ -993,7 +1076,9 @@ def test_cold_generate_loads_no_dataclasses_inspect_or_bridge(tmp_path):
         (["generate", "train it on Delta", *job], 0, ["launchport.prose"]),
         # ENV_NOT_PROPAGATED fails the first submission; export_env clears it.
         (["generate", "--cluster", "deltaai", *job], 0, ["launchport.repair"]),
-        (["templates", "list"], 0, ["launchport.registry"]),
+        (["templates", "list"], 0, PARSER),
+        (["generate", "--help"], 0, PARSER),
+        (["port", str(script), "--to", "delta", "--candidates", "x"], 1, PARSER),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(launchport.__file__).resolve().parents[1]))
 
@@ -1005,11 +1090,15 @@ def test_cold_generate_loads_no_dataclasses_inspect_or_bridge(tmp_path):
     for flags in ([], ["-S"]):
         bare = loaded(flags, f"import sys; {show}")
         for argv, exit_code, reached in cases:
-            cold = loaded(flags, f"import sys, launchport.cli; code = launchport.cli.main({argv!r}); "
-                          f"assert code == {exit_code}, code; {show}") - bare
+            run = (f"import sys, launchport.cli\ntry:\n    code = launchport.cli.main({argv!r})\n"
+                   "except SystemExit as exc:  # after --help\n    code = exc.code\n"
+                   f"assert code == {exit_code}, code\n{show}")
+            cold = loaded(flags, run) - bare
             assert "launchport.pipeline" in cold
             assert sorted(set(NOT_AT_COLD_START) & cold) == [], (flags, argv)
             assert sorted(set(ON_DEMAND) & cold) == reached, (flags, argv)
+            if "argparse" not in reached:
+                assert "shutil" not in cold, (flags, argv)
 
 
 def test_the_names_the_bench_tracer_wraps_are_their_homes():

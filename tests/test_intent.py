@@ -309,9 +309,11 @@ def _extract_reference(text, cluster_names=None):
     if per_node is not None:
         spec.gpus_per_node = per_node
         matched_any = True
-    else:
+    if per_node is None or nodes is None:
+        # Beside a per-node count only a stated total counts, not a bare "N GPUs".
+        totals = _REF_TOTAL_GPUS if per_node is None else _REF_TOTAL_GPUS[:-1]
         total = (_ref_first_int(text, _REF_FLAGS["total_gpus"])
-                 or _ref_first_int(digits, *_REF_TOTAL_GPUS))
+                 or _ref_first_int(digits, *totals))
         if total is not None:
             spec.total_gpus = total
             matched_any = True
@@ -543,6 +545,25 @@ class TestMissingFields:
         p = PartialJobSpec(strategy=Strategy.ZERO3)
         assert "framework" not in missing_fields(p)
         assert derive(p).framework is Framework.DEEPSPEED
+
+    @pytest.mark.parametrize("text", [
+        "8 GPUs in total, 3 GPUs per node",
+        "a total of 8 GPUs with 3 GPUs per node",
+        "--total-gpus 8 --gpus-per-node 3",
+    ])
+    def test_a_total_that_does_not_split_per_node_is_inconsistent(self, text):
+        # No node count could mend it, so it is not reported as a missing one.
+        p = extract(text)
+        assert (p.nodes, p.gpus_per_node, p.total_gpus) == (None, 3, 8)
+        for check in (missing_fields, lambda p: finalize(p, default_profiles().resolve("delta"))):
+            with pytest.raises(InconsistentTopologyError,
+                               match="^8 total GPUs cannot be split into 3 per node$"):
+                check(p)
+
+    def test_a_stated_total_beside_a_per_node_count_sets_the_nodes(self):
+        p = extract("12 GPUs in total, 4 GPUs per node")
+        assert missing_fields(p) == ["cluster", "framework", "strategy", "entry_script"]
+        assert derive(p).nodes == 3
 
 
 @given(field=st.sampled_from(["nodes", "gpus_per_node", "total_gpus", "master_port"]),
