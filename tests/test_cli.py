@@ -697,14 +697,17 @@ _FLAGS = [name for name, _, kind, *_ in JOB_COMMANDS["port"][1]
 _SWITCHES = ["--report", "--non-interactive"]
 _VALUES = ["4", " 4", "4_0", "\u0663", "0", "pytorch", "ddp", "acc-ddp", "delta", "", "--lr 1",
            "-5", "-x y", "bogus"]
-_NOISE = ["--clus", "--rep", "--report=1", "--args=--y", "--x=", "-h", "--help", "--", "-",
+_NOISE = ["--rep", "--report=1", "--args=--y", "--x=", "-h", "--help", "--", "-",
           "--version", "generate", "port"]
-_PAIRS = st.builds(lambda flag, value: [flag, value], st.sampled_from(_FLAGS),
+# Abbreviations, "--t" and "--c" ambiguous ones, drawn with a value as a flag is.
+_ABBREVIATED = ["--clus", "--c", "--t"]
+_PAIRS = st.builds(lambda flag, value: [flag, value], st.sampled_from(_FLAGS + _ABBREVIATED),
                    st.sampled_from(_VALUES))
-_JOINED = st.builds("{}={}".format, st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
-# Flags with a value are drawn four times as often as a lone word, and a job
-# command three times as often as a line argparse alone reads, so that about
-# one in seven drawn command lines is read.
+_JOINED = st.builds("{}={}".format, st.sampled_from(_FLAGS + _ABBREVIATED),
+                    st.sampled_from(_VALUES))
+# Flags with a value are drawn four times as often as a lone word, and six
+# of nine command lines start with generate or a port with its script and
+# target, so that about one in eight drawn command lines is read.
 _WORDS = st.one_of(_PAIRS, _JOINED, _PAIRS, _JOINED,
                    st.sampled_from(_SWITCHES + _FLAGS + _VALUES + _NOISE))
 _COMMANDS = [["generate"], ["port", "job.sh", "--to", "delta"]] * 3 + [
@@ -735,6 +738,16 @@ def test_a_well_formed_job_command_line_is_read_without_argparse(argv):
     args = read_job_args(argv)
     assert args is not None
     assert vars(args) == vars(build_parser(argv[0]).parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["templates", "list"], ["generate", "-h"], ["generate", "--clus", "delta"],
+    ["generate", "--report=1"], ["generate", "--args", "-x"], ["generate", "--", "x"],
+    ["generate", "--nodes", "x"], ["generate", "--strategy", "DDP"], ["generate", "a", "b"],
+    ["port", "job.sh"], ["port", "--to", "delta"],
+])
+def test_the_reader_leaves_the_rest_to_argparse(argv):
+    assert read_job_args(argv) is None
 
 
 def test_no_command_prints_help_and_exits_1(capsys):
