@@ -692,9 +692,9 @@ def test_help_and_usage_bytes(capsys, monkeypatch, case):
 # value of its own, values that its type or choices refuse, and the forms
 # argparse reads its own way (an abbreviation, "--", a switch given "=", a
 # value that starts with "-", help).
-_FLAGS = [name for name, _, kind, *_ in JOB_COMMANDS["port"][1]
-          if name.startswith("-") and kind is not bool]
-_SWITCHES = ["--report", "--non-interactive"]
+_OPTIONS = [(name, kind) for name, _, kind, *_ in JOB_COMMANDS["port"][1] if name.startswith("-")]
+_FLAGS = [name for name, kind in _OPTIONS if kind is not bool]
+_SWITCHES = [name for name, kind in _OPTIONS if kind is bool]
 _VALUES = ["4", " 4", "4_0", "\u0663", "0", "pytorch", "ddp", "acc-ddp", "delta", "", "--lr 1",
            "-5", "-x y", "bogus"]
 _NOISE = ["--rep", "--report=1", "--args=--y", "--x=", "-h", "--help", "--", "-",
