@@ -364,7 +364,7 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
 # Launch-script parsing
 # ---------------------------------------------------------------------------
 
-# A path to a Python file; the prose scanner reads entry scripts with it too.
+# A path to a Python file; the prose extractor reads entry scripts with it too.
 _PY = r"[\w./-]+\.py"
 
 # The three flags that set a rendezvous port: torchrun's, accelerate's and

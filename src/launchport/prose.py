@@ -1,18 +1,17 @@
 """Free-text extraction: the information-extraction agent.
 
-Reads a plain-language job description ("train ViT on two nodes with 8
-GPUs") into a :class:`~launchport.intent.PartialJobSpec`.  The CLI imports
-this module only when a description is given; a job stated by flags alone,
-or read from a launch script (:func:`launchport.intent.parse_script`), never
-loads it.
+Reads a plain-language job description ("train ViT on two nodes with 8 GPUs")
+into a :class:`~launchport.intent.PartialJobSpec`.  The CLI imports this module
+only when a description is given; a job stated by flags alone, or read from a
+launch script (:func:`launchport.intent.parse_script`), never loads it.
 
-Extraction reads the text once, case-insensitively, into tokens:
+Extraction reads the text word by word, case-insensitively:
 
 * counts: digits, or a number word "one" through "sixty-four" standing as a
   whole word ("twenty one" and "twenty-one" are 21); larger counts must be
   written as digits.  A count carries the phrase after it: node nouns
-  ("servers", "machines", "hosts" and "compute nodes" all mean nodes) or
-  GPUs, with "per node", "each", "/node" or "in total";
+  ("servers", "machines", "hosts" and "compute nodes" all mean nodes) or GPUs,
+  with "per node", "each", "/node" or "in total";
 * phrases that lead up to a count ("on 2 nodes", "a total of 8 GPUs",
   "per-node GPUs: 4") and "a single node";
 * flags with their values ("--nodes 2", "--entry train.py");
@@ -21,15 +20,15 @@ Extraction reads the text once, case-insensitively, into tokens:
 * framework, strategy and launcher terms;
 * cluster names and aliases standing apart from word characters and hyphens.
 
-Precedence rules over the tokens, fixed so that extraction is deterministic:
+Precedence rules over what is read, fixed so that extraction is deterministic:
 
 * a flag wins over prose for every field;
-* each phrase is read where it first occurs, and a count of 0 there (or
-  one too long for ``int()``) passes the field on to the next phrase;
-* a per-node count ("N GPUs per node") is read before a total; beside it,
-  only a stated total ("in total", "a total of", "--total-gpus") is read,
-  and only when no node count is given; a bare "N GPUs" is a total, with
-  nodes defaulting to 1 when no node count is given anywhere;
+* each phrase is read where it first occurs, and a count of 0 there (or one
+  too long for ``int()``) passes the field on to the next phrase;
+* a per-node count ("N GPUs per node") is read before a total; beside it, a
+  total is read only when no node count is given, a stated one ("in total",
+  "a total of", "--total-gpus") before a bare "N GPUs"; without it, any "N
+  GPUs" is a total, with nodes defaulting to 1 when no node count is given;
 * the cluster is the earliest name; where two start at the same place the
   longer one wins ("deltaai" over "delta");
 * FSDP and ZeRO-3 come before DDP ("fully sharded data parallel" names no
@@ -37,20 +36,18 @@ Precedence rules over the tokens, fixed so that extraction is deterministic:
 * the entry script is the first of: the flag, an "entry/training file is"
   phrase, "run X", "python X", and any ".py" path;
 * a DeepSpeed config is read only when DeepSpeed is named;
-* "... arguments are X" makes the rest of the text the training
-  arguments; when nothing at all is read, the text is kept whole as the
-  arguments;
-* the launcher implies the framework (torchrun -> pytorch,
-  deepspeed -> deepspeed, accelerate -> accelerate), the strategy implies
-  the framework (zero3 -> deepspeed, fsdp -> pytorch), and the strategy
-  defaults to ddp once a framework is known (:func:`launchport.intent.derive`).
+* "... arguments are X" makes the rest of the text the training arguments;
+  when nothing at all is read, the text is kept whole as the arguments;
+* the launcher implies the framework (torchrun -> pytorch, deepspeed ->
+  deepspeed, accelerate -> accelerate), the strategy implies the framework
+  (zero3 -> deepspeed, fsdp -> pytorch), and the strategy defaults to ddp once
+  a framework is known (:func:`launchport.intent.derive`).
 
 A stated communication backend (for example "nccl") is intentionally not
-extracted into a field of its own; none of the bundled templates consume
-it, so it travels with the user's training arguments.
+extracted into a field of its own; none of the bundled templates consume it,
+so it travels with the user's training arguments.
 
-Everything here is pure: the same text always yields the same spec.
-"""
+Everything here is pure: the same text always yields the same spec."""
 
 from __future__ import annotations
 
@@ -74,13 +71,11 @@ def _tens_units(base: int) -> tuple[str, ...]:
 
 
 def _number_words() -> dict[str, int]:
-    words = {w: i + 1 for i, w in enumerate(_UNITS)}
-    words.update({w: 10 + i for i, w in enumerate(_TEENS)})
+    words = {word: i for i, word in enumerate(_UNITS + _TEENS, 1)}
     for name, base in _TENS.items():
         words[name] = base
-        for i, unit in enumerate(_tens_units(base)):
-            words[f"{name}-{unit}"] = base + i + 1
-            words[f"{name} {unit}"] = base + i + 1
+        for i, unit in enumerate(_tens_units(base), 1):
+            words[f"{name}-{unit}"] = words[f"{name} {unit}"] = base + i
     return words
 
 
@@ -93,95 +88,117 @@ class Extractor(Protocol):
     def extract(self, text: str) -> PartialJobSpec: ...
 
 
-# One scanner per cluster registry reads the text in one finditer pass
-# (re.I).  Each match is a token; its kind is the name of the group that
-# closes last, an empty group at the end of each branch.  A token consumes at
-# most the start of one word, or the "--" of a flag, and reads the phrase after
-# it through lookaheads, so no token hides the start of another: every word
-# start, every "--" and every start of a run of path characters is scanned.
+# Extraction reads words, not characters.  The text is folded once: a letter that
+# re.I matches to an ASCII letter (_FOLDS) becomes it, the rest are lowercased,
+# so every character keeps its place and an ASCII pattern matches the folded
+# text where re.I matched the text.  One pass of _WORDS finds each word.  The
+# extractor's table maps a word to the phrase it heads and only a hit runs that
+# phrase's pattern, anchored at the word; a word of digits heads a count.  The
+# one named group a phrase matched is what it read, sliced from the text as
+# written.  A phrase whose first letters need not end a word ("--nodes",
+# "port29500", "configuration") is read wherever str.find finds them (_FOUND).
+# A path is read, only when no phrase named the file, from the first run of
+# path characters holding ".py" (or ".json"), case as written.
+_FOLDS = {"i": "\u0130\u0131", "k": "\u212a", "s": "\u017f"}  # İ ı, Kelvin sign, ſ
+_FOLD = str.maketrans({char: letter for letter, chars in _FOLDS.items() for char in chars})
+
+_WORDS = re.compile(r"\w+").finditer
+_RUN = re.compile(r"[\w./-]*").match  # path characters
+_WORD_OR_HYPHEN = re.compile(r"[\w-]").match
 
 _NODE = r"(?:node|server|machine|host)"
+# Any number word, whole; a tens word reads its unit too ("twenty-one").
+_NUMBER_WORD = "|".join(
+    [f"{name}(?:[- ](?:{'|'.join(_tens_units(base))}))?" for name, base in _TENS.items()]
+    + list(_TEENS) + list(_UNITS))
 
-# The letters outside ASCII that re.I matches to an ASCII letter.
-_FOLDS = {"i": "\u0130\u0131", "k": "\u212a", "s": "\u017f"}  # İ ı, Kelvin sign, ſ
+# What a count is, by the phrase after it: the phrases it fills.  "gpus" is any
+# GPU count, "bare_gpus" one with no node, "each" or total phrase after "GPUs".
+_COUNT_PHRASES = {
+    "word": (), "gpu_nodes": ("nodes", "gpus"), "nodes": ("nodes",),
+    "total_gpus": ("total_gpus",), "per_node_each": ("per_node", "each", "gpus"),
+    "per_node": ("per_node", "gpus"), "per_node_slash": ("per_node_slash", "gpus"),
+    "each": ("each", "gpus"), "in_total": ("in_total", "gpus"), "bare_gpus": ("gpus", "bare_gpus"),
+}
 
-
-def _words(*words: str) -> str:
-    """Any of ``words``: one case-sensitive test of the first letter, then the rest.
-
-    Each word is a pattern that starts with an ASCII letter.  The regex engine
-    skips a branch that starts with a case-sensitive test after one character
-    comparison, where under re.I it would enter the branch; the test admits
-    every letter that re.I matches to the first one.  Where the words start
-    with different letters, a lookbehind tells which one stood there.
-    """
-    firsts = sorted({word[0] for word in words})
-    letters = "".join(f + f.upper() + _FOLDS.get(f, "") for f in firsts)
-    rests = [word[1:] if len(firsts) == 1 else f"(?<={word[0]}){word[1:]}" for word in words]
-    return f"(?-i:[{letters}])(?:" + "|".join(rests) + ")"
-
-
-def _cluster_names(names: dict[str, str]) -> tuple[str, list[str]]:
-    """The names as one pattern with a group each, and the id of each group.
-
-    Names are grouped by first letter and tried longest first within a group,
-    so at a shared place "deltaai" wins over "delta"; a letter re.I folds onto
-    an ASCII one ("ſ" onto "s") joins that letter's group, and names starting
-    with anything else share one group, which no other group can match where
-    they do.  A match maps back through its group number, never through its
-    text, which re.I lets differ from every key.  "(?!)" never matches: an
-    empty registry names no cluster.
-    """
-    unfold = {char: letter for letter, chars in _FOLDS.items() for char in chars}
-    groups: dict[str, list[tuple[str, str]]] = {}
-    for name, canonical in sorted(names.items(), key=lambda kv: len(kv[0]), reverse=True):
-        first = unfold.get(name[:1], name[:1].lower())
-        letter = first if first.isascii() and first.isalpha() else ""
-        groups.setdefault(letter, []).append((name, canonical))
-    arms = [
-        _words(*(f"{letter}({re.escape(name[1:])})" for name, _ in group)) if letter
-        else "(?:" + "|".join(f"({re.escape(name)})" for name, _ in group) + ")"
-        for letter, group in groups.items()
-    ]
-    pattern = f"(?:{'|'.join(arms)})(?![\\w-])" if arms else "(?!)"
-    return pattern, [canonical for group in groups.values() for _, canonical in group]
+# Phrases that end where their count starts: the phrase they fill and the one
+# the count must fill there ("on 2 nodes", "total of 8 GPUs", "per node GPUs: six").
+_LEADS = {"across": ("across", "nodes"), "total_of": ("total_of", "gpus"),
+          "per_node_word": ("per_node_phrase", None)}
 
 
-def _number_word() -> str:
-    """Any number word, whole; a tens word reads its unit too ("twenty-one")."""
-    arms = [f"{name}(?:[- ](?:{'|'.join(_tens_units(base))}))?" for name, base in _TENS.items()]
-    by_letter: dict[str, list[str]] = {}
-    for arm in arms + list(_TEENS) + list(_UNITS):
-        by_letter.setdefault(arm[0], []).append(arm)
-    return r"\b(?:" + "|".join(_words(*arms) for arms in by_letter.values()) + r")\b"
+class _Reading:
+    """What one extraction has read so far; nothing of it outlives the call."""
+
+    __slots__ = ("text", "folded", "first", "leads", "word_end", "cluster")
+
+    def __init__(self, text: str):
+        self.text, self.folded = text, (text if text.isascii() else text.translate(_FOLD)).lower()
+        self.first: dict[str, object] = {}  # what the first phrase of each kind read
+        self.leads: dict[int, tuple] = {}  # where a phrase expects its count -> what it reads
+        self.word_end = 0  # no count starts inside a number word
+        self.cluster: tuple[int, int, str] | None = None  # (start, rank, id) of a name
 
 
-# Whole words only: "seventy" holds no "seven", "someone" no "one".
-_NUMBER_WORD = _number_word()
+class _Phrase:
+    """A pattern read where its head word starts: what its one matched group read,
+    or where a lead expects its count.  It compiles when a text first reaches it."""
 
-_SCANNER = (
-    # Zero-width, where no word character or hyphen precedes: a path, case as
-    # written, where a run of path characters with a dot starts, and a cluster
-    # name.  The word that starts there is scanned next.
-    r"(?<![\w-])"
-    r"(?=(?<![/.])(?=[\w/-]*\.)(?-i:(?=(?P<py>" + _PY + r")\b|)(?=(?P<json>[\w./-]+\.json)\b|))|)"
-    r"(?:(?={clusters})|(?(py)|(?(json)|(?!))))"
-    # Flags with their values.
-    r"|--(?="
-    r"n?nodes[=\s]+(?P<f_nodes>\d+)"
-    r"|(?:gpus|nproc)[-_]per[-_]node[=\s]+(?P<f_gpus_per_node>\d+)"
-    r"|(?:total|num)[-_]gpus[=\s]+(?P<f_total_gpus>\d+)"
-    r"|(?:master[-_]|main[-_]process[-_])?port[=\s]+(?P<f_master_port>\d+)"
-    r"|entry(?:[-_]script)?[=\s]+(?P<f_entry>[\w./-]+\.(?:py|sh))"
-    r"|deepspeed[-_]config[=\s]+(?P<f_config>\S*[^\s,;]))"
-    # Every branch below starts with a word character, so the lookahead
-    # skips them all at once where a word ends.
-    r"|\b(?=\w)(?:"
-    # A count and the phrase after it: digits only with a phrase, a number
-    # word also without one ("per node GPUs: eight"); "one" before a node
-    # noun also means a single node.
-    r"(?=one[-\s]" + _NODE + r"\b(?P<one_node>)|)"
-    r"(?=(?:(?P<digits>\d+)|(?P<word>" + _NUMBER_WORD + r"))(?:\s+(?:"
+    __slots__ = ("match", "source")
+
+    def __init__(self, source: str):
+        self.source = source
+        self.match = self._compile
+
+    def _compile(self, string: str, pos: int) -> re.Match | None:
+        self.match = re.compile(self.source).match
+        return self.match(string, pos)
+
+    def __call__(self, reading: _Reading, pos: int) -> None:
+        m = self.match(reading.folded, pos)
+        if m is not None:
+            kind = m.lastgroup
+            start, end = m.span(kind)
+            lead = _LEADS.get(kind)
+            if lead is None:
+                reading.first.setdefault(kind, reading.text[start:end])
+            else:
+                reading.leads[start] = lead
+
+
+class _Count(_Phrase):
+    """A count, the phrase after it, and the lead that expected it there."""
+
+    __slots__ = ()
+
+    def __call__(self, reading: _Reading, pos: int) -> None:
+        m = self.match(reading.folded, pos)
+        if m is None:
+            return
+        first = reading.first
+        if m["single"] is not None:  # "one node"
+            first["single"] = ""
+        if (word := m["word"]) is None:
+            value = _int(m["digits"])
+        elif pos < reading.word_end:
+            return
+        else:
+            reading.word_end = m.end("word")
+            # Only a number word spelled in ASCII letters is read, not "ſix".
+            if not reading.text[pos:reading.word_end].isascii():
+                return
+            value = NUMBER_WORDS[word]
+        phrases = _COUNT_PHRASES[m.lastgroup]
+        for phrase in phrases:
+            first.setdefault(phrase, value)
+        lead = reading.leads.get(pos)
+        if lead is not None and (lead[1] is None or lead[1] in phrases):
+            first.setdefault(lead[0], value)
+
+
+_COUNT = _Count(
+    r"(?=one[-\s]" + _NODE + r"\b(?P<single>)|)"
+    r"(?:(?P<digits>\d+)|(?P<word>(?:" + _NUMBER_WORD + r")\b))(?:\s+(?:"
     r"gpu\s+" + _NODE + r"s?\b(?P<gpu_nodes>)"
     r"|(?:compute\s+)?" + _NODE + r"s?\b(?P<nodes>)"
     r"|total\s+gpus?\b(?P<total_gpus>)"
@@ -190,209 +207,192 @@ _SCANNER = (
     r"|\s*/\s*node\b(?P<per_node_slash>)"
     r"|\s+(?:each|apiece)\b(?P<each>)"
     r"|\s+(?:in\s+total|total|overall|altogether)\b(?P<in_total>)"
-    r"|\b(?P<gpus>)))|(?(word)|(?!))))\w+"
-    # Phrases that lead up to a count: "on 2 nodes", "total of 8 GPUs",
-    # "per-node GPUs: 4"; and "a single node".
-    r"|" + _words("across", "on", "over", "spanning") + r"(?=\s+(?P<across>)[\defnost])"
-    r"|" + _words(r"total(?=\s+of\s+(?P<total_of>)[\defnost])")
-    + r"|" + _words(r"per(?=[-\s]node\s+gpus?\s*(?:of|is|:|=)?\s*"
-                    r"(?:(?P<per_node_digits>\d+)\b|\b(?P<per_node_word>)(?=[^\W\d])))")
-    + r"|" + _words(r"single(?=[-\s]" + _NODE + r"\b)(?P<single>)")
-    # Framework, strategy and launcher terms.
-    + r"|" + _words(r"pytorch\b(?P<pytorch>)")
-    + r"|" + _words(r"deep(?=\s?speed\b)(?=speed\s+launcher\b(?P<deepspeed_launcher>)|)"
-                    r"(?P<deepspeed>)")
-    + r"|" + _words(r"acc(?=elerate\b|[-\s]ddp\b)(?:elerate\b(?P<accelerate>)"
-                    r"(?=\s+launch(?:er)?\b(?P<accelerate_launcher>)|))?"
-                    r"(?=[-\s]ddp\b(?P<acc_ddp>)|)(?P<acc>)")
-    + r"|" + _words(r"fsdp\b(?P<fsdp>)", r"fully(?=[-\s]sharded\b)(?P<fully_sharded>)")
-    + r"|" + _words(r"zero(?=[-\s]?3\b)(?P<zero3>)")
-    + r"|" + _words(r"stage(?=[-\s]?3\b)(?P<stage3>)")
-    + r"|" + _words(r"ddp\b(?P<ddp>)", r"data(?=[-\s]parallel(?:ism)?\b)(?P<data_parallel>)")
-    + r"|" + _words(r"torchrun\b(?P<torchrun>)")
-    + r"|" + _words(r"mpiexec\b(?P<mpiexec>)", r"mpirun\b(?P<mpirun>)")
-    + r"|" + _words(r"srun\b(?P<srun>)")
-    # Port, entry script, DeepSpeed config and training arguments.
-    + r"|" + _words(r"port(?=\s*(?:is|of|:|=)?\s*(?P<port>\d{4,5})\b)")
-    + r"|" + _words("training", "train", "entry", "launch", "main")
-    + r"(?=\s+(?:file|script|point|program)\s*(?:is|will\s+be|:|=)?\s*"
-    r"(?P<entry_phrase>[\w./-]+\.(?:py|sh)))"
-    r"|" + _words("run", "execute", "launch", "start") + r"(?=\s+(?P<run>" + _PY + r")\b)"
-    r"|" + _words(r"python3?(?=\s+(?:-u\s+)?(?P<python>" + _PY + r")\b)")
-    + r"|" + _words(r"config(?=(?:uration)?(?:\s+file)?\s*(?:is|at|:|=)?\s*"
-                    r"(?P<config>[\w./-]+\.json))")
-    + r"|" + _words(r"arg(?=(?:ument)?s?\s+(?:is|are|being|:)\s*(?P<args>(?s:.+))$)")
-    + r")"
-)
+    r"|\b(?P<bare_gpus>)))|(?(digits)(?!)))")  # digits count only with a phrase
+_ENTRY = (r"\w+\s+(?:file|script|point|program)\s*(?:is|will\s+be|:|=)?\s*"
+          r"(?P<entry_phrase>[\w./-]+\.(?:py|sh))")
+_RUN_PY = r"\w+\s+(?P<run>" + _PY + r")\b"
 
-# What a count is, by the phrase after it: the phrases it fills, in the
-# order the precedence rules read them.
-_COUNT_PHRASES = {
-    "digits": (),
-    "word": (),
-    "gpu_nodes": ("nodes", "gpus"),
-    "nodes": ("nodes",),
-    "total_gpus": ("total_gpus",),
-    "per_node_each": ("per_node", "each", "gpus"),
-    "per_node": ("per_node", "gpus"),
-    "per_node_slash": ("per_node_slash", "gpus"),
-    "each": ("each", "gpus"),
-    "in_total": ("in_total", "gpus"),
-    "gpus": ("gpus",),
-}
+_FOUND = (("--", _Phrase(
+    r"--(?:n?nodes[=\s]+(?P<f_nodes>\d+)"
+    r"|(?:gpus|nproc)[-_]per[-_]node[=\s]+(?P<f_gpus_per_node>\d+)"
+    r"|(?:total|num)[-_]gpus[=\s]+(?P<f_total_gpus>\d+)"
+    r"|(?:master[-_]|main[-_]process[-_])?port[=\s]+(?P<f_master_port>\d+)"
+    r"|entry(?:[-_]script)?[=\s]+(?P<f_entry>[\w./-]+\.(?:py|sh))"
+    r"|deepspeed[-_]config[=\s]+(?P<f_config>\S*[^\s,;]))")),
+    ("port", _Phrase(r"(?<!\w)port\s*(?:is|of|:|=)?\s*(?P<port>\d{4,5})\b")),
+    ("conf", _Phrase(r"(?<!\w)config(?:uration)?(?:\s+file)?\s*(?:is|at|:|=)?\s*"
+                     r"(?P<config>[\w./-]+\.json)")))
 
-# Phrases that end where their count starts: the phrase they fill and the
-# phrase the count itself must fill there ("on 2 nodes", "total of 8 GPUs",
-# "per-node GPUs: eight").
-_LEADS = {
-    "across": ("across", "nodes"),
-    "total_of": ("total_of", "gpus"),
-    "per_node_word": ("per_node_phrase", None),
-}
+# Each head word and the phrase it starts.
+_PHRASES = {word: phrase for words, phrase in (
+    (" ".join((*_UNITS, *_TEENS, *_TENS)), _COUNT),
+    # Phrases that lead up to a count, and "a single node".
+    ("across on over spanning", _Phrase(r"\w+\s+(?P<across>)(?=[\defnost])")),
+    ("total", _Phrase(r"total\s+of\s+(?P<total_of>)(?=[\defnost])")),
+    ("per", _Phrase(r"per[-\s]node\s+gpus?\s*(?:of|is|:|=)?\s*"
+                    r"(?:(?P<per_node_phrase>\d+)\b|\b(?P<per_node_word>)(?=[^\W\d]))")),
+    ("single", _Phrase(r"single[-\s]" + _NODE + r"\b(?P<single>)")),
+    # Framework, strategy and launcher terms; synonyms share a kind.
+    *((word, _Phrase(f"(?P<{kind}>)")) for word, kind in (
+        ("pytorch", "pytorch"), ("fsdp", "fsdp"), ("zero3", "zero3"), ("stage3", "zero3"),
+        ("ddp", "ddp"), ("torchrun", "torchrun"), ("mpiexec", "mpiexec"), ("mpirun", "mpiexec"),
+        ("srun", "srun"))),
+    ("deepspeed", _Phrase(r"\w+(?P<deepspeed>)(?:\s+launcher\b(?P<deepspeed_launcher>))?")),
+    ("deep", _Phrase(r"deep\s?speed\b(?P<deepspeed>)")),
+    ("accelerate", _Phrase(r"\w+(?P<accelerate>)(?:\s+launch(?:er)?\b(?P<accelerate_launcher>)"
+                           r"|[-\s]ddp\b(?P<acc_ddp>))?")),
+    ("acc", _Phrase(r"acc[-\s]ddp\b(?P<acc_ddp>)")),
+    ("fully", _Phrase(r"fully[-\s]sharded\b(?P<fsdp>)")),
+    ("zero stage", _Phrase(r"\w+[-\s]?3\b(?P<zero3>)")),
+    ("data", _Phrase(r"data[-\s]parallel(?:ism)?\b(?P<ddp>)")),
+    # Entry script and training arguments.
+    ("training train entry main", _Phrase(_ENTRY)),
+    ("launch", _Phrase(f"{_ENTRY}|{_RUN_PY}")),
+    ("run execute start", _Phrase(_RUN_PY)),
+    ("python python3", _Phrase(r"\w+\s+(?:-u\s+)?(?P<python>" + _PY + r")\b")),
+    ("arg args argument arguments", _Phrase(r"\w+\s+(?:is|are|being|:)\s*(?P<args>(?s:.+))$")),
+) for word in words.split(" ")}
+_PY_PATH, _JSON_PATH = _Phrase(_PY + r"\b"), _Phrase(r"[\w./-]+\.json\b")
 
-# Terms by rank: the first one the text holds fixes the field.  FSDP and ZeRO
-# come before DDP: "fully sharded data parallel" contains "data parallel".
-_FRAMEWORK_TERMS = (
-    ("pytorch", Framework.PYTORCH),
-    ("deepspeed", Framework.DEEPSPEED),
-    ("accelerate", Framework.ACCELERATE),
-)
-_STRATEGY_TERMS = (
-    ("fsdp", Strategy.FSDP),
-    ("fully_sharded", Strategy.FSDP),
-    ("zero3", Strategy.ZERO3),
-    ("stage3", Strategy.ZERO3),
-    ("ddp", Strategy.DDP),
-    ("data_parallel", Strategy.DDP),
-)
-_LAUNCHER_TERMS = (
-    ("torchrun", Launcher.TORCHRUN),
-    ("mpiexec", Launcher.MPIEXEC),
-    ("mpirun", Launcher.MPIEXEC),
-    ("srun", Launcher.SRUN),
-    ("deepspeed_launcher", Launcher.DEEPSPEED),
-    ("accelerate_launcher", Launcher.ACCELERATE),
-)
+
+def _first_path(text: str, suffix: str, path: _Phrase) -> str | None:
+    """What ``path`` reads first from the start of a run of path characters holding ``suffix``."""
+    floor, at = 0, text.find(suffix)
+    while at >= 0:
+        found = path.match(text, at + 1 - _RUN(text[floor : at + 1][::-1]).end())
+        if found is not None:
+            return found[0]
+        floor = _RUN(text, at).end()
+        at = text.find(suffix, floor)
+    return None
+
+
+def _cluster_head(names: list[tuple[str, int, str]], then):
+    """Reads the names (folded, rank, id; longest first) that start with one word,
+    then the phrase that word heads."""
+
+    def read(reading: _Reading, pos: int) -> None:
+        # The first name found is the earliest; no hyphen may stand before it.
+        if reading.cluster is None and reading.text[pos - 1 : pos] != "-":
+            for name, rank, canonical in names:
+                if (reading.folded.startswith(name, pos)
+                        and not _WORD_OR_HYPHEN(reading.folded, pos + len(name))):
+                    reading.cluster = (pos, rank, canonical)
+                    break
+        if then is not None:
+            then(reading, pos)
+    return read
 
 
 class RuleBasedExtractor:
     """Deterministic extractor over the documented phrasing lexicon.
 
-    ``cluster_names`` maps every recognizable cluster name or alias to its
-    canonical id; by default the bundled registry supplies it.
-    """
+    ``cluster_names`` maps every recognizable cluster name or alias to its id;
+    by default the bundled registry supplies it.  An ASCII name starting with a
+    word character is found through its first word, any other by one search."""
 
     def __init__(self, cluster_names: dict[str, str] | None = None):
         if cluster_names is None:
             cluster_names = default_profiles().names()
-        clusters, self._cluster_ids = _cluster_names(cluster_names)
-        scanner = re.compile(_SCANNER.replace("{clusters}", clusters), re.I)
-        self._scan = scanner.finditer
-        self._cluster_group = scanner.groupindex["json"] + 1
+        heads: dict[str, list[tuple[str, int, str]]] = {}
+        others, self._other_ids = [], []
+        for rank, name in enumerate(sorted(cluster_names, key=len, reverse=True)):
+            head = re.match(r"\w+", name) if name.isascii() else None
+            if head is None:
+                others.append(f"({re.escape(name)})")
+                self._other_ids.append((rank, cluster_names[name]))
+            else:
+                heads.setdefault(head[0].lower(), []).append(
+                    (name.lower(), rank, cluster_names[name]))
+        self._phrases: dict[str, object] = dict(_PHRASES)
+        for head, names in heads.items():
+            then = _PHRASES.get(head) or (_COUNT if head.isdecimal() else None)
+            self._phrases[head] = _cluster_head(names, then)
+        self._others = (re.compile(rf"(?<![\w-])(?:{'|'.join(others)})(?![\w-])", re.I).search
+                        if others else None)
 
     def extract(self, text: str) -> PartialJobSpec:
         if not text:
             raise ValueError("extract requires non-empty text")
-        first: dict[str, object] = {}  # what the first phrase of each kind read
-        leads = {}  # where a phrase expects its count -> what it reads there
-        word_end = 0  # no count starts inside a number word
-        cluster = None
-        for m in self._scan(text):
-            kind = m.lastgroup
-            phrases = _COUNT_PHRASES.get(kind)
-            if phrases is not None:
-                if m["one_node"] is not None:
-                    first.setdefault("single", "")
-                word = m["word"]
-                if word is None:
-                    value = _int(m["digits"])
-                elif m.start() < word_end:
-                    continue
-                else:
-                    word_end = m.start() + len(word)
-                    # Only a number word spelled in ASCII letters is read; one
-                    # that re.I matches through "ſ" or "ı" is no count.
-                    value = NUMBER_WORDS.get(word.lower())
-                    if value is None:
-                        continue
-                for phrase in phrases:
-                    first.setdefault(phrase, value)
-                lead = leads.get(m.start())
-                if lead is not None and (lead[1] is None or lead[1] in phrases):
-                    first.setdefault(lead[0], value)
-            elif kind in _LEADS:
-                leads[m.start(kind)] = _LEADS[kind]
-            elif kind == "per_node_digits":
-                first.setdefault("per_node_phrase", _int(m[kind]))
-            elif kind == "acc":
-                for term in ("accelerate", "accelerate_launcher", "acc_ddp"):
-                    if m[term] is not None:
-                        first.setdefault(term, "")
-            elif kind == "deepspeed":
-                first.setdefault(kind, "")
-                if m["deepspeed_launcher"] is not None:
-                    first.setdefault("deepspeed_launcher", "")
-            elif kind is None or kind == "py" or kind == "json":
-                # Where a path or a cluster name starts; a name's group is
-                # unnamed, so its kind is None.
-                for path in ("py", "json"):
-                    if m[path] is not None:
-                        first.setdefault(path, m[path])
-                if cluster is None and m.lastindex >= self._cluster_group:
-                    cluster = self._cluster_ids[m.lastindex - self._cluster_group]
-            else:
-                first.setdefault(kind, m[kind])
-        return _resolve(text, first, cluster)
+        reading = _Reading(text)
+        phrases, folded = self._phrases, reading.folded
+        for word in _WORDS(folded):
+            head = word[0]
+            phrase = phrases.get(head) or (_COUNT if head.isdecimal() else None)
+            if phrase is not None:
+                phrase(reading, word.start())
+        for start, phrase in _FOUND:
+            at = folded.find(start)
+            while at >= 0:
+                phrase(reading, at)
+                at = folded.find(start, at + 1)
+        cluster = reading.cluster
+        other = self._others and self._others(text)
+        if other:
+            rank, canonical = self._other_ids[other.lastindex - 1]
+            if cluster is None or (other.start(), rank) < cluster[:2]:
+                cluster = (other.start(), rank, canonical)
+        return _resolve(text, reading.first, cluster and cluster[2])
+
+
+# Terms by rank: the first one the text holds fixes the field.  FSDP comes before
+# DDP ("fully sharded data parallel"); a launcher phrase also names its framework.
+_FRAMEWORK_TERMS = (("pytorch", Framework.PYTORCH), ("deepspeed", Framework.DEEPSPEED),
+                    ("deepspeed_launcher", Framework.DEEPSPEED),
+                    ("accelerate", Framework.ACCELERATE),
+                    ("accelerate_launcher", Framework.ACCELERATE))
+_STRATEGY_TERMS = (("fsdp", Strategy.FSDP), ("zero3", Strategy.ZERO3), ("ddp", Strategy.DDP))
+_LAUNCHER_TERMS = (("torchrun", Launcher.TORCHRUN), ("mpiexec", Launcher.MPIEXEC),
+                   ("srun", Launcher.SRUN), ("deepspeed_launcher", Launcher.DEEPSPEED),
+                   ("accelerate_launcher", Launcher.ACCELERATE))
+
+
+def _count(first: dict[str, object], kinds: tuple[str, ...]) -> int | None:
+    """The count of the first kind present that is at least 1 (digits as written or int)."""
+    for kind in kinds:
+        value = first.get(kind)
+        if value is not None:
+            value = _int(value) if isinstance(value, str) else value
+            if value >= 1:
+                return value
+    return None
+
+
+def _term(first: dict[str, object], terms: tuple[tuple[str, object], ...]):
+    """The value of the first of ``terms`` whose kind the text holds, if any."""
+    for kind, value in terms:
+        if kind in first:
+            return value
+    return None
 
 
 def _resolve(text: str, first: dict[str, object], cluster: str | None) -> PartialJobSpec:
-    """The precedence rules over what the scan read first of each kind."""
-
-    def count(*kinds: str) -> int | None:
-        """The count of the first kind present, if it is at least 1.
-
-        Each phrase is read at its first place only; a count of 0 there
-        passes the field on to the next kind.  Flag and port values are
-        still digits as written.
-        """
-        for kind in kinds:
-            value = first.get(kind)
-            if value is not None:
-                value = _int(value) if isinstance(value, str) else value
-                if value >= 1:
-                    return value
-        return None
-
-    spec = PartialJobSpec(cluster=cluster)
-    spec.framework = next((v for k, v in _FRAMEWORK_TERMS if k in first), None)
-    if "acc_ddp" in first:
-        spec.framework, spec.strategy = STRATEGY_SHORTHANDS["acc-ddp"]
-    else:
-        spec.strategy = next((v for k, v in _STRATEGY_TERMS if k in first), None)
-    spec.launcher = next((v for k, v in _LAUNCHER_TERMS if k in first), None)
-
-    spec.nodes = count("f_nodes", "nodes", "across") or (1 if "single" in first else None)
-    spec.gpus_per_node = count("f_gpus_per_node", "per_node", "per_node_slash", "each",
-                               "per_node_phrase")
-    if spec.gpus_per_node is None:
-        spec.total_gpus = count("f_total_gpus", "in_total", "total_of", "total_gpus", "gpus")
-    elif spec.nodes is None:
-        # A stated total sets the node count, or shows that the two counts do
-        # not fit; a bare "N GPUs" may be the per-node phrase itself.
-        spec.total_gpus = count("f_total_gpus", "in_total", "total_of", "total_gpus")
-    spec.master_port = valid_port(count("f_master_port", "port"))
-    spec.entry_script = (first.get("f_entry") or first.get("entry_phrase")
-                         or first.get("run") or first.get("python") or first.get("py"))
-    config = first.get("f_config") or first.get("config") or first.get("json")
-    if config and (spec.framework is Framework.DEEPSPEED or "deepspeed" in text.lower()):
-        spec.deepspeed_config = config
-
+    """The precedence rules over what the words read first of each kind."""
+    framework, strategy = (STRATEGY_SHORTHANDS["acc-ddp"] if "acc_ddp" in first
+                           else (_term(first, _FRAMEWORK_TERMS), _term(first, _STRATEGY_TERMS)))
+    nodes = _count(first, ("f_nodes", "nodes", "across")) or (1 if "single" in first else None)
+    per_node = _count(first, ("f_gpus_per_node", "per_node", "per_node_slash", "each",
+                              "per_node_phrase"))
+    total = None
+    if per_node is None:
+        total = _count(first, ("f_total_gpus", "in_total", "total_of", "total_gpus", "gpus"))
+    elif nodes is None:
+        # A total sets the node count, or shows that the two counts do not fit.
+        total = _count(first, ("f_total_gpus", "in_total", "total_of", "total_gpus", "bare_gpus"))
+    config = None
+    if framework is Framework.DEEPSPEED or "deepspeed" in text.lower():
+        config = (first.get("f_config") or first.get("config")
+                  or _first_path(text, ".json", _JSON_PATH))
+    fields = (cluster, framework, strategy, _term(first, _LAUNCHER_TERMS), nodes, per_node, total,
+              valid_port(_count(first, ("f_master_port", "port"))),
+              first.get("f_entry") or first.get("entry_phrase") or first.get("run")
+              or first.get("python") or _first_path(text, ".py", _PY_PATH))
     if "args" in first:
-        spec.train_args = first["args"].strip()
-    elif spec == PartialJobSpec():
+        train_args = first["args"].strip()
+    else:
         # Nothing extractable: keep the input verbatim so it is not lost.
-        spec.train_args = text.strip()
-    return spec
+        train_args = text.strip() if fields.count(None) == len(fields) and not config else ""
+    return PartialJobSpec(*fields, train_args, config)
 
 
 @functools.cache

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import find, strategies as st
+from hypothesis import find, settings, strategies as st
 
 from launchport.clusters import default_profiles
 from launchport.intent import JobSpec
@@ -54,6 +54,11 @@ FAULT_CORPUS = {
     "BAD_CONFIG_PATH": ("delta", Framework.DEEPSPEED, Strategy.ZERO3,
                         {"deepspeed_config": "/nonexistent/ds_config.json"}),
 }
+
+
+# A long run of every property, chosen with --hypothesis-profile=deep (README
+# "Tests"); the default run never loads it.
+settings.register_profile("deep", max_examples=20000)
 
 
 @pytest.hookimpl(trylast=True)  # after hypothesis' plugin ends its initialization phase

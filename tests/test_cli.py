@@ -258,6 +258,16 @@ class TestInputErrors:
         assert prompts == []
         assert (code, out, err) == (1, "", "error: 8 total GPUs cannot be split into 3 per node\n")
 
+    def test_a_bare_total_beside_a_per_node_count_is_read(self, capsys):
+        # "8 GPUs" sets two nodes of four; "6 GPUs" does not split into fours.
+        code, out, err = run_cli(capsys, "generate", "train on 8 GPUs, 4 GPUs per node on "
+                                 "delta with PyTorch DDP, run train.py", "--non-interactive")
+        assert (code, err) == (0, "")
+        assert "torchrun --nnodes=2 --nproc_per_node=4 " in out
+        code, out, err = run_cli(capsys, "generate", "train on 6 GPUs, 4 GPUs per node on delta",
+                                 "--non-interactive")
+        assert (code, out, err) == (1, "", "error: 6 total GPUs cannot be split into 4 per node\n")
+
     def test_a_port_keeps_double_quoted_arguments_whole(self, capsys, tmp_path):
         script = tmp_path / "job.sh"
         script.write_text(PERLMUTTER_COMMAND.replace(" ...'", ' --run-name "vit base"\''), "utf-8")

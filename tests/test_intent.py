@@ -1,7 +1,12 @@
 import json
+import os
 import re
 import string
+import subprocess
+import sys
+from collections.abc import Sized
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -148,6 +153,15 @@ class TestClusterSearch:
         assert extractor.extract("run on ÉCOLE").cluster == "ecole"
         assert extractor.extract("run on delta").cluster == "delta"
 
+    def test_names_that_are_also_words_the_extractor_reads(self):
+        # A name found through its first word leaves that word's phrase read too.
+        names = {"on": "onyx", "4": "four", "port": "harbor", "configs": "cfg", "two": "pair"}
+        extractor = RuleBasedExtractor(names)
+        for text in ("4 nodes on port 29500", "run on two nodes", "deepspeed configs.json, 4 nodes"):
+            assert extractor.extract(text) == _extract_reference(text, names), text
+        p = extractor.extract("4 nodes on port 29500")
+        assert (p.cluster, p.nodes, p.master_port) == ("four", 4, 29500)
+
     def test_empty_registry_names_no_cluster(self):
         assert RuleBasedExtractor({}).extract("train on perlmutter").cluster is None
 
@@ -208,6 +222,12 @@ _REF_TOTAL_GPUS = [
     re.compile(r"\b(\d+)\s+total\s+gpus?\b", re.I),
     re.compile(r"\b(\d+)\s+gpus?\b", re.I),
 ]
+# A bare "N GPUs": no node noun, "each", per-node or total phrase follows.
+_REF_BARE_GPUS = re.compile(
+    r"\b(\d+)\s+(?!gpu\s+(?:node|server|machine|host)s?\b)gpus?\b(?!\s+each\s+"
+    r"(?:node|server|machine|host)\b|\s+(?:per|on\s+each|in\s+each|for\s+each|a)\s+"
+    r"(?:node|server|machine|host)\b|\s*/\s*node\b|\s+(?:each|apiece)\b"
+    r"|\s+(?:in\s+total|total|overall|altogether)\b)", re.I)
 _REF_PORT = re.compile(
     r"\b(?:master\s+|rendezvous\s+)?port\s*(?:is|of|:|=)?\s*(\d{4,5})\b", re.I)
 _REF_ENTRY = [
@@ -310,8 +330,9 @@ def _extract_reference(text, cluster_names=None):
         spec.gpus_per_node = per_node
         matched_any = True
     if per_node is None or nodes is None:
-        # Beside a per-node count only a stated total counts, not a bare "N GPUs".
-        totals = _REF_TOTAL_GPUS if per_node is None else _REF_TOTAL_GPUS[:-1]
+        # Beside a per-node count a stated total counts, then a bare "N GPUs"
+        # ("4 GPUs per node" is not one).
+        totals = _REF_TOTAL_GPUS if per_node is None else [*_REF_TOTAL_GPUS[:-1], _REF_BARE_GPUS]
         total = (_ref_first_int(text, _REF_FLAGS["total_gpus"])
                  or _ref_first_int(digits, *totals))
         if total is not None:
@@ -370,7 +391,7 @@ _SOUP_TOKENS = sorted(NUMBER_WORDS) + [
     "mpiexec", "mpirun", "srun", "pytorch", "args", "arguments", "my", "with",
     "ſ", "\u212a", "ı", "İ", "ſix", "ſingle", "iſ", "deepſpeed", "fſdp", "\u212aestrel",
 ] + sorted(default_profiles().names()) + ["lſ6", "ſtampede3"]
-_SOUP_SEPARATORS = [" ", "-", "_", ", ", "/", "\n", "", "."]
+_SOUP_SEPARATORS = [" ", "-", "_", ", ", "/", "\n", "", ".", "\t", "=", ":", "(", "'"]
 
 
 @st.composite
@@ -383,8 +404,8 @@ def _soups(draw):
     return "".join(case(token) + sep for token, sep, case in parts)
 
 
-def test_first_letter_classes_admit_every_re_i_match():
-    # The scanner tests first letters case-sensitively; its classes must hold
+def test_the_fold_maps_every_re_i_match_of_an_ascii_letter():
+    # The extractor folds the text before it looks words up; the fold must map
     # every character that re.I matches to an ASCII letter.
     ascii_letter = re.compile("[a-z]", re.I)
     folds = {}
@@ -408,6 +429,15 @@ class TestReferenceEquivalence:
     @example("launch programs.py")
     @example("per node gpus8, total of twenty-one gpus")
     @example("deepspeed --deepspeed_config ;, x.json")
+    # A bare total beside a per-node count: it sets the nodes, or does not split.
+    @example("train on 8 GPUs, 4 GPUs per node on delta")
+    @example("train on 6 GPUs, 4 GPUs per node on delta")
+    # A word start right after ".", "/" or "-", across two words, or a flag
+    # after ",": a word index that missed the start would read nothing there.
+    @example("x.pytorch a/fsdp b-torchrun c.two nodes")
+    @example("twenty one GPUs per node")
+    @example("--entry=x.py")
+    @example("on delta,--nodes 2,--port 29500")
     def test_lexicon_soups(self, text):
         if text:
             assert extract(text) == _extract_reference(text)
@@ -423,38 +453,64 @@ class TestReferenceEquivalence:
         assert extract(text) == _extract_reference(text)
 
 
-# The extractor's scanner without the lookahead that skips its count/term
-# branch where a word ends: the reference the guarded scanner must agree with.
-_GUARD = r"|\b(?=\w)(?:"
-_SCANNER = RuleBasedExtractor()._scan.__self__
-_UNGUARDED = re.compile(_SCANNER.pattern.replace(_GUARD, r"|\b(?:"), re.I)
+def _sizes(namespace):
+    """Each value's size: a cache's entry count, a container's length or its
+    bytes, and the same one level down, through a dict's values and the cells of
+    a function's closure."""
+
+    def size(value):
+        if hasattr(value, "cache_info"):
+            return value.cache_info().currsize
+        return len(value) if isinstance(value, Sized) else sys.getsizeof(value)
+
+    sizes = {}
+    for name, value in namespace.items():
+        if name.startswith("__"):  # the module's builtins and dunders
+            continue
+        sizes[name] = size(value)
+        inner = value.values() if isinstance(value, dict) else [value]
+        for i, item in enumerate(inner):
+            for j, cell in enumerate(getattr(item, "__closure__", None) or ()):
+                sizes[name, i, j] = size(cell.cell_contents)
+            if isinstance(value, dict):
+                sizes[name, i] = size(item)
+    return sizes
 
 
-def _tokens(scanner, text):
-    return [(m.span(), m.lastgroup, m.lastindex, m.groupdict()) for m in scanner.finditer(text)]
+def test_extract_keeps_nothing_of_the_texts_it_read():
+    # Extraction is pure: no memo of texts, results or matches grows with use.
+    extractor = RuleBasedExtractor()
+    clusters = sorted(default_profiles().names())
+    words = sorted(NUMBER_WORDS)
+    texts = [f"train {words[n % len(words)]} nodes with {n} GPUs per node on "
+             f"{clusters[n % len(clusters)]}, port {20000 + n}, run t{n}.py and DeepSpeed "
+             f"config c{n}.json, torchrun --nodes {n}; arguments are --seed {n}"
+             for n in range(1, 1001)]
+    before = (_sizes(vars(extractor)), _sizes(vars(prose)))
+    assert len({extractor.extract(text).train_args for text in texts}) == 1000
+    assert (_sizes(vars(extractor)), _sizes(vars(prose))) == before
 
 
-class TestScannerGuard:
-    """The word-start guard changes no token the scanner emits."""
-
-    def test_the_guard_is_in_the_scanner_once(self):
-        assert _SCANNER.pattern.count(_GUARD) == 1
-
-    def test_every_golden_text(self):
-        from golden import regen
-
-        entries = json.loads(regen.CORPUS.read_text("utf-8"))
-        assert len(entries) > 320
-        for entry in entries:
-            assert _tokens(_SCANNER, entry["text"]) == _tokens(_UNGUARDED, entry["text"])
-
-    @given(_soups())
-    def test_lexicon_soups(self, text):
-        assert _tokens(_SCANNER, text) == _tokens(_UNGUARDED, text)
-
-    @given(st.text())
-    def test_arbitrary_text(self, text):
-        assert _tokens(_SCANNER, text) == _tokens(_UNGUARDED, text)
+def test_phrases_compile_only_when_a_text_reaches_them():
+    # A fresh extractor compiles no phrase pattern; a text compiles the ones its
+    # words head.
+    code = (
+        "import launchport.prose as p\n"
+        "def compiled():\n"
+        "    return sorted(w for w, ph in p._PHRASES.items()\n"
+        "                  if getattr(ph.match, '__func__', None) is not p._Phrase._compile)\n"
+        "p.RuleBasedExtractor()\n"
+        "print(compiled())\n"
+        "p.extract('use PyTorch on 2 nodes')\n"
+        "print(compiled())\n"
+    )
+    src = str(Path(prose.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    built, used = done.stdout.splitlines()
+    assert built == "[]"
+    heads = ["across", "on", "over", "spanning", "pytorch", *sorted(NUMBER_WORDS)]
+    assert used == str(sorted(w for w in heads if " " not in w and "-" not in w))
 
 
 _HUGE_COUNT_SCRIPTS = (
@@ -550,6 +606,7 @@ class TestMissingFields:
         "8 GPUs in total, 3 GPUs per node",
         "a total of 8 GPUs with 3 GPUs per node",
         "--total-gpus 8 --gpus-per-node 3",
+        "train on 8 GPUs, 3 GPUs per node",
     ])
     def test_a_total_that_does_not_split_per_node_is_inconsistent(self, text):
         # No node count could mend it, so it is not reported as a missing one.
@@ -564,6 +621,16 @@ class TestMissingFields:
         p = extract("12 GPUs in total, 4 GPUs per node")
         assert missing_fields(p) == ["cluster", "framework", "strategy", "entry_script"]
         assert derive(p).nodes == 3
+
+    def test_a_bare_total_beside_a_per_node_count_sets_the_nodes(self):
+        p = extract("train on 8 GPUs, 4 GPUs per node on delta")
+        assert (p.nodes, p.gpus_per_node, p.total_gpus) == (None, 4, 8)
+        assert missing_fields(p) == ["framework", "strategy", "entry_script"]
+        assert derive(p).nodes == 2
+
+    def test_a_stated_node_count_leaves_a_bare_total_unread(self):
+        p = extract("train on 8 GPUs, 4 GPUs per node, 3 nodes on delta")
+        assert (p.nodes, p.gpus_per_node, p.total_gpus) == (3, 4, None)
 
 
 @given(field=st.sampled_from(["nodes", "gpus_per_node", "total_gpus", "master_port"]),
