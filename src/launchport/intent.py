@@ -367,11 +367,32 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
 # A path to a Python file; the prose extractor reads entry scripts with it too.
 _PY = r"[\w./-]+\.py"
 
-# The three flags that set a rendezvous port: torchrun's, accelerate's and
-# the environment variable mpiexec and srun pass on.
-_PORT_FLAGS = (r"--master[-_]port", r"--main[-_]process[-_]port", "MASTER_PORT")
-# Any of the three flags and its digits (group 1), for every port a script states.
-PORT_FLAG_RE = re.compile("(?:" + "|".join(_PORT_FLAGS) + r")[=\s]+(\d+)")
+# The three flags that set a rendezvous port (torchrun's, accelerate's and the
+# environment variable mpiexec and srun pass on) and their digits (group 1).
+PORT_FLAG_RE = re.compile(
+    r"(?:--master[-_]port|--main[-_]process[-_]port|MASTER_PORT)[=\s]+(\d+)")
+# How the flags each launcher reads start, in its order; the first valid port wins.
+_LAUNCHER_PORT_FLAGS = {
+    Launcher.TORCHRUN: ("--master", "MASTER"), Launcher.DEEPSPEED: ("--master", "MASTER"),
+    Launcher.ACCELERATE: ("--main", "MASTER", "--master"),
+    Launcher.MPIEXEC: ("MASTER", "--master"), Launcher.SRUN: ("MASTER", "--master"),
+}
+
+
+def _port_flags(text: str) -> list[re.Match]:
+    """What ``PORT_FLAG_RE.finditer(text)`` yields, matched only where a flag's name
+    starts; no two flags overlap, so these are the matches a scan finds, in its order."""
+    found = []
+    for start in ("--ma", "MASTER_PORT"):  # how the three names start
+        at = text.find(start)
+        while at >= 0:
+            if m := PORT_FLAG_RE.match(text, at):
+                found.append(m)
+            at = text.find(start, at + 1)
+    if len(found) > 1:
+        found.sort(key=re.Match.start)
+    return found
+
 
 _RE_NNODES = re.compile(r"--nnodes[=\s]+(\d+)")
 _RE_NPROC = re.compile(r"--nproc[-_]per[-_]node[=\s]+(\d+)")
@@ -388,24 +409,15 @@ _RE_MPI_PPN = re.compile(r"(?<![\w-])-ppn[=\s]+(\d+)")
 _RE_MPIEXEC = re.compile("mpiexec", re.I | re.A)
 _RE_MPIRUN = re.compile("mpirun", re.I | re.A)
 
-# parse_script's own patterns once its first call has compiled them: the port
-# patterns of each launcher, the entry script and a trailing DeepSpeed config.
+# parse_script's own patterns once its first call has compiled them: the entry
+# script and a trailing DeepSpeed config.
 _script_patterns = None
 
 
 def _compile_script_patterns():
     """Compile the patterns only :func:`parse_script` reads; keep them in ``_script_patterns``."""
     global _script_patterns
-    torch_port, main_port, genv_port = (re.compile(flag + r"[=\s]+(\d+)") for flag in _PORT_FLAGS)
     _script_patterns = (
-        # The port flags each launcher reads, in order; the first valid port wins.
-        {
-            Launcher.TORCHRUN: (torch_port, genv_port),
-            Launcher.DEEPSPEED: (torch_port, genv_port),
-            Launcher.ACCELERATE: (main_port, genv_port, torch_port),
-            Launcher.MPIEXEC: (genv_port, torch_port),
-            Launcher.SRUN: (genv_port, torch_port),
-        },
         re.compile(r"(?<![\w/.-])(" + _PY + r")\b"),
         re.compile(r"([\w./-]+\.json)\s*'?\s*$"),
     )
@@ -430,9 +442,11 @@ def parse_script(script: str) -> PartialJobSpec:
     if launcher is None:
         return spec
     spec.launcher = launcher
-    port_patterns, any_py, trailing_json = _script_patterns or _compile_script_patterns()
-    for pattern in port_patterns[launcher]:
-        spec.master_port = valid_port(_grab(pattern, script))
+    any_py, trailing_json = _script_patterns or _compile_script_patterns()
+    ports = _port_flags(script)
+    for flag in _LAUNCHER_PORT_FLAGS[launcher]:
+        digits = next((m[1] for m in ports if m[0].startswith(flag)), "0")  # "0": none
+        spec.master_port = valid_port(_int(digits))
         if spec.master_port is not None:
             break
 

@@ -148,6 +148,7 @@ def run_loop(
         if repair_table is None:
             repair_table = agent.default_repair_table()
         tried: set[tuple[str | None, tuple[str, str]]] = set()
+        errors = error_count(findings)  # the current script's, kept beside its findings
         while result.exit_code != 0:
             diag = agent.diagnose(
                 result, profile, fingerprints, bridge=bridge,
@@ -173,10 +174,10 @@ def run_loop(
                 except LaunchportError:
                     continue  # unappliable action: skip to the next untried one
                 new_findings = lint(new_script, new_spec, profile)
-                if error_count(new_findings) > error_count(findings):
+                if (new_errors := error_count(new_findings)) > errors:
                     continue  # it would add lint errors: unappliable too
-                script, current_spec, current_t, findings = (
-                    new_script, new_spec, new_t, new_findings)
+                script, current_spec, current_t, findings, errors = (
+                    new_script, new_spec, new_t, new_findings, new_errors)
                 applied = action
                 break
             history.append(HistoryEntry(diag, applied, result))

@@ -130,34 +130,29 @@ class Fingerprint(FrozenRecord):
         set_frozen(self, "literal", literal)
         set_frozen(self, "regex", regex)
         set_frozen(self, "explanation", explanation)
-        # A bad regex raises re.error here.  The compiled search is kept in a
-        # slot that is not a field, so equality, hashing and repr are unaffected.
-        if regex is not None:
-            set_frozen(self, "_search", re.compile(regex, re.MULTILINE).search)
-
-    def matches(self, stderr: str) -> bool:
-        if self.literal is not None:
-            return self.literal in stderr
-        return self._search(stderr) is not None
+        # A bad regex raises re.error here.  The compiled search, or None, is kept
+        # in a slot that is not a field, so equality, hashing and repr are unaffected.
+        set_frozen(self, "_search", None if regex is None else re.compile(regex, re.M).search)
 
 
 class FingerprintSet:
-    """Ordered fingerprints; first match wins."""
+    """Ordered fingerprints; first match wins.  Each one's :class:`Diagnosis` is
+    built once, with the set, and shared by every failure it matches."""
 
     def __init__(self, fingerprints: list[Fingerprint]):
         self._fingerprints = list(fingerprints)
+        # Per fingerprint, in order: its literal, its search and its diagnosis.
+        self._tests = [
+            (fp.literal, fp._search, Diagnosis(
+                fp.category, fp.id, fp.explanation or f"matched fingerprint {fp.id}"))
+            for fp in self._fingerprints
+        ]
 
     def __iter__(self) -> Iterator[Fingerprint]:
         return iter(self._fingerprints)
 
     def __len__(self) -> int:
         return len(self._fingerprints)
-
-    def match(self, stderr: str) -> Fingerprint | None:
-        for fp in self._fingerprints:
-            if fp.matches(stderr):
-                return fp
-        return None
 
 
 class RepairTable:
@@ -294,13 +289,10 @@ def diagnose(
     """
     if res.exit_code == 0:
         raise ContractViolationError("diagnose called on a successful result")
-    fp = fingerprints.match(res.stderr)
-    if fp is not None:
-        return Diagnosis(
-            category=fp.category,
-            fingerprint_id=fp.id,
-            explanation=fp.explanation or f"matched fingerprint {fp.id}",
-        )
+    stderr = res.stderr
+    for literal, search, diagnosis in fingerprints._tests:
+        if search(stderr) if literal is None else literal in stderr:
+            return diagnosis
     if bridge is not None and bridge.enabled("repair"):
         try:
             category, proposals = bridge.remote_repair(
@@ -388,25 +380,6 @@ def apply_action(
     """
     kind = action.kind
     payload = action.payload
-    if kind == "export_env":
-        name = payload["name"]
-        check_script_text("export_env name", name)
-        text = _inject_into_launch(script.text, f"export {name}=${name}")
-        return script.replace(text=text), spec, template
-    if kind == "add_module_load":
-        module = payload["module"]
-        check_script_text("add_module_load module", module)
-        return script.replace(text=f"module load {module}\n{script.text}"), spec, template
-    if kind == "pin_version":
-        package, version = payload["package"], payload["version"]
-        check_script_text("pin_version package", package)
-        check_script_text("pin_version version", version)
-        line = f"module load {package}/{version}"
-        return script.replace(text=f"{line}\n{script.text}"), spec, template
-    if kind == "prepend_line":
-        line = payload["line"]
-        check_script_text("prepend_line line", line)
-        return script.replace(text=f"{line}\n{script.text}"), spec, template
     if kind == "add_arg":
         train_args = f"{spec.train_args} {payload['args']}".strip()
         check_script_text("train_args", train_args)
@@ -420,7 +393,27 @@ def apply_action(
             raise NoRepairAvailableError(f"no template '{template_id}' to switch to")
         new_t = template_set.get(template_id)
         return render_for_spec(spec, new_t, profile), spec, new_t
-    raise LaunchportError(f"unknown repair kind '{kind}'")
+    if kind == "export_env":
+        name = payload["name"]
+        check_script_text("export_env name", name)
+        text = _inject_into_launch(script.text, f"export {name}=${name}")
+    elif kind == "add_module_load":
+        module = payload["module"]
+        check_script_text("add_module_load module", module)
+        text = f"module load {module}\n{script.text}"
+    elif kind == "pin_version":
+        package, version = payload["package"], payload["version"]
+        check_script_text("pin_version package", package)
+        check_script_text("pin_version version", version)
+        text = f"module load {package}/{version}\n{script.text}"
+    elif kind == "prepend_line":
+        line = payload["line"]
+        check_script_text("prepend_line line", line)
+        text = f"{line}\n{script.text}"
+    else:
+        raise LaunchportError(f"unknown repair kind '{kind}'")
+    # Built directly: the constructor still refuses a placeholder and reads the topology.
+    return RenderedScript(text, script.template_id, script.binding), spec, template
 
 
 def _apply_set_param(

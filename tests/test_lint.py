@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from launchport.errors import LaunchportError, UnboundParameterError
-from launchport.intent import PORT_FLAG_RE
+from launchport.intent import _port_flags, parse_script
 from launchport.lint import (
     CATALOG,
     ENV_PROPAGATION_RISK,
@@ -19,7 +19,7 @@ from launchport.lint import (
     lint,
 )
 from launchport.synthesis import RenderedScript, render_for_spec
-from launchport.types import PORT_MAX, PORT_MIN, Framework, Strategy, valid_port
+from launchport.types import PORT_MAX, PORT_MIN, Framework, Launcher, Strategy, valid_port
 
 from conftest import make_spec
 
@@ -186,15 +186,53 @@ _PORT_TOKENS = [
     "--master_port", "--master-port", "--main_process_port", "--main-process_port",
     "--main-process-port", "MASTER_PORT", "master_port", "--master__port", "-genv MASTER_PORT",
     "--MASTER_PORT", "=", " ", "\t", "\n", "29500", "80", "70000", "0", "1" * 30, "x", "'",
+    "port", "PORT", "_PORT", "--master_", "--main_process_", "MASTER_", "-", "_",
 ]
+_PORT_SOUPS = st.lists(st.sampled_from(_PORT_TOKENS), max_size=16).map("".join) | st.text()
 
 
-@given(st.lists(st.sampled_from(_PORT_TOKENS), max_size=16).map("".join) | st.text())
+@given(_PORT_SOUPS)
+@example("--master_port=1--master_port=29500")
+@example("-genv MASTER_PORT 1 --master_port 29500")
 def test_port_flag_pattern_scans_as_lints_own_did(text):
-    def stream(pattern):
-        return [(m.group(1), m.span(1)) for m in pattern.finditer(text)]
+    expected = [(m.group(1), m.span(1)) for m in _RAW_PORT_RE.finditer(text)]
+    assert [(m.group(1), m.span(1)) for m in _port_flags(text)] == expected
 
-    assert stream(PORT_FLAG_RE) == stream(_RAW_PORT_RE)
+
+# Reference: parse_script's port reading before it shared lint's port reader:
+# one pattern per flag, tried in its launcher's order; the first valid port wins.
+_REF_TORCH, _REF_MAIN, _REF_GENV = (re.compile(flag + r"[=\s]+(\d+)") for flag in (
+    r"--master[-_]port", r"--main[-_]process[-_]port", "MASTER_PORT"))
+_REF_PORT_ORDER = {
+    Launcher.TORCHRUN: (_REF_TORCH, _REF_GENV),
+    Launcher.DEEPSPEED: (_REF_TORCH, _REF_GENV),
+    Launcher.ACCELERATE: (_REF_MAIN, _REF_GENV, _REF_TORCH),
+    Launcher.MPIEXEC: (_REF_GENV, _REF_TORCH),
+    Launcher.SRUN: (_REF_GENV, _REF_TORCH),
+}
+_LAUNCH_PREFIXES = ["torchrun --nnodes=2 ", "deepspeed --num_nodes=2 ", "accelerate launch ",
+                    "mpiexec -n 8 ", "srun -N 2 "]
+
+
+def _reference_port(text, launcher):
+    for pattern in _REF_PORT_ORDER[launcher]:
+        m = pattern.search(text)
+        try:
+            port = valid_port(int(m[1])) if m else None
+        except ValueError:  # more digits than int() converts
+            port = None
+        if port is not None:
+            return port
+    return None
+
+
+@given(st.sampled_from(_LAUNCH_PREFIXES), _PORT_SOUPS)
+@example("accelerate launch ", "--master_port 29500 MASTER_PORT=80 --main_process_port 29400")
+@example("srun -N 2 ", "MASTER_PORT 80 --master_port=29501 MASTER_PORT 29502")
+@example("torchrun --nnodes=2 ", "--master_port=1--master_port=29500 MASTER_PORT 29400")
+def test_parse_script_reads_the_first_valid_port_in_its_launchers_flag_order(prefix, soup):
+    parsed = parse_script(prefix + soup)
+    assert parsed.master_port == _reference_port(prefix + soup, parsed.launcher)
 
 
 _PORT_DIGITS = "0123456789\u0663\u0669\u0660"  # with Arabic-Indic 3, 9 and 0

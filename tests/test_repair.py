@@ -43,7 +43,7 @@ from launchport.simcluster import ExecutionResult, load_fault_rules, submit
 from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.types import REPAIR_PAYLOAD_KEYS, Framework, Strategy
 
-from conftest import first_bindable, make_spec, pipeline_cases
+from conftest import FAULT_CORPUS, first_bindable, make_spec, pipeline_cases
 
 
 _FP = '{"id": "fp", "category": "env", "pattern": %s}'
@@ -254,9 +254,10 @@ _BUNDLED_REGEXES = [fp.regex for fp in load_fingerprints(bundled("fingerprints.j
     ), max_size=6).map("".join),
     stderr=st.text() | st.text("ab \n", max_size=12),
 )
-def test_fingerprint_matches_as_a_multiline_search(regex, stderr):
-    fingerprint = repair.Fingerprint("F", CATEGORY_ENV, regex=regex)
-    assert fingerprint.matches(stderr) == (re.search(regex, stderr, re.M) is not None)
+def test_fingerprint_matches_as_a_multiline_search(profiles, regex, stderr):
+    fingerprints = repair.FingerprintSet([repair.Fingerprint("F", CATEGORY_ENV, regex=regex)])
+    diag = diagnose(_failed(stderr), profiles.resolve("delta"), fingerprints)
+    assert (diag.fingerprint_id == "F") == (re.search(regex, stderr, re.M) is not None)
 
 
 @pytest.mark.parametrize("pattern", [{}, {"literal": "x", "regex": "x"}])
@@ -268,6 +269,46 @@ def test_fingerprint_takes_exactly_one_pattern(pattern):
 
 def _failed(stderr):
     return ExecutionResult(exit_code=1, stdout="", stderr=stderr)
+
+
+def _reference_diagnosis(stderr, fingerprints):
+    """The first matching fingerprint's diagnosis, built field by field on each call."""
+    for fp in fingerprints:
+        if fp.literal in stderr if fp.regex is None else re.search(fp.regex, stderr, re.M):
+            return repair.Diagnosis(category=fp.category, fingerprint_id=fp.id,
+                                    explanation=fp.explanation or f"matched fingerprint {fp.id}")
+    return repair.Diagnosis(CATEGORY_UNKNOWN, None, "no matching fingerprint")
+
+
+def test_each_fingerprint_s_diagnosis_is_built_once_and_shared(
+        profiles, templates, fault_rules, fingerprints):
+    stderrs = [fp.literal for fp in fingerprints if fp.literal is not None]
+    for cluster, framework, strategy, overrides in FAULT_CORPUS.values():
+        profile = profiles.resolve(cluster)
+        spec = make_spec(profile, framework, strategy, **overrides)
+        script = render_for_spec(spec, first_bindable(spec, templates), profile)
+        stderrs.append(submit(script, spec, profile, fault_rules).stderr)
+    profile = profiles.resolve("delta")
+    for stderr in stderrs:
+        diag = diagnose(_failed(stderr), profile, fingerprints)
+        assert diag == _reference_diagnosis(stderr, fingerprints)
+        assert diag.fingerprint_id is not None, stderr
+        assert diagnose(_failed(stderr), profile, fingerprints) is diag
+
+
+_CODE_FINGERPRINTS = repair.FingerprintSet([
+    repair.Fingerprint("TASK", CATEGORY_FRAMEWORK, regex=r"^usage: .*--task$",
+                       explanation="the task argument is missing"),
+    repair.Fingerprint("OFI", CATEGORY_ENV, literal="ofi provider"),
+    repair.Fingerprint("XPU", CATEGORY_FRAMEWORK, literal="xpu", explanation="no xpu backend"),
+])
+
+
+@given(st.lists(st.sampled_from(
+    ["usage: ", "--task", "ofi provider", "ofi", "xpu", "\n", " ", "x"]), max_size=8).map("".join))
+def test_a_fingerprint_set_built_in_code_diagnoses_as_a_first_match_loop(profiles, stderr):
+    diag = diagnose(_failed(stderr), profiles.resolve("delta"), _CODE_FINGERPRINTS)
+    assert diag == _reference_diagnosis(stderr, _CODE_FINGERPRINTS)
 
 
 class TestDiagnose:
@@ -617,10 +658,13 @@ def test_loop_halts_within_bound_for_drawn_rule_sets(
     applied = []  # the last action apply_action returned from before each resubmission
     last_applicable = [None]
 
+    errors = []  # the lint error count of each submitted script
+
     def recording_submit(*args):
         if submitted:
             applied.append(last_applicable[0])
         submitted.append(real_submit(*args))
+        errors.append(error_count(lint(*args[:3])))
         return submitted[-1]
 
     def recording_apply(action, *args):
@@ -644,6 +688,29 @@ def test_loop_halts_within_bound_for_drawn_rule_sets(
     assert outcome.final_result is submitted[-1]
     assert [entry.action is not None for entry in outcome.history] == (
         [True] * outcome.iterations_used + ([] if outcome.succeeded else [False]))
+    assert errors == sorted(errors, reverse=True)  # no applied action adds an error
+    assert outcome.lint_findings == tuple(
+        lint(outcome.final_script, outcome.final_spec, profile))
+
+
+def test_a_loop_whose_repairs_never_clear_the_fault_stops_at_max_iter(profiles, templates):
+    rules = load_fault_rules(json.dumps([{
+        "id": "STUBBORN", "cluster": "delta", "trigger": {"script_lacks": ["never added"]},
+        "stderr": "stubborn failure", "clearable_by": ["prepend_line"]}]))
+    fingerprints = repair.FingerprintSet(
+        [repair.Fingerprint("STUBBORN", CATEGORY_ENV, literal="stubborn failure")])
+    actions = [RepairAction("prepend_line", {"line": f"echo try {i}"}) for i in range(6)]
+    table = repair.RepairTable({"STUBBORN": actions})
+    profile = profiles.resolve("delta")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    outcome = run_loop(spec, templates.get("delta-ddp"), profile, rules,
+                       fingerprints=fingerprints, repair_table=table)
+    assert outcome.status == STATUS_UNRESOLVED
+    assert outcome.iterations_used == MAX_ITERATIONS == 5
+    assert [entry.action for entry in outcome.history] == actions[:5] + [None]
+    assert outcome.final_script.text.startswith(
+        "".join(f"echo try {i}\n" for i in reversed(range(5))))
+    assert outcome.final_result is outcome.history[-1].result
 
 
 class _StubRepairBridge:
