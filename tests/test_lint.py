@@ -228,8 +228,10 @@ def _reference_port(text, launcher):
 
 @given(st.sampled_from(_LAUNCH_PREFIXES), _PORT_SOUPS)
 @example("accelerate launch ", "--master_port 29500 MASTER_PORT=80 --main_process_port 29400")
+@example("accelerate launch ", "-genv MASTER_PORT 29501 --master_port 29502 --main-process-port 29400")
 @example("srun -N 2 ", "MASTER_PORT 80 --master_port=29501 MASTER_PORT 29502")
 @example("torchrun --nnodes=2 ", "--master_port=1--master_port=29500 MASTER_PORT 29400")
+@example("torchrun --nnodes=2 ", "MASTER_PORT 29400 --master-port 29500")
 def test_parse_script_reads_the_first_valid_port_in_its_launchers_flag_order(prefix, soup):
     parsed = parse_script(prefix + soup)
     assert parsed.master_port == _reference_port(prefix + soup, parsed.launcher)
