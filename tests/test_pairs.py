@@ -111,4 +111,3 @@ def test_the_runs_follow_what_the_benchmark_declares():
     assert " ".join(pairs.bench_argv(benchmark, "W", "N")) == (
         "python3 perfbench/run.py --workload W --seed N --seconds 30 --trace 0")
     assert pairs.seeds("2711-2713") == [2711, 2712, 2713]
-    assert pairs.seeds("2711,2720") == [2711, 2720]

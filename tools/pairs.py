@@ -14,7 +14,9 @@ can be told apart from the change.  Stdlib only.  From the repository root::
 Each workload's summary compares the change with the parent on every
 end-to-end metric that ``BENCHMARK.json`` declares: medians, quartiles
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the change
-wins, and whether the gap of the medians exceeds the parent's IQR.
+wins, and whether the gap of the medians exceeds the parent's IQR.  The
+driver leaves ``note`` empty; it summarises the results, so it is written
+by hand after the run.
 """
 
 from __future__ import annotations
@@ -106,11 +108,9 @@ def bench_argv(benchmark: dict, workload: str, seed: str) -> list[str]:
 
 
 def seeds(text: str) -> list[int]:
-    """``"2711-2720"`` or ``"2711,2713"`` as a list of seeds."""
-    if "-" in text:
-        first, last = text.split("-")
-        return list(range(int(first), int(last) + 1))
-    return [int(seed) for seed in text.split(",")]
+    """``"2711-2720"`` as the list of seeds from the first to the last."""
+    first, last = text.split("-")
+    return list(range(int(first), int(last) + 1))
 
 
 def run_once(rev: str, argv: list[str], workdir: Path) -> str:
@@ -134,9 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     parser.add_argument("--parent", required=True, help="revision of the parent")
     parser.add_argument("--change", required=True, help="revision of the change")
-    parser.add_argument("--seeds", type=seeds, required=True, help="2711-2720 or 2711,2712")
+    parser.add_argument("--seeds", type=seeds, required=True, help="first-last, say 2711-2720")
     parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--note", default="")
     parser.add_argument("--workdir", help="where the copies go (default: the system's temp)")
     args = parser.parse_args(argv)
 
@@ -149,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     better = end_to_end(benchmark)
     out = ROOT / f"BENCH_{args.pr}.json"
-    doc = {"command": " ".join(bench_argv(benchmark, "W", "N")), **revs, "note": args.note,
+    doc = {"command": " ".join(bench_argv(benchmark, "W", "N")), **revs, "note": "",
            "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="pairs-", dir=args.workdir) as workdir:
         for workload in args.workloads:
