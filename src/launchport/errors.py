@@ -130,7 +130,8 @@ class RuleParseError(LaunchportError):
 
 
 class NoRepairAvailableError(LaunchportError):
-    """Diagnosis is unknown and no remote repair bridge is enabled."""
+    """A repair action cannot be applied to this job: it names a template the
+    set lacks, or a ``master_port`` that breaks the port rule."""
 
 
 class UsageError(LaunchportError):

@@ -431,13 +431,15 @@ def parse_script(script: str) -> PartialJobSpec:
     """Recover job parameters from a launch script written for some cluster.
 
     Best effort: recognizes srun, mpiexec, torchrun, deepspeed, and
-    accelerate invocations; anything else yields an empty spec.  The node
+    accelerate invocations; anything else yields an empty spec.  Comment
+    lines and ``module`` commands are not read (:func:`_commands`).  The node
     count is reported only when the script states it directly (torchrun,
     accelerate, and deepspeed forms); an mpiexec "-n W -ppn G" pair leaves
     the node count for spec finalization to derive.  A per-node count is
     derived from total/machines when both are visible.
     """
     spec = PartialJobSpec()
+    script = _commands(script)
     launcher, (spec.nodes, spec.gpus_per_node, spec.total_gpus) = _launch(script)
     if launcher is None:
         return spec
@@ -488,7 +490,20 @@ def script_topology(script: str) -> Topology:
     Reads only the launcher and its counts, not the ports, the entry script
     or the arguments; absent counts are ``None``.
     """
-    return _launch(script)[1]
+    return _launch(_commands(script))[1]
+
+
+def _commands(script: str) -> str:
+    """``script`` less its comment lines and ``module`` commands, which may name a
+    launcher, an entry script or flags that the script does not run
+    (``module load deepspeed/0.14``, ``# was: torchrun --nnodes=2 train.py``).
+
+    A text that holds neither ``#`` nor ``module`` is returned as it is.
+    """
+    if "#" not in script and "module" not in script:
+        return script
+    return "\n".join([line for line in script.split("\n")
+                      if not line.lstrip().startswith(("#", "module "))])
 
 
 def _launch(script: str) -> tuple[Launcher | None, Topology]:
@@ -496,7 +511,8 @@ def _launch(script: str) -> tuple[Launcher | None, Topology]:
 
     The launcher is the first of torchrun, deepspeed, accelerate,
     mpiexec/mpirun and srun that the text names anywhere; a text naming
-    none of them has no launcher and no counts.
+    none of them has no launcher and no counts.  Callers pass the text
+    through :func:`_commands` first.
     """
     lowered = script.lower()
     nodes = per_node = total = None

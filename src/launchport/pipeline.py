@@ -26,12 +26,7 @@ from typing import TYPE_CHECKING
 
 from . import retrieval
 from .clusters import ClusterProfile
-from .errors import (
-    ContractViolationError,
-    LaunchportError,
-    NoRepairAvailableError,
-    UnboundParameterError,
-)
+from .errors import ContractViolationError, LaunchportError, UnboundParameterError
 from .intent import JobSpec
 from .lint import Finding, error_count, lint
 from .retrieval import RankedCandidate
@@ -154,13 +149,8 @@ def run_loop(
                 result, profile, fingerprints, bridge=bridge,
                 script_text=script.text, spec=current_spec,
             )
-            actions = []
             # Every entry so far holds an applied repair, so len(history) counts them.
-            if len(history) < max_iter:
-                try:
-                    actions = agent.propose(diag, repair_table)
-                except NoRepairAvailableError:
-                    pass
+            actions = agent.propose(diag, repair_table) if len(history) < max_iter else ()
             applied = None
             for action in actions:
                 key = (diag.fingerprint_id, action.signature())

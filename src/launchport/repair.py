@@ -22,8 +22,10 @@ from __future__ import annotations
 import functools
 import json
 import re
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Iterator, Protocol
+from types import MappingProxyType
+from typing import Protocol
 
 from .clusters import ClusterProfile
 from .documents import OBJECT, OPTIONAL, REQUIRED, TEXT, TEXT_OR_INT, bundled, check_record
@@ -31,7 +33,6 @@ from .documents import load_json
 from .errors import (
     BridgeError,
     ContractViolationError,
-    LaunchportError,
     NoRepairAvailableError,
     RuleParseError,
     UsageError,
@@ -59,6 +60,12 @@ from .types import (
 class RepairAction(FrozenRecord):
     """One typed edit to a script or job spec.
 
+    The constructor refuses a kind outside ``REPAIR_PAYLOAD_KEYS``
+    (:class:`ContractViolationError`), and a payload text of ``export_env``,
+    ``add_module_load``, ``pin_version`` or ``prepend_line``, which goes into
+    the script as it is, that breaks :func:`intent.check_script_text`
+    (:class:`UsageError`).
+
     :func:`run_loop` counts an action as already tried when one with the
     same fingerprint id and the same :meth:`signature` was tried before:
     the kind and the payload as sorted-key JSON, so ``rationale`` and the
@@ -69,6 +76,11 @@ class RepairAction(FrozenRecord):
     __slots__ = ("kind", "payload", "rationale", "_signature")
 
     def __init__(self, kind: str, payload: dict, rationale: str = "") -> None:
+        if kind not in REPAIR_PAYLOAD_KEYS:
+            raise ContractViolationError(f"unknown repair kind '{kind}'")
+        if kind in _TEXT_EDITS:
+            for key in REPAIR_PAYLOAD_KEYS[kind]:
+                check_script_text(f"{kind} {key}", payload.get(key))
         set_frozen(self, "kind", kind)
         set_frozen(self, "payload", payload)
         set_frozen(self, "rationale", rationale)
@@ -140,32 +152,16 @@ class FingerprintSet:
     built once, with the set, and shared by every failure it matches."""
 
     def __init__(self, fingerprints: list[Fingerprint]):
-        self._fingerprints = list(fingerprints)
         # Per fingerprint, in order: its literal, its search and its diagnosis.
         self._tests = [
             (fp.literal, fp._search, Diagnosis(
                 fp.category, fp.id, fp.explanation or f"matched fingerprint {fp.id}"))
-            for fp in self._fingerprints
+            for fp in fingerprints
         ]
 
-    def __iter__(self) -> Iterator[Fingerprint]:
-        return iter(self._fingerprints)
 
-    def __len__(self) -> int:
-        return len(self._fingerprints)
-
-
-class RepairTable:
-    """Fingerprint id -> ordered repair actions."""
-
-    def __init__(self, table: dict[str, list[RepairAction]]):
-        self._table = dict(table)
-
-    def actions_for(self, fingerprint_id: str) -> list[RepairAction]:
-        return list(self._table.get(fingerprint_id, []))
-
-    def fingerprint_ids(self) -> list[str]:
-        return list(self._table)
+# Fingerprint id -> its ordered repair actions; load_repair_table's is read-only.
+RepairTable = Mapping[str, tuple[RepairAction, ...]]
 
 
 _FINGERPRINT_FIELDS = {
@@ -184,12 +180,6 @@ _PAYLOAD_FIELDS = {
     kind: {key: (TEXT_OR_INT if kind == "set_param" and key == "value" else TEXT, REQUIRED)
            for key in keys}
     for kind, keys in REPAIR_PAYLOAD_KEYS.items()
-}
-# The kinds whose payload text apply_action puts into the script as it is:
-# each key of their payloads, with the name a quoting error gives it.
-_VERBATIM_TEXT = {
-    kind: tuple((key, f"{kind} {key}") for key in REPAIR_PAYLOAD_KEYS[kind])
-    for kind in ("export_env", "add_module_load", "pin_version", "prepend_line")
 }
 
 
@@ -220,12 +210,13 @@ def load_fingerprints(source: Path | str) -> FingerprintSet:
 
 
 def load_repair_table(source: Path | str) -> RepairTable:
-    """Load the repair table (JSON object: fingerprint id -> action list).
+    """Load the repair table (JSON object: fingerprint id -> action list) as a
+    read-only mapping from fingerprint id to a tuple of actions.
 
     ``source`` is a path or the JSON text itself; see :mod:`launchport.documents`.
     """
     raw = load_json(source, dict, "repair table", RuleParseError)
-    table: dict[str, list[RepairAction]] = {}
+    table: dict[str, tuple[RepairAction, ...]] = {}
     for record, (fingerprint_id, actions) in enumerate(raw.items()):
         if not isinstance(actions, list):
             raise RuleParseError(
@@ -238,13 +229,11 @@ def load_repair_table(source: Path | str) -> RepairTable:
             kind, payload = entry["kind"], entry.get("payload", {})
             check_record(payload, _PAYLOAD_FIELDS[kind], f"{kind} for '{fingerprint_id}'", error)
             try:
-                for key, name in _VERBATIM_TEXT.get(kind, ()):
-                    check_script_text(name, payload[key])
+                parsed.append(RepairAction(kind, dict(payload), entry.get("rationale", "")))
             except UsageError as exc:
                 raise error(str(exc)) from exc
-            parsed.append(RepairAction(kind, dict(payload), entry.get("rationale", "")))
-        table[fingerprint_id] = parsed
-    return RepairTable(table)
+        table[fingerprint_id] = tuple(parsed)
+    return MappingProxyType(table)
 
 
 @functools.cache
@@ -346,15 +335,11 @@ def propose(d: Diagnosis, table: RepairTable) -> list[RepairAction]:
 
     Fingerprinted failures map to ``table``; bridge-supplied diagnoses
     carry their own parsed actions.  An unknown diagnosis with no remote
-    actions has no repair available.
+    actions, like a fingerprint the table does not list, gets ``[]``.
     """
     if d.fingerprint_id is not None:
-        return table.actions_for(d.fingerprint_id)
-    if d.remote_actions:
-        return list(d.remote_actions)
-    raise NoRepairAvailableError(
-        "diagnosis is unknown and no remote repair bridge is enabled"
-    )
+        return list(table.get(d.fingerprint_id, ()))
+    return list(d.remote_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -373,72 +358,54 @@ def apply_action(
     """Apply one typed edit, returning the new script, spec, and template.
 
     Script-level edits (exports, module loads, prepends) are text surgery on
-    the rendered script; spec-level edits (arguments, parameter values)
+    the rendered script, whose payload text the action's constructor has
+    checked; spec-level edits (arguments, parameter values, templates)
     rebind and re-render so the template structure is preserved.  An edit
-    that would bring a single quote or a newline into the script cannot be
-    applied (:func:`intent.check_script_text`).
+    that would bring a single quote or a newline into the job
+    (:func:`intent.check_script_text`), or that names a port or template it
+    cannot use (:class:`NoRepairAvailableError`), cannot be applied.
     """
     kind = action.kind
     payload = action.payload
+    edit = _TEXT_EDITS.get(kind)
+    if edit is not None:
+        # Built directly: the constructor still refuses a placeholder and reads the topology.
+        text = edit(payload, script.text)
+        return RenderedScript(text, script.template_id, script.binding), spec, template
     if kind == "add_arg":
         train_args = f"{spec.train_args} {payload['args']}".strip()
         check_script_text("train_args", train_args)
-        new_spec = spec.replace(train_args=train_args)
-        return render_for_spec(new_spec, template, profile), new_spec, template
-    if kind == "set_param":
-        return _apply_set_param(payload, script, spec, template, profile)
-    if kind == "switch_template":
+        spec = spec.replace(train_args=train_args)
+    elif kind == "set_param":
+        param, value = payload["param"], payload["value"]
+        check_script_text(param, value)
+        if param == "deepspeed_config":
+            spec = spec.replace(deepspeed_config=str(value))
+        elif param == "master_port":
+            # Anything but a port ("abc" from a remote proposal) cannot be applied.
+            port = valid_port(value)
+            if port is None:
+                raise NoRepairAvailableError(
+                    f"master_port must be an integer in [{PORT_MIN}, {PORT_MAX}], got {value!r}")
+            spec = spec.replace(master_port=port, master_port_explicit=True)
+        else:
+            return render(template, {**script.binding, param: value}), spec, template
+    else:  # switch_template
         template_id = payload["template_id"]
         if template_set is None or template_id not in template_set:
             raise NoRepairAvailableError(f"no template '{template_id}' to switch to")
-        new_t = template_set.get(template_id)
-        return render_for_spec(spec, new_t, profile), spec, new_t
-    if kind == "export_env":
-        name = payload["name"]
-        check_script_text("export_env name", name)
-        text = _inject_into_launch(script.text, f"export {name}=${name}")
-    elif kind == "add_module_load":
-        module = payload["module"]
-        check_script_text("add_module_load module", module)
-        text = f"module load {module}\n{script.text}"
-    elif kind == "pin_version":
-        package, version = payload["package"], payload["version"]
-        check_script_text("pin_version package", package)
-        check_script_text("pin_version version", version)
-        text = f"module load {package}/{version}\n{script.text}"
-    elif kind == "prepend_line":
-        line = payload["line"]
-        check_script_text("prepend_line line", line)
-        text = f"{line}\n{script.text}"
-    else:
-        raise LaunchportError(f"unknown repair kind '{kind}'")
-    # Built directly: the constructor still refuses a placeholder and reads the topology.
-    return RenderedScript(text, script.template_id, script.binding), spec, template
+        template = template_set.get(template_id)
+    return render_for_spec(spec, template, profile), spec, template
 
 
-def _apply_set_param(
-    payload: dict,
-    script: RenderedScript,
-    spec: JobSpec,
-    template: Template,
-    profile: ClusterProfile,
-) -> tuple[RenderedScript, JobSpec, Template]:
-    param = payload["param"]
-    value = payload["value"]
-    check_script_text(param, value)
-    if param == "deepspeed_config":
-        new_spec = spec.replace(deepspeed_config=str(value))
-        return render_for_spec(new_spec, template, profile), new_spec, template
-    if param == "master_port":
-        # Anything but a port ("abc" from a remote proposal) cannot be applied.
-        port = valid_port(value)
-        if port is None:
-            raise NoRepairAvailableError(
-                f"master_port must be an integer in [{PORT_MIN}, {PORT_MAX}], got {value!r}"
-            )
-        new_spec = spec.replace(master_port=port, master_port_explicit=True)
-        return render_for_spec(new_spec, template, profile), new_spec, template
-    return render(template, {**script.binding, param: value}), spec, template
+# The text edits, which put their payload text into the script as it is: kind ->
+# (payload, script text) -> the edited text.
+_TEXT_EDITS = {
+    "export_env": lambda p, text: _inject_into_launch(text, f"export {p['name']}=${p['name']}"),
+    "add_module_load": lambda p, text: f"module load {p['module']}\n{text}",
+    "pin_version": lambda p, text: f"module load {p['package']}/{p['version']}\n{text}",
+    "prepend_line": lambda p, text: f"{p['line']}\n{text}",
+}
 
 
 def _inject_into_launch(text: str, statement: str) -> str:

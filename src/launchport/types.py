@@ -35,7 +35,7 @@ class Record:
     def __init_subclass__(cls) -> None:
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         if fields:
-            cls._fields = cls.__match_args__ = fields
+            cls._fields = fields
             cls._values = attrgetter(*fields)
 
     def __eq__(self, other):

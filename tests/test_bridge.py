@@ -8,10 +8,16 @@ from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import launchport
-from launchport.bridge import BridgeConfig, RemoteBridge, load_bridge_config, parse_proposals
+from launchport.bridge import (
+    BridgeConfig,
+    RemoteBridge,
+    load_bridge_config,
+    parse_proposal,
+    parse_proposals,
+)
 from launchport.errors import (
     BridgeDisabledError,
     BridgeProtocolError,
@@ -19,6 +25,7 @@ from launchport.errors import (
 )
 from launchport.intent import PartialJobSpec
 from launchport.prose import RuleBasedExtractor
+from launchport.repair import RepairAction
 from launchport.types import Framework, Launcher, Strategy
 
 from conftest import TABLE_DESCRIPTION
@@ -330,6 +337,31 @@ class TestRemoteRepair:
         _, proposals = bridge.remote_repair({"stderr": "x"})
         actions = parse_proposals(proposals)
         assert [a.kind for a in actions] == ["export_env", "add_module_load"]
+
+
+# How each proposal form starts, and the characters a payload may hold: some
+# would break the script's quoting, some are not ASCII.
+_PROPOSAL_FORMS = ["module load ", "export ", "exporting $", "pin ", "pin numpy to ",
+                   "set master_port to ", "switch to template ", "add the argument ",
+                   "nightly PyTorch ", "torch nightly"]
+_PAYLOAD_TEXT = st.text(st.sampled_from("aZ_9./-+$ '\"\nié\u0130"), min_size=1, max_size=8)
+
+
+@given(st.text() | st.lists(st.tuples(st.sampled_from(_PROPOSAL_FORMS), _PAYLOAD_TEXT),
+                            min_size=1, max_size=3).map(lambda parts: "".join(map("".join, parts))))
+@example("module load gcc'13")
+@example("export A'B")
+@example("pin numpy to 1.26'\n")
+@example("pin num'py 1.26")
+def test_a_proposal_parses_to_an_action_that_passes_its_own_checks_or_to_none(text):
+    # The RepairAction constructor refuses a verbatim payload that breaks the quoting,
+    # so a proposal must never capture one: parse_proposal would raise.
+    action = parse_proposal(text)
+    if action is None:
+        return
+    assert action == RepairAction(action.kind, action.payload, action.rationale)
+    if action.kind in ("export_env", "add_module_load", "pin_version", "prepend_line"):
+        assert not any("'" in value or "\n" in value for value in action.payload.values())
 
 
 class _Handler(BaseHTTPRequestHandler):

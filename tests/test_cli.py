@@ -433,6 +433,17 @@ class TestPort:
         assert ported.master_port == original.master_port
         assert ported.entry_script == original.entry_script
 
+    def test_a_module_line_naming_a_launcher_is_not_read(self, capsys, tmp_path):
+        # Read as deepspeed, this ended in "missing: nodes, gpus_per_node".
+        script = tmp_path / "acc.sh"
+        script.write_text("module load deepspeed/0.14\naccelerate launch --num_machines=2 "
+                          "--num_processes=8 --main_process_port=29400 train.py\n", "utf-8")
+        code, out, err = run_cli(capsys, "port", str(script), "--to", "delta",
+                                 "--non-interactive")
+        assert (code, err) == (0, "")
+        assert " accelerate launch --multi_gpu --num_machines=2 --num_processes=8 " in out
+        assert out.endswith(" --main_process_port=29400 train.py'\n")
+
     def test_port_beyond_capacity_suggests_splits(self, capsys, perl_script):
         code, _, err = run_cli(
             capsys, "port", str(perl_script), "--to", "lonestar6", "--non-interactive",

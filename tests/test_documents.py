@@ -31,11 +31,11 @@ LOADERS = {
     ),
     "fingerprints": (
         load_fingerprints, RuleParseError, "{}", "{}",
-        "fingerprint document must be a JSON array", lambda v: len(v) == 0,
+        "fingerprint document must be a JSON array", lambda v: v._tests == [],
     ),
     "repair-table": (
         load_repair_table, RuleParseError, "{}", "[]",
-        "repair table must be a JSON object", lambda v: v.fingerprint_ids() == [],
+        "repair table must be a JSON object", lambda v: v == {},
     ),
     "bridge-config": (
         load_bridge_config, BridgeProtocolError, "invalid bridge config: {}", "[]",

@@ -860,9 +860,28 @@ class TestParseScript:
     def test_mpiexec_counts_after_case_variant_letters(self, letter):
         # lower() turns "İ" into two characters, so an index found in the
         # lowered text once sliced the script short of "-n" and "-ppn".
-        text = "# " + letter * 20 + "\nmpiexec -n 8 -ppn 4 python train.py"
+        text = "echo " + letter * 20 + "\nmpiexec -n 8 -ppn 4 python train.py"
         assert script_topology(text) == (None, 4, 8)
         assert parse_script(text).launcher is Launcher.MPIEXEC
+
+    @pytest.mark.parametrize("script, read", [
+        ("module load deepspeed/0.14\naccelerate launch --num_machines=2 --num_processes=8 "
+         "--main_process_port=29400 train.py", (Launcher.ACCELERATE, 2, 4, 8, 29400, "")),
+        ("# was: torchrun --nnodes=2 train.py\nmpiexec -n 8 -ppn 4 python train.py",
+         (Launcher.MPIEXEC, None, 4, 8, None, "")),
+    ], ids=["module-load", "comment"])
+    def test_comment_lines_and_module_commands_are_not_read(self, script, read):
+        # Both were read as the launcher they name, with no counts.
+        p = parse_script(script)
+        assert (p.launcher, p.nodes, p.gpus_per_node, p.total_gpus, p.master_port,
+                p.train_args) == read
+        assert script_topology(script) == (p.nodes, p.gpus_per_node, p.total_gpus)
+
+    def test_only_a_text_with_a_comment_or_module_word_is_filtered(self):
+        plain = PERLMUTTER_COMMAND
+        assert "#" not in plain and "module" not in plain
+        assert intent._commands(plain) is plain
+        assert intent._commands("  # x\nmodule purge\n" + plain) == plain
 
     @pytest.mark.parametrize("word", ["mp\u0130exec", "mp\u0131run"])
     def test_launcher_names_match_ascii_letters_only(self, word):
@@ -877,7 +896,7 @@ _LAUNCH_TOKENS = [
     "--master-port", "MASTER_PORT", "-genv", "--num_machines", "--num-machines",
     "--num_processes", "--main_process_port", "--num_nodes", "--num_gpus", "slots=", "-N",
     "-n", "-ppn", "--", "0", "1", "2", "4", "8", "29500", "65536", "9" * 30, "train.py",
-    "ds.json", "İ", "ſ",
+    "ds.json", "İ", "ſ", "#", "module load", " module",
 ]
 
 

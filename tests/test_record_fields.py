@@ -123,7 +123,7 @@ def test_a_parsed_proposal_has_the_payload_the_table_loader_requires(text):
     assert (action.kind, action.payload) == (kind, payload)
     assert tuple(action.payload) == REPAIR_PAYLOAD_KEYS[kind]
     document = {"F": [{"kind": kind, "payload": payload, "rationale": action.rationale}]}
-    assert load_repair_table(json.dumps(document)).actions_for("F") == [action]
+    assert load_repair_table(json.dumps(document))["F"] == (action,)
 
 
 def test_the_proposals_cover_every_kind_but_prepend_line():

@@ -97,7 +97,7 @@ def test_each_payload_key_is_required_at_load(kind):
     keys = REPAIR_PAYLOAD_KEYS[kind]
     payload = {key: "1" for key in keys}
     table = load_repair_table(json.dumps({"fp": [{"kind": kind, "payload": payload}]}))
-    assert table.actions_for("fp")[0].payload == payload
+    assert table["fp"][0].payload == payload
     for key in keys:
         short = {k: v for k, v in payload.items() if k != key}
         with pytest.raises(RuleParseError, match=f"^{kind} for 'fp' lacks '{key}'"):
@@ -135,16 +135,11 @@ def test_a_verbatim_payload_that_breaks_the_quoting_is_refused_at_load(kind, key
 
 
 @pytest.mark.parametrize("kind, key, text", _QUOTING_BREAKERS, ids=_QUOTING_IDS)
-def test_a_hand_built_verbatim_action_that_breaks_the_quoting_cannot_be_applied(
-        profiles, templates, kind, key, text):
+def test_a_hand_built_verbatim_action_that_breaks_the_quoting_is_refused_when_built(
+        kind, key, text):
     # Applied as it is, export_env would print bash -c 'export A'B=$A'B; ...'.
-    profile = profiles.resolve("deltaai")
-    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-    template = templates.get("deltaai-ddp")
-    script = render_for_spec(spec, template, profile)
-    action = RepairAction(kind, {**_VERBATIM_PAYLOADS[kind], key: text})
     with pytest.raises(UsageError) as exc:
-        apply_action(action, script, spec, template, profile)
+        RepairAction(kind, {**_VERBATIM_PAYLOADS[kind], key: text})
     assert str(exc.value) == _quoting_message(kind, key, text)
 
 
@@ -166,7 +161,7 @@ def test_a_loaded_payload_applies_or_raises_a_launchport_error(profiles, templat
         table = load_repair_table(json.dumps({"F": [{"kind": kind, "payload": payload}]}))
     except RuleParseError:
         return
-    [action] = table.actions_for("F")
+    [action] = table["F"]
     profile = profiles.resolve("perlmutter")
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
     template = templates.get("perlmutter-ddp")
@@ -201,15 +196,17 @@ def test_prepend_line_and_switch_template_apply(profiles, templates):
         render_for_spec(spec, other, profile), spec, other)
 
 
-def test_a_hand_built_action_of_an_unknown_kind_raises(profiles, templates):
-    # The loaders refuse an unknown kind; a RepairAction built in code is not checked.
-    profile = profiles.resolve("perlmutter")
-    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-    template = templates.get("perlmutter-ddp")
-    script = render_for_spec(spec, template, profile)
-    with pytest.raises(LaunchportError) as exc:
-        apply_action(RepairAction("teleport", {}), script, spec, template, profile)
+def test_a_hand_built_action_of_an_unknown_kind_is_refused_when_built():
+    with pytest.raises(ContractViolationError) as exc:
+        RepairAction("teleport", {})
     assert str(exc.value) == "unknown repair kind 'teleport'"
+
+
+def test_a_loaded_repair_table_is_read_only():
+    table = load_repair_table('{"F": [{"kind": "export_env", "payload": {"name": "X"}}]}')
+    assert table == {"F": (RepairAction("export_env", {"name": "X"}),)}
+    with pytest.raises(TypeError):
+        table["G"] = ()
 
 
 def _count_dumps(monkeypatch):
@@ -245,7 +242,14 @@ def test_a_bad_regex_is_a_rule_parse_error():
         load_fingerprints("[%s]" % (_FP % '{"regex": "a("}'))
 
 
-_BUNDLED_REGEXES = [fp.regex for fp in load_fingerprints(bundled("fingerprints.json")) if fp.regex]
+# The bundled fingerprints in document order, built here: a FingerprintSet keeps only
+# each one's test and diagnosis.
+_BUNDLED_FINGERPRINTS = [
+    repair.Fingerprint(raw["id"], raw["category"], **raw["pattern"],
+                       explanation=raw.get("explanation", ""))
+    for raw in json.loads(bundled("fingerprints.json"))
+]
+_BUNDLED_REGEXES = [fp.regex for fp in _BUNDLED_FINGERPRINTS if fp.regex]
 
 
 @given(
@@ -282,7 +286,7 @@ def _reference_diagnosis(stderr, fingerprints):
 
 def test_each_fingerprint_s_diagnosis_is_built_once_and_shared(
         profiles, templates, fault_rules, fingerprints):
-    stderrs = [fp.literal for fp in fingerprints if fp.literal is not None]
+    stderrs = [fp.literal for fp in _BUNDLED_FINGERPRINTS if fp.literal is not None]
     for cluster, framework, strategy, overrides in FAULT_CORPUS.values():
         profile = profiles.resolve(cluster)
         spec = make_spec(profile, framework, strategy, **overrides)
@@ -291,23 +295,24 @@ def test_each_fingerprint_s_diagnosis_is_built_once_and_shared(
     profile = profiles.resolve("delta")
     for stderr in stderrs:
         diag = diagnose(_failed(stderr), profile, fingerprints)
-        assert diag == _reference_diagnosis(stderr, fingerprints)
+        assert diag == _reference_diagnosis(stderr, _BUNDLED_FINGERPRINTS)
         assert diag.fingerprint_id is not None, stderr
         assert diagnose(_failed(stderr), profile, fingerprints) is diag
 
 
-_CODE_FINGERPRINTS = repair.FingerprintSet([
+_CODE_FINGERPRINTS = [
     repair.Fingerprint("TASK", CATEGORY_FRAMEWORK, regex=r"^usage: .*--task$",
                        explanation="the task argument is missing"),
     repair.Fingerprint("OFI", CATEGORY_ENV, literal="ofi provider"),
     repair.Fingerprint("XPU", CATEGORY_FRAMEWORK, literal="xpu", explanation="no xpu backend"),
-])
+]
 
 
 @given(st.lists(st.sampled_from(
     ["usage: ", "--task", "ofi provider", "ofi", "xpu", "\n", " ", "x"]), max_size=8).map("".join))
 def test_a_fingerprint_set_built_in_code_diagnoses_as_a_first_match_loop(profiles, stderr):
-    diag = diagnose(_failed(stderr), profiles.resolve("delta"), _CODE_FINGERPRINTS)
+    diag = diagnose(_failed(stderr), profiles.resolve("delta"),
+                    repair.FingerprintSet(_CODE_FINGERPRINTS))
     assert diag == _reference_diagnosis(stderr, _CODE_FINGERPRINTS)
 
 
@@ -383,9 +388,11 @@ class TestPropose:
 
     def test_unknown_without_bridge_has_no_repair(self, repair_table):
         from launchport.repair import Diagnosis
-        d = Diagnosis(CATEGORY_UNKNOWN, None, "")
-        with pytest.raises(NoRepairAvailableError):
-            propose(d, repair_table)
+        assert propose(Diagnosis(CATEGORY_UNKNOWN, None, ""), repair_table) == []
+
+    def test_a_fingerprint_the_table_does_not_list_has_no_repair(self, repair_table):
+        assert "UNLISTED" not in repair_table
+        assert propose(self._diag("UNLISTED"), repair_table) == []
 
 
 class TestProposalParsing:
@@ -602,21 +609,6 @@ class TestRunLoop:
         assert [e.action.kind for e in outcome.history] == ["export_env"]
         assert outcome.final_spec == spec
 
-    @pytest.mark.parametrize("kind", sorted(_VERBATIM_PAYLOADS))
-    def test_a_hand_built_action_that_breaks_the_quoting_is_skipped(
-            self, profiles, templates, fault_rules, kind):
-        key = REPAIR_PAYLOAD_KEYS[kind][0]
-        good = RepairAction("export_env", {"name": "PYTHONPATH"})
-        table = repair.RepairTable({"ENV_NOT_PROPAGATED": [
-            RepairAction(kind, {**_VERBATIM_PAYLOADS[kind], key: "A'B"}), good]})
-        profile = profiles.resolve("deltaai")
-        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-        outcome = run_loop(spec, templates.get("deltaai-ddp"), profile, fault_rules,
-                           repair_table=table)
-        assert outcome.status == STATUS_SUCCESS
-        assert [e.action for e in outcome.history] == [good]
-        assert "A'B" not in outcome.final_script.text
-
     def test_invalid_max_iter_rejected(self, profiles, templates, fault_rules):
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
@@ -700,7 +692,7 @@ def test_a_loop_whose_repairs_never_clear_the_fault_stops_at_max_iter(profiles, 
     fingerprints = repair.FingerprintSet(
         [repair.Fingerprint("STUBBORN", CATEGORY_ENV, literal="stubborn failure")])
     actions = [RepairAction("prepend_line", {"line": f"echo try {i}"}) for i in range(6)]
-    table = repair.RepairTable({"STUBBORN": actions})
+    table = {"STUBBORN": tuple(actions)}
     profile = profiles.resolve("delta")
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
     outcome = run_loop(spec, templates.get("delta-ddp"), profile, rules,

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from launchport.clusters import default_profiles
 from launchport.errors import RuleParseError
-from launchport.repair import apply_action, default_repair_table, load_fingerprints
+from launchport.repair import apply_action, default_repair_table, diagnose, load_fingerprints
 from launchport.simcluster import (
     _STDERR_FIELDS, ExecutionResult, FaultRule, FaultRuleSet, _instantiate_stderr, _stderr_plan,
     load_fault_rules, submit,
@@ -191,7 +191,10 @@ class TestRuleLoading:
         # field), so the fingerprints hold the only copy of the vocabulary.
         fingerprint = {"id": "X", "category": category, "pattern": {"literal": "b"}}
         if category in CATEGORIES:
-            assert len(load_fingerprints(json.dumps([fingerprint]))) == 1
+            fingerprints = load_fingerprints(json.dumps([fingerprint]))
+            failed = ExecutionResult(exit_code=1, stdout="", stderr="b")
+            diagnosis = diagnose(failed, default_profiles().resolve("delta"), fingerprints)
+            assert (diagnosis.fingerprint_id, diagnosis.category) == ("X", category)
         else:
             with pytest.raises(RuleParseError) as exc:
                 load_fingerprints(json.dumps([fingerprint]))
@@ -296,9 +299,7 @@ class TestFaultRepairClosure:
         assert first.fault_fired == rule_id
 
         rule = _rule(fault_rules, rule_id)
-        fingerprint_id = rule_id if rule_id in repair_table.fingerprint_ids() else None
-        assert fingerprint_id is not None
-        actions = repair_table.actions_for(fingerprint_id)
+        actions = repair_table.get(rule_id)
         assert actions, rule_id
         # Any action of a clearable kind disarms the rule it repairs.
         for action in actions:
