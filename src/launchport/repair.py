@@ -60,7 +60,8 @@ from .types import (
 class RepairAction(FrozenRecord):
     """One typed edit to a script or job spec.
 
-    The constructor refuses a kind outside ``REPAIR_PAYLOAD_KEYS``
+    The constructor refuses a kind outside ``REPAIR_PAYLOAD_KEYS`` and a
+    payload that lacks one of its kind's keys there
     (:class:`ContractViolationError`), and a payload text of ``export_env``,
     ``add_module_load``, ``pin_version`` or ``prepend_line``, which goes into
     the script as it is, that breaks :func:`intent.check_script_text`
@@ -76,11 +77,14 @@ class RepairAction(FrozenRecord):
     __slots__ = ("kind", "payload", "rationale", "_signature")
 
     def __init__(self, kind: str, payload: dict, rationale: str = "") -> None:
-        if kind not in REPAIR_PAYLOAD_KEYS:
+        keys = REPAIR_PAYLOAD_KEYS.get(kind)
+        if keys is None:
             raise ContractViolationError(f"unknown repair kind '{kind}'")
-        if kind in _TEXT_EDITS:
-            for key in REPAIR_PAYLOAD_KEYS[kind]:
-                check_script_text(f"{kind} {key}", payload.get(key))
+        for key in keys:
+            if key not in payload:
+                raise ContractViolationError(f"{kind} payload has no '{key}'")
+            if kind in _TEXT_EDITS:
+                check_script_text(f"{kind} {key}", payload[key])
         set_frozen(self, "kind", kind)
         set_frozen(self, "payload", payload)
         set_frozen(self, "rationale", rationale)

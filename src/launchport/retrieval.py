@@ -8,8 +8,9 @@ scores exactly 1.0 and outranks every non-match.
 When no template reaches 0.9 on metadata alone, a text-similarity signal
 worth up to 0.1 is blended in and the sum renormalized to [0, 1]: cosine
 similarity over an embedder's vectors when one is supplied, token-overlap
-(Jaccard over lowercase word sets) otherwise, so the default build needs no
-model and no network.  An embedder that fails with a bridge error, or that
+(Jaccard over lowercase word sets, the union's size counted from the two
+sizes and the intersection's, not built) otherwise, so the default build
+needs no model and no network.  An embedder that fails with a bridge error, or that
 returns other than one vector per text, gets the token-overlap fallback
 too.  Similarity compares the job's one-line description against each
 template's notes plus body.
@@ -26,8 +27,11 @@ set + 1) x 3 x 3 x 5 entries however many jobs are ranked.  A key's first
 ranking computes each template's match pattern.  Above the gate nothing
 else counts, so the table keeps the ranked candidates, and later rankings
 return a new list of them, with read-only breakdowns, one per pattern.
-Below the gate it keeps the patterns: the similarity blend reads the
-description and the embedder, so it runs on every ranking.  Only keys that
+Below the gate it keeps each template's pattern beside its candidate at
+similarity 0.0, with that pattern's read-only breakdown: the similarity
+blend reads the description and the embedder, so it runs on every ranking,
+but a new candidate is built only where a template's similarity is not 0.0.
+Only keys that
 repeat within a process gain; one CLI run ranks once and exits.  The store
 also keeps each template's text and word set, and the template vectors of
 the last embedder that returned one vector per text, so a later ranking
@@ -92,8 +96,9 @@ class Embedder(Protocol):
 class RankedCandidate(FrozenRecord):
     """One template with its score and per-criterion contributions.
 
-    ``breakdown`` is read-only: above the gate it is one mapping per match
-    pattern, the same object in every candidate that matches that way.
+    ``breakdown`` is read-only: above the gate, and below it at similarity
+    0.0, it is one mapping per match pattern, the same object in every
+    candidate that matches that way.
     """
 
     __slots__ = ("template_id", "score", "breakdown", "exact")
@@ -121,7 +126,8 @@ def _candidate(
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     # ``a`` is a job description's words, never empty (JobSpec.description).
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
 def _cosine(u: Sequence[float], v: Sequence[float]) -> float:
@@ -151,8 +157,10 @@ class _SetStore:
         self.templates = templates
         self.clusters = frozenset(t.cluster for t in templates)
         # Per job key: the ranked candidates above the gate, or, below it,
-        # each template's match pattern in id order.
-        self.table: dict[tuple, tuple[RankedCandidate, ...] | tuple[int, ...]] = {}
+        # each template's match pattern and candidate at similarity 0.0, in
+        # id order.
+        self.table: dict[tuple, tuple[RankedCandidate, ...]
+                         | tuple[tuple[int, RankedCandidate], ...]] = {}
         # The last embedder that gave one vector per template, and those vectors.
         self.vectors: tuple[Embedder, list[list[float]]] | None = None
 
@@ -162,10 +170,12 @@ class _SetStore:
         texts = (f"{t.notes} {t.body}" for t in self.templates)
         return tuple((text, frozenset(text.lower().split())) for text in texts)
 
-    def rank(self, key: tuple) -> tuple[RankedCandidate, ...] | tuple[int, ...]:
+    def rank(
+        self, key: tuple
+    ) -> tuple[RankedCandidate, ...] | tuple[tuple[int, RankedCandidate], ...]:
         """Build and keep the table's entry for ``key``."""
         cluster, framework, strategy, launcher = key
-        entry = patterns = tuple(
+        patterns = tuple(
             (t.cluster == cluster) << 3 | (t.framework is framework) << 2
             | (t.strategy is strategy) << 1 | (t.launcher is launcher)
             for t in self.templates)
@@ -174,6 +184,12 @@ class _SetStore:
             entry = tuple(sorted(
                 (RankedCandidate(t.id, _META[p], _BREAKDOWNS[p], p == _EXACT)
                  for t, p in zip(self.templates, patterns)), key=_SCORE, reverse=True))
+        else:
+            # (meta + w * 0.0) / (1 + w) has the bits of meta / (1 + w).
+            entry = tuple(
+                (p, RankedCandidate(t.id, _META[p] / (1.0 + SIMILARITY_WEIGHT), _BREAKDOWNS[p],
+                                    p == _EXACT))
+                for t, p in zip(self.templates, patterns))
         self.table[key] = entry
         return entry
 
@@ -232,11 +248,14 @@ def candidates(
     key = (spec.cluster if spec.cluster in store.clusters else None,
            spec.framework, spec.strategy, spec.launcher)
     entry = store.table.get(key) or store.rank(key)
-    if not isinstance(entry[0], int):
+    if isinstance(entry[0], RankedCandidate):
         return list(entry)
     similarities = _similarities(spec, store, embedder)
     ranked = []
-    for t, pattern, sim in zip(templates, entry, similarities):
+    for t, (pattern, zero), sim in zip(templates, entry, similarities):
+        if sim == 0.0:
+            ranked.append(zero)
+            continue
         c, f, s, la = _WEIGHTS[pattern]
         breakdown = {"cluster": c, "framework": f, "strategy": s, "launcher": la,
                      "similarity": sim}

@@ -54,6 +54,16 @@ def test_summary_medians_quartiles_and_wins():
     assert rate["median_gap_exceeds_parent_iqr"] is True  # 1000 against an IQR of 200
 
 
+def test_the_summary_sets_the_job_counts_beside_the_metrics():
+    pairs_ = _pairs()
+    for pair, parent, change in zip(pairs_, [900, 1100, 1000, 1300, 950],
+                                    [1200, 1000, 1000, 1400, 990]):
+        pair["parent"]["attempted"], pair["change"]["attempted"] = parent, change
+    pairs_[0]["anchor"]["attempted"] = 10**6  # the anchor's count is not summarised
+    assert pairs.summarize(pairs_, BETTER)["attempted"] == {
+        "parent_median": 1000, "change_median": 1000, "change_more": 3, "pairs": 5}
+
+
 def test_a_gap_inside_the_parent_iqr_is_not_claimed():
     pairs_ = _pairs()
     for pair, p50 in zip(pairs_, [0.049, 0.049, 0.047, 0.052, 0.048]):

@@ -112,7 +112,8 @@ def _samples() -> dict[str, tuple]:
         "simcluster.FaultRule": ("ENV_NOT_PROPAGATED", ("deltaai",), {"cluster_is": "deltaai"},
                                  "ModuleNotFoundError", ("export_env",)),
         "simcluster.ExecutionResult": (1, "rank 0/8 ok\n", "boom", "F"),
-        "repair.RepairAction": ("export_env", {"name": "PYTHONPATH"}, "why"),
+        # Keys for both kinds, since the second sample changes only the kind.
+        "repair.RepairAction": ("export_env", {"name": "PYTHONPATH", "args": "--fast"}, "why"),
         "repair.Diagnosis": ("env", "ENV_NOT_PROPAGATED", "cause", (action,)),
         "repair.Fingerprint": ("ENV_NOT_PROPAGATED", "env", "No module", None, "cause"),
         "pipeline.HistoryEntry": (diagnosis, action, result),

@@ -14,8 +14,10 @@ can be told apart from the change.  Stdlib only.  From the repository root::
 Each workload's summary compares the change with the parent on every
 end-to-end metric that ``BENCHMARK.json`` declares: medians, quartiles
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the change
-wins, and whether the gap of the medians exceeds the parent's IQR.  The
-driver leaves ``note`` empty; it summarises the results, so it is written
+wins, and whether the gap of the medians exceeds the parent's IQR.  Beside
+them, ``attempted`` gives the median job count of each side and the pairs in
+which the change attempted more: an in-process run lasts a fixed time, so its
+``peak_rss_mb`` grows with the jobs it reached.  The driver leaves ``note`` empty; it summarises the results, so it is written
 by hand after the run.
 """
 
@@ -62,7 +64,8 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: the change against the parent over the pairs."""
+    """Per metric: the change against the parent over the pairs; then the
+    attempted job counts."""
     summary = {}
     for name, direction in better.items():
         parent = [pair["parent"][name] for pair in pairs]
@@ -81,6 +84,13 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "pairs": len(pairs), "better": direction,
             "median_gap_exceeds_parent_iqr": abs(c_med - p_med) > p_q3 - p_q1,
         }
+    summary["attempted"] = {
+        "parent_median": statistics.median(pair["parent"]["attempted"] for pair in pairs),
+        "change_median": statistics.median(pair["change"]["attempted"] for pair in pairs),
+        "change_more": sum(pair["change"]["attempted"] > pair["parent"]["attempted"]
+                           for pair in pairs),
+        "pairs": len(pairs),
+    }
     return summary
 
 
