@@ -82,7 +82,7 @@ class RepairAction(FrozenRecord):
             raise ContractViolationError(f"unknown repair kind '{kind}'")
         for key in keys:
             if key not in payload:
-                raise ContractViolationError(f"{kind} payload has no '{key}'")
+                raise ContractViolationError(f"{kind} payload lacks '{key}'")
             if kind in _TEXT_EDITS:
                 check_script_text(f"{kind} {key}", payload[key])
         set_frozen(self, "kind", kind)

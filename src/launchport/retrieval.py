@@ -10,10 +10,10 @@ worth up to 0.1 is blended in and the sum renormalized to [0, 1]: cosine
 similarity over an embedder's vectors when one is supplied, token-overlap
 (Jaccard over lowercase word sets, the union's size counted from the two
 sizes and the intersection's, not built) otherwise, so the default build
-needs no model and no network.  An embedder that fails with a bridge error, or that
-returns other than one vector per text, gets the token-overlap fallback
-too.  Similarity compares the job's one-line description against each
-template's notes plus body.
+needs no model and no network.  An embedder that fails with a bridge
+error, or that returns other than one vector per text, gets the
+token-overlap fallback too.  Similarity compares the job's one-line
+description against each template's notes plus body.
 
 Ties break on template id, lexicographically, giving a total order: one
 pass scores the set's templates in id order, and a stable sort on score
@@ -30,15 +30,14 @@ return a new list of them, with read-only breakdowns, one per pattern.
 Below the gate it keeps each template's pattern beside its candidate at
 similarity 0.0, with that pattern's read-only breakdown: the similarity
 blend reads the description and the embedder, so it runs on every ranking,
-but a new candidate is built only where a template's similarity is not 0.0.
-Only keys that
-repeat within a process gain; one CLI run ranks once and exits.  The store
-also keeps each template's text and word set, and the template vectors of
-the last embedder that returned one vector per text, so a later ranking
-with that embedder embeds only the description.  A call that raised a
-bridge error or gave the wrong number of vectors is not kept; the template
-texts are embedded again then, and when the description's vector differs in
-length from the kept ones.
+but a new candidate is built only where a template's similarity is not
+0.0.  Only keys that repeat within a process gain; one CLI run ranks once
+and exits.  The store also keeps each template's text and word set, and
+the template vectors of the last embedder that returned one vector per
+text, so a later ranking with that embedder embeds only the description.
+A call that raised a bridge error or gave the wrong number of vectors is
+not kept; the template texts are embedded again then, and when the
+description's vector differs in length from the kept ones.
 """
 
 from __future__ import annotations

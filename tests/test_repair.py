@@ -104,6 +104,32 @@ def test_each_payload_key_is_required_at_load(kind):
             load_repair_table(json.dumps({"fp": [{"kind": kind, "payload": short}]}))
 
 
+
+@pytest.mark.parametrize("kind", REPAIR_PAYLOAD_KEYS)
+def test_each_payload_key_is_required_when_built(kind):
+    payload = {key: "1" for key in REPAIR_PAYLOAD_KEYS[kind]}
+    assert RepairAction(kind, payload).payload == payload
+    for key in payload:
+        short = {k: v for k, v in payload.items() if k != key}
+        with pytest.raises(ContractViolationError) as exc:
+            RepairAction(kind, short)
+        assert str(exc.value) == f"{kind} payload lacks '{key}'"
+
+
+def test_a_hand_built_table_reaches_the_loop_only_with_whole_payloads(
+    profiles, templates, fault_rules,
+):
+    # An export_env without its name used to be built and then fail in
+    # apply_action with a KeyError; now it is refused when built.
+    with pytest.raises(ContractViolationError, match="^export_env payload lacks 'name'$"):
+        RepairAction("export_env", {})
+    profile = profiles.resolve("deltaai")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2, gpus_per_node=4)
+    table = {"ENV_NOT_PROPAGATED": (RepairAction("export_env", {"name": "PYTHONPATH"}),)}
+    winner = run_pipeline(spec, profile, templates, fault_rules, repair_table=table).winner
+    assert [e.action for e in winner.outcome.history] == list(table["ENV_NOT_PROPAGATED"])
+
+
 # The kinds whose payload text goes into the script as it is, each with a
 # payload that passes the quoting rule.
 _VERBATIM_PAYLOADS = {

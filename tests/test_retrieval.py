@@ -367,6 +367,30 @@ def _flat(ranked):
 _BUNDLED = default_templates()
 
 
+class _MarkerEmbedder:
+    """Counts of two marker words, and a last component that only template
+    texts carry: a template naming neither marker is orthogonal to every
+    description, so its cosine is exactly 0.0."""
+
+    MARKERS = ("srun", "hostfile")
+
+    def embed(self, texts):
+        # The description comes first, alone or before the template texts.
+        return [[float(text.lower().split().count(m)) for m in self.MARKERS] + [float(i > 0)]
+                for i, text in enumerate(texts)]
+
+
+# Words of the bundled templates' texts, so a description shares some with a
+# template and none with others; and words no template holds.
+_TEMPLATE_WORDS = sorted({word for t in _BUNDLED for word in f"{t.notes} {t.body}".split()
+                          if "'" not in word})
+_WORDS = st.one_of(st.sampled_from(_TEMPLATE_WORDS),
+                   st.sampled_from(["srun", "module", "hostfile", "Slurm"]),
+                   st.sampled_from(["zebra", "qux42", "train_gpt2.py", "--epochs", "3"]))
+# An entry script and train_args; words may repeat, and there may be none.
+_DESCRIPTIONS = st.tuples(_WORDS, st.lists(_WORDS, max_size=8).map(" ".join))
+
+
 class TestOnePassRanking:
     @given(
         cluster=st.sampled_from(default_profiles().ids() + ["nowhere"]),
@@ -374,16 +398,20 @@ class TestOnePassRanking:
         strategy=st.sampled_from(list(Strategy)),
         launcher=st.sampled_from(list(Launcher)),
         ids=st.lists(st.sampled_from([t.id for t in _BUNDLED]), min_size=1, unique=True),
-        embedder=st.sampled_from([None, FakeEmbedder(), _DownEmbedder()]),
+        embedder=st.sampled_from([None, FakeEmbedder(), _DownEmbedder(), _MarkerEmbedder()]),
+        descriptions=st.lists(_DESCRIPTIONS, min_size=1, max_size=3),
     )
     def test_equals_two_pass_reference(self, cluster, framework, strategy, launcher, ids,
-                                       embedder):
-        spec = JobSpec(cluster=cluster, framework=framework, strategy=strategy,
-                       launcher=launcher, nodes=2, gpus_per_node=4,
-                       entry_script="train_gpt2.py", train_args="--epochs 3")
+                                       embedder, descriptions):
+        # Several descriptions on one key and one set: later rankings reuse
+        # what the first kept, and must still rank each description afresh.
         tset = TemplateSet([_BUNDLED.get(i) for i in ids])
-        expected = _rank_reference(spec, tset, embedder)
-        assert _flat(candidates(spec, tset, embedder)) == _flat(expected)
+        for entry_script, train_args in descriptions:
+            spec = JobSpec(cluster=cluster, framework=framework, strategy=strategy,
+                           launcher=launcher, nodes=2, gpus_per_node=4,
+                           entry_script=entry_script, train_args=train_args)
+            expected = _rank_reference(spec, tset, embedder)
+            assert _flat(candidates(spec, tset, embedder)) == _flat(expected)
 
     def test_extended_set_ranks_its_new_template(self, profiles, templates):
         profile = profiles.resolve("delta")
