@@ -366,6 +366,27 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
 
 # A path to a Python file; the prose extractor reads entry scripts with it too.
 _PY = r"[\w./-]+\.py"
+_PATH_RUN = re.compile(r"[\w./-]*").match  # path characters
+
+
+def _first_path(text: str, suffix: str, path) -> re.Match | None:
+    """What ``path.match(text, pos)`` reads first from the start of a run of
+    path characters holding ``suffix``, or ``None``.
+
+    This is what a search for ``path`` preceded by no path character finds
+    (``(?<![\\w/.-])`` before it), for a ``path`` that reads only path
+    characters and ends in ``suffix``; only the runs ``str.find`` of the
+    suffix reaches are read.
+    """
+    floor, at = 0, text.find(suffix)
+    while at >= 0:
+        found = path.match(text, at + 1 - _PATH_RUN(text[floor : at + 1][::-1]).end())
+        if found is not None:
+            return found
+        floor = _PATH_RUN(text, at).end()
+        at = text.find(suffix, floor)
+    return None
+
 
 # The three flags that set a rendezvous port (torchrun's, accelerate's and the
 # environment variable mpiexec and srun pass on) and their digits (group 1).
@@ -410,7 +431,8 @@ _RE_MPIEXEC = re.compile("mpiexec", re.I | re.A)
 _RE_MPIRUN = re.compile("mpirun", re.I | re.A)
 
 # parse_script's own patterns once its first call has compiled them: the entry
-# script and a trailing DeepSpeed config.
+# script, read where its run of path characters starts, and a trailing
+# DeepSpeed config.
 _script_patterns = None
 
 
@@ -418,7 +440,7 @@ def _compile_script_patterns():
     """Compile the patterns only :func:`parse_script` reads; keep them in ``_script_patterns``."""
     global _script_patterns
     _script_patterns = (
-        re.compile(r"(?<![\w/.-])(" + _PY + r")\b"),
+        re.compile(_PY + r"\b"),
         re.compile(r"([\w./-]+\.json)\s*'?\s*$"),
     )
     return _script_patterns
@@ -444,7 +466,7 @@ def parse_script(script: str) -> PartialJobSpec:
     if launcher is None:
         return spec
     spec.launcher = launcher
-    any_py, trailing_json = _script_patterns or _compile_script_patterns()
+    py_path, trailing_json = _script_patterns or _compile_script_patterns()
     ports = _port_flags(script)
     for flag in _LAUNCHER_PORT_FLAGS[launcher]:
         digits = next((m[1] for m in ports if m[0].startswith(flag)), "0")  # "0": none
@@ -452,9 +474,9 @@ def parse_script(script: str) -> PartialJobSpec:
         if spec.master_port is not None:
             break
 
-    entry = any_py.search(script)
+    entry = _first_path(script, ".py", py_path)
     if entry:
-        spec.entry_script = entry.group(1)
+        spec.entry_script = entry.group(0)
         tail = _arguments(script, entry)
         if launcher is Launcher.DEEPSPEED:
             m_cfg = trailing_json.search(tail)
@@ -484,13 +506,7 @@ def _arguments(script: str, entry: re.Match) -> str:
     return tail
 
 
-def script_topology(script: str) -> Topology:
-    """``(nodes, gpus_per_node, total_gpus)`` as :func:`parse_script` reads them.
-
-    Reads only the launcher and its counts, not the ports, the entry script
-    or the arguments; absent counts are ``None``.
-    """
-    return _launch(_commands(script))[1]
+_NOT_RUN = ("#", "module ")  # how a line _commands drops starts, after its indent
 
 
 def _commands(script: str) -> str:
@@ -503,7 +519,14 @@ def _commands(script: str) -> str:
     if "#" not in script and "module" not in script:
         return script
     return "\n".join([line for line in script.split("\n")
-                      if not line.lstrip().startswith(("#", "module "))])
+                      if not line.lstrip().startswith(_NOT_RUN)])
+
+
+def _runs(script: str, at: int) -> bool:
+    """Whether :func:`_commands` keeps the line of ``script`` that holds offset ``at``."""
+    start = script.rfind("\n", 0, at) + 1
+    end = script.find("\n", at)
+    return not script[start : end if end >= 0 else None].lstrip().startswith(_NOT_RUN)
 
 
 def _launch(script: str) -> tuple[Launcher | None, Topology]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .clusters import ClusterProfile
 from .errors import LaunchportError
-from .intent import JobSpec, _port_flags, _shown
+from .intent import JobSpec, _port_flags, _runs, _shown
 from .synthesis import RenderedScript
 from .types import PORT_MAX, PORT_MIN, FrozenRecord, Launcher, Scheduler, set_frozen, valid_port
 
@@ -61,15 +61,19 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
     """Run all checks against the script; an empty list means clean.
 
     Pure and deterministic; findings appear in the documented check order.
+    Checks 1, 4 and 5 read only the lines the script runs: a comment line or
+    a ``module`` command may name a launcher, a port or an export the
+    script does not run.
     """
     findings: list[Finding] = []
     text = r.text
+    commands = r._commands  # text itself when no line is dropped
 
     def report(code: str, message: str, span: tuple[int, int] | None = None) -> None:
         findings.append(Finding(code, message, span))
 
     # 1. Launcher / scheduler compatibility.
-    uses_accelerate = spec.launcher is Launcher.ACCELERATE or "accelerate launch" in text
+    uses_accelerate = spec.launcher is Launcher.ACCELERATE or "accelerate launch" in commands
     if uses_accelerate and profile.scheduler is Scheduler.PBS:
         report(
             LAUNCH_SCHED_CONFLICT,
@@ -96,9 +100,12 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
             f"of {profile.gpus_per_node}",
         )
 
-    # 4. Port range of every port the script states, else of the spec's.
+    # 4. Port range of every port the script states, else of the spec's.  The
+    # flags are found in the text, so that each span indexes it.
     port = None
     for m in _port_flags(text):
+        if commands is not text and not _runs(text, m.start()):
+            continue
         if valid_port(port := m[1]) is None:
             report(PORT_OUT_OF_RANGE, f"port {port} outside [{PORT_MIN}, {PORT_MAX}]", m.span(1))
     if port is None and valid_port(spec.master_port) is None:
@@ -110,8 +117,8 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
     if (
         spec.nodes > 1
         and not profile.env_propagation
-        and "export PYTHONPATH" not in text
-        and "export LD_LIBRARY_PATH" not in text
+        and "export PYTHONPATH" not in commands
+        and "export LD_LIBRARY_PATH" not in commands
     ):
         report(
             ENV_PROPAGATION_RISK,

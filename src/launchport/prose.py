@@ -56,7 +56,7 @@ import re
 from typing import Protocol
 
 from .clusters import default_profiles
-from .intent import _PY, STRATEGY_SHORTHANDS, PartialJobSpec, _int
+from .intent import _PY, STRATEGY_SHORTHANDS, PartialJobSpec, _first_path, _int
 from .types import Framework, Launcher, Strategy, valid_port
 
 _UNITS = ("one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
@@ -103,7 +103,6 @@ _FOLDS = {"i": "\u0130\u0131", "k": "\u212a", "s": "\u017f"}  # İ ı, Kelvin si
 _FOLD = str.maketrans({char: letter for letter, chars in _FOLDS.items() for char in chars})
 
 _WORDS = re.compile(r"\w+").finditer
-_RUN = re.compile(r"[\w./-]*").match  # path characters
 _WORD_OR_HYPHEN = re.compile(r"[\w-]").match
 
 _NODE = r"(?:node|server|machine|host)"
@@ -255,18 +254,6 @@ _PHRASES = {word: phrase for words, phrase in (
 _PY_PATH, _JSON_PATH = _Phrase(_PY + r"\b"), _Phrase(r"[\w./-]+\.json\b")
 
 
-def _first_path(text: str, suffix: str, path: _Phrase) -> str | None:
-    """What ``path`` reads first from the start of a run of path characters holding ``suffix``."""
-    floor, at = 0, text.find(suffix)
-    while at >= 0:
-        found = path.match(text, at + 1 - _RUN(text[floor : at + 1][::-1]).end())
-        if found is not None:
-            return found[0]
-        floor = _RUN(text, at).end()
-        at = text.find(suffix, floor)
-    return None
-
-
 def _cluster_head(names: list[tuple[str, int, str]], then):
     """Reads the names (folded, rank, id; longest first) that start with one word,
     then the phrase that word heads."""
@@ -382,11 +369,12 @@ def _resolve(text: str, first: dict[str, object], cluster: str | None) -> Partia
     config = None
     if framework is Framework.DEEPSPEED or "deepspeed" in text.lower():
         config = (first.get("f_config") or first.get("config")
-                  or _first_path(text, ".json", _JSON_PATH))
+                  or ((found := _first_path(text, ".json", _JSON_PATH)) and found[0]))
     fields = (cluster, framework, strategy, _term(first, _LAUNCHER_TERMS), nodes, per_node, total,
               valid_port(_count(first, ("f_master_port", "port"))),
               first.get("f_entry") or first.get("entry_phrase") or first.get("run")
-              or first.get("python") or _first_path(text, ".py", _PY_PATH))
+              or first.get("python")
+              or ((found := _first_path(text, ".py", _PY_PATH)) and found[0]))
     if "args" in first:
         train_args = first["args"].strip()
     else:

@@ -15,8 +15,11 @@ rules in array order, the first match firing (:class:`FaultRuleSet`).
 :data:`~launchport.types.REPAIR_PAYLOAD_KEYS`) that can disarm the rule; an
 empty list marks the failure as beyond script-level repair.
 
-Everything is pure: identical inputs produce byte-identical results, and
-submissions may run concurrently without shared state.
+Everything is pure: identical inputs produce byte-identical results.  A
+passing result depends on the world size alone, so passing submissions share
+one read-only :class:`ExecutionResult` per world (:func:`_passed`); fault and
+topology-error results are built on each call.  Nothing a submission shares
+can change, so submissions may still run concurrently.
 """
 
 from __future__ import annotations
@@ -247,9 +250,10 @@ def submit(
     """Mock-execute a rendered script on the given cluster.
 
     The first matching fault rule (document order) fires; otherwise the
-    launch topology is validated against the job and a success transcript
-    with one line per rank plus the two collective checks is produced.
-    Failures are results, never exceptions.
+    launch topology is validated against the job.  A failure is a new
+    result, never an exception; a pass returns the shared, read-only result
+    of its world size (:func:`_passed`), whose transcript holds one line per
+    rank plus the two collective checks.
     """
     text = r.text
     # A Strategy or Launcher is a str holding its value, so it is looked up
@@ -309,8 +313,22 @@ def submit(
             ),
         )
 
-    # One "rank i/world ok" line per rank; a world of 0 or less (a hand-built
-    # JobSpec) has none, not a bare "rank /0 ok".
+    return _passed(world)
+
+
+@functools.lru_cache(maxsize=128)
+def _passed(world: int) -> ExecutionResult:
+    """The passing result of a submission of ``world`` ranks, one shared,
+    read-only value per world size: one "rank i/world ok" line per rank, then
+    the two collective checks.  A world of 0 or less (a hand-built JobSpec)
+    has no rank lines, not a bare "rank /0 ok".
+
+    The memo keeps at most 128 results, each holding its transcript, so its
+    worst case is 128 transcripts of at most ~2.8 MB each: the world of a
+    finalized job on the bundled profiles is at most ``MAX_NODES`` nodes x 8
+    GPUs.  The bench's grid jobs draw at most 64 distinct worlds (up to 16
+    nodes x 8 GPUs), so all of them stay in the memo.
+    """
     end = f"/{world} ok\n"
     per_rank = "rank " + (end + "rank ").join(map(str, range(world))) + end if world > 0 else ""
     return ExecutionResult(

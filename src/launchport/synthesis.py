@@ -16,8 +16,8 @@ declared by the template (ports observed in the verified original script)
 is used; the package-wide fallback applies last.
 
 A :class:`RenderedScript` reads the launch topology its text states when
-it is built and keeps it, so the lint and the mock submission of one script
-share a single read of its counts.
+it is built and keeps it with the lines it read, so the lint and the mock
+submission of one script share a single read of its counts.
 
 All functions here are pure.
 """
@@ -41,7 +41,7 @@ class RenderedScript(FrozenRecord):
     :class:`UnboundParameterError` naming the first one it finds.
     """
 
-    __slots__ = ("text", "template_id", "binding", "_topology")
+    __slots__ = ("text", "template_id", "binding", "_commands", "_topology")
 
     def __init__(self, text: str, template_id: str, binding: Mapping[str, int | str]) -> None:
         leftover = PLACEHOLDER_RE.search(text)
@@ -50,15 +50,22 @@ class RenderedScript(FrozenRecord):
         set_frozen(self, "text", text)
         set_frozen(self, "template_id", template_id)
         set_frozen(self, "binding", binding)
-        set_frozen(self, "_topology", intent.script_topology(text))
+        # The lines the script runs: the text less its comment lines and
+        # `module` commands, or the text itself when it holds neither `#` nor
+        # `module`.  Lint reads them too.
+        commands = intent._commands(text)
+        set_frozen(self, "_commands", commands)
+        set_frozen(self, "_topology", intent._launch(commands)[1])
 
     @property
     def topology(self) -> intent.Topology:
         """``(nodes, gpus_per_node, total_gpus)`` as the text states them.
 
-        Read by :func:`intent.script_topology` when the script is built; absent
-        counts are ``None``.  The counts are kept in the ``_topology`` slot,
-        which is not a field, so equality, hashing and repr are unaffected.
+        Read from the commands (``_commands``) when the script is built, as
+        :func:`intent.parse_script` reads them; absent counts are ``None``.
+        The commands and the counts are kept in the ``_commands`` and
+        ``_topology`` slots, which are not fields, so equality, hashing and
+        repr are unaffected.
         """
         return self._topology
 

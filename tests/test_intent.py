@@ -25,7 +25,6 @@ from launchport.intent import (
     finalize,
     missing_fields,
     parse_script,
-    script_topology,
 )
 from launchport.prose import NUMBER_WORDS, RuleBasedExtractor, extract
 from launchport.types import Framework, Launcher, Strategy
@@ -910,13 +909,18 @@ def _launch_soups(draw):
     return "".join(case(token) + sep for token, sep, case in parts)
 
 
+def script_topology(text):
+    """The counts a ``RenderedScript`` keeps: the launcher's, read from its commands."""
+    return intent._launch(intent._commands(text))[1]
+
+
 def _parsed_counts(text):
     p = parse_script(text)
     return p.nodes, p.gpus_per_node, p.total_gpus
 
 
 class TestScriptTopology:
-    """``script_topology`` reads the counts ``parse_script`` reads."""
+    """A ``RenderedScript`` reads the counts ``parse_script`` reads."""
 
     @given(st.text() | _launch_soups())
     @example(_HUGE_COUNT_SCRIPTS[0])

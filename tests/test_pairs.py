@@ -121,3 +121,56 @@ def test_the_runs_follow_what_the_benchmark_declares():
     assert " ".join(pairs.bench_argv(benchmark, "W", "N")) == (
         "python3 perfbench/run.py --workload W --seed N --seconds 30 --trace 0")
     assert pairs.seeds("2711-2713") == [2711, 2712, 2713]
+
+
+def _rss_pairs(change_mb=0.0):
+    """Runs on one line, 25 MB + 60 B per job; the change holds ``change_mb`` more."""
+    per_job = 60 / 2**20
+    pairs_ = _pairs()
+    for i, pair in enumerate(pairs_):
+        for side, jobs in (("parent", 400_000 + 7_000 * i), ("anchor", 380_000 + 5_000 * i),
+                           ("change", 440_000 + 9_000 * i)):  # the change runs ~10 % more
+            pair[side]["attempted"] = jobs
+            pair[side]["peak_rss_mb"] = 25.0 + per_job * jobs + (change_mb if side == "change"
+                                                                 else 0.0)
+    return pairs_
+
+
+def test_a_change_that_only_runs_more_jobs_holds_no_more_memory():
+    pairs_ = _rss_pairs()
+    assert pairs.summarize(pairs_, {"peak_rss_mb": "lower"})["peak_rss_mb"][
+        "change_vs_parent"] > 0.02  # the raw medians read a regression
+    fit = pairs.rss_at_equal_jobs(pairs_)
+    assert fit["bytes_per_job"] == pytest.approx(60)
+    assert fit["intercept_mb"] == pytest.approx(25)
+    for side in pairs.SIDES:
+        assert fit[f"{side}_residual_mb"] == pytest.approx(0, abs=1e-9)
+    assert fit["runs"] == 15
+
+
+def test_a_change_that_holds_2_mb_more_reads_about_2_mb():
+    # It also runs ~10 % more jobs; one line through every run would take
+    # part of its 2 MB into the slope and read about 0.8 MB.
+    fit = pairs.rss_at_equal_jobs(_rss_pairs(change_mb=2.0))
+    assert fit["bytes_per_job"] == pytest.approx(60)
+    assert fit["change_residual_mb"] == pytest.approx(2)
+    assert fit["parent_residual_mb"] == pytest.approx(0, abs=1e-9)
+    assert fit["anchor_residual_mb"] == pytest.approx(0, abs=1e-9)
+
+
+def test_equal_job_counts_give_a_flat_line_at_the_parent_s_mean():
+    pairs_ = _pairs()  # every run attempted 1000 jobs
+    for pair in pairs_:
+        for side in pairs.SIDES:
+            pair[side]["peak_rss_mb"] = 30.0 if side == "change" else 27.0
+    fit = pairs.rss_at_equal_jobs(pairs_)
+    assert fit["bytes_per_job"] == 0 and fit["intercept_mb"] == 27.0
+    assert fit["change_residual_mb"] == 3.0 and fit["anchor_residual_mb"] == 0.0
+
+
+def test_only_in_process_workloads_read_rss_at_equal_jobs():
+    better = {"peak_rss_mb": "lower"}
+    assert "rss_at_equal_jobs" in pairs.workload_entry(_rss_pairs(), better)["summary"]
+    assert "rss_at_equal_jobs" not in pairs.workload_entry(_rss_pairs(), better,
+                                                           in_process=False)["summary"]
+    assert "rss_at_equal_jobs" not in pairs.workload_entry(_pairs(), BETTER)["summary"]

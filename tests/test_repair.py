@@ -456,13 +456,13 @@ class TestRunLoop:
     def test_clean_loop_parses_its_script_once(self, profiles, templates, fault_rules, monkeypatch):
         # Lint and the mock submission share one read of the script's counts.
         parsed = []
-        read = intent.script_topology
+        read = intent._launch
 
         def counting(script):
             parsed.append(script)
             return read(script)
 
-        monkeypatch.setattr(intent, "script_topology", counting)
+        monkeypatch.setattr(intent, "_launch", counting)
         profile = profiles.resolve("perlmutter")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         outcome = run_loop(spec, templates.get("perlmutter-ddp"), profile, fault_rules)
@@ -474,7 +474,7 @@ class TestRunLoop:
             self, profiles, templates, fault_rules, monkeypatch):
         # Over the grid and the fault corpus, lint and submit read only the
         # counts, never the full parse, and each script reads them once.
-        calls = {"parse_script": [], "script_topology": []}
+        calls = {"parse_script": [], "_launch": []}
         for name, calls_of in calls.items():
             function = getattr(intent, name)
 
@@ -490,13 +490,13 @@ class TestRunLoop:
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            rendered.append(self.text)
+            rendered.append(self._commands)
 
         monkeypatch.setattr(RenderedScript, "__init__", recording)
         for _, spec, profile in pipeline_cases(profiles):
             run_pipeline(spec, profile, templates, fault_rules)
         assert calls["parse_script"] == []
-        read, scripts = Counter(calls["script_topology"]), Counter(rendered)
+        read, scripts = Counter(calls["_launch"]), Counter(rendered)
         assert read and all(read[text] <= scripts[text] for text in read)
 
     def test_env_propagation_repaired_quickly(self, profiles, templates, fault_rules):

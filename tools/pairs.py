@@ -17,8 +17,15 @@ end-to-end metric that ``BENCHMARK.json`` declares: medians, quartiles
 wins, and whether the gap of the medians exceeds the parent's IQR.  Beside
 them, ``attempted`` gives the median job count of each side and the pairs in
 which the change attempted more: an in-process run lasts a fixed time, so its
-``peak_rss_mb`` grows with the jobs it reached.  The driver leaves ``note`` empty; it summarises the results, so it is written
-by hand after the run.
+``peak_rss_mb`` grows with the jobs it reached.  For the in-process
+workloads (every one but ``cli-cold``, whose RSS is that of one CLI process),
+``rss_at_equal_jobs`` reads that growth out: the slope of ``peak_rss_mb``
+against ``attempted`` in bytes per job, fitted over every run of the three
+sides, and each side's median residual, its RSS less the parent's line at
+its own job count.  A change that only runs more jobs reads a residual of
+about 0 MB; one that holds 2 MB more reads about 2.  The driver leaves
+``note`` empty; it summarises the results, so it is written by hand after
+the run.
 """
 
 from __future__ import annotations
@@ -94,12 +101,50 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def workload_entry(pairs: list[dict], better: dict[str, str]) -> dict:
-    """The pairs and their summary; whether every run failed no job, and whether
-    the parent and the change wrote the same digest in every pair."""
-    runs = [pair[side] for pair in pairs for side in SIDES if side in pair]
+def rss_at_equal_jobs(pairs: list[dict]) -> dict:
+    """``peak_rss_mb`` against ``attempted``: a least-squares fit over every run
+    with one slope for the three sides and an intercept for each, so that
+    memory one side holds on its own does not tilt the slope.  The line is the
+    parent's; each side's residual is the median of its runs' RSS less the
+    line at their own job counts.
+
+    The slope is in bytes per job (``peak_rss_mb`` is ``ru_maxrss`` KiB / 1024,
+    so a MB here is 2**20 bytes); the intercept and residuals are in MB.  When
+    no side's job count varies, the slope is 0.
+    """
+    by_side: dict[str, list[tuple[int, float]]] = {}
+    for pair in pairs:
+        for side in SIDES:
+            if side in pair:
+                by_side.setdefault(side, []).append(
+                    (pair[side]["attempted"], pair[side]["peak_rss_mb"]))
+    sxy = sxx = 0.0
+    for runs in by_side.values():
+        mean_x = statistics.fmean(x for x, _ in runs)
+        mean_y = statistics.fmean(y for _, y in runs)
+        sxy += sum((x - mean_x) * (y - mean_y) for x, y in runs)
+        sxx += sum((x - mean_x) ** 2 for x, _ in runs)
+    slope = sxy / sxx if sxx else 0.0
+    intercept = statistics.fmean(y - slope * x for x, y in by_side["parent"])
+    residual = {side: statistics.median(y - intercept - slope * x for x, y in runs)
+                for side, runs in by_side.items()}
     return {
-        "pairs": pairs, "summary": summarize(pairs, better),
+        "bytes_per_job": slope * 2**20, "intercept_mb": intercept,
+        "runs": sum(map(len, by_side.values())),
+        **{f"{side}_residual_mb": value for side, value in residual.items()},
+    }
+
+
+def workload_entry(pairs: list[dict], better: dict[str, str], in_process: bool = True) -> dict:
+    """The pairs and their summary; whether every run failed no job, and whether
+    the parent and the change wrote the same digest in every pair.  An
+    in-process workload's summary also reads its RSS at equal job counts."""
+    runs = [pair[side] for pair in pairs for side in SIDES if side in pair]
+    summary = summarize(pairs, better)
+    if in_process and "peak_rss_mb" in better:
+        summary["rss_at_equal_jobs"] = rss_at_equal_jobs(pairs)
+    return {
+        "pairs": pairs, "summary": summary,
         "all_failed_zero": all(run["failed"] == 0 for run in runs),
         "digests_equal": all(pair["parent"]["digest"] == pair["change"]["digest"]
                              for pair in pairs),
@@ -172,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} {seed} {side}: " + json.dumps(pair[side]), flush=True)
                 pairs.append(pair)
                 # Written after every pair, so a stopped driver keeps what it ran.
-                doc["workloads"][workload] = workload_entry(pairs, better)
+                doc["workloads"][workload] = workload_entry(pairs, better,
+                                                            workload != "cli-cold")
                 out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
