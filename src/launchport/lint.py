@@ -67,7 +67,7 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
     """
     findings: list[Finding] = []
     text = r.text
-    commands = r._commands  # text itself when no line is dropped
+    commands = r._commands  # the text itself when it holds neither "#" nor "module"
 
     def report(code: str, message: str, span: tuple[int, int] | None = None) -> None:
         findings.append(Finding(code, message, span))

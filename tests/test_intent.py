@@ -942,6 +942,31 @@ class TestScriptTopology:
             assert script_topology(text) == _parsed_counts(text), text
 
 
+# The entry-script search parse_script ran before it read paths by str.find.
+_ANY_PY = re.compile(r"(?<![\w/.-])([\w./-]+\.py)\b")
+_PY_PATH = re.compile(intent._PY + r"\b")
+
+
+class TestFirstPath:
+    """``intent._first_path`` finds the path the old search found, where it found it."""
+
+    @given(st.text() | st.text("ab./-_ py.pyc x\n'\"=$\u00e9\u01300", max_size=60))
+    @example(".pyc")
+    @example("a.pyc/b.py")
+    @example("x.py.py")
+    @example("python 'scripts/train.py' --lr 1")
+    @example('python "my dir/train.py"')
+    @example("run .py then ./.py and a/.py")
+    def test_agrees_with_the_search(self, text):
+        old = _ANY_PY.search(text)
+        new = intent._first_path(text, ".py", _PY_PATH)
+        assert (new and (new.start(), new[0])) == (old and (old.start(1), old[1]))
+
+    def test_parse_script_reads_the_found_entry_and_what_follows(self):
+        p = parse_script("torchrun --nnodes=2 x.pyc a.pyc/b.py --lr 1")
+        assert (p.entry_script, p.train_args) == ("a.pyc/b.py", "--lr 1")
+
+
 class TestRoundTripFixedPoint:
     def test_finalize_of_parsed_render_is_identity(self, profiles, templates):
         """Rendering a job and re-reading the script reproduces the job.

@@ -68,6 +68,36 @@ def test_env_warning_suppressed_by_exports(profiles, templates):
     assert lint(patched, spec, profile) == []
 
 
+# Checks 1, 4 and 5 once read comment lines and module commands too.
+def test_a_commented_accelerate_line_is_no_conflict(profiles):
+    profile = profiles.resolve("aurora")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, launcher=Launcher.MPIEXEC)
+    script = _raw_script("# was: accelerate launch --num_machines=2 train.py\n"
+                         "mpiexec -n 8 -ppn 4 python -u train.py")
+    assert lint(script, spec, profile) == []
+    uncommented = _raw_script(script.text[len("# was: "):])
+    assert LAUNCH_SCHED_CONFLICT in [f.code for f in lint(uncommented, spec, profile)]
+
+
+def test_a_port_on_a_comment_line_is_not_read(profiles):
+    profile = profiles.resolve("aurora")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, launcher=Launcher.MPIEXEC)
+    head = "  # old: MASTER_PORT 99999\nmodule load MASTER_PORT=1\n"
+    script = _raw_script(head + "mpiexec -n 8 -ppn 4 -genv MASTER_PORT 70000 python -u train.py")
+    flagged = [f for f in lint(script, spec, profile) if f.code == PORT_OUT_OF_RANGE]
+    # Only the port the script runs, with its span in the whole text.
+    assert [script.text[slice(*f.span)] for f in flagged] == ["70000"]
+    assert lint(_raw_script(head + "mpiexec -n 8 -ppn 4 python -u train.py"), spec, profile) == []
+
+
+def test_a_commented_export_does_not_silence_the_env_warning(profiles, templates):
+    profile = profiles.resolve("deltaai")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)
+    rendered = render_for_spec(spec, templates.get("deltaai-ddp"), profile)
+    commented = _raw_script("# export PYTHONPATH=$PYTHONPATH\n" + rendered.text)
+    assert [f.code for f in lint(commented, spec, profile)] == [ENV_PROPAGATION_RISK]
+
+
 def test_placeholder_in_a_bound_value_is_refused(profiles, templates):
     # A template declares every placeholder it holds, so one reaches a
     # rendered text only inside a bound value, and is refused before lint.

@@ -7,8 +7,8 @@ from launchport.clusters import default_profiles
 from launchport.errors import RuleParseError
 from launchport.repair import apply_action, default_repair_table, diagnose, load_fingerprints
 from launchport.simcluster import (
-    _STDERR_FIELDS, ExecutionResult, FaultRule, FaultRuleSet, _instantiate_stderr, _stderr_plan,
-    load_fault_rules, submit,
+    _STDERR_FIELDS, ExecutionResult, FaultRule, FaultRuleSet, _instantiate_stderr, _passed,
+    _stderr_plan, load_fault_rules, submit,
 )
 from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.templates import PLACEHOLDER_RE, default_templates
@@ -157,6 +157,53 @@ class TestSubmit:
             result = submit(rendered, spec, profile, empty)
             assert result.exit_code == 0, (template.id, result.stderr)
             assert result.stdout == _transcript(spec.world_size), template.id
+
+
+def _plain_pass(profiles, world):
+    """A fault-free submission of a script that states no counts, for a
+    hand-built job of ``world`` ranks on one node."""
+    profile = profiles.resolve("delta")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=1, gpus_per_node=world)
+    return submit(RenderedScript("python train.py", "plain", {}), spec, profile, FaultRuleSet([]))
+
+
+class TestSharedPass:
+    """A passing result is shared, read-only, per world size; failures are not."""
+
+    @pytest.mark.parametrize("world", [-1, 0, 1, 64, 128, 129])
+    def test_passing_stdout_is_the_transcript(self, profiles, world):
+        result = _plain_pass(profiles, world)
+        assert result == ExecutionResult(0, _transcript(world), "", None)
+
+    @given(world=st.integers(-3, 2048))
+    def test_passing_stdout_is_the_transcript_for_any_world(self, profiles, world):
+        assert _plain_pass(profiles, world).stdout == _transcript(world)
+
+    def test_two_passes_with_one_world_share_one_result(self, profiles, templates, fault_rules):
+        first, rendered, spec, profile, _ = _run(profiles, templates, fault_rules,
+                                                 "perlmutter", Framework.PYTORCH, Strategy.DDP)
+        again = submit(rendered, spec, profile, fault_rules)
+        # Another cluster, script and job, with the same world of 8 ranks.
+        assert first.exit_code == 0 and first is again is _plain_pass(profiles, 8)
+        assert _plain_pass(profiles, 4) is not first
+
+    def test_failures_are_new_results_outside_the_memo(self, profiles, templates, fault_rules):
+        fault, rendered, spec, profile, _ = _run(profiles, templates, fault_rules,
+                                                 "deltaai", Framework.PYTORCH, Strategy.DDP)
+        smaller = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=1, gpus_per_node=4)
+        mismatch = submit(rendered, smaller, profile, load_fault_rules("[]"))
+        before = _passed.cache_info()
+        fault_again = submit(rendered, spec, profile, fault_rules)
+        mismatch_again = submit(rendered, smaller, profile, load_fault_rules("[]"))
+        assert fault.fault_fired == "ENV_NOT_PROPAGATED" and "topology" in mismatch.stderr
+        assert fault_again == fault and fault_again is not fault
+        assert mismatch_again == mismatch and mismatch_again is not mismatch
+        after = _passed.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits, before.misses, before.currsize)
+
+    def test_the_memo_keeps_128_worlds(self):
+        assert _passed.cache_info().maxsize == 128
 
 
 class TestRuleLoading:
