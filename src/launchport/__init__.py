@@ -43,7 +43,6 @@ _HOMES = {
     "diagnose": "repair",
     "extract": "prose",
     "finalize": "intent",
-    "lint": "lint",
     "load_fault_rules": "simcluster",
     "load_profiles": "clusters",
     "load_repository": "templates",
@@ -55,7 +54,6 @@ _HOMES = {
     "run_pipeline": "pipeline",
     "select": "retrieval",
     "submit": "simcluster",
-    "wrap_batch": "synthesis",
 }
 
 __all__ = list(_HOMES)

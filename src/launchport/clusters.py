@@ -32,7 +32,7 @@ class ClusterProfile(FrozenRecord):
     """Immutable description of one cluster."""
 
     __slots__ = ("id", "aliases", "scheduler", "default_launcher", "gpus_per_node", "gpu_type",
-                 "env_propagation", "max_walltime_minutes")
+                 "env_propagation")
 
     def __init__(
         self,
@@ -43,7 +43,6 @@ class ClusterProfile(FrozenRecord):
         gpus_per_node: int,
         gpu_type: str,
         env_propagation: bool,
-        max_walltime_minutes: int,
     ) -> None:
         if gpus_per_node < 1:
             raise ProfileParseError(
@@ -54,11 +53,6 @@ class ClusterProfile(FrozenRecord):
                 f"gpus_per_node must be <= {MAX_GPUS_PER_NODE}, got {gpus_per_node}",
                 field="gpus_per_node",
             )
-        if max_walltime_minutes < 1:
-            raise ProfileParseError(
-                f"max_walltime_minutes must be >= 1, got {max_walltime_minutes}",
-                field="max_walltime_minutes",
-            )
         set_frozen(self, "id", id)
         set_frozen(self, "aliases", aliases)
         set_frozen(self, "scheduler", scheduler)
@@ -66,7 +60,6 @@ class ClusterProfile(FrozenRecord):
         set_frozen(self, "gpus_per_node", gpus_per_node)
         set_frozen(self, "gpu_type", gpu_type)
         set_frozen(self, "env_propagation", env_propagation)
-        set_frozen(self, "max_walltime_minutes", max_walltime_minutes)
 
 
 class ProfileSet:
@@ -118,7 +111,7 @@ _PROFILE_FIELDS = {
     "id": (TEXT, REQUIRED), "aliases": (STRINGS, OPTIONAL),
     "scheduler": (tuple(Scheduler), REQUIRED), "default_launcher": (tuple(Launcher), REQUIRED),
     "gpus_per_node": (INT, REQUIRED), "gpu_type": (TEXT, REQUIRED),
-    "env_propagation": (BOOL, REQUIRED), "max_walltime_minutes": (INT, REQUIRED),
+    "env_propagation": (BOOL, REQUIRED),
 }
 
 

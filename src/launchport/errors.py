@@ -111,10 +111,6 @@ class UnboundParameterError(LaunchportError):
         super().__init__(f"parameter '{param}'{where} cannot be bound")
 
 
-class PolicyViolationError(LaunchportError):
-    """A request violates a cluster policy such as the walltime limit."""
-
-
 class NoCandidatesError(LaunchportError):
     """Retrieval was asked to rank an empty template set."""
 

@@ -425,10 +425,17 @@ _RE_SLOTS = re.compile(r"slots=(\d+)")
 _RE_SRUN_N_UPPER = re.compile(r"\bsrun\b[^\n]*?-N[=\s]+(\d+)")
 _RE_MPI_WORLD = re.compile(r"(?<![\w-])-n[=\s]+(\d+)")
 _RE_MPI_PPN = re.compile(r"(?<![\w-])-ppn[=\s]+(\d+)")
-# re.A keeps these in step with the other launchers' ``in script.lower()``
-# tests: re.I alone also matches "İ", "ı", "K" and "ſ" to ASCII letters.
-_RE_MPIEXEC = re.compile("mpiexec", re.I | re.A)
-_RE_MPIRUN = re.compile("mpirun", re.I | re.A)
+# A launcher's name counts only where it stands alone, as _names reads it: no
+# ASCII letter, digit, "_", "." or "-" and no non-ASCII character on either side,
+# and no "/" after it, so /opt/bin/torchrun counts and run_deepspeed.py does not.
+# re.A keeps the mpiexec and mpirun patterns in step with the others' lowered
+# text: re.I alone also matches "İ", "ı", "K" and "ſ" to ASCII letters.
+_ALONE = r"{0}(?<![\w.-]{0}|[^\0-\x7f]{0})(?![\w./-]|[^\0-\x7f])"  # name first: fast to search
+# What may stand before and after a name for _names; "" is the text's start or end.
+_BEFORE = frozenset(c for c in map(chr, range(128)) if not c.isalnum() and c not in "_.-") | {""}
+_AFTER = _BEFORE - {"/"}
+_RE_MPIEXEC = re.compile(_ALONE.format("mpiexec"), re.I | re.A)
+_RE_MPIRUN = re.compile(_ALONE.format("mpirun"), re.I | re.A)
 
 # parse_script's own patterns once its first call has compiled them: the entry
 # script, read where its run of path characters starts, and a trailing
@@ -506,9 +513,6 @@ def _arguments(script: str, entry: re.Match) -> str:
     return tail
 
 
-_NOT_RUN = ("#", "module ")  # how a line _commands drops starts, after its indent
-
-
 def _commands(script: str) -> str:
     """``script`` less its comment lines and ``module`` commands, which may name a
     launcher, an entry script or flags that the script does not run
@@ -519,35 +523,28 @@ def _commands(script: str) -> str:
     if "#" not in script and "module" not in script:
         return script
     return "\n".join([line for line in script.split("\n")
-                      if not line.lstrip().startswith(_NOT_RUN)])
-
-
-def _runs(script: str, at: int) -> bool:
-    """Whether :func:`_commands` keeps the line of ``script`` that holds offset ``at``."""
-    start = script.rfind("\n", 0, at) + 1
-    end = script.find("\n", at)
-    return not script[start : end if end >= 0 else None].lstrip().startswith(_NOT_RUN)
+                      if not line.lstrip().startswith(("#", "module "))])
 
 
 def _launch(script: str) -> tuple[Launcher | None, Topology]:
     """The launcher a script invokes and the counts it states for it.
 
     The launcher is the first of torchrun, deepspeed, accelerate,
-    mpiexec/mpirun and srun that the text names anywhere; a text naming
-    none of them has no launcher and no counts.  Callers pass the text
-    through :func:`_commands` first.
+    mpiexec/mpirun and srun whose name the text holds anywhere standing
+    alone (``_ALONE``); a text naming none of them has no launcher and no
+    counts.  Callers pass the text through :func:`_commands` first.
     """
     lowered = script.lower()
     nodes = per_node = total = None
-    if "torchrun" in lowered:
+    if "torchrun" in lowered and _names(lowered, "torchrun"):
         launcher = Launcher.TORCHRUN
         nodes = _grab(_RE_NNODES, script) or _grab(_RE_SRUN_N_UPPER, script)
         per_node = _grab(_RE_NPROC, script)
-    elif "deepspeed" in lowered:
+    elif "deepspeed" in lowered and _names(lowered, "deepspeed"):
         launcher = Launcher.DEEPSPEED
         nodes = _grab(_RE_NUM_NODES, script)
         per_node = _grab(_RE_NUM_GPUS, script) or _grab(_RE_SLOTS, script)
-    elif "accelerate" in lowered:
+    elif "accelerate" in lowered and _names(lowered, "accelerate"):
         launcher = Launcher.ACCELERATE
         nodes = _grab(_RE_NUM_MACHINES, script)
         total = _grab(_RE_NUM_PROCESSES, script)
@@ -559,12 +556,23 @@ def _launch(script: str) -> tuple[Launcher | None, Topology]:
         tail = script[at.start():]
         total = _grab(_RE_MPI_WORLD, tail)
         per_node = _grab(_RE_MPI_PPN, tail)
-    elif "srun" in lowered:
+    elif "srun" in lowered and _names(lowered, "srun"):
         launcher = Launcher.SRUN
         nodes = _grab(_RE_SRUN_N_UPPER, script)
     else:
         launcher = None
     return launcher, (nodes, per_node, total)
+
+
+def _names(lowered: str, name: str) -> bool:
+    """Whether ``name`` stands alone (``_ALONE``) somewhere in ``lowered``."""
+    at = lowered.find(name)
+    while at >= 0:
+        end = at + len(name)
+        if lowered[at - 1 : at] in _BEFORE and lowered[end : end + 1] in _AFTER:
+            return True
+        at = lowered.find(name, at + 1)
+    return False
 
 
 def _grab(pattern: re.Pattern, text: str) -> int | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .clusters import ClusterProfile
 from .errors import LaunchportError
-from .intent import JobSpec, _port_flags, _runs, _shown
+from .intent import JobSpec, _port_flags, _shown
 from .synthesis import RenderedScript
 from .types import PORT_MAX, PORT_MIN, FrozenRecord, Launcher, Scheduler, set_frozen, valid_port
 
@@ -43,14 +43,13 @@ CATALOG = {
 class Finding(FrozenRecord):
     """One tripped check; its severity is the catalog's for its code."""
 
-    __slots__ = ("code", "message", "span")
+    __slots__ = ("code", "message")
 
-    def __init__(self, code: str, message: str, span: tuple[int, int] | None = None) -> None:
+    def __init__(self, code: str, message: str) -> None:
         if code not in CATALOG:
             raise LaunchportError(f"unknown finding code '{code}'")
         set_frozen(self, "code", code)
         set_frozen(self, "message", message)
-        set_frozen(self, "span", span)
 
     @property
     def severity(self) -> str:
@@ -66,11 +65,10 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
     script does not run.
     """
     findings: list[Finding] = []
-    text = r.text
     commands = r._commands  # the text itself when it holds neither "#" nor "module"
 
-    def report(code: str, message: str, span: tuple[int, int] | None = None) -> None:
-        findings.append(Finding(code, message, span))
+    def report(code: str, message: str) -> None:
+        findings.append(Finding(code, message))
 
     # 1. Launcher / scheduler compatibility.
     uses_accelerate = spec.launcher is Launcher.ACCELERATE or "accelerate launch" in commands
@@ -100,14 +98,11 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
             f"of {profile.gpus_per_node}",
         )
 
-    # 4. Port range of every port the script states, else of the spec's.  The
-    # flags are found in the text, so that each span indexes it.
+    # 4. Port range of every port the script states, else of the spec's.
     port = None
-    for m in _port_flags(text):
-        if commands is not text and not _runs(text, m.start()):
-            continue
+    for m in _port_flags(commands):
         if valid_port(port := m[1]) is None:
-            report(PORT_OUT_OF_RANGE, f"port {port} outside [{PORT_MIN}, {PORT_MAX}]", m.span(1))
+            report(PORT_OUT_OF_RANGE, f"port {port} outside [{PORT_MIN}, {PORT_MAX}]")
     if port is None and valid_port(spec.master_port) is None:
         report(
             PORT_OUT_OF_RANGE, f"port {_shown(spec.master_port)} outside [{PORT_MIN}, {PORT_MAX}]"

@@ -32,12 +32,7 @@ similarity 0.0, with that pattern's read-only breakdown: the similarity
 blend reads the description and the embedder, so it runs on every ranking,
 but a new candidate is built only where a template's similarity is not
 0.0.  Only keys that repeat within a process gain; one CLI run ranks once
-and exits.  The store also keeps each template's text and word set, and
-the template vectors of the last embedder that returned one vector per
-text, so a later ranking with that embedder embeds only the description.
-A call that raised a bridge error or gave the wrong number of vectors is
-not kept; the template texts are embedded again then, and when the
-description's vector differs in length from the kept ones.
+and exits.  The store also keeps each template's text and word set.
 """
 
 from __future__ import annotations
@@ -138,10 +133,9 @@ def _cosine(u: Sequence[float], v: Sequence[float]) -> float:
     return max(0.0, min(1.0, dot / (nu * nv)))
 
 
-def _embed(embedder: Embedder | None, texts: list[str]) -> list[list[float]] | None:
-    """One vector per text from ``embedder``; ``None`` when there is none to use."""
-    if embedder is None:
-        return None
+def _embed(embedder: Embedder, texts: list[str]) -> list[list[float]] | None:
+    """One vector per text from ``embedder``; ``None`` when it raises a bridge
+    error or gives another number of vectors."""
     try:
         vectors = embedder.embed(texts)
     except BridgeError:
@@ -160,8 +154,6 @@ class _SetStore:
         # id order.
         self.table: dict[tuple, tuple[RankedCandidate, ...]
                          | tuple[tuple[int, RankedCandidate], ...]] = {}
-        # The last embedder that gave one vector per template, and those vectors.
-        self.vectors: tuple[Embedder, list[list[float]]] | None = None
 
     @functools.cached_property
     def texts(self) -> tuple[tuple[str, frozenset[str]], ...]:
@@ -193,37 +185,14 @@ class _SetStore:
         return entry
 
 
-def _vectors(
-    store: _SetStore, embedder: Embedder | None, description: str
-) -> list[list[float]] | None:
-    """The description's vector, then each template's in id order; ``None``
-    when there is no embedder to use.  Template vectors are kept for the
-    embedder that gave them, so later rankings embed the description only."""
-    if embedder is None:
-        return None
-    kept = store.vectors
-    if kept is not None and kept[0] is embedder:
-        query = _embed(embedder, [description])
-        if query is None:
-            return None
-        if len(query[0]) == len(kept[1][0]):
-            return query + kept[1]
-        # The embedder's vectors changed length: the kept ones are stale.
-    vectors = _embed(embedder, [description] + [text for text, _ in store.texts])
-    if vectors is not None:
-        store.vectors = (embedder, vectors[1:])
-    return vectors
-
-
 def _similarities(
     spec: JobSpec, store: _SetStore, embedder: Embedder | None
 ) -> list[float]:
     """Similarity of the job's description to each template, in id order."""
     description = spec.description()
-    vectors = _vectors(store, embedder, description)
-    if vectors is not None:
-        query = vectors[0]
-        return [_cosine(query, vec) for vec in vectors[1:]]
+    if embedder is not None and (
+            vectors := _embed(embedder, [description, *(text for text, _ in store.texts)])):
+        return [_cosine(vectors[0], vec) for vec in vectors[1:]]
     words = frozenset(description.lower().split())
     return [_jaccard(words, template_words) for _, template_words in store.texts]
 

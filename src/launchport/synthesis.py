@@ -28,10 +28,10 @@ from typing import Mapping
 
 from . import intent
 from .clusters import ClusterProfile
-from .errors import ContractViolationError, PolicyViolationError, UnboundParameterError
+from .errors import ContractViolationError, UnboundParameterError
 from .intent import JobSpec
 from .templates import PLACEHOLDER_RE, Template
-from .types import FrozenRecord, Scheduler, set_frozen
+from .types import FrozenRecord, set_frozen
 
 
 class RenderedScript(FrozenRecord):
@@ -137,57 +137,6 @@ def render(t: Template, b: Mapping[str, int | str]) -> RenderedScript:
 def render_for_spec(spec: JobSpec, t: Template, profile: ClusterProfile) -> RenderedScript:
     """The script for ``spec`` from template ``t``: :func:`bind`, then :func:`render`."""
     return render(t, bind(spec, t, profile))
-
-
-def wrap_batch(
-    r: RenderedScript,
-    profile: ClusterProfile,
-    walltime_minutes: int,
-    account: str,
-) -> str:
-    """Wrap a rendered script in a scheduler batch header.
-
-    Header formats are fixed per scheduler (see docs/formats.md); the body
-    is appended verbatim after the directives.  A walltime that is not an
-    integer from 1 to the profile's limit, or an account that is empty or
-    holds whitespace (which could end the directive and start another),
-    raises :class:`PolicyViolationError`.
-    """
-    if walltime_minutes.__class__ is not int or walltime_minutes < 1:
-        raise PolicyViolationError(
-            f"walltime must be a whole number of minutes >= 1, got {walltime_minutes!r}"
-        )
-    if walltime_minutes > profile.max_walltime_minutes:
-        raise PolicyViolationError(
-            f"walltime {walltime_minutes} min exceeds the {profile.id} limit "
-            f"of {profile.max_walltime_minutes} min"
-        )
-    if account.__class__ is not str or not account or any(ch.isspace() for ch in account):
-        raise PolicyViolationError(f"account must be one word with no whitespace, got {account!r}")
-    nodes = r.binding.get("nodes")
-    if nodes is None:
-        world = r.binding.get("world_size")
-        per_node = r.binding.get("each_node_gpus")
-        if isinstance(world, int) and isinstance(per_node, int) and per_node > 0:
-            nodes = world // per_node
-        else:
-            nodes = 1
-    hhmmss = f"{walltime_minutes // 60:02d}:{walltime_minutes % 60:02d}:00"
-    if profile.scheduler is Scheduler.SLURM:
-        header = [
-            "#!/bin/bash",
-            f"#SBATCH --nodes={nodes}",
-            f"#SBATCH --time={hhmmss}",
-            f"#SBATCH --account={account}",
-        ]
-    else:
-        header = [
-            "#!/bin/bash",
-            f"#PBS -l select={nodes}",
-            f"#PBS -l walltime={hhmmss}",
-            f"#PBS -A {account}",
-        ]
-    return "\n".join(header) + "\n" + r.text + "\n"
 
 
 def _canonical(value: int | str) -> str:

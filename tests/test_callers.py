@@ -12,9 +12,12 @@ use, and neither does a test: a helper only the tests call belongs in the
 tests.
 
 A use is credited by its bare name, so the scan cannot judge a method that
-shares its name with another definition or with a method of a builtin
-container or ``str``: ``dict.get`` credits every ``get``.  Those methods are
-pinned as a reviewed set, each checked by hand to have a caller.  The scan
+shares its name with another definition or with an attribute of a builtin
+container, ``str`` or a regex match or pattern: ``dict.get`` credits every
+``get``.  Those methods are pinned as a reviewed set, each checked by hand
+to have a caller.  A record field named like such an attribute is not
+credited by a read of that name either (``m.span(1)`` once credited a
+``span`` field); it is pinned as a reviewed table.  The scan
 skips every dunder, since Python calls them by syntax (``len(x)``, ``for``,
 ``in``); the container dunders are pinned as a reviewed table instead.
 """
@@ -22,8 +25,11 @@ skips every dunder, since Python calls them by syntax (``len(x)``, ``for``,
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import launchport
@@ -55,7 +61,8 @@ REVIEWED_COLLISIONS = {
     "Record.replace",
 }
 
-_BUILTIN_METHODS = {name for kind in (dict, list, str, set, tuple) for name in dir(kind)}
+_BUILTIN_ATTRIBUTES = {name for kind in (dict, list, str, set, tuple, re.Match, re.Pattern)
+                       for name in dir(kind)}
 
 # The container dunders the package defines, each with its caller in src/ or the
 # reason it stays.  A new one fails until it is checked by hand and added here.
@@ -198,7 +205,7 @@ def _collisions(sources: dict[str, str]) -> set[str]:
                 )
     return {
         f"{cls}.{name}" for cls, name in methods
-        if not name.startswith("__") and (names.count(name) > 1 or name in _BUILTIN_METHODS)
+        if not name.startswith("__") and (names.count(name) > 1 or name in _BUILTIN_ATTRIBUTES)
     }
 
 
@@ -221,12 +228,40 @@ def test_the_scan_reads_the_real_exports():
     assert _exports(_sources()) == launchport.__all__
 
 
+def test_an_export_is_the_same_object_in_either_import_order():
+    # "lint" was both an export and a submodule: once launchport.lint was imported,
+    # the package attribute was the module, and calling it raised TypeError.
+    check = (
+        "import importlib, pkgutil\n"
+        "import launchport as lp\n"
+        "def imported():\n"
+        "    return [importlib.import_module(f'launchport.{{m.name}}')\n"
+        "            for m in pkgutil.iter_modules(lp.__path__)]\n"
+        "{first}\n"
+        "print(sorted(name for name, home in lp._HOMES.items() if getattr(lp, name) is not\n"
+        "             getattr(importlib.import_module(f'launchport.{{home}}'), name)))\n"
+        "print(sorted(set(lp._HOMES) & {{m.__name__.split('.')[1] for m in imported()}}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for first in ("exports = [getattr(lp, name) for name in lp._HOMES]", "imported()"):
+        done = subprocess.run([sys.executable, "-c", check.format(first=first)],
+                              capture_output=True, text=True, check=True, env=env)
+        assert done.stdout.splitlines() == ["[]", "[]"], first
+
+
 def test_the_scan_finds_an_export_the_documents_stop_naming():
-    # wrap_batch has no caller in src/; only docs/formats.md names it.
+    # An export with no caller in src/ passes only while a document names it.
+    sources = _sources()
+    sources["types.py"] += "\n\ndef documented_helper():\n    return None\n"
+    sources["__init__.py"] = sources["__init__.py"].replace(
+        "_HOMES = {\n", "_HOMES = {\n    \"documented_helper\": \"types\",\n")
     entry_points, formats = _documents()
-    assert "`wrap_batch`" in formats
-    documented = _documented(entry_points, formats.replace("`wrap_batch`", "wrap_batch"))
-    assert any(entry.endswith(" wrap_batch") for entry in _uncalled(_sources(), documented))
+    formats = "`documented_helper` is exported.\n" + formats
+    uncalled = _uncalled(sources, _documented(entry_points, formats))
+    assert not any(entry.endswith(" documented_helper") for entry in uncalled)
+    formats = formats.replace("`documented_helper`", "documented_helper")
+    uncalled = _uncalled(sources, _documented(entry_points, formats))
+    assert any(entry.endswith(" documented_helper") for entry in uncalled)
 
 
 def test_the_scan_finds_an_undocumented_export():
@@ -310,6 +345,10 @@ UNREAD_FIELDS = {
                               "load-time cross-check of the bundles is to call",
 }
 
+# Record fields named like a builtin attribute (_BUILTIN_ATTRIBUTES), each
+# checked by hand to have a reader.  A new one fails until checked.
+REVIEWED_FIELD_COLLISIONS: dict[str, str] = {}
+
 
 def _table_mismatches(tables: dict[type, dict]) -> list[str]:
     """``"<record>: <table names> != <constructor fields>"`` for each table that
@@ -328,9 +367,10 @@ def _unread(sources: dict[str, str], records: dict[str, list[str]]) -> list[str]
     """``"<record>.<field>"`` for each field that no attribute read in the package
     names, counting only reads in code that has a caller (:func:`_without_callers`).
 
-    A read is credited by its bare name, as the caller scan credits a use.
-    A constructor stores its fields through ``set_frozen``, by string, so
-    storing a field is never a read of it.
+    A read is credited by its bare name, as the caller scan credits a use,
+    except for a field named like a builtin attribute, which only
+    REVIEWED_FIELD_COLLISIONS credits.  A constructor stores its fields
+    through ``set_frozen``, by string, so storing a field is never a read of it.
     """
     uncalled = _without_callers(sources)
     reads = {
@@ -339,8 +379,9 @@ def _unread(sources: dict[str, str], records: dict[str, list[str]]) -> list[str]
         and not any(file == where and first <= node.lineno <= last
                     for where, first, last in uncalled)
     }
-    return [f"{record}.{field}" for record, fields in records.items()
-            for field in fields if field not in reads]
+    return [f"{record}.{field}" for record, fields in records.items() for field in fields
+            if field not in reads or (field in _BUILTIN_ATTRIBUTES
+                                      and f"{record}.{field}" not in REVIEWED_FIELD_COLLISIONS)]
 
 
 def _record_fields() -> dict[str, list[str]]:
@@ -377,6 +418,15 @@ def test_the_read_check_finds_a_field_nothing_reads():
     records["ExecutionResult"].append("parsed_topology")
     unread = set(_unread(_sources(), records)) - set(UNREAD_FIELDS)
     assert unread == {"ClusterProfile.module_system", "ExecutionResult.parsed_topology"}
+
+
+def test_the_read_check_credits_no_read_of_a_builtin_attribute():
+    # Finding.span once passed: only regex matches' span() calls read the name.
+    records = _record_fields()
+    records["Finding"].append("span")
+    sources = _sources()
+    assert "m.span(kind)" in sources["prose.py"]
+    assert "Finding.span" in _unread(sources, records)
 
 
 def test_the_read_check_credits_no_read_in_code_without_callers():

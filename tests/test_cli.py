@@ -444,6 +444,16 @@ class TestPort:
         assert " accelerate launch --multi_gpu --num_machines=2 --num_processes=8 " in out
         assert out.endswith(" --main_process_port=29400 train.py'\n")
 
+    def test_a_launcher_name_in_the_entry_script_is_not_read(self, capsys, tmp_path):
+        # Read as deepspeed, this ended in "missing: nodes, gpus_per_node".
+        script = tmp_path / "bench.sh"
+        script.write_text("mpiexec -n 8 -ppn 4 python -u run_deepspeed_bench.py\n", "utf-8")
+        code, out, err = run_cli(capsys, "port", str(script), "--to", "perlmutter",
+                                 "--non-interactive")
+        assert (code, err) == (0, "")
+        assert out.startswith("srun -N 2 -n 8 bash -c 'torchrun --nnodes=2 --nproc_per_node=4 ")
+        assert out.endswith(" run_deepspeed_bench.py'\n")
+
     def test_port_beyond_capacity_suggests_splits(self, capsys, perl_script):
         code, _, err = run_cli(
             capsys, "port", str(perl_script), "--to", "lonestar6", "--non-interactive",
@@ -812,9 +822,11 @@ class TestClustersCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("module_system", "lmod"), ("python_env", "venv"), ("known_faults", []),
+        ("max_walltime_minutes", 2880),
     ])
     def test_validate_refuses_a_deleted_field(self, capsys, tmp_path, field, value):
-        # Fields that nothing read; the fault rules alone say which faults a cluster has.
+        # Fields that nothing read; the fault rules alone say which faults a cluster has,
+        # and no command writes a batch header that a walltime limit would bound.
         record = {**json.loads(bundled("clusters.json"))[0], field: value}
         path = tmp_path / "old.json"
         path.write_text(json.dumps([record]), "utf-8")
@@ -822,6 +834,39 @@ class TestClustersCommand:
         assert (code, out) == (1, "")
         assert err.splitlines() == [
             f"error: profile record: unknown field '{field}' (record 0, field '{field}')"
+        ]
+
+    def test_add_refuses_a_walltime_and_leaves_the_target_untouched(self, capsys, tmp_path):
+        registry = tmp_path / "clusters.json"
+        registry.write_text(bundled("clusters.json"), "utf-8")
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps([{
+            "id": "testbox", "aliases": [], "scheduler": "slurm",
+            "default_launcher": "torchrun", "gpus_per_node": 2,
+            "gpu_type": "H100", "env_propagation": True,
+            "max_walltime_minutes": 120,
+        }]), "utf-8")
+        code, out, err = run_cli(capsys, "clusters", "add", str(new), "--profiles", str(registry))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: profile record: unknown field 'max_walltime_minutes'"
+            " (record 9, field 'max_walltime_minutes')"
+        ]
+        assert registry.read_text("utf-8") == bundled("clusters.json")
+
+    def test_generate_refuses_profiles_that_carry_a_walltime(self, capsys, tmp_path):
+        records = json.loads(bundled("clusters.json"))
+        records[1]["max_walltime_minutes"] = 1440
+        profiles = tmp_path / "clusters.json"
+        profiles.write_text(json.dumps(records), "utf-8")
+        code, out, err = run_cli(
+            capsys, "generate", TABLE_DESCRIPTION.format(cluster="Perlmutter"),
+            "--profiles", str(profiles), "--non-interactive",
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: profile record: unknown field 'max_walltime_minutes'"
+            " (record 1, field 'max_walltime_minutes')"
         ]
 
     def test_add_validates_and_writes_back(self, capsys, tmp_path):
@@ -832,7 +877,6 @@ class TestClustersCommand:
             "id": "testbox", "aliases": [], "scheduler": "slurm",
             "default_launcher": "torchrun", "gpus_per_node": 2,
             "gpu_type": "H100", "env_propagation": True,
-            "max_walltime_minutes": 120,
         }]), "utf-8")
         code, out, _ = run_cli(capsys, "clusters", "add", str(new), "--profiles", str(registry))
         assert code == 0
@@ -848,7 +892,6 @@ class TestClustersCommand:
             "id": "perlmutter", "aliases": [], "scheduler": "slurm",
             "default_launcher": "torchrun", "gpus_per_node": 2,
             "gpu_type": "H100", "env_propagation": True,
-            "max_walltime_minutes": 120,
         }]), "utf-8")
         code, _, err = run_cli(capsys, "clusters", "add", str(dup), "--profiles", str(registry))
         assert code == 1

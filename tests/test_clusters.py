@@ -78,7 +78,6 @@ def _record(**overrides):
         "gpus_per_node": 4,
         "gpu_type": "A100",
         "env_propagation": True,
-        "max_walltime_minutes": 60,
     }
     base.update(overrides)
     return base
@@ -114,10 +113,8 @@ def test_bad_enum_value_is_parse_error():
 def test_nonpositive_counts_rejected():
     with pytest.raises(ProfileParseError):
         load_profiles(json.dumps([_record(gpus_per_node=0)]))
-    with pytest.raises(ProfileParseError):
-        load_profiles(json.dumps([_record(max_walltime_minutes=0)]))
-    [profile] = load_profiles(json.dumps([_record(gpus_per_node=1, max_walltime_minutes=1)]))
-    assert (profile.gpus_per_node, profile.max_walltime_minutes) == (1, 1)
+    [profile] = load_profiles(json.dumps([_record(gpus_per_node=1)]))
+    assert profile.gpus_per_node == 1
 
 
 def test_gpus_per_node_is_bounded(profiles):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -27,9 +28,10 @@ from launchport.intent import (
     parse_script,
 )
 from launchport.prose import NUMBER_WORDS, RuleBasedExtractor, extract
+from launchport.synthesis import render_for_spec
 from launchport.types import Framework, Launcher, Strategy
 
-from conftest import PERLMUTTER_COMMAND, POLARIS_COMMAND, TABLE_DESCRIPTION
+from conftest import PERLMUTTER_COMMAND, POLARIS_COMMAND, TABLE_DESCRIPTION, make_spec
 
 
 class TestExtract:
@@ -793,6 +795,19 @@ class TestFinalize:
             pass
 
 
+_LAUNCHER_NAMES = ["torchrun", "deepspeed", "accelerate", "mpiexec", "mpirun", "srun"]
+
+
+def _check_alone(name, before, after):
+    """``_launch`` reads ``name`` between ``before`` and ``after`` exactly when no
+    ASCII letter, digit, ``_``, ``.``, ``-`` or non-ASCII character touches it,
+    and no ``/`` follows it."""
+    apart = set(map(chr, range(128))) - set(string.ascii_letters + string.digits + "_.-")
+    alone = before in apart | {""} and after in (apart - {"/"}) | {""}
+    launcher = Launcher.MPIEXEC if name.lower() == "mpirun" else Launcher(name.lower())
+    assert intent._launch(before + name + after)[0] is (launcher if alone else None)
+
+
 class TestParseScript:
     def test_reference_slurm_command(self):
         p = parse_script(PERLMUTTER_COMMAND)
@@ -886,6 +901,47 @@ class TestParseScript:
     def test_launcher_names_match_ascii_letters_only(self, word):
         # re.I alone would match "İ" and "ı" to "i".
         assert parse_script(f"{word} -n 8 -ppn 4 python train.py") == PartialJobSpec()
+
+    @pytest.mark.parametrize("script, read", [
+        # The first two once read as deepspeed and accelerate, with no counts.
+        ("mpiexec -n 8 -ppn 4 python -u run_deepspeed_bench.py", (Launcher.MPIEXEC, None, 4, 8)),
+        ("mpiexec -n 8 -ppn 4 python -u train.py --output_dir accelerate_out",
+         (Launcher.MPIEXEC, None, 4, 8)),
+        ("/opt/bin/torchrun --nnodes=2 --nproc_per_node=4 train.py",
+         (Launcher.TORCHRUN, 2, 4, None)),
+    ])
+    def test_the_launcher_is_a_name_that_stands_alone(self, script, read):
+        p = parse_script(script)
+        assert (p.launcher, p.nodes, p.gpus_per_node, p.total_gpus) == read
+
+    def test_a_launcher_name_counts_only_where_it_stands_alone(self):
+        neighbours = ["", " ", "\t", "/", ".", "_", "-", "=", "'", "(", "a", "Z", "0", "\u00e9",
+                      "\u0130", "\u212a", "\u017f"]
+        for name, case, before, after in itertools.product(
+                _LAUNCHER_NAMES, (str.lower, str.upper, str.title), neighbours, neighbours):
+            _check_alone(case(name), before, after)
+
+    @given(st.sampled_from(_LAUNCHER_NAMES), st.characters(), st.characters())
+    def test_a_launcher_name_beside_any_character(self, name, before, after):
+        _check_alone(name, before, after)
+
+    def test_every_template_reads_its_launcher_beside_names_in_longer_words(
+        self, profiles, templates,
+    ):
+        assert len(templates) == 35
+        for t in templates:
+            profile = profiles.resolve(t.cluster)
+            spec = make_spec(profile, t.framework, t.strategy, launcher=t.launcher)
+            plain = render_for_spec(spec, t, profile)
+            named = render_for_spec(spec.replace(
+                entry_script="run_deepspeed_mpiexec_bench.py",
+                train_args="--output_dir accelerate_out --log srun.log --cfg torchrun.yaml",
+            ), t, profile)
+            nodes, per_node, total = plain.topology
+            assert nodes in (None, spec.nodes) and per_node in (None, spec.gpus_per_node)
+            assert total in (None, spec.world_size) and plain.topology != (None, None, None)
+            for script in (plain, named):
+                assert intent._launch(script._commands) == (t.launcher, plain.topology), t.id
 
 
 # Launcher words, their count and port flags, and near misses.

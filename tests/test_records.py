@@ -29,7 +29,7 @@ SIGNATURES = {
     "clusters.ClusterProfile": (
         ("id", REQUIRED), ("aliases", REQUIRED), ("scheduler", REQUIRED),
         ("default_launcher", REQUIRED), ("gpus_per_node", REQUIRED), ("gpu_type", REQUIRED),
-        ("env_propagation", REQUIRED), ("max_walltime_minutes", REQUIRED)),
+        ("env_propagation", REQUIRED)),
     "intent.PartialJobSpec": (
         ("cluster", None), ("framework", None), ("strategy", None), ("launcher", None),
         ("nodes", None), ("gpus_per_node", None), ("total_gpus", None), ("master_port", None),
@@ -47,7 +47,7 @@ SIGNATURES = {
         ("notes", "")),
     "synthesis.RenderedScript": (
         ("text", REQUIRED), ("template_id", REQUIRED), ("binding", REQUIRED)),
-    "lint.Finding": (("code", REQUIRED), ("message", REQUIRED), ("span", None)),
+    "lint.Finding": (("code", REQUIRED), ("message", REQUIRED)),
     "simcluster.FaultRule": (
         ("id", REQUIRED), ("cluster", REQUIRED), ("trigger", REQUIRED),
         ("stderr_template", REQUIRED), ("clearable_by", ())),
@@ -98,7 +98,7 @@ def _samples() -> dict[str, tuple]:
     candidate = _class("retrieval.RankedCandidate")("delta-ddp", 1.0, {"cluster": 0.3}, True)
     first = {
         "clusters.ClusterProfile": ("delta", ("ncsa-delta",), Scheduler.SLURM, Launcher.TORCHRUN,
-                                    4, "A100", True, 2880),
+                                    4, "A100", True),
         "intent.PartialJobSpec": ("delta", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN,
                                   2, 4, 8, 29501, "train.py", "--epochs 3", "ds.json"),
         "intent.JobSpec": ("delta", Framework.DEEPSPEED, Strategy.ZERO3, Launcher.DEEPSPEED,
@@ -108,7 +108,7 @@ def _samples() -> dict[str, tuple]:
                                Launcher.TORCHRUN, "srun {nodes}",
                                (_class("templates.ParamDecl")("nodes", "integer"),), True, "n"),
         "synthesis.RenderedScript": ("srun -N 2 train.py", "delta-ddp", binding),
-        "lint.Finding": ("TOPOLOGY_MISMATCH", "nodes differ", (0, 4)),
+        "lint.Finding": ("TOPOLOGY_MISMATCH", "nodes differ"),
         "simcluster.FaultRule": ("ENV_NOT_PROPAGATED", ("deltaai",), {"cluster_is": "deltaai"},
                                  "ModuleNotFoundError", ("export_env",)),
         "simcluster.ExecutionResult": (1, "rank 0/8 ok\n", "boom", "F"),

@@ -211,70 +211,28 @@ class TestPipelineRanking:
         assert list(result.candidates) == candidates(spec, templates)
 
 
-class TestTemplateVectors:
-    def test_template_texts_embedded_once_per_set(self, profiles, templates):
+class TestEmbedderRankings:
+    def test_every_ranking_embeds_the_description_and_every_template(self, profiles, templates):
         profile = profiles.resolve("aurora")
         spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
         tset = TemplateSet(list(templates))
         embedder = _CountingEmbedder()
         ranked = [candidates(spec, tset, embedder) for _ in range(3)]
-        assert embedder.sent == [len(tset) + 1, 1, 1]
-        assert sum(embedder.sent) == 35 + 3
+        assert embedder.sent == [1 + 35] * 3
         expected = _flat(_rank_reference(spec, tset, FakeEmbedder()))
         assert all(_flat(r) == expected for r in ranked)
 
     @pytest.mark.parametrize("fail", [_DownEmbedder(), _ShortEmbedder()],
                              ids=["raises", "short"])
-    def test_failed_embedding_is_not_kept(self, profiles, templates, fail):
+    def test_a_failed_embedding_ranks_offline_that_time_only(self, profiles, templates, fail):
         profile = profiles.resolve("aurora")
         spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
         tset = TemplateSet(list(templates))
         embedder = _CountingEmbedder(failures=1, fail=fail)
         assert candidates(spec, tset, embedder) == candidates(spec, tset)
-        candidates(spec, tset, embedder)
-        candidates(spec, tset, embedder)
-        assert embedder.sent == [len(tset) + 1, len(tset) + 1, 1]
-
-    @pytest.mark.parametrize("answer", [_DownEmbedder().embed, lambda texts: []],
-                             ids=["raises", "no-vector"])
-    def test_kept_embedder_failing_on_the_description_ranks_offline(
-        self, profiles, templates, answer,
-    ):
-        class SecondCallFails(_CountingEmbedder):
-            def embed(self, texts):
-                vectors = super().embed(texts)
-                return answer(texts) if len(self.sent) == 2 else vectors
-
-        profile = profiles.resolve("aurora")
-        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
-        tset = TemplateSet(list(templates))
-        embedder = SecondCallFails()
-        first = candidates(spec, tset, embedder)
-        assert candidates(spec, tset, embedder) == candidates(spec, tset) != first
-        # The template vectors were kept: the third ranking embeds the description only.
-        assert candidates(spec, tset, embedder) == first
-        assert embedder.sent == [len(tset) + 1, 1, 1]
-
-    def test_vectors_of_another_length_are_embedded_again(self, profiles, templates):
-        class Shrinking(_CountingEmbedder):
-            """Drops the last component of every vector after its first call."""
-
-            def embed(self, texts):
-                vectors = super().embed(texts)
-                return vectors if len(self.sent) == 1 else [v[:2] for v in vectors]
-
-        class TwoComponents(FakeEmbedder):
-            def embed(self, texts):
-                return [v[:2] for v in super().embed(texts)]
-
-        profile = profiles.resolve("aurora")
-        spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
-        tset = TemplateSet(list(templates))
-        embedder = Shrinking()
-        candidates(spec, tset, embedder)
         ranked = candidates(spec, tset, embedder)
-        assert embedder.sent == [len(tset) + 1, 1, len(tset) + 1]
-        assert _flat(ranked) == _flat(_rank_reference(spec, tset, TwoComponents()))
+        assert embedder.sent == [1 + 35] * 2
+        assert _flat(ranked) == _flat(_rank_reference(spec, tset, FakeEmbedder()))
 
 
 class TestProperties:
@@ -337,7 +295,7 @@ def _rank_reference(spec, tset, embedder=None):
     if best_meta < retrieval.SIMILARITY_GATE:
         description = spec.description()
         texts = [f"{t.notes} {t.body}" for t in templates]
-        vectors = retrieval._embed(embedder, [description] + texts)
+        vectors = embedder and retrieval._embed(embedder, [description] + texts)
         for i, (t, text) in enumerate(zip(templates, texts), 1):
             if vectors is not None:
                 similarities[t.id] = retrieval._cosine(vectors[0], vectors[i])

@@ -3,12 +3,10 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from launchport.errors import ContractViolationError, PolicyViolationError, UnboundParameterError
+from launchport.errors import ContractViolationError, UnboundParameterError
 from launchport.intent import finalize
 from launchport.prose import extract
-from launchport.synthesis import (
-    RenderedScript, bind, render, render_for_spec, wrap_batch,
-)
+from launchport.synthesis import RenderedScript, bind, render, render_for_spec
 from launchport.templates import PLACEHOLDER_RE, ParamDecl, Template
 from launchport.types import Framework, Launcher, Strategy
 
@@ -233,63 +231,3 @@ class TestRenderPlan:
         assert t.parts is t.parts
         assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
         assert pickle.loads(pickle.dumps(t)) == t
-
-
-class TestWrapBatch:
-    def test_slurm_header(self, profiles, templates):
-        profile = profiles.resolve("perlmutter")
-        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-        rendered = render_for_spec(spec, templates.get("perlmutter-ddp"), profile)
-        batch = wrap_batch(rendered, profile, 60, "m1234")
-        lines = batch.splitlines()
-        assert lines[0] == "#!/bin/bash"
-        assert "#SBATCH --nodes=2" in lines
-        assert "#SBATCH --time=01:00:00" in lines
-        assert "#SBATCH --account=m1234" in lines
-        assert batch.endswith(rendered.text + "\n")
-
-    def test_pbs_header_derives_nodes_from_world(self, profiles, templates):
-        profile = profiles.resolve("aurora")
-        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2, gpus_per_node=4)
-        rendered = render_for_spec(spec, templates.get("aurora-ddp"), profile)
-        batch = wrap_batch(rendered, profile, 60, "ALCF-PROJ")
-        lines = batch.splitlines()
-        assert "#PBS -l select=2" in lines
-        assert "#PBS -l walltime=01:00:00" in lines
-        assert "#PBS -A ALCF-PROJ" in lines
-
-    def test_one_node_when_the_binding_states_no_count(self, profiles):
-        t = Template(id="static", cluster="perlmutter", framework=Framework.PYTORCH,
-                     strategy=Strategy.DDP, launcher=Launcher.TORCHRUN,
-                     body="python train.py", params=())
-        batch = wrap_batch(render(t, {}), profiles.resolve("perlmutter"), 30, "m1")
-        assert batch.splitlines()[1:3] == ["#SBATCH --nodes=1", "#SBATCH --time=00:30:00"]
-
-    def test_walltime_policy_enforced(self, profiles, templates):
-        for profile in profiles:
-            spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
-            template = next(t for t in templates if t.cluster == profile.id
-                            and t.framework is Framework.PYTORCH and t.strategy is Strategy.DDP)
-            rendered = render_for_spec(spec, template, profile)
-            with pytest.raises(PolicyViolationError):
-                wrap_batch(rendered, profile, 10**6, "acct")
-
-    @pytest.mark.parametrize("walltime", [-5, 0, True])
-    def test_walltime_below_one_minute_or_a_bool_is_refused(self, profiles, walltime):
-        # -5 once gave "--time=-1:55:00", 0 "--time=00:00:00" and True "--time=00:01:00".
-        t = Template(id="static", cluster="perlmutter", framework=Framework.PYTORCH,
-                     strategy=Strategy.DDP, launcher=Launcher.TORCHRUN,
-                     body="python train.py", params=())
-        with pytest.raises(PolicyViolationError, match="walltime must be"):
-            wrap_batch(render(t, {}), profiles.resolve("perlmutter"), walltime, "m1")
-
-    @pytest.mark.parametrize("cluster", ["perlmutter", "aurora"])  # Slurm, then PBS
-    @pytest.mark.parametrize("account", ["", "m1\n#SBATCH --qos=evil", "m1\n#PBS -q evil",
-                                         "m 1", "m1\t", "\r", None])
-    def test_an_empty_account_or_one_with_whitespace_is_refused(self, profiles, cluster, account):
-        profile = profiles.resolve(cluster)
-        t = Template(id="static", cluster=cluster, framework=Framework.PYTORCH,
-                     strategy=Strategy.DDP, launcher=profile.default_launcher,
-                     body="python train.py", params=())
-        with pytest.raises(PolicyViolationError, match="account must be"):
-            wrap_batch(render(t, {}), profile, 60, account)
