@@ -909,6 +909,16 @@ class TestParseScript:
          (Launcher.MPIEXEC, None, 4, 8)),
         ("/opt/bin/torchrun --nnodes=2 --nproc_per_node=4 train.py",
          (Launcher.TORCHRUN, 2, 4, None)),
+        # A name in a longer word does not outrank the launcher the script runs.
+        ("deepspeed --num_nodes 2 --num_gpus 4 train_torchrun.py",
+         (Launcher.DEEPSPEED, 2, 4, None)),
+        ("accelerate launch --num_machines 2 --num_processes 8 train.py --config deepspeed-z3.yaml",
+         (Launcher.ACCELERATE, 2, 4, 8)),
+        ("mpiexec -n 8 -ppn 4 python -u /home/u/accelerate/train.py",
+         (Launcher.MPIEXEC, None, 4, 8)),
+        ("srun -N 2 python -u train.py --tag mpirun.v2", (Launcher.SRUN, 2, None, None)),
+        ("srun -N 2 /opt/bin/torchrun --nnodes=2 --nproc_per_node=4 train.py",
+         (Launcher.TORCHRUN, 2, 4, None)),
     ])
     def test_the_launcher_is_a_name_that_stands_alone(self, script, read):
         p = parse_script(script)

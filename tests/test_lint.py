@@ -90,6 +90,24 @@ def test_a_port_on_a_comment_line_is_not_read(profiles):
     assert lint(_raw_script(head + "mpiexec -n 8 -ppn 4 python -u train.py"), spec, profile) == []
 
 
+@pytest.mark.parametrize("prefix, line", [
+    ("# ", "MASTER_PORT=99999"),
+    ("   # old: ", "--master_port 70000"),
+    ("\t#", "--main_process_port=0"),
+    ("module load ", "MASTER_PORT=1"),
+    ("  module swap old ", "--master-port 99999"),
+])
+def test_lint_and_parse_read_no_port_on_a_line_the_script_does_not_run(profiles, prefix, line):
+    # Check 4 reads the lines parse_script reads; both read the line once it runs.
+    profile = profiles.resolve("perlmutter")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, launcher=Launcher.TORCHRUN)
+    run = "torchrun --nnodes=2 --nproc_per_node=4 train.py"
+    unread, read = _raw_script(f"{prefix}{line}\n{run}"), _raw_script(f"{line}\n{run}")
+    assert PORT_OUT_OF_RANGE not in [f.code for f in lint(unread, spec, profile)]
+    assert PORT_OUT_OF_RANGE in [f.code for f in lint(read, spec, profile)]
+    assert parse_script(unread.text) == parse_script(run)
+
+
 def test_a_commented_export_does_not_silence_the_env_warning(profiles, templates):
     profile = profiles.resolve("deltaai")
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)

@@ -152,15 +152,32 @@ class _ShortEmbedder:
         return [[1.0, 0.0]]
 
 
+class _NoVectorEmbedder:
+    def embed(self, texts):
+        return []
+
+
+class _ExtraVectorEmbedder(FakeEmbedder):
+    def embed(self, texts):
+        vectors = super().embed(texts)
+        return vectors + vectors[:1]
+
+
+# Each way an embedder can fail a ranking: a bridge error, or a vector count
+# other than one per text.
+_FAILING = pytest.mark.parametrize(
+    "fail", [_DownEmbedder(), _ShortEmbedder(), _NoVectorEmbedder(), _ExtraVectorEmbedder()],
+    ids=["raises", "short", "no-vector", "extra-vector"])
+
+
 class TestEmbedderFallback:
-    @pytest.mark.parametrize("embedder", [_DownEmbedder(), _ShortEmbedder()],
-                             ids=["raises", "short"])
-    def test_falls_back_to_token_overlap(self, profiles, templates, embedder):
+    @_FAILING
+    def test_falls_back_to_token_overlap(self, profiles, templates, fail):
         profile = profiles.resolve("aurora")
         spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
         offline = candidates(spec, templates)
         assert any(c.breakdown["similarity"] > 0.0 for c in offline)
-        assert candidates(spec, templates, embedder=embedder) == offline
+        assert candidates(spec, templates, embedder=fail) == offline
 
 
 class _CountingEmbedder(FakeEmbedder):
@@ -222,8 +239,7 @@ class TestEmbedderRankings:
         expected = _flat(_rank_reference(spec, tset, FakeEmbedder()))
         assert all(_flat(r) == expected for r in ranked)
 
-    @pytest.mark.parametrize("fail", [_DownEmbedder(), _ShortEmbedder()],
-                             ids=["raises", "short"])
+    @_FAILING
     def test_a_failed_embedding_ranks_offline_that_time_only(self, profiles, templates, fail):
         profile = profiles.resolve("aurora")
         spec = make_spec(profile, Framework.ACCELERATE, Strategy.DDP)
