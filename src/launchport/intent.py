@@ -390,8 +390,10 @@ def _first_path(text: str, suffix: str, path) -> re.Match | None:
 
 # The three flags that set a rendezvous port (torchrun's, accelerate's and the
 # environment variable mpiexec and srun pass on) and their digits (group 1).
+# Between a flag and its digits stand only "=", spaces and tabs, as in each
+# count pattern below: the shell runs a next line as another command.
 PORT_FLAG_RE = re.compile(
-    r"(?:--master[-_]port|--main[-_]process[-_]port|MASTER_PORT)[=\s]+(\d+)")
+    r"(?:--master[-_]port|--main[-_]process[-_]port|MASTER_PORT)[= \t]+(\d+)")
 # How the flags each launcher reads start, in its order; the first valid port wins.
 _LAUNCHER_PORT_FLAGS = {
     Launcher.TORCHRUN: ("--master", "MASTER"), Launcher.DEEPSPEED: ("--master", "MASTER"),
@@ -415,16 +417,16 @@ def _port_flags(text: str) -> list[re.Match]:
     return found
 
 
-_RE_NNODES = re.compile(r"--nnodes[=\s]+(\d+)")
-_RE_NPROC = re.compile(r"--nproc[-_]per[-_]node[=\s]+(\d+)")
-_RE_NUM_MACHINES = re.compile(r"--num[-_]machines[=\s]+(\d+)")
-_RE_NUM_PROCESSES = re.compile(r"--num[-_]processes[=\s]+(\d+)")
-_RE_NUM_NODES = re.compile(r"--num[-_]nodes[=\s]+(\d+)")
-_RE_NUM_GPUS = re.compile(r"--num[-_]gpus[=\s]+(\d+)")
+_RE_NNODES = re.compile(r"--nnodes[= \t]+(\d+)")
+_RE_NPROC = re.compile(r"--nproc[-_]per[-_]node[= \t]+(\d+)")
+_RE_NUM_MACHINES = re.compile(r"--num[-_]machines[= \t]+(\d+)")
+_RE_NUM_PROCESSES = re.compile(r"--num[-_]processes[= \t]+(\d+)")
+_RE_NUM_NODES = re.compile(r"--num[-_]nodes[= \t]+(\d+)")
+_RE_NUM_GPUS = re.compile(r"--num[-_]gpus[= \t]+(\d+)")
 _RE_SLOTS = re.compile(r"slots=(\d+)")
-_RE_SRUN_N_UPPER = re.compile(r"\bsrun\b[^\n]*?-N[=\s]+(\d+)")
-_RE_MPI_WORLD = re.compile(r"(?<![\w-])-n[=\s]+(\d+)")
-_RE_MPI_PPN = re.compile(r"(?<![\w-])-ppn[=\s]+(\d+)")
+_RE_SRUN_N_UPPER = re.compile(r"\bsrun\b[^\n]*?-N[= \t]+(\d+)")
+_RE_MPI_WORLD = re.compile(r"(?<![\w-])-n[= \t]+(\d+)")
+_RE_MPI_PPN = re.compile(r"(?<![\w-])-ppn[= \t]+(\d+)")
 # A launcher's name counts only where it stands alone, as _names reads it: no
 # ASCII letter, digit, "_", "." or "-" and no non-ASCII character on either side,
 # and no "/" after it, so /opt/bin/torchrun counts and run_deepspeed.py does not.
@@ -513,6 +515,10 @@ def _arguments(script: str, entry: re.Match) -> str:
     return tail
 
 
+# How a line the script does not run starts, after its leading whitespace.
+_UNRUN = ("#", "module ")
+
+
 def _commands(script: str) -> str:
     """``script`` less its comment lines and ``module`` commands, which may name a
     launcher, an entry script or flags that the script does not run
@@ -523,7 +529,7 @@ def _commands(script: str) -> str:
     if "#" not in script and "module" not in script:
         return script
     return "\n".join([line for line in script.split("\n")
-                      if not line.lstrip().startswith(("#", "module "))])
+                      if not line.lstrip().startswith(_UNRUN)])
 
 
 def _launch(script: str) -> tuple[Launcher | None, Topology]:

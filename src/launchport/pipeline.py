@@ -10,14 +10,23 @@ and are recorded, so a report always explains what was tried.
 :func:`run_loop` submits to the mock cluster (:func:`simcluster.submit`);
 on failure it asks the error-correction agent (:mod:`launchport.repair`) to
 diagnose and propose, applies one action per iteration, first untried
-action first, re-lints, and resubmits.  An action already tried for the
-same fingerprint is never retried, which bounds the loop: it halts within
-``max_iter`` repair iterations for every input.  It has one exit: every
-failed submission is diagnosed and recorded, and the loop returns
-``unresolved`` when the bound is exhausted or no actions remain.  The agent
-and its bundled fingerprints and repair table are loaded at the first
-failed submission, and the agent module is then kept in ``_repair``, so a
-job whose scripts all pass loads none of them.
+action first, lints the repaired script, and resubmits.  An action already
+tried for the same fingerprint is never retried, which bounds the loop: it
+halts within ``max_iter`` repair iterations for every input.  It has one
+exit: every failed submission is diagnosed and recorded, and the loop
+returns ``unresolved`` when the bound is exhausted or no actions remain.
+The agent and its bundled fingerprints and repair table are loaded at the
+first failed submission, and the agent module is then kept in ``_repair``,
+so a job whose scripts all pass loads none of them.
+
+Lint reads only a script's commands (the lines it runs), the topology they
+state, the spec and the profile, so the loop lints each pair of commands
+and spec at most once, and only when the findings are read.  A repair that
+keeps the spec and whose script carries its parent's reads (a ``module
+load`` line, :class:`~launchport.synthesis.RenderedScript`) keeps the
+findings.  The first script is linted only when it stays the final one,
+whose findings the outcome reports, or when a repaired script has lint
+errors to compare with it: a repaired script with none cannot add errors.
 """
 
 from __future__ import annotations
@@ -120,7 +129,7 @@ def run_loop(
     One action is applied per iteration, in first-untried order; an action
     already tried for the same fingerprint is skipped, and so is one that
     cannot be applied or that adds lint errors (a repair never increases
-    the error count).  Every failed
+    the error count).  ``lint_findings`` are the final script's.  Every failed
     submission is diagnosed and recorded in the history, the last one with
     no action.  ``unresolved`` is a status, not an error.  Without
     ``fingerprints`` or ``repair_table`` the bundled ones are used, loaded
@@ -132,7 +141,7 @@ def run_loop(
     script = render_for_spec(spec, t, profile)
     current_spec = spec
     current_t = t
-    findings = lint(script, current_spec, profile)
+    findings = None  # the current script's lint findings, once they are read
 
     result = submit(script, current_spec, profile, rules)
     history: list[HistoryEntry] = []
@@ -143,7 +152,6 @@ def run_loop(
         if repair_table is None:
             repair_table = agent.default_repair_table()
         tried: set[tuple[str | None, tuple[str, str]]] = set()
-        errors = error_count(findings)  # the current script's, kept beside its findings
         while result.exit_code != 0:
             diag = agent.diagnose(
                 result, profile, fingerprints, bridge=bridge,
@@ -163,11 +171,18 @@ def run_loop(
                     )
                 except LaunchportError:
                     continue  # unappliable action: skip to the next untried one
-                new_findings = lint(new_script, new_spec, profile)
-                if (new_errors := error_count(new_findings)) > errors:
-                    continue  # it would add lint errors: unappliable too
-                script, current_spec, current_t, findings, errors = (
-                    new_script, new_spec, new_t, new_findings, new_errors)
+                # Lint reads only the commands, the topology they state, the spec
+                # and the profile: a repair that keeps the first two (a carried
+                # read) and the spec keeps the findings.
+                if new_script._commands is not script._commands or new_spec is not current_spec:
+                    new_findings = lint(new_script, new_spec, profile)
+                    if new_errors := error_count(new_findings):
+                        if findings is None:
+                            findings = lint(script, current_spec, profile)
+                        if new_errors > error_count(findings):
+                            continue  # it would add lint errors: unappliable too
+                    findings = new_findings
+                script, current_spec, current_t = new_script, new_spec, new_t
                 applied = action
                 break
             history.append(HistoryEntry(diag, applied, result))
@@ -175,6 +190,8 @@ def run_loop(
                 break
             result = submit(script, current_spec, profile, rules)
 
+    if findings is None:  # the first script's commands and spec: read now, once
+        findings = lint(script, current_spec, profile)
     return LoopOutcome(
         final_script=script,
         history=tuple(history),

@@ -363,7 +363,9 @@ def apply_action(
 
     Script-level edits (exports, module loads, prepends) are text surgery on
     the rendered script, whose payload text the action's constructor has
-    checked; spec-level edits (arguments, parameter values, templates)
+    checked, and a module load, a version pin or a prepended line the script
+    does not run keeps the script's reads (:class:`RenderedScript`);
+    spec-level edits (arguments, parameter values, templates)
     rebind and re-render so the template structure is preserved.  An edit
     that would bring a single quote or a newline into the job
     (:func:`intent.check_script_text`), or that names a port or template it
@@ -373,9 +375,10 @@ def apply_action(
     payload = action.payload
     edit = _TEXT_EDITS.get(kind)
     if edit is not None:
-        # Built directly: the constructor still refuses a placeholder and reads the topology.
+        # Built directly: the constructor still refuses a placeholder, and reads the
+        # topology unless the edit only adds a line above the script that it does not run.
         text = edit(payload, script.text)
-        return RenderedScript(text, script.template_id, script.binding), spec, template
+        return RenderedScript(text, script.template_id, script.binding, script), spec, template
     if kind == "add_arg":
         train_args = f"{spec.train_args} {payload['args']}".strip()
         check_script_text("train_args", train_args)

@@ -17,7 +17,11 @@ is used; the package-wide fallback applies last.
 
 A :class:`RenderedScript` reads the launch topology its text states when
 it is built and keeps it with the lines it read, so the lint and the mock
-submission of one script share a single read of its counts.
+submission of one script share a single read of its counts.  A script
+built from a parent script by one line above it that it does not run (a
+comment line or a ``module`` command, as the ``add_module_load`` and
+``pin_version`` repairs add) carries its parent's read: its lines and
+counts are the parent's, and are not read again.
 
 All functions here are pure.
 """
@@ -39,17 +43,34 @@ class RenderedScript(FrozenRecord):
 
     The text holds no ``{name}`` placeholder: the constructor raises
     :class:`UnboundParameterError` naming the first one it finds.
+
+    ``parent`` is not a field.  When ``text`` is one line the script does not
+    run (a comment line or a ``module`` command), then ``"\\n"``, then
+    ``parent.text``, the new script carries its parent's reads: its commands
+    and counts are the parent's objects, and only the new line is searched for
+    a placeholder.  The constructor checks that shape itself; any other text,
+    or no parent, is read in full.
     """
 
     __slots__ = ("text", "template_id", "binding", "_commands", "_topology")
 
-    def __init__(self, text: str, template_id: str, binding: Mapping[str, int | str]) -> None:
-        leftover = PLACEHOLDER_RE.search(text)
+    def __init__(
+        self, text: str, template_id: str, binding: Mapping[str, int | str],
+        parent: RenderedScript | None = None,
+    ) -> None:
+        carried = parent is not None and _unrun_line_above(text, parent.text)
+        leftover = PLACEHOLDER_RE.search(carried or text)
         if leftover:
             raise UnboundParameterError(leftover.group(1), template_id)
         set_frozen(self, "text", text)
         set_frozen(self, "template_id", template_id)
         set_frozen(self, "binding", binding)
+        if carried:
+            # _commands drops the line and keeps the parent's lines as they are,
+            # so the commands and the counts they state are the parent's.
+            set_frozen(self, "_commands", parent._commands)
+            set_frozen(self, "_topology", parent._topology)
+            return
         # The lines the script runs: the text less its comment lines and
         # `module` commands, or the text itself when it holds neither `#` nor
         # `module`.  Lint reads them too.
@@ -137,6 +158,15 @@ def render(t: Template, b: Mapping[str, int | str]) -> RenderedScript:
 def render_for_spec(spec: JobSpec, t: Template, profile: ClusterProfile) -> RenderedScript:
     """The script for ``spec`` from template ``t``: :func:`bind`, then :func:`render`."""
     return render(t, bind(spec, t, profile))
+
+
+def _unrun_line_above(text: str, below: str) -> str:
+    """The first line of ``text`` when the rest of it, after that line's
+    ``"\\n"``, is ``below`` and :func:`intent._commands` drops the line; else ``""``."""
+    line, newline, rest = text.partition("\n")
+    if newline and rest == below and line.lstrip().startswith(intent._UNRUN):
+        return line
+    return ""
 
 
 def _canonical(value: int | str) -> str:

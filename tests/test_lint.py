@@ -225,9 +225,10 @@ def test_soundness_over_verified_bundle(profiles, templates):
         assert error_count(findings) == 0, (t.id, findings)
 
 
-# Reference: lint's own port scan, before intent defined the three flags once.
+# Reference: lint's own port scan, before intent defined the three flags once,
+# with only "=", spaces and tabs between a flag and its digits.
 _RAW_PORT_RE = re.compile(
-    r"(?:--master[-_]port|--main[-_]process[-_]port|MASTER_PORT)[=\s]+(\d+)"
+    r"(?:--master[-_]port|--main[-_]process[-_]port|MASTER_PORT)[= \t]+(\d+)"
 )
 
 _PORT_TOKENS = [
@@ -249,7 +250,7 @@ def test_port_flag_pattern_scans_as_lints_own_did(text):
 
 # Reference: parse_script's port reading before it shared lint's port reader:
 # one pattern per flag, tried in its launcher's order; the first valid port wins.
-_REF_TORCH, _REF_MAIN, _REF_GENV = (re.compile(flag + r"[=\s]+(\d+)") for flag in (
+_REF_TORCH, _REF_MAIN, _REF_GENV = (re.compile(flag + r"[= \t]+(\d+)") for flag in (
     r"--master[-_]port", r"--main[-_]process[-_]port", "MASTER_PORT"))
 _REF_PORT_ORDER = {
     Launcher.TORCHRUN: (_REF_TORCH, _REF_GENV),
