@@ -6,8 +6,8 @@ A definition passes when its name is used somewhere in ``src/launchport``
 outside its own body (for a constant, outside the statement that assigns
 it).  A name the package exports in ``__all__`` also passes when README's
 "Library entry points" section or ``docs/formats.md`` names it in
-backticks, alone, qualified by its module or as a call
-(`` `launchport.extract(text)` ``).  An import alone does not count as a
+backticks outside a fenced block, alone, qualified by its module or as a
+call (`` `launchport.extract(text)` ``).  An import alone does not count as a
 use, and neither does a test: a helper only the tests call belongs in the
 tests.
 
@@ -96,10 +96,16 @@ def _documents() -> tuple[str, str]:
     return readme[start:end], (ROOT / "docs" / "formats.md").read_text("utf-8")
 
 
+# A fenced block, from its opening line to its closing one: its backticks open
+# no code span, so pairing them would shift every later pair.
+_FENCED = re.compile(r"^```.*?^```[^\n]*", re.M | re.S)
+
+
 def _documented(*texts: str) -> set[str]:
-    """The names the texts state in backticks: ``name``, ``module.name`` or ``name(...)``."""
+    """The names the texts state in backticks outside fenced blocks: ``name``,
+    ``module.name`` or ``name(...)``."""
     return {
-        match[1] for text in texts for span in re.findall(r"`([^`]+)`", text)
+        match[1] for text in texts for span in re.findall(r"`([^`]+)`", _FENCED.sub("", text))
         if (match := re.fullmatch(r"(?:\w+\.)*(\w+)(?:\(.*\))?", span))
     }
 
@@ -262,6 +268,16 @@ def test_the_scan_finds_an_export_the_documents_stop_naming():
     formats = formats.replace("`documented_helper`", "documented_helper")
     uncalled = _uncalled(sources, _documented(entry_points, formats))
     assert any(entry.endswith(" documented_helper") for entry in uncalled)
+
+
+def test_the_scan_reads_the_names_after_a_fenced_block():
+    # A fence's backticks open no code span; pairing them shifted every later
+    # pair, so no name after the first fenced block was read as documented.
+    text = "`before` opens.\n\n```\nrequest: {\"capability\": \"embed\"}\n```\n\n" \
+           "Then `after` and `last(text)`.\n"
+    assert _documented(text) == {"before", "after", "last"}
+    bridge_config = {"endpoint", "api_key_env", "timeout_ms", "retries", "capabilities"}
+    assert bridge_config <= _documented(_documents()[1])
 
 
 def test_the_scan_finds_an_undocumented_export():

@@ -828,6 +828,30 @@ class TestParseScript:
         # The node count falls out when the job description is completed.
         assert derive(p).nodes == 2
 
+    @pytest.mark.parametrize("between", ["\n", "\n# the count\n", "\n  module load x\n"],
+                             ids=["newline", "comment", "module"])
+    @pytest.mark.parametrize("command, flag, field", [
+        ("torchrun --nproc_per_node=4 {} train.py", "--nnodes", "nodes"),
+        ("torchrun --nnodes=2 {} train.py", "--nproc_per_node", "gpus_per_node"),
+        ("torchrun --nnodes=2 --nproc_per_node=4 {} train.py", "--master_port", "master_port"),
+        ("deepspeed --num_gpus=4 {} train.py", "--num_nodes", "nodes"),
+        ("deepspeed --num_nodes=2 {} train.py", "--num_gpus", "gpus_per_node"),
+        ("accelerate launch --num_processes=8 {} train.py", "--num_machines", "nodes"),
+        ("accelerate launch --num_machines=2 {} train.py", "--num_processes", "total_gpus"),
+        ("accelerate launch --num_machines=2 {} train.py", "--main_process_port", "master_port"),
+        ("mpiexec -ppn 4 {} python train.py", "-n", "total_gpus"),
+        ("mpiexec -n 8 {} python train.py", "-ppn", "gpus_per_node"),
+        ("mpiexec -n 8 -ppn 4 -genv {} python train.py", "MASTER_PORT", "master_port"),
+        ("srun {} bash -c 'torchrun --nproc_per_node=4 train.py'", "-N", "nodes"),
+    ])
+    def test_a_flag_reads_its_value_from_its_own_line_only(self, command, flag, field, between):
+        # The shell runs the next line as another command, which a comment line
+        # or a module command between the two does not change.
+        value = 29400 if field == "master_port" else 3
+        assert getattr(parse_script(command.format(f"{flag} \t{value}")), field) == value
+        assert getattr(parse_script(command.format(f"{flag}={value}")), field) == value
+        assert getattr(parse_script(command.format(f"{flag}{between}{value}")), field) is None
+
     def test_non_launch_script_is_empty(self):
         p = parse_script("echo hello")
         assert p == PartialJobSpec()

@@ -108,6 +108,22 @@ def test_lint_and_parse_read_no_port_on_a_line_the_script_does_not_run(profiles,
     assert parse_script(unread.text) == parse_script(run)
 
 
+@pytest.mark.parametrize("between", ["\n", "\n# the port\n", "\n\tmodule load x\n"],
+                         ids=["newline", "comment", "module"])
+@pytest.mark.parametrize("flag", ["--master_port", "--main-process-port", "MASTER_PORT"])
+def test_lint_reads_no_port_from_the_line_after_its_flag(profiles, flag, between):
+    # The shell runs "99999 train.py" as a command of its own, not as the port.
+    profile = profiles.resolve("perlmutter")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, launcher=Launcher.TORCHRUN)
+    run = "torchrun --nnodes=2 --nproc_per_node=4"
+    split = _raw_script(f"{run} {flag}{between}99999 train.py")
+    assert PORT_OUT_OF_RANGE not in [f.code for f in lint(split, spec, profile)]
+    for gap in (" ", "\t", "=", " = "):
+        joined = _raw_script(f"{run} {flag}{gap}99999 train.py")
+        assert [f.message for f in lint(joined, spec, profile) if f.code == PORT_OUT_OF_RANGE] \
+            == [f"port 99999 outside [{PORT_MIN}, {PORT_MAX}]"]
+
+
 def test_a_commented_export_does_not_silence_the_env_warning(profiles, templates):
     profile = profiles.resolve("deltaai")
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)

@@ -493,11 +493,59 @@ class TestRunLoop:
             rendered.append(self._commands)
 
         monkeypatch.setattr(RenderedScript, "__init__", recording)
+        # A module line is one the script does not run: its repair carries the reads.
+        module_line_reads = []
+        apply = repair.apply_action
+
+        def applying(action, *args):
+            before = len(calls["_launch"])
+            applied = apply(action, *args)
+            if action.kind in ("add_module_load", "pin_version"):
+                module_line_reads.append(len(calls["_launch"]) - before)
+            return applied
+
+        monkeypatch.setattr(repair, "apply_action", applying)
         for _, spec, profile in pipeline_cases(profiles):
             run_pipeline(spec, profile, templates, fault_rules)
         assert calls["parse_script"] == []
         read, scripts = Counter(calls["_launch"]), Counter(rendered)
         assert read and all(read[text] <= scripts[text] for text in read)
+        assert module_line_reads and not any(module_line_reads)
+
+    def test_the_loop_lints_each_commands_and_spec_once(
+            self, profiles, templates, fault_rules, monkeypatch):
+        # Lint reads only the commands, topology, spec and profile; the outcome
+        # reports the final script's findings, whenever the loop read them.
+        linted, outcomes = [], []
+
+        def counting(r, spec, profile):
+            linted[-1].append((r._commands, spec))
+            return lint(r, spec, profile)
+
+        def looping(*args, **kwargs):
+            linted.append([])
+            try:
+                outcomes.append((loop(*args, **kwargs), args[2]))
+            except LaunchportError:  # a template the job cannot bind: nothing linted
+                assert linted.pop() == []
+                raise
+            return outcomes[-1][0]
+
+        loop = pipeline.run_loop
+        monkeypatch.setattr(pipeline, "lint", counting)
+        monkeypatch.setattr(pipeline, "run_loop", looping)
+        for _, spec, profile in pipeline_cases(profiles):
+            run_pipeline(spec, profile, templates, fault_rules)
+        assert outcomes and all(keys and len(keys) == len(set(keys)) for keys in linted)
+        for outcome, profile in outcomes:
+            assert outcome.lint_findings == tuple(
+                lint(outcome.final_script, outcome.final_spec, profile))
+        # A loop whose repairs only add module lines lints once, at its end.
+        module_lines = [keys for keys, (outcome, _) in zip(linted, outcomes)
+                        if outcome.iterations_used and all(
+                            e.action is None or e.action.kind in ("add_module_load", "pin_version")
+                            for e in outcome.history)]
+        assert module_lines and all(len(keys) == 1 for keys in module_lines)
 
     def test_env_propagation_repaired_quickly(self, profiles, templates, fault_rules):
         profile = profiles.resolve("deltaai")
@@ -600,7 +648,8 @@ class TestRunLoop:
             )
             assert after <= before
 
-    def test_repair_that_adds_lint_errors_is_skipped(self, profiles, templates, fault_rules):
+    def test_repair_that_adds_lint_errors_is_skipped(
+            self, profiles, templates, fault_rules, monkeypatch):
         # The first action would put more GPUs on a node than deltaai has.
         table = load_repair_table(json.dumps({"ENV_NOT_PROPAGATED": [
             {"kind": "set_param", "payload": {"param": "each_node_gpus", "value": 9}},
@@ -609,12 +658,22 @@ class TestRunLoop:
         profile = profiles.resolve("deltaai")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         template = templates.get("deltaai-ddp")
+        linted = []
+
+        def counting(r, spec, profile):
+            linted.append(r.text)
+            return lint(r, spec, profile)
+
+        monkeypatch.setattr(pipeline, "lint", counting)
         outcome = run_loop(spec, template, profile, fault_rules, repair_table=table)
         assert outcome.status == STATUS_SUCCESS
         assert outcome.iterations_used == 1
         assert [e.action.kind for e in outcome.history] == ["export_env"]
         assert "export PYTHONPATH" in outcome.final_script.text
         assert error_count(outcome.lint_findings) == 0
+        # The repair with errors is compared with the first script, linted only then.
+        first = render_for_spec(spec, template, profile).text
+        assert len(linted) == 3 and linted[1] == first and linted[2] == outcome.final_script.text
 
     @pytest.mark.parametrize("action", [
         {"kind": "add_arg", "payload": {"args": "--run-name 'vit base'"}},

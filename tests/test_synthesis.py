@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from launchport.errors import ContractViolationError, UnboundParameterError
 from launchport.intent import finalize
+from launchport.lint import lint
 from launchport.prose import extract
 from launchport.synthesis import RenderedScript, bind, render, render_for_spec
 from launchport.templates import PLACEHOLDER_RE, ParamDecl, Template
@@ -231,3 +232,56 @@ class TestRenderPlan:
         assert t.parts is t.parts
         assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
         assert pickle.loads(pickle.dumps(t)) == t
+
+
+# What a line above a script may say: launchers, counts, ports and exports that
+# would change the script's reads and findings if the line ran.
+_LINE_WORDS = ["torchrun", "--nnodes=7", "--nproc_per_node=3", "--master_port=99999",
+               "MASTER_PORT 99999", "accelerate launch", "--num_machines=5", "deepspeed",
+               "--num_gpus=9", "mpiexec -n 5 -ppn 5", "srun -N 9", "export PYTHONPATH=$PYTHONPATH",
+               "export LD_LIBRARY_PATH=/x", "gcc/13.2.0", "cuda/12.4", "train.py", "#", "module"]
+_LINE_TAILS = st.lists(st.sampled_from(_LINE_WORDS), max_size=3).map(" ".join)
+_INDENTS = st.sampled_from(["", " ", "  ", "\t", " \t "])
+# A line the script does not run: a comment or a module command, as the
+# add_module_load and pin_version repairs prepend them, after any indent.
+_UNRUN_LINES = st.tuples(_INDENTS, st.sampled_from(
+    ["#", "# ", "#!", "module load ", "module swap ", "module unload ", "module "]),
+    _LINE_TAILS).map("".join)
+# A line the script runs: blank, an export or a word that only starts like "module".
+_RUN_LINES = _INDENTS | st.tuples(_INDENTS, st.sampled_from(
+    ["export ", "modules ", "module", "modulefiles ", "echo # "]), _LINE_TAILS).map("".join)
+
+
+class TestCarriedReads:
+    @given(lines=st.lists(st.tuples(st.just(True), _UNRUN_LINES)
+                          | st.tuples(st.just(False), _RUN_LINES), max_size=4))
+    def test_a_carried_read_equals_a_fresh_one(self, profiles, templates, lines):
+        for t in templates:
+            profile = profiles.resolve(t.cluster)
+            spec = make_spec(profile, t.framework, t.strategy, launcher=t.launcher)
+            script = render_for_spec(spec, t, profile)
+            for unrun, line in lines:
+                parent = script
+                script = RenderedScript(f"{line}\n{parent.text}", t.id, parent.binding, parent)
+                fresh = RenderedScript(script.text, t.id, parent.binding)
+                assert script == fresh
+                assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
+                assert lint(script, spec, profile) == lint(fresh, spec, profile)
+                # A line the script runs is read afresh, never carried.
+                assert (script._commands is parent._commands) == unrun, (t.id, line)
+
+    def test_only_one_unrun_line_above_the_parent_s_text_is_carried(self):
+        parent = RenderedScript("# run\ntorchrun --nnodes=2 train.py", "t", {})
+        for text in ("# x\ntorchrun --nnodes=3 train.py", "# x\n\n" + parent.text,
+                     "# x " + parent.text, "# x\n# y\n" + parent.text, parent.text,
+                     parent.text + "\n# x"):
+            script = RenderedScript(text, "t", {}, parent)
+            fresh = RenderedScript(text, "t", {})
+            assert script._commands is not parent._commands, text
+            assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
+
+    def test_a_placeholder_on_a_carried_line_is_refused(self):
+        parent = RenderedScript("torchrun --nnodes=2 train.py", "t", {})
+        with pytest.raises(UnboundParameterError) as exc:
+            RenderedScript("module load {cuda}\n" + parent.text, "t", {}, parent)
+        assert (exc.value.param, exc.value.template_id) == ("cuda", "t")
