@@ -532,6 +532,10 @@ def _commands(script: str) -> str:
                       if not line.lstrip().startswith(_UNRUN)])
 
 
+# The launcher names _launch reads, lowered.
+_LAUNCHER_NAMES = ("torchrun", "deepspeed", "accelerate", "mpiexec", "mpirun", "srun")
+
+
 def _launch(script: str) -> tuple[Launcher | None, Topology]:
     """The launcher a script invokes and the counts it states for it.
 

@@ -20,13 +20,16 @@ first failed submission, and the agent module is then kept in ``_repair``,
 so a job whose scripts all pass loads none of them.
 
 Lint reads only a script's commands (the lines it runs), the topology they
-state, the spec and the profile, so the loop lints each pair of commands
-and spec at most once, and only when the findings are read.  A repair that
-keeps the spec and whose script carries its parent's reads (a ``module
-load`` line, :class:`~launchport.synthesis.RenderedScript`) keeps the
-findings.  The first script is linted only when it stays the final one,
-whose findings the outcome reports, or when a repaired script has lint
-errors to compare with it: a repaired script with none cannot add errors.
+state, the spec and the profile, and the loop compares only error counts.
+So it lints a repaired script only when the repair can change its errors:
+when the spec changed, or when the new script does not carry the current
+one's read (:class:`~launchport.synthesis.RenderedScript` decides that: a
+``module load`` line above the script, or an ``export`` inside its launch
+command, carries it).  It lints the first script only when a repaired
+script has lint errors to compare with it: a repaired script with none
+cannot add errors.  It never lints at exit: a :class:`LoopOutcome`'s
+``lint_findings`` are computed from its final script, spec and profile
+when they are read.
 """
 
 from __future__ import annotations
@@ -79,9 +82,10 @@ class HistoryEntry(FrozenRecord):
 
 
 class LoopOutcome(FrozenRecord):
-    """How a loop ended; its status and iteration count follow from the rest."""
+    """How a loop ended; its status, iteration count and lint findings follow
+    from the rest."""
 
-    __slots__ = ("final_script", "history", "final_spec", "final_result", "lint_findings")
+    __slots__ = ("final_script", "history", "final_spec", "final_result", "profile")
 
     def __init__(
         self,
@@ -89,13 +93,18 @@ class LoopOutcome(FrozenRecord):
         history: tuple[HistoryEntry, ...],
         final_spec: JobSpec,
         final_result: ExecutionResult,
-        lint_findings: tuple[Finding, ...],
+        profile: ClusterProfile,
     ) -> None:
         set_frozen(self, "final_script", final_script)
         set_frozen(self, "history", history)
         set_frozen(self, "final_spec", final_spec)
         set_frozen(self, "final_result", final_result)
-        set_frozen(self, "lint_findings", lint_findings)
+        set_frozen(self, "profile", profile)
+
+    @property
+    def lint_findings(self) -> tuple[Finding, ...]:
+        """The final script's lint findings, computed each time they are read."""
+        return tuple(lint(self.final_script, self.final_spec, self.profile))
 
     @property
     def succeeded(self) -> bool:
@@ -129,7 +138,8 @@ def run_loop(
     One action is applied per iteration, in first-untried order; an action
     already tried for the same fingerprint is skipped, and so is one that
     cannot be applied or that adds lint errors (a repair never increases
-    the error count).  ``lint_findings`` are the final script's.  Every failed
+    the error count).  ``lint_findings`` are the final script's, linted when
+    they are read.  Every failed
     submission is diagnosed and recorded in the history, the last one with
     no action.  ``unresolved`` is a status, not an error.  Without
     ``fingerprints`` or ``repair_table`` the bundled ones are used, loaded
@@ -141,7 +151,7 @@ def run_loop(
     script = render_for_spec(spec, t, profile)
     current_spec = spec
     current_t = t
-    findings = None  # the current script's lint findings, once they are read
+    errors = None  # the current script's lint error count, once it is read
 
     result = submit(script, current_spec, profile, rules)
     history: list[HistoryEntry] = []
@@ -171,17 +181,15 @@ def run_loop(
                     )
                 except LaunchportError:
                     continue  # unappliable action: skip to the next untried one
-                # Lint reads only the commands, the topology they state, the spec
-                # and the profile: a repair that keeps the first two (a carried
-                # read) and the spec keeps the findings.
-                if new_script._commands is not script._commands or new_spec is not current_spec:
-                    new_findings = lint(new_script, new_spec, profile)
-                    if new_errors := error_count(new_findings):
-                        if findings is None:
-                            findings = lint(script, current_spec, profile)
-                        if new_errors > error_count(findings):
+                # A script that carries the current one's read (the constructor
+                # keeps its topology object) has its errors under the same spec.
+                if new_script._topology is not script._topology or new_spec is not current_spec:
+                    if new_errors := error_count(lint(new_script, new_spec, profile)):
+                        if errors is None:
+                            errors = error_count(lint(script, current_spec, profile))
+                        if new_errors > errors:
                             continue  # it would add lint errors: unappliable too
-                    findings = new_findings
+                    errors = new_errors
                 script, current_spec, current_t = new_script, new_spec, new_t
                 applied = action
                 break
@@ -190,14 +198,12 @@ def run_loop(
                 break
             result = submit(script, current_spec, profile, rules)
 
-    if findings is None:  # the first script's commands and spec: read now, once
-        findings = lint(script, current_spec, profile)
     return LoopOutcome(
         final_script=script,
         history=tuple(history),
         final_spec=current_spec,
         final_result=result,
-        lint_findings=tuple(findings),
+        profile=profile,
     )
 
 

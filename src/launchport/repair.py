@@ -39,7 +39,7 @@ from .errors import (
 )
 from .intent import JobSpec, check_script_text
 from .simcluster import ExecutionResult
-from .synthesis import RenderedScript, render, render_for_spec
+from .synthesis import _SHELL_NAME, RenderedScript, _payload_start, render, render_for_spec
 from .templates import Template, TemplateSet
 # Re-exported, so every diagnosis category can be imported from here.
 from .types import (
@@ -62,10 +62,11 @@ class RepairAction(FrozenRecord):
 
     The constructor refuses a kind outside ``REPAIR_PAYLOAD_KEYS`` and a
     payload that lacks one of its kind's keys there
-    (:class:`ContractViolationError`), and a payload text of ``export_env``,
+    (:class:`ContractViolationError`), a payload text of ``export_env``,
     ``add_module_load``, ``pin_version`` or ``prepend_line``, which goes into
-    the script as it is, that breaks :func:`intent.check_script_text`
-    (:class:`UsageError`).
+    the script as it is, that breaks :func:`intent.check_script_text`, and an
+    ``export_env`` name that is not an ASCII shell identifier
+    (``[A-Za-z_][A-Za-z0-9_]*``) (:class:`UsageError`).
 
     :func:`run_loop` counts an action as already tried when one with the
     same fingerprint id and the same :meth:`signature` was tried before:
@@ -85,6 +86,11 @@ class RepairAction(FrozenRecord):
                 raise ContractViolationError(f"{kind} payload lacks '{key}'")
             if kind in _TEXT_EDITS:
                 check_script_text(f"{kind} {key}", payload[key])
+        if kind == "export_env":
+            name = payload["name"]
+            if not (isinstance(name, str) and _SHELL_NAME.fullmatch(name)):
+                raise UsageError(f"export_env name must be a shell name: an ASCII letter or "
+                                 f"'_', then ASCII letters, digits or '_' (got {name!r})")
         set_frozen(self, "kind", kind)
         set_frozen(self, "payload", payload)
         set_frozen(self, "rationale", rationale)
@@ -363,8 +369,9 @@ def apply_action(
 
     Script-level edits (exports, module loads, prepends) are text surgery on
     the rendered script, whose payload text the action's constructor has
-    checked, and a module load, a version pin or a prepended line the script
-    does not run keeps the script's reads (:class:`RenderedScript`);
+    checked, and a module load, a version pin, a prepended line the script
+    does not run or an export keeps the script's read of its counts
+    (:class:`RenderedScript`);
     spec-level edits (arguments, parameter values, templates)
     rebind and re-render so the template structure is preserved.  An edit
     that would bring a single quote or a newline into the job
@@ -376,7 +383,8 @@ def apply_action(
     edit = _TEXT_EDITS.get(kind)
     if edit is not None:
         # Built directly: the constructor still refuses a placeholder, and reads the
-        # topology unless the edit only adds a line above the script that it does not run.
+        # topology unless the edit only adds a line above the script that it does not
+        # run or an export inside its launch command.
         text = edit(payload, script.text)
         return RenderedScript(text, script.template_id, script.binding, script), spec, template
     if kind == "add_arg":
@@ -419,14 +427,13 @@ def _inject_into_launch(text: str, statement: str) -> str:
     """Place a statement inside the remote launch command when one exists.
 
     Schedulers that do not propagate the environment need the statement to
-    run on every node, which means inside the ``bash -c '...'`` payload; a
-    plain prepended line only runs on the first node.
+    run on every node, which means inside the ``bash -c '...'`` payload of a
+    line the script runs (:func:`synthesis._payload_start`), never one in a
+    comment; a plain prepended line only runs on the first node.
     """
-    marker = "bash -c '"
-    idx = text.find(marker)
-    if idx >= 0:
-        insert_at = idx + len(marker)
-        return f"{text[:insert_at]}{statement}; {text[insert_at:]}"
+    at = _payload_start(text)
+    if at >= 0:
+        return f"{text[:at]}{statement}; {text[at:]}"
     return f"{statement}\n{text}"
 
 

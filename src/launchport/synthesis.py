@@ -18,16 +18,26 @@ is used; the package-wide fallback applies last.
 A :class:`RenderedScript` reads the launch topology its text states when
 it is built and keeps it with the lines it read, so the lint and the mock
 submission of one script share a single read of its counts.  A script
-built from a parent script by one line above it that it does not run (a
-comment line or a ``module`` command, as the ``add_module_load`` and
-``pin_version`` repairs add) carries its parent's read: its lines and
-counts are the parent's, and are not read again.
+built from a parent script by one of two edits carries its parent's read,
+and its counts are not read again:
+
+* one line above it that it does not run (a comment line or a ``module``
+  command, as the ``add_module_load`` and ``pin_version`` repairs add): its
+  lines and counts are the parent's;
+* ``export NAME=$NAME; `` just inside its launch command (``bash -c '``),
+  as the ``export_env`` repair adds it, where ``NAME`` is an ASCII shell
+  identifier that holds no launcher name: its counts are the parent's, and
+  its lines are read again, since lint reads the exports they run.
+
+Either way the launcher, the counts and the port flags that the lines state
+are the parent's, so lint finds the same errors in both scripts.
 
 All functions here are pure.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Mapping
 
 from . import intent
@@ -44,12 +54,18 @@ class RenderedScript(FrozenRecord):
     The text holds no ``{name}`` placeholder: the constructor raises
     :class:`UnboundParameterError` naming the first one it finds.
 
-    ``parent`` is not a field.  When ``text`` is one line the script does not
-    run (a comment line or a ``module`` command), then ``"\\n"``, then
-    ``parent.text``, the new script carries its parent's reads: its commands
+    ``parent`` is not a field.  The new script carries its parent's read when
+    ``text`` is one line the script does not run (a comment line or a
+    ``module`` command), then ``"\\n"``, then ``parent.text``: its commands
     and counts are the parent's objects, and only the new line is searched for
-    a placeholder.  The constructor checks that shape itself; any other text,
-    or no parent, is read in full.
+    a placeholder.  It carries it too when ``text`` is ``parent.text`` with
+    ``export NAME=$NAME; `` inserted at ``_payload_start``, ``NAME`` an
+    ASCII shell identifier that holds no launcher name in any case: its
+    counts are the parent's object and its commands are read again.  The
+    constructor checks either shape itself; any other text, or no parent, is
+    read in full.  So ``_topology`` is the parent's object exactly when the
+    script carries the parent's read, and then lint finds the same errors in
+    both for one spec and profile.
     """
 
     __slots__ = ("text", "template_id", "binding", "_commands", "_topology")
@@ -58,17 +74,26 @@ class RenderedScript(FrozenRecord):
         self, text: str, template_id: str, binding: Mapping[str, int | str],
         parent: RenderedScript | None = None,
     ) -> None:
-        carried = parent is not None and _unrun_line_above(text, parent.text)
-        leftover = PLACEHOLDER_RE.search(carried or text)
+        # The text a placeholder may sit in, and the commands of a script that
+        # carries its parent's read (None: read the text in full).
+        searched, commands = text, None
+        if parent is not None:
+            if line := _unrun_line_above(text, parent.text):
+                # _commands drops the line and keeps the parent's lines as they are.
+                searched, commands = line, parent._commands
+            elif _export_in_launch(text, parent.text):
+                # An identifier holds no placeholder.  The export sits on a line
+                # the script runs, which lint check 5 reads, so the lines are read
+                # again; the counts they state are the parent's.
+                searched, commands = "", intent._commands(text)
+        leftover = PLACEHOLDER_RE.search(searched)
         if leftover:
             raise UnboundParameterError(leftover.group(1), template_id)
         set_frozen(self, "text", text)
         set_frozen(self, "template_id", template_id)
         set_frozen(self, "binding", binding)
-        if carried:
-            # _commands drops the line and keeps the parent's lines as they are,
-            # so the commands and the counts they state are the parent's.
-            set_frozen(self, "_commands", parent._commands)
+        if commands is not None:
+            set_frozen(self, "_commands", commands)
             set_frozen(self, "_topology", parent._topology)
             return
         # The lines the script runs: the text less its comment lines and
@@ -167,6 +192,46 @@ def _unrun_line_above(text: str, below: str) -> str:
     if newline and rest == below and line.lstrip().startswith(intent._UNRUN):
         return line
     return ""
+
+
+# Where export_env puts its statement: inside the remote launch command.
+_PAYLOAD = "bash -c '"
+# The name export_env exports: an ASCII shell identifier.
+_SHELL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The statement export_env inserts, with its name as group 1.
+_EXPORT = re.compile(rf"export ({_SHELL_NAME.pattern})=\$\1; ")
+
+
+def _payload_start(text: str) -> int:
+    """The index just after the first ``bash -c '`` on a line the script runs
+    (:func:`intent._commands` keeps it), or -1 when no such line holds one."""
+    at = text.find(_PAYLOAD)
+    while at >= 0:
+        # The line up to and with the marker starts as the whole line does.
+        start = text.rfind("\n", 0, at) + 1
+        if not text[start : at + len(_PAYLOAD)].lstrip().startswith(intent._UNRUN):
+            return at + len(_PAYLOAD)
+        at = text.find(_PAYLOAD, at + 1)
+    return -1
+
+
+def _export_in_launch(text: str, below: str) -> bool:
+    """Whether ``text`` is ``below`` with ``export NAME=$NAME; `` inserted at
+    ``_payload_start``, ``NAME`` holding no launcher name in any case.
+
+    Such a statement adds no launcher name, count, port flag or
+    ``accelerate launch`` to the line, and the text around it stays as it
+    was, so ``intent._launch`` and lint's error checks read it as they read
+    ``below``."""
+    at = _payload_start(below)
+    end = at + len(text) - len(below)
+    if at < 0 or end <= at:
+        return False
+    export = _EXPORT.fullmatch(text, at, end)
+    if export is None or not (text.startswith(below[:at]) and text.endswith(below[at:])):
+        return False
+    name = export[1].lower()
+    return not any(launcher in name for launcher in intent._LAUNCHER_NAMES)
 
 
 def _canonical(value: int | str) -> str:

@@ -35,8 +35,6 @@ MATRIX_COMBOS = {
     "acc-ddp": (Framework.ACCELERATE, Strategy.DDP),
 }
 
-UNRESOLVABLE_CELLS = {("vista", "zero3"), ("aurora", "acc-ddp"), ("deltaai", "zero3")}
-
 # Scenario per clearable bundled fault rule (acceptance criterion 3, golden pipeline corpus).
 FAULT_CORPUS = {
     "ENV_NOT_PROPAGATED": ("deltaai", Framework.PYTORCH, Strategy.DDP, {}),
@@ -144,6 +142,27 @@ def matrix_specs(profiles):
         for combo, (framework, strategy) in MATRIX_COMBOS.items():
             cells.append((f"{profile.id}/{combo}", make_spec(profile, framework, strategy), profile))
     return cells
+
+
+def _unresolvable_cells(profiles, rules):
+    """The (cluster, combo) grid cells on which a fault rule that no repair clears
+    fires whatever the script says: the cell's cluster admits the rule, the rule
+    reads no script text, and the cell's spec meets its strategy, launcher and
+    node-count triggers."""
+    unclearable = set(rules.unresolvable_ids())
+    cells = set()
+    for name, spec, profile in matrix_specs(profiles):
+        for rule, strategies, launchers, nodes_gt, contains, lacks, _ in rules.checks_for(
+                profile.id):
+            if (rule.id in unclearable and not contains and not lacks
+                    and (strategies is None or spec.strategy in strategies)
+                    and (launchers is None or spec.launcher in launchers)
+                    and (nodes_gt is None or spec.nodes > nodes_gt)):
+                cells.add(tuple(name.split("/")))
+    return cells
+
+
+UNRESOLVABLE_CELLS = _unresolvable_cells(default_profiles(), default_fault_rules())
 
 
 def pipeline_cases(profiles):

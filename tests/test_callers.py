@@ -353,8 +353,6 @@ RENAMED = {
 # Record fields no code reads, each kept for the reason on its line.
 UNREAD_FIELDS = {
     "ExecutionResult.stdout": "criterion 8's digest and reports.json read it",
-    "LoopOutcome.final_spec": "the job after spec-level repairs; tests check add_arg and "
-                              "set_param effects on it",
     "Fingerprint.regex": "read once, by the constructor, which keeps it compiled in _search",
     "RepairAction.rationale": "free text for a person; the run trace is to report it",
     "FaultRule.clearable_by": "read only through FaultRuleSet.unresolvable_ids, which the "

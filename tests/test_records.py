@@ -64,7 +64,7 @@ SIGNATURES = {
     "pipeline.HistoryEntry": (("diagnosis", REQUIRED), ("action", REQUIRED), ("result", REQUIRED)),
     "pipeline.LoopOutcome": (
         ("final_script", REQUIRED), ("history", REQUIRED), ("final_spec", REQUIRED),
-        ("final_result", REQUIRED), ("lint_findings", REQUIRED)),
+        ("final_result", REQUIRED), ("profile", REQUIRED)),
     "retrieval.RankedCandidate": (
         ("template_id", REQUIRED), ("score", REQUIRED), ("breakdown", REQUIRED),
         ("exact", REQUIRED)),
@@ -97,6 +97,7 @@ def _samples() -> dict[str, tuple]:
     spec = JobSpec("delta", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN, 2, 4, "train.py")
     binding = {"nodes": 2}
     script = _class("synthesis.RenderedScript")("srun -N 2 train.py", "delta-ddp", binding)
+    profile = default_profiles().resolve("delta")
     result = _class("simcluster.ExecutionResult")(1, "", "boom", "ENV_NOT_PROPAGATED")
     action = _class("repair.RepairAction")("export_env", {"name": "PYTHONPATH"}, "why")
     diagnosis = _class("repair.Diagnosis")("env", "ENV_NOT_PROPAGATED", "cause", (action,))
@@ -122,7 +123,7 @@ def _samples() -> dict[str, tuple]:
         "repair.Diagnosis": ("env", "ENV_NOT_PROPAGATED", "cause", (action,)),
         "repair.Fingerprint": ("ENV_NOT_PROPAGATED", "env", "No module", None, "cause"),
         "pipeline.HistoryEntry": (diagnosis, action, result),
-        "pipeline.LoopOutcome": (script, (), spec, result, ()),
+        "pipeline.LoopOutcome": (script, (), spec, result, profile),
         "retrieval.RankedCandidate": ("delta-ddp", 1.0, {"cluster": 0.3}, True),
         "pipeline.Attempt": (candidate, None, "skipped"),
         "pipeline.PipelineResult": (spec, (candidate,), ()),

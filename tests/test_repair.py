@@ -95,7 +95,7 @@ def test_malformed_inner_shapes_are_rule_parse_errors(loader, text, index, messa
 @pytest.mark.parametrize("kind", REPAIR_PAYLOAD_KEYS)
 def test_each_payload_key_is_required_at_load(kind):
     keys = REPAIR_PAYLOAD_KEYS[kind]
-    payload = {key: "1" for key in keys}
+    payload = {key: "a1" for key in keys}  # an export_env name is a shell name
     table = load_repair_table(json.dumps({"fp": [{"kind": kind, "payload": payload}]}))
     assert table["fp"][0].payload == payload
     for key in keys:
@@ -107,7 +107,7 @@ def test_each_payload_key_is_required_at_load(kind):
 
 @pytest.mark.parametrize("kind", REPAIR_PAYLOAD_KEYS)
 def test_each_payload_key_is_required_when_built(kind):
-    payload = {key: "1" for key in REPAIR_PAYLOAD_KEYS[kind]}
+    payload = {key: "a1" for key in REPAIR_PAYLOAD_KEYS[kind]}
     assert RepairAction(kind, payload).payload == payload
     for key in payload:
         short = {k: v for k, v in payload.items() if k != key}
@@ -169,6 +169,32 @@ def test_a_hand_built_verbatim_action_that_breaks_the_quoting_is_refused_when_bu
     assert str(exc.value) == _quoting_message(kind, key, text)
 
 
+# export_env names that are not shell names: each would go into the launch
+# command as it is (bash -c 'export X; rm -rf ~=$X; rm -rf ~; ...').
+_NOT_SHELL_NAMES = ["X; rm -rf ~", "A B", "1X", "", "X=1", "$HOME", "X-Y", "\u00c4", "X\t"]
+
+
+@pytest.mark.parametrize("name", _NOT_SHELL_NAMES)
+def test_an_export_env_name_that_is_not_a_shell_name_is_refused(name):
+    message = ("export_env name must be a shell name: an ASCII letter or '_', then ASCII "
+               f"letters, digits or '_' (got {name!r})")
+    with pytest.raises(UsageError) as exc:
+        RepairAction("export_env", {"name": name})
+    assert str(exc.value) == message
+    good = {"kind": "export_env", "payload": {"name": "PYTHONPATH"}}
+    bad = {"kind": "export_env", "payload": {"name": name}}
+    with pytest.raises(RuleParseError) as exc:
+        load_repair_table(json.dumps({"F": [good, bad]}))
+    assert (exc.value.index, str(exc.value)) == (1, f"{message} (rule index 1)")
+
+
+def test_an_export_env_name_is_any_ascii_shell_name():
+    for name in ("_", "PYTHONPATH", "LD_LIBRARY_PATH", "hf_token2", "_X9"):
+        assert RepairAction("export_env", {"name": name}).payload["name"] == name
+    with pytest.raises(UsageError, match=r"\(got 5\)$"):
+        RepairAction("export_env", {"name": 5})
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=6)
@@ -220,6 +246,25 @@ def test_prepend_line_and_switch_template_apply(profiles, templates):
     switch = RepairAction("switch_template", {"template_id": "perlmutter-fsdp"})
     assert apply_action(switch, script, spec, template, profile, templates) == (
         render_for_spec(spec, other, profile), spec, other)
+
+
+@pytest.mark.parametrize("above", ["# was: srun bash -c 'python old.py'",
+                                   "\t# bash -c 'python old.py'", "module load bash -c 'x'"],
+                         ids=["comment", "indented-comment", "module-line"])
+def test_export_env_goes_into_the_launch_command_the_script_runs(profiles, templates, above):
+    # An export put into the "bash -c '" of a line the script does not run clears
+    # a fault that searches the text for it, and leaves every node without it.
+    profile = profiles.resolve("deltaai")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    template = templates.get("deltaai-ddp")
+    rendered = render_for_spec(spec, template, profile)
+    script = RenderedScript(f"{above}\n{rendered.text}", template.id, rendered.binding)
+    action = RepairAction("export_env", {"name": "PYTHONPATH"})
+    repaired, _, _ = apply_action(action, script, spec, template, profile)
+    assert repaired.text == f"{above}\n" + rendered.text.replace(
+        "bash -c '", "bash -c 'export PYTHONPATH=$PYTHONPATH; ", 1)
+    assert [f.code for f in lint(script, spec, profile)] == ["ENV_PROPAGATION_RISK"]
+    assert lint(repaired, spec, profile) == []
 
 
 def test_a_hand_built_action_of_an_unknown_kind_is_refused_when_built():
@@ -493,15 +538,16 @@ class TestRunLoop:
             rendered.append(self._commands)
 
         monkeypatch.setattr(RenderedScript, "__init__", recording)
-        # A module line is one the script does not run: its repair carries the reads.
-        module_line_reads = []
+        # A module line is one the script does not run, and an export in the launch
+        # command states no count: their repairs carry the reads.
+        carried_reads = []
         apply = repair.apply_action
 
         def applying(action, *args):
             before = len(calls["_launch"])
             applied = apply(action, *args)
-            if action.kind in ("add_module_load", "pin_version"):
-                module_line_reads.append(len(calls["_launch"]) - before)
+            if action.kind in ("add_module_load", "pin_version", "export_env"):
+                carried_reads.append((action.kind, len(calls["_launch"]) - before))
             return applied
 
         monkeypatch.setattr(repair, "apply_action", applying)
@@ -510,42 +556,78 @@ class TestRunLoop:
         assert calls["parse_script"] == []
         read, scripts = Counter(calls["_launch"]), Counter(rendered)
         assert read and all(read[text] <= scripts[text] for text in read)
-        assert module_line_reads and not any(module_line_reads)
+        assert {kind for kind, _ in carried_reads} == {"add_module_load", "pin_version",
+                                                       "export_env"}
+        assert not any(reads for _, reads in carried_reads)
 
     def test_the_loop_lints_each_commands_and_spec_once(
             self, profiles, templates, fault_rules, monkeypatch):
-        # Lint reads only the commands, topology, spec and profile; the outcome
-        # reports the final script's findings, whenever the loop read them.
-        linted, outcomes = [], []
+        # The loop lints a repaired script only when its repair changed the spec
+        # or built a script that does not carry its parent's read, the current
+        # script only to compare its errors with such a script's, and nothing at
+        # exit; the outcome lints its final script when its findings are read.
+        events, outcomes = [], []  # per loop, in order: ("apply" | "lint" | "submit", ...)
 
         def counting(r, spec, profile):
-            linted[-1].append((r._commands, spec))
+            events[-1].append(("lint", r, spec))
             return lint(r, spec, profile)
 
+        def submitting(r, spec, *args):
+            events[-1].append(("submit", r, spec))
+            return submit(r, spec, *args)
+
+        def applying(action, script, spec, *args):
+            new_script, new_spec, new_t = apply(action, script, spec, *args)
+            events[-1].append(("apply", new_script, new_spec, script, spec, action.kind))
+            return new_script, new_spec, new_t
+
         def looping(*args, **kwargs):
-            linted.append([])
+            events.append([])
             try:
                 outcomes.append((loop(*args, **kwargs), args[2]))
             except LaunchportError:  # a template the job cannot bind: nothing linted
-                assert linted.pop() == []
+                assert events.pop() == []
                 raise
             return outcomes[-1][0]
 
-        loop = pipeline.run_loop
+        loop, apply = pipeline.run_loop, repair.apply_action
         monkeypatch.setattr(pipeline, "lint", counting)
+        monkeypatch.setattr(pipeline, "submit", submitting)
+        monkeypatch.setattr(repair, "apply_action", applying)
         monkeypatch.setattr(pipeline, "run_loop", looping)
         for _, spec, profile in pipeline_cases(profiles):
             run_pipeline(spec, profile, templates, fault_rules)
-        assert outcomes and all(keys and len(keys) == len(set(keys)) for keys in linted)
+        assert outcomes and len(events) == len(outcomes)
+        carried_kinds = set()
+        for loop_events in events:
+            linted = [(e[1]._commands, e[2]) for e in loop_events if e[0] == "lint"]
+            assert len(linted) == len(set(linted))
+            for i, event in enumerate(loop_events):
+                if event[0] == "apply":
+                    _, new_script, new_spec, script, spec, kind = event
+                    if kind in ("add_module_load", "pin_version", "export_env"):
+                        # These repairs carry the read, and keep the spec.
+                        assert new_script._topology is script._topology, kind
+                        assert new_spec is spec
+                        carried_kinds.add(kind)
+                if event[0] != "lint":
+                    continue
+                # A lint reads a repaired script that can change the errors, or,
+                # right after such a lint, the script it repairs: never one at exit.
+                before = loop_events[i - 1]
+                if before[0] == "lint":
+                    before = loop_events[i - 2]
+                    assert before[0] == "apply" and event[1:] == before[3:5]
+                else:
+                    assert before[0] == "apply"
+                    _, new_script, new_spec, script, spec, _ = before
+                    assert event[1:] == (new_script, new_spec)
+                    assert new_script._topology is not script._topology or new_spec is not spec
+        assert carried_kinds == {"add_module_load", "pin_version", "export_env"}
         for outcome, profile in outcomes:
+            assert outcome.profile is profile
             assert outcome.lint_findings == tuple(
                 lint(outcome.final_script, outcome.final_spec, profile))
-        # A loop whose repairs only add module lines lints once, at its end.
-        module_lines = [keys for keys, (outcome, _) in zip(linted, outcomes)
-                        if outcome.iterations_used and all(
-                            e.action is None or e.action.kind in ("add_module_load", "pin_version")
-                            for e in outcome.history)]
-        assert module_lines and all(len(keys) == 1 for keys in module_lines)
 
     def test_env_propagation_repaired_quickly(self, profiles, templates, fault_rules):
         profile = profiles.resolve("deltaai")

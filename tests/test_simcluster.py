@@ -14,7 +14,7 @@ from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.templates import PLACEHOLDER_RE, default_templates
 from launchport.types import CATEGORIES, Framework, Launcher, Strategy
 
-from conftest import make_spec, matrix_specs
+from conftest import UNRESOLVABLE_CELLS, make_spec, matrix_specs
 
 
 def _run(profiles, templates, rules, cluster, framework, strategy, **overrides):
@@ -214,6 +214,11 @@ class TestRuleLoading:
         assert sorted(fault_rules.unresolvable_ids()) == [
             "APEX_GH200_DELTAAI", "APEX_GH200_VISTA", "PBS_ACCELERATE_CONFLICT",
         ]
+
+    def test_the_unresolvable_grid_cells_follow_from_the_rules(self):
+        # Acceptance criterion 2 expects these cells unresolved; conftest derives them.
+        assert UNRESOLVABLE_CELLS == {("vista", "zero3"), ("aurora", "acc-ddp"),
+                                      ("deltaai", "zero3")}
 
     def test_bundle_covers_documented_failure_catalog(self, fault_rules):
         ids = {r.id for r in fault_rules}

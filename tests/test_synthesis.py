@@ -7,6 +7,7 @@ from launchport.errors import ContractViolationError, UnboundParameterError
 from launchport.intent import finalize
 from launchport.lint import lint
 from launchport.prose import extract
+from launchport.repair import RepairAction, apply_action
 from launchport.synthesis import RenderedScript, bind, render, render_for_spec
 from launchport.templates import PLACEHOLDER_RE, ParamDecl, Template
 from launchport.types import Framework, Launcher, Strategy
@@ -252,6 +253,24 @@ _RUN_LINES = _INDENTS | st.tuples(_INDENTS, st.sampled_from(
     ["export ", "modules ", "module", "modulefiles ", "echo # "]), _LINE_TAILS).map("".join)
 
 
+# An export_env name: any ASCII shell name, one that a count, port flag or
+# module line starts like, or one that holds a launcher's name in some case.
+_LAUNCHER_NAMES = ["torchrun", "deepspeed", "accelerate", "mpiexec", "mpirun", "srun"]
+_MIXED_CASE_LAUNCHERS = st.sampled_from(_LAUNCHER_NAMES).flatmap(
+    lambda name: st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
+        lambda upper: "".join(c.upper() if up else c for c, up in zip(name, upper))))
+_EXPORT_NAMES = (
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+    | st.sampled_from(["MASTER_PORT", "slots", "module_x", "module", "PYTHONPATH",
+                       "LD_LIBRARY_PATH", "nnodes", "N", "n", "ppn", "launch", "bash"])
+    | st.tuples(st.sampled_from(["", "_", "X", "my_"]), _MIXED_CASE_LAUNCHERS,
+                st.sampled_from(["", "_", "2", "_HOME"])).map("".join))
+# Lines above a script that hold the launch command's marker and are not run.
+_MARKED_ABOVE = st.sampled_from(
+    ["", "# was: srun bash -c 'python old.py'\n", "  # bash -c 'x'\n",
+     "module load bash -c 'x'\n"])
+
+
 class TestCarriedReads:
     @given(lines=st.lists(st.tuples(st.just(True), _UNRUN_LINES)
                           | st.tuples(st.just(False), _RUN_LINES), max_size=4))
@@ -269,6 +288,49 @@ class TestCarriedReads:
                 assert lint(script, spec, profile) == lint(fresh, spec, profile)
                 # A line the script runs is read afresh, never carried.
                 assert (script._commands is parent._commands) == unrun, (t.id, line)
+
+    @given(names=st.lists(_EXPORT_NAMES, min_size=1, max_size=3), above=_MARKED_ABOVE)
+    def test_an_export_carried_read_equals_a_fresh_one(self, profiles, templates, names, above):
+        for t in templates:
+            profile = profiles.resolve(t.cluster)
+            spec = make_spec(profile, t.framework, t.strategy, launcher=t.launcher)
+            rendered = render_for_spec(spec, t, profile)
+            script = RenderedScript(above + rendered.text, t.id, rendered.binding)
+            for name in names:
+                parent = script
+                action = RepairAction("export_env", {"name": name})
+                script, _, _ = apply_action(action, parent, spec, t, profile)
+                fresh = RenderedScript(script.text, t.id, parent.binding)
+                assert script == fresh
+                assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
+                assert lint(script, spec, profile) == lint(fresh, spec, profile)
+                # Carried only into a launch command, and only for a name that
+                # holds no launcher's name.
+                carried = "bash -c '" in rendered.text and not any(
+                    launcher in name.lower() for launcher in _LAUNCHER_NAMES)
+                assert (script._topology is parent._topology) == carried, (t.id, name)
+
+    def test_only_one_export_at_the_first_run_payload_is_carried(self):
+        parent = RenderedScript(
+            "# bash -c 'x'\nsrun -N 2 bash -c 'torchrun --nnodes=2 train.py'", "t", {})
+        at = parent.text.index("bash -c 'torchrun") + len("bash -c '")
+        head, tail = parent.text[:at], parent.text[at:]
+        for text, carried in (
+                (head + "export X=$X; " + tail, True),
+                (head + "export _x9=$_x9; " + tail, True),
+                (parent.text.replace("'x'", "'export X=$X; x'"), False),
+                (head + "export X=$Y; " + tail, False),
+                (head + "export X=$X;" + tail, False),
+                (head + "export X=$X; export X=$X; " + tail, False),
+                (head + "export 1X=$1X; " + tail, False),
+                (head + "export SRun=$SRun; " + tail, False),
+                (head + "export X=$X; " + tail + " ", False),
+                ("export X=$X; " + parent.text, False),
+                (head + "export X=$X; " + tail.replace("2", "3"), False)):
+            script = RenderedScript(text, "t", {}, parent)
+            fresh = RenderedScript(text, "t", {})
+            assert (script._topology is parent._topology) == carried, text
+            assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
 
     def test_only_one_unrun_line_above_the_parent_s_text_is_carried(self):
         parent = RenderedScript("# run\ntorchrun --nnodes=2 train.py", "t", {})
