@@ -23,13 +23,13 @@ Lint reads only a script's commands (the lines it runs), the topology they
 state, the spec and the profile, and the loop compares only error counts.
 So it lints a repaired script only when the repair can change its errors:
 when the spec changed, or when the new script does not carry the current
-one's read (:class:`~launchport.synthesis.RenderedScript` decides that: a
-``module load`` line above the script, or an ``export`` inside its launch
-command, carries it).  It lints the first script only when a repaired
-script has lint errors to compare with it: a repaired script with none
-cannot add errors.  It never lints at exit: a :class:`LoopOutcome`'s
-``lint_findings`` are computed from its final script, spec and profile
-when they are read.
+one's counts: :meth:`~launchport.synthesis.RenderedScript.with_line_above`
+carries them for a ``module load`` or comment line above the script, and
+:meth:`~launchport.synthesis.RenderedScript.with_export` for an export of a
+shell name.  It lints the first script only when a repaired script has
+lint errors to compare with it: a repaired script with none cannot add
+errors.  It never lints at exit: a :class:`LoopOutcome`'s ``lint_findings``
+are computed from its final script, spec and profile when they are read.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def run_loop(
                     )
                 except LaunchportError:
                     continue  # unappliable action: skip to the next untried one
-                # A script that carries the current one's read (the constructor
+                # A script that carries the current one's counts (an edit method
                 # keeps its topology object) has its errors under the same spec.
                 if new_script._topology is not script._topology or new_spec is not current_spec:
                     if new_errors := error_count(lint(new_script, new_spec, profile)):

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .intent import JobSpec, check_script_text
 from .simcluster import ExecutionResult
-from .synthesis import _SHELL_NAME, RenderedScript, _payload_start, render, render_for_spec
+from .synthesis import _SHELL_NAME, RenderedScript, render, render_for_spec
 from .templates import Template, TemplateSet
 # Re-exported, so every diagnosis category can be imported from here.
 from .types import (
@@ -369,9 +369,9 @@ def apply_action(
 
     Script-level edits (exports, module loads, prepends) are text surgery on
     the rendered script, whose payload text the action's constructor has
-    checked, and a module load, a version pin, a prepended line the script
-    does not run or an export keeps the script's read of its counts
-    (:class:`RenderedScript`);
+    checked, through :meth:`RenderedScript.with_export` and
+    :meth:`RenderedScript.with_line_above`, which keep the script's read of
+    its counts where the edit cannot change them;
     spec-level edits (arguments, parameter values, templates)
     rebind and re-render so the template structure is preserved.  An edit
     that would bring a single quote or a newline into the job
@@ -382,11 +382,7 @@ def apply_action(
     payload = action.payload
     edit = _TEXT_EDITS.get(kind)
     if edit is not None:
-        # Built directly: the constructor still refuses a placeholder, and reads the
-        # topology unless the edit only adds a line above the script that it does not
-        # run or an export inside its launch command.
-        text = edit(payload, script.text)
-        return RenderedScript(text, script.template_id, script.binding, script), spec, template
+        return edit(payload, script), spec, template
     if kind == "add_arg":
         train_args = f"{spec.train_args} {payload['args']}".strip()
         check_script_text("train_args", train_args)
@@ -414,27 +410,14 @@ def apply_action(
 
 
 # The text edits, which put their payload text into the script as it is: kind ->
-# (payload, script text) -> the edited text.
+# (payload, script) -> the edited script.
 _TEXT_EDITS = {
-    "export_env": lambda p, text: _inject_into_launch(text, f"export {p['name']}=${p['name']}"),
-    "add_module_load": lambda p, text: f"module load {p['module']}\n{text}",
-    "pin_version": lambda p, text: f"module load {p['package']}/{p['version']}\n{text}",
-    "prepend_line": lambda p, text: f"{p['line']}\n{text}",
+    "export_env": lambda p, script: script.with_export(p["name"]),
+    "add_module_load": lambda p, script: script.with_line_above(f"module load {p['module']}"),
+    "pin_version": lambda p, script: script.with_line_above(
+        f"module load {p['package']}/{p['version']}"),
+    "prepend_line": lambda p, script: script.with_line_above(p["line"]),
 }
-
-
-def _inject_into_launch(text: str, statement: str) -> str:
-    """Place a statement inside the remote launch command when one exists.
-
-    Schedulers that do not propagate the environment need the statement to
-    run on every node, which means inside the ``bash -c '...'`` payload of a
-    line the script runs (:func:`synthesis._payload_start`), never one in a
-    comment; a plain prepended line only runs on the first node.
-    """
-    at = _payload_start(text)
-    if at >= 0:
-        return f"{text[:at]}{statement}; {text[at:]}"
-    return f"{statement}\n{text}"
 
 
 def __getattr__(name: str):

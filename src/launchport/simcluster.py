@@ -249,13 +249,18 @@ def submit(
 ) -> ExecutionResult:
     """Mock-execute a rendered script on the given cluster.
 
-    The first matching fault rule (document order) fires; otherwise the
-    launch topology is validated against the job.  A failure is a new
+    The first matching fault rule (document order) fires; its
+    ``script_contains`` and ``script_lacks`` needles read the script less
+    its comment lines, which it does not run.  Otherwise the launch
+    topology is validated against the job.  A failure is a new
     result, never an exception; a pass returns the shared, read-only result
     of its world size (:func:`_passed`), whose transcript holds one line per
     rank plus the two collective checks.
     """
     text = r.text
+    if "#" in text:
+        # `module` commands stay: `script_lacks: "module load"` reads them.
+        text = "\n".join([line for line in text.split("\n") if not line.lstrip().startswith("#")])
     # A Strategy or Launcher is a str holding its value, so it is looked up
     # in a frozenset of values as is.
     checks = rules.checks_for(profile.id)

@@ -17,17 +17,18 @@ is used; the package-wide fallback applies last.
 
 A :class:`RenderedScript` reads the launch topology its text states when
 it is built and keeps it with the lines it read, so the lint and the mock
-submission of one script share a single read of its counts.  A script
-built from a parent script by one of two edits carries its parent's read,
-and its counts are not read again:
+submission of one script share a single read of its counts.  The text
+repairs build their script from the one they edit through two methods,
+which hand it the read the edit cannot change:
 
-* one line above it that it does not run (a comment line or a ``module``
-  command, as the ``add_module_load`` and ``pin_version`` repairs add): its
-  lines and counts are the parent's;
-* ``export NAME=$NAME; `` just inside its launch command (``bash -c '``),
-  as the ``export_env`` repair adds it, where ``NAME`` is an ASCII shell
-  identifier that holds no launcher name: its counts are the parent's, and
-  its lines are read again, since lint reads the exports they run.
+* :meth:`RenderedScript.with_line_above` adds one line above the script
+  (``add_module_load``, ``pin_version``, ``prepend_line``).  A line it does
+  not run, a comment or a ``module`` command, keeps the parent's lines and
+  counts;
+* :meth:`RenderedScript.with_export` adds ``export NAME=$NAME`` (``export_env``)
+  inside the launch command, or on its own line above a script without one.
+  A shell name that holds no launcher name keeps the parent's counts; the
+  lines are read again, since lint reads the exports they run.
 
 Either way the launcher, the counts and the port flags that the lines state
 are the parent's, so lint finds the same errors in both scripts.
@@ -52,56 +53,80 @@ class RenderedScript(FrozenRecord):
     """Final script text plus the binding (parameter name to value) that produced it.
 
     The text holds no ``{name}`` placeholder: the constructor raises
-    :class:`UnboundParameterError` naming the first one it finds.
-
-    ``parent`` is not a field.  The new script carries its parent's read when
-    ``text`` is one line the script does not run (a comment line or a
-    ``module`` command), then ``"\\n"``, then ``parent.text``: its commands
-    and counts are the parent's objects, and only the new line is searched for
-    a placeholder.  It carries it too when ``text`` is ``parent.text`` with
-    ``export NAME=$NAME; `` inserted at ``_payload_start``, ``NAME`` an
-    ASCII shell identifier that holds no launcher name in any case: its
-    counts are the parent's object and its commands are read again.  The
-    constructor checks either shape itself; any other text, or no parent, is
-    read in full.  So ``_topology`` is the parent's object exactly when the
-    script carries the parent's read, and then lint finds the same errors in
-    both for one spec and profile.
+    :class:`UnboundParameterError` naming the first one it finds.  It reads
+    the text in full; :meth:`with_line_above` and :meth:`with_export` build
+    a script that carries part of this one's read instead (``_carried``, which
+    is not a field).  So ``_topology`` is the parent's object exactly when
+    the script carries the parent's counts, and then lint finds the same
+    errors in both for one spec and profile.
     """
 
     __slots__ = ("text", "template_id", "binding", "_commands", "_topology")
 
     def __init__(
         self, text: str, template_id: str, binding: Mapping[str, int | str],
-        parent: RenderedScript | None = None,
+        _carried: tuple[str, str | None, intent.Topology] | None = None,
     ) -> None:
-        # The text a placeholder may sit in, and the commands of a script that
-        # carries its parent's read (None: read the text in full).
-        searched, commands = text, None
-        if parent is not None:
-            if line := _unrun_line_above(text, parent.text):
-                # _commands drops the line and keeps the parent's lines as they are.
-                searched, commands = line, parent._commands
-            elif _export_in_launch(text, parent.text):
-                # An identifier holds no placeholder.  The export sits on a line
-                # the script runs, which lint check 5 reads, so the lines are read
-                # again; the counts they state are the parent's.
-                searched, commands = "", intent._commands(text)
+        # The text a placeholder may sit in, and the commands (None: read them)
+        # and the counts that an edit method knows.
+        searched, commands, topology = _carried or (text, None, None)
         leftover = PLACEHOLDER_RE.search(searched)
         if leftover:
             raise UnboundParameterError(leftover.group(1), template_id)
         set_frozen(self, "text", text)
         set_frozen(self, "template_id", template_id)
         set_frozen(self, "binding", binding)
-        if commands is not None:
-            set_frozen(self, "_commands", commands)
-            set_frozen(self, "_topology", parent._topology)
-            return
-        # The lines the script runs: the text less its comment lines and
-        # `module` commands, or the text itself when it holds neither `#` nor
-        # `module`.  Lint reads them too.
-        commands = intent._commands(text)
+        if commands is None:
+            # The lines the script runs: the text less its comment lines and
+            # `module` commands, or the text itself when it holds neither `#`
+            # nor `module`.  Lint reads them too.
+            commands = intent._commands(text)
+        if topology is None:
+            topology = intent._launch(commands)[1]
         set_frozen(self, "_commands", commands)
-        set_frozen(self, "_topology", intent._launch(commands)[1])
+        set_frozen(self, "_topology", topology)
+
+    def with_line_above(self, line: str) -> RenderedScript:
+        """This script with ``line`` and ``"\\n"`` above it.
+
+        A single line (no ``"\\n"``) the script does not run, whose first
+        non-blank characters are ``#`` or ``module ``, keeps this script's
+        commands and counts, and only that line is searched for a
+        placeholder.  Any other line is read in full.
+        """
+        carried = None
+        if "\n" not in line and line.lstrip().startswith(intent._UNRUN):
+            # _commands drops the line and keeps this script's lines as they are.
+            carried = (line, self._commands, self._topology)
+        return RenderedScript(f"{line}\n{self.text}", self.template_id, self.binding, carried)
+
+    def with_export(self, name: str) -> RenderedScript:
+        """This script with ``export NAME=$NAME; `` just after the first
+        ``bash -c '`` on a line it runs, so every node runs it; with no such
+        line, with ``export NAME=$NAME`` on its own line above it.
+
+        When ``name`` is an ASCII shell name that holds no launcher name in
+        any case, the statement adds no launcher name, count, port flag or
+        ``accelerate launch`` and nothing around it changes, so the new
+        script keeps this one's counts and reads its lines again (lint reads
+        the exports they run).  Any other name is read in full.
+        """
+        text, statement = self.text, f"export {name}=${name}"
+        at = text.find(_PAYLOAD)
+        # Past each marker on a line the script does not run.
+        while at >= 0 and text[text.rfind("\n", 0, at) + 1 : at].lstrip().startswith(
+                intent._UNRUN):
+            at = text.find(_PAYLOAD, at + 1)
+        if at >= 0:
+            at += len(_PAYLOAD)
+            text = f"{text[:at]}{statement}; {text[at:]}"
+        else:
+            text = f"{statement}\n{text}"
+        carried = None
+        if _SHELL_NAME.fullmatch(name) and not any(
+                launcher in name.lower() for launcher in intent._LAUNCHER_NAMES):
+            carried = ("", None, self._topology)  # a shell name holds no placeholder
+        return RenderedScript(text, self.template_id, self.binding, carried)
 
     @property
     def topology(self) -> intent.Topology:
@@ -185,53 +210,10 @@ def render_for_spec(spec: JobSpec, t: Template, profile: ClusterProfile) -> Rend
     return render(t, bind(spec, t, profile))
 
 
-def _unrun_line_above(text: str, below: str) -> str:
-    """The first line of ``text`` when the rest of it, after that line's
-    ``"\\n"``, is ``below`` and :func:`intent._commands` drops the line; else ``""``."""
-    line, newline, rest = text.partition("\n")
-    if newline and rest == below and line.lstrip().startswith(intent._UNRUN):
-        return line
-    return ""
-
-
-# Where export_env puts its statement: inside the remote launch command.
+# Where with_export puts its statement: inside the remote launch command.
 _PAYLOAD = "bash -c '"
 # The name export_env exports: an ASCII shell identifier.
 _SHELL_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# The statement export_env inserts, with its name as group 1.
-_EXPORT = re.compile(rf"export ({_SHELL_NAME.pattern})=\$\1; ")
-
-
-def _payload_start(text: str) -> int:
-    """The index just after the first ``bash -c '`` on a line the script runs
-    (:func:`intent._commands` keeps it), or -1 when no such line holds one."""
-    at = text.find(_PAYLOAD)
-    while at >= 0:
-        # The line up to and with the marker starts as the whole line does.
-        start = text.rfind("\n", 0, at) + 1
-        if not text[start : at + len(_PAYLOAD)].lstrip().startswith(intent._UNRUN):
-            return at + len(_PAYLOAD)
-        at = text.find(_PAYLOAD, at + 1)
-    return -1
-
-
-def _export_in_launch(text: str, below: str) -> bool:
-    """Whether ``text`` is ``below`` with ``export NAME=$NAME; `` inserted at
-    ``_payload_start``, ``NAME`` holding no launcher name in any case.
-
-    Such a statement adds no launcher name, count, port flag or
-    ``accelerate launch`` to the line, and the text around it stays as it
-    was, so ``intent._launch`` and lint's error checks read it as they read
-    ``below``."""
-    at = _payload_start(below)
-    end = at + len(text) - len(below)
-    if at < 0 or end <= at:
-        return False
-    export = _EXPORT.fullmatch(text, at, end)
-    if export is None or not (text.startswith(below[:at]) and text.endswith(below[at:])):
-        return False
-    name = export[1].lower()
-    return not any(launcher in name for launcher in intent._LAUNCHER_NAMES)
 
 
 def _canonical(value: int | str) -> str:

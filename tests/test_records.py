@@ -84,7 +84,7 @@ MUTABLE = {"intent.PartialJobSpec", "cli.CliSession"}
 # Constructor parameters after the fields that are not fields (a dataclass's
 # InitVar), as (name, default): read by __init__ and never kept, so ==, hash,
 # repr and replace do not see them.
-INIT_ONLY = {"synthesis.RenderedScript": (("parent", None),)}
+INIT_ONLY = {"synthesis.RenderedScript": (("_carried", None),)}
 
 
 def _class(name):

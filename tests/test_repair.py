@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from launchport import intent, pipeline, repair
+from launchport import intent, pipeline, repair, synthesis
 from launchport.documents import bundled
 from launchport.bridge import BridgeConfig, RemoteBridge, parse_proposal, parse_proposals
 from launchport.errors import (
@@ -515,50 +515,46 @@ class TestRunLoop:
         assert outcome.lint_findings == ()
         assert parsed == [outcome.final_script.text]
 
-    def test_pipeline_reads_each_script_s_counts_at_most_once(
+    def test_pipeline_reads_each_script_s_counts_once_per_render(
             self, profiles, templates, fault_rules, monkeypatch):
-        # Over the grid and the fault corpus, lint and submit read only the
-        # counts, never the full parse, and each script reads them once.
-        calls = {"parse_script": [], "_launch": []}
+        # Over the grid, the fault corpus and an export_env repair on a template
+        # with no `bash -c '`, lint and submit read only the counts, never the
+        # full parse, each rendered script reads them once, and no text repair
+        # reads them: its script carries its parent's.
+        calls = {"parse_script": [], "_launch": [], "render": []}
         for name, calls_of in calls.items():
-            function = getattr(intent, name)
+            function = getattr(synthesis if name == "render" else intent, name)
 
-            def counting(script, function=function, calls_of=calls_of):
-                calls_of.append(script)
-                return function(script)
+            def counting(*args, function=function, calls_of=calls_of):
+                result = function(*args)
+                calls_of.append(result._commands if isinstance(result, RenderedScript) else args[0])
+                return result
 
             for module in [m for n, m in sys.modules.items() if n.startswith("launchport.")]:
                 if getattr(module, name, None) is function:
                     monkeypatch.setattr(module, name, counting)
-        rendered = []
-        init = RenderedScript.__init__
-
-        def recording(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            rendered.append(self._commands)
-
-        monkeypatch.setattr(RenderedScript, "__init__", recording)
-        # A module line is one the script does not run, and an export in the launch
-        # command states no count: their repairs carry the reads.
-        carried_reads = []
+        text_repairs = []  # (kind, whether the script has a launch command, reads)
         apply = repair.apply_action
 
-        def applying(action, *args):
+        def applying(action, script, *args):
             before = len(calls["_launch"])
-            applied = apply(action, *args)
-            if action.kind in ("add_module_load", "pin_version", "export_env"):
-                carried_reads.append((action.kind, len(calls["_launch"]) - before))
+            applied = apply(action, script, *args)
+            if action.kind in repair._TEXT_EDITS:
+                text_repairs.append((action.kind, "bash -c '" in script.text,
+                                     len(calls["_launch"]) - before))
             return applied
 
         monkeypatch.setattr(repair, "apply_action", applying)
-        for _, spec, profile in pipeline_cases(profiles):
+        deltaai = profiles.resolve("deltaai")
+        no_launch_command = make_spec(deltaai, Framework.DEEPSPEED, Strategy.DDP)
+        for _, spec, profile in pipeline_cases(profiles) + [(None, no_launch_command, deltaai)]:
             run_pipeline(spec, profile, templates, fault_rules)
         assert calls["parse_script"] == []
-        read, scripts = Counter(calls["_launch"]), Counter(rendered)
-        assert read and all(read[text] <= scripts[text] for text in read)
-        assert {kind for kind, _ in carried_reads} == {"add_module_load", "pin_version",
-                                                       "export_env"}
-        assert not any(reads for _, reads in carried_reads)
+        assert calls["render"] and Counter(calls["_launch"]) == Counter(calls["render"])
+        assert {kind for kind, _, _ in text_repairs} == {"add_module_load", "pin_version",
+                                                         "export_env"}
+        assert ("export_env", False, 0) in text_repairs
+        assert not any(reads for _, _, reads in text_repairs)
 
     def test_the_loop_lints_each_commands_and_spec_once(
             self, profiles, templates, fault_rules, monkeypatch):

@@ -7,7 +7,6 @@ from launchport.errors import ContractViolationError, UnboundParameterError
 from launchport.intent import finalize
 from launchport.lint import lint
 from launchport.prose import extract
-from launchport.repair import RepairAction, apply_action
 from launchport.synthesis import RenderedScript, bind, render, render_for_spec
 from launchport.templates import PLACEHOLDER_RE, ParamDecl, Template
 from launchport.types import Framework, Launcher, Strategy
@@ -281,13 +280,14 @@ class TestCarriedReads:
             script = render_for_spec(spec, t, profile)
             for unrun, line in lines:
                 parent = script
-                script = RenderedScript(f"{line}\n{parent.text}", t.id, parent.binding, parent)
-                fresh = RenderedScript(script.text, t.id, parent.binding)
+                script = parent.with_line_above(line)
+                fresh = RenderedScript(f"{line}\n{parent.text}", t.id, parent.binding)
                 assert script == fresh
                 assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
                 assert lint(script, spec, profile) == lint(fresh, spec, profile)
                 # A line the script runs is read afresh, never carried.
                 assert (script._commands is parent._commands) == unrun, (t.id, line)
+                assert (script._topology is parent._topology) == unrun, (t.id, line)
 
     @given(names=st.lists(_EXPORT_NAMES, min_size=1, max_size=3), above=_MARKED_ABOVE)
     def test_an_export_carried_read_equals_a_fresh_one(self, profiles, templates, names, above):
@@ -298,52 +298,42 @@ class TestCarriedReads:
             script = RenderedScript(above + rendered.text, t.id, rendered.binding)
             for name in names:
                 parent = script
-                action = RepairAction("export_env", {"name": name})
-                script, _, _ = apply_action(action, parent, spec, t, profile)
+                script = parent.with_export(name)
+                # Inside the launch command, after the lines above it that the
+                # script does not run, or on a line of its own above the script.
+                statement = f"export {name}=${name}"
+                if "bash -c '" in rendered.text:
+                    at = parent.text.index("bash -c '", len(above)) + len("bash -c '")
+                    assert script.text == f"{parent.text[:at]}{statement}; {parent.text[at:]}"
+                else:
+                    assert script.text == f"{statement}\n{parent.text}"
                 fresh = RenderedScript(script.text, t.id, parent.binding)
                 assert script == fresh
                 assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
                 assert lint(script, spec, profile) == lint(fresh, spec, profile)
-                # Carried only into a launch command, and only for a name that
-                # holds no launcher's name.
-                carried = "bash -c '" in rendered.text and not any(
-                    launcher in name.lower() for launcher in _LAUNCHER_NAMES)
+                # Carried for every name that holds no launcher's name.
+                carried = not any(launcher in name.lower() for launcher in _LAUNCHER_NAMES)
                 assert (script._topology is parent._topology) == carried, (t.id, name)
 
-    def test_only_one_export_at_the_first_run_payload_is_carried(self):
-        parent = RenderedScript(
-            "# bash -c 'x'\nsrun -N 2 bash -c 'torchrun --nnodes=2 train.py'", "t", {})
-        at = parent.text.index("bash -c 'torchrun") + len("bash -c '")
-        head, tail = parent.text[:at], parent.text[at:]
-        for text, carried in (
-                (head + "export X=$X; " + tail, True),
-                (head + "export _x9=$_x9; " + tail, True),
-                (parent.text.replace("'x'", "'export X=$X; x'"), False),
-                (head + "export X=$Y; " + tail, False),
-                (head + "export X=$X;" + tail, False),
-                (head + "export X=$X; export X=$X; " + tail, False),
-                (head + "export 1X=$1X; " + tail, False),
-                (head + "export SRun=$SRun; " + tail, False),
-                (head + "export X=$X; " + tail + " ", False),
-                ("export X=$X; " + parent.text, False),
-                (head + "export X=$X; " + tail.replace("2", "3"), False)):
-            script = RenderedScript(text, "t", {}, parent)
-            fresh = RenderedScript(text, "t", {})
-            assert (script._topology is parent._topology) == carried, text
+    def test_a_line_that_holds_a_newline_or_a_name_that_is_not_a_shell_name_is_read(self):
+        parent = RenderedScript("srun -N 2 bash -c 'torchrun --nnodes=2 train.py'", "t", {})
+        for script in (parent.with_line_above("# x\nexport PYTHONPATH=/p --nnodes=9"),
+                       parent.with_export("X --nnodes=9")):
+            fresh = RenderedScript(script.text, "t", {})
             assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
+            assert script.topology == (9, None, None) != parent.topology
 
-    def test_only_one_unrun_line_above_the_parent_s_text_is_carried(self):
-        parent = RenderedScript("# run\ntorchrun --nnodes=2 train.py", "t", {})
-        for text in ("# x\ntorchrun --nnodes=3 train.py", "# x\n\n" + parent.text,
-                     "# x " + parent.text, "# x\n# y\n" + parent.text, parent.text,
-                     parent.text + "\n# x"):
-            script = RenderedScript(text, "t", {}, parent)
-            fresh = RenderedScript(text, "t", {})
-            assert script._commands is not parent._commands, text
-            assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
+    def test_a_carried_read_survives_a_pickle_round_trip(self):
+        parent = RenderedScript("srun -N 2 bash -c 'torchrun --nnodes=2 train.py'", "t", {})
+        for script in (parent.with_line_above("module load cuda/12.4"),
+                       parent.with_export("PYTHONPATH")):
+            assert script._topology is parent._topology
+            loaded, fresh = pickle.loads(pickle.dumps(script)), RenderedScript(script.text, "t", {})
+            assert loaded == script == fresh
+            assert (loaded._commands, loaded.topology) == (fresh._commands, fresh.topology)
 
     def test_a_placeholder_on_a_carried_line_is_refused(self):
         parent = RenderedScript("torchrun --nnodes=2 train.py", "t", {})
         with pytest.raises(UnboundParameterError) as exc:
-            RenderedScript("module load {cuda}\n" + parent.text, "t", {}, parent)
+            parent.with_line_above("module load {cuda}")
         assert (exc.value.param, exc.value.template_id) == ("cuda", "t")
