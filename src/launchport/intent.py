@@ -462,8 +462,8 @@ def parse_script(script: str) -> PartialJobSpec:
     """Recover job parameters from a launch script written for some cluster.
 
     Best effort: recognizes srun, mpiexec, torchrun, deepspeed, and
-    accelerate invocations; anything else yields an empty spec.  Comment
-    lines and ``module`` commands are not read (:func:`_commands`).  The node
+    accelerate invocations; anything else yields an empty spec.  Only the
+    lines the script runs are read (:func:`_commands`).  The node
     count is reported only when the script states it directly (torchrun,
     accelerate, and deepspeed forms); an mpiexec "-n W -ppn G" pair leaves
     the node count for spec finalization to derive.  A per-node count is
@@ -515,21 +515,38 @@ def _arguments(script: str, entry: re.Match) -> str:
     return tail
 
 
-# How a line the script does not run starts, after its leading whitespace.
-_UNRUN = ("#", "module ")
+def _runs(line: str, modules: bool = False) -> bool:
+    """Whether :func:`_commands` keeps ``line``: its first non-blank character
+    is not ``#`` and, unless ``modules``, it is no ``module`` command (the word
+    ``module`` and a space or a tab first)."""
+    line = line.lstrip()
+    return not line.startswith("#") and (modules or not line.startswith(("module ", "module\t")))
 
 
-def _commands(script: str) -> str:
-    """``script`` less its comment lines and ``module`` commands, which may name a
-    launcher, an entry script or flags that the script does not run
-    (``module load deepspeed/0.14``, ``# was: torchrun --nnodes=2 train.py``).
+def _commands(script: str, modules: bool = False) -> str:
+    """The lines of ``script`` the shell runs, the one reading of them that
+    every reader of a script's lines shares.
 
-    A text that holds neither ``#`` nor ``module`` is returned as it is.
+    Comment lines go, and so do ``module`` commands unless ``modules`` (only
+    the mock's needles read them); either may name a launcher, an entry script
+    or flags that the script does not run (``module load deepspeed/0.14``,
+    ``# was: torchrun --nnodes=2 train.py``).  A trailing comment goes from
+    the space or tab before its ``#`` to the end of the line; a ``#`` starts
+    one only after a space or tab with an even number of ``'`` and of ``"``
+    before it on its line.  A text that holds neither ``#`` nor (unless
+    ``modules``) ``module`` is returned as it is.
     """
-    if "#" not in script and "module" not in script:
+    if "#" not in script and (modules or "module" not in script):
         return script
-    return "\n".join([line for line in script.split("\n")
-                      if not line.lstrip().startswith(_UNRUN)])
+    kept = []
+    for line in script.split("\n"):
+        if _runs(line, modules):
+            at = line.find("#")  # never 0 on a line that runs
+            while at > 0 and not (line[at - 1] in " \t" and not line.count("'", 0, at) % 2
+                                  and not line.count('"', 0, at) % 2):
+                at = line.find("#", at + 1)
+            kept.append(line[: at - 1] if at > 0 else line)
+    return "\n".join(kept)
 
 
 # The launcher names _launch reads, lowered.

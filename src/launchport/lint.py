@@ -61,14 +61,13 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
 
     Pure and deterministic; findings appear in the documented check order.
     Reads only the commands, topology, spec and profile: checks 1, 4 and 5
-    read only the lines the script runs (``r._commands``), since a comment
-    line or a ``module`` command may name a launcher, a port or an export
-    the script does not run, and checks 2 and 3 read the counts those lines
-    state (``r.topology``).  So two scripts with the same commands get the
+    read only the lines the script runs (``r._commands``, read by
+    :func:`intent._commands`), and checks 2 and 3 read the counts those
+    lines state (``r.topology``).  So two scripts with the same commands get the
     same findings for one spec and profile.
     """
     findings: list[Finding] = []
-    commands = r._commands  # the text itself when it holds neither "#" nor "module"
+    commands = r._commands
 
     def report(code: str, message: str) -> None:
         findings.append(Finding(code, message))

@@ -19,12 +19,13 @@ The agent and its bundled fingerprints and repair table are loaded at the
 first failed submission, and the agent module is then kept in ``_repair``,
 so a job whose scripts all pass loads none of them.
 
-Lint reads only a script's commands (the lines it runs), the topology they
+Lint reads only a script's commands (the lines it runs, as
+:func:`intent._commands` reads them), the topology they
 state, the spec and the profile, and the loop compares only error counts.
 So it lints a repaired script only when the repair can change its errors:
 when the spec changed, or when the new script does not carry the current
 one's counts: :meth:`~launchport.synthesis.RenderedScript.with_line_above`
-carries them for a ``module load`` or comment line above the script, and
+carries them for a line above the script that it does not run, and
 :meth:`~launchport.synthesis.RenderedScript.with_export` for an export of a
 shell name.  It lints the first script only when a repaired script has
 lint errors to compare with it: a repaired script with none cannot add

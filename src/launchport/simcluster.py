@@ -32,7 +32,7 @@ from .clusters import ClusterProfile, default_profiles
 from .documents import INT, LIST, NAMES, OBJECT, OPTIONAL, REQUIRED, TEXT, TEXTS, bundled
 from .documents import check_record, load_json
 from .errors import RuleParseError
-from .intent import JobSpec
+from .intent import JobSpec, _commands
 from .synthesis import RenderedScript
 from .templates import PLACEHOLDER_RE
 from .types import REPAIR_PAYLOAD_KEYS, FrozenRecord, Launcher, Strategy, set_frozen
@@ -250,9 +250,9 @@ def submit(
     """Mock-execute a rendered script on the given cluster.
 
     The first matching fault rule (document order) fires; its
-    ``script_contains`` and ``script_lacks`` needles read the script less
-    its comment lines, which it does not run.  Otherwise the launch
-    topology is validated against the job.  A failure is a new
+    ``script_contains`` and ``script_lacks`` needles read the lines the
+    script runs, ``module`` commands included (:func:`intent._commands`).
+    Otherwise the launch topology is validated against the job.  A failure is a new
     result, never an exception; a pass returns the shared, read-only result
     of its world size (:func:`_passed`), whose transcript holds one line per
     rank plus the two collective checks.
@@ -260,7 +260,7 @@ def submit(
     text = r.text
     if "#" in text:
         # `module` commands stay: `script_lacks: "module load"` reads them.
-        text = "\n".join([line for line in text.split("\n") if not line.lstrip().startswith("#")])
+        text = _commands(text, modules=True)
     # A Strategy or Launcher is a str holding its value, so it is looked up
     # in a frozenset of values as is.
     checks = rules.checks_for(profile.id)

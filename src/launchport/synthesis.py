@@ -22,9 +22,9 @@ repairs build their script from the one they edit through two methods,
 which hand it the read the edit cannot change:
 
 * :meth:`RenderedScript.with_line_above` adds one line above the script
-  (``add_module_load``, ``pin_version``, ``prepend_line``).  A line it does
-  not run, a comment or a ``module`` command, keeps the parent's lines and
-  counts;
+  (``add_module_load``, ``pin_version``, ``prepend_line``).  A line the
+  script does not run (:func:`intent._commands`) keeps the parent's lines
+  and counts;
 * :meth:`RenderedScript.with_export` adds ``export NAME=$NAME`` (``export_env``)
   inside the launch command, or on its own line above a script without one.
   A shell name that holds no launcher name keeps the parent's counts; the
@@ -77,9 +77,7 @@ class RenderedScript(FrozenRecord):
         set_frozen(self, "template_id", template_id)
         set_frozen(self, "binding", binding)
         if commands is None:
-            # The lines the script runs: the text less its comment lines and
-            # `module` commands, or the text itself when it holds neither `#`
-            # nor `module`.  Lint reads them too.
+            # The lines the script runs; lint reads them too.
             commands = intent._commands(text)
         if topology is None:
             topology = intent._launch(commands)[1]
@@ -89,21 +87,20 @@ class RenderedScript(FrozenRecord):
     def with_line_above(self, line: str) -> RenderedScript:
         """This script with ``line`` and ``"\\n"`` above it.
 
-        A single line (no ``"\\n"``) the script does not run, whose first
-        non-blank characters are ``#`` or ``module ``, keeps this script's
-        commands and counts, and only that line is searched for a
-        placeholder.  Any other line is read in full.
+        A single line (no ``"\\n"``) that :func:`intent._commands` drops keeps
+        this script's commands and counts, and only that line is searched
+        for a placeholder.  Any other line is read in full.
         """
         carried = None
-        if "\n" not in line and line.lstrip().startswith(intent._UNRUN):
-            # _commands drops the line and keeps this script's lines as they are.
+        if "\n" not in line and not intent._runs(line):
             carried = (line, self._commands, self._topology)
         return RenderedScript(f"{line}\n{self.text}", self.template_id, self.binding, carried)
 
     def with_export(self, name: str) -> RenderedScript:
         """This script with ``export NAME=$NAME; `` just after the first
-        ``bash -c '`` on a line it runs, so every node runs it; with no such
-        line, with ``export NAME=$NAME`` on its own line above it.
+        ``bash -c '`` that the lines it runs hold (:func:`intent._commands`),
+        so every node runs it; with no such marker, with ``export NAME=$NAME``
+        on its own line above it.
 
         When ``name`` is an ASCII shell name that holds no launcher name in
         any case, the statement adds no launcher name, count, port flag or
@@ -113,9 +110,9 @@ class RenderedScript(FrozenRecord):
         """
         text, statement = self.text, f"export {name}=${name}"
         at = text.find(_PAYLOAD)
-        # Past each marker on a line the script does not run.
-        while at >= 0 and text[text.rfind("\n", 0, at) + 1 : at].lstrip().startswith(
-                intent._UNRUN):
+        # Past each marker that the lines the script runs do not hold.
+        while at >= 0 and not intent._commands(
+                text[text.rfind("\n", 0, at) + 1 : at + len(_PAYLOAD)]).endswith(_PAYLOAD):
             at = text.find(_PAYLOAD, at + 1)
         if at >= 0:
             at += len(_PAYLOAD)

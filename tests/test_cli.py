@@ -444,6 +444,18 @@ class TestPort:
         assert " accelerate launch --multi_gpu --num_machines=2 --num_processes=8 " in out
         assert out.endswith(" --main_process_port=29400 train.py'\n")
 
+    def test_a_trailing_comment_is_not_read(self, capsys, tmp_path):
+        # Its --nnodes and port were read, and train_args took the closing
+        # quote and the comment, which ended in an error.
+        script = tmp_path / "commented.sh"
+        script.write_text("srun -N 2 bash -c 'torchrun --nproc_per_node=4 train.py --lr 1'"
+                          "  # was: --nnodes=4 --master_port=99999\n", "utf-8")
+        code, out, err = run_cli(capsys, "port", str(script), "--to", "polaris",
+                                 "--non-interactive")
+        assert (code, err) == (0, "")
+        assert " mpiexec -n 8 -ppn 4 " in out
+        assert out.endswith(" python -u train.py --lr 1\n")
+
     def test_a_launcher_name_in_the_entry_script_is_not_read(self, capsys, tmp_path):
         # Read as deepspeed, this ended in "missing: nodes, gpus_per_node".
         script = tmp_path / "bench.sh"

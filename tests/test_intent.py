@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from launchport import intent, prose
 from launchport.clusters import default_profiles
@@ -27,8 +27,10 @@ from launchport.intent import (
     missing_fields,
     parse_script,
 )
+from launchport.lint import lint
 from launchport.prose import NUMBER_WORDS, RuleBasedExtractor, extract
-from launchport.synthesis import render_for_spec
+from launchport.simcluster import load_fault_rules, submit
+from launchport.synthesis import RenderedScript, render_for_spec
 from launchport.types import Framework, Launcher, Strategy
 
 from conftest import PERLMUTTER_COMMAND, POLARIS_COMMAND, TABLE_DESCRIPTION, make_spec
@@ -907,9 +909,17 @@ class TestParseScript:
          "--main_process_port=29400 train.py", (Launcher.ACCELERATE, 2, 4, 8, 29400, "")),
         ("# was: torchrun --nnodes=2 train.py\nmpiexec -n 8 -ppn 4 python train.py",
          (Launcher.MPIEXEC, None, 4, 8, None, "")),
-    ], ids=["module-load", "comment"])
+        ("module\tload deepspeed\naccelerate launch --num_machines=2 --num_processes=8 train.py",
+         (Launcher.ACCELERATE, 2, 4, 8, None, "")),
+        ("torchrun --nproc_per_node=4 train.py  # was --nnodes=4",
+         (Launcher.TORCHRUN, None, 4, None, None, "")),
+        # A "#" inside quotes or inside a word starts no comment.
+        ("srun -N 2 bash -c 'torchrun --nproc_per_node=4 train.py --tag #1 --seed=a#2'",
+         (Launcher.TORCHRUN, 2, 4, None, None, "--tag #1 --seed=a#2")),
+    ], ids=["module-load", "comment", "module-tab", "trailing-comment", "quoted-hash"])
     def test_comment_lines_and_module_commands_are_not_read(self, script, read):
-        # Both were read as the launcher they name, with no counts.
+        # The first three were read as the launcher they name, with no counts;
+        # the trailing comment's --nnodes was read as the node count.
         p = parse_script(script)
         assert (p.launcher, p.nodes, p.gpus_per_node, p.total_gpus, p.master_port,
                 p.train_args) == read
@@ -978,14 +988,15 @@ class TestParseScript:
                 assert intent._launch(script._commands) == (t.launcher, plain.topology), t.id
 
 
-# Launcher words, their count and port flags, and near misses.
+# Launcher words, their count and port flags, near misses and the mock's needles.
 _LAUNCH_TOKENS = [
     "torchrun", "deepspeed", "accelerate", "launch", "mpiexec", "mpirun", "srun", "bash -c",
     "python", "-u", "--nnodes", "--nproc_per_node", "--nproc-per-node", "--master_port",
     "--master-port", "MASTER_PORT", "-genv", "--num_machines", "--num-machines",
     "--num_processes", "--main_process_port", "--num_nodes", "--num_gpus", "slots=", "-N",
     "-n", "-ppn", "--", "0", "1", "2", "4", "8", "29500", "65536", "9" * 30, "train.py",
-    "ds.json", "İ", "ſ", "#", "module load", " module",
+    "ds.json", "İ", "ſ", "#", "module load", " module", "export PYTHONPATH", "HF_TOKEN",
+    "meta-llama", "accelerate launch",
 ]
 
 
@@ -1030,6 +1041,74 @@ class TestScriptTopology:
         assert len(scripts) >= 44
         for text in scripts:
             assert script_topology(text) == _parsed_counts(text), text
+
+
+# What a drawn script may gain that it does not run: a comment line or a
+# `module` command between its lines, or a comment after one of its lines.
+_COMMENT_LINES = st.sampled_from(["#", "# was: torchrun --nnodes=9 --master_port=99999",
+                                  "  #deepspeed --num_gpus=7", "\t# export PYTHONPATH='x"])
+_MODULE_COMMANDS = st.sampled_from(["module load deepspeed/0.14", "  module swap mpirun srun",
+                                    "module\tload accelerate", "\tmodule\tpurge"])
+_TRAILING_COMMENTS = st.tuples(st.sampled_from([" #", " # ", "\t#"]), _launch_soups().map(
+    lambda soup: soup.replace("\n", " "))).map("".join)
+
+
+@st.composite
+def _unread_additions(draw):
+    """``(script, edited, kind)``: a launch soup, and the same soup with one
+    addition of ``kind`` that the shell does not run."""
+    lines = draw(_launch_soups()).split("\n")
+    kind = draw(st.sampled_from(["comment", "module", "trailing"]))
+    if kind == "trailing":
+        # Only where the quotes before it on its line are closed.
+        at = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                   if not line.count("'") % 2 and not line.count('"') % 2]
+                                  or [None]))
+        assume(at is not None)
+        edited = lines[:at] + [lines[at] + draw(_TRAILING_COMMENTS)] + lines[at + 1:]
+    else:
+        at = draw(st.integers(0, len(lines)))
+        added = draw(_COMMENT_LINES if kind == "comment" else _MODULE_COMMANDS)
+        edited = lines[:at] + [added] + lines[at:]
+    return "\n".join(lines), "\n".join(edited), kind
+
+
+class TestOneReading:
+    """A line the shell does not run changes no reader's result."""
+
+    @pytest.fixture(scope="class")
+    def needle_rules(self, fault_rules):
+        """One rule set per needle of the bundled rules, keyed by its atom and
+        needle: one deltaai rule that fires when a script holds the needle
+        (``script_contains``) or lacks it (``script_lacks``)."""
+        needles = {(atom, needle) for rule in fault_rules
+                   for atom in ("script_contains", "script_lacks")
+                   for needle in rule.trigger.get(atom, [])}
+        return {(atom, needle): load_fault_rules(json.dumps([{
+            "id": "NEEDLE", "cluster": "deltaai", "trigger": {atom: [needle]}, "stderr": "x",
+            "clearable_by": []}])) for atom, needle in sorted(needles)}
+
+    @given(_unread_additions())
+    @example(("torchrun --nproc_per_node=4 train.py",
+              "torchrun --nproc_per_node=4 train.py  # was --nnodes=4 --master_port=99999",
+              "trailing"))
+    def test_an_unrun_addition_changes_no_read(self, profiles, needle_rules, drawn):
+        script, edited, kind = drawn
+        assert intent._launch(intent._commands(edited)) == intent._launch(intent._commands(script))
+        assert parse_script(edited) == parse_script(script)
+        for cluster in ("deltaai", "aurora"):
+            profile = profiles.resolve(cluster)
+            spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)
+            assert (lint(RenderedScript(edited, "t", {}), spec, profile)
+                    == lint(RenderedScript(script, "t", {}), spec, profile))
+        profile = profiles.resolve("deltaai")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)
+        for (atom, needle), rules in needle_rules.items():
+            if kind == "module" and needle == "module load":
+                continue  # the mock reads module commands: only this needle may change
+            fired = [submit(RenderedScript(text, "t", {}), spec, profile, rules).fault_fired
+                     for text in (script, edited)]
+            assert fired[0] == fired[1], (atom, needle)
 
 
 # The entry-script search parse_script ran before it read paths by str.find.

@@ -96,6 +96,9 @@ def test_a_port_on_a_comment_line_is_not_read(profiles):
     ("\t#", "--main_process_port=0"),
     ("module load ", "MASTER_PORT=1"),
     ("  module swap old ", "--master-port 99999"),
+    ("\tmodule\tswap old ", "--master-port 99999"),
+    ("cd $HOME  # ", "--master_port=99999"),
+    ("echo 'a b'\t#", "MASTER_PORT=99999"),
 ])
 def test_lint_and_parse_read_no_port_on_a_line_the_script_does_not_run(profiles, prefix, line):
     # Check 4 reads the lines parse_script reads; both read the line once it runs.
@@ -128,8 +131,9 @@ def test_a_commented_export_does_not_silence_the_env_warning(profiles, templates
     profile = profiles.resolve("deltaai")
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)
     rendered = render_for_spec(spec, templates.get("deltaai-ddp"), profile)
-    commented = _raw_script("# export PYTHONPATH=$PYTHONPATH\n" + rendered.text)
-    assert [f.code for f in lint(commented, spec, profile)] == [ENV_PROPAGATION_RISK]
+    for commented in (_raw_script("# export PYTHONPATH=$PYTHONPATH\n" + rendered.text),
+                      _raw_script(rendered.text + "  # TODO export PYTHONPATH")):
+        assert [f.code for f in lint(commented, spec, profile)] == [ENV_PROPAGATION_RISK]
 
 
 def test_placeholder_in_a_bound_value_is_refused(profiles, templates):

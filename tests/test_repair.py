@@ -249,8 +249,9 @@ def test_prepend_line_and_switch_template_apply(profiles, templates):
 
 
 @pytest.mark.parametrize("above", ["# was: srun bash -c 'python old.py'",
-                                   "\t# bash -c 'python old.py'", "module load bash -c 'x'"],
-                         ids=["comment", "indented-comment", "module-line"])
+                                   "\t# bash -c 'python old.py'", "module load bash -c 'x'",
+                                   "echo ready # then bash -c 'x'"],
+                         ids=["comment", "indented-comment", "module-line", "trailing-comment"])
 def test_export_env_goes_into_the_launch_command_the_script_runs(profiles, templates, above):
     # An export put into the "bash -c '" of a line the script does not run clears
     # a fault that searches the text for it, and leaves every node without it.

@@ -70,16 +70,17 @@ class TestSubmit:
     def test_a_comment_line_holds_no_needle(self, profiles, templates, fault_rules):
         # The script runs no comment line, so it neither exports PYTHONPATH nor
         # loads a module; a module command is read.
-        for cluster, above, fired in (
-                ("deltaai", "# TODO export PYTHONPATH on every node", "ENV_NOT_PROPAGATED"),
-                ("deltaai", "  #export LD_LIBRARY_PATH=/x", "ENV_NOT_PROPAGATED"),
-                ("stampede3", "# module load x", "DRIVER_LIB_MISMATCH"),
-                ("stampede3", "module load x # not a comment line", None)):
+        for cluster, edited, fired in (
+                ("deltaai", "# TODO export PYTHONPATH on every node\n{}", "ENV_NOT_PROPAGATED"),
+                ("deltaai", "  #export LD_LIBRARY_PATH=/x\n{}", "ENV_NOT_PROPAGATED"),
+                ("deltaai", "{}  # TODO export PYTHONPATH", "ENV_NOT_PROPAGATED"),
+                ("stampede3", "# module load x\n{}", "DRIVER_LIB_MISMATCH"),
+                ("stampede3", "module load x # not a comment line\n{}", None)):
             _, rendered, spec, profile, _ = _run(profiles, templates, fault_rules,
                                                   cluster, Framework.PYTORCH, Strategy.DDP)
-            script = RenderedScript(f"{above}\n{rendered.text}", rendered.template_id,
+            script = RenderedScript(edited.format(rendered.text), rendered.template_id,
                                     rendered.binding)
-            assert submit(script, spec, profile, fault_rules).fault_fired == fired, above
+            assert submit(script, spec, profile, fault_rules).fault_fired == fired, edited
 
     def test_vista_stage3_apex_failure(self, profiles, templates, fault_rules):
         result, *_ = _run(profiles, templates, fault_rules,

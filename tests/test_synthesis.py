@@ -267,7 +267,7 @@ _EXPORT_NAMES = (
 # Lines above a script that hold the launch command's marker and are not run.
 _MARKED_ABOVE = st.sampled_from(
     ["", "# was: srun bash -c 'python old.py'\n", "  # bash -c 'x'\n",
-     "module load bash -c 'x'\n"])
+     "module load bash -c 'x'\n", "echo ready # then bash -c 'x'\n"])
 
 
 class TestCarriedReads:
