@@ -1061,10 +1061,10 @@ def _unread_additions(draw):
     kind = draw(st.sampled_from(["comment", "module", "trailing"]))
     if kind == "trailing":
         # Only where the quotes before it on its line are closed.
-        at = draw(st.sampled_from([i for i, line in enumerate(lines)
-                                   if not line.count("'") % 2 and not line.count('"') % 2]
-                                  or [None]))
-        assume(at is not None)
+        closed = [i for i, line in enumerate(lines)
+                  if not line.count("'") % 2 and not line.count('"') % 2]
+        assume(closed)
+        at = draw(st.sampled_from(closed))
         edited = lines[:at] + [lines[at] + draw(_TRAILING_COMMENTS)] + lines[at + 1:]
     else:
         at = draw(st.integers(0, len(lines)))

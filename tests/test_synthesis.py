@@ -245,7 +245,8 @@ _INDENTS = st.sampled_from(["", " ", "  ", "\t", " \t "])
 # A line the script does not run: a comment or a module command, as the
 # add_module_load and pin_version repairs prepend them, after any indent.
 _UNRUN_LINES = st.tuples(_INDENTS, st.sampled_from(
-    ["#", "# ", "#!", "module load ", "module swap ", "module unload ", "module "]),
+    ["#", "# ", "#!", "module load ", "module swap ", "module unload ", "module ",
+     "module\tload "]),
     _LINE_TAILS).map("".join)
 # A line the script runs: blank, an export or a word that only starts like "module".
 _RUN_LINES = _INDENTS | st.tuples(_INDENTS, st.sampled_from(
