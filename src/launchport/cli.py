@@ -26,11 +26,19 @@ a mistake, ``templates`` or ``clusters``) goes to the argparse parser that
 help text, usage line and error.  One invocation also loads only the agents
 its job reaches: the free-text extractor (:mod:`launchport.prose`) when a
 description is given, the error-correction agent (:mod:`launchport.repair`)
-at the first failed submission and the bridge for ``--bridge-config``.
+at the first failed submission and the bridge for ``--bridge-config``.  It
+compiles only the launch-flag patterns its job reads: each is compiled on
+first use.
+
+A process that imports this module freezes the garbage collector at exit,
+so the interpreter's shutdown collections have nothing to traverse; a
+program that only imports :mod:`launchport` keeps its normal shutdown.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -54,6 +62,9 @@ from .types import Framework, Record, Strategy
 
 if TYPE_CHECKING:
     from .bridge import RemoteBridge
+
+# At exit, move every object out of the collector's reach: shutdown collects nothing.
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_USAGE = 1

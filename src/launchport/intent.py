@@ -364,9 +364,40 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
 # Launch-script parsing
 # ---------------------------------------------------------------------------
 
-# A path to a Python file; the prose extractor reads entry scripts with it too.
+class _LazyPattern:
+    """A regular expression compiled when it is first used.
+
+    ``search`` and ``match`` take what :class:`re.Pattern`'s do.  The first
+    call of either compiles ``source`` with ``flags``; from then on both are
+    the compiled pattern's own bound methods, so a later call costs what it
+    would on a pattern compiled at import.  A cold process thus compiles only
+    the patterns its job reads.
+    """
+
+    __slots__ = ("source", "flags", "search", "match")
+
+    def __init__(self, source: str, flags: int = 0) -> None:
+        self.source, self.flags = source, flags
+        self.search, self.match = self._search_first, self._match_first
+
+    def _compiled(self) -> re.Pattern:
+        pattern = re.compile(self.source, self.flags)
+        self.search, self.match = pattern.search, pattern.match
+        return pattern
+
+    def _search_first(self, *args) -> re.Match | None:
+        return self._compiled().search(*args)
+
+    def _match_first(self, *args) -> re.Match | None:
+        return self._compiled().match(*args)
+
+
+# A path to a Python file, and the pattern that reads one from where its run of
+# path characters starts (:func:`_first_path`); the prose extractor reads entry
+# scripts with both too.
 _PY = r"[\w./-]+\.py"
-_PATH_RUN = re.compile(r"[\w./-]*").match  # path characters
+_PY_PATH = _LazyPattern(_PY + r"\b")
+_PATH_RUN = _LazyPattern(r"[\w./-]*")  # path characters
 
 
 def _first_path(text: str, suffix: str, path) -> re.Match | None:
@@ -380,10 +411,10 @@ def _first_path(text: str, suffix: str, path) -> re.Match | None:
     """
     floor, at = 0, text.find(suffix)
     while at >= 0:
-        found = path.match(text, at + 1 - _PATH_RUN(text[floor : at + 1][::-1]).end())
+        found = path.match(text, at + 1 - _PATH_RUN.match(text[floor : at + 1][::-1]).end())
         if found is not None:
             return found
-        floor = _PATH_RUN(text, at).end()
+        floor = _PATH_RUN.match(text, at).end()
         at = text.find(suffix, floor)
     return None
 
@@ -392,7 +423,7 @@ def _first_path(text: str, suffix: str, path) -> re.Match | None:
 # environment variable mpiexec and srun pass on) and their digits (group 1).
 # Between a flag and its digits stand only "=", spaces and tabs, as in each
 # count pattern below: the shell runs a next line as another command.
-PORT_FLAG_RE = re.compile(
+PORT_FLAG_RE = _LazyPattern(
     r"(?:--master[-_]port|--main[-_]process[-_]port|MASTER_PORT)[= \t]+(\d+)")
 # How the flags each launcher reads start, in its order; the first valid port wins.
 _LAUNCHER_PORT_FLAGS = {
@@ -417,16 +448,16 @@ def _port_flags(text: str) -> list[re.Match]:
     return found
 
 
-_RE_NNODES = re.compile(r"--nnodes[= \t]+(\d+)")
-_RE_NPROC = re.compile(r"--nproc[-_]per[-_]node[= \t]+(\d+)")
-_RE_NUM_MACHINES = re.compile(r"--num[-_]machines[= \t]+(\d+)")
-_RE_NUM_PROCESSES = re.compile(r"--num[-_]processes[= \t]+(\d+)")
-_RE_NUM_NODES = re.compile(r"--num[-_]nodes[= \t]+(\d+)")
-_RE_NUM_GPUS = re.compile(r"--num[-_]gpus[= \t]+(\d+)")
-_RE_SLOTS = re.compile(r"slots=(\d+)")
-_RE_SRUN_N_UPPER = re.compile(r"\bsrun\b[^\n]*?-N[= \t]+(\d+)")
-_RE_MPI_WORLD = re.compile(r"(?<![\w-])-n[= \t]+(\d+)")
-_RE_MPI_PPN = re.compile(r"(?<![\w-])-ppn[= \t]+(\d+)")
+_RE_NNODES = _LazyPattern(r"--nnodes[= \t]+(\d+)")
+_RE_NPROC = _LazyPattern(r"--nproc[-_]per[-_]node[= \t]+(\d+)")
+_RE_NUM_MACHINES = _LazyPattern(r"--num[-_]machines[= \t]+(\d+)")
+_RE_NUM_PROCESSES = _LazyPattern(r"--num[-_]processes[= \t]+(\d+)")
+_RE_NUM_NODES = _LazyPattern(r"--num[-_]nodes[= \t]+(\d+)")
+_RE_NUM_GPUS = _LazyPattern(r"--num[-_]gpus[= \t]+(\d+)")
+_RE_SLOTS = _LazyPattern(r"slots=(\d+)")
+_RE_SRUN_N_UPPER = _LazyPattern(r"\bsrun\b[^\n]*?-N[= \t]+(\d+)")
+_RE_MPI_WORLD = _LazyPattern(r"(?<![\w-])-n[= \t]+(\d+)")
+_RE_MPI_PPN = _LazyPattern(r"(?<![\w-])-ppn[= \t]+(\d+)")
 # A launcher's name counts only where it stands alone, as _names reads it: no
 # ASCII letter, digit, "_", "." or "-" and no non-ASCII character on either side,
 # and no "/" after it, so /opt/bin/torchrun counts and run_deepspeed.py does not.
@@ -436,23 +467,11 @@ _ALONE = r"{0}(?<![\w.-]{0}|[^\0-\x7f]{0})(?![\w./-]|[^\0-\x7f])"  # name first:
 # What may stand before and after a name for _names; "" is the text's start or end.
 _BEFORE = frozenset(c for c in map(chr, range(128)) if not c.isalnum() and c not in "_.-") | {""}
 _AFTER = _BEFORE - {"/"}
-_RE_MPIEXEC = re.compile(_ALONE.format("mpiexec"), re.I | re.A)
-_RE_MPIRUN = re.compile(_ALONE.format("mpirun"), re.I | re.A)
+_RE_MPIEXEC = _LazyPattern(_ALONE.format("mpiexec"), re.I | re.A)
+_RE_MPIRUN = _LazyPattern(_ALONE.format("mpirun"), re.I | re.A)
 
-# parse_script's own patterns once its first call has compiled them: the entry
-# script, read where its run of path characters starts, and a trailing
-# DeepSpeed config.
-_script_patterns = None
-
-
-def _compile_script_patterns():
-    """Compile the patterns only :func:`parse_script` reads; keep them in ``_script_patterns``."""
-    global _script_patterns
-    _script_patterns = (
-        re.compile(_PY + r"\b"),
-        re.compile(r"([\w./-]+\.json)\s*'?\s*$"),
-    )
-    return _script_patterns
+# A DeepSpeed config at the end of a deepspeed command's arguments.
+_TRAILING_JSON = _LazyPattern(r"([\w./-]+\.json)\s*'?\s*$")
 
 
 Topology = tuple[int | None, int | None, int | None]
@@ -475,7 +494,6 @@ def parse_script(script: str) -> PartialJobSpec:
     if launcher is None:
         return spec
     spec.launcher = launcher
-    py_path, trailing_json = _script_patterns or _compile_script_patterns()
     ports = _port_flags(script)
     for flag in _LAUNCHER_PORT_FLAGS[launcher]:
         digits = next((m[1] for m in ports if m[0].startswith(flag)), "0")  # "0": none
@@ -483,12 +501,12 @@ def parse_script(script: str) -> PartialJobSpec:
         if spec.master_port is not None:
             break
 
-    entry = _first_path(script, ".py", py_path)
+    entry = _first_path(script, ".py", _PY_PATH)
     if entry:
         spec.entry_script = entry.group(0)
         tail = _arguments(script, entry)
         if launcher is Launcher.DEEPSPEED:
-            m_cfg = trailing_json.search(tail)
+            m_cfg = _TRAILING_JSON.search(tail)
             if m_cfg:
                 spec.deepspeed_config = m_cfg.group(1)
                 tail = tail[: m_cfg.start()].strip()
@@ -602,7 +620,7 @@ def _names(lowered: str, name: str) -> bool:
     return False
 
 
-def _grab(pattern: re.Pattern, text: str) -> int | None:
+def _grab(pattern: _LazyPattern, text: str) -> int | None:
     """The first count ``pattern`` reads in ``text``, if it is at least 1."""
     m = pattern.search(text)
     return _positive(_int(m.group(1))) if m else None

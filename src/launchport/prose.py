@@ -56,7 +56,15 @@ import re
 from typing import Protocol
 
 from .clusters import default_profiles
-from .intent import _PY, STRATEGY_SHORTHANDS, PartialJobSpec, _first_path, _int
+from .intent import (
+    _PY,
+    _PY_PATH,
+    STRATEGY_SHORTHANDS,
+    PartialJobSpec,
+    _first_path,
+    _int,
+    _LazyPattern,
+)
 from .types import Framework, Launcher, Strategy, valid_port
 
 _UNITS = ("one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
@@ -139,19 +147,11 @@ class _Reading:
         self.cluster: tuple[int, int, str] | None = None  # (start, rank, id) of a name
 
 
-class _Phrase:
+class _Phrase(_LazyPattern):
     """A pattern read where its head word starts: what its one matched group read,
     or where a lead expects its count.  It compiles when a text first reaches it."""
 
-    __slots__ = ("match", "source")
-
-    def __init__(self, source: str):
-        self.source = source
-        self.match = self._compile
-
-    def _compile(self, string: str, pos: int) -> re.Match | None:
-        self.match = re.compile(self.source).match
-        return self.match(string, pos)
+    __slots__ = ()
 
     def __call__(self, reading: _Reading, pos: int) -> None:
         m = self.match(reading.folded, pos)
@@ -251,7 +251,7 @@ _PHRASES = {word: phrase for words, phrase in (
     ("python python3", _Phrase(r"\w+\s+(?:-u\s+)?(?P<python>" + _PY + r")\b")),
     ("arg args argument arguments", _Phrase(r"\w+\s+(?:is|are|being|:)\s*(?P<args>(?s:.+))$")),
 ) for word in words.split(" ")}
-_PY_PATH, _JSON_PATH = _Phrase(_PY + r"\b"), _Phrase(r"[\w./-]+\.json\b")
+_JSON_PATH = _LazyPattern(r"[\w./-]+\.json\b")
 
 
 def _cluster_head(names: list[tuple[str, int, str]], then):

@@ -1202,3 +1202,60 @@ def test_the_names_the_bench_tracer_wraps_are_their_homes():
     for module in (launchport, intent, repair):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             module.no_such_name
+
+
+# A fresh interpreter with launchport importable, and what a callback registered
+# with atexit before anything else reads of the collector: atexit runs its
+# callbacks last in, first out, so every hook launchport adds has run by then.
+_SRC = str(Path(launchport.__file__).resolve().parents[1])
+_FREEZE_AT_EXIT = ("import atexit, gc, sys\n"
+                   "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n")
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          stdin=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=_SRC))
+
+
+def test_a_cli_process_freezes_the_collector_at_exit():
+    done = _fresh(_FREEZE_AT_EXIT + "import launchport.cli\n")
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"True\n", b"")
+
+
+def test_a_library_caller_keeps_its_shutdown_collections():
+    # The exit hook lives in launchport.cli only: importing the package and
+    # running the pipeline neither load it nor freeze anything.
+    code = _FREEZE_AT_EXIT + (
+        "import launchport as lp\n"
+        "profile = lp.default_profiles().resolve('delta')\n"
+        "spec = lp.finalize(lp.PartialJobSpec(cluster='delta', framework=lp.Framework.PYTORCH,\n"
+        "                                     nodes=2, gpus_per_node=4, entry_script='train.py'),\n"
+        "                  profile)\n"
+        "result = lp.run_pipeline(spec, profile, lp.default_templates(),\n"
+        "                         lp.default_fault_rules())\n"
+        "assert result.script_text, result\n"
+        "assert 'launchport.cli' not in sys.modules\n"
+    )
+    done = _fresh(code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"False\n", b"")
+
+
+def test_a_cli_process_prints_what_main_returns_in_process(tmp_path, capsys):
+    # The goldens of criteria 1 and 6, and an unresolved job (exit 2), run as
+    # their own processes: the exit hook changes no byte of stdout or stderr
+    # and no exit code.
+    source = tmp_path / "perl.sh"
+    source.write_text(PERLMUTTER_COMMAND, "utf-8")
+    golden = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text("utf-8"))
+    unresolved = ["generate", "--cluster", "aurora", "--strategy", "acc-ddp", "--nodes", "2",
+                  "--gpus-per-node", "4", "--entry", "train.py", "--non-interactive"]
+    code, out, err = run_cli(capsys, *unresolved)
+    assert code == 2 and out == "" and "result: unresolved" in err
+    runs = [(entry["argv"], entry["exit"], "".join(entry["stdout"]), "".join(entry["stderr"]))
+            for entry in golden]
+    assert sorted(exit_code for _, exit_code, _, _ in runs) == [0, 0, 0, 1]
+    for argv, exit_code, out, err in [*runs, (unresolved, code, out, err)]:
+        argv = [str(source) if arg == "perl.sh" else arg for arg in argv]
+        done = _fresh("import sys\nfrom launchport.cli import main\nsys.exit(main())\n", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            exit_code, out.encode("utf-8"), err.encode("utf-8")), argv

@@ -498,10 +498,11 @@ def test_phrases_compile_only_when_a_text_reaches_them():
     # A fresh extractor compiles no phrase pattern; a text compiles the ones its
     # words head.
     code = (
+        "import re\n"
         "import launchport.prose as p\n"
         "def compiled():\n"
         "    return sorted(w for w, ph in p._PHRASES.items()\n"
-        "                  if getattr(ph.match, '__func__', None) is not p._Phrase._compile)\n"
+        "                  if isinstance(ph.match.__self__, re.Pattern))\n"
         "p.RuleBasedExtractor()\n"
         "print(compiled())\n"
         "p.extract('use PyTorch on 2 nodes')\n"
@@ -1166,3 +1167,71 @@ class TestRoundTripFixedPoint:
             assert final.world_size == spec.world_size, template.id
             assert final.master_port == spec.master_port, template.id
             assert final.entry_script == spec.entry_script, template.id
+
+
+# The patterns intent compiles on first use, by name.
+_DEFERRED = {"PORT_FLAG_RE", "_RE_NNODES", "_RE_NPROC", "_RE_NUM_MACHINES", "_RE_NUM_PROCESSES",
+             "_RE_NUM_NODES", "_RE_NUM_GPUS", "_RE_SLOTS", "_RE_SRUN_N_UPPER", "_RE_MPI_WORLD",
+             "_RE_MPI_PPN", "_RE_MPIEXEC", "_RE_MPIRUN", "_PATH_RUN", "_PY_PATH", "_TRAILING_JSON"}
+# Every first-use pattern of intent and prose: the module-level ones and the phrases.
+_LAZY = [*(value for module in (intent, prose) for value in vars(module).values()
+           if isinstance(value, intent._LazyPattern)),
+         *prose._PHRASES.values(), *(phrase for _, phrase in prose._FOUND)]
+# Pieces of launch scripts and job descriptions, so drawn text reaches the patterns.
+_PIECES = ("torchrun", "--nnodes=2", "--nproc_per_node 4", "srun -N 2", "mpiexec", "MPIRUN",
+           "-n 8", "-ppn\t4", "slots=4", "--num_machines=2", "--num-processes 8",
+           "--num_nodes 1", "--num_gpus=4", "--master_port=29500", "MASTER_PORT 1",
+           "--main_process_port 2", "train.py", "a/b.py", "ds.json'", "config c.json",
+           "two nodes", "8 gpus per node", "twenty one gpus each", "port 29500", "run t.py",
+           "python -u x.py", "arguments are --lr 1", "deepspeed launcher", "accelerate launch",
+           "acc-ddp", "fully sharded", "zero 3", "data parallel", "a total of", "per node gpus: 4",
+           "single node", "across", "\n", " ", "'", "İ", "-")
+
+
+def test_the_deferred_patterns_are_the_named_ones():
+    assert {name for name, value in vars(intent).items()
+            if isinstance(value, intent._LazyPattern)} == _DEFERRED
+
+
+def test_launch_flag_patterns_compile_on_first_use():
+    # A fresh interpreter compiles none of them at import; reading a torchrun
+    # script compiles only torchrun's count patterns.
+    code = (
+        "import re\n"
+        "import launchport.intent as i\n"
+        "def compiled():\n"
+        "    return sorted(name for name, value in vars(i).items()\n"
+        "                  if isinstance(value, i._LazyPattern)\n"
+        "                  and isinstance(value.search.__self__, re.Pattern))\n"
+        "print(compiled())\n"
+        "launcher, counts = i._launch('torchrun --nnodes=2 --nproc_per_node=4 train.py')\n"
+        "assert (launcher.value, counts) == ('torchrun', (2, 4, None))\n"
+        "print(compiled())\n"
+        "i._launch('torchrun --nproc_per_node=4 train.py')\n"
+        "print(compiled())\n"
+    )
+    src = str(Path(intent.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.splitlines() == [
+        "[]", "['_RE_NNODES', '_RE_NPROC']", "['_RE_NNODES', '_RE_NPROC', '_RE_SRUN_N_UPPER']"]
+
+
+def _read(m: re.Match | None):
+    return m and (m.span(), m.groups(), m.lastgroup)
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join) | st.text(max_size=40),
+       st.integers(0, 40))
+def test_a_deferred_pattern_reads_what_its_compiled_pattern_reads(text, pos):
+    # Each pattern as the modules hold it, and fresh ones whose first call is
+    # a search or a match, so both first uses and the compiled calls are read.
+    for pattern in _LAZY:
+        compiled = re.compile(pattern.source, pattern.flags)
+        searched = intent._LazyPattern(pattern.source, pattern.flags)
+        matched = intent._LazyPattern(pattern.source, pattern.flags)
+        assert _read(searched.search(text)) == _read(compiled.search(text)), pattern.source
+        assert _read(matched.match(text, pos)) == _read(compiled.match(text, pos)), pattern.source
+        for lazy in (pattern, searched, matched):
+            assert _read(lazy.search(text)) == _read(compiled.search(text)), pattern.source
+            assert _read(lazy.match(text, pos)) == _read(compiled.match(text, pos)), pattern.source
