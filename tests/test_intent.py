@@ -1223,6 +1223,7 @@ def _read(m: re.Match | None):
 
 @given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join) | st.text(max_size=40),
        st.integers(0, 40))
+@example("srun -N 2 MPIRUN -n 8 MPIEXEC -ppn 4 python train.py", 0)  # re.I reads these
 def test_a_deferred_pattern_reads_what_its_compiled_pattern_reads(text, pos):
     # Each pattern as the modules hold it, and fresh ones whose first call is
     # a search or a match, so both first uses and the compiled calls are read.
