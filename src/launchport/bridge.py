@@ -42,7 +42,9 @@ from .documents import INT, OPTIONAL, STRINGS, TEXT, bundled, check_record, load
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
 from .intent import FIELD_PARSERS, PartialJobSpec
 from .repair import RepairAction
-from .types import CATEGORIES, CATEGORY_UNKNOWN, FrozenRecord, Launcher, set_frozen
+from .types import (
+    CATEGORIES, CATEGORY_UNKNOWN, REPAIR_PAYLOAD_KEYS, FrozenRecord, Launcher, set_frozen,
+)
 
 CAPABILITIES = ("extract", "embed", "repair")
 
@@ -250,37 +252,26 @@ def _coerce_partial(raw: dict) -> PartialJobSpec:
 
 # Proposal parsing: the free text of ``remote_repair`` -> typed repair actions.
 
-_P_EXPORT = re.compile(r"\bexport(?:ing)?\s+\$?([A-Z_][A-Z0-9_]*)")
-_P_MODULE = re.compile(r"\bmodule\s+load\s+([\w./+-]+)", re.I)
+# Tried in order; the first that matches gives its kind, with one group per
+# payload key of the kind, in REPAIR_PAYLOAD_KEYS order.
+_PROPOSALS = (
+    (re.compile(r"\bmodule\s+load\s+([\w./+-]+)", re.I), "add_module_load"),
+    (re.compile(r"\bexport(?:ing)?\s+\$?([A-Z_][A-Z0-9_]*)"), "export_env"),
+    (re.compile(r"\bswitch(?:ing)?\s+(?:to\s+)?template\s+([\w-]+)", re.I), "switch_template"),
+    (re.compile(r"\badd(?:ing)?\s+(?:the\s+)?arg(?:ument)?s?\s+(.+)", re.I), "add_arg"),
+    (re.compile(r"\bset\s+([\w.]+)\s+to\s+(\S+)", re.I), "set_param"),
+    (re.compile(r"\bpin\s+([\w-]+)\s+(?:to\s+)?([\w.+-]+)", re.I), "pin_version"),
+)
 _P_NIGHTLY = re.compile(r"\bnightly\b.*\b(?:pytorch|torch)\b|\b(?:pytorch|torch)\b.*\bnightly\b", re.I | re.S)
-_P_SWITCH = re.compile(r"\bswitch(?:ing)?\s+(?:to\s+)?template\s+([\w-]+)", re.I)
-_P_ADD_ARG = re.compile(r"\badd(?:ing)?\s+(?:the\s+)?arg(?:ument)?s?\s+(.+)", re.I)
-_P_SET = re.compile(r"\bset\s+([\w.]+)\s+to\s+(\S+)", re.I)
-_P_PIN = re.compile(r"\bpin\s+([\w-]+)\s+(?:to\s+)?([\w.+-]+)", re.I)
 
 
 def parse_proposal(text: str) -> RepairAction | None:
     """Parse one free-text proposal into a typed action, or drop it."""
-    m = _P_MODULE.search(text)
-    if m:
-        return RepairAction("add_module_load", {"module": m.group(1)}, rationale=text.strip())
-    m = _P_EXPORT.search(text)
-    if m:
-        return RepairAction("export_env", {"name": m.group(1)}, rationale=text.strip())
-    m = _P_SWITCH.search(text)
-    if m:
-        return RepairAction("switch_template", {"template_id": m.group(1)}, rationale=text.strip())
-    m = _P_ADD_ARG.search(text)
-    if m:
-        return RepairAction("add_arg", {"args": m.group(1).strip()}, rationale=text.strip())
-    m = _P_SET.search(text)
-    if m:
-        return RepairAction("set_param", {"param": m.group(1), "value": m.group(2)}, rationale=text.strip())
-    m = _P_PIN.search(text)
-    if m:
-        return RepairAction(
-            "pin_version", {"package": m.group(1), "version": m.group(2)}, rationale=text.strip()
-        )
+    for pattern, kind in _PROPOSALS:
+        m = pattern.search(text)
+        if m:
+            payload = dict(zip(REPAIR_PAYLOAD_KEYS[kind], (group.strip() for group in m.groups())))
+            return RepairAction(kind, payload, rationale=text.strip())
     if _P_NIGHTLY.search(text):
         return RepairAction(
             "pin_version", {"package": "pytorch", "version": "nightly"}, rationale=text.strip()

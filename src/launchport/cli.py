@@ -14,7 +14,7 @@ bytes plus a trailing newline; ``--report`` adds the ranked candidates,
 lint findings, and the verify/debug history on top.
 
 Missing required fields are prompted one at a time, in a stable order, when
-the session is interactive; ``--answers field=value,...`` supplies them for
+stdin is a terminal; ``--answers field=value,...`` supplies them for
 scripted use, and ``--non-interactive`` turns prompting into a hard error
 instead of blocking.
 
@@ -58,7 +58,7 @@ from .intent import (
 from .pipeline import DEFAULT_CANDIDATES_TRIED, render_report, run_pipeline
 from .simcluster import FaultRuleSet, default_fault_rules, load_fault_rules
 from .templates import TemplateSet, default_templates, load_repository
-from .types import Framework, Record, Strategy
+from .types import Framework, Strategy
 
 if TYPE_CHECKING:
     from .bridge import RemoteBridge
@@ -106,33 +106,6 @@ _JOB_OPTIONS = (
      f"how many ranked templates to try (default {DEFAULT_CANDIDATES_TRIED})"),
     ("--non-interactive", "non_interactive", bool, False, None),
 )
-
-
-class CliSession(Record):
-    """Resolved configuration for one invocation."""
-
-    __slots__ = ("interactive", "report", "profiles", "templates", "rules", "bridge", "answers",
-                 "k")
-
-    def __init__(
-        self,
-        interactive: bool,
-        report: bool,
-        profiles: ProfileSet,
-        templates: TemplateSet,
-        rules: FaultRuleSet,
-        bridge: RemoteBridge | None,
-        answers: dict[str, object],
-        k: int,
-    ) -> None:
-        self.interactive = interactive
-        self.report = report
-        self.profiles = profiles
-        self.templates = templates
-        self.rules = rules
-        self.bridge = bridge
-        self.answers = answers
-        self.k = k
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -213,12 +186,17 @@ def read_job_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _session(args) -> CliSession:
+def _bundles(args) -> tuple[ProfileSet, TemplateSet, FaultRuleSet, RemoteBridge | None]:
+    """The profiles, templates, fault rules and bridge the command line names,
+    else the bundled ones and no bridge.
+
+    It also checks ``--candidates``, so a mistake there is reported after one
+    in these documents and before one in ``--answers``.
+    """
     profiles = load_profiles(Path(args.profiles)) if args.profiles else default_profiles()
     templates = load_repository(Path(args.templates)) if args.templates else default_templates()
-    known = set(profiles.ids())
     rules = (
-        load_fault_rules(Path(args.rules), known_clusters=known)
+        load_fault_rules(Path(args.rules), known_clusters=set(profiles.ids()))
         if args.rules
         else default_fault_rules()
     )
@@ -230,28 +208,7 @@ def _session(args) -> CliSession:
         bridge = RemoteBridge(load_bridge_config(Path(args.bridge_config)))
     if args.k < 1:
         raise UsageError(f"--candidates must be >= 1, got {args.k}")
-    answers: dict[str, object] = {}
-    fixed: dict[str, object] = {}  # what a strategy shorthand fixes wins, in any order
-    for pair in args.answers.split(","):
-        pair = pair.strip()
-        if pair:
-            key, _, value = pair.partition("=")
-            key = key.strip()
-            fields = _parse_answer(key, value.strip())
-            answers[key] = fields.pop(key)
-            fixed.update(fields)
-    answers.update(fixed)
-    interactive = not args.non_interactive and sys.stdin.isatty()
-    return CliSession(
-        interactive=interactive,
-        report=args.report,
-        profiles=profiles,
-        templates=templates,
-        rules=rules,
-        bridge=bridge,
-        answers=answers,
-        k=args.k,
-    )
+    return profiles, templates, rules, bridge
 
 
 def _flag_overrides(args) -> PartialJobSpec:
@@ -273,6 +230,22 @@ def _flag_overrides(args) -> PartialJobSpec:
         raise UsageError(str(exc)) from exc
 
 
+def _parse_answers(text: str) -> dict[str, object]:
+    """The typed fields ``--answers field=value,...`` sets."""
+    answers: dict[str, object] = {}
+    fixed: dict[str, object] = {}  # what a strategy shorthand fixes wins, in any order
+    for pair in text.split(","):
+        pair = pair.strip()
+        if pair:
+            key, _, value = pair.partition("=")
+            key = key.strip()
+            fields = _parse_answer(key, value.strip())
+            answers[key] = fields.pop(key)
+            fixed.update(fields)
+    answers.update(fixed)
+    return answers
+
+
 def _parse_answer(name: str, value: str) -> dict[str, object]:
     """The typed fields one answered field sets; range-checked like a flag.
 
@@ -292,14 +265,18 @@ def _parse_answer(name: str, value: str) -> dict[str, object]:
     return {name: parsed}
 
 
-def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpec:
-    """Prompt for or answer missing fields, one at a time, in stable order."""
-    for name, value in session.answers.items():
+def _fill_missing(partial: PartialJobSpec, answers: dict[str, object],
+                  non_interactive: bool) -> PartialJobSpec:
+    """Answer, then prompt for, missing fields, one at a time, in stable order.
+
+    Prompting needs a terminal on stdin and no ``--non-interactive``.
+    """
+    for name, value in answers.items():
         setattr(partial, name, value)
     missing = missing_fields(partial)
     if not missing:
         return partial
-    if not session.interactive:
+    if non_interactive or not sys.stdin.isatty():
         raise IncompleteSpecError(missing)
     for name in list(missing):
         prompt = _PROMPTS.get(name, name)
@@ -313,47 +290,61 @@ def _fill_missing(partial: PartialJobSpec, session: CliSession) -> PartialJobSpe
     return partial
 
 
-def _read_description(text: str, session: CliSession) -> PartialJobSpec:
-    """The fields ``text`` states, read by the remote extractor when the
-    session enables it, else, or when it is out of reach, by the rule-based
-    one over every cluster of the session's profiles."""
+def _read_description(text: str, profiles: ProfileSet,
+                      bridge: RemoteBridge | None) -> PartialJobSpec:
+    """The fields ``text`` states, read by the remote extractor when ``bridge``
+    enables it, else, or when it is out of reach, by the rule-based one over
+    every cluster of ``profiles``."""
     # Imported here: a job stated by flags alone never loads the extractor.
     from .prose import RuleBasedExtractor, extract
 
-    if session.bridge is not None and session.bridge.enabled("extract"):
+    if bridge is not None and bridge.enabled("extract"):
         try:
-            return extract(text, session.bridge)
+            return extract(text, bridge)
         except BridgeError as exc:
             print(f"notice: remote extractor unavailable ({exc}); "
                   "using the rule-based extractor", file=sys.stderr)
-    return extract(text, RuleBasedExtractor(cluster_names=session.profiles.names()))
+    return extract(text, RuleBasedExtractor(cluster_names=profiles.names()))
+
+
+def _run(args, partial: PartialJobSpec, profile, templates, rules, bridge) -> int:
+    """Finalize the job for ``profile``, run the pipeline with every bridge
+    capability the command line enables, and print the script or the report."""
+    spec = finalize(partial, profile)
+    result = run_pipeline(spec, profile, templates, rules, k=args.k, bridge=bridge)
+    script = result.script_text
+    if script is None:
+        print(render_report(result), end="", file=sys.stderr)
+        return EXIT_UNRESOLVED
+    if args.report:
+        print(render_report(result), end="")
+        print("script:")
+    print(script)
+    return EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    session = _session(args)
+    profiles, templates, rules, bridge = _bundles(args)
+    answers = _parse_answers(args.answers)
     overrides = _flag_overrides(args)
     partial = PartialJobSpec()
     if args.description:
-        partial = _read_description(args.description, session)
-    partial = partial.merged_with(overrides)
-    partial = _fill_missing(partial, session)
-
-    profile = session.profiles.resolve(partial.cluster)
-    return _run(finalize(partial, profile), profile, session)
+        partial = _read_description(args.description, profiles, bridge)
+    partial = _fill_missing(partial.merged_with(overrides), answers, args.non_interactive)
+    return _run(args, partial, profiles.resolve(partial.cluster), templates, rules, bridge)
 
 
 def cmd_port(args) -> int:
-    session = _session(args)
-    source = read_text(Path(args.script), UsageError)
-    parsed = parse_script(source)
-    target = session.profiles.resolve(args.to_cluster)
+    profiles, templates, rules, bridge = _bundles(args)
+    answers = _parse_answers(args.answers)
+    parsed = parse_script(read_text(Path(args.script), UsageError))
+    target = profiles.resolve(args.to_cluster)
     parsed.cluster = target.id
 
     overrides = _flag_overrides(args)
     overrides.cluster = None  # --to names the target; ignore a stray --cluster
-    parsed = parsed.merged_with(overrides)
-    parsed = _fill_missing(parsed, session)
-    return _run(finalize(parsed, target), target, session)
+    parsed = _fill_missing(parsed.merged_with(overrides), answers, args.non_interactive)
+    return _run(args, parsed, target, templates, rules, bridge)
 
 
 # Each job command: the function that runs it and its arguments.
@@ -368,26 +359,6 @@ JOB_COMMANDS = {
         *_JOB_OPTIONS,
     )),
 }
-
-
-def _run(spec, profile, session: CliSession) -> int:
-    """Run the pipeline with every bridge capability the session enables."""
-    result = run_pipeline(
-        spec, profile, session.templates, session.rules, k=session.k, bridge=session.bridge,
-    )
-    return _emit(result, session)
-
-
-def _emit(result, session: CliSession) -> int:
-    script = result.script_text
-    if script is not None:
-        if session.report:
-            print(render_report(result), end="")
-            print("script:")
-        print(script)
-        return EXIT_OK
-    print(render_report(result), end="", file=sys.stderr)
-    return EXIT_UNRESOLVED
 
 
 if __name__ == "__main__":

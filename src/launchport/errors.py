@@ -68,18 +68,15 @@ class CapacityError(LaunchportError):
     """Requested per-node GPU count exceeds what the cluster offers.
 
     ``suggestions`` holds alternative (nodes, gpus_per_node) splits that
-    preserve the requested world size, nearest split first.
+    preserve the requested world size, nearest split first; one GPU per node
+    always fits, so there is at least one.
     """
 
-    def __init__(self, message: str, *, limit: int, suggestions: list[tuple[int, int]] | None = None):
+    def __init__(self, message: str, *, limit: int, suggestions: list[tuple[int, int]]):
         self.limit = limit
-        self.suggestions = list(suggestions or [])
-        if self.suggestions:
-            rendered = " or ".join(
-                f"nodes={n} x gpus_per_node={g}" for n, g in self.suggestions
-            )
-            message = f"{message}; try {rendered}"
-        super().__init__(message)
+        self.suggestions = suggestions
+        rendered = " or ".join(f"nodes={n} x gpus_per_node={g}" for n, g in suggestions)
+        super().__init__(f"{message}; try {rendered}")
 
 
 class TemplateInvalidError(LaunchportError):

@@ -238,4 +238,4 @@ def select(cands: list[RankedCandidate], k: int) -> list[RankedCandidate]:
     """Top ``k`` candidates, order preserved; fewer when the list is short."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return cands[: min(k, len(cands))]
+    return cands[:k]

@@ -11,15 +11,21 @@ call (`` `launchport.extract(text)` ``).  An import alone does not count as a
 use, and neither does a test: a helper only the tests call belongs in the
 tests.
 
-A use is credited by its bare name, so the scan cannot judge a method that
-shares its name with another definition or with an attribute of a builtin
-container, ``str`` or a regex match or pattern: ``dict.get`` credits every
-``get``.  Those methods are pinned as a reviewed set, each checked by hand
-to have a caller.  A record field named like such an attribute is not
-credited by a read of that name either (``m.span(1)`` once credited a
-``span`` field); it is pinned as a reviewed table.  The scan
-skips every dunder, since Python calls them by syntax (``len(x)``, ``for``,
-``in``); the container dunders are pinned as a reviewed table instead.
+A bare name is credited to the definition it resolves to in its own
+module: a function or class nested in an enclosing function, a definition
+at the module's top level, or one a ``from .module import name [as alias]``
+brings in.  A local, a parameter or a builtin credits nothing.  An attribute
+read is credited by its name to every definition of that name, since the
+scan does not know the object (``agent.propose``, ``prose.extract``).  So
+the scan cannot judge a method that shares its name with another definition
+or with an attribute of a builtin container, ``str`` or a regex match or
+pattern: ``dict.get`` credits every ``get``.  Those methods are pinned as a
+reviewed set, each checked by hand to have a caller.  A record field named
+like such an attribute is not credited by a read of that name either
+(``m.span(1)`` once credited a ``span`` field); it is pinned as a reviewed
+table.  The scan skips every dunder, since Python calls them by syntax
+(``len(x)``, ``for``, ``in``); the container dunders are pinned as a
+reviewed table instead.
 """
 
 import ast
@@ -122,27 +128,60 @@ def _exports(sources: dict[str, str]) -> list[str]:
 
 def _scan(sources: dict[str, str]) -> tuple[list[tuple], list[tuple]]:
     """``(definitions, uses)``: each definition as ``(name, file, first line, last
-    line)``, each use of a name as ``(name, file, line)``."""
+    line)``, each use as ``(credited, file, line)``.
+
+    An attribute read credits its name, so every definition of that name.  A
+    bare name credits the one definition it resolves to: a definition nested
+    in an enclosing function, innermost first, then one at its module's top
+    level, then one a ``from .module import name [as alias]`` names, followed
+    through that module's own imports.  A bare name that resolves to none of
+    these (a local, a parameter, a builtin or a module handle) credits nothing.
+    """
     definitions = []
-    uses = []
+    scopes = {}  # (file, innermost enclosing function or class, or None) -> {name: definition}
+    imports = {}  # file -> {bound name: (file, name)}
+    names = []  # (name, file, line, enclosing functions, innermost last)
+    attributes = []
     for file, text in sources.items():
         tree = ast.parse(text)
+        module = scopes.setdefault((file, None), {})
         for node in tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                definitions.extend(
-                    (name.id, file, node.lineno, node.end_lineno)
-                    for target in targets for name in ast.walk(target)
-                    if isinstance(name, ast.Name)
-                )
-        for node in ast.walk(tree):
+                for name in (name for target in targets for name in ast.walk(target)
+                             if isinstance(name, ast.Name)):
+                    definitions.append((name.id, file, node.lineno, node.end_lineno))
+                    module[name.id] = definitions[-1]
+        stack = [(tree, None, ())]
+        while stack:
+            node, owner, functions = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((node.name, file, node.lineno, node.end_lineno))
+                definition = (node.name, file, node.lineno, node.end_lineno)
+                definitions.append(definition)
+                scopes.setdefault((file, owner), {})[node.name] = definition
+                owner = definition
+                if not isinstance(node, ast.ClassDef):
+                    functions += (definition,)
             elif isinstance(node, ast.Name):
-                uses.append((node.id, file, node.lineno))
+                names.append((node.id, file, node.lineno, functions))
             elif isinstance(node, ast.Attribute):
-                uses.append((node.attr, file, node.lineno))
-    return definitions, uses
+                attributes.append((node.attr, file, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                home = f"{node.module.removeprefix('launchport.')}.py"
+                imports.setdefault(file, {}).update(
+                    (alias.asname or alias.name, (home, alias.name)) for alias in node.names)
+            stack.extend((child, owner, functions) for child in ast.iter_child_nodes(node))
+
+    def resolve(name, file, functions=()):
+        for owner in (*reversed(functions), None):
+            if name in scopes.get((file, owner), {}):
+                return scopes[file, owner][name]
+        home = imports.get(file, {}).get(name)
+        return resolve(home[1], home[0]) if home and home[0] in sources else None
+
+    uses = [(definition, file, line) for name, file, line, functions in names
+            if (definition := resolve(name, file, functions))]
+    return definitions, uses + attributes
 
 
 def _uncalled(sources: dict[str, str], documented: set[str] | None = None) -> list[str]:
@@ -155,11 +194,12 @@ def _uncalled(sources: dict[str, str], documented: set[str] | None = None) -> li
     exported_and_documented = set(_exports(sources)) & documented
     definitions, uses = _scan(sources)
     found = []
-    for name, where, first, last in definitions:
+    for definition in definitions:
+        name, where, first, last = definition
         if name.startswith("__") or name in exported_and_documented:
             continue
         if not any(
-            used == name and not (file == where and first <= line <= last)
+            used in (name, definition) and not (file == where and first <= line <= last)
             for used, file, line in uses
         ):
             found.append(f"{where}:{first} {name}")
@@ -175,8 +215,8 @@ def _without_callers(sources: dict[str, str]) -> list[tuple[str, int, int]]:
     exempt = set(_exports(sources)) & _documented(*_documents())
     definitions, uses = _scan(sources)
     uses_of = {}
-    for name, file, line in uses:
-        uses_of.setdefault(name, []).append((file, line))
+    for used, file, line in uses:
+        uses_of.setdefault(used, []).append((file, line))
     dead = [d for d in definitions if d[0] in AWAITING_CALLERS]
 
     def live_use(file, line, where, first, last):
@@ -189,7 +229,8 @@ def _without_callers(sources: dict[str, str]) -> list[tuple[str, int, int]]:
             if (name, where, first, last) not in dead and not name.startswith("__")
             and name not in exempt
             and not any(live_use(file, line, where, first, last)
-                        for file, line in uses_of.get(name, ()))
+                        for used in (name, (name, where, first, last))
+                        for file, line in uses_of.get(used, ()))
         ]
         if not found:
             return [(where, first, last) for _, where, first, last in dead]
@@ -293,6 +334,22 @@ def test_the_scan_finds_a_helper_that_only_calls_itself():
     sources = _sources()
     sources["types.py"] += "\n\ndef _orphan(n):\n    return _orphan(n - 1)\n"
     assert any(entry.endswith(" _orphan") for entry in _uncalled(sources))
+
+
+def test_the_scan_credits_a_bare_name_only_to_the_definition_it_resolves_to():
+    # lint imports and calls intent's _shown; read by bare name, that once
+    # credited an uncalled _shown in clusters.py, as a parameter named like a
+    # helper credited the helper.
+    sources = _sources()
+    assert "from .intent import JobSpec, _port_flags, _shown" in sources["lint.py"]
+    sources["clusters.py"] += "\n\ndef _shown(value):\n    return value\n"
+    sources["types.py"] += "\n\ndef _orphan():\n    return None\n"
+    sources["templates.py"] += "\n\ndef _echo(_orphan):\n    return _orphan\n"
+    uncalled = [entry.split(" ")[1] + " in " + entry.split(":")[0] for entry in _uncalled(sources)]
+    assert "_shown in clusters.py" in uncalled and "_shown in intent.py" not in uncalled
+    assert "_orphan in types.py" in uncalled
+    dead = {where for where, *_ in _without_callers(sources)}
+    assert "clusters.py" in dead and "intent.py" not in dead
 
 
 def test_the_scan_finds_a_constant_that_is_only_imported():
@@ -457,7 +514,7 @@ def test_the_read_check_credits_no_read_in_code_without_callers():
 
 
 def test_the_read_check_covers_every_record():
-    assert {"JobSpec", "ExecutionResult", "LoopOutcome", "CliSession"} <= set(_record_fields())
+    assert {"JobSpec", "ExecutionResult", "LoopOutcome", "PartialJobSpec"} <= set(_record_fields())
 
 
 def _frozen_sets_outside_init(sources: dict[str, str]) -> list[str]:

@@ -148,6 +148,35 @@ class TestInputErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    # A command line with more than one mistake reports the first of: the
+    # --profiles/--templates/--rules/--bridge-config documents, --candidates,
+    # --answers, then for port the script file and --to, then the flag values,
+    # and last the description and the prompts.
+    @pytest.mark.parametrize("argv, error", [
+        ("generate --candidates 0 --answers bogus=1", "--candidates must be >= 1, got 0"),
+        ("generate --answers bogus=1 --nodes 0", "unknown answer field 'bogus'; valid: {fields}"),
+        ("port {missing} --to nowhere --nodes 0", "{no_such}"),
+        ("port {script} --to nowhere --nodes 0", "unknown cluster 'nowhere'; valid ids: anvil, "
+         "aurora, bridges2, delta, deltaai, lonestar6, perlmutter, stampede3, vista"),
+        ("port {script} --to polaris --nodes 0 --answers bogus=1",
+         "unknown answer field 'bogus'; valid: {fields}"),
+        ("generate --templates {missing} --candidates 0", "{no_such}"),
+        ("generate --bridge-config {missing} --candidates 0", "{no_such}"),
+        ("generate --nodes 0 --non-interactive", "nodes must be >= 1, got 0"),
+    ])
+    def test_the_first_mistake_wins(self, capsys, tmp_path, argv, error):
+        script = tmp_path / "job.sh"
+        script.write_text("torchrun --nproc_per_node=4 train.py\n", "utf-8")
+        missing = tmp_path / "missing"
+        names = {
+            "script": script, "missing": missing,
+            "no_such": f"[Errno 2] No such file or directory: '{missing}'",
+            "fields": "cluster, framework, strategy, nodes, gpus_per_node, total_gpus, "
+                      "master_port, entry_script, deepspeed_config, train_args",
+        }
+        code, out, err = run_cli(capsys, *argv.format(**names).split())
+        assert (code, out, err) == (1, "", f"error: {error.format(**names)}\n")
+
     @pytest.mark.parametrize("case", ["prose", "flag", "port"])
     def test_count_too_long_for_int_is_one_error_line(self, capsys, tmp_path, case):
         # A count of more than 4,300 digits is ignored like a count of 0, so the
@@ -1072,15 +1101,9 @@ class TestBridgeFallback:
 
 class TestPrompting:
     def test_interactive_prompts_in_stable_order(self, monkeypatch):
-        from launchport.cli import CliSession, _fill_missing
-        from launchport.clusters import default_profiles
-        from launchport.intent import PartialJobSpec
+        from launchport.cli import _fill_missing
 
-        session = CliSession(
-            interactive=True, report=False, profiles=default_profiles(),
-            templates=None, rules=None,
-            bridge=None, answers={}, k=3,
-        )
+        monkeypatch.setattr("sys.stdin", type("Terminal", (), {"isatty": lambda self: True})())
         prompts = []
         answers = iter(["delta", "pytorch", "ddp", "2", "4", "train.py"])
 
@@ -1089,7 +1112,7 @@ class TestPrompting:
             return next(answers)
 
         monkeypatch.setattr("builtins.input", fake_input)
-        filled = _fill_missing(PartialJobSpec(), session)
+        filled = _fill_missing(PartialJobSpec(), {}, non_interactive=False)
         assert filled.cluster == "delta"
         assert filled.nodes == 2
         assert len(prompts) == 6
@@ -1109,13 +1132,9 @@ class TestPrompting:
         assert err == "error: incomplete job description; missing: entry_script\n"
 
     def test_strategy_prompt_offers_and_takes_the_shorthand(self, monkeypatch):
-        from launchport.cli import CliSession, _fill_missing
-        from launchport.clusters import default_profiles
+        from launchport.cli import _fill_missing
 
-        session = CliSession(
-            interactive=True, report=False, profiles=default_profiles(),
-            templates=None, rules=None, bridge=None, answers={}, k=3,
-        )
+        monkeypatch.setattr("sys.stdin", type("Terminal", (), {"isatty": lambda self: True})())
         prompts = []
         answers = iter(["pytorch", "acc-ddp"])
 
@@ -1126,7 +1145,7 @@ class TestPrompting:
         monkeypatch.setattr("builtins.input", fake_input)
         partial = PartialJobSpec(cluster="delta", nodes=2, gpus_per_node=4,
                                  entry_script="train.py")
-        filled = _fill_missing(partial, session)
+        filled = _fill_missing(partial, {}, non_interactive=False)
         assert prompts[1] == "Strategy (ddp/fsdp/zero3/acc-ddp): "
         assert (filled.framework, filled.strategy) == (Framework.ACCELERATE, Strategy.DDP)
 

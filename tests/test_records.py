@@ -17,8 +17,6 @@ import pytest
 from launchport.clusters import default_profiles
 from launchport.errors import UnboundParameterError
 from launchport.intent import JobSpec, PartialJobSpec
-from launchport.simcluster import default_fault_rules
-from launchport.templates import default_templates
 from launchport.types import Framework, Launcher, Scheduler, Strategy
 
 REQUIRED = inspect.Parameter.empty
@@ -74,12 +72,8 @@ SIGNATURES = {
     "bridge.BridgeConfig": (
         ("endpoint", None), ("api_key_env", None), ("timeout_ms", 2000), ("retries", 1),
         ("capabilities", frozenset())),
-    "cli.CliSession": (
-        ("interactive", REQUIRED), ("report", REQUIRED), ("profiles", REQUIRED),
-        ("templates", REQUIRED), ("rules", REQUIRED), ("bridge", REQUIRED),
-        ("answers", REQUIRED), ("k", REQUIRED)),
 }
-MUTABLE = {"intent.PartialJobSpec", "cli.CliSession"}
+MUTABLE = {"intent.PartialJobSpec"}
 
 # Constructor parameters after the fields that are not fields (a dataclass's
 # InitVar), as (name, default): read by __init__ and never kept, so ==, hash,
@@ -129,8 +123,6 @@ def _samples() -> dict[str, tuple]:
         "pipeline.PipelineResult": (spec, (candidate,), ()),
         "bridge.BridgeConfig": ("http://localhost:8080/v1", "KEY", 1500, 2,
                                 frozenset({"extract"})),
-        "cli.CliSession": (True, False, default_profiles(), default_templates(),
-                           default_fault_rules(), None, {"nodes": 2}, 3),
     }
     second = {
         "clusters.ClusterProfile": "deltaai", "intent.PartialJobSpec": "vista",
@@ -147,7 +139,7 @@ def _samples() -> dict[str, tuple]:
         "pipeline.Attempt": _class("retrieval.RankedCandidate")("delta-fsdp", 0.5, {}, False),
         "pipeline.PipelineResult": JobSpec("vista", Framework.PYTORCH, Strategy.DDP,
                                            Launcher.TORCHRUN, 2, 1, "train.py"),
-        "bridge.BridgeConfig": "http://localhost:9090/v1", "cli.CliSession": False,
+        "bridge.BridgeConfig": "http://localhost:9090/v1",
     }
     return {name: (values, (second[name],) + values[1:]) for name, values in first.items()}
 
