@@ -269,14 +269,15 @@ def _fill_missing(partial: PartialJobSpec, answers: dict[str, object],
                   non_interactive: bool) -> PartialJobSpec:
     """Answer, then prompt for, missing fields, one at a time, in stable order.
 
-    Prompting needs a terminal on stdin and no ``--non-interactive``.
+    Prompting needs a terminal on stdin (the interpreter sets ``sys.stdin``
+    to ``None`` when its descriptor is closed) and no ``--non-interactive``.
     """
     for name, value in answers.items():
         setattr(partial, name, value)
     missing = missing_fields(partial)
     if not missing:
         return partial
-    if non_interactive or not sys.stdin.isatty():
+    if non_interactive or sys.stdin is None or not sys.stdin.isatty():
         raise IncompleteSpecError(missing)
     for name in list(missing):
         prompt = _PROMPTS.get(name, name)
@@ -307,7 +308,7 @@ def _read_description(text: str, profiles: ProfileSet,
     return extract(text, RuleBasedExtractor(cluster_names=profiles.names()))
 
 
-def _run(args, partial: PartialJobSpec, profile, templates, rules, bridge) -> int:
+def _run(args, partial, profile, templates, rules, bridge) -> int:
     """Finalize the job for ``profile``, run the pipeline with every bridge
     capability the command line enables, and print the script or the report."""
     spec = finalize(partial, profile)

@@ -1131,6 +1131,17 @@ class TestPrompting:
         assert (code, out) == (1, "")
         assert err == "error: incomplete job description; missing: entry_script\n"
 
+    @pytest.mark.parametrize("flags", [("--entry", "train.py"), ()])
+    def test_a_closed_stdin_reads_as_non_interactive(self, capsys, monkeypatch, flags):
+        # A process started with its stdin closed has sys.stdin None; reading
+        # its isatty() once ended every job in a traceback.
+        argv = ["generate", "--cluster", "delta", "--framework", "pytorch", "--strategy", "ddp",
+                "--nodes", "2", "--gpus-per-node", "4", *flags]
+        expected = run_cli(capsys, *argv, "--non-interactive")
+        assert expected[0] == (0 if flags else 1)
+        monkeypatch.setattr("sys.stdin", None)
+        assert run_cli(capsys, *argv) == expected
+
     def test_strategy_prompt_offers_and_takes_the_shorthand(self, monkeypatch):
         from launchport.cli import _fill_missing
 
