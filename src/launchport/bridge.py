@@ -31,19 +31,23 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
+import sys
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
-from .documents import INT, OPTIONAL, STRINGS, TEXT, bundled, check_record, load_json
+from .documents import INT, OPTIONAL, STRINGS, TEXT, TEXT_OR_INT, bundled, check_record, load_json
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
-from .intent import FIELD_PARSERS, PartialJobSpec
+from .intent import PartialJobSpec
 from .repair import RepairAction
 from .types import (
-    CATEGORIES, CATEGORY_UNKNOWN, REPAIR_PAYLOAD_KEYS, FrozenRecord, Launcher, set_frozen,
+    CATEGORIES, CATEGORY_UNKNOWN, REPAIR_PAYLOAD_KEYS, Framework, FrozenRecord, Launcher,
+    Strategy, set_frozen,
 )
 
 CAPABILITIES = ("extract", "embed", "repair")
@@ -126,7 +130,7 @@ class RemoteBridge:
     def __init__(self, config: BridgeConfig, transport: Transport | None = None):
         self.config = config
         self._transport = transport or _default_transport
-        self._prompts = load_json(bundled("bridge_prompts.json"), dict, "bridge prompts", BridgeProtocolError)
+        self._prompts = _bundled_prompts()
 
     def enabled(self, capability: str) -> bool:
         return capability in self.config.capabilities
@@ -149,20 +153,21 @@ class RemoteBridge:
         return _coerce_partial(result)
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        """Embed texts; the result is one numeric vector per input text."""
+        """Embed texts; the result is one vector per input text, all of one
+        length, of finite numbers (JSON's ``true`` and ``NaN`` are none)."""
         self._require("embed")
         result = self._call("embed", {"texts": list(texts)})
         if not isinstance(result, list) or len(result) != len(texts):
             raise BridgeProtocolError("embed result must be one vector per text")
-        vectors = []
         for vec in result:
             if not isinstance(vec, list) or not vec:
                 raise BridgeProtocolError("embed vectors must be non-empty lists")
-            try:
-                vectors.append([float(x) for x in vec])
-            except (TypeError, ValueError) as exc:
-                raise BridgeProtocolError("embed vectors must be numeric") from exc
-        return vectors
+            # Compared exactly, so an integer too large for a float is refused too.
+            if not all(x.__class__ in (int, float) and abs(x) <= sys.float_info.max for x in vec):
+                raise BridgeProtocolError("embed vectors must be finite numbers")
+            if len(vec) != len(result[0]):
+                raise BridgeProtocolError("embed vectors must all have one length")
+        return [[float(x) for x in vec] for vec in result]
 
     def remote_repair(self, context: dict) -> tuple[str, list[str]]:
         """Ask for repair proposals; returns (category, proposal texts).
@@ -230,24 +235,41 @@ class RemoteBridge:
         return response["result"]
 
 
-_REMOTE_FIELDS = {**FIELD_PARSERS, "launcher": Launcher}
+@functools.cache
+def _bundled_prompts() -> Mapping[str, str]:
+    """The bundled per-capability system prompts, read once; read-only."""
+    return MappingProxyType(
+        load_json(bundled("bridge_prompts.json"), dict, "bridge prompts", BridgeProtocolError))
+
+
+# The fields of a remote extraction: counts are JSON integers, the port an
+# integer or a text (of digits, which PartialJobSpec checks) and the rest strings,
+# each enum's naming a member.
+_ENUMS = {"framework": Framework, "strategy": Strategy, "launcher": Launcher}
+_REMOTE_FIELDS = {
+    **dict.fromkeys(("nodes", "gpus_per_node", "total_gpus"), (INT, OPTIONAL)),
+    "master_port": (TEXT_OR_INT, OPTIONAL),
+    **dict.fromkeys(("cluster", "entry_script", "deepspeed_config", "train_args"),
+                    (TEXT, OPTIONAL)),
+    **{name: (tuple(member.value for member in enum), OPTIONAL) for name, enum in _ENUMS.items()},
+}
 
 
 def _coerce_partial(raw: dict) -> PartialJobSpec:
     """Validate a flat remote result into a PartialJobSpec.
 
-    Unknown keys are ignored; bad values are protocol errors rather than
-    silently accepted.  Fields are read in :data:`FIELD_PARSERS` order, so of
-    several bad values the first there is the one reported.
+    Unknown keys and ``null`` values are ignored.  A value of another JSON
+    type, or one the job refuses (a count below 1, a port out of range), is a
+    protocol error rather than converted.
     """
+    known = {name: raw[name] for name in _REMOTE_FIELDS if raw.get(name) is not None}
+    check_record(known, _REMOTE_FIELDS, "extract result",
+                 lambda message, field: BridgeProtocolError(message))
     try:
-        return PartialJobSpec(**{
-            name: parse(raw[name])
-            for name, parse in _REMOTE_FIELDS.items()
-            if raw.get(name) is not None
-        })
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
-        raise BridgeProtocolError(f"extract result failed validation: {exc}") from exc
+        return PartialJobSpec(**{name: _ENUMS[name](value) if name in _ENUMS else value
+                                 for name, value in known.items()})
+    except ValueError as exc:
+        raise BridgeProtocolError(f"extract result: {exc}") from exc
 
 
 # Proposal parsing: the free text of ``remote_repair`` -> typed repair actions.

@@ -124,7 +124,8 @@ class RuleParseError(LaunchportError):
 
 class NoRepairAvailableError(LaunchportError):
     """A repair action cannot be applied to this job: it names a template the
-    set lacks, or a ``master_port`` that breaks the port rule."""
+    set lacks, a field ``set_param`` does not set (only ``deepspeed_config``
+    and ``master_port``), or a ``master_port`` that breaks the port rule."""
 
 
 class UsageError(LaunchportError):

@@ -19,6 +19,7 @@ Everything here is pure: the same input always yields the same spec.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .clusters import ClusterProfile
 from .errors import (
@@ -77,8 +78,7 @@ _FRAMEWORK_LAUNCHERS = {
 
 
 # How each field that a user may state is read from text, in prompt order.
-# The CLI reads ``--answers`` and prompted values with it; the bridge reads
-# a remote extraction with it, plus the launcher.
+# The CLI reads ``--answers`` and prompted values with it.
 FIELD_PARSERS = {
     "cluster": str,
     "framework": Framework,
@@ -367,22 +367,23 @@ def finalize(p: PartialJobSpec, profile: ClusterProfile) -> JobSpec:
 class _LazyPattern:
     """A regular expression compiled when it is first used.
 
-    ``search`` and ``match`` take what :class:`re.Pattern`'s do.  The first
-    call of either compiles ``source`` with ``flags``; from then on both are
-    the compiled pattern's own bound methods, so a later call costs what it
-    would on a pattern compiled at import.  A cold process thus compiles only
-    the patterns its job reads.
+    ``search``, ``match`` and ``finditer`` take what :class:`re.Pattern`'s do.
+    The first call of any of them compiles ``source`` with ``flags``; from then
+    on all three are the compiled pattern's own bound methods, so a later call
+    costs what it would on a pattern compiled at import.  A cold process thus
+    compiles only the patterns its job reads.
     """
 
-    __slots__ = ("source", "flags", "search", "match")
+    __slots__ = ("source", "flags", "search", "match", "finditer")
 
     def __init__(self, source: str, flags: int = 0) -> None:
         self.source, self.flags = source, flags
-        self.search, self.match = self._search_first, self._match_first
+        self.search, self.match, self.finditer = (
+            self._search_first, self._match_first, self._finditer_first)
 
     def _compiled(self) -> re.Pattern:
         pattern = re.compile(self.source, self.flags)
-        self.search, self.match = pattern.search, pattern.match
+        self.search, self.match, self.finditer = pattern.search, pattern.match, pattern.finditer
         return pattern
 
     def _search_first(self, *args) -> re.Match | None:
@@ -390,6 +391,9 @@ class _LazyPattern:
 
     def _match_first(self, *args) -> re.Match | None:
         return self._compiled().match(*args)
+
+    def _finditer_first(self, *args) -> Iterator[re.Match]:
+        return self._compiled().finditer(*args)
 
 
 # A path to a Python file, and the pattern that reads one from where its run of
@@ -433,21 +437,6 @@ _LAUNCHER_PORT_FLAGS = {
 }
 
 
-def _port_flags(text: str) -> list[re.Match]:
-    """What ``PORT_FLAG_RE.finditer(text)`` yields, matched only where a flag's name
-    starts; no two flags overlap, so these are the matches a scan finds, in its order."""
-    found = []
-    for start in ("--ma", "MASTER_PORT"):  # how the three names start
-        at = text.find(start)
-        while at >= 0:
-            if m := PORT_FLAG_RE.match(text, at):
-                found.append(m)
-            at = text.find(start, at + 1)
-    if len(found) > 1:
-        found.sort(key=re.Match.start)
-    return found
-
-
 _RE_NNODES = _LazyPattern(r"--nnodes[= \t]+(\d+)")
 _RE_NPROC = _LazyPattern(r"--nproc[-_]per[-_]node[= \t]+(\d+)")
 _RE_NUM_MACHINES = _LazyPattern(r"--num[-_]machines[= \t]+(\d+)")
@@ -458,17 +447,12 @@ _RE_SLOTS = _LazyPattern(r"slots=(\d+)")
 _RE_SRUN_N_UPPER = _LazyPattern(r"\bsrun\b[^\n]*?-N[= \t]+(\d+)")
 _RE_MPI_WORLD = _LazyPattern(r"(?<![\w-])-n[= \t]+(\d+)")
 _RE_MPI_PPN = _LazyPattern(r"(?<![\w-])-ppn[= \t]+(\d+)")
-# A launcher's name counts only where it stands alone, as _names reads it: no
-# ASCII letter, digit, "_", "." or "-" and no non-ASCII character on either side,
-# and no "/" after it, so /opt/bin/torchrun counts and run_deepspeed.py does not.
-# re.A keeps the mpiexec and mpirun patterns in step with the others' lowered
-# text: re.I alone also matches "İ", "ı", "K" and "ſ" to ASCII letters.
-_ALONE = r"{0}(?<![\w.-]{0}|[^\0-\x7f]{0})(?![\w./-]|[^\0-\x7f])"  # name first: fast to search
-# What may stand before and after a name for _names; "" is the text's start or end.
+# A launcher's name counts only where it stands alone (_names): no ASCII letter,
+# digit, "_", "." or "-" and no non-ASCII character on either side, and no "/"
+# after it, so /opt/bin/torchrun counts and run_deepspeed.py does not.  These are
+# what may stand before and after it; "" is the text's start or end.
 _BEFORE = frozenset(c for c in map(chr, range(128)) if not c.isalnum() and c not in "_.-") | {""}
 _AFTER = _BEFORE - {"/"}
-_RE_MPIEXEC = _LazyPattern(_ALONE.format("mpiexec"), re.I | re.A)
-_RE_MPIRUN = _LazyPattern(_ALONE.format("mpirun"), re.I | re.A)
 
 # A DeepSpeed config at the end of a deepspeed command's arguments.
 _TRAILING_JSON = _LazyPattern(r"([\w./-]+\.json)\s*'?\s*$")
@@ -494,7 +478,7 @@ def parse_script(script: str) -> PartialJobSpec:
     if launcher is None:
         return spec
     spec.launcher = launcher
-    ports = _port_flags(script)
+    ports = list(PORT_FLAG_RE.finditer(script))
     for flag in _LAUNCHER_PORT_FLAGS[launcher]:
         digits = next((m[1] for m in ports if m[0].startswith(flag)), "0")  # "0": none
         spec.master_port = valid_port(_int(digits))
@@ -576,32 +560,35 @@ def _launch(script: str) -> tuple[Launcher | None, Topology]:
 
     The launcher is the first of torchrun, deepspeed, accelerate,
     mpiexec/mpirun and srun whose name the text holds anywhere standing
-    alone (``_ALONE``); a text naming none of them has no launcher and no
-    counts.  Callers pass the text through :func:`_commands` first.
+    alone in any ASCII case (:func:`_names`); a text naming none of them has
+    no launcher and no counts.  Callers pass it through :func:`_commands` first.
     """
     lowered = script.lower()
+    if len(lowered) != len(script):
+        # Lowered one character for one, so an index in it slices script: only
+        # "İ" lowers to two, and "ı" neither completes nor borders a name either.
+        lowered = script.replace("İ", "ı").lower()
     nodes = per_node = total = None
-    if "torchrun" in lowered and _names(lowered, "torchrun"):
+    if "torchrun" in lowered and _names(lowered, "torchrun") >= 0:
         launcher = Launcher.TORCHRUN
         nodes = _grab(_RE_NNODES, script) or _grab(_RE_SRUN_N_UPPER, script)
         per_node = _grab(_RE_NPROC, script)
-    elif "deepspeed" in lowered and _names(lowered, "deepspeed"):
+    elif "deepspeed" in lowered and _names(lowered, "deepspeed") >= 0:
         launcher = Launcher.DEEPSPEED
         nodes = _grab(_RE_NUM_NODES, script)
         per_node = _grab(_RE_NUM_GPUS, script) or _grab(_RE_SLOTS, script)
-    elif "accelerate" in lowered and _names(lowered, "accelerate"):
+    elif "accelerate" in lowered and _names(lowered, "accelerate") >= 0:
         launcher = Launcher.ACCELERATE
         nodes = _grab(_RE_NUM_MACHINES, script)
         total = _grab(_RE_NUM_PROCESSES, script)
         if nodes and total and total % nodes == 0:
             per_node = total // nodes
-    elif at := _RE_MPIEXEC.search(script) or _RE_MPIRUN.search(script):
-        # Sliced at a match in the original text: lower() can lengthen it ("İ").
+    elif (at := _names(lowered, "mpiexec")) >= 0 or (at := _names(lowered, "mpirun")) >= 0:
         launcher = Launcher.MPIEXEC
-        tail = script[at.start():]
+        tail = script[at:]
         total = _grab(_RE_MPI_WORLD, tail)
         per_node = _grab(_RE_MPI_PPN, tail)
-    elif "srun" in lowered and _names(lowered, "srun"):
+    elif "srun" in lowered and _names(lowered, "srun") >= 0:
         launcher = Launcher.SRUN
         nodes = _grab(_RE_SRUN_N_UPPER, script)
     else:
@@ -609,15 +596,15 @@ def _launch(script: str) -> tuple[Launcher | None, Topology]:
     return launcher, (nodes, per_node, total)
 
 
-def _names(lowered: str, name: str) -> bool:
-    """Whether ``name`` stands alone (``_ALONE``) somewhere in ``lowered``."""
+def _names(lowered: str, name: str) -> int:
+    """Where ``name`` first stands alone (``_BEFORE``, ``_AFTER``) in ``lowered``, or -1."""
     at = lowered.find(name)
     while at >= 0:
         end = at + len(name)
         if lowered[at - 1 : at] in _BEFORE and lowered[end : end + 1] in _AFTER:
-            return True
+            return at
         at = lowered.find(name, at + 1)
-    return False
+    return -1
 
 
 def _grab(pattern: _LazyPattern, text: str) -> int | None:

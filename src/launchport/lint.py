@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .clusters import ClusterProfile
 from .errors import LaunchportError
-from .intent import JobSpec, _port_flags, _shown
+from .intent import PORT_FLAG_RE, JobSpec, _shown
 from .synthesis import RenderedScript
 from .types import PORT_MAX, PORT_MIN, FrozenRecord, Launcher, Scheduler, set_frozen, valid_port
 
@@ -102,7 +102,7 @@ def lint(r: RenderedScript, spec: JobSpec, profile: ClusterProfile) -> list[Find
 
     # 4. Port range of every port the script states, else of the spec's.
     port = None
-    for m in _port_flags(commands):
+    for m in PORT_FLAG_RE.finditer(commands):
         if valid_port(port := m[1]) is None:
             report(PORT_OUT_OF_RANGE, f"port {port} outside [{PORT_MIN}, {PORT_MAX}]")
     if port is None and valid_port(spec.master_port) is None:

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .intent import JobSpec, check_script_text
 from .simcluster import ExecutionResult
-from .synthesis import _SHELL_NAME, RenderedScript, render, render_for_spec
+from .synthesis import _SHELL_NAME, RenderedScript, render_for_spec
 from .templates import Template, TemplateSet
 # Re-exported, so every diagnosis category can be imported from here.
 from .types import (
@@ -372,11 +372,11 @@ def apply_action(
     checked, through :meth:`RenderedScript.with_export` and
     :meth:`RenderedScript.with_line_above`, which keep the script's read of
     its counts where the edit cannot change them;
-    spec-level edits (arguments, parameter values, templates)
-    rebind and re-render so the template structure is preserved.  An edit
-    that would bring a single quote or a newline into the job
-    (:func:`intent.check_script_text`), or that names a port or template it
-    cannot use (:class:`NoRepairAvailableError`), cannot be applied.
+    spec-level edits (arguments, the job's DeepSpeed config or port, templates)
+    re-render the new job, so the script states the job it is verified against.
+    An edit that would bring a single quote or a newline into the job
+    (:func:`intent.check_script_text`), or that names a field, port or template
+    it cannot use (:class:`NoRepairAvailableError`), cannot be applied.
     """
     kind = action.kind
     payload = action.payload
@@ -400,7 +400,7 @@ def apply_action(
                     f"master_port must be an integer in [{PORT_MIN}, {PORT_MAX}], got {value!r}")
             spec = spec.replace(master_port=port, master_port_explicit=True)
         else:
-            return render(template, {**script.binding, param: value}), spec, template
+            raise NoRepairAvailableError(f"set_param sets no job field '{param}'")
     else:  # switch_template
         template_id = payload["template_id"]
         if template_set is None or template_id not in template_set:

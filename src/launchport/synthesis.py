@@ -50,7 +50,7 @@ from .types import FrozenRecord, set_frozen
 
 
 class RenderedScript(FrozenRecord):
-    """Final script text plus the binding (parameter name to value) that produced it.
+    """Final script text and the id of the template it was rendered from.
 
     The text holds no ``{name}`` placeholder: the constructor raises
     :class:`UnboundParameterError` naming the first one it finds.  It reads
@@ -61,10 +61,10 @@ class RenderedScript(FrozenRecord):
     errors in both for one spec and profile.
     """
 
-    __slots__ = ("text", "template_id", "binding", "_commands", "_topology")
+    __slots__ = ("text", "template_id", "_commands", "_topology")
 
     def __init__(
-        self, text: str, template_id: str, binding: Mapping[str, int | str],
+        self, text: str, template_id: str,
         _carried: tuple[str, str | None, intent.Topology] | None = None,
     ) -> None:
         # The text a placeholder may sit in, and the commands (None: read them)
@@ -75,7 +75,6 @@ class RenderedScript(FrozenRecord):
             raise UnboundParameterError(leftover.group(1), template_id)
         set_frozen(self, "text", text)
         set_frozen(self, "template_id", template_id)
-        set_frozen(self, "binding", binding)
         if commands is None:
             # The lines the script runs; lint reads them too.
             commands = intent._commands(text)
@@ -94,7 +93,7 @@ class RenderedScript(FrozenRecord):
         carried = None
         if "\n" not in line and not intent._runs(line):
             carried = (line, self._commands, self._topology)
-        return RenderedScript(f"{line}\n{self.text}", self.template_id, self.binding, carried)
+        return RenderedScript(f"{line}\n{self.text}", self.template_id, carried)
 
     def with_export(self, name: str) -> RenderedScript:
         """This script with ``export NAME=$NAME; `` just after the first
@@ -123,7 +122,7 @@ class RenderedScript(FrozenRecord):
         if _SHELL_NAME.fullmatch(name) and not any(
                 launcher in name.lower() for launcher in intent._LAUNCHER_NAMES):
             carried = ("", None, self._topology)  # a shell name holds no placeholder
-        return RenderedScript(text, self.template_id, self.binding, carried)
+        return RenderedScript(text, self.template_id, carried)
 
     @property
     def topology(self) -> intent.Topology:
@@ -199,7 +198,7 @@ def render(t: Template, b: Mapping[str, int | str]) -> RenderedScript:
         if name not in b:
             raise UnboundParameterError(name, t.id)
         parts[i] = _canonical(b[name])
-    return RenderedScript(text="".join(parts), template_id=t.id, binding=b)
+    return RenderedScript(text="".join(parts), template_id=t.id)
 
 
 def render_for_spec(spec: JobSpec, t: Template, profile: ClusterProfile) -> RenderedScript:

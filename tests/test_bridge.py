@@ -103,8 +103,13 @@ _CALLS = {
     ("embed", _ok({"a": [1.0]}), "embed result must be one vector per text"),
     ("embed", _ok([[]]), "embed vectors must be non-empty lists"),
     ("embed", _ok([1.0]), "embed vectors must be non-empty lists"),
-    ("embed", _ok([["x"]]), "embed vectors must be numeric"),
-    ("embed", _ok([[None]]), "embed vectors must be numeric"),
+    ("embed", _ok([["x"]]), "embed vectors must be finite numbers"),
+    ("embed", _ok([[None]]), "embed vectors must be finite numbers"),
+    ("embed", _ok([[True]]), "embed vectors must be finite numbers"),
+    ("embed", b'{"ok": true, "result": [[NaN]]}', "embed vectors must be finite numbers"),
+    ("embed", b'{"ok": true, "result": [[1e999]]}', "embed vectors must be finite numbers"),
+    ("embed", b'{"ok": true, "result": [[' + b"9" * 400 + b"]]}",
+     "embed vectors must be finite numbers"),
     ("repair", _ok([]), "repair result must be an object"),
     ("repair", _ok({"proposals": "export X"}), "repair proposals must be a list of strings"),
     ("repair", _ok({"category": "env", "proposals": ["export X", 5]}),
@@ -231,35 +236,43 @@ class TestRemoteExtract:
         assert seen["Authorization"] == "Bearer s3cret"
 
 
-_INT_FIELDS = ("nodes", "gpus_per_node", "total_gpus", "master_port")
+_COUNT_FIELDS = ("nodes", "gpus_per_node", "total_gpus")
 _TEXT_FIELDS = ("entry_script", "train_args", "deepspeed_config", "cluster")
 _ENUM_FIELDS = {"framework": Framework, "strategy": Strategy, "launcher": Launcher}
 
 
 def _reference_coerce(raw):
-    """Reference reader of a remote extraction: counts, then text, then enums."""
+    """Reference reader of a remote extraction: a count is a JSON integer, the
+    port an integer or a string, a text field a string and an enum field the
+    value of a member; null and unknown keys are ignored.  The job then checks
+    the values (counts of at least 1, a port by valid_port)."""
     kwargs = {}
+    for name, value in raw.items():
+        if value is None or name == "certainty":
+            continue
+        if name in _COUNT_FIELDS:
+            readable = type(value) is int
+        elif name == "master_port":
+            readable = type(value) in (int, str)
+        elif name in _TEXT_FIELDS:
+            readable = type(value) is str
+        else:
+            readable = any(value == member.value for member in _ENUM_FIELDS[name])
+        if not readable:
+            raise BridgeProtocolError(name)
+        kwargs[name] = _ENUM_FIELDS[name](value) if name in _ENUM_FIELDS else value
     try:
-        for name in _INT_FIELDS:
-            if raw.get(name) is not None:
-                kwargs[name] = int(raw[name])
-        for name in _TEXT_FIELDS:
-            if raw.get(name) is not None:
-                kwargs[name] = str(raw[name])
-        for name, enum in _ENUM_FIELDS.items():
-            if raw.get(name) is not None:
-                kwargs[name] = enum(raw[name])
         return PartialJobSpec(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BridgeProtocolError(f"extract result failed validation: {exc}") from exc
+    except ValueError as exc:
+        raise BridgeProtocolError(name) from exc
 
 
 def _outcome(read, *args):
-    """What ``read`` returns, or the class and message of what it raises."""
+    """What ``read`` returns, or the class of what it raises."""
     try:
         return read(*args)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc)
 
 
 _REMOTE_VALUES = (
@@ -271,20 +284,33 @@ _REMOTE_VALUES = (
 
 
 @given(st.dictionaries(
-    st.sampled_from([*_INT_FIELDS, *_TEXT_FIELDS, *_ENUM_FIELDS, "certainty"]), _REMOTE_VALUES,
+    st.sampled_from([*_COUNT_FIELDS, "master_port", *_TEXT_FIELDS, *_ENUM_FIELDS, "certainty"]),
+    _REMOTE_VALUES,
 ))
 def test_remote_extraction_reads_as_the_reference_does(raw):
     bridge = RemoteBridge(_config(), transport=lambda *a: _ok(raw))
-    unreadable = set()
-    for name in _INT_FIELDS:
-        if raw.get(name) is not None and isinstance(_outcome(int, raw[name]), tuple):
-            unreadable.add(name)
     expected_raw = json.loads(_ok(raw))["result"]
-    if any(isinstance(_outcome(_ENUM_FIELDS[name], raw[name]), tuple)
-           for name in ("framework", "strategy") if raw.get(name) is not None):
-        # The field table reads framework and strategy before the counts.
-        expected_raw = {k: v for k, v in expected_raw.items() if k not in unreadable}
     assert _outcome(bridge.extract, "two nodes") == _outcome(_reference_coerce, expected_raw)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"nodes": 2.7}, "'nodes' must be an integer"),
+    ({"gpus_per_node": True}, "'gpus_per_node' must be an integer"),
+    ({"master_port": 29500.9}, "'master_port' must be a string or an integer"),
+    ({"master_port": "29_500"}, "master_port must be in [1024, 65535], got 29_500"),
+    ({"entry_script": 123}, "'entry_script' must be a string"),
+    ({"launcher": "Srun"}, "'launcher' must be one of torchrun, mpiexec, deepspeed, "
+                           "accelerate, srun"),
+    ({"nodes": 2.7, "gpus_per_node": True, "master_port": 29500.9, "entry_script": 123},
+     "'nodes' must be an integer"),
+])
+def test_remote_extraction_refuses_wrong_json_types(raw, message):
+    # Each was once converted: to nodes 2, gpus_per_node 1, master_port 29500,
+    # and entry_script '123'.
+    bridge = RemoteBridge(_config(), transport=lambda *a: _ok(raw))
+    with pytest.raises(BridgeProtocolError) as exc:
+        bridge.extract("two nodes")
+    assert str(exc.value) == f"extract result: {message}"
 
 
 class TestRemoteEmbed:
@@ -298,6 +324,30 @@ class TestRemoteEmbed:
         bridge = RemoteBridge(_config(), transport=lambda *a: _ok([[1.0]]))
         with pytest.raises(BridgeProtocolError):
             bridge.embed(["a", "b"])
+
+    @pytest.mark.parametrize("body, message", [
+        (_ok([[1.0, 0.0], [1.0], [1.0]]), "embed vectors must all have one length"),
+        (b'{"ok": true, "result": [[NaN], [1.0], [1.0]]}', "embed vectors must be finite numbers"),
+        (_ok([[1.0], [1.0], [False]]), "embed vectors must be finite numbers"),
+    ], ids=["ragged", "nan", "bool"])
+    def test_ragged_or_non_finite_vectors_are_protocol_errors(self, body, message):
+        # Once accepted: cosine similarity zipped a ragged pair to its shorter
+        # vector, and read 1.0 for a NaN, since min(1.0, nan) is 1.0.
+        bridge = RemoteBridge(_config(), transport=lambda *a: body)
+        with pytest.raises(BridgeProtocolError) as exc:
+            bridge.embed(["a", "b", "c"])
+        assert str(exc.value) == message
+
+    def test_integers_read_as_floats(self):
+        bridge = RemoteBridge(_config(), transport=lambda *a: _ok([[1, 0], [0, 2]]))
+        assert bridge.embed(["a", "b"]) == [[1.0, 0.0], [0.0, 2.0]]
+
+
+def test_every_bridge_shares_the_read_only_bundled_prompts():
+    prompts = RemoteBridge(_config())._prompts
+    assert RemoteBridge(_config())._prompts is prompts
+    with pytest.raises(TypeError):
+        prompts["extract"] = "changed"
 
 
 class TestRemoteRepair:

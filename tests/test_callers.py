@@ -341,7 +341,7 @@ def test_the_scan_credits_a_bare_name_only_to_the_definition_it_resolves_to():
     # credited an uncalled _shown in clusters.py, as a parameter named like a
     # helper credited the helper.
     sources = _sources()
-    assert "from .intent import JobSpec, _port_flags, _shown" in sources["lint.py"]
+    assert "from .intent import PORT_FLAG_RE, JobSpec, _shown" in sources["lint.py"]
     sources["clusters.py"] += "\n\ndef _shown(value):\n    return value\n"
     sources["types.py"] += "\n\ndef _orphan():\n    return None\n"
     sources["templates.py"] += "\n\ndef _echo(_orphan):\n    return _orphan\n"

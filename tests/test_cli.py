@@ -957,7 +957,8 @@ class TestBridgeFallback:
         assert out == PERLMUTTER_COMMAND + "\n"
 
 
-    @pytest.mark.parametrize("count", [b"Infinity", b"9" * 4301], ids=["infinity", "4301-digits"])
+    @pytest.mark.parametrize("count", [b"Infinity", b"9" * 4301, b"2.7", b"true"],
+                             ids=["infinity", "4301-digits", "float", "bool"])
     def test_unconvertible_remote_count_falls_back(self, capsys, tmp_path, monkeypatch, count):
         body = b'{"ok": true, "result": {"nodes": ' + count + b"}}"
         monkeypatch.setattr("launchport.bridge._default_transport", lambda *a: body)

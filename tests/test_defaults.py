@@ -2,7 +2,7 @@
 
 import pytest
 
-from launchport import clusters, prose, repair, simcluster, templates
+from launchport import bridge, clusters, prose, repair, simcluster, templates
 
 LOADERS = (
     clusters.default_profiles,
@@ -10,6 +10,7 @@ LOADERS = (
     simcluster.default_fault_rules,
     repair.default_fingerprints,
     repair.default_repair_table,
+    bridge._bundled_prompts,
 )
 
 

@@ -811,6 +811,55 @@ def _check_alone(name, before, after):
     assert intent._launch(before + name + after)[0] is (launcher if alone else None)
 
 
+# The mpiexec/mpirun search _launch made before it read both through _names:
+# each name alone, in ASCII letters of either case, searched in the text itself
+# (lower() lengthens "İ", so an index in the lowered text could not slice it).
+_OLD_ALONE = r"{0}(?<![\w.-]{0}|[^\0-\x7f]{0})(?![\w./-]|[^\0-\x7f])"
+_OLD_MPI = [re.compile(_OLD_ALONE.format(name), re.I | re.A) for name in ("mpiexec", "mpirun")]
+
+
+def _old_mpi_launch(script):
+    """What ``_launch`` read for a text naming no other launcher than mpiexec,
+    mpirun and srun, by the old patterns; ``None`` where they found neither name."""
+    at = _OLD_MPI[0].search(script) or _OLD_MPI[1].search(script)
+    if at is None:
+        return None
+    tail = script[at.start():]
+    return Launcher.MPIEXEC, (None, intent._grab(intent._RE_MPI_PPN, tail),
+                              intent._grab(intent._RE_MPI_WORLD, tail))
+
+
+_MPI_NAMES = ["mpiexec", "mpirun", "srun", "mp\u0130exec", "mp\u0131run"]
+_MPI_TOKENS = [*_MPI_NAMES, "\u0130", "\u0131", "\u212a", "-n", "-ppn", "-N", "8", "4", "python"]
+_MPI_COUNTS = ["", "-n 8", "-n=8 -ppn 4", "-ppn\t4 -n 8", "-N 2 -n 8", "-n8"]
+
+
+@st.composite
+def _mpi_soups(draw):
+    """Launcher soups of mpiexec, mpirun and srun in mixed case, beside "İ",
+    "ı" and the Kelvin sign: pieces, a run of "İ", a name and its counts, then
+    pieces, so counts stand before and after the name."""
+    pieces = st.lists(st.tuples(
+        st.sampled_from(_MPI_TOKENS), st.sampled_from([" ", "=", "\t", "\n", "", "/", ".", "-"]),
+        st.sampled_from([str, str.upper, str.title])), max_size=6)
+    parts = [*draw(pieces), ("\u0130" * draw(st.integers(0, 12)), " ", str),
+             (draw(st.sampled_from(_MPI_NAMES)), " ", draw(st.sampled_from([str, str.upper]))),
+             (draw(st.sampled_from(_MPI_COUNTS)), " ", str), *draw(pieces)]
+    return "".join(case(token) + sep for token, sep, case in parts)
+
+
+@given(_mpi_soups())
+@example("\u0130" * 10 + " mpiexec -n 8 -ppn 4 python")
+@example("-n 4 \u0130 MPIRUN -ppn 2 -n 8")
+@example("mp\u0130exec -n 8 \u212a mpirun -n 2")
+def test_mpi_launchers_read_as_the_old_patterns_did(script):
+    old = _old_mpi_launch(script)
+    if old is None:
+        assert intent._launch(script)[0] is not Launcher.MPIEXEC
+    else:
+        assert intent._launch(script) == old
+
+
 class TestParseScript:
     def test_reference_slurm_command(self):
         p = parse_script(PERLMUTTER_COMMAND)
@@ -1100,14 +1149,14 @@ class TestOneReading:
         for cluster in ("deltaai", "aurora"):
             profile = profiles.resolve(cluster)
             spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)
-            assert (lint(RenderedScript(edited, "t", {}), spec, profile)
-                    == lint(RenderedScript(script, "t", {}), spec, profile))
+            assert (lint(RenderedScript(edited, "t"), spec, profile)
+                    == lint(RenderedScript(script, "t"), spec, profile))
         profile = profiles.resolve("deltaai")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2)
         for (atom, needle), rules in needle_rules.items():
             if kind == "module" and needle == "module load":
                 continue  # the mock reads module commands: only this needle may change
-            fired = [submit(RenderedScript(text, "t", {}), spec, profile, rules).fault_fired
+            fired = [submit(RenderedScript(text, "t"), spec, profile, rules).fault_fired
                      for text in (script, edited)]
             assert fired[0] == fired[1], (atom, needle)
 
@@ -1172,7 +1221,7 @@ class TestRoundTripFixedPoint:
 # The patterns intent compiles on first use, by name.
 _DEFERRED = {"PORT_FLAG_RE", "_RE_NNODES", "_RE_NPROC", "_RE_NUM_MACHINES", "_RE_NUM_PROCESSES",
              "_RE_NUM_NODES", "_RE_NUM_GPUS", "_RE_SLOTS", "_RE_SRUN_N_UPPER", "_RE_MPI_WORLD",
-             "_RE_MPI_PPN", "_RE_MPIEXEC", "_RE_MPIRUN", "_PATH_RUN", "_PY_PATH", "_TRAILING_JSON"}
+             "_RE_MPI_PPN", "_PATH_RUN", "_PY_PATH", "_TRAILING_JSON"}
 # Every first-use pattern of intent and prose: the module-level ones and the phrases.
 _LAZY = [*(value for module in (intent, prose) for value in vars(module).values()
            if isinstance(value, intent._LazyPattern)),

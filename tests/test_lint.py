@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from launchport.errors import LaunchportError, UnboundParameterError
-from launchport.intent import _port_flags, parse_script
+from launchport.intent import PORT_FLAG_RE, parse_script
 from launchport.lint import (
     CATALOG,
     ENV_PROPAGATION_RISK,
@@ -26,7 +26,7 @@ from conftest import make_spec
 
 def _raw_script(text):
     """A script from outside the template repository, such as a hand edit."""
-    return RenderedScript(text, "external", {})
+    return RenderedScript(text, "external")
 
 
 def test_reference_script_is_clean(profiles, templates):
@@ -265,7 +265,7 @@ _PORT_SOUPS = st.lists(st.sampled_from(_PORT_TOKENS), max_size=16).map("".join) 
 @example("-genv MASTER_PORT 1 --master_port 29500")
 def test_port_flag_pattern_scans_as_lints_own_did(text):
     expected = [(m.group(1), m.span(1)) for m in _RAW_PORT_RE.finditer(text)]
-    assert [(m.group(1), m.span(1)) for m in _port_flags(text)] == expected
+    assert [(m.group(1), m.span(1)) for m in PORT_FLAG_RE.finditer(text)] == expected
 
 
 # Reference: parse_script's port reading before it shared lint's port reader:

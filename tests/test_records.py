@@ -44,7 +44,7 @@ SIGNATURES = {
         ("launcher", REQUIRED), ("body", REQUIRED), ("params", REQUIRED), ("verified", False),
         ("notes", "")),
     "synthesis.RenderedScript": (
-        ("text", REQUIRED), ("template_id", REQUIRED), ("binding", REQUIRED)),
+        ("text", REQUIRED), ("template_id", REQUIRED)),
     "lint.Finding": (("code", REQUIRED), ("message", REQUIRED)),
     "simcluster.FaultRule": (
         ("id", REQUIRED), ("cluster", REQUIRED), ("trigger", REQUIRED),
@@ -89,8 +89,7 @@ def _class(name):
 def _samples() -> dict[str, tuple]:
     """Two field tuples per class, differing in their first field."""
     spec = JobSpec("delta", Framework.PYTORCH, Strategy.DDP, Launcher.TORCHRUN, 2, 4, "train.py")
-    binding = {"nodes": 2}
-    script = _class("synthesis.RenderedScript")("srun -N 2 train.py", "delta-ddp", binding)
+    script = _class("synthesis.RenderedScript")("srun -N 2 train.py", "delta-ddp")
     profile = default_profiles().resolve("delta")
     result = _class("simcluster.ExecutionResult")(1, "", "boom", "ENV_NOT_PROPAGATED")
     action = _class("repair.RepairAction")("export_env", {"name": "PYTHONPATH"}, "why")
@@ -107,7 +106,7 @@ def _samples() -> dict[str, tuple]:
         "templates.Template": ("delta-ddp", "delta", Framework.PYTORCH, Strategy.DDP,
                                Launcher.TORCHRUN, "srun {nodes}",
                                (_class("templates.ParamDecl")("nodes", "integer"),), True, "n"),
-        "synthesis.RenderedScript": ("srun -N 2 train.py", "delta-ddp", binding),
+        "synthesis.RenderedScript": ("srun -N 2 train.py", "delta-ddp"),
         "lint.Finding": ("TOPOLOGY_MISMATCH", "nodes differ"),
         "simcluster.FaultRule": ("ENV_NOT_PROPAGATED", ("deltaai",), {"cluster_is": "deltaai"},
                                  "ModuleNotFoundError", ("export_env",)),
@@ -134,7 +133,7 @@ def _samples() -> dict[str, tuple]:
         "repair.Fingerprint": "OTHER",
         "pipeline.HistoryEntry": _class("repair.Diagnosis")("user", None, "cause"),
         "pipeline.LoopOutcome": _class("synthesis.RenderedScript")(
-            "srun -N 3 train.py", "delta-ddp", {"nodes": 3}),
+            "srun -N 3 train.py", "delta-ddp"),
         "retrieval.RankedCandidate": "delta-fsdp",
         "pipeline.Attempt": _class("retrieval.RankedCandidate")("delta-fsdp", 0.5, {}, False),
         "pipeline.PipelineResult": JobSpec("vista", Framework.PYTORCH, Strategy.DDP,

@@ -235,6 +235,20 @@ def test_switch_to_a_missing_template_is_unappliable(profiles, templates, with_s
         apply_action(action, script, spec, template, profile, templates if with_set else None)
 
 
+@pytest.mark.parametrize("param", ["each_node_gpus", "nodes", "your_script", "world_size"])
+def test_set_param_sets_only_a_job_field(profiles, templates, param):
+    # A rebound template parameter would launch a job other than the spec the
+    # script is verified against, and the next re-render would drop it.
+    profile = profiles.resolve("perlmutter")
+    spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+    template = templates.get("perlmutter-ddp")
+    script = render_for_spec(spec, template, profile)
+    action = RepairAction("set_param", {"param": param, "value": 9})
+    with pytest.raises(NoRepairAvailableError) as exc:
+        apply_action(action, script, spec, template, profile, templates)
+    assert str(exc.value) == f"set_param sets no job field '{param}'"
+
+
 def test_prepend_line_and_switch_template_apply(profiles, templates):
     profile = profiles.resolve("perlmutter")
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
@@ -259,7 +273,7 @@ def test_export_env_goes_into_the_launch_command_the_script_runs(profiles, templ
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
     template = templates.get("deltaai-ddp")
     rendered = render_for_spec(spec, template, profile)
-    script = RenderedScript(f"{above}\n{rendered.text}", template.id, rendered.binding)
+    script = RenderedScript(f"{above}\n{rendered.text}", template.id)
     action = RepairAction("export_env", {"name": "PYTHONPATH"})
     repaired, _, _ = apply_action(action, script, spec, template, profile)
     assert repaired.text == f"{above}\n" + rendered.text.replace(
@@ -731,7 +745,7 @@ class TestRunLoop:
             self, profiles, templates, fault_rules, monkeypatch):
         # The first action would put more GPUs on a node than deltaai has.
         table = load_repair_table(json.dumps({"ENV_NOT_PROPAGATED": [
-            {"kind": "set_param", "payload": {"param": "each_node_gpus", "value": 9}},
+            {"kind": "prepend_line", "payload": {"line": "torchrun --nproc_per_node=9 train.py"}},
             {"kind": "export_env", "payload": {"name": "PYTHONPATH"}},
         ]}))
         profile = profiles.resolve("deltaai")
@@ -756,7 +770,7 @@ class TestRunLoop:
 
     @pytest.mark.parametrize("action", [
         {"kind": "add_arg", "payload": {"args": "--run-name 'vit base'"}},
-        {"kind": "set_param", "payload": {"param": "your_script", "value": "train.py\nrm -rf ~"}},
+        {"kind": "set_param", "payload": {"param": "deepspeed_config", "value": "ds.json\nrm -rf ~"}},
         {"kind": "set_param", "payload": {"param": "deepspeed_config", "value": "it's.json"}},
     ], ids=["add_arg", "set_param-newline", "set_param-deepspeed_config"])
     def test_repair_that_brings_a_quote_or_newline_is_skipped(
@@ -957,6 +971,24 @@ class TestBridgeAssistedLoop:
         assert outcome.status == STATUS_SUCCESS
         assert [e.action and e.action.kind for e in outcome.history] == ["export_env"]
         assert outcome.final_spec.master_port == spec.master_port
+
+    def test_a_proposal_to_rebind_a_parameter_is_skipped(self, profiles, templates, custom_rules):
+        answer = {"category": "env", "proposals": ["set nodes to 4", "export CUSTOM_FLAG"]}
+        bridge = RemoteBridge(
+            BridgeConfig(endpoint="http://bridge.test/v1", capabilities=frozenset({"repair"})),
+            transport=lambda *args: json.dumps({"ok": True, "result": answer}).encode(),
+        )
+        profile = profiles.resolve("delta")
+        spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
+        template = templates.get("delta-ddp")
+        outcome = run_loop(spec, template, profile, custom_rules, bridge=bridge)
+        assert outcome.status == STATUS_SUCCESS
+        assert [a.kind for a in outcome.history[0].diagnosis.remote_actions] == [
+            "set_param", "export_env"]
+        assert [e.action and e.action.kind for e in outcome.history] == ["export_env"]
+        assert outcome.final_spec == spec
+        assert outcome.final_script == render_for_spec(
+            spec, template, profile).with_export("CUSTOM_FLAG")
 
     def test_port_proposal_in_range_is_applied(self, profiles, templates, custom_rules):
         answer = {"category": "env",

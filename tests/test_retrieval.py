@@ -1,5 +1,6 @@
 import copy
 import gc
+import json
 import pickle
 import weakref
 from types import MappingProxyType
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from launchport import retrieval
+from launchport.bridge import BridgeConfig, RemoteBridge
 from launchport.clusters import default_profiles
 from launchport.errors import BridgeUnavailableError, NoCandidatesError
 from launchport.intent import JobSpec
@@ -163,11 +165,23 @@ class _ExtraVectorEmbedder(FakeEmbedder):
         return vectors + vectors[:1]
 
 
+def _remote_embedder(vector):
+    """A remote bridge that embeds the first text as ``[1.0, 0.0]`` and every
+    other one as ``vector``."""
+    def transport(url, body, headers, timeout):
+        count = len(json.loads(body)["payload"]["texts"])
+        return json.dumps({"ok": True, "result": [[1.0, 0.0]] + [vector] * (count - 1)}).encode()
+
+    config = BridgeConfig(endpoint="http://bridge.test/v1", capabilities=frozenset({"embed"}))
+    return RemoteBridge(config, transport)
+
+
 # Each way an embedder can fail a ranking: a bridge error, or a vector count
-# other than one per text.
+# other than one per text; a remote one also by vectors of two lengths, or NaN.
 _FAILING = pytest.mark.parametrize(
-    "fail", [_DownEmbedder(), _ShortEmbedder(), _NoVectorEmbedder(), _ExtraVectorEmbedder()],
-    ids=["raises", "short", "no-vector", "extra-vector"])
+    "fail", [_DownEmbedder(), _ShortEmbedder(), _NoVectorEmbedder(), _ExtraVectorEmbedder(),
+             _remote_embedder([1.0]), _remote_embedder([float("nan"), 0.0])],
+    ids=["raises", "short", "no-vector", "extra-vector", "remote-ragged", "remote-nan"])
 
 
 class TestEmbedderFallback:

@@ -78,8 +78,7 @@ class TestSubmit:
                 ("stampede3", "module load x # not a comment line\n{}", None)):
             _, rendered, spec, profile, _ = _run(profiles, templates, fault_rules,
                                                   cluster, Framework.PYTORCH, Strategy.DDP)
-            script = RenderedScript(edited.format(rendered.text), rendered.template_id,
-                                    rendered.binding)
+            script = RenderedScript(edited.format(rendered.text), rendered.template_id)
             assert submit(script, spec, profile, fault_rules).fault_fired == fired, edited
 
     def test_vista_stage3_apex_failure(self, profiles, templates, fault_rules):
@@ -119,7 +118,7 @@ class TestSubmit:
         profile = profiles.resolve("perlmutter")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=2, gpus_per_node=4)
         text = "mpiexec -n 6 -ppn 4 python -u train.py"  # 6 ranks do not fill 4 per node
-        result = submit(RenderedScript(text, "fixed", {}), spec, profile, load_fault_rules("[]"))
+        result = submit(RenderedScript(text, "fixed"), spec, profile, load_fault_rules("[]"))
         assert (result.exit_code, result.stdout, result.fault_fired) == (1, "", None)
         assert result.stderr == (
             "launch topology error: world size 6 does not match 2 nodes x 4 processes per node")
@@ -129,7 +128,7 @@ class TestSubmit:
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP,
                          nodes=nodes, gpus_per_node=per_node)
-        result = submit(RenderedScript("python train.py", "plain", {}), spec, profile,
+        result = submit(RenderedScript("python train.py", "plain"), spec, profile,
                         FaultRuleSet([]))
         world = nodes * per_node
         lines = [f"rank {i}/{world} ok" for i in range(world)] + ["allreduce ok", "allgather ok"]
@@ -145,7 +144,7 @@ class TestSubmit:
         profile = profiles.resolve("delta")
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP,
                          nodes=nodes, gpus_per_node=per_node)
-        result = submit(RenderedScript("python train.py", "plain", {}), spec, profile,
+        result = submit(RenderedScript("python train.py", "plain"), spec, profile,
                         FaultRuleSet([]))
         world = nodes * per_node
         lines = [f"rank {i}/{world} ok" for i in range(world)] + ["allreduce ok", "allgather ok"]
@@ -179,7 +178,7 @@ def _plain_pass(profiles, world):
     hand-built job of ``world`` ranks on one node."""
     profile = profiles.resolve("delta")
     spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP, nodes=1, gpus_per_node=world)
-    return submit(RenderedScript("python train.py", "plain", {}), spec, profile, FaultRuleSet([]))
+    return submit(RenderedScript("python train.py", "plain"), spec, profile, FaultRuleSet([]))
 
 
 class TestSharedPass:
@@ -440,7 +439,7 @@ class TestStderrFields:
             with pytest.raises(RuleParseError, match="unknown stderr field"):
                 FaultRuleSet([rule])
             return
-        result = submit(RenderedScript("", "drawn", {}), spec, profile, FaultRuleSet([rule]))
+        result = submit(RenderedScript("", "drawn"), spec, profile, FaultRuleSet([rule]))
         assert result.stderr == _reference_stderr(stderr, spec, profile)
 
     def test_hand_built_rule_with_unknown_field_is_refused(self):
@@ -541,7 +540,7 @@ class TestRuleIndex:
         rules = load_fault_rules(doc, known_clusters=set(profiles.ids()))
         profile = profiles.resolve(cluster)
         spec = make_spec(profile, Framework.PYTORCH, strategy, launcher=launcher, nodes=nodes)
-        rendered = RenderedScript(text, "drawn", {})
+        rendered = RenderedScript(text, "drawn")
         assert submit(rendered, spec, profile, rules).fault_fired == _first_applying(
             rules, text, spec, profile
         )

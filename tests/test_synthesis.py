@@ -98,7 +98,7 @@ class TestRender:
         spec = make_spec(profile, Framework.PYTORCH, Strategy.DDP)
         t = templates.get("delta-ddp")
         rendered = render_for_spec(spec, t, profile)
-        again = render(t, rendered.binding)
+        again = render(t, bind(spec, t, profile))
         assert again.text == rendered.text
 
     def test_topology_is_the_parsed_text_and_leaves_equality_alone(self, profiles, templates):
@@ -165,7 +165,7 @@ class TestRenderedScript:
     def test_refuses_exactly_the_texts_with_placeholders(self, text):
         found = placeholders(text)
         try:
-            script = RenderedScript(text, "external", {})
+            script = RenderedScript(text, "external")
         except UnboundParameterError as exc:
             assert found
             assert exc.param == found[0]
@@ -185,7 +185,7 @@ def _reference_render(t, b):
         value = b[name]
         return ("1" if value else "0") if isinstance(value, bool) else str(value)
 
-    return RenderedScript(PLACEHOLDER_RE.sub(substitute, t.body), t.id, b)
+    return RenderedScript(PLACEHOLDER_RE.sub(substitute, t.body), t.id)
 
 
 def _rendered_or_unbound(render_fn, t, b):
@@ -282,7 +282,7 @@ class TestCarriedReads:
             for unrun, line in lines:
                 parent = script
                 script = parent.with_line_above(line)
-                fresh = RenderedScript(f"{line}\n{parent.text}", t.id, parent.binding)
+                fresh = RenderedScript(f"{line}\n{parent.text}", t.id)
                 assert script == fresh
                 assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
                 assert lint(script, spec, profile) == lint(fresh, spec, profile)
@@ -296,7 +296,7 @@ class TestCarriedReads:
             profile = profiles.resolve(t.cluster)
             spec = make_spec(profile, t.framework, t.strategy, launcher=t.launcher)
             rendered = render_for_spec(spec, t, profile)
-            script = RenderedScript(above + rendered.text, t.id, rendered.binding)
+            script = RenderedScript(above + rendered.text, t.id)
             for name in names:
                 parent = script
                 script = parent.with_export(name)
@@ -308,7 +308,7 @@ class TestCarriedReads:
                     assert script.text == f"{parent.text[:at]}{statement}; {parent.text[at:]}"
                 else:
                     assert script.text == f"{statement}\n{parent.text}"
-                fresh = RenderedScript(script.text, t.id, parent.binding)
+                fresh = RenderedScript(script.text, t.id)
                 assert script == fresh
                 assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
                 assert lint(script, spec, profile) == lint(fresh, spec, profile)
@@ -317,24 +317,24 @@ class TestCarriedReads:
                 assert (script._topology is parent._topology) == carried, (t.id, name)
 
     def test_a_line_that_holds_a_newline_or_a_name_that_is_not_a_shell_name_is_read(self):
-        parent = RenderedScript("srun -N 2 bash -c 'torchrun --nnodes=2 train.py'", "t", {})
+        parent = RenderedScript("srun -N 2 bash -c 'torchrun --nnodes=2 train.py'", "t")
         for script in (parent.with_line_above("# x\nexport PYTHONPATH=/p --nnodes=9"),
                        parent.with_export("X --nnodes=9")):
-            fresh = RenderedScript(script.text, "t", {})
+            fresh = RenderedScript(script.text, "t")
             assert (script._commands, script.topology) == (fresh._commands, fresh.topology)
             assert script.topology == (9, None, None) != parent.topology
 
     def test_a_carried_read_survives_a_pickle_round_trip(self):
-        parent = RenderedScript("srun -N 2 bash -c 'torchrun --nnodes=2 train.py'", "t", {})
+        parent = RenderedScript("srun -N 2 bash -c 'torchrun --nnodes=2 train.py'", "t")
         for script in (parent.with_line_above("module load cuda/12.4"),
                        parent.with_export("PYTHONPATH")):
             assert script._topology is parent._topology
-            loaded, fresh = pickle.loads(pickle.dumps(script)), RenderedScript(script.text, "t", {})
+            loaded, fresh = pickle.loads(pickle.dumps(script)), RenderedScript(script.text, "t")
             assert loaded == script == fresh
             assert (loaded._commands, loaded.topology) == (fresh._commands, fresh.topology)
 
     def test_a_placeholder_on_a_carried_line_is_refused(self):
-        parent = RenderedScript("torchrun --nnodes=2 train.py", "t", {})
+        parent = RenderedScript("torchrun --nnodes=2 train.py", "t")
         with pytest.raises(UnboundParameterError) as exc:
             parent.with_line_above("module load {cuda}")
         assert (exc.value.param, exc.value.template_id) == ("cuda", "t")
