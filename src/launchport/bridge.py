@@ -242,9 +242,9 @@ def _bundled_prompts() -> Mapping[str, str]:
         load_json(bundled("bridge_prompts.json"), dict, "bridge prompts", BridgeProtocolError))
 
 
-# The fields of a remote extraction: counts are JSON integers, the port an
-# integer or a text (of digits, which PartialJobSpec checks) and the rest strings,
-# each enum's naming a member.
+# The fields of a remote extraction and their JSON kinds: counts are integers,
+# the port an integer or a string (PartialJobSpec holds either to the port rule)
+# and the rest strings, an enum field's the value of one of its members.
 _ENUMS = {"framework": Framework, "strategy": Strategy, "launcher": Launcher}
 _REMOTE_FIELDS = {
     **dict.fromkeys(("nodes", "gpus_per_node", "total_gpus"), (INT, OPTIONAL)),

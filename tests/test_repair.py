@@ -770,7 +770,8 @@ class TestRunLoop:
 
     @pytest.mark.parametrize("action", [
         {"kind": "add_arg", "payload": {"args": "--run-name 'vit base'"}},
-        {"kind": "set_param", "payload": {"param": "deepspeed_config", "value": "ds.json\nrm -rf ~"}},
+        {"kind": "set_param",
+         "payload": {"param": "deepspeed_config", "value": "ds.json\nrm -rf ~"}},
         {"kind": "set_param", "payload": {"param": "deepspeed_config", "value": "it's.json"}},
     ], ids=["add_arg", "set_param-newline", "set_param-deepspeed_config"])
     def test_repair_that_brings_a_quote_or_newline_is_skipped(
