@@ -43,11 +43,10 @@ from typing import Callable, Mapping, Sequence
 
 from .documents import INT, OPTIONAL, STRINGS, TEXT, TEXT_OR_INT, bundled, check_record, load_json
 from .errors import BridgeDisabledError, BridgeProtocolError, BridgeUnavailableError
-from .intent import PartialJobSpec
+from .intent import FIELD_PARSERS, PartialJobSpec
 from .repair import RepairAction
 from .types import (
-    CATEGORIES, CATEGORY_UNKNOWN, REPAIR_PAYLOAD_KEYS, Framework, FrozenRecord, Launcher,
-    Strategy, set_frozen,
+    CATEGORIES, CATEGORY_UNKNOWN, REPAIR_PAYLOAD_KEYS, FrozenRecord, Launcher, set_frozen,
 )
 
 CAPABILITIES = ("extract", "embed", "repair")
@@ -242,16 +241,16 @@ def _bundled_prompts() -> Mapping[str, str]:
         load_json(bundled("bridge_prompts.json"), dict, "bridge prompts", BridgeProtocolError))
 
 
-# The fields of a remote extraction and their JSON kinds: counts are integers,
-# the port an integer or a string (PartialJobSpec holds either to the port rule)
-# and the rest strings, an enum field's the value of one of its members.
-_ENUMS = {"framework": Framework, "strategy": Strategy, "launcher": Launcher}
+# The fields of a remote extraction, in FIELD_PARSERS order, and their JSON
+# kinds: a count is an integer, the port an integer or a string (PartialJobSpec
+# holds either to the port rule), a text field a string and an enum field the
+# value of one of its members.
+_REMOTE_PARSERS = {**FIELD_PARSERS, "launcher": Launcher}
+_ENUMS = {name: parse for name, parse in _REMOTE_PARSERS.items() if parse not in (INT, TEXT)}
 _REMOTE_FIELDS = {
-    **dict.fromkeys(("nodes", "gpus_per_node", "total_gpus"), (INT, OPTIONAL)),
-    "master_port": (TEXT_OR_INT, OPTIONAL),
-    **dict.fromkeys(("cluster", "entry_script", "deepspeed_config", "train_args"),
-                    (TEXT, OPTIONAL)),
-    **{name: (tuple(member.value for member in enum), OPTIONAL) for name, enum in _ENUMS.items()},
+    name: (TEXT_OR_INT if name == "master_port" else
+           tuple(member.value for member in _ENUMS[name]) if name in _ENUMS else parse, OPTIONAL)
+    for name, parse in _REMOTE_PARSERS.items()
 }
 
 
@@ -260,7 +259,9 @@ def _coerce_partial(raw: dict) -> PartialJobSpec:
 
     Unknown keys and ``null`` values are ignored.  A value of another JSON
     type, or one the job refuses (a count below 1, a port out of range), is a
-    protocol error rather than converted.
+    protocol error rather than converted.  Fields are checked in
+    :data:`_REMOTE_FIELDS` order, so of several bad values the first there is
+    the one reported.
     """
     known = {name: raw[name] for name in _REMOTE_FIELDS if raw.get(name) is not None}
     check_record(known, _REMOTE_FIELDS, "extract result",

@@ -64,7 +64,7 @@ class RenderedScript(FrozenRecord):
     __slots__ = ("text", "template_id", "_commands", "_topology")
 
     def __init__(
-        self, text: str, template_id: str,
+        self, text: str, template_id: str, *,
         _carried: tuple[str, str | None, intent.Topology] | None = None,
     ) -> None:
         # The text a placeholder may sit in, and the commands (None: read them)
@@ -93,7 +93,7 @@ class RenderedScript(FrozenRecord):
         carried = None
         if "\n" not in line and not intent._runs(line):
             carried = (line, self._commands, self._topology)
-        return RenderedScript(f"{line}\n{self.text}", self.template_id, carried)
+        return RenderedScript(f"{line}\n{self.text}", self.template_id, _carried=carried)
 
     def with_export(self, name: str) -> RenderedScript:
         """This script with ``export NAME=$NAME; `` just after the first
@@ -122,7 +122,7 @@ class RenderedScript(FrozenRecord):
         if _SHELL_NAME.fullmatch(name) and not any(
                 launcher in name.lower() for launcher in intent._LAUNCHER_NAMES):
             carried = ("", None, self._topology)  # a shell name holds no placeholder
-        return RenderedScript(text, self.template_id, carried)
+        return RenderedScript(text, self.template_id, _carried=carried)
 
     @property
     def topology(self) -> intent.Topology:

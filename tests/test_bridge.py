@@ -241,38 +241,46 @@ _TEXT_FIELDS = ("entry_script", "train_args", "deepspeed_config", "cluster")
 _ENUM_FIELDS = {"framework": Framework, "strategy": Strategy, "launcher": Launcher}
 
 
+# The order a remote extraction is checked in; of several bad values the
+# first here is the one reported.
+_FIELD_ORDER = ("cluster", "framework", "strategy", *_COUNT_FIELDS, "master_port",
+                "entry_script", "deepspeed_config", "train_args", "launcher")
+
+
 def _reference_coerce(raw):
     """Reference reader of a remote extraction: a count is a JSON integer, the
     port an integer or a string, a text field a string and an enum field the
     value of a member; null and unknown keys are ignored.  The job then checks
     the values (counts of at least 1, a port by valid_port)."""
     kwargs = {}
-    for name, value in raw.items():
-        if value is None or name == "certainty":
+    for name in _FIELD_ORDER:
+        value = raw.get(name)
+        if value is None:
             continue
         if name in _COUNT_FIELDS:
-            readable = type(value) is int
+            wanted = None if type(value) is int else "an integer"
         elif name == "master_port":
-            readable = type(value) in (int, str)
+            wanted = None if type(value) in (int, str) else "a string or an integer"
         elif name in _TEXT_FIELDS:
-            readable = type(value) is str
+            wanted = None if type(value) is str else "a string"
         else:
-            readable = any(value == member.value for member in _ENUM_FIELDS[name])
-        if not readable:
-            raise BridgeProtocolError(name)
+            values = [member.value for member in _ENUM_FIELDS[name]]
+            wanted = None if value in values else f"one of {', '.join(values)}"
+        if wanted:
+            raise BridgeProtocolError(f"extract result: '{name}' must be {wanted}")
         kwargs[name] = _ENUM_FIELDS[name](value) if name in _ENUM_FIELDS else value
     try:
         return PartialJobSpec(**kwargs)
     except ValueError as exc:
-        raise BridgeProtocolError(name) from exc
+        raise BridgeProtocolError(f"extract result: {exc}") from exc
 
 
 def _outcome(read, *args):
-    """What ``read`` returns, or the class of what it raises."""
+    """What ``read`` returns, or the class and message of what it raises."""
     try:
         return read(*args)
     except Exception as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 _REMOTE_VALUES = (

@@ -76,8 +76,8 @@ SIGNATURES = {
 MUTABLE = {"intent.PartialJobSpec"}
 
 # Constructor parameters after the fields that are not fields (a dataclass's
-# InitVar), as (name, default): read by __init__ and never kept, so ==, hash,
-# repr and replace do not see them.
+# keyword-only InitVar), as (name, default): read by __init__ and never kept,
+# so ==, hash, repr and replace do not see them, and never given by position.
 INIT_ONLY = {"synthesis.RenderedScript": (("_carried", None),)}
 
 
@@ -155,7 +155,9 @@ def _reference_repr(cls, names, values) -> str:
 def test_signature_is_the_dataclass_one(name):
     params = inspect.signature(_class(name)).parameters.values()
     assert tuple((p.name, p.default) for p in params) == SIGNATURES[name] + INIT_ONLY.get(name, ())
-    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    fields, init_only = len(SIGNATURES[name]), len(INIT_ONLY.get(name, ()))
+    assert [p.kind for p in params] == ([inspect.Parameter.POSITIONAL_OR_KEYWORD] * fields
+                                        + [inspect.Parameter.KEYWORD_ONLY] * init_only)
 
 
 @pytest.mark.parametrize("name", sorted(SIGNATURES))

@@ -333,6 +333,12 @@ class TestCarriedReads:
             assert loaded == script == fresh
             assert (loaded._commands, loaded.topology) == (fresh._commands, fresh.topology)
 
+    def test_a_third_positional_argument_is_refused(self):
+        # The record once took (text, template_id, binding); a three-key binding
+        # passed there must not be unpacked as a carried read.
+        with pytest.raises(TypeError):
+            RenderedScript("torchrun --nnodes=2 train.py", "t", {"nodes": 2, "port": 1, "x": 3})
+
     def test_a_placeholder_on_a_carried_line_is_refused(self):
         parent = RenderedScript("torchrun --nnodes=2 train.py", "t")
         with pytest.raises(UnboundParameterError) as exc:
